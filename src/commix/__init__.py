@@ -10,7 +10,6 @@ from .errors import (
     AdmissibilityError,
     DimensionError,
     EvaluationError,
-    QuadratureError,
     RationalApproximationWarning,
     ResolutionError,
     SchemaError,
@@ -42,8 +41,6 @@ from .commutators import (
     IdentityCheck,
     MixingBound,
     OperatorPair,
-    QuadratureResult,
-    QuadratureRule,
     SmoothWindow,
     birkhoff_continuous,
     birkhoff_discrete,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError, StructureError
+from .errors import StructureError
 from .operators import (
     as_square_matrix,
     check_structure,
@@ -28,8 +28,6 @@ from .operators import (
 __all__ = [
     "OperatorPair",
     "SmoothWindow",
-    "QuadratureRule",
-    "QuadratureResult",
     "DegreeEstimate",
     "IdentityCheck",
     "FlowIdentityCheck",
@@ -50,7 +48,7 @@ __all__ = [
 ]
 
 DEGREE_ESTIMATE_FORMAT = "degree-estimate"
-DEGREE_ESTIMATE_VERSION = 1
+DEGREE_ESTIMATE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -136,66 +134,56 @@ def selfadjoint_symbol(pair):
     return m
 
 
+def _conjugation_sum(u, m, steps):
+    """Return ``(sum_{n<N} U^n M U^{-n}, U^N)`` in at most six products per bit of N.
+
+    Doubling over the binary digits of ``N``: ``S_{2a} = S_a + U^a S_a U^{-a}``
+    and ``S_{a+1} = M + U S_a U^{-1}``, with ``U^a`` carried alongside.  On
+    permutation matrices every product is exact, so the sum is too whenever
+    the entries of ``M`` add exactly.
+    """
+    uh = u.conj().T
+    total, power = m, u
+    for bit in bin(steps)[3:]:
+        total = total + power @ total @ power.conj().T
+        power = power @ power
+        if bit == "1":
+            total = m + u @ total @ uh
+            power = u @ power
+    return total, power
+
+
 def birkhoff_discrete(unitary, symbol, steps):
-    """Average ``(1/N) sum_{n<N} U^n M U^{-n}`` with a fixed summation order."""
+    """Average ``(1/N) sum_{n<N} U^n M U^{-n}`` in ``O(log N)`` matrix products."""
     u = as_square_matrix(unitary, "unitary")
     m = as_square_matrix(symbol, "symbol")
     steps = int(steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    total = m.copy()
-    current = m
-    uh = u.conj().T
-    for _ in range(steps - 1):
-        current = u @ current @ uh
-        total += current
-    return total / steps
+    return _conjugation_sum(u, m, steps)[0] / steps
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite-Simpson settings for time averages of conjugated symbols."""
-
-    initial_intervals: int = 8
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-13
-    max_intervals: int = 1 << 16
+def _roundoff_floor(m):
+    return 64.0 * np.finfo(float).eps * max(1.0, spectral_norm(m))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: np.ndarray
-    error_estimate: float
-    intervals: int
+def _phi1_imaginary(y):
+    """``phi_1(iy) = (e^{iy} - 1)/(iy)`` for real ``y``, exactly 1 at ``y = 0``.
 
-
-def _simpson_average(gap_matrix, coeff, duration, intervals):
-    # composite Simpson for (1/t) * int_0^t exp(i s gap) ds, applied entrywise
-    nodes = np.linspace(0.0, duration, intervals + 1)
-    weights = np.ones(intervals + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= duration / (3.0 * intervals)
-    acc = np.zeros_like(coeff)
-    chunk = 512
-    flat = gap_matrix.reshape(-1)
-    for start in range(0, nodes.size, chunk):
-        s = nodes[start : start + chunk]
-        w = weights[start : start + chunk]
-        phases = np.exp(1j * s[:, None] * flat[None, :])
-        acc += (w @ phases).reshape(coeff.shape)
-    return coeff * acc / duration
-
-
-def birkhoff_continuous(generator, symbol, duration, rule=None):
-    """Time average ``(1/t) int_0^t e^{isH} M e^{-isH} ds`` by adaptive Simpson.
-
-    The propagators come from a single eigendecomposition of ``H``; interval
-    counts double until the Richardson estimate ``||S_2n - S_n|| / 15`` falls
-    below the rule's tolerances.  The reported error estimate never drops
-    below the roundoff floor of the summation.
+    Written as ``sin(y)/y + i (1 - cos y)/y`` through ``np.sinc``, which has
+    no cancellation near 0 and needs no branch there.
     """
-    rule = rule or QuadratureRule()
+    return np.sinc(y / np.pi) + 0.5j * y * np.sinc(y / (2.0 * np.pi)) ** 2
+
+
+def birkhoff_continuous(generator, symbol, duration):
+    """Time average ``(1/t) int_0^t e^{isH} M e^{-isH} ds`` in closed form.
+
+    With ``H = V diag(lambda) V*`` and ``C = V* M V`` the average is
+    ``V (C o phi_1(i t (lambda_j - lambda_k))) V*``, where ``o`` is the
+    entrywise product and ``phi_1(z) = (e^z - 1)/z``.  Its error is roundoff
+    in the decomposition and the two products.
+    """
     h = as_square_matrix(generator, "generator")
     m = as_square_matrix(symbol, "symbol")
     duration = float(duration)
@@ -203,36 +191,20 @@ def birkhoff_continuous(generator, symbol, duration, rule=None):
         raise ValueError("duration must be positive")
     eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
     coeff = eigvecs.conj().T @ m @ eigvecs
-    gaps = eigvals[:, None] - eigvals[None, :]
-    floor = 64.0 * np.finfo(float).eps * max(1.0, spectral_norm(m))
-
-    intervals = max(2, rule.initial_intervals)
-    if intervals % 2:
-        intervals += 1
-    coarse = _simpson_average(gaps, coeff, duration, intervals)
-    while True:
-        fine = _simpson_average(gaps, coeff, duration, 2 * intervals)
-        estimate = spectral_norm(fine - coarse) / 15.0
-        intervals *= 2
-        if estimate <= rule.rel_tol * max(spectral_norm(fine), 1e-30) + rule.abs_tol:
-            break
-        if intervals >= rule.max_intervals:
-            raise QuadratureError(
-                f"quadrature did not reach tolerance within {rule.max_intervals} "
-                f"intervals (last estimate {estimate:.3e})"
-            )
-        coarse = fine
-    value = eigvecs @ fine @ eigvecs.conj().T
-    value = (value + value.conj().T) / 2.0
-    return QuadratureResult(value=value, error_estimate=float(max(estimate, floor)), intervals=intervals)
+    kernel = _phi1_imaginary(duration * (eigvals[:, None] - eigvals[None, :]))
+    value = eigvecs @ (coeff * kernel) @ eigvecs.conj().T
+    return (value + value.conj().T) / 2.0
 
 
 @dataclass(frozen=True)
 class IdentityCheck:
+    """Residual of ``[A, U^N] = N D_N U^N`` with the average ``D_N`` it used."""
+
     steps: int
     residual: float
     expected: float
     passed: bool
+    average: np.ndarray = field(repr=False, compare=False)
 
 
 def degree_identity_check(pair, steps):
@@ -247,7 +219,8 @@ def degree_identity_check(pair, steps):
     avg = birkhoff_discrete(u, unitary_symbol(pair), steps)
     residual = spectral_norm((a @ power - power @ a) - steps * (avg @ power))
     expected = pair.dim * 1e-12 * (spectral_norm(a) + steps * spectral_norm(avg))
-    return IdentityCheck(steps=steps, residual=residual, expected=expected, passed=residual <= expected)
+    return IdentityCheck(steps=steps, residual=residual, expected=expected,
+                         passed=residual <= expected, average=avg)
 
 
 def degree_alternative(pair, steps):
@@ -282,10 +255,9 @@ class DegreeEstimate:
     gap_threshold: float
     converged: bool
     diverging: bool
-    quadrature: list | None = field(default=None)
 
     def to_payload(self):
-        payload = {
+        return {
             "format": DEGREE_ESTIMATE_FORMAT,
             "version": DEGREE_ESTIMATE_VERSION,
             "kind": self.kind,
@@ -297,9 +269,6 @@ class DegreeEstimate:
             "diverging": bool(self.diverging),
             "limit": matrix_to_payload(self.limit),
         }
-        if self.quadrature is not None:
-            payload["quadrature"] = self.quadrature
-        return payload
 
     def to_json(self):
         return json.dumps(self.to_payload())
@@ -326,13 +295,14 @@ def _convergence_flags(gaps, residual_rows, threshold):
     return converged, diverging
 
 
-def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6, rule=None):
+def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
     """Estimate the degree operator along an increasing schedule of horizons.
 
-    Discrete pairs reuse one running sum, so the cost is a single pass to the
-    final horizon.  Continuous pairs run one quadrature per schedule entry and
-    report per-entry diagnostics.  Probes must be unit vectors; each row of
-    ``probe_residuals`` tracks ``||(D_k - limit) probe||`` along the schedule.
+    Each schedule entry gets its own average: the doubling sum behind
+    ``birkhoff_discrete`` (``O(log N)`` products) for discrete pairs, the
+    closed form of ``birkhoff_continuous`` for continuous ones.  Probes must
+    be unit vectors; each row of ``probe_residuals`` tracks
+    ``||(D_k - limit) probe||`` along the schedule.
     """
     schedule = list(schedule)
     if not schedule:
@@ -348,35 +318,17 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6, rule=None):
             raise ValueError("probes must be normalized")
         probe_vecs.append(v)
 
-    averages = []
-    quad_info = None
     if pair.kind == "discrete":
         horizons = [int(s) for s in schedule]
         if horizons[0] < 1:
             raise ValueError("discrete schedule entries must be >= 1")
-        u = pair.main
-        uh = u.conj().T
         symbol = unitary_symbol(pair)
-        total = np.zeros_like(symbol)
-        current = None
-        done = 0
-        for n in horizons:
-            while done < n:
-                current = symbol if current is None else u @ current @ uh
-                total += current
-                done += 1
-            averages.append(total / n)
+        averages = [_conjugation_sum(pair.main, symbol, n)[0] / n for n in horizons]
     else:
         if schedule[0] <= 0:
             raise ValueError("continuous schedule entries must be positive")
         symbol = selfadjoint_symbol(pair)
-        quad_info = []
-        for t in schedule:
-            res = birkhoff_continuous(pair.main, symbol, t, rule=rule)
-            averages.append(res.value)
-            quad_info.append(
-                {"duration": float(t), "intervals": res.intervals, "error_estimate": res.error_estimate}
-            )
+        averages = [birkhoff_continuous(pair.main, symbol, t) for t in schedule]
 
     limit = averages[-1]
     gaps = [spectral_norm(b - a) for a, b in zip(averages, averages[1:])]
@@ -392,7 +344,6 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6, rule=None):
         gap_threshold=gap_threshold,
         converged=converged,
         diverging=diverging,
-        quadrature=quad_info,
     )
 
 
@@ -531,12 +482,10 @@ def mixing_bound(pair, degree, window, phi, psi, steps, precondition_tol=1e-8):
     inv_weights = np.where(weights > 0.0, weights / np.where(weights > 0.0, eigvals, 1.0), 0.0)
     x = eigvecs @ (inv_weights * (eigvecs.conj().T @ phi))
 
-    u, a = pair.main, pair.conjugate
-    avg = birkhoff_discrete(u, unitary_symbol(pair), steps)
-    shifted = psi.copy()
-    for _ in range(steps):
-        shifted = u @ shifted
-    lhs = abs(np.vdot(phi, shifted))
+    a = pair.conjugate
+    total, power = _conjugation_sum(pair.main, unitary_symbol(pair), steps)
+    avg = total / steps
+    lhs = abs(np.vdot(phi, power @ psi))
     norm_psi = float(np.linalg.norm(psi))
     cauchy_term = float(np.linalg.norm((avg - d) @ x)) * norm_psi
     commutator_term = (
@@ -568,16 +517,16 @@ class FlowIdentityCheck:
     duration: float
     residual: float
     error_estimate: float
-    intervals: int
     passed: bool
 
 
-def flow_identity_check(pair, duration, rule=None):
+def flow_identity_check(pair, duration):
     """Residual of the exact flow identity ``[A~, e^{-itH}] = t e^{-itH} D_t``.
 
-    The identity is exact in finite dimension, so the residual is limited by
-    the quadrature error in ``D_t``; ``passed`` compares against ten times the
-    reported estimate.
+    The identity is exact in finite dimension and ``D_t`` comes in closed
+    form, so the residual is roundoff; ``error_estimate`` is the roundoff
+    floor ``t * 64 eps ||M||`` of the symbol's average (at least that of
+    ``A``), and ``passed`` compares against ten times it.
     """
     if pair.kind != "continuous":
         raise ValueError("flow_identity_check needs a continuous pair")
@@ -586,20 +535,20 @@ def flow_identity_check(pair, duration, rule=None):
         raise ValueError("duration must be nonnegative")
     h = pair.main
     a_tilde = tilde_conjugate(pair)
-    floor = 64.0 * np.finfo(float).eps * max(1.0, spectral_norm(pair.conjugate))
+    floor = _roundoff_floor(pair.conjugate)
     if duration == 0.0:
-        return FlowIdentityCheck(duration=0.0, residual=0.0, error_estimate=floor, intervals=0, passed=True)
+        return FlowIdentityCheck(duration=0.0, residual=0.0, error_estimate=floor, passed=True)
     eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
     propagator = (eigvecs * np.exp(-1j * duration * eigvals)) @ eigvecs.conj().T
-    quad = birkhoff_continuous(h, selfadjoint_symbol(pair), duration, rule=rule)
+    symbol = selfadjoint_symbol(pair)
+    average = birkhoff_continuous(h, symbol, duration)
     residual = spectral_norm(
-        (a_tilde @ propagator - propagator @ a_tilde) - duration * (propagator @ quad.value)
+        (a_tilde @ propagator - propagator @ a_tilde) - duration * (propagator @ average)
     )
-    estimate = max(duration * quad.error_estimate, floor)
+    estimate = max(duration * _roundoff_floor(symbol), floor)
     return FlowIdentityCheck(
         duration=duration,
         residual=float(residual),
         error_estimate=float(estimate),
-        intervals=quad.intervals,
         passed=residual <= 10.0 * estimate,
     )

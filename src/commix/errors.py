@@ -25,10 +25,6 @@ class ResolutionError(ValueError):
     """Sampled data carries significant energy too close to the grid Nyquist band."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature exhausted its node budget before reaching tolerance."""
-
-
 class AdmissibilityError(ValueError):
     """A directed graph fails the admissibility conditions.
 

@@ -168,10 +168,10 @@ class AdmissibilityReport:
         return self.path_balance_ok and self.pair_counts_ok
 
 
-def _walk_balance(window, walk):
+def _walk_balance(forward_edges, walk):
     forward = backward = 0
     for a, b in zip(walk, walk[1:]):
-        if (a, b) in window._forward_edge_set:
+        if (a, b) in forward_edges:
             forward += 1
         else:
             backward += 1
@@ -190,7 +190,6 @@ def check_admissible(window):
     the underlying graph.  Pairs farther than two steps apart share nothing
     and are skipped.
     """
-    window._forward_edge_set = set(window.edges)
     position = {}
     parent = {}
     witness_cycle = None
@@ -222,7 +221,7 @@ def check_admissible(window):
                         down.append(node)
                         node = parent[node]
                     witness_cycle = list(reversed(up)) + down
-                    witness_balance = _walk_balance(window, witness_cycle)
+                    witness_balance = _walk_balance(set(window.edges), witness_cycle)
                     break
         if witness_cycle is not None:
             break

@@ -13,10 +13,11 @@ import numpy as np
 
 from .errors import ResolutionError, SchemaError, StructureError
 from .operators import (
+    _evaluate_on_spectrum,
     as_square_matrix,
     check_structure,
-    functional_calculus,
     max_norm,
+    spectral_decomposition,
     spectral_norm,
 )
 
@@ -272,7 +273,9 @@ class FourierCalculus:
     """Fourier-series functional calculus for a unitary, with tail control.
 
     Coefficients come from an FFT over ``grid`` equispaced points of the
-    circle; the reconstruction sums ``c_n U^n`` for ``|n| <= n_max``.  With a
+    circle; the reconstruction sums ``c_n U^n`` for ``|n| <= n_max`` on the
+    eigenvalues of ``U``, from the same decomposition that evaluates ``fn(U)``
+    directly (``U^{-n}`` as ``(U*)^n``, eigenvalue ``conj(lambda)^n``).  With a
     smoothness exponent ``gamma`` the coefficient envelope
     ``C (1+|n|)^{-(2+gamma)}`` yields an a-priori tail bound that must
     dominate the observed reconstruction error.
@@ -316,19 +319,14 @@ class FourierCalculus:
         self.n_max = n_max
         self.grid = grid
 
-        # incremental two-sided reconstruction: one multiplication per order
-        eye = np.eye(u.shape[0], dtype=complex)
-        recon = self.coefficients[n_max] * eye
-        fwd = eye
-        bwd = eye
-        uh = u.conj().T
-        for n in range(1, n_max + 1):
-            fwd = fwd @ u
-            bwd = bwd @ uh
-            recon += self.coefficients[n_max + n] * fwd + self.coefficients[n_max - n] * bwd
+        dec = spectral_decomposition(u)
+        lam = dec.eigenvalues
+        powers = lam[None, :] ** np.abs(ns)[:, None]
+        powers[ns < 0] = np.conj(powers[ns < 0])
+        recon = dec.assemble(self.coefficients @ powers)
         self.reconstruction = recon
 
-        direct = functional_calculus(u, lambda z: fn(np.angle(z) % (2.0 * np.pi)))
+        direct = dec.assemble(_evaluate_on_spectrum(lambda z: fn(np.angle(z) % (2.0 * np.pi)), lam))
         self.recon_error = spectral_norm(recon - direct)
 
         mags = np.abs(self.coefficients)

@@ -112,7 +112,7 @@ def test_run_pair_identities(tmp_path, capsys):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == 1
+    assert report["version"] == 2
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -149,6 +149,15 @@ def test_run_is_byte_deterministic(tmp_path):
     blob = (tmp_path / "a" / "report.json").read_bytes()
     assert (tmp_path / "b" / "report.json").read_bytes() == blob
     assert (tmp_path / "c" / "report.json").read_bytes() == blob
+
+
+def test_task_metrics_do_not_depend_on_task_order(tmp_path):
+    rows = {}
+    for order in (["degree", "mixing"], ["mixing", "degree"]):
+        config = validate_config(pair_config(tasks=order, schedule=[1, 2, 5]))
+        report = run_config(config, tmp_path / "-".join(order))
+        rows[tuple(order)] = {t["task"]: t["metrics"] for t in report["scenarios"][0]["tasks"]}
+    assert rows[("degree", "mixing")] == rows[("mixing", "degree")]
 
 
 def test_warn_statuses_and_strict(tmp_path, capsys):
@@ -229,7 +238,7 @@ def test_compare_verb(tmp_path, capsys):
     other.write_text(json.dumps({"format": "something-else"}))
     assert main(["compare", str(left), str(other)]) == 2
     versioned = tmp_path / "versioned.json"
-    versioned.write_text(json.dumps(dict(doc, version=2)))
+    versioned.write_text(json.dumps(dict(doc, version=doc["version"] + 1)))
     assert main(["compare", str(left), str(versioned)]) == 2
 
 

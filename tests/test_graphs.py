@@ -1,5 +1,7 @@
 """Directed graph windows: admissibility, canonical operators, and degree kernels."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,15 @@ def test_cycle4_fails_pair_counts():
     assert not rep.admissible
     assert rep.witness_pair == (0, 2)
     assert rep.witness_counts == (2, 0)
+
+
+def test_check_admissible_leaves_window_unchanged():
+    # the triangle 0 < 1 < 2 with the chord 0 < 2 has no grading: a witness cycle is built
+    for window in (DirectedGraphWindow([0, 1, 2], [(0, 1), (1, 2), (0, 2)], 0), alternating_cycle4()):
+        before = copy.deepcopy(window.__dict__)
+        rep = check_admissible(window)
+        assert not rep.admissible
+        assert window.__dict__ == before
 
 
 def test_orientation_reversal_preserves_admissibility():

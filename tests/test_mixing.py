@@ -170,6 +170,22 @@ def test_fourier_trig_polynomial_exact():
     assert fc.tail_bound >= fc.recon_error
 
 
+def test_fourier_reconstruction_matches_dense_powers():
+    rng = np.random.default_rng(203)
+    z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    fc = fourier_calculus(u, lambda th: np.exp(np.cos(th)) * np.sin(2 * th), 32, 1.0)
+    # reference: sum_{|n| <= n_max} c_n U^n with U^{-n} = (U*)^n, one product per order
+    recon = fc.coefficients[fc.n_max] * np.eye(16, dtype=complex)
+    fwd = bwd = np.eye(16, dtype=complex)
+    for n in range(1, fc.n_max + 1):
+        fwd = fwd @ u
+        bwd = bwd @ u.conj().T
+        recon += fc.coefficients[fc.n_max + n] * fwd + fc.coefficients[fc.n_max - n] * bwd
+    assert max_norm(fc.reconstruction - recon) <= 1e-12
+
+
 def test_fourier_parameter_validation():
     u = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
