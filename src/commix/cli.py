@@ -55,6 +55,7 @@ from .skew import (
     SU2Cocycle,
     TorusCocycle,
     TorusFlow,
+    _check_power_of_two,
     sector_correlation,
     sector_matrix,
     shift_weyl_model,
@@ -123,6 +124,14 @@ def _get_int(value, path, minimum=None):
         _fail(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _get_power_of_two(value, path, minimum):
+    # torus fields and truncations live on the power-of-two grids GridField accepts
+    value = _get_int(value, path, minimum=minimum)
+    if not _check_power_of_two(value):
+        _fail(path, f"must be a power of two, got {value}")
     return value
 
 
@@ -239,8 +248,9 @@ def _validate_model(model, path):
             winding=rows,
             sector=sector,
             eta=_eta_entries(model.get("eta"), f"{path}.eta", len(y)),
-            grid=_get_int(model.get("grid", 8192), f"{path}.grid", minimum=64),
-            matrix_size=_get_int(model.get("matrix_size", 256), f"{path}.matrix_size", minimum=64),
+            grid=_get_power_of_two(model.get("grid", 8192), f"{path}.grid", minimum=64),
+            matrix_size=_get_power_of_two(model.get("matrix_size", 256), f"{path}.matrix_size",
+                                          minimum=64),
         )
         if len(rows) != 1 and spec["eta"]:
             _fail(f"{path}.eta", "perturbation entries are supported for single-row winding only")

@@ -148,21 +148,13 @@ class GridField:
             vals += complex(c) * np.exp(2j * np.pi * phase)
         return cls(vals)
 
-    def _frequencies(self):
-        return [np.fft.fftfreq(m) * m for m in self.values.shape]
-
     def shift(self, delta):
         """Translated field x -> f(x + delta), exact on band-limited data."""
         delta = np.atleast_1d(np.asarray(delta, dtype=float))
         if delta.size != self.values.ndim:
             raise ValueError("shift vector dimension mismatch")
-        total = np.zeros(self.values.shape)
-        for axis, freq in enumerate(self._frequencies()):
-            axis_shape = [1] * self.values.ndim
-            axis_shape[axis] = -1
-            total = total + freq.reshape(axis_shape) * delta[axis]
-        spec = np.fft.fftn(self.values) * np.exp(2j * np.pi * total)
-        return GridField(np.fft.ifftn(spec))
+        spec = np.fft.fftn(self.values)
+        return GridField(np.fft.ifftn(spec * _translation(_frequencies(spec.shape), delta)))
 
     def mean(self):
         return complex(self.values.mean())
@@ -177,16 +169,7 @@ class GridField:
 
     def occupied_band(self, rel_tol=1e-8):
         """Per-axis largest |frequency| carrying relative weight above rel_tol."""
-        spec = np.abs(np.fft.fftn(self.values))
-        peak = spec.max()
-        if peak == 0.0:
-            return [0] * self.values.ndim
-        mask = spec > rel_tol * peak
-        band = []
-        for axis, freq in enumerate(self._frequencies()):
-            hit = mask.any(axis=tuple(i for i in range(self.values.ndim) if i != axis))
-            band.append(int(np.abs(freq[hit]).max()) if hit.any() else 0)
-        return band
+        return _occupied_band(np.fft.fftn(self.values), _frequencies(self.values.shape), rel_tol)
 
     def refine(self, factor):
         """Spectral upsampling by a power-of-two factor (Nyquist bins split)."""
@@ -199,6 +182,35 @@ class GridField:
         for axis in range(coeff.ndim):
             coeff = _pad_modes(coeff, axis, self.values.shape[axis] * factor)
         return GridField(np.fft.ifftn(coeff) * coeff.size)
+
+
+def _frequencies(shape):
+    """Integer-valued frequency of every FFT bin, one array per axis."""
+    return [np.fft.fftfreq(m) * m for m in shape]
+
+
+def _translation(freqs, delta):
+    """Spectral multiplier exp(2 pi i k.delta) over the frequency table ``freqs``."""
+    total = 0.0
+    for axis, freq in enumerate(freqs):
+        axis_shape = [1] * len(freqs)
+        axis_shape[axis] = -1
+        total = total + freq.reshape(axis_shape) * delta[axis]
+    return np.exp(2j * np.pi * total)
+
+
+def _occupied_band(spec, freqs, rel_tol):
+    """Per-axis largest |frequency| whose coefficient in ``spec`` exceeds rel_tol of the peak."""
+    spec = np.abs(spec)
+    peak = spec.max()
+    if peak == 0.0:
+        return [0] * spec.ndim
+    mask = spec > rel_tol * peak
+    band = []
+    for axis, freq in enumerate(freqs):
+        hit = mask.any(axis=tuple(i for i in range(spec.ndim) if i != axis))
+        band.append(int(np.abs(freq[hit]).max()) if hit.any() else 0)
+    return band
 
 
 def _pad_modes(coeff, axis, new_len):
@@ -302,6 +314,29 @@ def _geometric_phase_sum(u, n):
     return np.exp(1j * np.pi * (n - 1) * u) * math.sin(math.pi * n * u) / s
 
 
+def _cocycle_terms(cocycle, flow, x):
+    # the parts of q.phi^(n)(x) that do not depend on n: x.W^T q, and per
+    # perturbation mode its rotation number k.y, amplitude g and factor e(k.x)
+    modes = [
+        (float(np.dot(k, flow.y)), g, np.exp(2j * np.pi * cocycle._dot_base(x, np.asarray(k))))
+        for k, g in cocycle.sector_modes().items()
+        if g != 0
+    ]
+    return cocycle._dot_base(x, cocycle.sector_winding), modes
+
+
+def _summed_cocycle(cocycle, flow, terms, n):
+    # q.phi^(n) for n >= 1 from _cocycle_terms: the winding part is an
+    # arithmetic progression, each mode a geometric phase sum
+    base, modes = terms
+    wy = float(np.dot(cocycle.sector_winding, flow.y))
+    lin = n * base + wy * n * (n - 1) / 2.0
+    osc = np.zeros_like(lin, dtype=complex)
+    for u, g, factor in modes:
+        osc += g * _geometric_phase_sum(u, n) * factor
+    return lin + osc.real
+
+
 def cocycle_sum(cocycle, flow, x, n):
     """Accumulated sector phase q.phi^(n)(x), as an unwrapped real number.
 
@@ -318,17 +353,7 @@ def cocycle_sum(cocycle, flow, x, n):
         return np.zeros(base_shape)
     if n < 0:
         return -cocycle_sum(cocycle, flow, flow.advance(x, n), -n)
-    w = cocycle.sector_winding
-    wy = float(np.dot(w, flow.y))
-    lin = n * cocycle._dot_base(x, w) + wy * n * (n - 1) / 2.0
-    osc = np.zeros_like(lin, dtype=complex)
-    for k, g in cocycle.sector_modes().items():
-        if g == 0:
-            continue
-        u = float(np.dot(k, flow.y))
-        phase = np.exp(2j * np.pi * cocycle._dot_base(x, np.asarray(k)))
-        osc += g * _geometric_phase_sum(u, n) * phase
-    return lin + osc.real
+    return _summed_cocycle(cocycle, flow, _cocycle_terms(cocycle, flow, x), n)
 
 
 def _modulation_margin(cocycle, flow, steps):
@@ -347,6 +372,71 @@ def _modulation_margin(cocycle, flow, steps):
     return margin
 
 
+def _sector_powers(cocycle, flow, field, reach, rel_band_tol):
+    """Return n -> samples of U^n f for |n| <= reach, with the per-field work done once.
+
+    The FFT and occupied band of f, the grid coordinates, the cocycle's mode
+    factors and the frequency table are computed here; each call then costs
+    one inverse FFT (the translation), one pointwise phase and one forward
+    FFT (the a-posteriori aliasing check).
+    """
+    if field.values.ndim != cocycle.d:
+        raise ValueError("field dimension does not match the cocycle base")
+    shape = field.values.shape
+    freqs = _frequencies(shape)
+    spec = np.fft.fftn(field.values)
+    if reach:
+        # the a-priori budget |n W^T q| + band + margin(n) never decreases in
+        # |n|, so passing it at the reach passes it for every n up to there
+        band = _occupied_band(spec, freqs, rel_band_tol)
+        shift_freq = reach * cocycle.sector_winding
+        margin = _modulation_margin(cocycle, flow, reach)
+        for i, m in enumerate(shape):
+            needed = abs(int(shift_freq[i])) + band[i] + int(margin[i])
+            if needed >= m // 2:
+                raise ResolutionError(
+                    f"axis {i}: predicted bandwidth {needed} at {reach} steps exceeds "
+                    f"the grid Nyquist {m // 2}; enlarge the grid or reduce the step count"
+                )
+    coords = unit_grid(shape)
+    terms = _cocycle_terms(cocycle, flow, coords)
+
+    def power(n):
+        if n == 0:
+            return field.values.copy()
+        if n > 0:
+            summed = _summed_cocycle(cocycle, flow, terms, n)
+        else:  # the inverse cocycle, off the path of the correlation series
+            summed = cocycle_sum(cocycle, flow, coords, n)
+        moved = np.fft.ifftn(spec * _translation(freqs, n * flow.y))
+        out = np.exp(2j * np.pi * summed) * moved
+        out_band = _occupied_band(np.fft.fftn(out), freqs, rel_band_tol)
+        for i, m in enumerate(shape):
+            if out_band[i] >= m // 2 - m // 16:
+                raise ResolutionError(
+                    f"axis {i}: result occupies the top of the resolvable band "
+                    f"({out_band[i]} of {m // 2}) at {n} steps; aliasing suspected"
+                )
+        return out
+
+    return power
+
+
+def _orbit_average_rate(cocycle, flow, points, steps):
+    """(1/N) sum_{m<N} of the sector rate q.W y + y.grad(q.eta) at F_m x, in closed form.
+
+    The constant q.W y averages to itself; a mode g e(k.x) of q.eta has rate
+    2 pi i (k.y) g e(k.x), and along the orbit e(k.F_m x) = e(k.x) e(m k.y),
+    so its average is that rate times the mean geometric phase sum.  Works
+    on any array of points, grid or not.
+    """
+    base, modes = _cocycle_terms(cocycle, flow, points)
+    rate = np.full(base.shape, float(np.dot(cocycle.sector_winding, flow.y)), dtype=complex)
+    for u, g, factor in modes:
+        rate += (2j * np.pi * u * g) * (_geometric_phase_sum(u, steps) / steps) * factor
+    return rate
+
+
 def sector_apply(cocycle, flow, field, steps, rel_band_tol=1e-8):
     """Apply the sector operator n times: (U^n f)(x) = e(q.phi^(n)(x)) f(x + ny).
 
@@ -356,33 +446,7 @@ def sector_apply(cocycle, flow, field, steps, rel_band_tol=1e-8):
     the result are checked; either failing raises ResolutionError.
     """
     steps = int(steps)
-    if field.values.ndim != cocycle.d:
-        raise ValueError("field dimension does not match the cocycle base")
-    if steps == 0:
-        return GridField(field.values.copy())
-    shape = field.values.shape
-    band = field.occupied_band(rel_band_tol)
-    shift_freq = steps * cocycle.sector_winding
-    margin = _modulation_margin(cocycle, flow, steps)
-    for i, m in enumerate(shape):
-        needed = abs(int(shift_freq[i])) + band[i] + int(margin[i])
-        if needed >= m // 2:
-            raise ResolutionError(
-                f"axis {i}: predicted bandwidth {needed} exceeds the grid Nyquist "
-                f"{m // 2}; enlarge the grid or reduce the step count"
-            )
-    coords = unit_grid(shape)
-    phase = np.exp(2j * np.pi * cocycle_sum(cocycle, flow, coords, steps))
-    moved = field.shift(steps * flow.y)
-    out = GridField(phase * moved.values)
-    out_band = out.occupied_band(rel_band_tol)
-    for i, m in enumerate(shape):
-        if out_band[i] >= m // 2 - m // 16:
-            raise ResolutionError(
-                f"axis {i}: result occupies the top of the resolvable band "
-                f"({out_band[i]} of {m // 2}); aliasing suspected"
-            )
-    return out
+    return GridField(_sector_powers(cocycle, flow, field, abs(steps), rel_band_tol)(steps))
 
 
 def sector_matrix(cocycle, flow, size):
@@ -412,13 +476,22 @@ def sector_matrix(cocycle, flow, size):
 
 
 def sector_correlation(cocycle, flow, phi, psi, horizon, rel_band_tol=1e-8):
-    """Correlation series <phi, U^n psi> for n = 1..horizon, via closed form."""
+    """Correlation series <phi, U^n psi> for n = 1..horizon, via closed form.
+
+    Each U^n psi is the same closed form as sector_apply, with the per-field
+    work done once for the whole series and the a-priori resolution budget
+    checked once, at the horizon, before any term is computed.  Terms are
+    formed one n at a time, so memory does not grow with the horizon.
+    """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if phi.shape != psi.shape:
+        raise ValueError("field shapes differ")
+    power = _sector_powers(cocycle, flow, psi, horizon, rel_band_tol)
     values = np.empty(horizon, dtype=complex)
     for n in range(1, horizon + 1):
-        values[n - 1] = phi.inner(sector_apply(cocycle, flow, psi, n, rel_band_tol))
+        values[n - 1] = np.vdot(phi.values, power(n)) / phi.values.size
     return CorrelationSeries(np.arange(1, horizon + 1), values, "discrete")
 
 
@@ -446,15 +519,7 @@ def torus_degree_field(cocycle, flow, shape, steps):
     if len(shape) != cocycle.d:
         raise ValueError("grid dimension does not match the cocycle base")
     limit = 2.0 * np.pi * float(np.dot(cocycle.sector_winding, flow.y))
-    coords = unit_grid(shape)
-    vals = np.full(shape, limit, dtype=complex)
-    for k, g in cocycle.sector_modes().items():
-        if g == 0:
-            continue
-        u = float(np.dot(k, flow.y))
-        avg = _geometric_phase_sum(u, steps) / steps
-        coeff = 2.0 * np.pi * (2j * np.pi * u * g) * avg
-        vals += coeff * np.exp(2j * np.pi * cocycle._dot_base(coords, np.asarray(k)))
+    vals = 2.0 * np.pi * _orbit_average_rate(cocycle, flow, unit_grid(shape), steps)
     field = GridField(vals)
     sup_error = float(np.max(np.abs(vals - limit)))
     return TorusDegreeReport(steps=steps, field=field, limit=limit, sup_error=sup_error)
@@ -574,11 +639,15 @@ def su2_degree_field(cocycle, flow, shape, steps, kernel_tol=1e-8):
     """Matrix-valued Birkhoff average of the representation-sector symbol.
 
     At each grid point the commutator symbol is the conjugated weight matrix
-    pi(h) diag(2 pi (2k-n) (y.b + y.grad eta)) pi(h)*, transported along the
-    orbit by the accumulated cocycle in the representation.  The average is
-    computed honestly as a batched conjugated-multiplier sum; for this
-    conjugated-diagonal model family the limit has eigenvalues
-    2 pi (y.b) (2k-n), so its kernel is one-dimensional exactly for even n.
+    frame = pi(h) diag(2 pi (2k-n)) pi(h)* times the scalar rate
+    y.b + y.grad eta, transported along the orbit by the accumulated cocycle
+    pi(h) diag(e(theta_m (2k-n))) pi(h)* in the representation.  Transport and
+    frame are diagonal in the same pi(h) frame, so the transport cancels and
+    each term equals rate(F_m x) * frame: the average is exactly frame times
+    the scalar orbit average of the rate, a finite sum of geometric series,
+    for any step count.  For this conjugated-diagonal model family the limit
+    has eigenvalues 2 pi (y.b) (2k-n), so its kernel is one-dimensional
+    exactly for even n.
     """
     steps = int(steps)
     if steps < 1:
@@ -590,32 +659,13 @@ def su2_degree_field(cocycle, flow, shape, steps, kernel_tol=1e-8):
     r = n + 1
     coords = unit_grid(shape)
     points = coords.reshape(-1) if cocycle.d == 1 else coords.reshape(-1, cocycle.d)
-    count = points.shape[0]
 
     pih = su2_irrep(n, cocycle.conjugator)
-    pih_h = pih.conj().T
     weights = 2 * np.arange(r) - n
-    frame = pih @ np.diag(2.0 * np.pi * weights).astype(complex) @ pih_h
+    frame = pih @ np.diag(2.0 * np.pi * weights).astype(complex) @ pih.conj().T
     base_rate = float(np.dot(cocycle.frequency, flow.y))
-    eta_rate_modes = {
-        k: 2j * np.pi * float(np.dot(k, flow.y)) * g
-        for k, g in cocycle.angle.sector_modes().items()
-    }
-
-    total = np.zeros((count, r, r), dtype=complex)
-    for m in range(steps):
-        theta = np.asarray(cocycle_sum(cocycle.angle, flow, points, m), dtype=float)
-        moved = flow.advance(points, m)
-        rate = np.full(count, base_rate, dtype=complex)
-        for k, coeff in eta_rate_modes.items():
-            if coeff == 0:
-                continue
-            rate += coeff * np.exp(2j * np.pi * cocycle.angle._dot_base(moved, np.asarray(k)))
-        phases = np.exp(2j * np.pi * theta[:, None] * weights[None, :])
-        transport = (pih[None, :, :] * phases[:, None, :]) @ pih_h
-        term = transport @ frame @ transport.conj().transpose(0, 2, 1)
-        total += rate.real[:, None, None] * term
-    total /= steps
+    rate = _orbit_average_rate(cocycle.angle, flow, points, steps).real
+    total = rate[:, None, None] * frame
 
     limit = total.mean(axis=0)
     limit = (limit + limit.conj().T) / 2.0

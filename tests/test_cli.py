@@ -98,6 +98,22 @@ def test_validate_error_paths_carry_field_names():
         assert token in str(info.value), f"{token!r} not in {info.value}"
 
 
+def test_validate_torus_grids_must_be_powers_of_two():
+    def model_config(**model):
+        return {"version": 1, "scenarios": [{"name": "a", "model": model, "tasks": ["degree"]}]}
+
+    torus = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 3}
+    for field, size in (("grid", 1000), ("matrix_size", 100)):
+        with pytest.raises(SchemaError) as info:
+            validate_config(model_config(**torus, **{field: size}))
+        assert f"scenarios[0].model.{field}" in str(info.value)
+        assert "power of two" in str(info.value)
+    validate_config(model_config(**torus, grid=1024, matrix_size=128))
+    # SU(2) fields are closed-form orbit averages on any grid
+    su2 = validate_config(model_config(type="su2", y=0.41421356237309515, grid=100))
+    assert su2["scenarios"][0]["model"]["grid"] == 100
+
+
 def test_validate_rejects_graph_task_on_pair_model():
     raw = pair_config(tasks=["admissibility"])
     with pytest.raises(SchemaError):

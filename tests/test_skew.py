@@ -155,6 +155,9 @@ def test_sector_apply_group_law_and_unitarity():
     assert np.max(np.abs(two_step.values - direct.values)) <= 1e-10
     assert abs(direct.norm() - f.norm()) <= 1e-12
     assert np.max(np.abs(sector_apply(coc, flow, f, 0).values - f.values)) == 0.0
+    # negative powers invert positive ones
+    back = sector_apply(coc, flow, sector_apply(coc, flow, f, 3), -3)
+    assert np.max(np.abs(back.values - f.values)) <= 1e-10
 
 
 def test_sector_apply_resolution_guard():
@@ -168,12 +171,31 @@ def test_sector_apply_resolution_guard():
 def test_sector_correlation_matches_inner_products():
     flow = golden_flow()
     coc = standard_cocycle()
-    f = GridField.from_modes({(1,): 0.7, (-1,): 0.7}, (512,))
-    g = GridField.from_modes({(2,): 0.3, (-2,): 0.3, (0,): 0.1}, (512,))
-    series = sector_correlation(coc, flow, f, g, 6)
-    for n in range(1, 7):
+    # a broadband observable, so that U^n g, whose spectrum moves by 6n, still
+    # overlaps it and every term of the series is far from zero
+    rng = np.random.default_rng(311)
+    f = GridField.from_modes({(k,): complex(*rng.standard_normal(2)) / 25 for k in range(-500, 501)},
+                             (2048,))
+    g = GridField.from_modes({(2,): 0.3, (-2,): 0.3, (0,): 0.1}, (2048,))
+    series = sector_correlation(coc, flow, f, g, 64)
+    assert list(series.abscissae) == list(range(1, 65))
+    assert np.min(np.abs(series.values)) > 1e-3
+    for n in range(1, 65):
         brute = f.inner(sector_apply(coc, flow, g, n))
         assert abs(series.values[n - 1] - brute) <= 1e-12
+
+
+def test_sector_correlation_guards():
+    flow = golden_flow()
+    coc = standard_cocycle()
+    # the resolution guard case of sector_apply, reached inside the series
+    f = GridField.from_modes({(1,): 1.0, (-1,): 1.0}, (256,))
+    with pytest.raises(ResolutionError):
+        sector_correlation(coc, flow, f, f, 32)
+    with pytest.raises(ValueError, match="shapes differ"):
+        sector_correlation(coc, flow, f, GridField.from_modes({(1,): 1.0}, (512,)), 4)
+    with pytest.raises(ValueError):
+        sector_correlation(coc, flow, f, f, 0)
 
 
 def test_sector_matrix_is_valid_pair_and_matches_function_route():
@@ -275,6 +297,62 @@ def test_su2_degree_field_eigenvalues_and_kernel():
         assert rel <= 2e-2
         assert rep.kernel_dim == expect_kernel
         assert rep.sup_deviation <= 0.05
+
+
+def transport_loop_degree_field(cocycle, flow, modes, grid, steps):
+    """Reference for su2_degree_field: the rate times the symbol frame, transported step by step."""
+    n = cocycle.label
+    points = unit_grid((grid,))
+    pih = su2_irrep(n, cocycle.conjugator)
+    weights = 2 * np.arange(n + 1) - n
+    frame = pih @ np.diag(2.0 * np.pi * weights).astype(complex) @ pih.conj().T
+    total = np.zeros((grid, n + 1, n + 1), dtype=complex)
+    for m in range(steps):
+        theta = cocycle_sum(cocycle.angle, flow, points, m)
+        moved = flow.advance(points, m)
+        rate = np.full(grid, float(cocycle.frequency @ flow.y), dtype=complex)
+        for (k,), g in modes.items():
+            rate += 2j * np.pi * k * flow.y[0] * g * np.exp(2j * np.pi * k * moved)
+        phases = np.exp(2j * np.pi * theta[:, None] * weights[None, :])
+        transport = (pih[None, :, :] * phases[:, None, :]) @ pih.conj().T
+        total += rate.real[:, None, None] * (transport @ frame @ transport.conj().transpose(0, 2, 1))
+    return total / steps
+
+
+def test_su2_degree_field_matches_transport_loop():
+    flow = golden_flow()
+    rng = np.random.default_rng(307)
+    phase = rng.standard_normal(3)
+    c, s = np.cos(phase[0]), np.sin(phase[0])
+    h = np.array(
+        [[c * np.exp(1j * phase[1]), -s * np.exp(1j * phase[2])],
+         [s * np.exp(-1j * phase[2]), c * np.exp(-1j * phase[1])]]
+    )
+    assert abs(h[0, 1]) > 0.1
+    modes = {(1,): -0.05j, (-1,): 0.05j, (2,): 0.02, (-2,): 0.02}
+    for label in (0, 1, 2, 3):
+        coc = SU2Cocycle(h, [1], modes, label)
+        for grid in (100, 128):
+            for steps in (1, 7, 500):
+                field = su2_degree_field(coc, flow, (grid,), steps).field
+                oracle = transport_loop_degree_field(coc, flow, modes, grid, steps)
+                scale = np.max(np.abs(oracle))
+                assert np.max(np.abs(field - oracle)) <= 1e-12 * scale, (label, grid, steps)
+
+
+def test_su2_degree_field_at_a_million_steps():
+    flow = golden_flow()
+    theta = 0.4
+    h = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
+    modes = {(1,): -0.05j, (-1,): 0.05j}
+    for label in (1, 2, 3):
+        rep = su2_degree_field(SU2Cocycle(h, [1], modes, label), flow, (512,), 10**6)
+        scale = np.max(np.abs(rep.predicted_eigenvalues))
+        rel = np.max(np.abs(np.sort(rep.eigenvalues) - np.sort(rep.predicted_eigenvalues))) / scale
+        assert rel <= 2e-2
+        assert rep.kernel_dim == (1 if label % 2 == 0 else 0)
+        # the orbit average converges like 1/steps
+        assert rep.sup_deviation <= 1e-5
 
 
 def test_su2_degree_equivariance():
