@@ -14,11 +14,13 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import datetime
+import functools
 import json
 import pathlib
 import re
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,27 +69,6 @@ from .skew import (
 REPORT_FORMAT = "run-report"
 REPORT_VERSION = 2
 CONFIG_VERSION = 1
-
-TASK_NAMES = ("identities", "degree", "mixing", "summability", "fourier", "admissibility")
-
-MODEL_FAMILY = {
-    "random-pair": "pair",
-    "matrix-pair": "pair",
-    "shift": "pair",
-    "torus": "torus",
-    "su2": "su2",
-    "graph-line": "graph",
-    "graph-grid2d": "graph",
-    "graph-cycle4-alt": "graph",
-    "graph-file": "graph",
-}
-
-FAMILY_TASKS = {
-    "pair": {"identities", "degree", "mixing", "summability", "fourier"},
-    "torus": {"identities", "degree", "mixing", "summability", "fourier"},
-    "su2": {"identities", "degree"},
-    "graph": {"identities", "degree", "admissibility"},
-}
 
 # every cutoff that feeds a status flag, overridable per scenario
 DEFAULT_THRESHOLDS = {
@@ -210,95 +191,168 @@ def _complex_2x2(value, path):
     return np.array(rows, dtype=complex)
 
 
+# -- model types: fields (raw model, path) -> validated fields with their
+# documented defaults; build (fields, rng, path) -> the objects handlers read
+
+
+def _int_fields(**fields):
+    """Fields parser for integer fields given as ``name=(default, minimum)``."""
+    return lambda model, path: {name: _get_int(model.get(name, default), f"{path}.{name}", minimum=low)
+                                for name, (default, low) in fields.items()}
+
+
+def _matrix_pair_fields(model, path):
+    has_u = "unitary" in model
+    if has_u == ("generator" in model):
+        _fail(path, "matrix-pair needs exactly one of 'unitary' or 'generator'")
+    fields = {}
+    for field in ("unitary" if has_u else "generator", "conjugate"):
+        value = model.get(field)
+        if not isinstance(value, (str, dict)):
+            _fail(f"{path}.{field}", "expected a matrix payload object or a file path")
+        fields[field] = value
+    return fields
+
+
+def _build_matrix_pair(spec, rng, path):
+    conj = _load_matrix(spec["conjugate"], f"{path}.conjugate")
+    if "unitary" in spec:
+        return {"pair": OperatorPair.discrete(_load_matrix(spec["unitary"], f"{path}.unitary"), conj)}
+    return {"pair": OperatorPair.continuous(_load_matrix(spec["generator"], f"{path}.generator"), conj)}
+
+
+def _torus_fields(model, path):
+    y = _float_vector(model.get("y"), f"{path}.y")
+    winding = model.get("winding")
+    if isinstance(winding, (int, float)) and not isinstance(winding, bool):
+        winding = [[winding]]
+    if not isinstance(winding, list) or not winding or not isinstance(winding[0], list):
+        _fail(f"{path}.winding", "expected an integer (d=1) or a matrix of integers")
+    rows = [_int_vector(row, f"{path}.winding[{i}]", length=len(y)) for i, row in enumerate(winding)]
+    fields = {
+        "y": y,
+        "winding": rows,
+        "sector": _int_vector(model.get("sector"), f"{path}.sector", length=len(rows)),
+        "eta": _eta_entries(model.get("eta"), f"{path}.eta", len(y)),
+        "grid": _get_power_of_two(model.get("grid", 8192), f"{path}.grid", minimum=64),
+        "matrix_size": _get_power_of_two(model.get("matrix_size", 256), f"{path}.matrix_size",
+                                         minimum=64),
+    }
+    if len(rows) != 1 and fields["eta"]:
+        _fail(f"{path}.eta", "perturbation entries are supported for single-row winding only")
+    return fields
+
+
+def _build_torus(spec, rng, path):
+    flow = TorusFlow(spec["y"])
+    modes = {tuple(k): (complex(re, im),) for k, re, im in spec["eta"]}
+    cocycle = TorusCocycle(np.array(spec["winding"]), modes, spec["sector"])
+    return {"flow": flow, "cocycle": cocycle, "grid": spec["grid"], "matrix_size": spec["matrix_size"]}
+
+
+def _su2_fields(model, path):
+    y = _float_vector(model.get("y"), f"{path}.y")
+    fields = {
+        "y": y,
+        "frequency": _int_vector(model.get("frequency", 1), f"{path}.frequency", length=len(y)),
+        "label": _get_int(model.get("label", 2), f"{path}.label", minimum=0),
+        "eta": _eta_entries(model.get("eta"), f"{path}.eta", len(y)),
+        "grid": _get_int(model.get("grid", 512), f"{path}.grid", minimum=64),
+        "h": model.get("h", "seeded"),
+    }
+    if not isinstance(fields["h"], str):
+        _complex_2x2(fields["h"], f"{path}.h")
+    elif fields["h"] not in ("seeded", "identity"):
+        _fail(f"{path}.h", "expected 'seeded', 'identity', or a 2x2 [re,im] matrix")
+    return fields
+
+
+def _build_su2(spec, rng, path):
+    flow = TorusFlow(spec["y"])
+    h = spec["h"]
+    if isinstance(h, str):
+        h = np.eye(2, dtype=complex) if h == "identity" else _random_su2(rng)
+    else:
+        h = _complex_2x2(h, f"{path}.h")
+    modes = {tuple(k): complex(re, im) for k, re, im in spec["eta"]}
+    return {"flow": flow, "cocycle": SU2Cocycle(h, spec["frequency"], modes, spec["label"]),
+            "grid": spec["grid"]}
+
+
+def _build_graph_file(spec, rng, path):
+    try:
+        text = pathlib.Path(spec["path"]).read_text()
+    except OSError as exc:
+        _fail(f"{path}.path", f"cannot read graph file: {exc}")
+    return {"window": parse_graph_window(text)}
+
+
+DEFAULT_SCHEDULE = (1, 2, 5, 17, 64)
+
+
+class ModelType(NamedTuple):
+    """Fields parser, builder, task family, default schedule and horizon of a model type."""
+
+    fields: Callable
+    build: Callable
+    family: object  # a family name, or a function of the validated fields returning one
+    schedule: object = DEFAULT_SCHEDULE  # likewise a constant or a function of the fields
+    horizon: int = 128
+
+
+MODEL_TYPES = {
+    "random-pair": ModelType(
+        _int_fields(dim=(16, 2)),
+        lambda s, rng, p: {"pair": OperatorPair.discrete(_random_unitary(rng, s["dim"]),
+                                                         _random_hermitian(rng, s["dim"]))},
+        "pair"),
+    "matrix-pair": ModelType(
+        _matrix_pair_fields, _build_matrix_pair,
+        family=lambda s: "flow" if "generator" in s else "pair",
+        schedule=lambda s: (0.5, 1.5, 3.0) if "generator" in s else DEFAULT_SCHEDULE),
+    "shift": ModelType(
+        _int_fields(window=(200, 4), margin=(3, 0)),
+        lambda s, rng, p: {"pair": shift_weyl_model(s["window"], s["margin"]).pair},
+        "pair", schedule=lambda s: [s["window"], 2 * s["window"], 4 * s["window"]]),
+    # sector_matrix, behind identities and fourier, needs a one-dimensional base
+    "torus": ModelType(
+        _torus_fields, _build_torus,
+        family=lambda s: "torus" if len(s["y"]) == 1 else "torus-nd",
+        schedule=(16, 32, 64, 128, 256, 512, 1024), horizon=512),
+    "su2": ModelType(_su2_fields, _build_su2, "su2", schedule=(2000,)),
+    "graph-line": ModelType(
+        _int_fields(length=(200, 2), margin=(3, 0)),
+        lambda s, rng, p: {"window": line_window(s["length"], s["margin"])}, "graph"),
+    "graph-grid2d": ModelType(
+        _int_fields(nx=(24, 2), ny=(24, 2), margin=(2, 0)),
+        lambda s, rng, p: {"window": grid2d_window(s["nx"], s["ny"], s["margin"])}, "graph"),
+    "graph-cycle4-alt": ModelType(
+        _int_fields(), lambda s, rng, p: {"window": alternating_cycle4()}, "graph"),
+    "graph-file": ModelType(lambda m, p: {"path": _get_str(m.get("path"), f"{p}.path")},
+                            _build_graph_file, "graph"),
+}
+
+
+def _resolve(value, spec):
+    return value(spec) if callable(value) else value
+
+
+def model_family(spec):
+    """Task family of a validated model: the key of its row in ``HANDLERS``."""
+    return _resolve(MODEL_TYPES[spec["type"]].family, spec)
+
+
 def _validate_model(model, path):
     if not isinstance(model, dict):
         _fail(path, "expected an object")
     mtype = _get_str(model.get("type"), f"{path}.type")
-    if mtype not in MODEL_FAMILY:
-        _fail(f"{path}.type", f"unknown model type {mtype!r}; known: {sorted(MODEL_FAMILY)}")
-    spec = {"type": mtype}
-
-    if mtype == "random-pair":
-        spec["dim"] = _get_int(model.get("dim", 16), f"{path}.dim", minimum=2)
-    elif mtype == "matrix-pair":
-        has_u = "unitary" in model
-        has_h = "generator" in model
-        if has_u == has_h:
-            _fail(path, "matrix-pair needs exactly one of 'unitary' or 'generator'")
-        key = "unitary" if has_u else "generator"
-        for field in (key, "conjugate"):
-            value = model.get(field)
-            if not isinstance(value, (str, dict)):
-                _fail(f"{path}.{field}", "expected a matrix payload object or a file path")
-            spec[field] = value
-    elif mtype == "shift":
-        spec["window"] = _get_int(model.get("window", 200), f"{path}.window", minimum=4)
-        spec["margin"] = _get_int(model.get("margin", 3), f"{path}.margin", minimum=0)
-    elif mtype == "torus":
-        y = _float_vector(model.get("y"), f"{path}.y")
-        winding = model.get("winding")
-        if isinstance(winding, (int, float)) and not isinstance(winding, bool):
-            winding = [[winding]]
-        if not isinstance(winding, list) or not winding or not isinstance(winding[0], list):
-            _fail(f"{path}.winding", "expected an integer (d=1) or a matrix of integers")
-        rows = [_int_vector(row, f"{path}.winding[{i}]", length=len(y)) for i, row in enumerate(winding)]
-        sector = _int_vector(model.get("sector"), f"{path}.sector", length=len(rows))
-        spec.update(
-            y=y,
-            winding=rows,
-            sector=sector,
-            eta=_eta_entries(model.get("eta"), f"{path}.eta", len(y)),
-            grid=_get_power_of_two(model.get("grid", 8192), f"{path}.grid", minimum=64),
-            matrix_size=_get_power_of_two(model.get("matrix_size", 256), f"{path}.matrix_size",
-                                          minimum=64),
-        )
-        if len(rows) != 1 and spec["eta"]:
-            _fail(f"{path}.eta", "perturbation entries are supported for single-row winding only")
-    elif mtype == "su2":
-        y = _float_vector(model.get("y"), f"{path}.y")
-        spec.update(
-            y=y,
-            frequency=_int_vector(model.get("frequency", 1), f"{path}.frequency", length=len(y)),
-            label=_get_int(model.get("label", 2), f"{path}.label", minimum=0),
-            eta=_eta_entries(model.get("eta"), f"{path}.eta", len(y)),
-            grid=_get_int(model.get("grid", 512), f"{path}.grid", minimum=64),
-        )
-        h = model.get("h", "seeded")
-        if isinstance(h, str):
-            if h not in ("seeded", "identity"):
-                _fail(f"{path}.h", "expected 'seeded', 'identity', or a 2x2 [re,im] matrix")
-        else:
-            _complex_2x2(h, f"{path}.h")
-        spec["h"] = h
-    elif mtype == "graph-line":
-        spec["length"] = _get_int(model.get("length", 200), f"{path}.length", minimum=2)
-        spec["margin"] = _get_int(model.get("margin", 3), f"{path}.margin", minimum=0)
-    elif mtype == "graph-grid2d":
-        spec["nx"] = _get_int(model.get("nx", 24), f"{path}.nx", minimum=2)
-        spec["ny"] = _get_int(model.get("ny", 24), f"{path}.ny", minimum=2)
-        spec["margin"] = _get_int(model.get("margin", 2), f"{path}.margin", minimum=0)
-    elif mtype == "graph-cycle4-alt":
-        pass
-    elif mtype == "graph-file":
-        spec["path"] = _get_str(model.get("path"), f"{path}.path")
-
-    known = set(spec) | {"type"}
-    extra = set(model) - known
+    if mtype not in MODEL_TYPES:
+        _fail(f"{path}.type", f"unknown model type {mtype!r}; known: {sorted(MODEL_TYPES)}")
+    spec = {"type": mtype, **MODEL_TYPES[mtype].fields(model, path)}
+    extra = set(model) - set(spec)
     if extra:
         _fail(path, f"unknown model fields {sorted(extra)}")
     return spec
-
-
-def _default_schedule(model):
-    mtype = model["type"]
-    if mtype == "shift":
-        w = model["window"]
-        return [w, 2 * w, 4 * w]
-    if mtype == "torus":
-        return [16, 32, 64, 128, 256, 512, 1024]
-    if mtype == "su2":
-        return [2000]
-    return [1, 2, 5, 17, 64]
 
 
 def validate_config(raw, default_seed=None):
@@ -317,6 +371,7 @@ def validate_config(raw, default_seed=None):
     extra = set(raw) - {"version", "scenarios"}
     if extra:
         _fail("config", f"unknown top-level fields {sorted(extra)}")
+    default_seed = 0 if default_seed is None else _get_int(default_seed, "default_seed", minimum=0)
 
     seen_names = set()
     normalized = []
@@ -332,32 +387,28 @@ def validate_config(raw, default_seed=None):
         seen_names.add(name)
 
         model = _validate_model(sc.get("model"), f"{path}.model")
-        family = MODEL_FAMILY[model["type"]]
+        entry = MODEL_TYPES[model["type"]]
+        family = model_family(model)
+        handlers = HANDLERS[family]
 
         tasks = sc.get("tasks")
         if not isinstance(tasks, list) or not tasks:
             _fail(f"{path}.tasks", "expected a nonempty list")
         for j, task in enumerate(tasks):
-            tpath = f"{path}.tasks[{j}]"
-            if task not in TASK_NAMES:
-                _fail(tpath, f"unknown task {task!r}; known: {list(TASK_NAMES)}")
-            if task not in FAMILY_TASKS[family]:
-                _fail(tpath, f"task {task!r} is not supported for model type {model['type']!r}")
+            if _get_str(task, f"{path}.tasks[{j}]") not in handlers:
+                _fail(f"{path}.tasks[{j}]", f"task {task!r} is not supported for model type "
+                                            f"{model['type']!r} (family {family!r} runs {sorted(handlers)})")
         if len(set(tasks)) != len(tasks):
             _fail(f"{path}.tasks", "duplicate tasks")
 
-        if "seed" in sc:
-            seed = _get_int(sc["seed"], f"{path}.seed", minimum=0)
-        else:
-            seed = default_seed if default_seed is not None else 0
+        seed = _get_int(sc.get("seed", default_seed), f"{path}.seed", minimum=0)
 
-        continuous = model["type"] == "matrix-pair" and "generator" in model
         schedule = sc.get("schedule")
         if schedule is None:
-            schedule = [0.5, 1.5, 3.0] if continuous else _default_schedule(model)
+            schedule = list(_resolve(entry.schedule, model))
         if not isinstance(schedule, list) or not schedule:
             _fail(f"{path}.schedule", "expected a nonempty list")
-        if continuous:
+        if family == "flow":
             schedule = [_get_number(v, f"{path}.schedule[{j}]") for j, v in enumerate(schedule)]
             if any(v <= 0 for v in schedule):
                 _fail(f"{path}.schedule", "entries must be positive")
@@ -366,8 +417,7 @@ def validate_config(raw, default_seed=None):
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
             _fail(f"{path}.schedule", "entries must be strictly increasing")
 
-        horizon = _get_int(sc.get("horizon", 512 if family == "torus" else 128),
-                           f"{path}.horizon", minimum=16)
+        horizon = _get_int(sc.get("horizon", entry.horizon), f"{path}.horizon", minimum=16)
 
         thresholds = dict(DEFAULT_THRESHOLDS)
         overrides = sc.get("thresholds", {})
@@ -390,16 +440,9 @@ def validate_config(raw, default_seed=None):
         if extra:
             _fail(path, f"unknown scenario fields {sorted(extra)}")
 
-        normalized.append({
-            "name": name,
-            "seed": seed,
-            "model": model,
-            "tasks": list(tasks),
-            "schedule": schedule,
-            "horizon": horizon,
-            "thresholds": thresholds,
-            "expect_admissible": expect,
-        })
+        normalized.append({"name": name, "seed": seed, "model": model, "tasks": list(tasks),
+                           "schedule": schedule, "horizon": horizon, "thresholds": thresholds,
+                           "expect_admissible": expect})
     return {"version": CONFIG_VERSION, "scenarios": normalized}
 
 
@@ -443,57 +486,13 @@ def build_model(scenario):
     are config errors and surface as SchemaError.
     """
     model = scenario["model"]
-    mtype = model["type"]
-    rng = np.random.default_rng(scenario["seed"])
     path = f"scenario {scenario['name']!r} model"
     try:
-        if mtype == "random-pair":
-            dim = model["dim"]
-            pair = OperatorPair.discrete(_random_unitary(rng, dim), _random_hermitian(rng, dim))
-            return {"pair": pair}
-        if mtype == "matrix-pair":
-            conj = _load_matrix(model["conjugate"], f"{path}.conjugate")
-            if "unitary" in model:
-                pair = OperatorPair.discrete(_load_matrix(model["unitary"], f"{path}.unitary"), conj)
-            else:
-                pair = OperatorPair.continuous(_load_matrix(model["generator"], f"{path}.generator"), conj)
-            return {"pair": pair}
-        if mtype == "shift":
-            shift = shift_weyl_model(model["window"], model["margin"])
-            return {"pair": shift.pair, "shift": shift}
-        if mtype == "torus":
-            flow = TorusFlow(model["y"])
-            modes = {tuple(k): (complex(re, im),) for k, re, im in model["eta"]}
-            cocycle = TorusCocycle(np.array(model["winding"]), modes, model["sector"])
-            return {"flow": flow, "cocycle": cocycle,
-                    "grid": model["grid"], "matrix_size": model["matrix_size"]}
-        if mtype == "su2":
-            flow = TorusFlow(model["y"])
-            h = model["h"]
-            if isinstance(h, str):
-                h = np.eye(2, dtype=complex) if h == "identity" else _random_su2(rng)
-            else:
-                h = _complex_2x2(h, f"{path}.h")
-            modes = {tuple(k): complex(re, im) for k, re, im in model["eta"]}
-            cocycle = SU2Cocycle(h, model["frequency"], modes, model["label"])
-            return {"flow": flow, "cocycle": cocycle, "grid": model["grid"]}
-        if mtype == "graph-line":
-            return {"window": line_window(model["length"], model["margin"])}
-        if mtype == "graph-grid2d":
-            return {"window": grid2d_window(model["nx"], model["ny"], model["margin"])}
-        if mtype == "graph-cycle4-alt":
-            return {"window": alternating_cycle4()}
-        if mtype == "graph-file":
-            try:
-                text = pathlib.Path(model["path"]).read_text()
-            except OSError as exc:
-                _fail(f"{path}.path", f"cannot read graph file: {exc}")
-            return {"window": parse_graph_window(text)}
+        return MODEL_TYPES[model["type"]].build(model, np.random.default_rng(scenario["seed"]), path)
     except SchemaError:
         raise
     except Exception as exc:
         _fail(path, str(exc))
-    raise AssertionError("unreachable")
 
 
 def _worst(statuses):
@@ -517,42 +516,29 @@ def _unit_vector(rng, dim):
 
 
 class ScenarioRunner:
-    """Executes the tasks of one scenario and collects report rows."""
+    """Executes the tasks of one scenario and collects report rows.
+
+    Objects that several tasks derive from the model are cached properties.
+    """
 
     def __init__(self, scenario, built):
         self.scenario = scenario
         self.built = built
-        self.family = MODEL_FAMILY[scenario["model"]["type"]]
+        self.handlers = HANDLERS[model_family(scenario["model"])]
         self.thresholds = scenario["thresholds"]
         self.artifacts = {}
-        self._series = None
 
     def run(self):
         rows = []
         for task in self.scenario["tasks"]:
-            runner = getattr(self, "task_" + task)
             try:
-                status, metrics, used = runner()
+                status, metrics, used = self.handlers[task](self)
             except Exception as exc:
-                status = "fail"
-                metrics = {"error": f"{type(exc).__name__}: {exc}"}
-                used = {}
-            rows.append({
-                "task": task,
-                "status": status,
-                "metrics": metrics,
-                "thresholds": used,
-            })
-        return {
-            "name": self.scenario["name"],
-            "seed": self.scenario["seed"],
-            "model": self.scenario["model"],
-            "schedule": self.scenario["schedule"],
-            "horizon": self.scenario["horizon"],
-            "expect_admissible": self.scenario["expect_admissible"],
-            "status": _worst([r["status"] for r in rows]),
-            "tasks": rows,
-        }, self.artifacts
+                status, metrics, used = "fail", {"error": f"{type(exc).__name__}: {exc}"}, {}
+            rows.append({"task": task, "status": status, "metrics": metrics, "thresholds": used})
+        echo = ("name", "seed", "model", "schedule", "horizon", "expect_admissible")
+        result = {key: self.scenario[key] for key in echo}
+        return {**result, "status": _worst([r["status"] for r in rows]), "tasks": rows}, self.artifacts
 
     def _used(self, *keys):
         return {k: self.thresholds[k] for k in keys}
@@ -561,31 +547,42 @@ class ScenarioRunner:
         """Random stream keyed by ``(seed, purpose)``, so task order cannot change it."""
         return np.random.default_rng([self.scenario["seed"], *purpose.encode()])
 
+    # -- derived objects ------------------------------------------------
+
+    @functools.cached_property
+    def sector_pair(self):
+        return sector_matrix(self.built["cocycle"], self.built["flow"], self.built["matrix_size"])
+
+    @functools.cached_property
+    def graph_operators(self):
+        return build_operators(self.built["window"])
+
+    def _correlation_vectors(self):
+        rng = self._rng("correlation-vectors")
+        dim = self.built["pair"].dim
+        return _unit_vector(rng, dim), _unit_vector(rng, dim)
+
+    @functools.cached_property
+    def pair_series(self):
+        phi, psi = self._correlation_vectors()
+        return correlation_discrete(self.built["pair"].main, phi, psi, self.scenario["horizon"])
+
+    @functools.cached_property
+    def flow_series(self):
+        phi, psi = self._correlation_vectors()
+        times = np.linspace(0.0, float(self.scenario["schedule"][-1]), self.scenario["horizon"])
+        return correlation_continuous(self.built["pair"].main, phi, psi, times)
+
+    @functools.cached_property
+    def torus_series(self):
+        d = self.built["cocycle"].d
+        observable = GridField.from_modes({(1,) * d: 1.0}, (self.built["grid"],) * d)
+        return sector_correlation(self.built["cocycle"], self.built["flow"],
+                                  observable, observable, self.scenario["horizon"])
+
     # -- identities ---------------------------------------------------
 
-    def task_identities(self):
-        if self.family == "graph":
-            return self._graph_identities()
-        if self.family == "su2":
-            return self._su2_identities()
-        if self.family == "torus":
-            pair = sector_matrix(self.built["cocycle"], self.built["flow"],
-                                 self.built["matrix_size"])
-            schedule = [1, 2, 3]
-        else:
-            pair = self.built["pair"]
-            schedule = self.scenario["schedule"]
-        if pair.kind == "continuous":
-            checks = [flow_identity_check(pair, t) for t in schedule]
-            metrics = {
-                "durations": [c.duration for c in checks],
-                "residuals": [c.residual for c in checks],
-                "estimates": [c.error_estimate for c in checks],
-            }
-            factor = self.thresholds["flow_residual_factor"]
-            ok = all(c.residual <= factor * c.error_estimate for c in checks)
-            return ("pass" if ok else "fail"), metrics, self._used("flow_residual_factor")
-
+    def discrete_identities(self, pair, schedule):
         residuals, expected, agreements = [], [], []
         for n in schedule:
             check = degree_identity_check(pair, n)
@@ -602,11 +599,21 @@ class ScenarioRunner:
             "expected": expected,
             "alternative_gaps": agreements,
         }
-        status = "pass" if ok else "fail"
-        return status, metrics, self._used("identity_residual", "alternative_agreement")
+        return ("pass" if ok else "fail"), metrics, self._used("identity_residual", "alternative_agreement")
 
-    def _graph_identities(self):
-        ops = build_operators(self.built["window"])
+    def flow_identities(self):
+        checks = [flow_identity_check(self.built["pair"], t) for t in self.scenario["schedule"]]
+        metrics = {
+            "durations": [c.duration for c in checks],
+            "residuals": [c.residual for c in checks],
+            "estimates": [c.error_estimate for c in checks],
+        }
+        factor = self.thresholds["flow_residual_factor"]
+        ok = all(c.residual <= factor * c.error_estimate for c in checks)
+        return ("pass" if ok else "fail"), metrics, self._used("flow_residual_factor")
+
+    def graph_identities(self):
+        ops = self.graph_operators
         res = interior_residuals(ops)
         cap = self.thresholds["graph_identity_residual"]
         ok = res.momentum_commutator <= cap and res.degree_identity <= cap
@@ -617,7 +624,7 @@ class ScenarioRunner:
         }
         return ("pass" if ok else "fail"), metrics, self._used("graph_identity_residual")
 
-    def _su2_identities(self):
+    def su2_identities(self):
         cocycle = self.built["cocycle"]
         flow = self.built["flow"]
         label = cocycle.label
@@ -643,13 +650,7 @@ class ScenarioRunner:
 
     # -- degree -------------------------------------------------------
 
-    def task_degree(self):
-        if self.family == "torus":
-            return self._torus_degree()
-        if self.family == "su2":
-            return self._su2_degree()
-        if self.family == "graph":
-            return self._graph_degree()
+    def pair_degree(self):
         pair = self.built["pair"]
         rng = self._rng("degree-probes")
         probes = (_unit_vector(rng, pair.dim), _unit_vector(rng, pair.dim))
@@ -662,15 +663,10 @@ class ScenarioRunner:
             "final_gap": estimate.cauchy_gaps[-1] if estimate.cauchy_gaps else 0.0,
             "limit_norm": float(spectral_norm(estimate.limit)),
         }
-        if estimate.diverging:
-            status = "fail"
-        elif estimate.converged:
-            status = "pass"
-        else:
-            status = "warn"
+        status = "fail" if estimate.diverging else "pass" if estimate.converged else "warn"
         return status, metrics, self._used("gap_threshold")
 
-    def _torus_degree(self):
+    def torus_degree(self):
         cocycle, flow = self.built["cocycle"], self.built["flow"]
         shape = (self.built["grid"],) * cocycle.d
         schedule = self.scenario["schedule"]
@@ -688,8 +684,7 @@ class ScenarioRunner:
             slope = float(np.polyfit(ln, ls, 1)[0])
         payload = {"schedule": list(schedule), "sup_errors": sups,
                    "limit": limit, "slope": slope}
-        self.artifacts["torus-degree.json"] = json.dumps(
-            _jsonable(payload), sort_keys=True, indent=2) + "\n"
+        self.artifacts["torus-degree.json"] = _dump_report(payload)
         ok = sups[-1] <= self.thresholds["torus_sup_error"]
         if slope is not None:
             ok = ok and self.thresholds["torus_slope_min"] <= slope <= self.thresholds["torus_slope_max"]
@@ -698,7 +693,7 @@ class ScenarioRunner:
         used = self._used("torus_sup_error", "torus_slope_min", "torus_slope_max")
         return ("pass" if ok else "fail"), metrics, used
 
-    def _su2_degree(self):
+    def su2_degree(self):
         cocycle, flow = self.built["cocycle"], self.built["flow"]
         shape = (self.built["grid"],) * cocycle.d
         steps = self.scenario["schedule"][-1]
@@ -721,8 +716,8 @@ class ScenarioRunner:
         }
         return ("pass" if ok else "fail"), metrics, self._used("su2_eigenvalue_rel", "kernel_tol")
 
-    def _graph_degree(self):
-        ops = build_operators(self.built["window"])
+    def graph_window_degree(self):
+        ops = self.graph_operators
         report = graph_degree(ops, kernel_tol=self.thresholds["kernel_tol"])
         worst_flow = max(report.flow_residuals.values())
         ok = (report.kernel_match
@@ -743,30 +738,7 @@ class ScenarioRunner:
 
     # -- mixing / summability ------------------------------------------
 
-    def _correlation_series(self):
-        if self._series is not None:
-            return self._series
-        horizon = self.scenario["horizon"]
-        if self.family == "torus":
-            shape = (self.built["grid"],) * self.built["cocycle"].d
-            mode = {(1,) * self.built["cocycle"].d: 1.0}
-            observable = GridField.from_modes(mode, shape)
-            self._series = sector_correlation(self.built["cocycle"], self.built["flow"],
-                                              observable, observable, horizon)
-        else:
-            pair = self.built["pair"]
-            rng = self._rng("correlation-vectors")
-            phi = _unit_vector(rng, pair.dim)
-            psi = _unit_vector(rng, pair.dim)
-            if pair.kind == "discrete":
-                self._series = correlation_discrete(pair.main, phi, psi, horizon)
-            else:
-                times = np.linspace(0.0, float(self.scenario["schedule"][-1]), horizon)
-                self._series = correlation_continuous(pair.main, phi, psi, times)
-        return self._series
-
-    def task_mixing(self):
-        series = self._correlation_series()
+    def mixing(self, series):
         self.artifacts["correlation.csv"] = series.to_csv()
         report = DecayReport(series, fraction=self.thresholds["decay_fraction"])
         metrics = {
@@ -777,8 +749,7 @@ class ScenarioRunner:
         }
         return ("pass" if report.decaying else "warn"), metrics, self._used("decay_fraction")
 
-    def task_summability(self):
-        series = self._correlation_series()
+    def summability(self, series):
         self.artifacts.setdefault("correlation.csv", series.to_csv())
         report = SummabilityReport(series, rel_tail=self.thresholds["summability_rel_tail"])
         metrics = report.summary()
@@ -788,12 +759,7 @@ class ScenarioRunner:
 
     # -- fourier --------------------------------------------------------
 
-    def task_fourier(self):
-        if self.family == "torus":
-            unitary = sector_matrix(self.built["cocycle"], self.built["flow"],
-                                    self.built["matrix_size"]).main
-        else:
-            unitary = self.built["pair"].main
+    def fourier(self, unitary):
         calc = FourierCalculus(unitary, _fourier_bump(),
                                int(self.thresholds["fourier_n_max"]),
                                self.thresholds["fourier_gamma"])
@@ -814,7 +780,7 @@ class ScenarioRunner:
 
     # -- admissibility ---------------------------------------------------
 
-    def task_admissibility(self):
+    def admissibility(self):
         window = self.built["window"]
         report = check_admissible(window)
         expected = self.scenario["expect_admissible"]
@@ -836,6 +802,39 @@ class ScenarioRunner:
             metrics["witness_pair"] = [int(v) for v in report.witness_pair]
             metrics["witness_counts"] = [int(c) for c in report.witness_counts]
         return ("pass" if ok else "fail"), metrics, {}
+
+
+
+# task family -> task -> handler, which takes the ScenarioRunner and returns
+# (status, metrics, thresholds used); validate_config accepts exactly these tasks
+HANDLERS = {
+    "pair": {
+        "identities": lambda r: r.discrete_identities(r.built["pair"], r.scenario["schedule"]),
+        "degree": ScenarioRunner.pair_degree,
+        "mixing": lambda r: r.mixing(r.pair_series),
+        "summability": lambda r: r.summability(r.pair_series),
+        "fourier": lambda r: r.fourier(r.built["pair"].main),
+    },
+    "flow": {
+        "identities": ScenarioRunner.flow_identities,
+        "degree": ScenarioRunner.pair_degree,
+        "mixing": lambda r: r.mixing(r.flow_series),
+        "summability": lambda r: r.summability(r.flow_series),
+    },
+    "torus-nd": {
+        "degree": ScenarioRunner.torus_degree,
+        "mixing": lambda r: r.mixing(r.torus_series),
+        "summability": lambda r: r.summability(r.torus_series),
+    },
+    "su2": {"identities": ScenarioRunner.su2_identities, "degree": ScenarioRunner.su2_degree},
+    "graph": {"identities": ScenarioRunner.graph_identities, "degree": ScenarioRunner.graph_window_degree,
+              "admissibility": ScenarioRunner.admissibility},
+}
+HANDLERS["torus"] = {
+    **HANDLERS["torus-nd"],
+    "identities": lambda r: r.discrete_identities(r.sector_pair, [1, 2, 3]),
+    "fourier": lambda r: r.fourier(r.sector_pair.main),
+}
 
 
 def _jsonable(obj):
@@ -918,7 +917,7 @@ def run_config(config, out_dir, threads=1):
         "scenario_wall_times_s": {k: scenario_walls[k] for k in sorted(scenario_walls)},
         "threads": threads,
     }
-    (out / "report.meta.json").write_text(json.dumps(_jsonable(meta), sort_keys=True, indent=2) + "\n")
+    (out / "report.meta.json").write_text(_dump_report(meta))
     return report
 
 

@@ -3,16 +3,20 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
-from commix import SchemaError
+from commix import SchemaError, cli
 from commix.cli import (
     DEFAULT_THRESHOLDS,
     EXAMPLE_CONFIGS,
+    build_model,
     main,
     run_config,
     validate_config,
 )
+from commix.graphs import format_graph_window, line_window
+from commix.operators import matrix_to_payload
 
 
 def pair_config(**scenario_extra):
@@ -298,3 +302,124 @@ def test_report_echo_is_runnable(tmp_path):
     validated = validate_config(echoed)
     assert validated["scenarios"][0]["seed"] == 7
     assert validated["scenarios"][0]["model"]["dim"] == 8
+
+
+def model_cases(tmp_path):
+    """One minimal model per model type (two where fields pick the family).
+
+    Each case: label, model, documented default schedule and horizon, and the
+    tasks the README lists as supported.
+    """
+    graph_file = tmp_path / "line.graph"
+    graph_file.write_text(format_graph_window(line_window(12, 2)))
+    payload = matrix_to_payload
+    steps = [1, 2, 5, 17, 64]
+    pair_tasks = {"identities", "degree", "mixing", "summability", "fourier"}
+    graph_tasks = {"identities", "degree", "admissibility"}
+    torus = {"type": "torus", "winding": 2, "sector": 3}
+    return [
+        ("random-pair", {"type": "random-pair"}, steps, 128, pair_tasks),
+        ("matrix-pair unitary",
+         {"type": "matrix-pair", "unitary": payload(np.eye(2)), "conjugate": payload(np.diag([1.0, -1.0]))},
+         steps, 128, pair_tasks),
+        ("matrix-pair generator",
+         {"type": "matrix-pair", "generator": payload(np.diag([1.0, 2.0])), "conjugate": payload(np.eye(2))},
+         [0.5, 1.5, 3.0], 128, pair_tasks - {"fourier"}),
+        ("shift", {"type": "shift"}, [200, 400, 800], 128, pair_tasks),
+        ("torus 1-D", {**torus, "y": 0.6180339887498949}, [16, 32, 64, 128, 256, 512, 1024], 512,
+         pair_tasks),
+        ("torus 2-D", {**torus, "y": [0.6180339887498949, 0.41421356237309515], "winding": [[2, 1]]},
+         [16, 32, 64, 128, 256, 512, 1024], 512, {"degree", "mixing", "summability"}),
+        ("su2", {"type": "su2", "y": 0.41421356237309515}, [2000], 128, {"identities", "degree"}),
+        ("graph-line", {"type": "graph-line"}, steps, 128, graph_tasks),
+        ("graph-grid2d", {"type": "graph-grid2d"}, steps, 128, graph_tasks),
+        ("graph-cycle4-alt", {"type": "graph-cycle4-alt"}, steps, 128, graph_tasks),
+        ("graph-file", {"type": "graph-file", "path": str(graph_file)}, steps, 128, graph_tasks),
+    ]
+
+
+def test_every_model_type_validates_with_documented_defaults_and_builds(tmp_path):
+    cases = model_cases(tmp_path)
+    assert {model["type"] for _, model, *_ in cases} == set(cli.MODEL_TYPES)
+    for label, model, schedule, horizon, tasks in cases:
+        raw = {"version": 1, "scenarios": [{"name": "a", "model": model, "tasks": sorted(tasks)}]}
+        sc = validate_config(raw)["scenarios"][0]
+        assert sc["schedule"] == schedule, label
+        assert sc["horizon"] == horizon, label
+        assert build_model(sc), label
+
+
+def test_validation_accepts_exactly_the_supported_tasks(tmp_path):
+    for label, model, _, _, supported in model_cases(tmp_path):
+        first = sorted(supported)[0]
+        for task in ("identities", "degree", "mixing", "summability", "fourier", "admissibility"):
+            if task == first:
+                continue
+            raw = {"version": 1, "scenarios": [{"name": "a", "model": model, "tasks": [first, task]}]}
+            if task in supported:
+                validate_config(raw)
+                continue
+            with pytest.raises(SchemaError) as info:
+                validate_config(raw)
+            assert "config.scenarios[0].tasks[1]" in str(info.value), (label, task)
+            assert "not supported" in str(info.value), (label, task)
+
+
+def test_validation_rejects_tasks_that_always_fail():
+    generator = {"type": "matrix-pair", "generator": matrix_to_payload(np.diag([1.0, 2.0])),
+                 "conjugate": matrix_to_payload(np.eye(2))}
+    torus_2d = {"type": "torus", "y": [0.6180339887498949, 0.41421356237309515],
+                "winding": [[2, 1]], "sector": 3, "grid": 64}
+    cases = [
+        (generator, ["identities", "fourier"], 1),
+        (torus_2d, ["identities"], 0),
+        (torus_2d, ["degree", "fourier"], 1),
+    ]
+    for model, tasks, j in cases:
+        raw = {"version": 1, "scenarios": [{"name": "a", "model": model, "tasks": tasks}]}
+        with pytest.raises(SchemaError) as info:
+            validate_config(raw)
+        assert f"config.scenarios[0].tasks[{j}]" in str(info.value)
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    config = pair_config()
+    del config["scenarios"][0]["seed"]
+    path = write_config(tmp_path, config)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "-3"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    with pytest.raises(SchemaError):
+        validate_config(pair_config(), default_seed=-1)
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "3"]) == 0
+
+
+def test_shared_operators_are_built_once_per_scenario(tmp_path, monkeypatch):
+    calls = {"sector_matrix": 0, "build_operators": 0}
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    config = validate_config({
+        "version": 1,
+        "scenarios": [
+            {"name": "torus", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 2,
+                                        "sector": 3, "grid": 64, "matrix_size": 64},
+             "tasks": ["identities", "fourier"]},
+            {"name": "line", "model": {"type": "graph-line", "length": 40, "margin": 2},
+             "tasks": ["identities", "degree"], "thresholds": {"graph_flow_residual": 1.0}},
+        ],
+    })
+    report = run_config(config, tmp_path / "out")
+    for sc in report["scenarios"]:
+        for row in sc["tasks"]:
+            assert "error" not in row["metrics"], (sc["name"], row)
+    assert calls == {"sector_matrix": 1, "build_operators": 1}
