@@ -76,7 +76,6 @@ from .skew import (
     TorusCocycle,
     TorusFlow,
     cocycle_sum,
-    flow_step,
     sector_apply,
     sector_correlation,
     sector_matrix,

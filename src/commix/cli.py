@@ -750,7 +750,8 @@ class ScenarioRunner:
         return ("pass" if report.decaying else "warn"), metrics, self._used("decay_fraction")
 
     def summability(self, series):
-        self.artifacts.setdefault("correlation.csv", series.to_csv())
+        if "correlation.csv" not in self.artifacts:
+            self.artifacts["correlation.csv"] = series.to_csv()
         report = SummabilityReport(series, rel_tail=self.thresholds["summability_rel_tail"])
         metrics = report.summary()
         metrics["saturating"] = bool(metrics["saturating"])

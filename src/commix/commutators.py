@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import StructureError
 from .operators import (
+    _resolvent_sandwich,
     as_square_matrix,
     check_structure,
     matrix_to_payload,
@@ -125,11 +126,7 @@ def selfadjoint_symbol(pair):
     if pair.kind != "continuous":
         raise ValueError("selfadjoint_symbol needs a continuous pair")
     h, a = pair.main, pair.conjugate
-    eye = np.eye(h.shape[0])
-    inner = 1j * (h @ a - a @ h)
-    x = np.linalg.solve(h + 1j * eye, inner)
-    # right-multiplying by (H - i)^{-1} == solving against (H + i) from the left of X*
-    m = np.linalg.solve(h + 1j * eye, x.conj().T).conj().T
+    m = _resolvent_sandwich(h, 1j * (h @ a - a @ h))
     _assert_hermitian(m, "resolvent-sandwiched symbol", max(1.0, max_norm(a)))
     return m
 
@@ -504,11 +501,8 @@ def tilde_conjugate(pair):
     """Bounded conjugate ``(H+i)^{-1} A (H-i)^{-1}`` of a continuous pair."""
     if pair.kind != "continuous":
         raise ValueError("tilde_conjugate needs a continuous pair")
-    h, a = pair.main, pair.conjugate
-    eye = np.eye(h.shape[0])
-    x = np.linalg.solve(h + 1j * eye, a)
-    m = np.linalg.solve(h + 1j * eye, x.conj().T).conj().T
-    _assert_hermitian(m, "tilde conjugate", max(1.0, max_norm(a)))
+    m = _resolvent_sandwich(pair.main, pair.conjugate)
+    _assert_hermitian(m, "tilde conjugate", max(1.0, max_norm(pair.conjugate)))
     return m
 
 

@@ -11,12 +11,12 @@ away from the cut, and that is where all identities are asserted.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AdmissibilityError, SchemaError
-from .operators import kernel_split
+from .operators import _kernel_mask, _resolvent_sandwich
 
 __all__ = [
     "DirectedGraphWindow",
@@ -161,7 +161,6 @@ class AdmissibilityReport:
     witness_balance: tuple | None = None
     witness_pair: tuple | None = None
     witness_counts: tuple | None = None
-    pair_scope: list = field(default_factory=list)
 
     @property
     def admissible(self):
@@ -259,7 +258,6 @@ def check_admissible(window):
         witness_balance=witness_balance,
         witness_pair=witness_pair,
         witness_counts=witness_counts,
-        pair_scope=scope,
     )
 
 
@@ -297,8 +295,10 @@ def build_operators(window):
         adjacency[i, j] = adjacency[j, i] = 1.0
         lowering[j, i] = 1.0
     momentum = 1j * (lowering.conj().T - lowering)
-    grading = np.diag(np.array([report.position[v] for v in verts], dtype=float)).astype(complex)
-    conjugate = (grading @ momentum + momentum @ grading) / 2.0
+    position = np.array([report.position[v] for v in verts], dtype=float)
+    grading = np.diag(position).astype(complex)
+    # (Phi K + K Phi)_ij = (p_i + p_j) K_ij / 2 for the diagonal grading Phi
+    conjugate = (position[:, None] + position[None, :]) / 2.0 * momentum
     interior_rows = np.array([index[v] for v in window.interior], dtype=int)
     # deepest vertex: maximal distance from the inferred boundary, then
     # smallest id; this is where probe-based diagnostics see least pollution
@@ -368,16 +368,14 @@ def graph_degree(ops, kernel_tol=1e-8, flow_times=(0.5, 1.0, 2.0)):
     """
     h, k = ops.adjacency, ops.momentum
     dim = h.shape[0]
-    eye = np.eye(dim)
-    x = np.linalg.solve(h + 1j * eye, k @ k)
-    degree = np.linalg.solve((h - 1j * eye).T, x.T).T
+    degree = _resolvent_sandwich(h, k @ k)
     degree = (degree + degree.conj().T) / 2.0
 
-    split_d = kernel_split(degree, tol=kernel_tol)
-    split_k = kernel_split(k, tol=kernel_tol)
-    match = split_d.ker_dim == split_k.ker_dim
+    degree_eigvals = np.linalg.eigvalsh(degree)
+    kernel_dim_degree = int(np.count_nonzero(_kernel_mask(degree_eigvals, kernel_tol)))
+    kernel_dim_momentum = int(np.count_nonzero(_kernel_mask(np.linalg.eigvalsh(k), kernel_tol)))
+    match = kernel_dim_degree == kernel_dim_momentum
     note = "" if match else "kernel ranks disagree; boundary pollution suspected, enlarge the margin"
-    psd_min = float(np.min(np.linalg.eigvalsh(degree)))
 
     probe_row = int(ops.center_row)
     probe = np.zeros(dim, dtype=complex)
@@ -392,10 +390,10 @@ def graph_degree(ops, kernel_tol=1e-8, flow_times=(0.5, 1.0, 2.0)):
 
     return GraphDegreeReport(
         degree=degree,
-        kernel_dim_degree=split_d.ker_dim,
-        kernel_dim_momentum=split_k.ker_dim,
+        kernel_dim_degree=kernel_dim_degree,
+        kernel_dim_momentum=kernel_dim_momentum,
         kernel_match=match,
-        psd_min_eigenvalue=psd_min,
+        psd_min_eigenvalue=float(degree_eigvals.min()),
         flow_residuals=flow_residuals,
         probe_row=probe_row,
         note=note,

@@ -239,12 +239,38 @@ def spectral_projector(matrix, predicate, tol=1e-9):
     return cols @ cols.conj().T
 
 
+def _resolvent_sandwich(h, x):
+    """``(H+i)^{-1} X (H-i)^{-1}`` for Hermitian H, both solves against ``(H-i)* = H+i``."""
+    shifted = h + 1j * np.eye(h.shape[0])
+    y = np.linalg.solve(shifted, x)
+    return np.linalg.solve(shifted, y.conj().T).conj().T
+
+
+def _kernel_mask(eigenvalues, tol, ambiguity_margin=0.5):
+    """Numerical kernel ``|lambda| <= tol * max|lambda|`` of a real spectrum, as a mask.
+
+    A modulus within ``ambiguity_margin * cut`` of a nonzero cut makes the
+    verdict ambiguous and triggers a SpectralCutWarning at the caller's caller.
+    """
+    modulus = np.abs(eigenvalues)
+    cut = tol * float(np.max(modulus, initial=0.0))
+    near = np.abs(modulus - cut) < ambiguity_margin * cut
+    if np.any(near):
+        warnings.warn(
+            f"kernel cut at {cut:.3e} is ambiguous near eigenvalue(s) {eigenvalues[near]}",
+            SpectralCutWarning,
+            stacklevel=3,
+        )
+    return modulus <= cut
+
+
 @dataclass(frozen=True)
 class KernelSplit:
     """Orthogonal split into numerical kernel and its complement.
 
-    ``P_ker`` projects onto eigenspaces with ``|lambda| <= tol * ||D||`` and
-    ``P_perp = I - P_ker`` exactly, so complementarity holds by construction.
+    ``P_ker`` projects onto the eigenspaces inside the kernel cut of
+    :func:`kernel_split` and ``P_perp = I - P_ker`` exactly, so
+    complementarity holds by construction.
     """
 
     tol: float
@@ -271,20 +297,7 @@ def kernel_split(matrix, tol=1e-8, ambiguity_margin=0.5):
         raise StructureError(f"kernel_split expects a Hermitian matrix, deviation {rep.deviation:.3e}")
     h = (m + m.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(h)
-    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    cut = tol * scale
-    mask = np.abs(eigvals) <= cut
-    if cut > 0.0:
-        near = (np.abs(eigvals) > cut * (1.0 - ambiguity_margin)) & (
-            np.abs(eigvals) < cut * (1.0 + ambiguity_margin)
-        )
-        if np.any(near):
-            offenders = eigvals[near]
-            warnings.warn(
-                f"kernel cut at {cut:.3e} is ambiguous near eigenvalue(s) {offenders}",
-                SpectralCutWarning,
-                stacklevel=2,
-            )
+    mask = _kernel_mask(eigvals, tol, ambiguity_margin)
     cols = eigvecs[:, mask]
     p_ker = cols @ cols.conj().T
     p_ker = (p_ker + p_ker.conj().T) / 2.0

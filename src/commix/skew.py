@@ -23,6 +23,7 @@ import numpy as np
 from .commutators import OperatorPair
 from .errors import RationalApproximationWarning, ResolutionError, StructureError
 from .mixing import CorrelationSeries
+from .operators import _kernel_mask
 
 __all__ = [
     "TorusFlow",
@@ -30,7 +31,6 @@ __all__ = [
     "GridField",
     "unit_grid",
     "TorusCocycle",
-    "flow_step",
     "cocycle_sum",
     "sector_apply",
     "sector_matrix",
@@ -97,10 +97,6 @@ class TorusFlow:
         if x.shape[-1:] != (self.d,):
             raise ValueError(f"points must have a trailing axis of length {self.d}")
         return np.mod(x + t * self.y, 1.0)
-
-
-def flow_step(flow, x, t=1.0):
-    return flow.advance(x, t)
 
 
 def unit_grid(shape):
@@ -298,13 +294,6 @@ class TorusCocycle:
             out += phase[..., None] * c
         return out.real
 
-    def lie_derivative_sup(self, flow):
-        """Upper bound for sup |y.grad(q.eta)| from the triangle inequality."""
-        total = 0.0
-        for k, g in self.sector_modes().items():
-            total += 2.0 * np.pi * abs(float(np.dot(k, flow.y))) * abs(g)
-        return total
-
 
 def _geometric_phase_sum(u, n):
     # sum_{j=0}^{n-1} exp(2 pi i j u); closed form away from integer u
@@ -441,9 +430,11 @@ def sector_apply(cocycle, flow, field, steps, rel_band_tol=1e-8):
     """Apply the sector operator n times: (U^n f)(x) = e(q.phi^(n)(x)) f(x + ny).
 
     The translation acts spectrally on the grid and the accumulated phase is
-    evaluated pointwise in closed form, so the result is exact in n for
-    band-limited f.  Both an a-priori frequency budget and the spectrum of
-    the result are checked; either failing raises ResolutionError.
+    evaluated pointwise in closed form, so for band-limited f no error builds
+    up over the steps; only the phase, which grows like n^2 |q.W y| / 2 turns,
+    rounds by about n^2 |q.W y| eps / 4 turns (5e-11 at n = 512 on the
+    golden-torus example).  Both an a-priori frequency budget and the
+    spectrum of the result are checked; either failing raises ResolutionError.
     """
     steps = int(steps)
     return GridField(_sector_powers(cocycle, flow, field, abs(steps), rel_band_tol)(steps))
@@ -670,8 +661,7 @@ def su2_degree_field(cocycle, flow, shape, steps, kernel_tol=1e-8):
     limit = total.mean(axis=0)
     limit = (limit + limit.conj().T) / 2.0
     eigvals = np.linalg.eigvalsh(limit)
-    cut = kernel_tol * max(np.max(np.abs(eigvals)), 1e-300)
-    kernel_dim = int(np.sum(np.abs(eigvals) <= cut))
+    kernel_dim = int(np.count_nonzero(_kernel_mask(eigvals, kernel_tol)))
     deviation = total - limit[None, :, :]
     sup_dev = float(np.max(np.linalg.svd(deviation, compute_uv=False)[:, 0]))
     predicted = np.sort(2.0 * np.pi * base_rate * weights.astype(float))

@@ -16,6 +16,7 @@ from commix.cli import (
     validate_config,
 )
 from commix.graphs import format_graph_window, line_window
+from commix.mixing import CorrelationSeries
 from commix.operators import matrix_to_payload
 
 
@@ -423,3 +424,27 @@ def test_shared_operators_are_built_once_per_scenario(tmp_path, monkeypatch):
         for row in sc["tasks"]:
             assert "error" not in row["metrics"], (sc["name"], row)
     assert calls == {"sector_matrix": 1, "build_operators": 1}
+
+
+def test_correlation_series_is_serialized_once_per_scenario(tmp_path, monkeypatch):
+    calls = []
+    original = CorrelationSeries.to_csv
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CorrelationSeries, "to_csv", counting)
+    config = validate_config({
+        "version": 1,
+        "scenarios": [
+            {"name": "torus", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 2,
+                                        "sector": 3, "grid": 1024},
+             "horizon": 16, "tasks": ["mixing", "summability"]},
+        ],
+    })
+    report = run_config(config, tmp_path / "out")
+    for row in report["scenarios"][0]["tasks"]:
+        assert "error" not in row["metrics"], row
+    assert len(calls) == 1
+    assert (tmp_path / "out" / "torus" / "correlation.csv").read_text() == original(calls[0])

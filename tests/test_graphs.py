@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from commix import graphs, operators
 from commix import (
     AdmissibilityError,
     DirectedGraphWindow,
@@ -16,6 +17,7 @@ from commix import (
     graph_degree,
     grid2d_window,
     interior_residuals,
+    kernel_split,
     line_window,
     max_norm,
     parse_graph_window,
@@ -105,6 +107,13 @@ def test_build_operators_two_vertex_oracle():
     assert max_norm(ops.momentum - ops.momentum.conj().T) == 0.0
 
 
+def test_build_operators_conjugate_is_the_symmetrized_graded_momentum():
+    for window in (line_window(200, 3), grid2d_window(5, 7, 1), grid2d_window(24, 24, 2)):
+        ops = build_operators(window)
+        products = (ops.grading @ ops.momentum + ops.momentum @ ops.grading) / 2.0
+        assert np.array_equal(ops.conjugate, products)
+
+
 def test_build_operators_rejects_cycle4():
     with pytest.raises(AdmissibilityError) as info:
         build_operators(alternating_cycle4())
@@ -168,6 +177,32 @@ def test_grid24_kernel_dimension():
     assert rep.kernel_dim_degree == 24
     assert rep.kernel_dim_momentum == 24
     assert rep.probe_row == 11 * 24 + 11
+
+
+def test_graph_degree_reads_kernels_from_eigenvalues(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel_split(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "kernel_split", counting)
+    monkeypatch.setattr(graphs, "kernel_split", counting, raising=False)
+    for window in (line_window(9, 1), line_window(200, 3), grid2d_window(9, 9, 2),
+                   grid2d_window(12, 12, 2)):
+        ops = build_operators(window)
+        rep = graph_degree(ops)
+        assert calls == []
+        # the route graph_degree took before: a transpose solve for the right
+        # resolvent, then projector splits for the kernel counts
+        h, k, eye = ops.adjacency, ops.momentum, np.eye(ops.adjacency.shape[0])
+        x = np.linalg.solve(h + 1j * eye, k @ k)
+        degree = np.linalg.solve((h - 1j * eye).T, x.T).T
+        degree = (degree + degree.conj().T) / 2.0
+        assert max_norm(rep.degree - degree) <= 1e-12
+        assert rep.kernel_dim_degree == kernel_split(degree).ker_dim
+        assert rep.kernel_dim_momentum == kernel_split(k).ker_dim
+        assert rep.psd_min_eigenvalue == float(np.linalg.eigvalsh(rep.degree).min())
 
 
 def test_empty_edge_set_gives_zero_operators():

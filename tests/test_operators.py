@@ -27,6 +27,7 @@ from commix import (
     spectral_norm,
     spectral_projector,
 )
+from commix.operators import _resolvent_sandwich
 
 
 def random_unitary(rng, dim):
@@ -123,6 +124,16 @@ def test_kernel_split_warns_in_ambiguity_band():
     # eigenvalue within a factor two of the cut is not a clean verdict
     with pytest.warns(SpectralCutWarning):
         kernel_split(np.diag([1.2e-8, 1.0]).astype(complex), tol=1e-8)
+
+
+def test_resolvent_sandwich_matches_explicit_inverses():
+    rng = np.random.default_rng(59)
+    for dim in (1, 5, 16):
+        h = random_hermitian(rng, dim)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        eye = np.eye(dim)
+        oracle = np.linalg.inv(h + 1j * eye) @ x @ np.linalg.inv(h - 1j * eye)
+        assert max_norm(_resolvent_sandwich(h, x) - oracle) <= 1e-12
 
 
 def test_cayley_round_trip():

@@ -1,5 +1,7 @@
 """Torus and SU(2) skew products, sector transfer operators, and the shift seam model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from commix import (
     GridField,
     OperatorPair,
     ResolutionError,
+    SpectralCutWarning,
     SU2Cocycle,
     RationalApproximationWarning,
     StructureError,
@@ -297,6 +300,19 @@ def test_su2_degree_field_eigenvalues_and_kernel():
         assert rel <= 2e-2
         assert rep.kernel_dim == expect_kernel
         assert rep.sup_deviation <= 0.05
+
+
+def test_su2_degree_field_warns_on_ambiguous_kernel_cut():
+    flow = golden_flow()
+    h = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]], dtype=complex)
+    coc = SU2Cocycle(h, [1], {(1,): -0.05j, (-1,): 0.05j}, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SpectralCutWarning)
+        assert su2_degree_field(coc, flow, (64,), 50).kernel_dim == 0
+    # eigenvalues sit near c*(-3, -1, 1, 3): a cut at 0.3*3c = 0.9c lies
+    # within the ambiguity band of the +-c pair
+    with pytest.warns(SpectralCutWarning):
+        su2_degree_field(coc, flow, (64,), 50, kernel_tol=0.3)
 
 
 def transport_loop_degree_field(cocycle, flow, modes, grid, steps):
