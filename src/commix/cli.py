@@ -53,7 +53,6 @@ from .mixing import (
 )
 from .operators import matrix_from_payload, spectral_norm
 from .skew import (
-    GridField,
     SU2Cocycle,
     TorusCocycle,
     TorusFlow,
@@ -67,7 +66,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario
@@ -554,8 +553,12 @@ class ScenarioRunner:
         return sector_matrix(self.built["cocycle"], self.built["flow"], self.built["matrix_size"])
 
     @functools.cached_property
+    def admissibility_report(self):
+        return check_admissible(self.built["window"])
+
+    @functools.cached_property
     def graph_operators(self):
-        return build_operators(self.built["window"])
+        return build_operators(self.built["window"], self.admissibility_report)
 
     def _correlation_vectors(self):
         rng = self._rng("correlation-vectors")
@@ -575,8 +578,7 @@ class ScenarioRunner:
 
     @functools.cached_property
     def torus_series(self):
-        d = self.built["cocycle"].d
-        observable = GridField.from_modes({(1,) * d: 1.0}, (self.built["grid"],) * d)
+        observable = {(1,) * self.built["cocycle"].d: 1.0}
         return sector_correlation(self.built["cocycle"], self.built["flow"],
                                   observable, observable, self.scenario["horizon"])
 
@@ -783,7 +785,7 @@ class ScenarioRunner:
 
     def admissibility(self):
         window = self.built["window"]
-        report = check_admissible(window)
+        report = self.admissibility_report
         expected = self.scenario["expect_admissible"]
         ok = report.admissible == expected
         metrics = {

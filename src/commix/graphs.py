@@ -273,16 +273,18 @@ class GraphOperators:
     center_row: int
 
 
-def build_operators(window):
+def build_operators(window, report=None):
     """Assemble H, L, K, Phi, A for an admissible window.
 
     The summing operator collects values over N^+(x) = {y : y < x}, so on a
     uniformly oriented line it is the raising shift; K = i(L* - L) and
     A = (Phi K + K Phi)/2 then satisfy [K, H] = 0 and [iH, A] = K*K on the
     interior of windows cut from admissible infinite graphs.  Inadmissible
-    input is rejected with the full report attached.
+    input is rejected with the full report attached.  ``report`` is the
+    window's check_admissible report, computed here when not given.
     """
-    report = check_admissible(window)
+    if report is None:
+        report = check_admissible(window)
     if not report.admissible:
         raise AdmissibilityError(report, "window fails the admissibility conditions")
     verts = window.vertices

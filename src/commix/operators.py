@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -160,6 +159,8 @@ def spectral_decomposition(matrix, hermitian_tol=1e-10, normal_tol=1e-8):
                 f"matrix is not normal: ||SS* - S*S|| = {defect:.3e} "
                 f"exceeds {normal_tol:.1e} * scale^2"
             )
+        import scipy.linalg  # here, not at module level: it doubles the import time of commix
+
         t, z = scipy.linalg.schur(m, output="complex")
         eigvals = np.diag(t).copy()
         eigvecs = z

@@ -8,13 +8,16 @@ the two-frequency unitary family, and the cyclic shift/position pair.
 Sector operators are applied function-analytically on periodic grids; the
 matrix truncation exists as a cross-check and for spectral sweeps.  All grid
 resolutions are powers of two so spectral interpolation is exact on
-band-limited data.
+band-limited data.  Sector correlation series need no grid: they are summed
+in closed form from the Fourier data of the observables.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,6 +115,11 @@ def _check_power_of_two(m):
     return m >= 2 and (m & (m - 1)) == 0
 
 
+def _mode_key(k):
+    """A Fourier mode index as a tuple of ints; a scalar is a one-dimensional mode."""
+    return (int(k),) if np.isscalar(k) else tuple(int(v) for v in k)
+
+
 class GridField:
     """Complex samples on a uniform periodic grid, power-of-two per axis."""
 
@@ -133,15 +141,12 @@ class GridField:
         shape = tuple(int(m) for m in shape)
         coords = unit_grid(shape)
         vals = np.zeros(shape, dtype=complex)
-        for k, c in modes.items():
-            k = (int(k),) if np.isscalar(k) else tuple(int(v) for v in k)
-            if len(k) != len(shape):
-                raise ValueError("mode index dimension does not match the grid")
+        for k, c in _observable_modes(modes, len(shape)).items():
             if len(shape) == 1:
                 phase = k[0] * coords
             else:
                 phase = coords @ np.asarray(k, dtype=float)
-            vals += complex(c) * np.exp(2j * np.pi * phase)
+            vals += c * np.exp(2j * np.pi * phase)
         return cls(vals)
 
     def shift(self, delta):
@@ -251,7 +256,7 @@ class TorusCocycle:
 
         parsed = {}
         for k, c in (modes or {}).items():
-            key = (int(k),) if np.isscalar(k) else tuple(int(v) for v in k)
+            key = _mode_key(k)
             if len(key) != self.d:
                 raise ValueError("mode frequency dimension does not match the base torus")
             vec = np.atleast_1d(np.asarray(c, dtype=complex))
@@ -314,18 +319,6 @@ def _cocycle_terms(cocycle, flow, x):
     return cocycle._dot_base(x, cocycle.sector_winding), modes
 
 
-def _summed_cocycle(cocycle, flow, terms, n):
-    # q.phi^(n) for n >= 1 from _cocycle_terms: the winding part is an
-    # arithmetic progression, each mode a geometric phase sum
-    base, modes = terms
-    wy = float(np.dot(cocycle.sector_winding, flow.y))
-    lin = n * base + wy * n * (n - 1) / 2.0
-    osc = np.zeros_like(lin, dtype=complex)
-    for u, g, factor in modes:
-        osc += g * _geometric_phase_sum(u, n) * factor
-    return lin + osc.real
-
-
 def cocycle_sum(cocycle, flow, x, n):
     """Accumulated sector phase q.phi^(n)(x), as an unwrapped real number.
 
@@ -342,7 +335,13 @@ def cocycle_sum(cocycle, flow, x, n):
         return np.zeros(base_shape)
     if n < 0:
         return -cocycle_sum(cocycle, flow, flow.advance(x, n), -n)
-    return _summed_cocycle(cocycle, flow, _cocycle_terms(cocycle, flow, x), n)
+    base, modes = _cocycle_terms(cocycle, flow, x)
+    wy = float(np.dot(cocycle.sector_winding, flow.y))
+    lin = n * base + wy * n * (n - 1) / 2.0
+    osc = np.zeros_like(lin, dtype=complex)
+    for u, g, factor in modes:
+        osc += g * _geometric_phase_sum(u, n) * factor
+    return lin + osc.real
 
 
 def _modulation_margin(cocycle, flow, steps):
@@ -359,56 +358,6 @@ def _modulation_margin(cocycle, flow, steps):
         beta = 2.0 * np.pi * abs(g) * envelope
         margin += np.abs(np.asarray(k)) * int(math.ceil(beta + 8.0))
     return margin
-
-
-def _sector_powers(cocycle, flow, field, reach, rel_band_tol):
-    """Return n -> samples of U^n f for |n| <= reach, with the per-field work done once.
-
-    The FFT and occupied band of f, the grid coordinates, the cocycle's mode
-    factors and the frequency table are computed here; each call then costs
-    one inverse FFT (the translation), one pointwise phase and one forward
-    FFT (the a-posteriori aliasing check).
-    """
-    if field.values.ndim != cocycle.d:
-        raise ValueError("field dimension does not match the cocycle base")
-    shape = field.values.shape
-    freqs = _frequencies(shape)
-    spec = np.fft.fftn(field.values)
-    if reach:
-        # the a-priori budget |n W^T q| + band + margin(n) never decreases in
-        # |n|, so passing it at the reach passes it for every n up to there
-        band = _occupied_band(spec, freqs, rel_band_tol)
-        shift_freq = reach * cocycle.sector_winding
-        margin = _modulation_margin(cocycle, flow, reach)
-        for i, m in enumerate(shape):
-            needed = abs(int(shift_freq[i])) + band[i] + int(margin[i])
-            if needed >= m // 2:
-                raise ResolutionError(
-                    f"axis {i}: predicted bandwidth {needed} at {reach} steps exceeds "
-                    f"the grid Nyquist {m // 2}; enlarge the grid or reduce the step count"
-                )
-    coords = unit_grid(shape)
-    terms = _cocycle_terms(cocycle, flow, coords)
-
-    def power(n):
-        if n == 0:
-            return field.values.copy()
-        if n > 0:
-            summed = _summed_cocycle(cocycle, flow, terms, n)
-        else:  # the inverse cocycle, off the path of the correlation series
-            summed = cocycle_sum(cocycle, flow, coords, n)
-        moved = np.fft.ifftn(spec * _translation(freqs, n * flow.y))
-        out = np.exp(2j * np.pi * summed) * moved
-        out_band = _occupied_band(np.fft.fftn(out), freqs, rel_band_tol)
-        for i, m in enumerate(shape):
-            if out_band[i] >= m // 2 - m // 16:
-                raise ResolutionError(
-                    f"axis {i}: result occupies the top of the resolvable band "
-                    f"({out_band[i]} of {m // 2}) at {n} steps; aliasing suspected"
-                )
-        return out
-
-    return power
 
 
 def _orbit_average_rate(cocycle, flow, points, steps):
@@ -437,7 +386,34 @@ def sector_apply(cocycle, flow, field, steps, rel_band_tol=1e-8):
     spectrum of the result are checked; either failing raises ResolutionError.
     """
     steps = int(steps)
-    return GridField(_sector_powers(cocycle, flow, field, abs(steps), rel_band_tol)(steps))
+    if field.values.ndim != cocycle.d:
+        raise ValueError("field dimension does not match the cocycle base")
+    if steps == 0:
+        return GridField(field.values.copy())
+    shape = field.values.shape
+    freqs = _frequencies(shape)
+    spec = np.fft.fftn(field.values)
+    band = _occupied_band(spec, freqs, rel_band_tol)
+    shift_freq = steps * cocycle.sector_winding
+    margin = _modulation_margin(cocycle, flow, steps)
+    for i, m in enumerate(shape):
+        needed = abs(int(shift_freq[i])) + band[i] + int(margin[i])
+        if needed >= m // 2:
+            raise ResolutionError(
+                f"axis {i}: predicted bandwidth {needed} at {steps} steps exceeds "
+                f"the grid Nyquist {m // 2}; enlarge the grid or reduce the step count"
+            )
+    summed = cocycle_sum(cocycle, flow, unit_grid(shape), steps)
+    moved = np.fft.ifftn(spec * _translation(freqs, steps * flow.y))
+    out = np.exp(2j * np.pi * summed) * moved
+    out_band = _occupied_band(np.fft.fftn(out), freqs, rel_band_tol)
+    for i, m in enumerate(shape):
+        if out_band[i] >= m // 2 - m // 16:
+            raise ResolutionError(
+                f"axis {i}: result occupies the top of the resolvable band "
+                f"({out_band[i]} of {m // 2}) at {steps} steps; aliasing suspected"
+            )
+    return GridField(out)
 
 
 def sector_matrix(cocycle, flow, size):
@@ -466,24 +442,149 @@ def sector_matrix(cocycle, flow, size):
     return OperatorPair.discrete(u, a)
 
 
-def sector_correlation(cocycle, flow, phi, psi, horizon, rel_band_tol=1e-8):
-    """Correlation series <phi, U^n psi> for n = 1..horizon, via closed form.
+def _observable_modes(modes, d):
+    """Finite Fourier data {k: coefficient} of an observable on the d-torus."""
+    if not isinstance(modes, Mapping):
+        raise TypeError(
+            f"observables are mode dicts {{k: coefficient}}, got {type(modes).__name__}"
+        )
+    out = {}
+    for k, c in modes.items():
+        key = _mode_key(k)
+        if len(key) != d:
+            raise ValueError(f"mode index {key} has {len(key)} components, expected {d}")
+        out[key] = out.get(key, 0.0) + complex(c)
+    return out
 
-    Each U^n psi is the same closed form as sector_apply, with the per-field
-    work done once for the whole series and the a-priori resolution budget
-    checked once, at the horizon, before any term is computed.  Terms are
-    formed one n at a time, so memory does not grow with the horizon.
+
+def _bessel_order(z):
+    """Least M >= 0 with 2 (z/2)^(M+1) e^(z/2) / (M+1)! <= 2^-53."""
+    t = z / 2.0
+    if t == 0.0:
+        return 0
+    budget = math.log(2.0**-53 / 2.0) - t
+    order = 0
+    while (order + 1) * math.log(t) - math.lgamma(order + 2) > budget:
+        order += 1
+    return order
+
+
+def _bessel_coefficient(order, z, alpha):
+    # i^m J_m(z) e^{i m alpha}: Jacobi-Anger coefficient of e^{i m theta} in
+    # exp(i z cos(theta + alpha)), with i^m taken exactly; scipy is imported
+    # here so that importing commix does not load it
+    from scipy import special
+
+    return (
+        np.array([1, 1j, -1, -1j])[np.mod(order, 4)]
+        * special.jv(order, z)
+        * np.exp(1j * order * alpha)
+    )
+
+
+def _modulation_spectrum(pairs):
+    """Return target -> Fourier coefficient of prod_j exp(i z_j cos(2 pi k_j.x + alpha_j)).
+
+    ``pairs`` holds (k_j, z_j, alpha_j) with z_j, alpha_j arrays over the
+    steps; ``target`` is an integer array (..., steps, d) of frequencies.
+    Each target is reached from a combination of the other pairs' orders by
+    one order of the pair with the largest truncation order.  With one pair
+    that order's Bessel coefficient is evaluated directly, which is exact;
+    with several, every pair's sequence is truncated at _bessel_order of its
+    largest z and read from a table.
+    """
+    if not pairs:
+        return lambda target: np.all(target == 0, axis=-1).astype(complex)
+    orders = [_bessel_order(float(np.max(z))) for _, z, _ in pairs]
+
+    def table(j):
+        _, z, alpha = pairs[j]
+        return _bessel_coefficient(np.arange(-orders[j], orders[j] + 1)[:, None], z, alpha)
+
+    last = int(np.argmax(orders))
+    k_last, z_last, alpha_last = pairs[last]
+    norm = int(k_last @ k_last)
+    others = [(pairs[j][0], orders[j], table(j)) for j in range(len(pairs)) if j != last]
+    if others:
+        last_order, last_table, columns = orders[last], table(last), np.arange(z_last.size)
+
+        def last_coefficient(m):
+            row = np.clip(m, -last_order, last_order) + last_order
+            return np.where(np.abs(m) <= last_order, last_table[row, columns], 0.0)
+    else:
+        def last_coefficient(m):
+            return _bessel_coefficient(m, z_last, alpha_last)
+
+    def spectrum(target):
+        out = np.zeros(target.shape[:-1], dtype=complex)
+        for combo in itertools.product(*(range(-order, order + 1) for _, order, _ in others)):
+            weight, rest = 1.0, target
+            for (k, order, coefficients), m in zip(others, combo):
+                weight = weight * coefficients[m + order]
+                rest = rest - m * k
+            m = (rest @ k_last) // norm
+            hit = np.all(rest == m[..., None] * k_last, axis=-1)
+            out += np.where(hit, weight * last_coefficient(np.where(hit, m, 0)), 0.0)
+        return out
+
+    return spectrum
+
+
+def sector_correlation(cocycle, flow, phi, psi, horizon):
+    """Correlation series <phi, U^n psi> for n = 1..horizon, in closed form.
+
+    ``phi`` and ``psi`` are finite Fourier data {k: coefficient}, keyed as in
+    GridField.from_modes; no grid is involved.  Pairing the modes +-k_j of
+    q.eta into g_j = (g_k + conj(g_-k)) / 2, the sector phase is
+    e(q.phi^(n)(x)) = e(n W^Tq.x + W^Tq.y n(n-1)/2 + n g_0)
+    prod_j exp(i z_j cos(2 pi k_j.x + alpha_j)), where a_j = g_j S_n(k_j.y)
+    with S_n the geometric phase sum, z_j = 4 pi |a_j| and alpha_j = arg a_j.
+    By Jacobi-Anger (DLMF 10.12) each factor has Fourier coefficients
+    i^m J_m(z_j) e^{i m alpha_j} at m k_j, so
+
+        c_n = e(W^Tq.y n(n-1)/2 + n g_0)
+              sum_{k, l} conj(phi_k) psi_l e(n l.y) E_n[k - l - n W^Tq],
+
+    with E_n the lattice convolution of the per-pair Bessel sequences.  With
+    one pair E_n[m k_1] = i^m J_m(z_1) e^{i m alpha_1} is evaluated directly:
+    no truncation and no grid.  With several, each pair's sequence is
+    truncated at the least M with 2 (z/2)^(M+1) e^(z/2) / (M+1)! <= 2^-53 for
+    its largest z, which by |J_m(z)| <= (z/2)^|m| / |m|! bounds the l1 mass
+    of the dropped terms by 2^-53.  The quadratic phase rounds as in
+    sector_apply, by about n^2 |q.W y| eps / 4 turns.  Work is vectorised over
+    n and loops over the modes of psi.
     """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if phi.shape != psi.shape:
-        raise ValueError("field shapes differ")
-    power = _sector_powers(cocycle, flow, psi, horizon, rel_band_tol)
-    values = np.empty(horizon, dtype=complex)
-    for n in range(1, horizon + 1):
-        values[n - 1] = np.vdot(phi.values, power(n)) / phi.values.size
-    return CorrelationSeries(np.arange(1, horizon + 1), values, "discrete")
+    phi = _observable_modes(phi, cocycle.d)
+    psi = _observable_modes(psi, cocycle.d)
+    steps = np.arange(1, horizon + 1)
+    winding = cocycle.sector_winding
+    wy = float(np.dot(winding, flow.y))
+    zero_mode, pairs = 0.0, []
+    modes = cocycle.sector_modes()
+    for k, g in modes.items():
+        mirror = tuple(-v for v in k)
+        if k == mirror:
+            zero_mode = g.real
+        elif k > mirror:  # each pair once, from its larger member
+            g_pair = (g + np.conj(modes[mirror])) / 2.0
+            if g_pair != 0:
+                u = float(np.dot(k, flow.y))
+                a = g_pair * np.array([_geometric_phase_sum(u, n) for n in steps])
+                pairs.append((np.asarray(k), 4.0 * np.pi * np.abs(a), np.angle(a)))
+    spectrum = _modulation_spectrum(pairs)
+
+    keys = np.array(list(phi), dtype=int).reshape(-1, cocycle.d)
+    weights = np.conj(np.array(list(phi.values()), dtype=complex))
+    offsets = keys[:, None, :] - steps[:, None] * winding
+    total = np.zeros(horizon, dtype=complex)
+    for l, c in psi.items():
+        drift = np.exp(2j * np.pi * steps * float(np.dot(l, flow.y)))
+        total += c * drift * (weights @ spectrum(offsets - np.asarray(l)))
+    phase = wy * steps * (steps - 1) / 2.0 + steps * zero_mode
+    return CorrelationSeries(steps, np.exp(2j * np.pi * phase) * total, "discrete")
 
 
 @dataclass
@@ -586,8 +687,7 @@ class SU2Cocycle:
             raise ValueError("representation label must be nonnegative")
         scalar_modes = {}
         for k, c in (modes or {}).items():
-            key = (int(k),) if np.isscalar(k) else tuple(int(v) for v in k)
-            scalar_modes[key] = (complex(c),)
+            scalar_modes[_mode_key(k)] = (complex(c),)
         self.angle = TorusCocycle(self.frequency[None, :], scalar_modes, (1,))
 
     @property

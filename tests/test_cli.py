@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from commix import SchemaError, cli
+from commix import SchemaError, cli, graphs
 from commix.cli import (
     DEFAULT_THRESHOLDS,
     EXAMPLE_CONFIGS,
@@ -133,7 +133,7 @@ def test_run_pair_identities(tmp_path, capsys):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == 2
+    assert report["version"] == 3
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -424,6 +424,23 @@ def test_shared_operators_are_built_once_per_scenario(tmp_path, monkeypatch):
         for row in sc["tasks"]:
             assert "error" not in row["metrics"], (sc["name"], row)
     assert calls == {"sector_matrix": 1, "build_operators": 1}
+
+
+def test_admissibility_is_checked_once_per_graph_scenario(tmp_path, monkeypatch):
+    calls = []
+    original = graphs.check_admissible
+
+    def counting(window):
+        calls.append(window)
+        return original(window)
+
+    # build_operators looks the check up in graphs, the runner in cli
+    monkeypatch.setattr(graphs, "check_admissible", counting)
+    monkeypatch.setattr(cli, "check_admissible", counting)
+    config = validate_config(EXAMPLE_CONFIGS["graph-windows.json"])
+    report = run_config(config, tmp_path / "out")
+    assert [sc["status"] for sc in report["scenarios"]] == ["pass"] * 3
+    assert len(calls) == 3
 
 
 def test_correlation_series_is_serialized_once_per_scenario(tmp_path, monkeypatch):

@@ -118,6 +118,12 @@ def test_build_operators_rejects_cycle4():
     with pytest.raises(AdmissibilityError) as info:
         build_operators(alternating_cycle4())
     assert info.value.report.witness_pair == (0, 2)
+    # a report computed beforehand is reused, and still rejects with it attached
+    window = alternating_cycle4()
+    report = check_admissible(window)
+    with pytest.raises(AdmissibilityError) as info:
+        build_operators(window, report)
+    assert info.value.report is report
 
 
 def test_interior_identities_exact_once_margin_clears():

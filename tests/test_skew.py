@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commix import (
     GridField,
@@ -171,34 +173,109 @@ def test_sector_apply_resolution_guard():
         sector_apply(coc, flow, f, 32)
 
 
+def oracle_correlation(coc, flow, phi, psi, horizon, grid):
+    # <phi, U^n psi> from the grid route: sector_apply on a field, then inner
+    shape = (grid,) * coc.d
+    f, g = GridField.from_modes(phi, shape), GridField.from_modes(psi, shape)
+    return np.array([f.inner(sector_apply(coc, flow, g, n)) for n in range(1, horizon + 1)])
+
+
 def test_sector_correlation_matches_inner_products():
     flow = golden_flow()
     coc = standard_cocycle()
     # a broadband observable, so that U^n g, whose spectrum moves by 6n, still
     # overlaps it and every term of the series is far from zero
     rng = np.random.default_rng(311)
-    f = GridField.from_modes({(k,): complex(*rng.standard_normal(2)) / 25 for k in range(-500, 501)},
-                             (2048,))
-    g = GridField.from_modes({(2,): 0.3, (-2,): 0.3, (0,): 0.1}, (2048,))
+    f = {(k,): complex(*rng.standard_normal(2)) / 25 for k in range(-500, 501)}
+    g = {(2,): 0.3, (-2,): 0.3, (0,): 0.1}
     series = sector_correlation(coc, flow, f, g, 64)
     assert list(series.abscissae) == list(range(1, 65))
     assert np.min(np.abs(series.values)) > 1e-3
-    for n in range(1, 65):
-        brute = f.inner(sector_apply(coc, flow, g, n))
-        assert abs(series.values[n - 1] - brute) <= 1e-12
+    brute = oracle_correlation(coc, flow, f, g, 64, 2048)
+    assert np.max(np.abs(series.values - brute)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "winding, modes, sector, y, phi, psi, horizon, grid",
+    [
+        # the runner's observable e(x) under one mode pair on a 1-D base
+        pytest.param([[2]], {(1,): (-0.025j,), (-1,): (0.025j,)}, [3], [GOLDEN],
+                     {(1,): 1.0}, {(1,): 1.0}, 48, 2048, id="one pair"),
+        pytest.param([[2]], {(1,): (-0.025j,), (-1,): (0.025j,),
+                             (3,): (0.01 + 0.02j,), (-3,): (0.01 - 0.02j,)}, [3], [GOLDEN],
+                     {(1,): 0.6, (-2,): 0.3j, (4,): 0.2}, {(1,): 0.5, (0,): 0.4, (-1,): 0.3 - 0.1j},
+                     32, 4096, id="two pairs"),
+        pytest.param([[1, 2]], {(1, 0): (0.02j,), (-1, 0): (-0.02j,), (0, 1): (0.015,), (0, -1): (0.015,)},
+                     [2], [GOLDEN, np.sqrt(2.0) - 1.0],
+                     {(1, 1): 1.0, (0, 2): 0.5}, {(1, 1): 1.0, (2, -1): 0.3j}, 12, 256, id="torus-nd"),
+        pytest.param([[2]], {}, [3], [GOLDEN],
+                     {(k,): 0.1 * (k + 1j) for k in range(-40, 41)}, {(1,): 0.7, (-3,): 0.2},
+                     12, 512, id="no eta"),
+        pytest.param([[2]], {(0,): (0.3,), (1,): (-0.025j,), (-1,): (0.025j,)}, [3], [GOLDEN],
+                     {(k,): 0.05 * (1 - 0.5j) ** abs(k) for k in range(-30, 31)}, {(1,): 0.5, (2,): 0.5},
+                     16, 1024, id="zero mode"),
+    ],
+)
+def test_sector_correlation_closed_form_matches_grid_route(winding, modes, sector, y, phi, psi,
+                                                           horizon, grid):
+    flow = TorusFlow(y)
+    coc = TorusCocycle(winding, modes, sector)
+    series = sector_correlation(coc, flow, phi, psi, horizon)
+    brute = oracle_correlation(coc, flow, phi, psi, horizon, grid)
+    assert np.max(np.abs(brute)) > 1e-6
+    assert np.max(np.abs(series.values - brute)) <= 1e-12
 
 
 def test_sector_correlation_guards():
     flow = golden_flow()
     coc = standard_cocycle()
-    # the resolution guard case of sector_apply, reached inside the series
-    f = GridField.from_modes({(1,): 1.0, (-1,): 1.0}, (256,))
-    with pytest.raises(ResolutionError):
-        sector_correlation(coc, flow, f, f, 32)
-    with pytest.raises(ValueError, match="shapes differ"):
-        sector_correlation(coc, flow, f, GridField.from_modes({(1,): 1.0}, (512,)), 4)
+    # the resolution guard case of sector_apply: the grid route needs 4096
+    # points here, the closed form needs no grid at all
+    f = {(1,): 1.0, (-1,): 1.0}
+    series = sector_correlation(coc, flow, f, f, 32)
+    brute = oracle_correlation(coc, flow, f, f, 32, 4096)
+    assert np.max(np.abs(series.values - brute)) <= 1e-12
+    with pytest.raises(TypeError):
+        sector_correlation(coc, flow, GridField.from_modes(f, (256,)), f, 4)
+    with pytest.raises(ValueError, match="components"):
+        sector_correlation(coc, flow, f, {(1, 0): 1.0}, 4)
     with pytest.raises(ValueError):
         sector_correlation(coc, flow, f, f, 0)
+
+
+# coefficients stay clear of subnormal magnitudes, where the oracle's band
+# check reads the FFT roundoff of the field as occupied frequencies
+mode_dicts = st.dictionaries(
+    st.integers(-6, 6),
+    st.complex_numbers(min_magnitude=1e-6, max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    phi=mode_dicts,
+    psi=mode_dicts,
+    horizon=st.integers(1, 24),
+    first=st.complex_numbers(max_magnitude=0.05, allow_nan=False, allow_infinity=False),
+    second=st.one_of(st.none(), st.tuples(
+        st.integers(2, 4), st.complex_numbers(max_magnitude=0.03, allow_nan=False, allow_infinity=False))),
+)
+def test_sector_correlation_property_matches_grid_route(phi, psi, horizon, first, second):
+    # eta with one or two mode pairs; observables scaled to l2 norm at most 1
+    modes = {(1,): (first,), (-1,): (np.conj(first),)}
+    if second is not None:
+        k, c = second
+        modes.update({(k,): (c,), (-k,): (np.conj(c),)})
+    coc = TorusCocycle([[2]], modes, [3])
+    flow = golden_flow()
+    phi, psi = ({(k,): c / max(1.0, np.sqrt(sum(abs(v) ** 2 for v in d.values())))
+                 for k, c in d.items()} for d in (phi, psi))
+    series = sector_correlation(coc, flow, phi, psi, horizon)
+    # a grid that passes the a-priori budget of sector_apply up to 24 steps
+    brute = oracle_correlation(coc, flow, phi, psi, horizon, 1024)
+    assert np.max(np.abs(series.values - brute)) <= 1e-12
 
 
 def test_sector_matrix_is_valid_pair_and_matches_function_route():
