@@ -3,9 +3,9 @@
 Reads a versioned JSON config describing model scenarios, executes the
 requested tasks, and writes a deterministic ``report.json`` (scenarios sorted
 by name, floats in shortest round-trip form, no timestamps) next to the
-per-scenario artifact files.  Wall-clock data goes to a separate
-``report.meta.json`` so that reruns of the same config and seed are
-byte-identical.  Exit codes: 0 all tasks pass (warnings tolerated unless
+per-scenario artifact files.  Wall-clock data and the tracebacks of failed
+tasks go to a separate ``report.meta.json`` so that reruns of the same
+config and seed are byte-identical.  Exit codes: 0 all tasks pass (warnings tolerated unless
 --strict), 1 any failure, 2 usage or config errors.
 """
 
@@ -16,10 +16,13 @@ import concurrent.futures
 import datetime
 import functools
 import json
+import math
 import pathlib
 import re
 import sys
 import time
+import traceback
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -474,7 +477,7 @@ def _load_matrix(value, path):
         payload = value
     try:
         return matrix_from_payload(payload)
-    except (SchemaError, ValueError) as exc:
+    except SchemaError as exc:
         _fail(path, f"bad matrix payload: {exc}")
 
 
@@ -526,14 +529,21 @@ class ScenarioRunner:
         self.handlers = HANDLERS[model_family(scenario["model"])]
         self.thresholds = scenario["thresholds"]
         self.artifacts = {}
+        self.tracebacks = {}
 
     def run(self):
+        """Run every task of the scenario.
+
+        A task that raises fails with a one-line error; its traceback is kept
+        in ``tracebacks``.
+        """
         rows = []
         for task in self.scenario["tasks"]:
             try:
                 status, metrics, used = self.handlers[task](self)
             except Exception as exc:
                 status, metrics, used = "fail", {"error": f"{type(exc).__name__}: {exc}"}, {}
+                self.tracebacks[task] = traceback.format_exc()
             rows.append({"task": task, "status": status, "metrics": metrics, "thresholds": used})
         echo = ("name", "seed", "model", "schedule", "horizon", "expect_admissible")
         result = {key: self.scenario[key] for key in echo}
@@ -840,30 +850,65 @@ HANDLERS["torus"] = {
 }
 
 
-def _jsonable(obj):
-    """Recursively convert to JSON-safe values with deterministic floats."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return x if np.isfinite(x) else repr(x)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"im": _jsonable(obj.imag), "re": _jsonable(obj.real)}
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
-
-
 def _dump_report(report):
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """Report text in one pass: ``json.dumps(converted, sort_keys=True, indent=2) + "\\n"``.
+
+    ``converted`` is ``report`` with keys as ``str(k)`` (the last of equal
+    keys wins), tuples and numpy arrays as lists, numpy scalars as Python
+    ones, non-finite floats as their ``repr`` strings and complex numbers as
+    ``{"im": ..., "re": ...}``.
+    """
+    out = []
+    _write_json(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, out, newline):
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` breaks a line at the indent of ``obj``."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        converted = {str(k): v for k, v in obj.items()}
+        sep = "{" + inner
+        for key in sorted(converted):
+            out.append(sep + _quote(key) + ": ")
+            _write_json(converted[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, np.ndarray):
+        _write_json(obj.tolist(), out, newline)
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append(float.__repr__(x) if math.isfinite(x) else _quote(repr(x)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _write_json({"im": obj.imag, "re": obj.real}, out, newline)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def run_config(config, out_dir, threads=1):
@@ -877,8 +922,9 @@ def run_config(config, out_dir, threads=1):
 
     def execute(sc):
         tic = time.perf_counter()
-        result, artifacts = ScenarioRunner(sc, built[sc["name"]]).run()
-        return result, artifacts, time.perf_counter() - tic
+        runner = ScenarioRunner(sc, built[sc["name"]])
+        result, artifacts = runner.run()
+        return result, artifacts, runner.tracebacks, time.perf_counter() - tic
 
     scenarios = config["scenarios"]
     if threads > 1:
@@ -892,7 +938,8 @@ def run_config(config, out_dir, threads=1):
 
     results = []
     scenario_walls = {}
-    for (result, artifacts, sc_wall), sc in zip(outcomes, scenarios):
+    tracebacks = {}
+    for (result, artifacts, task_tracebacks, sc_wall), sc in zip(outcomes, scenarios):
         rel = {}
         for fname, text in sorted(artifacts.items()):
             target = out / sc["name"] / fname
@@ -902,6 +949,8 @@ def run_config(config, out_dir, threads=1):
         result["artifacts"] = rel
         results.append(result)
         scenario_walls[sc["name"]] = sc_wall
+        if task_tracebacks:
+            tracebacks[sc["name"]] = task_tracebacks
 
     # report assembly is ordered by scenario name regardless of run order
     results.sort(key=lambda r: r["name"])
@@ -919,6 +968,7 @@ def run_config(config, out_dir, threads=1):
         "wall_time_s": wall,
         "scenario_wall_times_s": {k: scenario_walls[k] for k in sorted(scenario_walls)},
         "threads": threads,
+        "task_tracebacks": tracebacks,
     }
     (out / "report.meta.json").write_text(_dump_report(meta))
     return report

@@ -10,6 +10,7 @@ allocated, so matrices can be shared read-only between threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -359,19 +360,22 @@ def inverse_cayley_transform(hermitian, structure_tol=1e-8):
 def matrix_to_payload(matrix):
     """Dict form of the versioned matrix schema (row-major [re, im] pairs)."""
     m = as_square_matrix(matrix)
-    if m.size and not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix serialization requires finite entries")
-    flat = m.reshape(-1)
     return {
         "format": MATRIX_FORMAT,
         "version": MATRIX_VERSION,
         "dim": int(m.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
+        "entries": np.ascontiguousarray(m).reshape(-1).view(float).reshape(-1, 2).tolist(),
     }
 
 
 def matrix_from_payload(payload):
-    """Rebuild a matrix from :func:`matrix_to_payload` output."""
+    """Rebuild a matrix from :func:`matrix_to_payload` output.
+
+    Each entry must be a list of two finite numbers (``int`` or ``float``,
+    not ``bool``); otherwise SchemaError names the first entry that is not.
+    """
     if not isinstance(payload, dict):
         raise SchemaError("matrix payload must be a mapping")
     if payload.get("format") != MATRIX_FORMAT:
@@ -380,17 +384,42 @@ def matrix_from_payload(payload):
         raise SchemaError(f"unsupported matrix schema version {payload.get('version')!r}")
     dim = payload.get("dim")
     entries = payload.get("entries")
-    if not isinstance(dim, int) or dim < 0 or not isinstance(entries, list) or len(entries) != dim * dim:
+    if (isinstance(dim, bool) or not isinstance(dim, int) or dim < 0
+            or not isinstance(entries, list) or len(entries) != dim * dim):
         raise SchemaError("matrix payload has inconsistent dim/entries")
-    flat = np.empty(dim * dim, dtype=complex)
+    if dim == 0:
+        return np.empty((0, 0), dtype=complex)
+    try:
+        parts = np.array(entries, dtype=float)
+        valid = (parts.shape == (dim * dim, 2)
+                 and all(issubclass(t, list) for t in set(map(type, entries)))
+                 and all(_is_number_type(t) for t in set(map(type, itertools.chain.from_iterable(entries))))
+                 and np.isfinite(parts).all())
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise SchemaError(_first_bad_entry(entries))
+    # the [re, im] pairs are the memory layout of a complex array
+    return parts.view(complex).reshape(dim, dim)
+
+
+def _is_number_type(kind):
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+def _first_bad_entry(entries):
+    """Message naming the first entry of ``entries`` that is not a finite [re, im] pair."""
     for i, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"entry {i} is not a [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise SchemaError(f"entry {i} is not finite")
-        flat[i] = complex(re, im)
-    return flat.reshape(dim, dim)
+            return f"entry {i} is not a [re, im] pair"
+        if not all(_is_number_type(type(x)) for x in pair):
+            return f"entry {i} is not a pair of numbers: {pair!r}"
+        try:
+            finite = np.isfinite(np.array(pair, dtype=float)).all()
+        except OverflowError:
+            finite = False
+        if not finite:
+            return f"entry {i} is not finite"
 
 
 def matrix_to_json(matrix):

@@ -201,10 +201,15 @@ def _translation(freqs, delta):
 
 
 def _occupied_band(spec, freqs, rel_tol):
-    """Per-axis largest |frequency| whose coefficient in ``spec`` exceeds rel_tol of the peak."""
+    """Per-axis largest |frequency| whose coefficient in ``spec`` exceeds rel_tol of the peak.
+
+    A spectrum whose peak is below the smallest normal double times the grid
+    size comes from subnormal samples, whose FFT roundoff is as large as the
+    samples themselves; it counts as empty, like an all-zero one.
+    """
     spec = np.abs(spec)
     peak = spec.max()
-    if peak == 0.0:
+    if peak < np.finfo(float).tiny * spec.size:
         return [0] * spec.ndim
     mask = spec > rel_tol * peak
     band = []

@@ -125,6 +125,15 @@ def test_validate_rejects_graph_task_on_pair_model():
         validate_config(raw)
 
 
+def test_build_rejects_matrix_payload_components_that_are_not_numbers():
+    conjugate = matrix_to_payload(np.eye(2))
+    conjugate["entries"][1][0] = "1.5"
+    model = {"type": "matrix-pair", "unitary": matrix_to_payload(np.eye(2)), "conjugate": conjugate}
+    sc = validate_config({"version": 1, "scenarios": [{"name": "a", "model": model, "tasks": ["identities"]}]})
+    with pytest.raises(SchemaError, match=r"model\.conjugate.*entry 1 is not a pair of numbers"):
+        build_model(sc["scenarios"][0])
+
+
 def test_run_pair_identities(tmp_path, capsys):
     path = write_config(tmp_path, pair_config())
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
@@ -465,3 +474,28 @@ def test_correlation_series_is_serialized_once_per_scenario(tmp_path, monkeypatc
         assert "error" not in row["metrics"], row
     assert len(calls) == 1
     assert (tmp_path / "out" / "torus" / "correlation.csv").read_text() == original(calls[0])
+
+
+def test_failed_task_leaves_its_traceback_in_the_meta_file(tmp_path, monkeypatch):
+    def broken_degree(runner):
+        raise RuntimeError("degree handler broke")
+
+    config = validate_config(pair_config(tasks=["identities", "degree"]))
+    run_config(config, tmp_path / "clean")
+    clean_meta = json.loads((tmp_path / "clean" / "report.meta.json").read_text())
+    assert clean_meta["task_tracebacks"] == {}
+
+    monkeypatch.setitem(cli.HANDLERS["pair"], "degree", broken_degree)
+    report = run_config(config, tmp_path / "out")
+    rows = {row["task"]: row for row in report["scenarios"][0]["tasks"]}
+    assert rows["identities"]["status"] == "pass"
+    assert rows["degree"]["status"] == "fail"
+    assert rows["degree"]["metrics"] == {"error": "RuntimeError: degree handler broke"}
+    assert "Traceback" not in (tmp_path / "out" / "report.json").read_text()
+    meta = json.loads((tmp_path / "out" / "report.meta.json").read_text())
+    assert set(meta["task_tracebacks"]) == {"quick"}
+    assert set(meta["task_tracebacks"]["quick"]) == {"degree"}
+    text = meta["task_tracebacks"]["quick"]["degree"]
+    assert text.startswith("Traceback (most recent call last):")
+    assert "in broken_degree" in text
+    assert text.rstrip().endswith("RuntimeError: degree handler broke")

@@ -178,11 +178,57 @@ def test_matrix_payload_schema_errors():
     wrong_format = dict(good, format="other")
     wrong_version = dict(good, version=2)
     short = dict(good, entries=good["entries"][:-1])
+    bool_dim = dict(good, dim=True, entries=good["entries"][:1])
     not_finite = json.loads(json.dumps(good))
     not_finite["entries"][0][0] = float("inf")
-    for bad in (wrong_format, wrong_version, short, not_finite):
+    for bad in (wrong_format, wrong_version, short, bool_dim, not_finite):
         with pytest.raises(SchemaError):
             matrix_from_payload(bad)
+    # components must be JSON numbers; the message names the first bad entry
+    for component in (True, "1.5", None, "x", [1.0], {"re": 1.0}):
+        bad = json.loads(json.dumps(good))
+        bad["entries"][2][1] = component
+        with pytest.raises(SchemaError, match="entry 2 "):
+            matrix_from_payload(bad)
+    for entry in ([1.0], [1.0, 0.0, 0.0], 1.0, "10", (1.0, 0.0), None):
+        bad = json.loads(json.dumps(good))
+        bad["entries"][3] = entry
+        with pytest.raises(SchemaError, match="entry 3 is not a"):
+            matrix_from_payload(bad)
+    overflow = json.loads(json.dumps(good))
+    overflow["entries"][1][0] = 10 ** 400
+    with pytest.raises(SchemaError, match="entry 1 is not finite"):
+        matrix_from_payload(overflow)
+    integers = json.loads(json.dumps(good))
+    integers["entries"] = [[1, 0], [0, 0], [0, 0], [1, -0.0]]
+    assert np.array_equal(matrix_from_payload(integers), np.eye(2))
+
+
+def _entries_by_loop(m):
+    # the per-entry conversion the array form replaced, kept as its oracle
+    return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]
+
+
+def _bits(m):
+    return np.ascontiguousarray(m, dtype=complex).view(np.uint64)
+
+
+def test_matrix_payload_round_trip_is_bit_exact():
+    rng = np.random.default_rng(63)
+    base = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    base[0, 0] = complex(-0.0, -0.0)
+    base[0, 1] = complex(5e-324, -2.2250738585072014e-308 / 3)
+    base[1, 0] = complex(1.7976931348623157e308, -1e300)
+    base[1, 1] = complex(-1.7976931348623157e308, 0.0)
+    for m in (base, base.T, base[::2, ::2], base[1:, :-1].real, np.zeros((0, 0))):
+        payload = matrix_to_payload(m)
+        assert payload["dim"] == m.shape[0]
+        # equal text, so the sign of every zero agrees too
+        assert json.dumps(payload["entries"]) == json.dumps(_entries_by_loop(m))
+        back = matrix_from_payload(json.loads(json.dumps(payload)))
+        assert back.shape == m.shape and back.dtype == complex
+        assert np.array_equal(back, m)
+        assert np.array_equal(_bits(back), _bits(m))
 
 
 def test_norms_agree_on_diagonal():

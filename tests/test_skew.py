@@ -83,6 +83,15 @@ def test_grid_field_sampling_and_shift():
         GridField(np.zeros(48))
 
 
+def test_subnormal_field_has_empty_band_and_steps():
+    # FFT roundoff of subnormal samples is as large as the samples themselves
+    tiny = GridField.from_modes({(1,): 5e-324}, (1024,))
+    assert tiny.occupied_band() == [0]
+    assert GridField.from_modes({(1,): 1e-300}, (1024,)).occupied_band() == [1]
+    moved = sector_apply(TorusCocycle(np.array([[2]]), {}, [3]), golden_flow(), tiny, 1)
+    assert np.max(np.abs(moved.values)) <= 1e-300
+
+
 def test_grid_field_refine_is_exact_interpolation():
     f = GridField.from_modes({(3,): 1 + 0.5j, (-3,): 1 - 0.5j}, (32,))
     fine = f.refine(4)
@@ -243,17 +252,15 @@ def test_sector_correlation_guards():
         sector_correlation(coc, flow, f, f, 0)
 
 
-# coefficients stay clear of subnormal magnitudes, where the oracle's band
-# check reads the FFT roundoff of the field as occupied frequencies
 mode_dicts = st.dictionaries(
     st.integers(-6, 6),
-    st.complex_numbers(min_magnitude=1e-6, max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
     min_size=1,
     max_size=4,
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     phi=mode_dicts,
     psi=mode_dicts,
