@@ -100,7 +100,6 @@ from .graphs import (
     interior_residuals,
     line_window,
     parse_graph_window,
-    reverse_orientation,
 )
 
 __version__ = "0.1.0"

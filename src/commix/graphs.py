@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, SchemaError
-from .operators import _kernel_mask, _resolvent_sandwich
+from .errors import AdmissibilityError, SchemaError, StructureError
+from .operators import _kernel_mask
 
 __all__ = [
     "DirectedGraphWindow",
     "line_window",
     "grid2d_window",
     "alternating_cycle4",
-    "reverse_orientation",
     "AdmissibilityReport",
     "check_admissible",
     "GraphOperators",
@@ -146,12 +145,6 @@ def alternating_cycle4():
     return DirectedGraphWindow(range(4), [(0, 1), (2, 1), (2, 3), (0, 3)], margin=0)
 
 
-def reverse_orientation(window):
-    return DirectedGraphWindow(
-        window.vertices, [(y, x) for x, y in window.edges], margin=window.margin
-    )
-
-
 @dataclass
 class AdmissibilityReport:
     path_balance_ok: bool
@@ -226,7 +219,8 @@ def check_admissible(window):
             break
     balance_ok = witness_cycle is None
 
-    scope = [v for v in window.vertices if v not in set(window.boundary)]
+    boundary = set(window.boundary)
+    scope = [v for v in window.vertices if v not in boundary]
     scope_set = set(scope)
     pair_ok = True
     witness_pair = None
@@ -333,22 +327,27 @@ def interior_residuals(ops):
 
     Both commutators have finite range, so truncation pollution stays within
     a fixed distance of the cut and the interior rows vanish identically once
-    the margin is at least two.
+    the margin is at least two.  H, K and A carry at most one entry per edge,
+    so only the interior rows are formed, as sparse products on the edge set;
+    every entry is a sum of products of +-1 and +-1/2, hence exact.
     """
     if ops.interior_rows.size == 0:
         raise ValueError("interior is empty; enlarge the window or reduce the margin")
-    h, k, a = ops.adjacency, ops.momentum, ops.conjugate
-    comm_kh = k @ h - h @ k
-    ident = 1j * (h @ a - a @ h) - k @ k
+    from scipy import sparse
+
+    h, k, a = (sparse.csr_array(m) for m in (ops.adjacency, ops.momentum, ops.conjugate))
     rows = ops.interior_rows
-    r1 = float(np.max(np.linalg.norm(comm_kh[rows, :], axis=1)))
-    r2 = float(np.max(np.linalg.norm(ident[rows, :], axis=1)))
+    h_rows, k_rows, a_rows = h[rows], k[rows], a[rows]
+    comm_kh = k_rows @ h - h_rows @ k
+    ident = 1j * (h_rows @ a - a_rows @ h) - k_rows @ k
+    r1 = float(np.sqrt(np.max((abs(comm_kh) ** 2).sum(axis=1))))
+    r2 = float(np.sqrt(np.max((abs(ident) ** 2).sum(axis=1))))
     return InteriorResiduals(momentum_commutator=r1, degree_identity=r2)
 
 
 @dataclass
 class GraphDegreeReport:
-    degree: np.ndarray
+    degree_eigenvalues: np.ndarray
     kernel_dim_degree: int
     kernel_dim_momentum: int
     kernel_match: bool
@@ -361,37 +360,62 @@ class GraphDegreeReport:
 def graph_degree(ops, kernel_tol=1e-8, flow_times=(0.5, 1.0, 2.0)):
     """Degree operator (H+i)^{-1} K^2 (H-i)^{-1} and its consistency checks.
 
-    Writing it as (RK)(RK)* with R = (H+i)^{-1} keeps it Hermitian positive
-    semidefinite even in the presence of boundary pollution.  Where [K, H]
-    vanishes this equals K^2 (H^2+1)^{-1}, commutes with H, and conjugation
-    by the flow e^{isH} leaves it fixed; the report records the kernel-rank
-    comparison against K, the smallest eigenvalue, and the flow-invariance
-    residuals on a probe concentrated deep in the interior.
-    """
-    h, k = ops.adjacency, ops.momentum
-    dim = h.shape[0]
-    degree = _resolvent_sandwich(h, k @ k)
-    degree = (degree + degree.conj().T) / 2.0
+    Where [K, H] vanishes the degree equals K^2 (H^2+1)^{-1}, commutes with H,
+    and conjugation by the flow e^{isH} leaves it fixed; the report records
+    the kernel-rank comparison against K, the spectrum and its smallest
+    eigenvalue, and the flow-invariance residuals on a probe concentrated deep
+    in the interior.
 
-    degree_eigvals = np.linalg.eigvalsh(degree)
+    Everything is computed in real arithmetic from one ``eigh`` of
+    H = V diag(lam) V^T, with H real symmetric and K = iS, S real
+    antisymmetric.  With B = (SV)^T (SV) = V^T K^2 V and D = diag(1/(lam+i)),
+    the degree is V D B conj(D) V^T; the phases of D conjugate away, so it is
+    unitarily similar to the real symmetric W B W, W = diag((lam^2+1)^{-1/2}),
+    which gives its spectrum.  Every edge steps the grading by one, so S maps
+    even positions to odd ones and back: its singular values are those of the
+    even-to-odd block, each twice, plus |n_even - n_odd| zeros, and the kernel
+    of K is counted on them (square roots of eigenvalues of K^2 would halve
+    the digits at the cut).  The flow residuals
+    |e^{is lam} G e^{-is lam} p - G p| with G = D B conj(D) and p the probe
+    row of V cost one matrix-vector product each.  A nonzero imaginary part
+    of H, real part of K, or same-parity entry of S raises StructureError.
+    """
+    h, s = ops.adjacency.real, ops.momentum.imag
+    odd = ops.grading.diagonal().real % 2 == 1
+    even = ~odd
+    if (np.any(ops.adjacency.imag) or np.any(ops.momentum.real)
+            or np.any(s[np.ix_(even, even)]) or np.any(s[np.ix_(odd, odd)])):
+        raise StructureError(
+            "graph_degree expects a real adjacency, an imaginary momentum, "
+            "and edges that step the grading by one"
+        )
+
+    lam, vecs = np.linalg.eigh(h)
+    s_vecs = s @ vecs
+    b = s_vecs.T @ s_vecs
+    w = 1.0 / np.sqrt(lam * lam + 1.0)
+    degree_eigvals = np.linalg.eigvalsh(w[:, None] * b * w[None, :])
     kernel_dim_degree = int(np.count_nonzero(_kernel_mask(degree_eigvals, kernel_tol)))
-    kernel_dim_momentum = int(np.count_nonzero(_kernel_mask(np.linalg.eigvalsh(k), kernel_tol)))
+    block_sv = np.linalg.svd(s[np.ix_(even, odd)], compute_uv=False)
+    unpaired = np.zeros(abs(np.count_nonzero(even) - np.count_nonzero(odd)))
+    momentum_moduli = np.concatenate([block_sv, block_sv, unpaired])
+    kernel_dim_momentum = int(np.count_nonzero(_kernel_mask(momentum_moduli, kernel_tol)))
     match = kernel_dim_degree == kernel_dim_momentum
     note = "" if match else "kernel ranks disagree; boundary pollution suspected, enlarge the margin"
 
     probe_row = int(ops.center_row)
-    probe = np.zeros(dim, dtype=complex)
-    probe[probe_row] = 1.0
-    eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-    base = degree @ probe
-    flow_residuals = {}
-    for s in flow_times:
-        inward = eigvecs @ (np.exp(-1j * s * eigvals) * (eigvecs.conj().T @ probe))
-        outward = eigvecs @ (np.exp(1j * s * eigvals) * (eigvecs.conj().T @ (degree @ inward)))
-        flow_residuals[float(s)] = float(np.linalg.norm(outward - base))
+    d = 1.0 / (lam + 1j)
+    q = d.conj() * vecs[probe_row]
+    times = np.asarray(flow_times, dtype=float)
+    cols = np.column_stack([q, np.exp(-1j * np.outer(lam, times)) * q[:, None]])
+    # B is real: apply it to the interleaved real and imaginary parts at once
+    b_cols = (b @ cols.view(float)).view(complex)
+    turned = np.exp(1j * np.outer(lam, times)) * b_cols[:, 1:] - b_cols[:, :1]
+    norms = np.linalg.norm(d[:, None] * turned, axis=0)
+    flow_residuals = {float(t): float(r) for t, r in zip(times, norms)}
 
     return GraphDegreeReport(
-        degree=degree,
+        degree_eigenvalues=degree_eigvals,
         kernel_dim_degree=kernel_dim_degree,
         kernel_dim_momentum=kernel_dim_momentum,
         kernel_match=match,

@@ -10,6 +10,7 @@ from commix import (
     AdmissibilityError,
     DirectedGraphWindow,
     SchemaError,
+    StructureError,
     alternating_cycle4,
     build_operators,
     check_admissible,
@@ -21,8 +22,8 @@ from commix import (
     line_window,
     max_norm,
     parse_graph_window,
-    reverse_orientation,
 )
+from commix.operators import _kernel_mask
 
 
 def test_window_validation():
@@ -82,7 +83,9 @@ def test_check_admissible_leaves_window_unchanged():
 
 def test_orientation_reversal_preserves_admissibility():
     for window in (line_window(10, 1), grid2d_window(4, 5, 1), alternating_cycle4()):
-        flipped = reverse_orientation(window)
+        flipped = DirectedGraphWindow(
+            window.vertices, [(b, a) for a, b in window.edges], margin=window.margin
+        )
         assert set(flipped.edges) == {(b, a) for a, b in window.edges}
         assert check_admissible(flipped).admissible == check_admissible(window).admissible
 
@@ -141,6 +144,28 @@ def test_interior_identities_exact_once_margin_clears():
     assert res_grid.degree_identity == 0.0
 
 
+def _dense_interior_residuals(ops):
+    """The four-product route: both commutators in full, then the interior rows."""
+    h, k, a = ops.adjacency, ops.momentum, ops.conjugate
+    comm_kh = k @ h - h @ k
+    ident = 1j * (h @ a - a @ h) - k @ k
+    rows = ops.interior_rows
+    return (float(np.max(np.linalg.norm(comm_kh[rows, :], axis=1))),
+            float(np.max(np.linalg.norm(ident[rows, :], axis=1))))
+
+
+def test_interior_residuals_match_dense_products_exactly():
+    windows = [line_window(12, margin) for margin in range(4)]
+    windows += [grid2d_window(8, 8, 2), grid2d_window(24, 24, 2), grid2d_window(6, 7, 0)]
+    for window in windows:
+        ops = build_operators(window)
+        res = interior_residuals(ops)
+        oracle = _dense_interior_residuals(ops)
+        assert (res.momentum_commutator, res.degree_identity) == oracle
+    # the margin-0 grid keeps its seam rows, so the comparison is not 0 == 0
+    assert min(oracle) > 0.0
+
+
 def test_interior_residuals_need_interior():
     with pytest.raises(ValueError):
         interior_residuals(build_operators(line_window(8, 4)))
@@ -167,15 +192,26 @@ def test_line_200_flow_invariance():
 
 def test_grid_kernel_and_flow_trend():
     worst = {}
-    for side in (12, 18, 24):
+    for side in (12, 18, 24, 36):
         rep = graph_degree(build_operators(grid2d_window(side, side, 2)))
         assert rep.kernel_match, f"side {side}"
         assert rep.psd_min_eigenvalue >= -1e-10
         worst[side] = max(rep.flow_residuals.values())
     # deviation from flow invariance is a boundary effect and must shrink
     # as the window grows
-    assert worst[12] > worst[18] > worst[24]
+    assert worst[12] > worst[18] > worst[24] > worst[36]
     assert worst[24] <= 0.2
+
+
+@pytest.mark.slow
+def test_grid48_kernel_and_flow():
+    rep = graph_degree(build_operators(grid2d_window(48, 48, 2)))
+    assert rep.kernel_match
+    assert rep.kernel_dim_degree == rep.kernel_dim_momentum == 48
+    assert rep.psd_min_eigenvalue >= -1e-10
+    assert rep.probe_row == 23 * 48 + 23
+    # below the grid-36 value (4.1e-3): the boundary effect keeps shrinking
+    assert max(rep.flow_residuals.values()) <= 1e-3
 
 
 def test_grid24_kernel_dimension():
@@ -183,6 +219,28 @@ def test_grid24_kernel_dimension():
     assert rep.kernel_dim_degree == 24
     assert rep.kernel_dim_momentum == 24
     assert rep.probe_row == 11 * 24 + 11
+
+
+def _complex_degree_route(ops, flow_times=(0.5, 1.0, 2.0)):
+    """The complex route: the degree by two solves, eigvalsh of it and of K,
+    and the flow probe through a complex eigh of H."""
+    h, k = ops.adjacency, ops.momentum
+    eye = np.eye(h.shape[0])
+    x = np.linalg.solve(h + 1j * eye, k @ k)
+    degree = np.linalg.solve((h - 1j * eye).T, x.T).T
+    degree = (degree + degree.conj().T) / 2.0
+    spectrum = np.linalg.eigvalsh(degree)
+    kernel_degree = int(np.count_nonzero(_kernel_mask(spectrum, 1e-8)))
+    kernel_momentum = int(np.count_nonzero(_kernel_mask(np.linalg.eigvalsh(k), 1e-8)))
+    probe = np.zeros(h.shape[0], dtype=complex)
+    probe[ops.center_row] = 1.0
+    eigvals, eigvecs = np.linalg.eigh(h)
+    flow = {}
+    for s in flow_times:
+        inward = eigvecs @ (np.exp(-1j * s * eigvals) * (eigvecs.conj().T @ probe))
+        outward = eigvecs @ (np.exp(1j * s * eigvals) * (eigvecs.conj().T @ (degree @ inward)))
+        flow[s] = float(np.linalg.norm(outward - degree @ probe))
+    return spectrum, kernel_degree, kernel_momentum, flow
 
 
 def test_graph_degree_reads_kernels_from_eigenvalues(monkeypatch):
@@ -194,21 +252,43 @@ def test_graph_degree_reads_kernels_from_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(operators, "kernel_split", counting)
     monkeypatch.setattr(graphs, "kernel_split", counting, raising=False)
-    for window in (line_window(9, 1), line_window(200, 3), grid2d_window(9, 9, 2),
-                   grid2d_window(12, 12, 2)):
+    windows = (
+        line_window(9, 1),  # five even positions against four odd ones
+        line_window(200, 3),
+        grid2d_window(9, 9, 2),
+        grid2d_window(12, 12, 2),
+        grid2d_window(24, 24, 2),
+        DirectedGraphWindow([0, 1, 2], [], 0),
+        DirectedGraphWindow([0, 1, 2, 10, 11], [(0, 1), (1, 2), (10, 11)], 0),
+    )
+    for window in windows:
         ops = build_operators(window)
         rep = graph_degree(ops)
         assert calls == []
-        # the route graph_degree took before: a transpose solve for the right
-        # resolvent, then projector splits for the kernel counts
-        h, k, eye = ops.adjacency, ops.momentum, np.eye(ops.adjacency.shape[0])
-        x = np.linalg.solve(h + 1j * eye, k @ k)
-        degree = np.linalg.solve((h - 1j * eye).T, x.T).T
-        degree = (degree + degree.conj().T) / 2.0
-        assert max_norm(rep.degree - degree) <= 1e-12
-        assert rep.kernel_dim_degree == kernel_split(degree).ker_dim
-        assert rep.kernel_dim_momentum == kernel_split(k).ker_dim
-        assert rep.psd_min_eigenvalue == float(np.linalg.eigvalsh(rep.degree).min())
+        spectrum, kernel_degree, kernel_momentum, flow = _complex_degree_route(ops)
+        assert rep.kernel_dim_degree == kernel_degree
+        assert rep.kernel_dim_momentum == kernel_momentum
+        scale = float(np.max(np.abs(spectrum), initial=0.0))
+        assert rep.degree_eigenvalues.shape == spectrum.shape
+        assert np.max(np.abs(rep.degree_eigenvalues - spectrum), initial=0.0) <= 1e-12 * scale
+        assert abs(rep.psd_min_eigenvalue - float(spectrum.min())) <= 1e-12 * scale
+        assert rep.flow_residuals.keys() == flow.keys()
+        for s, value in flow.items():
+            assert abs(rep.flow_residuals[s] - value) <= 1e-12
+
+
+def test_graph_degree_rejects_operators_outside_the_real_route():
+    ops = build_operators(line_window(6, 1))
+    for field, perturb in (("adjacency", 1e-3j), ("momentum", 1e-3)):
+        bad = copy.deepcopy(ops)
+        getattr(bad, field)[0, 1] += perturb
+        with pytest.raises(StructureError):
+            graph_degree(bad)
+    # an entry between two even positions cannot come from an admissible edge
+    bad = copy.deepcopy(ops)
+    bad.momentum[0, 2], bad.momentum[2, 0] = 1j, -1j
+    with pytest.raises(StructureError):
+        graph_degree(bad)
 
 
 def test_empty_edge_set_gives_zero_operators():
