@@ -31,7 +31,6 @@ from . import __version__
 from .commutators import (
     OperatorPair,
     SmoothWindow,
-    degree_alternative,
     degree_identity_check,
     estimate_degree,
     flow_identity_check,
@@ -600,7 +599,7 @@ class ScenarioRunner:
             check = degree_identity_check(pair, n)
             residuals.append(check.residual)
             expected.append(check.expected)
-            agreements.append(spectral_norm(check.average - degree_alternative(pair, n)))
+            agreements.append(spectral_norm(check.average - check.alternative))
         cap = self.thresholds["identity_residual"]
         agree_cap = self.thresholds["alternative_agreement"]
         ok = all(r <= max(e, cap) for r, e in zip(residuals, expected))

@@ -10,6 +10,7 @@ the flow.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,6 +61,11 @@ class OperatorPair:
     ``kind == "continuous"`` means ``main`` is the Hermitian generator.  The
     conjugate operator is Hermitian in both cases.  Structure is validated at
     construction with max-norm tolerance 1e-10.
+
+    Both operators are stored as float64 when every entry of both has an
+    imaginary part of exactly zero, and as complex128 otherwise, so products
+    of the two never mix arithmetic.  The commutator ``symbol`` and the norm
+    ``conjugate_norm`` are computed on first use and kept with the pair.
     """
 
     main: np.ndarray
@@ -73,6 +79,10 @@ class OperatorPair:
             raise StructureError(f"operator shapes differ: {main.shape} vs {conj.shape}")
         if self.kind not in ("discrete", "continuous"):
             raise ValueError(f"kind must be 'discrete' or 'continuous', got {self.kind!r}")
+        if main.imag.any() or conj.imag.any():
+            main, conj = main.astype(complex, copy=False), conj.astype(complex, copy=False)
+        else:
+            main, conj = np.ascontiguousarray(main.real), np.ascontiguousarray(conj.real)
         structure = "unitary" if self.kind == "discrete" else "hermitian"
         rep = check_structure(main, structure, tol=1e-10 * max(1.0, max_norm(main)))
         if not rep.passed:
@@ -94,6 +104,18 @@ class OperatorPair:
     @property
     def dim(self):
         return self.main.shape[0]
+
+    @functools.cached_property
+    def symbol(self):
+        """:func:`unitary_symbol` of a discrete pair, :func:`selfadjoint_symbol` of a continuous one."""
+        symbol = unitary_symbol(self) if self.kind == "discrete" else selfadjoint_symbol(self)
+        symbol.flags.writeable = False  # shared by every caller of this pair
+        return symbol
+
+    @functools.cached_property
+    def conjugate_norm(self):
+        """Spectral norm ``||A||`` of the conjugate operator."""
+        return spectral_norm(self.conjugate)
 
 
 def _assert_hermitian(m, context, tol_scale):
@@ -160,8 +182,8 @@ def birkhoff_discrete(unitary, symbol, steps):
     return _conjugation_sum(u, m, steps)[0] / steps
 
 
-def _roundoff_floor(m):
-    return 64.0 * np.finfo(float).eps * max(1.0, spectral_norm(m))
+def _roundoff_floor(norm):
+    return 64.0 * np.finfo(float).eps * max(1.0, norm)
 
 
 def _phi1_imaginary(y):
@@ -195,13 +217,18 @@ def birkhoff_continuous(generator, symbol, duration):
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Residual of ``[A, U^N] = N D_N U^N`` with the average ``D_N`` it used."""
+    """Residual of ``[A, U^N] = N D_N U^N`` with the average ``D_N`` it used.
+
+    ``alternative`` is the other side of the identity, ``(1/N) [A, U^N] U^{-N}``,
+    from the same ``U^N``; it equals :func:`degree_alternative` bit for bit.
+    """
 
     steps: int
     residual: float
     expected: float
     passed: bool
     average: np.ndarray = field(repr=False, compare=False)
+    alternative: np.ndarray = field(repr=False, compare=False)
 
 
 def degree_identity_check(pair, steps):
@@ -213,11 +240,13 @@ def degree_identity_check(pair, steps):
         raise ValueError("steps must be >= 1")
     u, a = pair.main, pair.conjugate
     power = np.linalg.matrix_power(u, steps)
-    avg = birkhoff_discrete(u, unitary_symbol(pair), steps)
-    residual = spectral_norm((a @ power - power @ a) - steps * (avg @ power))
-    expected = pair.dim * 1e-12 * (spectral_norm(a) + steps * spectral_norm(avg))
+    avg = birkhoff_discrete(u, pair.symbol, steps)
+    comm = a @ power - power @ a
+    residual = spectral_norm(comm - steps * (avg @ power))
+    expected = pair.dim * 1e-12 * (pair.conjugate_norm + steps * spectral_norm(avg))
     return IdentityCheck(steps=steps, residual=residual, expected=expected,
-                         passed=residual <= expected, average=avg)
+                         passed=residual <= expected, average=avg,
+                         alternative=comm @ power.conj().T / steps)
 
 
 def degree_alternative(pair, steps):
@@ -319,13 +348,11 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
         horizons = [int(s) for s in schedule]
         if horizons[0] < 1:
             raise ValueError("discrete schedule entries must be >= 1")
-        symbol = unitary_symbol(pair)
-        averages = [_conjugation_sum(pair.main, symbol, n)[0] / n for n in horizons]
+        averages = [_conjugation_sum(pair.main, pair.symbol, n)[0] / n for n in horizons]
     else:
         if schedule[0] <= 0:
             raise ValueError("continuous schedule entries must be positive")
-        symbol = selfadjoint_symbol(pair)
-        averages = [birkhoff_continuous(pair.main, symbol, t) for t in schedule]
+        averages = [birkhoff_continuous(pair.main, pair.symbol, t) for t in schedule]
 
     limit = averages[-1]
     gaps = [spectral_norm(b - a) for a, b in zip(averages, averages[1:])]
@@ -480,7 +507,7 @@ def mixing_bound(pair, degree, window, phi, psi, steps, precondition_tol=1e-8):
     x = eigvecs @ (inv_weights * (eigvecs.conj().T @ phi))
 
     a = pair.conjugate
-    total, power = _conjugation_sum(pair.main, unitary_symbol(pair), steps)
+    total, power = _conjugation_sum(pair.main, pair.symbol, steps)
     avg = total / steps
     lhs = abs(np.vdot(phi, power @ psi))
     norm_psi = float(np.linalg.norm(psi))
@@ -520,7 +547,8 @@ def flow_identity_check(pair, duration):
     The identity is exact in finite dimension and ``D_t`` comes in closed
     form, so the residual is roundoff; ``error_estimate`` is the roundoff
     floor ``t * 64 eps ||M||`` of the symbol's average (at least that of
-    ``A``), and ``passed`` compares against ten times it.
+    ``A``), and ``passed`` compares against ten times it.  The symbol and
+    ``||A||`` are the pair's own, computed once per pair.
     """
     if pair.kind != "continuous":
         raise ValueError("flow_identity_check needs a continuous pair")
@@ -529,17 +557,16 @@ def flow_identity_check(pair, duration):
         raise ValueError("duration must be nonnegative")
     h = pair.main
     a_tilde = tilde_conjugate(pair)
-    floor = _roundoff_floor(pair.conjugate)
+    floor = _roundoff_floor(pair.conjugate_norm)
     if duration == 0.0:
         return FlowIdentityCheck(duration=0.0, residual=0.0, error_estimate=floor, passed=True)
     eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
     propagator = (eigvecs * np.exp(-1j * duration * eigvals)) @ eigvecs.conj().T
-    symbol = selfadjoint_symbol(pair)
-    average = birkhoff_continuous(h, symbol, duration)
+    average = birkhoff_continuous(h, pair.symbol, duration)
     residual = spectral_norm(
         (a_tilde @ propagator - propagator @ a_tilde) - duration * (propagator @ average)
     )
-    estimate = max(duration * _roundoff_floor(symbol), floor)
+    estimate = max(duration * _roundoff_floor(spectral_norm(pair.symbol)), floor)
     return FlowIdentityCheck(
         duration=duration,
         residual=float(residual),

@@ -1,8 +1,15 @@
-"""Dense complex-matrix foundation layer.
+"""Dense-matrix foundation layer, in real or complex arithmetic.
 
 Structure checks, eigendecomposition-based functional calculus, spectral and
 kernel projectors, the Cayley transform between unitary and self-adjoint
 matrices, and a versioned JSON round trip for complex matrices.
+
+Matrices keep the narrowest exact arithmetic: :func:`as_square_matrix` gives
+float64 for real input and complex128 for complex input.  Real input stays
+real through products, norms, Hermitian eigenvectors and kernel projectors;
+routes whose values are complex (spectra in a SpectralDecomposition, Schur
+factors, Cayley maps, resolvents) return complex128.  A real matrix and its
+complex cast give the same values up to roundoff.
 
 Every operation here is pure: inputs are never mutated and results are freshly
 allocated, so matrices can be shared read-only between threads.
@@ -50,8 +57,14 @@ MATRIX_VERSION = 1
 
 
 def as_square_matrix(obj, name="matrix"):
-    """Return ``obj`` as a square complex ndarray, or raise DimensionError."""
-    m = np.asarray(obj, dtype=complex)
+    """Return ``obj`` as a square ndarray, or raise DimensionError.
+
+    Real input (bool, integer or float) comes back as float64 and anything
+    else as complex128; a complex matrix is never narrowed here, even when
+    its imaginary part is zero.
+    """
+    m = np.asarray(obj)
+    m = m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
@@ -64,9 +77,9 @@ def max_norm(m):
 
 
 def spectral_norm(m):
-    """Operator 2-norm (largest singular value)."""
-    m = np.asarray(m, dtype=complex)
-    return 0.0 if m.size == 0 else float(np.linalg.norm(m, 2))
+    """Operator 2-norm (largest singular value), in the input's own arithmetic."""
+    m = np.asarray(m)
+    return 0.0 if m.size == 0 else float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -358,7 +371,10 @@ def inverse_cayley_transform(hermitian, structure_tol=1e-8):
 
 
 def matrix_to_payload(matrix):
-    """Dict form of the versioned matrix schema (row-major [re, im] pairs)."""
+    """Dict form of the versioned matrix schema (row-major [re, im] pairs).
+
+    A real matrix is written as its complex cast, with imaginary parts 0.0.
+    """
     m = as_square_matrix(matrix)
     if not np.isfinite(m).all():
         raise ValueError("matrix serialization requires finite entries")
@@ -366,7 +382,8 @@ def matrix_to_payload(matrix):
         "format": MATRIX_FORMAT,
         "version": MATRIX_VERSION,
         "dim": int(m.shape[0]),
-        "entries": np.ascontiguousarray(m).reshape(-1).view(float).reshape(-1, 2).tolist(),
+        # the [re, im] pairs are the memory layout of a complex array
+        "entries": np.ascontiguousarray(m, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist(),
     }
 
 

@@ -845,9 +845,9 @@ def shift_weyl_model(window, margin):
         raise ValueError("window must be at least 4")
     if margin < 0 or margin >= w // 2:
         raise ValueError("margin must satisfy 0 <= margin < window/2")
-    u = np.zeros((w, w), dtype=complex)
+    u = np.zeros((w, w))
     u[(np.arange(w) + 1) % w, np.arange(w)] = 1.0
-    a = np.diag(np.arange(w) - w // 2).astype(complex)
+    a = np.diag(np.arange(w) - w // 2).astype(float)
     interior = np.arange(margin, w - margin)
     return ShiftModel(pair=OperatorPair.discrete(u, a), interior=interior, window=w, margin=margin)
 

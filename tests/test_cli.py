@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from commix import SchemaError, cli, graphs
+from commix import SchemaError, cli, commutators, graphs
 from commix.cli import (
     DEFAULT_THRESHOLDS,
     EXAMPLE_CONFIGS,
@@ -433,6 +433,32 @@ def test_shared_operators_are_built_once_per_scenario(tmp_path, monkeypatch):
         for row in sc["tasks"]:
             assert "error" not in row["metrics"], (sc["name"], row)
     assert calls == {"sector_matrix": 1, "build_operators": 1}
+
+
+def test_identities_form_the_symbol_and_the_conjugate_norm_once_per_pair(tmp_path, monkeypatch):
+    calls = {"matrix_power": 0, "spectral_norm": 0, "unitary_symbol": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # the checks look spectral_norm up in commutators, the runner in cli
+    count(np.linalg, "matrix_power")
+    count(commutators, "spectral_norm")
+    count(cli, "spectral_norm")
+    count(commutators, "unitary_symbol")
+    schedule = [1, 2, 5, 17, 64]
+    report = run_config(validate_config(pair_config(schedule=schedule)), tmp_path / "out")
+    assert report["scenarios"][0]["status"] == "pass"
+    # per entry: one U^N, and the SVDs of the residual, of D_N and of the
+    # alternative's gap; once per pair: the symbol and ||A||
+    entries = len(schedule)
+    assert calls == {"matrix_power": entries, "spectral_norm": 3 * entries + 1, "unitary_symbol": 1}
 
 
 def test_admissibility_is_checked_once_per_graph_scenario(tmp_path, monkeypatch):

@@ -1,16 +1,22 @@
 """Commutator identities, Birkhoff averages, and the windowed mixing bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commix import (
+    FourierCalculus,
     OperatorPair,
     SmoothWindow,
     StructureError,
     birkhoff_continuous,
     birkhoff_discrete,
+    correlation_discrete,
     degree_alternative,
     degree_identity_check,
     estimate_degree,
@@ -24,6 +30,7 @@ from commix import (
     tilde_conjugate,
     unitary_symbol,
 )
+from commix.commutators import _conjugation_sum
 
 
 def random_unitary(rng, dim):
@@ -292,3 +299,153 @@ def test_mixing_bound_rejects_uninvariant_vector():
     w = SmoothWindow(2.4, 4.6)
     with pytest.raises(ValueError):
         mixing_bound(pair, d, w, np.array([1.0, 0, 0, 0, 0]), np.ones(5), 4)
+
+
+def random_orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diagonal(r))
+
+
+def random_symmetric(rng, dim):
+    z = rng.standard_normal((dim, dim))
+    return (z + z.T) / 2
+
+
+def complex_twin(pair):
+    """The same pair held in complex arithmetic, as the oracle for the real route.
+
+    ``OperatorPair`` narrows exactly real operators to float64, so the twin
+    is built real and its fields are then replaced by their complex casts.
+    """
+    twin = OperatorPair(pair.main, pair.conjugate, pair.kind)
+    object.__setattr__(twin, "main", pair.main.astype(complex))
+    object.__setattr__(twin, "conjugate", pair.conjugate.astype(complex))
+    return twin
+
+
+def test_pair_is_real_exactly_when_both_operators_are_real():
+    rng = np.random.default_rng(130)
+    u, a = random_orthogonal(rng, 5), random_symmetric(rng, 5)
+    for main, conj in ((u, a), (u.astype(complex), a.astype(complex)), (u, a.astype(complex))):
+        pair = OperatorPair.discrete(main, conj)
+        assert pair.main.dtype == pair.conjugate.dtype == np.float64
+        assert np.array_equal(pair.main, u) and np.array_equal(pair.conjugate, a)
+    flow = OperatorPair.continuous(a, random_symmetric(rng, 5))
+    assert flow.main.dtype == flow.conjugate.dtype == np.float64
+    # one imaginary entry anywhere keeps both operators complex
+    tiny_u = u.astype(complex)
+    tiny_u[2, 3] += 1e-300j
+    tiny_a = a.astype(complex)
+    tiny_a[1, 1] += 1e-300j
+    for main, conj in ((tiny_u, a), (u, tiny_a), (tiny_u, tiny_a)):
+        pair = OperatorPair.discrete(main, conj)
+        assert pair.main.dtype == pair.conjugate.dtype == np.complex128
+    pair = OperatorPair.discrete(tiny_u, a)
+    assert pair.main[2, 3].imag == 1e-300 and np.array_equal(pair.conjugate, a)
+    assert random_discrete_pair(rng, 4).main.dtype == np.complex128
+    assert tiny_u[2, 3].imag == 1e-300 and a.dtype == np.float64  # inputs untouched
+
+
+def test_pair_values_are_computed_once_and_are_not_fields():
+    rng = np.random.default_rng(131)
+    pair = random_discrete_pair(rng, 6)
+    assert [f.name for f in dataclasses.fields(OperatorPair)] == ["main", "conjugate", "kind"]
+    assert pair.symbol is pair.symbol
+    assert np.array_equal(pair.symbol, unitary_symbol(pair))
+    assert not pair.symbol.flags.writeable
+    assert pair.conjugate_norm == spectral_norm(pair.conjugate)
+    h, a = random_hermitian(rng, 5), random_hermitian(rng, 5)
+    flow = OperatorPair.continuous(h, a)
+    assert np.array_equal(flow.symbol, selfadjoint_symbol(flow))
+    assert "symbol" not in repr(flow) and "conjugate_norm" not in repr(flow)
+
+
+@pytest.mark.parametrize("steps", [1, 5, 77])
+def test_identity_check_alternative_is_degree_alternative_bit_for_bit(steps):
+    rng = np.random.default_rng(132)
+    for pair in (random_discrete_pair(rng, 9), shift_weyl_model(16, 3).pair):
+        alternative = degree_identity_check(pair, steps).alternative
+        oracle = degree_alternative(pair, steps)
+        assert alternative.dtype == oracle.dtype
+        assert alternative.tobytes() == oracle.tobytes()
+
+
+def _mixing_inputs(rng, dim):
+    # any Hermitian D will do; its spectrum sits inside the window plateau
+    q = random_orthogonal(rng, dim)
+    degree = (q * rng.uniform(0.7, 1.3, dim)) @ q.T
+    window = SmoothWindow(0.2, 2.0)
+    phi = project_onto_window(degree, window, rng.standard_normal(dim))
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return degree, window, phi, psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=30)
+@given(dim=st.integers(2, 24), steps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_real_pairs_agree_with_their_complex_twins(dim, steps, seed):
+    rng = np.random.default_rng(seed)
+    pair = OperatorPair.discrete(random_orthogonal(rng, dim), random_symmetric(rng, dim))
+    twin = complex_twin(pair)
+    assert pair.main.dtype == np.float64 and twin.main.dtype == np.complex128
+    u, m = pair.main, pair.symbol
+    scale = max(1.0, spectral_norm(m))
+    assert max_norm(m - twin.symbol) <= 1e-12 * scale
+    assert max_norm(birkhoff_discrete(u, m, steps) - birkhoff_discrete(twin.main, twin.symbol, steps)) \
+        <= 1e-12 * scale
+
+    phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    phi, psi = phi / np.linalg.norm(phi), psi / np.linalg.norm(psi)
+    real_series = correlation_discrete(u, phi, psi, steps).values
+    assert np.max(np.abs(real_series - correlation_discrete(twin.main, phi, psi, steps).values)) <= 1e-12
+
+    def fn(theta):
+        return np.cos(theta) + 0.5 * np.sin(2 * theta)
+
+    calc, twin_calc = FourierCalculus(u, fn, 8, 1.0), FourierCalculus(twin.main, fn, 8, 1.0)
+    assert max_norm(calc.reconstruction - twin_calc.reconstruction) <= 1e-12
+
+    degree, window, phi, psi = _mixing_inputs(rng, dim)
+    bound = mixing_bound(pair, degree, window, phi, psi, steps)
+    twin_bound = mixing_bound(twin, degree.astype(complex), window, phi, psi, steps)
+    bound_scale = max(1.0, twin_bound.rhs)
+    assert abs(bound.lhs - twin_bound.lhs) <= 1e-12 * bound_scale
+    assert abs(bound.rhs - twin_bound.rhs) <= 1e-12 * bound_scale
+    assert bound.satisfied
+
+
+@settings(max_examples=20)
+@given(window=st.integers(4, 24), steps=st.integers(1, 200), octaves=st.integers(0, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_shift_model_is_bit_identical_in_real_and_complex_arithmetic(window, steps, octaves, seed):
+    # every product and sum on the shift is exact, so the real route must not
+    # move a bit; the one rounding is the division by N, which real
+    # arithmetic rounds once and complex division (a reciprocal, then a
+    # product) may round twice, so quotients agree to the last bit when N is
+    # a power of two and to one ulp otherwise
+    pair = shift_weyl_model(window, 1).pair
+    twin = complex_twin(pair)
+    assert pair.main.dtype == pair.conjugate.dtype == np.float64
+    assert np.array_equal(pair.symbol, twin.symbol)
+    for got, want in zip(_conjugation_sum(pair.main, pair.symbol, steps),
+                         _conjugation_sum(twin.main, twin.symbol, steps)):
+        assert np.array_equal(got, want)
+    average = birkhoff_discrete(pair.main, pair.symbol, steps)
+    twin_average = birkhoff_discrete(twin.main, twin.symbol, steps)
+    assert not twin_average.imag.any()
+    np.testing.assert_array_max_ulp(average, twin_average.real, maxulp=1)
+
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(window) + 1j * rng.standard_normal(window)
+    psi = rng.standard_normal(window) + 1j * rng.standard_normal(window)
+    assert np.array_equal(correlation_discrete(pair.main, phi, psi, steps).values,
+                          correlation_discrete(twin.main, phi, psi, steps).values)
+
+    exact = 2**octaves
+    check, twin_check = degree_identity_check(pair, exact), degree_identity_check(twin, exact)
+    assert (check.residual, check.expected) == (twin_check.residual, twin_check.expected)
+    assert np.array_equal(check.average, twin_check.average)
+    assert np.array_equal(check.alternative, twin_check.alternative)
+    degree, window_fn, phi, psi = _mixing_inputs(rng, window)
+    assert mixing_bound(pair, degree, window_fn, phi, psi, exact) == \
+        mixing_bound(twin, degree, window_fn, phi, psi, exact)

@@ -27,7 +27,7 @@ from commix import (
     spectral_norm,
     spectral_projector,
 )
-from commix.operators import _resolvent_sandwich
+from commix.operators import _resolvent_sandwich, as_square_matrix
 
 
 def random_unitary(rng, dim):
@@ -229,6 +229,49 @@ def test_matrix_payload_round_trip_is_bit_exact():
         assert back.shape == m.shape and back.dtype == complex
         assert np.array_equal(back, m)
         assert np.array_equal(_bits(back), _bits(m))
+
+
+def test_square_matrices_keep_their_own_arithmetic():
+    assert as_square_matrix([[1, 2], [3, 4]]).dtype == np.float64
+    assert as_square_matrix(np.eye(2, dtype=bool)).dtype == np.float64
+    assert as_square_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+    assert as_square_matrix([[1j, 0], [0, 1]]).dtype == np.complex128
+    assert as_square_matrix(np.eye(2, dtype=np.complex64)).dtype == np.complex128
+    # a complex matrix is not narrowed, even with every imaginary part zero
+    assert as_square_matrix(np.eye(2, dtype=complex)).dtype == np.complex128
+    real = np.eye(3)
+    assert as_square_matrix(real) is real
+    with pytest.raises(DimensionError):
+        as_square_matrix(np.ones((2, 3)))
+
+
+def test_real_input_gives_the_values_of_its_complex_cast():
+    rng = np.random.default_rng(66)
+    q, r = np.linalg.qr(rng.standard_normal((6, 6)))
+    u = q * np.sign(np.diagonal(r))
+    u[:, 0] *= np.linalg.det(u)  # a rotation: generically no eigenvalue at the Cayley pole
+    z = rng.standard_normal((6, 6))
+    h = (z + z.T) / 2
+    low_rank = z[:, :4] @ z[:, :4].T
+    for m in (u, h):
+        dec, twin = spectral_decomposition(m), spectral_decomposition(m.astype(complex))
+        assert max_norm(np.sort_complex(dec.eigenvalues) - np.sort_complex(twin.eigenvalues)) <= 1e-12
+        twin_exp = functional_calculus(m.astype(complex), np.exp)
+        assert max_norm(functional_calculus(m, np.exp) - twin_exp) <= 1e-12
+    split, twin_split = kernel_split(low_rank), kernel_split(low_rank.astype(complex))
+    assert split.ker_dim == twin_split.ker_dim == 2
+    assert max_norm(split.P_ker - twin_split.P_ker) <= 1e-12
+    assert max_norm(cayley_transform(u) - cayley_transform(u.astype(complex))) <= 1e-12
+    assert max_norm(inverse_cayley_transform(h) - inverse_cayley_transform(h.astype(complex))) <= 1e-12
+
+
+def test_spectral_norm_takes_the_real_svd_of_real_input():
+    rng = np.random.default_rng(65)
+    z = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    # the complex route is the one np.linalg.norm takes, to the last bit
+    assert spectral_norm(z) == np.linalg.norm(z, 2)
+    assert spectral_norm(z.real) == pytest.approx(np.linalg.norm(z.real.astype(complex), 2), rel=1e-14)
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_norms_agree_on_diagonal():
