@@ -64,10 +64,7 @@ from .mixing import (
     SummabilityReport,
     correlation_continuous,
     correlation_discrete,
-    decay_report,
     eigen_in_perp,
-    fourier_calculus,
-    summability_report,
 )
 from .skew import (
     GridField,

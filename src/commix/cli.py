@@ -15,6 +15,7 @@ import argparse
 import concurrent.futures
 import datetime
 import functools
+import hashlib
 import json
 import math
 import pathlib
@@ -68,7 +69,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario
@@ -193,7 +194,8 @@ def _complex_2x2(value, path):
 
 
 # -- model types: fields (raw model, path) -> validated fields with their
-# documented defaults; build (fields, rng, path) -> the objects handlers read
+# documented defaults; build (fields, rng, path) -> the objects handlers read,
+# plus an optional "echo" of model fields that the report shows in their place
 
 
 def _int_fields(**fields):
@@ -216,10 +218,26 @@ def _matrix_pair_fields(model, path):
 
 
 def _build_matrix_pair(spec, rng, path):
-    conj = _load_matrix(spec["conjugate"], f"{path}.conjugate")
-    if "unitary" in spec:
-        return {"pair": OperatorPair.discrete(_load_matrix(spec["unitary"], f"{path}.unitary"), conj)}
-    return {"pair": OperatorPair.continuous(_load_matrix(spec["generator"], f"{path}.generator"), conj)}
+    """The pair, and the report's echo of each matrix field as ``{"dim", "sha256"[, "path"]}``.
+
+    The digest is taken over the complex128 matrix as loaded, before the pair
+    narrows an exactly real pair to float64, so it depends on the matrix alone.
+    """
+    matrices, echo = {}, {}
+    for field in ("unitary", "generator", "conjugate"):
+        if field not in spec:
+            continue
+        value = spec[field]
+        m = matrices[field] = _load_matrix(value, f"{path}.{field}")
+        digest = hashlib.sha256(np.ascontiguousarray(m, dtype="<c16").tobytes()).hexdigest()
+        echo[field] = {"dim": m.shape[0], "sha256": digest}
+        if isinstance(value, str):
+            echo[field]["path"] = value
+    if "unitary" in matrices:
+        pair = OperatorPair.discrete(matrices["unitary"], matrices["conjugate"])
+    else:
+        pair = OperatorPair.continuous(matrices["generator"], matrices["conjugate"])
+    return {"pair": pair, "echo": echo}
 
 
 def _torus_fields(model, path):
@@ -534,7 +552,9 @@ class ScenarioRunner:
         """Run every task of the scenario.
 
         A task that raises fails with a one-line error; its traceback is kept
-        in ``tracebacks``.
+        in ``tracebacks``.  The model is echoed as validated, except that the
+        builder's ``echo`` entries (the matrix digests of a matrix pair)
+        replace the fields they name.
         """
         rows = []
         for task in self.scenario["tasks"]:
@@ -546,6 +566,7 @@ class ScenarioRunner:
             rows.append({"task": task, "status": status, "metrics": metrics, "thresholds": used})
         echo = ("name", "seed", "model", "schedule", "horizon", "expect_admissible")
         result = {key: self.scenario[key] for key in echo}
+        result["model"] = {**result["model"], **self.built.get("echo", {})}
         return {**result, "status": _worst([r["status"] for r in rows]), "tasks": rows}, self.artifacts
 
     def _used(self, *keys):
@@ -1134,7 +1155,8 @@ def _cmd_compare(args):
             print(f"error: {name!r} is not a {REPORT_FORMAT} document", file=sys.stderr)
             return 2
     if loaded[0].get("version") != loaded[1].get("version"):
-        print("error: report versions differ; refusing to compare", file=sys.stderr)
+        versions = " vs ".join(repr(rep.get("version")) for rep in loaded)
+        print(f"error: report versions differ ({versions}); refusing to compare", file=sys.stderr)
         return 2
     diffs = _diff_reports(loaded[0], loaded[1])
     if not diffs:

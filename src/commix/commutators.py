@@ -117,6 +117,28 @@ class OperatorPair:
         """Spectral norm ``||A||`` of the conjugate operator."""
         return spectral_norm(self.conjugate)
 
+    @functools.cached_property
+    def symbol_norm(self):
+        """Spectral norm of the commutator ``symbol``."""
+        return spectral_norm(self.symbol)
+
+    @functools.cached_property
+    def spectrum(self):
+        """``(eigenvalues, eigenvectors)`` of the Hermitian part of a continuous pair's generator."""
+        if self.kind != "continuous":
+            raise ValueError("spectrum needs a continuous pair")
+        h = self.main
+        eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+        eigvals.flags.writeable = eigvecs.flags.writeable = False
+        return eigvals, eigvecs
+
+    @functools.cached_property
+    def bounded_conjugate(self):
+        """:func:`tilde_conjugate` of a continuous pair."""
+        m = tilde_conjugate(self)
+        m.flags.writeable = False
+        return m
+
 
 def _assert_hermitian(m, context, tol_scale):
     dev = max_norm(m - m.conj().T)
@@ -209,6 +231,11 @@ def birkhoff_continuous(generator, symbol, duration):
     if duration <= 0.0:
         raise ValueError("duration must be positive")
     eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return _time_average(eigvals, eigvecs, m, duration)
+
+
+def _time_average(eigvals, eigvecs, m, duration):
+    """:func:`birkhoff_continuous` on the decomposition ``H = V diag(lambda) V*``."""
     coeff = eigvecs.conj().T @ m @ eigvecs
     kernel = _phi1_imaginary(duration * (eigvals[:, None] - eigvals[None, :]))
     value = eigvecs @ (coeff * kernel) @ eigvecs.conj().T
@@ -326,7 +353,8 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
 
     Each schedule entry gets its own average: the doubling sum behind
     ``birkhoff_discrete`` (``O(log N)`` products) for discrete pairs, the
-    closed form of ``birkhoff_continuous`` for continuous ones.  Probes must
+    closed form of ``birkhoff_continuous`` on the pair's one decomposition of
+    ``H`` for continuous ones.  Probes must
     be unit vectors; each row of ``probe_residuals`` tracks
     ``||(D_k - limit) probe||`` along the schedule.
     """
@@ -352,7 +380,7 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
     else:
         if schedule[0] <= 0:
             raise ValueError("continuous schedule entries must be positive")
-        averages = [birkhoff_continuous(pair.main, pair.symbol, t) for t in schedule]
+        averages = [_time_average(*pair.spectrum, pair.symbol, float(t)) for t in schedule]
 
     limit = averages[-1]
     gaps = [spectral_norm(b - a) for a, b in zip(averages, averages[1:])]
@@ -547,26 +575,26 @@ def flow_identity_check(pair, duration):
     The identity is exact in finite dimension and ``D_t`` comes in closed
     form, so the residual is roundoff; ``error_estimate`` is the roundoff
     floor ``t * 64 eps ||M||`` of the symbol's average (at least that of
-    ``A``), and ``passed`` compares against ten times it.  The symbol and
-    ``||A||`` are the pair's own, computed once per pair.
+    ``A``), and ``passed`` compares against ten times it.  The symbol, its
+    norm, ``||A||``, ``A~`` and the decomposition of ``H`` are the pair's
+    own, computed once per pair.
     """
     if pair.kind != "continuous":
         raise ValueError("flow_identity_check needs a continuous pair")
     duration = float(duration)
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
-    h = pair.main
-    a_tilde = tilde_conjugate(pair)
+    a_tilde = pair.bounded_conjugate
     floor = _roundoff_floor(pair.conjugate_norm)
     if duration == 0.0:
         return FlowIdentityCheck(duration=0.0, residual=0.0, error_estimate=floor, passed=True)
-    eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    eigvals, eigvecs = pair.spectrum
     propagator = (eigvecs * np.exp(-1j * duration * eigvals)) @ eigvecs.conj().T
-    average = birkhoff_continuous(h, pair.symbol, duration)
+    average = _time_average(eigvals, eigvecs, pair.symbol, duration)
     residual = spectral_norm(
         (a_tilde @ propagator - propagator @ a_tilde) - duration * (propagator @ average)
     )
-    estimate = max(duration * _roundoff_floor(spectral_norm(pair.symbol)), floor)
+    estimate = max(duration * _roundoff_floor(pair.symbol_norm), floor)
     return FlowIdentityCheck(
         duration=duration,
         residual=float(residual),

@@ -26,13 +26,10 @@ __all__ = [
     "correlation_discrete",
     "correlation_continuous",
     "SummabilityReport",
-    "summability_report",
     "DecayReport",
-    "decay_report",
     "PerpSpectrumReport",
     "eigen_in_perp",
     "FourierCalculus",
-    "fourier_calculus",
 ]
 
 SERIES_FORMAT = "correlation-series"
@@ -213,14 +210,6 @@ class DecayReport:
         self.decaying = tail <= fraction * head
 
 
-def decay_report(series, fraction=0.1):
-    return DecayReport(series, fraction=fraction)
-
-
-def summability_report(series, rel_tail=1e-4):
-    return SummabilityReport(series, rel_tail=rel_tail)
-
-
 class PerpSpectrumReport:
     """Eigenpairs of an operator compressed to the complement of a kernel.
 
@@ -353,7 +342,3 @@ class FourierCalculus:
         for n, c in zip(self.indices, self.coefficients):
             buf.write(f"{int(n)},{float(c.real)!r},{float(c.imag)!r},{abs(complex(c))!r}\n")
         return buf.getvalue()
-
-
-def fourier_calculus(unitary, fn, n_max, gamma, grid=None):
-    return FourierCalculus(unitary, fn, n_max, gamma, grid=grid)

@@ -77,9 +77,13 @@ def max_norm(m):
 
 
 def spectral_norm(m):
-    """Operator 2-norm (largest singular value), in the input's own arithmetic."""
+    """Operator 2-norm (largest singular value), in the input's own arithmetic.
+
+    An empty or all-zero matrix has norm exactly 0.0 and takes no SVD; NaN
+    entries count as nonzero and reach the SVD.
+    """
     m = np.asarray(m)
-    return 0.0 if m.size == 0 else float(np.linalg.svd(m, compute_uv=False)[0])
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.any() else 0.0
 
 
 @dataclass(frozen=True)

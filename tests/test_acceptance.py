@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from commix import (
+    FourierCalculus,
     OperatorPair,
     SmoothWindow,
     SU2Cocycle,
@@ -23,7 +24,6 @@ from commix import (
     degree_alternative,
     epsilon_commutator_slope,
     flow_identity_check,
-    fourier_calculus,
     graph_degree,
     grid2d_window,
     interior_residuals,
@@ -213,7 +213,7 @@ def test_criterion_8_fourier_tail_control():
     rng = np.random.default_rng(1008)
     u = random_unitary(rng, 24)
     bump = SmoothWindow(0.2, 0.8, order=3, ramp=0.2)
-    fc = fourier_calculus(u, lambda th: bump(th / (2 * np.pi)), 256, 1.0, grid=1024)
+    fc = FourierCalculus(u, lambda th: bump(th / (2 * np.pi)), 256, 1.0, grid=1024)
     print(f"criterion 8: recon {fc.recon_error:.2e}, exponent {fc.decay_exponent:.2f}")
     assert fc.recon_error <= 1e-8
     assert fc.decay_exponent <= -2.0

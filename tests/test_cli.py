@@ -1,5 +1,6 @@
 """Config validation, the batch runner, report determinism, and the compare verb."""
 
+import hashlib
 import json
 import pathlib
 
@@ -142,7 +143,7 @@ def test_run_pair_identities(tmp_path, capsys):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == 3
+    assert report["version"] == 4
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -525,3 +526,97 @@ def test_failed_task_leaves_its_traceback_in_the_meta_file(tmp_path, monkeypatch
     assert text.startswith("Traceback (most recent call last):")
     assert "in broken_degree" in text
     assert text.rstrip().endswith("RuntimeError: degree handler broke")
+
+
+def _keys(obj):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _keys(item)
+
+
+def _matrix_pair_config(unitary, conjugate, name="pair"):
+    model = {"type": "matrix-pair", "unitary": unitary, "conjugate": conjugate}
+    return {"version": 1, "scenarios": [{"name": name, "seed": 3, "model": model,
+                                         "tasks": ["identities", "degree"]}]}
+
+
+def test_report_echoes_matrices_as_digests(tmp_path):
+    unitary, conjugate = matrix_to_payload(np.eye(2)), matrix_to_payload(np.diag([1.0, -1.0]))
+    generator = {"type": "matrix-pair", "generator": matrix_to_payload(np.diag([1.0, 2.0])),
+                 "conjugate": conjugate}
+    config = _matrix_pair_config(unitary, conjugate)
+    config["scenarios"].append({"name": "flow", "model": generator, "tasks": ["identities"]})
+    report = run_config(validate_config(config), tmp_path / "out")
+    assert "entries" not in set(_keys(json.loads((tmp_path / "out" / "report.json").read_text())))
+    models = {sc["name"]: sc["model"] for sc in report["scenarios"]}
+    # the digest covers the complex128 matrix as loaded, before the pair narrows it to float64
+    for name, field, payload in [("pair", "unitary", unitary), ("pair", "conjugate", conjugate),
+                                 ("flow", "generator", generator["generator"])]:
+        m = cli.matrix_from_payload(payload)
+        want = hashlib.sha256(np.ascontiguousarray(m, dtype="<c16").tobytes()).hexdigest()
+        assert models[name][field] == {"dim": 2, "sha256": want}, (name, field)
+    assert models["pair"]["type"] == models["flow"]["type"] == "matrix-pair"
+
+
+def test_integer_and_float_spellings_of_a_matrix_give_identical_reports(tmp_path):
+    def spelled(number):
+        return {"format": "complex-matrix", "version": 1, "dim": 2,
+                "entries": [[number(1), number(0)], [number(0), number(0)],
+                            [number(0), number(0)], [number(-1), number(0)]]}
+
+    unitary = matrix_to_payload(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for label, number in (("int", int), ("float", float)):
+        path = write_config(tmp_path, _matrix_pair_config(unitary, spelled(number)), f"{label}.json")
+        assert main(["run", str(path), "--out", str(tmp_path / label)]) == 0
+    assert ((tmp_path / "int" / "report.json").read_bytes()
+            == (tmp_path / "float" / "report.json").read_bytes())
+
+
+def test_changing_one_entry_changes_only_that_digest_and_compare_reports_it(tmp_path, capsys):
+    unitary = matrix_to_payload(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    conjugate = matrix_to_payload(np.diag([1.0, -1.0]))
+    changed = matrix_to_payload(np.diag([1.0, -2.0]))
+    for label, conj in (("left", conjugate), ("right", changed)):
+        path = write_config(tmp_path, _matrix_pair_config(unitary, conj), f"{label}.json")
+        assert main(["run", str(path), "--out", str(tmp_path / label)]) == 0
+    left, right = (tmp_path / label / "report.json" for label in ("left", "right"))
+    models = [json.loads(p.read_text())["scenarios"][0]["model"] for p in (left, right)]
+    assert models[0]["unitary"] == models[1]["unitary"]
+    assert models[0]["conjugate"]["dim"] == models[1]["conjugate"]["dim"] == 2
+    assert models[0]["conjugate"]["sha256"] != models[1]["conjugate"]["sha256"]
+    capsys.readouterr()
+    assert main(["compare", str(left), str(right)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if ".model." in line] == [
+        f"report.scenarios[0].model.conjugate.sha256: {models[0]['conjugate']['sha256']!r} != "
+        f"{models[1]['conjugate']['sha256']!r}"]
+
+
+def test_matrix_file_echoes_its_path_and_the_inline_digest(tmp_path):
+    unitary = matrix_to_payload(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    conjugate = matrix_to_payload(np.diag([1.0, -1.0]))
+    matrix_file = tmp_path / "unitary.json"
+    matrix_file.write_text(json.dumps(unitary))
+    inline = run_config(validate_config(_matrix_pair_config(unitary, conjugate)), tmp_path / "inline")
+    filed = run_config(validate_config(_matrix_pair_config(str(matrix_file), conjugate)),
+                       tmp_path / "filed")
+    inline_model, filed_model = (r["scenarios"][0]["model"] for r in (inline, filed))
+    assert filed_model["unitary"] == {**inline_model["unitary"], "path": str(matrix_file)}
+    assert filed_model["conjugate"] == inline_model["conjugate"]
+    assert inline["scenarios"][0]["tasks"] == filed["scenarios"][0]["tasks"]
+
+
+def test_compare_names_both_report_versions(tmp_path, capsys):
+    path = write_config(tmp_path, pair_config())
+    assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
+    left = tmp_path / "a" / "report.json"
+    doc = json.loads(left.read_text())
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(dict(doc, version=3)))
+    capsys.readouterr()
+    assert main(["compare", str(older), str(left)]) == 2
+    assert "report versions differ (3 vs 4)" in capsys.readouterr().err

@@ -30,6 +30,7 @@ from commix import (
     tilde_conjugate,
     unitary_symbol,
 )
+from commix import commutators
 from commix.commutators import _conjugation_sum
 
 
@@ -193,6 +194,55 @@ def test_flow_identity_commuting_pair():
     chk = flow_identity_check(pair, 1.0)
     assert chk.passed
     assert chk.residual <= 1e-12
+
+
+def _flow_check_per_call(pair, duration):
+    """The flow identity check with every per-pair quantity formed afresh, as a bit-exact oracle."""
+    h = pair.main
+    a_tilde = tilde_conjugate(pair)
+    floor = 64.0 * np.finfo(float).eps * max(1.0, spectral_norm(pair.conjugate))
+    eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    propagator = (eigvecs * np.exp(-1j * duration * eigvals)) @ eigvecs.conj().T
+    average = birkhoff_continuous(h, selfadjoint_symbol(pair), duration)
+    residual = spectral_norm((a_tilde @ propagator - propagator @ a_tilde) - duration * (propagator @ average))
+    symbol_floor = 64.0 * np.finfo(float).eps * max(1.0, spectral_norm(selfadjoint_symbol(pair)))
+    return residual, max(duration * symbol_floor, floor)
+
+
+def test_flow_identity_check_is_bit_identical_to_the_per_call_formulas():
+    rng = np.random.default_rng(112)
+    real = random_hermitian(rng, 6).real
+    pairs = [OperatorPair.continuous(random_hermitian(rng, 7), random_hermitian(rng, 7)),
+             OperatorPair.continuous(real, real @ real.T / 10.0)]
+    assert pairs[1].main.dtype == np.float64
+    for pair in pairs:
+        for t in (0.5, 1.5, 3.0):
+            chk = flow_identity_check(pair, t)
+            assert (chk.residual, chk.error_estimate) == _flow_check_per_call(pair, t)
+        est = estimate_degree(pair, [0.5, 1.5, 3.0])
+        for avg, t in zip(est.averages, [0.5, 1.5, 3.0]):
+            assert np.array_equal(avg, birkhoff_continuous(pair.main, pair.symbol, t))
+
+
+def test_flow_identity_check_decomposes_each_pair_once(monkeypatch):
+    rng = np.random.default_rng(113)
+    pair = OperatorPair.continuous(random_hermitian(rng, 6), random_hermitian(rng, 6))
+    calls = {"tilde_conjugate": 0, "eigh": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(commutators, "tilde_conjugate")
+    count(np.linalg, "eigh")
+    checks = [flow_identity_check(pair, t) for t in (0.5, 1.5, 3.0)]
+    assert all(c.passed for c in checks)
+    assert calls == {"tilde_conjugate": 1, "eigh": 1}
 
 
 def test_tilde_conjugate_hermitian():

@@ -5,17 +5,17 @@ import pytest
 
 from commix import (
     CorrelationSeries,
+    DecayReport,
+    FourierCalculus,
     ResolutionError,
     SchemaError,
     StructureError,
+    SummabilityReport,
     correlation_continuous,
     correlation_discrete,
-    decay_report,
     eigen_in_perp,
-    fourier_calculus,
     kernel_split,
     max_norm,
-    summability_report,
 )
 
 
@@ -41,7 +41,7 @@ def test_eigenvector_correlation_never_decays():
     e0 = np.array([1.0, 0.0, 0.0])
     series = correlation_discrete(u, e0, e0, 32)
     assert np.allclose(np.abs(series.values), 1.0)
-    assert not decay_report(series).decaying
+    assert not DecayReport(series).decaying
 
 
 def test_correlation_continuous_sinc_envelope():
@@ -54,7 +54,7 @@ def test_correlation_continuous_sinc_envelope():
     series = correlation_continuous(h, v, v, times)
     oracle = np.array([np.mean(np.exp(-1j * t * levels)) for t in times])
     assert np.max(np.abs(series.values - oracle)) <= 1e-12
-    assert decay_report(series).decaying
+    assert DecayReport(series).decaying
 
 
 def test_correlation_continuous_rejects_nonhermitian():
@@ -96,7 +96,7 @@ def make_series(values):
 
 def test_summability_geometric_series():
     n = np.arange(1, 200)
-    report = summability_report(make_series(0.8**n))
+    report = SummabilityReport(make_series(0.8**n))
     assert report.saturating
     # squared mass of 0.8^n sums to 0.64/0.36; the tail extrapolation should
     # land on the true value
@@ -104,29 +104,29 @@ def test_summability_geometric_series():
 
 
 def test_summability_constant_series():
-    report = summability_report(make_series(np.ones(100)))
+    report = SummabilityReport(make_series(np.ones(100)))
     assert not report.saturating
     assert abs(report.tail_slope) <= 0.05
 
 
 def test_summability_power_tail():
     n = np.arange(1, 400)
-    report = summability_report(make_series(1.0 / n))
+    report = SummabilityReport(make_series(1.0 / n))
     assert report.tail_slope == pytest.approx(-2.0, abs=0.05)
     assert not report.saturating  # harmonic-squared saturates too slowly for the window
     assert abs(report.extrapolated_total - np.pi**2 / 6.0) <= 1e-3
 
 
 def test_summability_machine_zero_series():
-    report = summability_report(make_series(np.zeros(64)))
+    report = SummabilityReport(make_series(np.zeros(64)))
     assert report.saturating
 
 
 def test_summability_needs_enough_samples():
     with pytest.raises(ValueError):
-        summability_report(make_series(np.ones(8)))
+        SummabilityReport(make_series(np.ones(8)))
     with pytest.raises(ValueError):
-        decay_report(make_series(np.ones(4)))
+        DecayReport(make_series(np.ones(4)))
 
 
 def test_eigen_in_perp_diagonal():
@@ -161,7 +161,7 @@ def test_fourier_trig_polynomial_exact():
     z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     q, r = np.linalg.qr(z)
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    fc = fourier_calculus(u, lambda th: np.cos(th) + 0.5 * np.sin(2 * th), 8, 1.0)
+    fc = FourierCalculus(u, lambda th: np.cos(th) + 0.5 * np.sin(2 * th), 8, 1.0)
     assert fc.recon_error <= 1e-12
     mid = fc.n_max
     assert fc.coefficients[mid + 1] == pytest.approx(0.5)
@@ -175,7 +175,7 @@ def test_fourier_reconstruction_matches_dense_powers():
     z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     q, r = np.linalg.qr(z)
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    fc = fourier_calculus(u, lambda th: np.exp(np.cos(th)) * np.sin(2 * th), 32, 1.0)
+    fc = FourierCalculus(u, lambda th: np.exp(np.cos(th)) * np.sin(2 * th), 32, 1.0)
     # reference: sum_{|n| <= n_max} c_n U^n with U^{-n} = (U*)^n, one product per order
     recon = fc.coefficients[fc.n_max] * np.eye(16, dtype=complex)
     fwd = bwd = np.eye(16, dtype=complex)
@@ -189,22 +189,22 @@ def test_fourier_reconstruction_matches_dense_powers():
 def test_fourier_parameter_validation():
     u = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
-        fourier_calculus(u, np.cos, 8, 0.0)
+        FourierCalculus(u, np.cos, 8, 0.0)
     with pytest.raises(ValueError):
-        fourier_calculus(u, np.cos, 4, 1.0)
+        FourierCalculus(u, np.cos, 4, 1.0)
     with pytest.raises(ValueError):
-        fourier_calculus(u, np.cos, 8, 1.0, grid=24)
+        FourierCalculus(u, np.cos, 8, 1.0, grid=24)
 
 
 def test_fourier_top_octave_rejected():
     u = np.eye(4, dtype=complex)
     with pytest.raises(ResolutionError):
-        fourier_calculus(u, lambda th: np.cos(30 * th), 8, 1.0, grid=64)
+        FourierCalculus(u, lambda th: np.cos(30 * th), 8, 1.0, grid=64)
 
 
 def test_fourier_csv_header():
     u = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
-    fc = fourier_calculus(u, np.cos, 8, 1.0)
+    fc = FourierCalculus(u, np.cos, 8, 1.0)
     lines = fc.to_csv().splitlines()
     assert lines[0].startswith("# fourier-series v1 n_max=8")
     assert lines[1] == "n,re,im,abs"

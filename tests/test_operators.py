@@ -274,6 +274,30 @@ def test_spectral_norm_takes_the_real_svd_of_real_input():
     assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
+def test_spectral_norm_of_zero_takes_no_svd(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for dtype in (float, complex):
+        assert spectral_norm(np.zeros((5, 5), dtype=dtype)) == 0.0
+        assert spectral_norm(-np.zeros((3, 3), dtype=dtype)) == 0.0
+    assert calls == []
+    # NaN is not zero: it reaches the SVD, which rejects it
+    for dtype in (float, complex):
+        m = np.zeros((4, 4), dtype=dtype)
+        m[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral_norm(m)
+        m[1, 2] = 3.0
+        assert spectral_norm(m) == 3.0
+    assert len(calls) == 4
+
+
 def test_norms_agree_on_diagonal():
     d = np.diag([3.0, -4.0, 0.5]).astype(complex)
     assert spectral_norm(d) == pytest.approx(4.0)
