@@ -303,7 +303,10 @@ def _build_graph_file(spec, rng, path):
         text = pathlib.Path(spec["path"]).read_text()
     except OSError as exc:
         _fail(f"{path}.path", f"cannot read graph file: {exc}")
-    return {"window": parse_graph_window(text)}
+    try:
+        return {"window": parse_graph_window(text)}
+    except SchemaError as exc:
+        _fail(f"{path}.path", f"bad graph file {spec['path']!r}: {exc}")
 
 
 DEFAULT_SCHEDULE = (1, 2, 5, 17, 64)

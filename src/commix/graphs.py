@@ -257,44 +257,55 @@ def check_admissible(window):
 
 @dataclass
 class GraphOperators:
-    adjacency: np.ndarray
-    lowering: np.ndarray
-    momentum: np.ndarray
-    grading: np.ndarray
-    conjugate: np.ndarray
+    """H, K = iS and A = iT of a window, stored on its edge set.
+
+    ``adjacency`` (H, symmetric), ``skew_momentum`` (S) and
+    ``skew_conjugate`` (T, both antisymmetric) are real ``scipy.sparse``
+    CSR arrays with one stored entry per edge and orientation; ``position``
+    is the grading Phi as a vector indexed like their rows.
+    """
+
+    adjacency: object
+    skew_momentum: object
+    skew_conjugate: object
+    position: np.ndarray
     index: dict
     interior_rows: np.ndarray
     center_row: int
 
 
 def build_operators(window, report=None):
-    """Assemble H, L, K, Phi, A for an admissible window.
+    """Assemble H, K = iS, Phi and A = iT for an admissible window.
 
-    The summing operator collects values over N^+(x) = {y : y < x}, so on a
-    uniformly oriented line it is the raising shift; K = i(L* - L) and
+    The summing operator L collects values over N^+(x) = {y : y < x}, so on
+    a uniformly oriented line it is the raising shift; K = i(L* - L) and
     A = (Phi K + K Phi)/2 then satisfy [K, H] = 0 and [iH, A] = K*K on the
-    interior of windows cut from admissible infinite graphs.  Inadmissible
-    input is rejected with the full report attached.  ``report`` is the
-    window's check_admissible report, computed here when not given.
+    interior of windows cut from admissible infinite graphs.  In real terms
+    S = L^T - L carries +1 at (x, y) and -1 at (y, x) for every edge x < y,
+    and T_xy = (Phi_x + Phi_y) S_xy / 2, since Phi is diagonal.  All three
+    are built from the edge index arrays at once.  Inadmissible input is
+    rejected with the full report attached.  ``report`` is the window's
+    check_admissible report, computed here when not given.
     """
     if report is None:
         report = check_admissible(window)
     if not report.admissible:
         raise AdmissibilityError(report, "window fails the admissibility conditions")
+    from scipy import sparse
+
     verts = window.vertices
     index = {v: i for i, v in enumerate(verts)}
     dim = len(verts)
-    adjacency = np.zeros((dim, dim), dtype=complex)
-    lowering = np.zeros((dim, dim), dtype=complex)
-    for x, y in window.edges:
-        i, j = index[x], index[y]
-        adjacency[i, j] = adjacency[j, i] = 1.0
-        lowering[j, i] = 1.0
-    momentum = 1j * (lowering.conj().T - lowering)
     position = np.array([report.position[v] for v in verts], dtype=float)
-    grading = np.diag(position).astype(complex)
-    # (Phi K + K Phi)_ij = (p_i + p_j) K_ij / 2 for the diagonal grading Phi
-    conjugate = (position[:, None] + position[None, :]) / 2.0 * momentum
+    ends = np.searchsorted(verts, np.array(window.edges, dtype=int).reshape(-1, 2))
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    signs = np.repeat([1.0, -1.0], len(ends))
+
+    def on_edges(values):
+        return sparse.csr_array((values, (rows, cols)), shape=(dim, dim))
+
+    skew_momentum = on_edges(signs)
     interior_rows = np.array([index[v] for v in window.interior], dtype=int)
     # deepest vertex: maximal distance from the inferred boundary, then
     # smallest id; this is where probe-based diagnostics see least pollution
@@ -305,11 +316,10 @@ def build_operators(window, report=None):
     else:
         center_row = dim // 2
     return GraphOperators(
-        adjacency=adjacency,
-        lowering=lowering,
-        momentum=momentum,
-        grading=grading,
-        conjugate=conjugate,
+        adjacency=abs(skew_momentum),
+        skew_momentum=skew_momentum,
+        skew_conjugate=on_edges(signs * (position[rows] + position[cols]) / 2.0),
+        position=position,
         index=index,
         interior_rows=interior_rows,
         center_row=center_row,
@@ -327,21 +337,20 @@ def interior_residuals(ops):
 
     Both commutators have finite range, so truncation pollution stays within
     a fixed distance of the cut and the interior rows vanish identically once
-    the margin is at least two.  H, K and A carry at most one entry per edge,
-    so only the interior rows are formed, as sparse products on the edge set;
+    the margin is at least two.  With K = iS and A = iT they are i[S, H] and
+    S^2 - [H, T], so the row norms are those of [S, H] and S^2 - [H, T],
+    formed in real arithmetic on the interior rows of the CSR operators;
     every entry is a sum of products of +-1 and +-1/2, hence exact.
     """
     if ops.interior_rows.size == 0:
         raise ValueError("interior is empty; enlarge the window or reduce the margin")
-    from scipy import sparse
-
-    h, k, a = (sparse.csr_array(m) for m in (ops.adjacency, ops.momentum, ops.conjugate))
+    h, s, t = ops.adjacency, ops.skew_momentum, ops.skew_conjugate
     rows = ops.interior_rows
-    h_rows, k_rows, a_rows = h[rows], k[rows], a[rows]
-    comm_kh = k_rows @ h - h_rows @ k
-    ident = 1j * (h_rows @ a - a_rows @ h) - k_rows @ k
-    r1 = float(np.sqrt(np.max((abs(comm_kh) ** 2).sum(axis=1))))
-    r2 = float(np.sqrt(np.max((abs(ident) ** 2).sum(axis=1))))
+    h_rows, s_rows, t_rows = h[rows], s[rows], t[rows]
+    comm_sh = s_rows @ h - h_rows @ s
+    ident = s_rows @ s - (h_rows @ t - t_rows @ h)
+    r1 = float(np.sqrt(np.max((comm_sh ** 2).sum(axis=1))))
+    r2 = float(np.sqrt(np.max((ident ** 2).sum(axis=1))))
     return InteriorResiduals(momentum_commutator=r1, degree_identity=r2)
 
 
@@ -368,7 +377,9 @@ def graph_degree(ops, kernel_tol=1e-8, flow_times=(0.5, 1.0, 2.0)):
 
     Everything is computed in real arithmetic from one ``eigh`` of
     H = V diag(lam) V^T, with H real symmetric and K = iS, S real
-    antisymmetric.  With B = (SV)^T (SV) = V^T K^2 V and D = diag(1/(lam+i)),
+    antisymmetric; H and S are made dense only for that ``eigh`` and for
+    the product SV, and each n-by-n temporary is released after its last
+    use.  With B = (SV)^T (SV) = V^T K^2 V and D = diag(1/(lam+i)),
     the degree is V D B conj(D) V^T; the phases of D conjugate away, so it is
     unitarily similar to the real symmetric W B W, W = diag((lam^2+1)^{-1/2}),
     which gives its spectrum.  Every edge steps the grading by one, so S maps
@@ -377,35 +388,42 @@ def graph_degree(ops, kernel_tol=1e-8, flow_times=(0.5, 1.0, 2.0)):
     of K is counted on them (square roots of eigenvalues of K^2 would halve
     the digits at the cut).  The flow residuals
     |e^{is lam} G e^{-is lam} p - G p| with G = D B conj(D) and p the probe
-    row of V cost one matrix-vector product each.  A nonzero imaginary part
-    of H, real part of K, or same-parity entry of S raises StructureError.
+    row of V cost one matrix-vector product each.  A complex-valued H or S,
+    or a stored nonzero of S between positions of equal parity, raises
+    StructureError.
     """
-    h, s = ops.adjacency.real, ops.momentum.imag
-    odd = ops.grading.diagonal().real % 2 == 1
-    even = ~odd
-    if (np.any(ops.adjacency.imag) or np.any(ops.momentum.real)
-            or np.any(s[np.ix_(even, even)]) or np.any(s[np.ix_(odd, odd)])):
+    s = ops.skew_momentum
+    odd = ops.position % 2 == 1
+    entries = s.tocoo()
+    stored = entries.data != 0
+    if (np.iscomplexobj(ops.adjacency) or np.iscomplexobj(s)
+            or np.any(odd[entries.row[stored]] == odd[entries.col[stored]])):
         raise StructureError(
             "graph_degree expects a real adjacency, an imaginary momentum, "
             "and edges that step the grading by one"
         )
 
+    h = ops.adjacency.toarray()
     lam, vecs = np.linalg.eigh(h)
-    s_vecs = s @ vecs
+    del h
+    s_vecs = s.toarray() @ vecs
     b = s_vecs.T @ s_vecs
+    del s_vecs
+    probe_row = int(ops.center_row)
+    d = 1.0 / (lam + 1j)
+    q = d.conj() * vecs[probe_row]
+    del vecs
     w = 1.0 / np.sqrt(lam * lam + 1.0)
     degree_eigvals = np.linalg.eigvalsh(w[:, None] * b * w[None, :])
     kernel_dim_degree = int(np.count_nonzero(_kernel_mask(degree_eigvals, kernel_tol)))
-    block_sv = np.linalg.svd(s[np.ix_(even, odd)], compute_uv=False)
-    unpaired = np.zeros(abs(np.count_nonzero(even) - np.count_nonzero(odd)))
+    even_rows, odd_rows = np.flatnonzero(~odd), np.flatnonzero(odd)
+    block_sv = np.linalg.svd(s[even_rows][:, odd_rows].toarray(), compute_uv=False)
+    unpaired = np.zeros(abs(even_rows.size - odd_rows.size))
     momentum_moduli = np.concatenate([block_sv, block_sv, unpaired])
     kernel_dim_momentum = int(np.count_nonzero(_kernel_mask(momentum_moduli, kernel_tol)))
     match = kernel_dim_degree == kernel_dim_momentum
     note = "" if match else "kernel ranks disagree; boundary pollution suspected, enlarge the margin"
 
-    probe_row = int(ops.center_row)
-    d = 1.0 / (lam + 1j)
-    q = d.conj() * vecs[probe_row]
     times = np.asarray(flow_times, dtype=float)
     cols = np.column_stack([q, np.exp(-1j * np.outer(lam, times)) * q[:, None]])
     # B is real: apply it to the interleaved real and imaginary parts at once

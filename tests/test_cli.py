@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,6 +249,23 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["run", str(schema), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_malformed_graph_file_names_the_scenario_and_the_file(tmp_path, capsys):
+    graph_file = tmp_path / "bad.graph"
+    graph_file.write_text("# graph-window v1\n# vertices: 0..3\n# margin: 0\n0 9\n")
+    config = {"version": 1, "scenarios": [{
+        "name": "g", "model": {"type": "graph-file", "path": str(graph_file)},
+        "tasks": ["admissibility"]}]}
+    want = (f"scenario 'g' model.path: bad graph file {str(graph_file)!r}: "
+            "edge (0, 9) references an unknown vertex")
+    with pytest.raises(SchemaError) as info:
+        build_model(validate_config(config)["scenarios"][0])
+    assert str(info.value) == want
+    path = write_config(tmp_path, config)
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert want in capsys.readouterr().err
+
+
 def test_compare_verb(tmp_path, capsys):
     path = write_config(tmp_path, pair_config())
     assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
@@ -281,6 +301,24 @@ def test_emit_examples_all_validate(tmp_path):
     for name in written:
         raw = json.loads((tmp_path / "cfg" / name).read_text())
         validate_config(raw)  # must parse cleanly
+
+
+def test_validating_and_building_the_examples_loads_no_scipy():
+    # scipy is imported inside the functions that compute with it, so a run's
+    # set-up (import, validate, build) does not pay for loading it
+    code = (
+        "import sys\n"
+        "from commix.cli import EXAMPLE_CONFIGS, build_model, validate_config\n"
+        "for config in EXAMPLE_CONFIGS.values():\n"
+        "    for scenario in validate_config(config)['scenarios']:\n"
+        "        build_model(scenario)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_config_accepts_validated_dict(tmp_path):

@@ -144,6 +144,15 @@ def test_degree_identity_exact():
             assert chk.passed, f"dim={dim} N={steps}: {chk.residual:.3e}"
 
 
+@settings(max_examples=60)
+@given(dim=st.integers(2, 24), steps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_degree_identity_holds_on_random_complex_pairs(dim, steps, seed):
+    pair = random_discrete_pair(np.random.default_rng(seed), dim)
+    assert pair.main.dtype == np.complex128
+    chk = degree_identity_check(pair, steps)
+    assert chk.passed, f"dim={dim} N={steps}: {chk.residual:.3e} > {chk.expected:.3e}"
+
+
 def test_degree_alternative_agrees():
     rng = np.random.default_rng(106)
     pair = random_discrete_pair(rng, 9)

@@ -1,9 +1,14 @@
 """Directed graph windows: admissibility, canonical operators, and degree kernels."""
 
 import copy
+import dataclasses
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from commix import graphs, operators
 from commix import (
@@ -101,20 +106,67 @@ def test_grading_constant_per_component():
         assert pos[b] == pos[a] + 1
 
 
+def _dense_complex_operators(window):
+    """The dense complex route: H, L, K = i(L* - L), Phi and A = (Phi K + K Phi)/2
+    as n-by-n complex matrices, entry by entry from the edge list."""
+    report = check_admissible(window)
+    index = {v: i for i, v in enumerate(window.vertices)}
+    dim = len(index)
+    adjacency = np.zeros((dim, dim), dtype=complex)
+    lowering = np.zeros((dim, dim), dtype=complex)
+    for x, y in window.edges:
+        i, j = index[x], index[y]
+        adjacency[i, j] = adjacency[j, i] = 1.0
+        lowering[j, i] = 1.0
+    momentum = 1j * (lowering.conj().T - lowering)
+    grading = np.diag([float(report.position[v]) for v in window.vertices]).astype(complex)
+    return types.SimpleNamespace(
+        adjacency=adjacency, lowering=lowering, momentum=momentum, grading=grading,
+        conjugate=(grading @ momentum + momentum @ grading) / 2.0,
+        interior_rows=np.array([index[v] for v in window.interior], dtype=int),
+        center_row=build_operators(window, report).center_row,
+    )
+
+
 def test_build_operators_two_vertex_oracle():
-    ops = build_operators(DirectedGraphWindow([0, 1], [(0, 1)], 0))
-    assert np.array_equal(ops.adjacency, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.array_equal(ops.lowering, np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert max_norm(ops.momentum - np.array([[0.0, 1j], [-1j, 0.0]])) == 0.0
-    assert max_norm(ops.conjugate - np.array([[0.0, 0.5j], [-0.5j, 0.0]])) == 0.0
-    assert max_norm(ops.momentum - ops.momentum.conj().T) == 0.0
+    window = DirectedGraphWindow([0, 1], [(0, 1)], 0)
+    ops, dense = build_operators(window), _dense_complex_operators(window)
+    momentum, conjugate = 1j * ops.skew_momentum.toarray(), 1j * ops.skew_conjugate.toarray()
+    assert np.array_equal(ops.adjacency.toarray(), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.array_equal(dense.lowering, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert np.array_equal(ops.skew_momentum.toarray(), (dense.lowering.T - dense.lowering).real)
+    assert max_norm(momentum - np.array([[0.0, 1j], [-1j, 0.0]])) == 0.0
+    assert max_norm(conjugate - np.array([[0.0, 0.5j], [-0.5j, 0.0]])) == 0.0
+    assert max_norm(momentum - momentum.conj().T) == 0.0
 
 
 def test_build_operators_conjugate_is_the_symmetrized_graded_momentum():
     for window in (line_window(200, 3), grid2d_window(5, 7, 1), grid2d_window(24, 24, 2)):
         ops = build_operators(window)
-        products = (ops.grading @ ops.momentum + ops.momentum @ ops.grading) / 2.0
-        assert np.array_equal(ops.conjugate, products)
+        grading, s = np.diag(ops.position), ops.skew_momentum.toarray()
+        products = (grading @ s + s @ grading) / 2.0
+        assert np.array_equal(ops.skew_conjugate.toarray(), products)
+        # the same operators as the dense complex route, entry for entry
+        dense = _dense_complex_operators(window)
+        assert np.array_equal(ops.adjacency.toarray(), dense.adjacency)
+        assert np.array_equal(np.diag(ops.position), dense.grading)
+        assert np.array_equal(1j * s, dense.momentum)
+        assert np.array_equal(1j * ops.skew_conjugate.toarray(), dense.conjugate)
+
+
+def test_build_operators_store_one_entry_per_edge_orientation():
+    windows = (line_window(12, 2), grid2d_window(5, 7, 1), DirectedGraphWindow([0, 1, 2], [], 0),
+               DirectedGraphWindow([0, 1, 2, 10, 11], [(0, 1), (1, 2), (10, 11)], 0))
+    for window in windows:
+        ops = build_operators(window)
+        matrices = {f.name: getattr(ops, f.name) for f in dataclasses.fields(ops)
+                    if getattr(getattr(ops, f.name), "ndim", 1) == 2}
+        assert matrices.keys() == {"adjacency", "skew_momentum", "skew_conjugate"}
+        for name, matrix in matrices.items():
+            assert sparse.issparse(matrix) and matrix.format == "csr", name
+            assert matrix.dtype == np.float64, name
+            assert matrix.nnz == 2 * len(window.edges), name
+        assert ops.position.shape == (len(window.vertices),)
 
 
 def test_build_operators_rejects_cycle4():
@@ -144,12 +196,12 @@ def test_interior_identities_exact_once_margin_clears():
     assert res_grid.degree_identity == 0.0
 
 
-def _dense_interior_residuals(ops):
+def _dense_interior_residuals(dense):
     """The four-product route: both commutators in full, then the interior rows."""
-    h, k, a = ops.adjacency, ops.momentum, ops.conjugate
+    h, k, a = dense.adjacency, dense.momentum, dense.conjugate
     comm_kh = k @ h - h @ k
     ident = 1j * (h @ a - a @ h) - k @ k
-    rows = ops.interior_rows
+    rows = dense.interior_rows
     return (float(np.max(np.linalg.norm(comm_kh[rows, :], axis=1))),
             float(np.max(np.linalg.norm(ident[rows, :], axis=1))))
 
@@ -160,7 +212,7 @@ def test_interior_residuals_match_dense_products_exactly():
     for window in windows:
         ops = build_operators(window)
         res = interior_residuals(ops)
-        oracle = _dense_interior_residuals(ops)
+        oracle = _dense_interior_residuals(_dense_complex_operators(window))
         assert (res.momentum_commutator, res.degree_identity) == oracle
     # the margin-0 grid keeps its seam rows, so the comparison is not 0 == 0
     assert min(oracle) > 0.0
@@ -221,10 +273,10 @@ def test_grid24_kernel_dimension():
     assert rep.probe_row == 11 * 24 + 11
 
 
-def _complex_degree_route(ops, flow_times=(0.5, 1.0, 2.0)):
+def _complex_degree_route(dense, flow_times=(0.5, 1.0, 2.0)):
     """The complex route: the degree by two solves, eigvalsh of it and of K,
     and the flow probe through a complex eigh of H."""
-    h, k = ops.adjacency, ops.momentum
+    h, k = dense.adjacency, dense.momentum
     eye = np.eye(h.shape[0])
     x = np.linalg.solve(h + 1j * eye, k @ k)
     degree = np.linalg.solve((h - 1j * eye).T, x.T).T
@@ -233,7 +285,7 @@ def _complex_degree_route(ops, flow_times=(0.5, 1.0, 2.0)):
     kernel_degree = int(np.count_nonzero(_kernel_mask(spectrum, 1e-8)))
     kernel_momentum = int(np.count_nonzero(_kernel_mask(np.linalg.eigvalsh(k), 1e-8)))
     probe = np.zeros(h.shape[0], dtype=complex)
-    probe[ops.center_row] = 1.0
+    probe[dense.center_row] = 1.0
     eigvals, eigvecs = np.linalg.eigh(h)
     flow = {}
     for s in flow_times:
@@ -241,6 +293,19 @@ def _complex_degree_route(ops, flow_times=(0.5, 1.0, 2.0)):
         outward = eigvecs @ (np.exp(1j * s * eigvals) * (eigvecs.conj().T @ (degree @ inward)))
         flow[s] = float(np.linalg.norm(outward - degree @ probe))
     return spectrum, kernel_degree, kernel_momentum, flow
+
+
+def _assert_degree_matches_the_complex_route(rep, dense):
+    spectrum, kernel_degree, kernel_momentum, flow = _complex_degree_route(dense)
+    assert rep.kernel_dim_degree == kernel_degree
+    assert rep.kernel_dim_momentum == kernel_momentum
+    scale = float(np.max(np.abs(spectrum), initial=0.0))
+    assert rep.degree_eigenvalues.shape == spectrum.shape
+    assert np.max(np.abs(rep.degree_eigenvalues - spectrum), initial=0.0) <= 1e-12 * scale
+    assert abs(rep.psd_min_eigenvalue - float(spectrum.min())) <= 1e-12 * scale
+    assert rep.flow_residuals.keys() == flow.keys()
+    for s, value in flow.items():
+        assert abs(rep.flow_residuals[s] - value) <= 1e-12
 
 
 def test_graph_degree_reads_kernels_from_eigenvalues(monkeypatch):
@@ -265,37 +330,47 @@ def test_graph_degree_reads_kernels_from_eigenvalues(monkeypatch):
         ops = build_operators(window)
         rep = graph_degree(ops)
         assert calls == []
-        spectrum, kernel_degree, kernel_momentum, flow = _complex_degree_route(ops)
-        assert rep.kernel_dim_degree == kernel_degree
-        assert rep.kernel_dim_momentum == kernel_momentum
-        scale = float(np.max(np.abs(spectrum), initial=0.0))
-        assert rep.degree_eigenvalues.shape == spectrum.shape
-        assert np.max(np.abs(rep.degree_eigenvalues - spectrum), initial=0.0) <= 1e-12 * scale
-        assert abs(rep.psd_min_eigenvalue - float(spectrum.min())) <= 1e-12 * scale
-        assert rep.flow_residuals.keys() == flow.keys()
-        for s, value in flow.items():
-            assert abs(rep.flow_residuals[s] - value) <= 1e-12
+        _assert_degree_matches_the_complex_route(rep, _dense_complex_operators(window))
+
+
+_windows = st.one_of(
+    st.builds(grid2d_window, st.integers(2, 14), st.integers(2, 14), st.integers(0, 3)),
+    st.builds(line_window, st.integers(2, 80), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=40)
+@given(window=_windows)
+def test_edge_route_matches_the_dense_complex_route(window):
+    ops, dense = build_operators(window), _dense_complex_operators(window)
+    if ops.interior_rows.size:
+        res = interior_residuals(ops)
+        assert (res.momentum_commutator, res.degree_identity) == _dense_interior_residuals(dense)
+    else:
+        with pytest.raises(ValueError):
+            interior_residuals(ops)
+    _assert_degree_matches_the_complex_route(graph_degree(ops), dense)
 
 
 def test_graph_degree_rejects_operators_outside_the_real_route():
     ops = build_operators(line_window(6, 1))
-    for field, perturb in (("adjacency", 1e-3j), ("momentum", 1e-3)):
-        bad = copy.deepcopy(ops)
-        getattr(bad, field)[0, 1] += perturb
+    # an imaginary part of H, or a real part of K = iS, makes the field complex
+    for field, perturb in (("adjacency", 1e-3j), ("skew_momentum", -1e-3j)):
+        matrix = getattr(ops, field).astype(complex)
+        matrix[0, 1] += perturb
         with pytest.raises(StructureError):
-            graph_degree(bad)
+            graph_degree(dataclasses.replace(ops, **{field: matrix}))
     # an entry between two even positions cannot come from an admissible edge
-    bad = copy.deepcopy(ops)
-    bad.momentum[0, 2], bad.momentum[2, 0] = 1j, -1j
+    same_parity = sparse.csr_array(([1.0, -1.0], ([0, 2], [2, 0])), shape=ops.skew_momentum.shape)
     with pytest.raises(StructureError):
-        graph_degree(bad)
+        graph_degree(dataclasses.replace(ops, skew_momentum=ops.skew_momentum + same_parity))
 
 
 def test_empty_edge_set_gives_zero_operators():
     w = DirectedGraphWindow([0, 1, 2], [], 0)
     ops = build_operators(w)
-    assert max_norm(ops.adjacency) == 0.0
-    assert max_norm(ops.conjugate) == 0.0
+    assert max_norm(ops.adjacency.toarray()) == 0.0
+    assert max_norm(ops.skew_conjugate.toarray()) == 0.0
     rep = graph_degree(ops)
     assert rep.kernel_dim_degree == 3 and rep.kernel_dim_momentum == 3
     assert rep.kernel_match
