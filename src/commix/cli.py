@@ -119,9 +119,17 @@ def _get_power_of_two(value, path, minimum):
 
 
 def _get_number(value, path):
+    # json.loads reads NaN, Infinity and integers beyond the float range,
+    # which no field of a config may hold
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(path, f"expected a finite number, got {number!r}")
+    return number
 
 
 def _get_str(value, path):

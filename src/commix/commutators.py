@@ -33,7 +33,6 @@ __all__ = [
     "DegreeEstimate",
     "IdentityCheck",
     "FlowIdentityCheck",
-    "MixingBound",
     "unitary_symbol",
     "selfadjoint_symbol",
     "birkhoff_discrete",
@@ -43,8 +42,6 @@ __all__ = [
     "estimate_degree",
     "epsilon_commutator",
     "epsilon_commutator_slope",
-    "mixing_bound",
-    "project_onto_window",
     "tilde_conjugate",
     "flow_identity_check",
 ]
@@ -472,84 +469,6 @@ class SmoothWindow:
     @property
     def plateau(self):
         return (self.lower + self.ramp, self.upper - self.ramp)
-
-
-@dataclass(frozen=True)
-class MixingBound:
-    steps: int
-    lhs: float
-    rhs: float
-    cauchy_term: float
-    commutator_term: float
-
-    @property
-    def satisfied(self):
-        return self.lhs <= self.rhs + 1e-9
-
-
-def project_onto_window(degree, window, vector):
-    """Project onto the eigenspaces where the window plateaus at 1, then normalize."""
-    d = as_square_matrix(degree, "degree")
-    eigvals, eigvecs = np.linalg.eigh((d + d.conj().T) / 2.0)
-    mask = window(eigvals) >= 1.0 - 1e-12
-    v = np.asarray(vector, dtype=complex).reshape(-1)
-    out = eigvecs[:, mask] @ (eigvecs[:, mask].conj().T @ v)
-    norm = np.linalg.norm(out)
-    if norm == 0.0:
-        raise ValueError("vector has no component in the window plateau")
-    return out / norm
-
-
-def mixing_bound(pair, degree, window, phi, psi, steps, precondition_tol=1e-8):
-    """Evaluate both sides of the windowed correlation bound.
-
-    ``phi`` must already satisfy ``phi = window(D) phi`` (project first, e.g.
-    with :func:`project_onto_window`); the bound then reads
-
-        |<phi, U^N psi>|  <=  ||(D_N - D) D^{-1} w(D) phi|| ||psi||
-                              + (1/N)(||A x|| ||psi|| + ||x|| ||A psi||)
-
-    with ``x = D^{-1} w(D) phi``, and holds exactly for any Hermitian ``D``.
-    """
-    if pair.kind != "discrete":
-        raise ValueError("mixing_bound needs a discrete pair")
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    d = as_square_matrix(degree, "degree")
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if phi.shape[0] != pair.dim or psi.shape[0] != pair.dim:
-        raise ValueError("vector dimension mismatch")
-
-    eigvals, eigvecs = np.linalg.eigh((d + d.conj().T) / 2.0)
-    weights = window(eigvals)
-    windowed = eigvecs @ (weights * (eigvecs.conj().T @ phi))
-    drift = np.linalg.norm(phi - windowed)
-    if drift > precondition_tol * max(np.linalg.norm(phi), 1e-300):
-        raise ValueError(
-            f"phi is not window-invariant (||phi - w(D) phi|| = {drift:.3e}); "
-            "project it onto the window plateau first"
-        )
-    inv_weights = np.where(weights > 0.0, weights / np.where(weights > 0.0, eigvals, 1.0), 0.0)
-    x = eigvecs @ (inv_weights * (eigvecs.conj().T @ phi))
-
-    a = pair.conjugate
-    total, power = _conjugation_sum(pair.main, pair.symbol, steps)
-    avg = total / steps
-    lhs = abs(np.vdot(phi, power @ psi))
-    norm_psi = float(np.linalg.norm(psi))
-    cauchy_term = float(np.linalg.norm((avg - d) @ x)) * norm_psi
-    commutator_term = (
-        float(np.linalg.norm(a @ x)) * norm_psi + float(np.linalg.norm(x)) * float(np.linalg.norm(a @ psi))
-    ) / steps
-    return MixingBound(
-        steps=steps,
-        lhs=float(lhs),
-        rhs=cauchy_term + commutator_term,
-        cauchy_term=cauchy_term,
-        commutator_term=commutator_term,
-    )
 
 
 def tilde_conjugate(pair):

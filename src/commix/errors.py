@@ -1,5 +1,17 @@
 """Exception and warning types shared across the toolkit."""
 
+__all__ = [
+    "DimensionError",
+    "StructureError",
+    "EvaluationError",
+    "SpectralSingularityError",
+    "ResolutionError",
+    "AdmissibilityError",
+    "SchemaError",
+    "SpectralCutWarning",
+    "RationalApproximationWarning",
+]
+
 
 class DimensionError(ValueError):
     """Operands are not square, or their shapes do not match."""

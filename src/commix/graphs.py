@@ -269,7 +269,6 @@ class GraphOperators:
     skew_momentum: object
     skew_conjugate: object
     position: np.ndarray
-    index: dict
     interior_rows: np.ndarray
     center_row: int
 
@@ -294,7 +293,6 @@ def build_operators(window, report=None):
     from scipy import sparse
 
     verts = window.vertices
-    index = {v: i for i, v in enumerate(verts)}
     dim = len(verts)
     position = np.array([report.position[v] for v in verts], dtype=float)
     ends = np.searchsorted(verts, np.array(window.edges, dtype=int).reshape(-1, 2))
@@ -306,13 +304,13 @@ def build_operators(window, report=None):
         return sparse.csr_array((values, (rows, cols)), shape=(dim, dim))
 
     skew_momentum = on_edges(signs)
-    interior_rows = np.array([index[v] for v in window.interior], dtype=int)
+    interior_rows = np.searchsorted(verts, np.array(window.interior, dtype=int))
     # deepest vertex: maximal distance from the inferred boundary, then
     # smallest id; this is where probe-based diagnostics see least pollution
     if window.boundary and window.interior:
         dist = window._distances_from(window.boundary)
         center = min(window.interior, key=lambda v: (-dist.get(v, 0), v))
-        center_row = index[center]
+        center_row = int(np.searchsorted(verts, center))
     else:
         center_row = dim // 2
     return GraphOperators(
@@ -320,7 +318,6 @@ def build_operators(window, report=None):
         skew_momentum=skew_momentum,
         skew_conjugate=on_edges(signs * (position[rows] + position[cols]) / 2.0),
         position=position,
-        index=index,
         interior_rows=interior_rows,
         center_row=center_row,
     )

@@ -1,4 +1,4 @@
-"""Correlation decay diagnostics: series, summability, spectra, Fourier tails.
+"""Correlation decay diagnostics: series, summability and Fourier tails.
 
 Everything here consumes plain dense matrices and vectors.  The routines are
 deliberately model-agnostic; the model constructors in :mod:`commix.skew` and
@@ -27,8 +27,6 @@ __all__ = [
     "correlation_continuous",
     "SummabilityReport",
     "DecayReport",
-    "PerpSpectrumReport",
-    "eigen_in_perp",
     "FourierCalculus",
 ]
 
@@ -208,54 +206,6 @@ class DecayReport:
         self.tail_peak = float(tail)
         self.fraction = float(fraction)
         self.decaying = tail <= fraction * head
-
-
-class PerpSpectrumReport:
-    """Eigenpairs of an operator compressed to the complement of a kernel.
-
-    The compression ``B = Q* S Q`` uses an orthonormal basis ``Q`` of the
-    complement; eigenvectors are lifted back and their residuals
-    ``||S w - lambda w||`` are measured against the full matrix.  A finite
-    truncation of an infinite model happily produces small residuals here
-    even when the infinite operator has no point spectrum at all, so treat
-    these numbers as statements about the matrix given, nothing more.
-    """
-
-    def __init__(self, eigenvalues, vectors, residuals, hermitian):
-        self.eigenvalues = eigenvalues
-        self.vectors = vectors
-        self.residuals = residuals
-        self.hermitian = hermitian
-
-    def below_residual(self, cutoff):
-        return [i for i, r in enumerate(self.residuals) if r < cutoff]
-
-
-def eigen_in_perp(operator, split):
-    """Diagonalize ``operator`` compressed to the complement encoded by ``split``."""
-    s = as_square_matrix(operator, "operator")
-    p_perp = split.P_perp
-    if p_perp.shape != s.shape:
-        raise ValueError("kernel split dimension mismatch")
-    eigvals, eigvecs = np.linalg.eigh((p_perp + p_perp.conj().T) / 2.0)
-    cols = eigvecs[:, eigvals > 0.5]
-    if cols.shape[1] == 0:
-        return PerpSpectrumReport(np.zeros(0, complex), np.zeros((s.shape[0], 0), complex), [], True)
-    b = cols.conj().T @ s @ cols
-    herm = max_norm(b - b.conj().T) <= 1e-10 * max(1.0, max_norm(b))
-    if herm:
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-        vals = vals.astype(complex)
-    else:
-        vals, vecs = np.linalg.eig(b)
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    lifted = cols @ vecs
-    residuals = [
-        float(np.linalg.norm(s @ lifted[:, k] - vals[k] * lifted[:, k])) for k in range(vals.shape[0])
-    ]
-    return PerpSpectrumReport(vals, lifted, residuals, herm)
 
 
 class FourierCalculus:

@@ -1,8 +1,8 @@
 """Dense-matrix foundation layer, in real or complex arithmetic.
 
-Structure checks, eigendecomposition-based functional calculus, spectral and
-kernel projectors, the Cayley transform between unitary and self-adjoint
-matrices, and a versioned JSON round trip for complex matrices.
+Structure checks, eigendecompositions, kernel projectors, the Cayley
+transform between unitary and self-adjoint matrices, and a versioned payload
+format for complex matrices.
 
 Matrices keep the narrowest exact arithmetic: :func:`as_square_matrix` gives
 float64 for real input and complex128 for complex input.  Real input stays
@@ -18,7 +18,6 @@ allocated, so matrices can be shared read-only between threads.
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -41,15 +40,11 @@ __all__ = [
     "spectral_norm",
     "check_structure",
     "spectral_decomposition",
-    "functional_calculus",
-    "spectral_projector",
     "kernel_split",
     "cayley_transform",
     "inverse_cayley_transform",
     "matrix_to_payload",
     "matrix_from_payload",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 MATRIX_FORMAT = "complex-matrix"
@@ -208,54 +203,6 @@ def _evaluate_on_spectrum(fn, eigenvalues):
     if not np.all(finite):
         raise EvaluationError(f"function is undefined (non-finite) at eigenvalue(s) {eigenvalues[~finite]}")
     return values
-
-
-def functional_calculus(matrix, fn, hermitian_tol=1e-10, normal_tol=1e-8):
-    """Evaluate ``fn`` on a normal matrix through its eigendecomposition.
-
-    ``fn`` may be a numpy-vectorized callable or a plain scalar function; it
-    receives real arguments when the input is Hermitian and complex arguments
-    otherwise.
-
-    Returns ``V diag(fn(lambda)) V*``.
-    """
-    dec = spectral_decomposition(matrix, hermitian_tol=hermitian_tol, normal_tol=normal_tol)
-    values = _evaluate_on_spectrum(fn, dec.eigenvalues)
-    return dec.assemble(values)
-
-
-def spectral_projector(matrix, predicate, tol=1e-9):
-    """Orthogonal projector onto eigenspaces whose eigenvalue satisfies ``predicate``.
-
-    If an eigenvalue sits within ``tol`` of the predicate's decision boundary
-    (the predicate changes value under a +/- ``tol`` perturbation), a
-    SpectralCutWarning carrying that eigenvalue is emitted; the projector is
-    still returned.
-    """
-    dec = spectral_decomposition(matrix)
-    real_spectrum = bool(np.all(dec.eigenvalues.imag == 0.0))
-    mask = np.zeros(dec.dim, dtype=bool)
-    for i, lam in enumerate(dec.eigenvalues):
-        arg = float(lam.real) if real_spectrum else complex(lam)
-        here = bool(predicate(arg))
-        mask[i] = here
-        probes = (arg - tol, arg + tol)
-        if not real_spectrum:
-            probes = probes + (arg - 1j * tol, arg + 1j * tol)
-        for p in probes:
-            try:
-                other = bool(predicate(p))
-            except Exception:
-                continue
-            if other != here:
-                warnings.warn(
-                    f"eigenvalue {lam} lies within {tol:.1e} of the predicate boundary",
-                    SpectralCutWarning,
-                    stacklevel=2,
-                )
-                break
-    cols = dec.eigenvectors[:, mask]
-    return cols @ cols.conj().T
 
 
 def _resolvent_sandwich(h, x):
@@ -442,14 +389,3 @@ def _first_bad_entry(entries):
         if not finite:
             return f"entry {i} is not finite"
 
-
-def matrix_to_json(matrix):
-    return json.dumps(matrix_to_payload(matrix))
-
-
-def matrix_from_json(text):
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"matrix document is not valid JSON: {exc}") from exc
-    return matrix_from_payload(payload)

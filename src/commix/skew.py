@@ -2,8 +2,7 @@
 
 Concrete builders for the worked examples: abelian sector operators driven by
 a winding-plus-perturbation cocycle, their scalar degree fields, SU(2)-valued
-cocycles with matrix degree fields, the frequency-separation arithmetic for
-the two-frequency unitary family, and the cyclic shift/position pair.
+cocycles with matrix degree fields, and the cyclic shift/position pair.
 
 Sector operators are applied function-analytically on periodic grids; the
 matrix truncation exists as a cross-check and for spectral sweeps.  All grid
@@ -44,8 +43,6 @@ __all__ = [
     "SU2Cocycle",
     "SU2DegreeReport",
     "su2_degree_field",
-    "FrequencySeparation",
-    "u2_frequency_separation",
     "ShiftModel",
     "shift_weyl_model",
     "TruncationSweepEntry",
@@ -778,46 +775,6 @@ def su2_degree_field(cocycle, flow, shape, steps, kernel_tol=1e-8):
         predicted_eigenvalues=predicted,
         kernel_dim=kernel_dim,
         sup_deviation=sup_dev,
-    )
-
-
-@dataclass(frozen=True)
-class FrequencySeparation:
-    member: bool
-    infimum: float
-    minimizer: int
-    values: tuple
-
-
-def u2_frequency_separation(m, n, b1, b2, y, tol=1e-12):
-    """Separation of the mixed frequencies |(2m-n) b_+.y + (2k-n) b_-.y|.
-
-    The two-frequency unitary family mixes a determinant character with a
-    spin-n/2 representation; its sectors decay only when every combined
-    frequency stays away from zero.  Returns the minimum over k = 0..n, the
-    minimizing k, and whether the strict-positivity test passes.
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError("representation label must be nonnegative")
-    m = int(m)
-    b1 = np.atleast_1d(np.asarray(b1))
-    b2 = np.atleast_1d(np.asarray(b2))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if b1.shape != b2.shape or b1.shape != y.shape:
-        raise ValueError("frequency vectors and translation must share a shape")
-    if not (np.all(b1 == np.round(b1)) and np.all(b2 == np.round(b2))):
-        raise ValueError("frequency vectors must be integer")
-    plus = float((b1 + b2) @ y)
-    minus = float((b1 - b2) @ y)
-    base = (2 * m - n) * plus
-    values = tuple(abs(base + (2 * k - n) * minus) for k in range(n + 1))
-    kmin = int(np.argmin(values))
-    return FrequencySeparation(
-        member=values[kmin] > tol,
-        infimum=values[kmin],
-        minimizer=kmin,
-        values=values,
     )
 
 

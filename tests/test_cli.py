@@ -249,6 +249,32 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["run", str(schema), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys):
+    nan_threshold = pair_config(thresholds={"identity_residual": float("nan")})
+    infinite_time = {"version": 1, "scenarios": [{
+        "name": "flow", "schedule": [0.5, float("inf")], "tasks": ["identities"],
+        "model": {"type": "matrix-pair", "generator": matrix_to_payload(np.diag([1.0, 2.0])),
+                  "conjugate": matrix_to_payload(np.eye(2))}}]}
+    nan_translation = {"version": 1, "scenarios": [{
+        "name": "t", "model": {"type": "torus", "y": [float("nan")]}, "tasks": ["degree"]}]}
+    huge_threshold = pair_config(thresholds={"decay_fraction": 10**400})
+    cases = [
+        (nan_threshold, "scenarios[0].thresholds.identity_residual: expected a finite number, got nan"),
+        (huge_threshold, "scenarios[0].thresholds.decay_fraction: expected a finite number, got inf"),
+        (infinite_time, "scenarios[0].schedule[1]: expected a finite number, got inf"),
+        (nan_translation, "scenarios[0].model.y[0]: expected a finite number, got nan"),
+    ]
+    for config, want in cases:
+        with pytest.raises(SchemaError) as info:
+            validate_config(config)
+        assert want in str(info.value)
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        path = write_config(tmp_path, config)
+        capsys.readouterr()
+        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert want in capsys.readouterr().err
+
+
 def test_malformed_graph_file_names_the_scenario_and_the_file(tmp_path, capsys):
     graph_file = tmp_path / "bad.graph"
     graph_file.write_text("# graph-window v1\n# vertices: 0..3\n# margin: 0\n0 9\n")

@@ -1,4 +1,4 @@
-"""Commutator identities, Birkhoff averages, and the windowed mixing bound."""
+"""Commutator identities, Birkhoff averages, and degree estimates."""
 
 import dataclasses
 
@@ -22,8 +22,6 @@ from commix import (
     estimate_degree,
     flow_identity_check,
     max_norm,
-    mixing_bound,
-    project_onto_window,
     selfadjoint_symbol,
     shift_weyl_model,
     spectral_norm,
@@ -326,40 +324,6 @@ def test_smooth_window_shape():
         SmoothWindow(0.1, 1.0, ramp=0.6)
 
 
-def test_project_onto_window():
-    d = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
-    w = SmoothWindow(2.4, 4.6)
-    rng = np.random.default_rng(115)
-    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    out = project_onto_window(d, w, v)
-    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
-    assert abs(out[0]) <= 1e-12 and abs(out[4]) <= 1e-12  # outside the plateau
-    with pytest.raises(ValueError):
-        project_onto_window(d, w, np.array([1.0, 0, 0, 0, 0]))
-
-
-def test_mixing_bound_holds_for_any_hermitian_reference():
-    rng = np.random.default_rng(116)
-    pair = random_discrete_pair(rng, 6)
-    d = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).astype(complex)
-    w = SmoothWindow(2.4, 4.6)
-    phi = project_onto_window(d, w, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    for steps in (1, 5, 20):
-        mb = mixing_bound(pair, d, w, phi, psi, steps)
-        assert mb.satisfied, f"N={steps}: lhs {mb.lhs:.3e} > rhs {mb.rhs:.3e}"
-        assert mb.rhs == pytest.approx(mb.cauchy_term + mb.commutator_term)
-
-
-def test_mixing_bound_rejects_uninvariant_vector():
-    rng = np.random.default_rng(117)
-    pair = random_discrete_pair(rng, 5)
-    d = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)
-    w = SmoothWindow(2.4, 4.6)
-    with pytest.raises(ValueError):
-        mixing_bound(pair, d, w, np.array([1.0, 0, 0, 0, 0]), np.ones(5), 4)
-
-
 def random_orthogonal(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diagonal(r))
@@ -429,16 +393,6 @@ def test_identity_check_alternative_is_degree_alternative_bit_for_bit(steps):
         assert alternative.tobytes() == oracle.tobytes()
 
 
-def _mixing_inputs(rng, dim):
-    # any Hermitian D will do; its spectrum sits inside the window plateau
-    q = random_orthogonal(rng, dim)
-    degree = (q * rng.uniform(0.7, 1.3, dim)) @ q.T
-    window = SmoothWindow(0.2, 2.0)
-    phi = project_onto_window(degree, window, rng.standard_normal(dim))
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return degree, window, phi, psi / np.linalg.norm(psi)
-
-
 @settings(max_examples=30)
 @given(dim=st.integers(2, 24), steps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
 def test_real_pairs_agree_with_their_complex_twins(dim, steps, seed):
@@ -463,14 +417,6 @@ def test_real_pairs_agree_with_their_complex_twins(dim, steps, seed):
 
     calc, twin_calc = FourierCalculus(u, fn, 8, 1.0), FourierCalculus(twin.main, fn, 8, 1.0)
     assert max_norm(calc.reconstruction - twin_calc.reconstruction) <= 1e-12
-
-    degree, window, phi, psi = _mixing_inputs(rng, dim)
-    bound = mixing_bound(pair, degree, window, phi, psi, steps)
-    twin_bound = mixing_bound(twin, degree.astype(complex), window, phi, psi, steps)
-    bound_scale = max(1.0, twin_bound.rhs)
-    assert abs(bound.lhs - twin_bound.lhs) <= 1e-12 * bound_scale
-    assert abs(bound.rhs - twin_bound.rhs) <= 1e-12 * bound_scale
-    assert bound.satisfied
 
 
 @settings(max_examples=20)
@@ -505,6 +451,3 @@ def test_shift_model_is_bit_identical_in_real_and_complex_arithmetic(window, ste
     assert (check.residual, check.expected) == (twin_check.residual, twin_check.expected)
     assert np.array_equal(check.average, twin_check.average)
     assert np.array_equal(check.alternative, twin_check.alternative)
-    degree, window_fn, phi, psi = _mixing_inputs(rng, window)
-    assert mixing_bound(pair, degree, window_fn, phi, psi, exact) == \
-        mixing_bound(twin, degree, window_fn, phi, psi, exact)

@@ -13,8 +13,6 @@ from commix import (
     SummabilityReport,
     correlation_continuous,
     correlation_discrete,
-    eigen_in_perp,
-    kernel_split,
     max_norm,
 )
 
@@ -127,33 +125,6 @@ def test_summability_needs_enough_samples():
         SummabilityReport(make_series(np.ones(8)))
     with pytest.raises(ValueError):
         DecayReport(make_series(np.ones(4)))
-
-
-def test_eigen_in_perp_diagonal():
-    d = np.diag([0.0, 0.0, 5.0, 6.0]).astype(complex)
-    split = kernel_split(d)
-    rep = eigen_in_perp(d, split)
-    assert rep.hermitian
-    assert np.allclose(rep.eigenvalues, [5.0, 6.0])
-    assert all(r <= 1e-12 for r in rep.residuals)
-    assert rep.below_residual(1e-10) == [0, 1]
-    # lifted vectors stay inside the complement
-    assert max_norm(split.P_ker @ rep.vectors) <= 1e-12
-
-
-def test_eigen_in_perp_nonhermitian_compression():
-    u = np.diag(np.exp(1j * np.array([0.0, 0.0, 1.0, 2.5])))
-    split = kernel_split(np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex))
-    rep = eigen_in_perp(u, split)
-    assert not rep.hermitian
-    assert np.allclose(np.abs(rep.eigenvalues), 1.0)
-    assert all(r <= 1e-12 for r in rep.residuals)
-
-
-def test_eigen_in_perp_dimension_mismatch():
-    split = kernel_split(np.diag([0.0, 1.0]).astype(complex))
-    with pytest.raises(ValueError):
-        eigen_in_perp(np.eye(3, dtype=complex), split)
 
 
 def test_fourier_trig_polynomial_exact():

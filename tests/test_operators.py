@@ -1,11 +1,9 @@
-"""Structure checks, spectral calculus, Cayley maps, and matrix serialization."""
+"""Structure checks, spectral decompositions, Cayley maps, and matrix serialization."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from commix import (
     DimensionError,
@@ -15,17 +13,13 @@ from commix import (
     StructureError,
     cayley_transform,
     check_structure,
-    functional_calculus,
     inverse_cayley_transform,
     kernel_split,
-    matrix_from_json,
     matrix_from_payload,
-    matrix_to_json,
     matrix_to_payload,
     max_norm,
     spectral_decomposition,
     spectral_norm,
-    spectral_projector,
 )
 from commix.operators import _resolvent_sandwich, as_square_matrix
 
@@ -81,37 +75,6 @@ def test_spectral_decomposition_rejects_nonnormal():
         spectral_decomposition(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
-def test_functional_calculus_matches_expm():
-    rng = np.random.default_rng(31)
-    h = random_hermitian(rng, 10)
-    lhs = functional_calculus(h, lambda lam: np.exp(1j * lam))
-    assert max_norm(lhs - expm(1j * h)) <= 1e-12 * max(1.0, spectral_norm(h))
-
-
-def test_functional_calculus_polynomial_on_unitary():
-    rng = np.random.default_rng(32)
-    u = random_unitary(rng, 8)
-    sq = functional_calculus(u, lambda lam: lam**2)
-    assert max_norm(sq - u @ u) <= 1e-12
-
-
-def test_spectral_projector_properties():
-    rng = np.random.default_rng(41)
-    h = random_hermitian(rng, 10)
-    p = spectral_projector(h, lambda lam: lam.real < 0.0)
-    q = spectral_projector(h, lambda lam: lam.real >= 0.0)
-    assert max_norm(p @ p - p) <= 1e-10
-    assert max_norm(p - p.conj().T) <= 1e-10
-    assert max_norm(p + q - np.eye(10)) <= 1e-10
-
-
-def test_spectral_projector_warns_on_boundary_eigenvalue():
-    h = np.diag([0.0, 0.5, 1.0]).astype(complex)
-    with pytest.warns(SpectralCutWarning):
-        p = spectral_projector(h, lambda lam: lam.real <= 0.5)
-    assert abs(np.trace(p).real - 2.0) <= 1e-10
-
-
 def test_kernel_split_counts_and_projectors():
     d = np.diag([0.0, 0.0, 1e-12, 0.3, 2.0]).astype(complex)
     split = kernel_split(d, tol=1e-8)
@@ -163,14 +126,6 @@ def test_matrix_payload_round_trip():
     assert payload["format"] == "complex-matrix"
     assert payload["version"] == 1
     assert np.array_equal(matrix_from_payload(payload), m)
-
-
-def test_matrix_json_round_trip():
-    rng = np.random.default_rng(62)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    text = matrix_to_json(m)
-    json.loads(text)  # must be plain JSON
-    assert np.array_equal(matrix_from_json(text), m)
 
 
 def test_matrix_payload_schema_errors():
@@ -256,8 +211,8 @@ def test_real_input_gives_the_values_of_its_complex_cast():
     for m in (u, h):
         dec, twin = spectral_decomposition(m), spectral_decomposition(m.astype(complex))
         assert max_norm(np.sort_complex(dec.eigenvalues) - np.sort_complex(twin.eigenvalues)) <= 1e-12
-        twin_exp = functional_calculus(m.astype(complex), np.exp)
-        assert max_norm(functional_calculus(m, np.exp) - twin_exp) <= 1e-12
+        twin_exp = twin.assemble(np.exp(twin.eigenvalues))
+        assert max_norm(dec.assemble(np.exp(dec.eigenvalues)) - twin_exp) <= 1e-12
     split, twin_split = kernel_split(low_rank), kernel_split(low_rank.astype(complex))
     assert split.ker_dim == twin_split.ker_dim == 2
     assert max_norm(split.P_ker - twin_split.P_ker) <= 1e-12

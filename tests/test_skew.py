@@ -29,7 +29,6 @@ from commix import (
     su2_degree_field,
     su2_irrep,
     torus_degree_field,
-    u2_frequency_separation,
     unit_grid,
     unitary_symbol,
 )
@@ -465,21 +464,6 @@ def test_su2_degree_equivariance():
     moved = su2_degree_field(SU2Cocycle(h, [1], modes, 2), flow, (128,), 200)
     pih = su2_irrep(2, h)
     assert max_norm(moved.limit_estimate - pih @ plain.limit_estimate @ pih.conj().T) <= 1e-8
-
-
-def test_u2_frequency_separation():
-    y = np.array([GOLDEN])
-    b1, b2 = np.array([2.0]), np.array([1.0])
-    resonant = u2_frequency_separation(1, 2, b1, b2, y)
-    assert not resonant.member
-    assert resonant.infimum == 0.0
-    assert resonant.minimizer == 1
-    clean = u2_frequency_separation(0, 1, b1, b2, y)
-    assert clean.member
-    assert clean.infimum == pytest.approx(2 * GOLDEN)
-    assert clean.values == pytest.approx((4 * GOLDEN, 2 * GOLDEN))
-    with pytest.raises(ValueError):
-        u2_frequency_separation(0, 1, np.array([0.5]), b2, y)
 
 
 def test_shift_model_seam_symbol():
