@@ -69,7 +69,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario
@@ -814,6 +814,7 @@ class ScenarioRunner:
             "n_max": calc.n_max,
             "grid": calc.grid,
             "recon_error": calc.recon_error,
+            "decomposition_residual": calc.decomposition_residual,
             "decay_exponent": calc.decay_exponent,
             "holder_constant": calc.holder_constant,
             "tail_bound": calc.tail_bound,

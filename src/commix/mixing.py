@@ -217,7 +217,9 @@ class FourierCalculus:
     directly (``U^{-n}`` as ``(U*)^n``, eigenvalue ``conj(lambda)^n``).  With a
     smoothness exponent ``gamma`` the coefficient envelope
     ``C (1+|n|)^{-(2+gamma)}`` yields an a-priori tail bound that must
-    dominate the observed reconstruction error.
+    dominate the observed reconstruction error.  ``decomposition_residual`` is
+    the eigensolver residual of that decomposition
+    (:attr:`SpectralDecomposition.residual`).
     """
 
     def __init__(self, unitary, fn, n_max, gamma, grid=None):
@@ -259,10 +261,14 @@ class FourierCalculus:
         self.grid = grid
 
         dec = spectral_decomposition(u)
+        self.decomposition_residual = dec.residual
         lam = dec.eigenvalues
-        powers = lam[None, :] ** np.abs(ns)[:, None]
-        powers[ns < 0] = np.conj(powers[ns < 0])
-        recon = dec.assemble(self.coefficients @ powers)
+        # lambda^n for n = 0..n_max by one cumulative product; order -n reads conj(lambda^n)
+        powers = np.ones((n_max + 1, lam.size), dtype=complex)
+        powers[1:] = lam
+        powers = np.cumprod(powers, axis=0)
+        values = self.coefficients[n_max:] @ powers + self.coefficients[n_max - 1 :: -1] @ powers[1:].conj()
+        recon = dec.assemble(values)
         self.reconstruction = recon
 
         direct = dec.assemble(_evaluate_on_spectrum(lambda z: fn(np.angle(z) % (2.0 * np.pi)), lam))

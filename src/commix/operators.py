@@ -7,9 +7,9 @@ format for complex matrices.
 Matrices keep the narrowest exact arithmetic: :func:`as_square_matrix` gives
 float64 for real input and complex128 for complex input.  Real input stays
 real through products, norms, Hermitian eigenvectors and kernel projectors;
-routes whose values are complex (spectra in a SpectralDecomposition, Schur
-factors, Cayley maps, resolvents) return complex128.  A real matrix and its
-complex cast give the same values up to roundoff.
+routes whose values are complex (spectra and eigenvectors in a
+SpectralDecomposition, Cayley maps, resolvents) return complex128.  A real
+matrix and its complex cast give the same values up to roundoff.
 
 Every operation here is pure: inputs are never mutated and results are freshly
 allocated, so matrices can be shared read-only between threads.
@@ -144,27 +144,43 @@ class SpectralDecomposition:
         return (v * np.asarray(values, dtype=complex)) @ v.conj().T
 
 
+# the golden angle, an irrational multiple of pi: no two roots of unity and no
+# conjugate pair share a projection onto its direction
+_PROJECTION_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+
+
 def spectral_decomposition(matrix, hermitian_tol=1e-10, normal_tol=1e-8):
     """Eigendecompose a normal matrix with guaranteed-orthonormal eigenvectors.
 
     Hermitian inputs (detected at ``hermitian_tol`` relative max-norm) go
     through the symmetric eigensolver and come back with real eigenvalues.
-    Other normal matrices (unitaries in particular) go through a complex Schur
-    factorization, whose triangular factor is diagonal precisely in the normal
-    case; the Schur basis is then an orthonormal eigenbasis.
+    Other normal matrices (unitaries in particular) take one Hermitian
+    eigensolve too: the Hermitian and skew-Hermitian parts of a normal ``S``
+    commute, so the eigenvectors ``V`` of ``h = (e^{-i phi} S + e^{i phi} S*)/2``
+    (``phi`` the golden angle) diagonalise ``S`` wherever ``h`` separates its
+    eigenvalues.  Where it does not, ``T = V* S V`` still couples adjacent
+    columns; every run of columns ``a..b`` with a coupling ``|T_ab|`` above
+    ``8 sqrt(n) eps scale`` is finished by a complex Schur factorization of
+    its block of ``T``, which rotates those columns into eigenvectors.  The
+    eigenvalues are the diagonal of ``T`` and of the block Schur factors.  At
+    worst one run spans every column and the cost is one full Schur on top of
+    the eigensolve.
 
     Raises
     ------
     StructureError
-        If the matrix is not normal at ``normal_tol`` (relative to the
-        squared scale of the matrix).
+        If an entry is not finite, or if the matrix is not normal at
+        ``normal_tol`` (relative to the squared scale of the matrix).
     """
     m = as_square_matrix(matrix)
+    if not np.isfinite(m).all():
+        raise StructureError("matrix has non-finite entries")
     scale = max(1.0, max_norm(m))
     if max_norm(m - m.conj().T) <= hermitian_tol * scale:
         h = (m + m.conj().T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(h)
         eigvals = eigvals.astype(complex)
+        image = m @ eigvecs
     else:
         defect = max_norm(m @ m.conj().T - m.conj().T @ m)
         if defect > normal_tol * scale * scale:
@@ -172,16 +188,39 @@ def spectral_decomposition(matrix, hermitian_tol=1e-10, normal_tol=1e-8):
                 f"matrix is not normal: ||SS* - S*S|| = {defect:.3e} "
                 f"exceeds {normal_tol:.1e} * scale^2"
             )
-        import scipy.linalg  # here, not at module level: it doubles the import time of commix
-
-        t, z = scipy.linalg.schur(m, output="complex")
-        eigvals = np.diag(t).copy()
-        eigvecs = z
+        eigvals, eigvecs, image = _normal_eigenbasis(m, scale)
     residual = 0.0
     if m.size:
-        r = m @ eigvecs - eigvecs * eigvals
+        r = image - eigvecs * eigvals
         residual = float(np.max(np.linalg.norm(r, axis=0)))
     return SpectralDecomposition(eigenvalues=eigvals, eigenvectors=eigvecs, residual=residual)
+
+
+def _normal_eigenbasis(m, scale):
+    """Eigenvalues, eigenvectors ``V`` and ``S V`` of a normal, non-Hermitian ``S``."""
+    rotated = np.exp(-1j * _PROJECTION_ANGLE) * m
+    _, v = np.linalg.eigh((rotated + rotated.conj().T) / 2.0)
+    image = m @ v
+    t = v.conj().T @ image
+    n = t.shape[0]
+    cut = 8.0 * np.sqrt(n) * np.finfo(float).eps * scale
+    coupled = np.abs(t) > cut
+    coupled |= coupled.T
+    cols = np.arange(n)
+    # column a reaches the last column it couples to; a run ends where no
+    # earlier column reaches past it
+    reach = np.maximum.accumulate(np.where(coupled, cols, cols[:, None]).max(axis=1, initial=0))
+    ends = np.flatnonzero(reach == cols) + 1
+    eigvals = np.diagonal(t).copy()
+    for start, stop in zip(np.concatenate(([0], ends[:-1])), ends):
+        if stop - start > 1:
+            import scipy.linalg  # here, not at module level: it doubles the import time of commix
+
+            block, z = scipy.linalg.schur(t[start:stop, start:stop], output="complex")
+            eigvals[start:stop] = np.diagonal(block)
+            v[:, start:stop] = v[:, start:stop] @ z
+            image[:, start:stop] = image[:, start:stop] @ z
+    return eigvals, v, image
 
 
 def _evaluate_on_spectrum(fn, eigenvalues):

@@ -146,7 +146,7 @@ def test_run_pair_identities(tmp_path, capsys):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == 4
+    assert report["version"] == cli.REPORT_VERSION == 5
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -680,7 +680,7 @@ def test_compare_names_both_report_versions(tmp_path, capsys):
     left = tmp_path / "a" / "report.json"
     doc = json.loads(left.read_text())
     older = tmp_path / "older.json"
-    older.write_text(json.dumps(dict(doc, version=3)))
+    older.write_text(json.dumps(dict(doc, version=cli.REPORT_VERSION - 1)))
     capsys.readouterr()
     assert main(["compare", str(older), str(left)]) == 2
-    assert "report versions differ (3 vs 4)" in capsys.readouterr().err
+    assert f"report versions differ ({cli.REPORT_VERSION - 1} vs {cli.REPORT_VERSION})" in capsys.readouterr().err

@@ -102,6 +102,22 @@ def test_birkhoff_discrete_matches_brute_conjugation():
             assert err <= 1e-12, f"dim={dim} N={steps}: {err:.3e}"
 
 
+@settings(max_examples=100)
+@given(dim=st.integers(1, 16), steps=st.integers(1, 300), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_doubling_matches_the_loop(dim, steps, real, seed):
+    rng = np.random.default_rng(seed)
+    if real:
+        u, m = random_orthogonal(rng, dim), random_symmetric(rng, dim)
+    else:
+        u, m = random_unitary(rng, dim), random_hermitian(rng, dim)
+    average = birkhoff_discrete(u, m, steps)
+    assert average.dtype == m.dtype
+    # the loop's roundoff grows with each of its N conjugations and with the
+    # length of the inner products in each
+    bound = 4.0 * (dim + steps) * np.finfo(float).eps * max(1.0, spectral_norm(m))
+    assert max_norm(average - loop_average(u, m, steps)) <= bound
+
+
 def test_birkhoff_discrete_bit_identical_on_shift():
     # products of permutation matrices are exact and the symbol's entries add
     # exactly, so doubling and the running sum must agree to the last bit

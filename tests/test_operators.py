@@ -1,9 +1,17 @@
 """Structure checks, spectral decompositions, Cayley maps, and matrix serialization."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from commix import (
     DimensionError,
@@ -21,7 +29,10 @@ from commix import (
     spectral_decomposition,
     spectral_norm,
 )
-from commix.operators import _resolvent_sandwich, as_square_matrix
+from commix import operators
+from commix.operators import _PROJECTION_ANGLE, _resolvent_sandwich, as_square_matrix
+
+EPS = np.finfo(float).eps
 
 
 def random_unitary(rng, dim):
@@ -73,6 +84,95 @@ def test_spectral_decomposition_rejects_nonnormal():
     # a Jordan block is the canonical failure
     with pytest.raises(StructureError):
         spectral_decomposition(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def test_spectral_decomposition_rejects_non_finite_entries():
+    # NaN slips past a tolerance test (nan > tol is False), so it is refused first
+    rng = np.random.default_rng(22)
+    for bad in (np.nan, np.inf):
+        for m in (random_unitary(rng, 4), np.eye(4), random_hermitian(rng, 4)):
+            m = m.copy()
+            m[1, 2] = bad
+            with pytest.raises(StructureError, match="non-finite"):
+                spectral_decomposition(m)
+
+
+def normal_matrix(rng, family, dim):
+    """A dim x dim normal matrix of the named family."""
+    if family == "orthogonal":
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        return q * np.sign(np.diagonal(r))
+    if family == "permutation":
+        return np.eye(dim)[rng.permutation(dim)]
+    if family == "unitary":
+        return random_unitary(rng, dim)
+    half = -(-dim // 2)
+    if family == "complex":
+        spectrum = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    elif family == "degenerate":
+        fold = int(rng.integers(2, 5))
+        spectrum = np.repeat(np.exp(2j * np.pi * rng.random(-(-dim // fold))), fold)[:dim]
+    elif family == "close":
+        base = np.exp(2j * np.pi * rng.random(half))
+        spectrum = np.stack([base, base * np.exp(1e-9j)], axis=1).ravel()[:dim]
+    else:  # "mirror": pairs symmetric about the projection angle share a projection
+        offset = np.pi * rng.random(half)
+        pairs = [np.exp(1j * (_PROJECTION_ANGLE + offset)), np.exp(1j * (_PROJECTION_ANGLE - offset))]
+        spectrum = np.stack(pairs, axis=1).ravel()[:dim]
+    basis = random_unitary(rng, dim)
+    return (basis * spectrum) @ basis.conj().T
+
+
+@settings(max_examples=250)
+@given(family=st.sampled_from(["unitary", "complex", "degenerate", "close", "mirror", "orthogonal", "permutation"]),
+       dim=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_spectral_decomposition_agrees_with_schur(family, dim, seed):
+    m = normal_matrix(np.random.default_rng(seed), family, dim)
+    dec = spectral_decomposition(m)
+    bound = 16.0 * dim * EPS * max(1.0, max_norm(m))
+    v = dec.eigenvectors
+    assert dec.residual <= bound
+    assert np.max(np.linalg.norm(m @ v - v * dec.eigenvalues, axis=0)) <= bound
+    assert max_norm(v.conj().T @ v - np.eye(dim)) <= bound
+    oracle = np.diagonal(scipy.linalg.schur(m.astype(complex), output="complex")[0])
+    distance = np.abs(dec.eigenvalues[:, None] - oracle[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    assert distance[rows, cols].max() <= bound
+
+
+def test_spectral_decomposition_finishes_with_small_schur_blocks(monkeypatch):
+    schur = scipy.linalg.schur
+    sizes = []
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", recording)
+    u = random_unitary(np.random.default_rng(23), 256)
+    dec = spectral_decomposition(u)
+    assert dec.residual <= 16.0 * 256 * EPS
+    assert max(sizes, default=0) <= 32
+
+
+def test_spectral_decomposition_imports_no_sparse_module():
+    # eigenvalues e^{i(phi +- 0.3)} share a projection, so the Hadamard basis
+    # below is mixed by the eigensolve and finished by a Schur block
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from commix.operators import _PROJECTION_ANGLE, spectral_decomposition\n"
+        "q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)\n"
+        "spectrum = np.exp(1j * (_PROJECTION_ANGLE + np.array([0.3, -0.3])))\n"
+        "dec = spectral_decomposition((q * spectrum) @ q.T)\n"
+        "print(dec.residual < 1e-14, 'scipy.linalg' in sys.modules,\n"
+        "      sorted(name for name in sys.modules if name.startswith('scipy.sparse')))\n"
+    )
+    src = str(pathlib.Path(operators.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "True True []"
 
 
 def test_kernel_split_counts_and_projectors():
