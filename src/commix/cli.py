@@ -69,7 +69,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 5
+REPORT_VERSION = 6
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario

@@ -89,19 +89,17 @@ class DirectedGraphWindow:
         degrees = {v: len(self._adj[v]) for v in verts}
         max_deg = max(degrees.values())
         self.boundary = sorted(v for v in verts if degrees[v] < max_deg)
-        dist = self._distances_from(self.boundary)
-        self.interior = sorted(v for v in verts if dist.get(v, np.inf) >= margin)
-
-    def _distances_from(self, sources):
-        dist = {v: 0 for v in sources}
-        queue = deque(sources)
+        # graph distance from the boundary, by breadth-first search
+        dist = {v: 0 for v in self.boundary}
+        queue = deque(self.boundary)
         while queue:
             v = queue.popleft()
             for w in self._adj[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)
-        return dist
+        self._boundary_distance = dist
+        self.interior = sorted(v for v in verts if dist.get(v, np.inf) >= margin)
 
     def neighbors(self, v):
         return self._adj[v]
@@ -308,7 +306,7 @@ def build_operators(window, report=None):
     # deepest vertex: maximal distance from the inferred boundary, then
     # smallest id; this is where probe-based diagnostics see least pollution
     if window.boundary and window.interior:
-        dist = window._distances_from(window.boundary)
+        dist = window._boundary_distance
         center = min(window.interior, key=lambda v: (-dist.get(v, 0), v))
         center_row = int(np.searchsorted(verts, center))
     else:
@@ -363,14 +361,14 @@ class GraphDegreeReport:
     note: str
 
 
-def graph_degree(ops, kernel_tol=1e-8, flow_times=(0.5, 1.0, 2.0)):
+def graph_degree(ops, kernel_tol=1e-8):
     """Degree operator (H+i)^{-1} K^2 (H-i)^{-1} and its consistency checks.
 
     Where [K, H] vanishes the degree equals K^2 (H^2+1)^{-1}, commutes with H,
     and conjugation by the flow e^{isH} leaves it fixed; the report records
     the kernel-rank comparison against K, the spectrum and its smallest
-    eigenvalue, and the flow-invariance residuals on a probe concentrated deep
-    in the interior.
+    eigenvalue, and the flow-invariance residuals at the times 0.5, 1 and 2
+    on a probe concentrated deep in the interior.
 
     Everything is computed in real arithmetic from one ``eigh`` of
     H = V diag(lam) V^T, with H real symmetric and K = iS, S real
@@ -421,7 +419,7 @@ def graph_degree(ops, kernel_tol=1e-8, flow_times=(0.5, 1.0, 2.0)):
     match = kernel_dim_degree == kernel_dim_momentum
     note = "" if match else "kernel ranks disagree; boundary pollution suspected, enlarge the margin"
 
-    times = np.asarray(flow_times, dtype=float)
+    times = np.array([0.5, 1.0, 2.0])
     cols = np.column_stack([q, np.exp(-1j * np.outer(lam, times)) * q[:, None]])
     # B is real: apply it to the interleaved real and imaginary parts at once
     b_cols = (b @ cols.view(float)).view(complex)

@@ -7,18 +7,17 @@ deliberately model-agnostic; the model constructors in :mod:`commix.skew` and
 
 from __future__ import annotations
 
+import functools
 import io
 
 import numpy as np
 
-from .errors import ResolutionError, SchemaError, StructureError
+from .errors import EvaluationError, ResolutionError, SchemaError
 from .operators import (
-    _evaluate_on_spectrum,
     as_square_matrix,
     check_structure,
     max_norm,
     spectral_decomposition,
-    spectral_norm,
 )
 
 __all__ = [
@@ -122,9 +121,7 @@ def correlation_discrete(unitary, phi, psi, horizon):
 def correlation_continuous(generator, phi, psi, times):
     """Series ``c_t = <phi, e^{-itH} psi>`` evaluated through one eigendecomposition."""
     h = as_square_matrix(generator, "generator")
-    rep = check_structure(h, "hermitian", tol=1e-8 * max(1.0, max_norm(h)))
-    if not rep.passed:
-        raise StructureError(f"generator is not Hermitian: deviation {rep.deviation:.3e}")
+    check_structure(h, "hermitian", 1e-8 * max(1.0, max_norm(h)), "generator")
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -141,14 +138,15 @@ class SummabilityReport:
 
     ``saturating`` asks whether the cumulative squared mass has flattened:
     the increments over the last third must contribute at most ``rel_tail``
-    of the total, or the total itself must sit below ``abs_floor``.  ``tail_slope`` is the log-log slope of the squared-modulus
+    of the total, or the total itself must sit at or below the roundoff floor
+    1e-28.  ``tail_slope`` is the log-log slope of the squared-modulus
     increments over the last half of the series (NaN when fewer than four
     positive increments are available).  For a power tail with slope < -1 the
     report extrapolates the remaining mass; otherwise the extrapolated total
     is infinite.
     """
 
-    def __init__(self, series, rel_tail=1e-4, abs_floor=1e-28):
+    def __init__(self, series, rel_tail=1e-4):
         if len(series) < 16:
             raise ValueError("summability needs at least 16 samples")
         self.series = series
@@ -161,7 +159,7 @@ class SummabilityReport:
         tail_mass = total - float(series.partial_l2[tail_start - 1])
         self.tail_mass = tail_mass
         # a series that never rises above roundoff is trivially summable
-        self.saturating = total <= abs_floor or tail_mass <= rel_tail * total
+        self.saturating = total <= 1e-28 or tail_mass <= rel_tail * total
 
         half = n // 2
         xs = series.abscissae[half:]
@@ -217,16 +215,17 @@ class FourierCalculus:
     directly (``U^{-n}`` as ``(U*)^n``, eigenvalue ``conj(lambda)^n``).  With a
     smoothness exponent ``gamma`` the coefficient envelope
     ``C (1+|n|)^{-(2+gamma)}`` yields an a-priori tail bound that must
-    dominate the observed reconstruction error.  ``decomposition_residual`` is
-    the eigensolver residual of that decomposition
-    (:attr:`SpectralDecomposition.residual`).
+    dominate the observed reconstruction error ``recon_error``, the largest
+    ``|sum_n c_n lambda^n - fn(lambda)|`` over the eigenvalues: both sides are
+    diagonal in one orthonormal eigenbasis, so that is the spectral norm of
+    their difference up to roundoff.  ``reconstruction`` assembles the matrix
+    on first read.  ``decomposition_residual`` is the eigensolver residual of
+    that decomposition (:attr:`SpectralDecomposition.residual`).
     """
 
     def __init__(self, unitary, fn, n_max, gamma, grid=None):
         u = as_square_matrix(unitary, "unitary")
-        rep = check_structure(u, "unitary", tol=1e-8 * max(1.0, max_norm(u)))
-        if not rep.passed:
-            raise StructureError(f"matrix is not unitary: deviation {rep.deviation:.3e}")
+        check_structure(u, "unitary", 1e-8 * max(1.0, max_norm(u)), "FourierCalculus input")
         n_max = int(n_max)
         if n_max < 8:
             raise ValueError("n_max must be >= 8")
@@ -268,11 +267,12 @@ class FourierCalculus:
         powers[1:] = lam
         powers = np.cumprod(powers, axis=0)
         values = self.coefficients[n_max:] @ powers + self.coefficients[n_max - 1 :: -1] @ powers[1:].conj()
-        recon = dec.assemble(values)
-        self.reconstruction = recon
+        self._decomposition, self._values = dec, values
 
-        direct = dec.assemble(_evaluate_on_spectrum(lambda z: fn(np.angle(z) % (2.0 * np.pi)), lam))
-        self.recon_error = spectral_norm(recon - direct)
+        direct = np.asarray(fn(np.angle(lam) % (2.0 * np.pi)), dtype=complex)
+        if not np.isfinite(direct).all():
+            raise EvaluationError(f"fn is not finite at eigenvalue(s) {lam[~np.isfinite(direct)]}")
+        self.recon_error = float(np.max(np.abs(values - direct), initial=0.0))
 
         mags = np.abs(self.coefficients)
         envelope = (1.0 + np.abs(ns)) ** (2.0 + gamma)
@@ -290,6 +290,11 @@ class FourierCalculus:
         p = 2.0 + gamma
         tail = 2.0 * self.holder_constant * (1.0 + n_max) ** (1.0 - p) / (p - 1.0)
         self.tail_bound = float(tail)
+
+    @functools.cached_property
+    def reconstruction(self):
+        """``sum_n c_n U^n`` over ``|n| <= n_max``, assembled on first read."""
+        return self._decomposition.assemble(self._values)
 
     def to_csv(self):
         buf = io.StringIO()

@@ -1,8 +1,8 @@
 """Dense-matrix foundation layer, in real or complex arithmetic.
 
-Structure checks, eigendecompositions, kernel projectors, the Cayley
-transform between unitary and self-adjoint matrices, and a versioned payload
-format for complex matrices.
+The one structure check every layer uses, eigendecompositions, kernel
+projectors, the Cayley transform between unitary and self-adjoint matrices,
+and a versioned payload format for complex matrices.
 
 Matrices keep the narrowest exact arithmetic: :func:`as_square_matrix` gives
 float64 for real input and complex128 for complex input.  Real input stays
@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    EvaluationError,
     SchemaError,
     SpectralCutWarning,
     SpectralSingularityError,
@@ -33,7 +32,6 @@ from .errors import (
 )
 
 __all__ = [
-    "StructureReport",
     "SpectralDecomposition",
     "KernelSplit",
     "max_norm",
@@ -81,45 +79,40 @@ def spectral_norm(m):
     return float(np.linalg.svd(m, compute_uv=False)[0]) if m.any() else 0.0
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Outcome of a structural check.
+def _deviation(m, kind):
+    """Max-norm distance of a square ndarray from the structure ``kind``.
 
-    ``deviation`` is the entrywise max-norm distance from the requested
-    structure: ``max|S S* - I|`` for unitarity, ``max|S - S*|`` for
-    hermiticity.
+    ``max|S S* - I|`` for unitary, that or ``|det S - 1|`` if larger for
+    special-unitary, ``max|S - S*|`` for hermitian and ``max|S S* - S* S|``
+    for normal.
     """
-
-    kind: str
-    deviation: float
-    tol: float
-    passed: bool
-
-
-def check_structure(matrix, kind, tol=1e-10):
-    """Check unitarity or hermiticity of a square matrix.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Square complex matrix.
-    kind : {"unitary", "hermitian"}
-        Structure to test.
-    tol : float
-        Max-norm deviation threshold.
-
-    Returns
-    -------
-    StructureReport
-    """
-    m = as_square_matrix(matrix)
-    if kind == "unitary":
-        dev = max_norm(m @ m.conj().T - np.eye(m.shape[0]))
-    elif kind == "hermitian":
-        dev = max_norm(m - m.conj().T)
-    else:
+    if kind == "hermitian":
+        return max_norm(m - m.conj().T)
+    if kind == "normal":
+        return max_norm(m @ m.conj().T - m.conj().T @ m)
+    if kind not in ("unitary", "special-unitary"):
         raise ValueError(f"unknown structure kind {kind!r}")
-    return StructureReport(kind=kind, deviation=dev, tol=float(tol), passed=dev <= tol)
+    dev = max_norm(m @ m.conj().T - np.eye(m.shape[0]))
+    if kind == "special-unitary":
+        dev = max(dev, abs(complex(np.linalg.det(m)) - 1.0))
+    return dev
+
+
+def check_structure(matrix, kind, tol, name):
+    """Raise StructureError unless ``matrix`` has the structure ``kind`` within ``tol``.
+
+    ``kind`` is ``"unitary"``, ``"special-unitary"``, ``"hermitian"`` or
+    ``"normal"``, and ``tol`` bounds the absolute max-norm deviation from it
+    (see :func:`_deviation`).  A matrix with a non-finite entry fails, and so
+    does any deviation that is not ``<= tol``, NaN included.  The message
+    names the matrix by ``name`` and gives the kind, the deviation and ``tol``.
+    """
+    m = as_square_matrix(matrix, name)
+    if not np.isfinite(m).all():
+        raise StructureError(f"{name} is not {kind}: it has non-finite entries (tol {tol:.3e})")
+    dev = _deviation(m, kind)
+    if not dev <= tol:
+        raise StructureError(f"{name} is not {kind}: deviation {dev:.3e} exceeds tol {tol:.3e}")
 
 
 @dataclass(frozen=True)
@@ -149,10 +142,11 @@ class SpectralDecomposition:
 _PROJECTION_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
-def spectral_decomposition(matrix, hermitian_tol=1e-10, normal_tol=1e-8):
+def spectral_decomposition(matrix):
     """Eigendecompose a normal matrix with guaranteed-orthonormal eigenvectors.
 
-    Hermitian inputs (detected at ``hermitian_tol`` relative max-norm) go
+    Hermitian inputs (``max|S - S*| <= 1e-10 scale``, with ``scale`` the
+    larger of 1 and ``max|S|``) go
     through the symmetric eigensolver and come back with real eigenvalues.
     Other normal matrices (unitaries in particular) take one Hermitian
     eigensolve too: the Hermitian and skew-Hermitian parts of a normal ``S``
@@ -169,25 +163,18 @@ def spectral_decomposition(matrix, hermitian_tol=1e-10, normal_tol=1e-8):
     Raises
     ------
     StructureError
-        If an entry is not finite, or if the matrix is not normal at
-        ``normal_tol`` (relative to the squared scale of the matrix).
+        If an entry is not finite, or if ``max|S S* - S* S|`` exceeds
+        ``1e-8 scale^2``.
     """
     m = as_square_matrix(matrix)
-    if not np.isfinite(m).all():
-        raise StructureError("matrix has non-finite entries")
     scale = max(1.0, max_norm(m))
-    if max_norm(m - m.conj().T) <= hermitian_tol * scale:
+    if np.isfinite(m).all() and _deviation(m, "hermitian") <= 1e-10 * scale:
         h = (m + m.conj().T) / 2.0
         eigvals, eigvecs = np.linalg.eigh(h)
         eigvals = eigvals.astype(complex)
         image = m @ eigvecs
     else:
-        defect = max_norm(m @ m.conj().T - m.conj().T @ m)
-        if defect > normal_tol * scale * scale:
-            raise StructureError(
-                f"matrix is not normal: ||SS* - S*S|| = {defect:.3e} "
-                f"exceeds {normal_tol:.1e} * scale^2"
-            )
+        check_structure(m, "normal", 1e-8 * scale * scale, "spectral_decomposition input")
         eigvals, eigvecs, image = _normal_eigenbasis(m, scale)
     residual = 0.0
     if m.size:
@@ -223,27 +210,6 @@ def _normal_eigenbasis(m, scale):
     return eigvals, v, image
 
 
-def _evaluate_on_spectrum(fn, eigenvalues):
-    """Apply a scalar function to each eigenvalue, demanding finite results."""
-    try:
-        values = np.asarray(fn(eigenvalues), dtype=complex)
-        if values.shape != eigenvalues.shape:
-            raise TypeError
-    except Exception:
-        out = []
-        for lam in eigenvalues:
-            arg = float(lam.real) if lam.imag == 0.0 else complex(lam)
-            try:
-                out.append(complex(fn(arg)))
-            except Exception as exc:
-                raise EvaluationError(f"function evaluation failed at eigenvalue {lam}: {exc}") from exc
-        values = np.asarray(out, dtype=complex)
-    finite = np.isfinite(values.real) & np.isfinite(values.imag)
-    if not np.all(finite):
-        raise EvaluationError(f"function is undefined (non-finite) at eigenvalue(s) {eigenvalues[~finite]}")
-    return values
-
-
 def _resolvent_sandwich(h, x):
     """``(H+i)^{-1} X (H-i)^{-1}`` for Hermitian H, both solves against ``(H-i)* = H+i``."""
     shifted = h + 1j * np.eye(h.shape[0])
@@ -251,15 +217,15 @@ def _resolvent_sandwich(h, x):
     return np.linalg.solve(shifted, y.conj().T).conj().T
 
 
-def _kernel_mask(eigenvalues, tol, ambiguity_margin=0.5):
+def _kernel_mask(eigenvalues, tol):
     """Numerical kernel ``|lambda| <= tol * max|lambda|`` of a real spectrum, as a mask.
 
-    A modulus within ``ambiguity_margin * cut`` of a nonzero cut makes the
+    A modulus within half the cut of a nonzero cut makes the
     verdict ambiguous and triggers a SpectralCutWarning at the caller's caller.
     """
     modulus = np.abs(eigenvalues)
     cut = tol * float(np.max(modulus, initial=0.0))
-    near = np.abs(modulus - cut) < ambiguity_margin * cut
+    near = np.abs(modulus - cut) < 0.5 * cut
     if np.any(near):
         warnings.warn(
             f"kernel cut at {cut:.3e} is ambiguous near eigenvalue(s) {eigenvalues[near]}",
@@ -288,21 +254,19 @@ class KernelSplit:
         return self.P_ker.shape[0]
 
 
-def kernel_split(matrix, tol=1e-8, ambiguity_margin=0.5):
+def kernel_split(matrix, tol=1e-8):
     """Split a Hermitian matrix into numerical kernel and complement.
 
     The cut sits at ``tol * ||D||`` (spectral norm). Eigenvalues whose modulus
-    falls inside the relative band ``(1 - margin, 1 + margin)`` around the cut
-    make the split ambiguous and trigger a SpectralCutWarning; the zero matrix
-    is split without complaint (everything is kernel).
+    falls inside the relative band ``(0.5, 1.5)`` around the cut make the
+    split ambiguous and trigger a SpectralCutWarning; the zero matrix is split
+    without complaint (everything is kernel).
     """
     m = as_square_matrix(matrix)
-    rep = check_structure(m, "hermitian", tol=1e-8 * max(1.0, max_norm(m)))
-    if not rep.passed:
-        raise StructureError(f"kernel_split expects a Hermitian matrix, deviation {rep.deviation:.3e}")
+    check_structure(m, "hermitian", 1e-8 * max(1.0, max_norm(m)), "kernel_split input")
     h = (m + m.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(h)
-    mask = _kernel_mask(eigvals, tol, ambiguity_margin)
+    mask = _kernel_mask(eigvals, tol)
     cols = eigvecs[:, mask]
     p_ker = cols @ cols.conj().T
     p_ker = (p_ker + p_ker.conj().T) / 2.0
@@ -310,7 +274,11 @@ def kernel_split(matrix, tol=1e-8, ambiguity_margin=0.5):
     return KernelSplit(tol=float(tol), P_ker=p_ker, P_perp=p_perp, ker_dim=int(np.count_nonzero(mask)))
 
 
-def cayley_transform(unitary, spectral_gap=1e-8, structure_tol=1e-8):
+# absolute distance from the pole at 1 below which cayley_transform refuses
+_CAYLEY_GAP = 1e-8
+
+
+def cayley_transform(unitary):
     """Map a unitary with 1 outside its spectrum to a Hermitian matrix.
 
     Computes ``H = i (1 + U) (1 - U)^{-1}`` through the eigendecomposition;
@@ -320,21 +288,19 @@ def cayley_transform(unitary, spectral_gap=1e-8, structure_tol=1e-8):
     Raises
     ------
     SpectralSingularityError
-        If some eigenvalue of ``U`` lies within ``spectral_gap`` of 1. The
+        If some eigenvalue of ``U`` lies within ``_CAYLEY_GAP`` of 1. The
         offending eigenvalue is attached to the exception.
     """
     u = as_square_matrix(unitary)
-    rep = check_structure(u, "unitary", tol=structure_tol)
-    if not rep.passed:
-        raise StructureError(f"cayley_transform expects a unitary matrix, deviation {rep.deviation:.3e}")
+    check_structure(u, "unitary", 1e-8, "cayley_transform input")
     dec = spectral_decomposition(u)
     dist = np.abs(dec.eigenvalues - 1.0)
     nearest = int(np.argmin(dist)) if dist.size else -1
-    if dist.size and dist[nearest] <= spectral_gap:
+    if dist.size and dist[nearest] <= _CAYLEY_GAP:
         lam = dec.eigenvalues[nearest]
         raise SpectralSingularityError(
             f"spectrum touches the Cayley pole: eigenvalue {lam} is within "
-            f"{spectral_gap:.1e} of 1",
+            f"{_CAYLEY_GAP:.1e} of 1",
             eigenvalue=complex(lam),
         )
     mapped = (1j * (1.0 + dec.eigenvalues) / (1.0 - dec.eigenvalues)).real
@@ -342,16 +308,14 @@ def cayley_transform(unitary, spectral_gap=1e-8, structure_tol=1e-8):
     return (h + h.conj().T) / 2.0
 
 
-def inverse_cayley_transform(hermitian, structure_tol=1e-8):
+def inverse_cayley_transform(hermitian):
     """Inverse of :func:`cayley_transform`: ``U = (H - i)(H + i)^{-1}``.
 
     The Moebius map sends the real line onto the unit circle minus 1, so the
     result is unitary with 1 outside its spectrum.
     """
     h = as_square_matrix(hermitian)
-    rep = check_structure(h, "hermitian", tol=structure_tol * max(1.0, max_norm(h)))
-    if not rep.passed:
-        raise StructureError(f"inverse_cayley_transform expects Hermitian input, deviation {rep.deviation:.3e}")
+    check_structure(h, "hermitian", 1e-8 * max(1.0, max_norm(h)), "inverse_cayley_transform input")
     eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
     mapped = (eigvals - 1j) / (eigvals + 1j)
     return (eigvecs * mapped) @ eigvecs.conj().T

@@ -25,11 +25,10 @@ import numpy as np
 from .commutators import OperatorPair
 from .errors import RationalApproximationWarning, ResolutionError, StructureError
 from .mixing import CorrelationSeries
-from .operators import _kernel_mask
+from .operators import _kernel_mask, check_structure
 
 __all__ = [
     "TorusFlow",
-    "RationalProximity",
     "GridField",
     "unit_grid",
     "TorusCocycle",
@@ -50,24 +49,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalProximity:
-    component: int
-    numerator: int
-    denominator: int
-    error: float
-
-
 class TorusFlow:
     """Translation flow x -> x + t*y (mod 1) on the d-torus.
 
     Irrationality of the translation vector cannot be certified in floating
     point; instead every component is compared against its best rational
-    approximation with denominator at most ``max_denominator`` and a warning
-    is emitted when the distance falls below ``warn_tol``.
+    approximation with denominator at most 10^4 and a warning is emitted when
+    the distance falls below 1e-10.
     """
 
-    def __init__(self, y, max_denominator=10**4, warn_tol=1e-10):
+    def __init__(self, y):
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("translation vector must be one-dimensional and nonempty")
@@ -75,14 +66,10 @@ class TorusFlow:
             raise ValueError("translation components must lie in (0, 1)")
         self.y = arr
         self.d = arr.size
-        self.rationality = []
         for i, yi in enumerate(arr):
-            frac = Fraction(yi).limit_denominator(max_denominator)
+            frac = Fraction(yi).limit_denominator(10**4)
             err = abs(yi - float(frac))
-            self.rationality.append(
-                RationalProximity(i, frac.numerator, frac.denominator, err)
-            )
-            if err < warn_tol:
+            if err < 1e-10:
                 warnings.warn(
                     f"translation component {i} = {yi!r} is within {err:.2e} of "
                     f"{frac.numerator}/{frac.denominator}; orbits will be nearly periodic",
@@ -165,9 +152,9 @@ class GridField:
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
 
-    def occupied_band(self, rel_tol=1e-8):
-        """Per-axis largest |frequency| carrying relative weight above rel_tol."""
-        return _occupied_band(np.fft.fftn(self.values), _frequencies(self.values.shape), rel_tol)
+    def occupied_band(self):
+        """Per-axis largest |frequency| carrying relative weight above 1e-8."""
+        return _occupied_band(np.fft.fftn(self.values), _frequencies(self.values.shape))
 
     def refine(self, factor):
         """Spectral upsampling by a power-of-two factor (Nyquist bins split)."""
@@ -197,8 +184,8 @@ def _translation(freqs, delta):
     return np.exp(2j * np.pi * total)
 
 
-def _occupied_band(spec, freqs, rel_tol):
-    """Per-axis largest |frequency| whose coefficient in ``spec`` exceeds rel_tol of the peak.
+def _occupied_band(spec, freqs):
+    """Per-axis largest |frequency| whose coefficient in ``spec`` exceeds 1e-8 of the peak.
 
     A spectrum whose peak is below the smallest normal double times the grid
     size comes from subnormal samples, whose FFT roundoff is as large as the
@@ -208,7 +195,7 @@ def _occupied_band(spec, freqs, rel_tol):
     peak = spec.max()
     if peak < np.finfo(float).tiny * spec.size:
         return [0] * spec.ndim
-    mask = spec > rel_tol * peak
+    mask = spec > 1e-8 * peak
     band = []
     for axis, freq in enumerate(freqs):
         hit = mask.any(axis=tuple(i for i in range(spec.ndim) if i != axis))
@@ -377,7 +364,7 @@ def _orbit_average_rate(cocycle, flow, points, steps):
     return rate
 
 
-def sector_apply(cocycle, flow, field, steps, rel_band_tol=1e-8):
+def sector_apply(cocycle, flow, field, steps):
     """Apply the sector operator n times: (U^n f)(x) = e(q.phi^(n)(x)) f(x + ny).
 
     The translation acts spectrally on the grid and the accumulated phase is
@@ -395,7 +382,7 @@ def sector_apply(cocycle, flow, field, steps, rel_band_tol=1e-8):
     shape = field.values.shape
     freqs = _frequencies(shape)
     spec = np.fft.fftn(field.values)
-    band = _occupied_band(spec, freqs, rel_band_tol)
+    band = _occupied_band(spec, freqs)
     shift_freq = steps * cocycle.sector_winding
     margin = _modulation_margin(cocycle, flow, steps)
     for i, m in enumerate(shape):
@@ -408,7 +395,7 @@ def sector_apply(cocycle, flow, field, steps, rel_band_tol=1e-8):
     summed = cocycle_sum(cocycle, flow, unit_grid(shape), steps)
     moved = np.fft.ifftn(spec * _translation(freqs, steps * flow.y))
     out = np.exp(2j * np.pi * summed) * moved
-    out_band = _occupied_band(np.fft.fftn(out), freqs, rel_band_tol)
+    out_band = _occupied_band(np.fft.fftn(out), freqs)
     for i, m in enumerate(shape):
         if out_band[i] >= m // 2 - m // 16:
             raise ResolutionError(
@@ -633,12 +620,7 @@ def su2_irrep(label, g):
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError("group element must be a 2x2 matrix")
-    dev = max(
-        float(np.max(np.abs(g.conj().T @ g - np.eye(2)))),
-        abs(complex(np.linalg.det(g)) - 1.0),
-    )
-    if dev > 1e-10:
-        raise StructureError(f"matrix is not special-unitary (deviation {dev:.3e})")
+    check_structure(g, "special-unitary", 1e-10, "group element")
     a, b = g[0, 0], g[0, 1]
     c, d = g[1, 0], g[1, 1]
     out = np.zeros((n + 1, n + 1), dtype=complex)
@@ -673,12 +655,7 @@ class SU2Cocycle:
         h = np.asarray(conjugator, dtype=complex)
         if h.shape != (2, 2):
             raise ValueError("conjugator must be a 2x2 matrix")
-        dev = max(
-            float(np.max(np.abs(h.conj().T @ h - np.eye(2)))),
-            abs(complex(np.linalg.det(h)) - 1.0),
-        )
-        if dev > 1e-12:
-            raise StructureError(f"conjugator is not special-unitary (deviation {dev:.3e})")
+        check_structure(h, "special-unitary", 1e-12, "conjugator")
         self.conjugator = h
         b = np.atleast_1d(np.asarray(frequency))
         if not np.all(b == np.round(b)) or not np.any(b):
@@ -817,12 +794,12 @@ class TruncationSweepEntry:
     median_residual: float
 
 
-def sector_truncation_sweep(cocycle, flow, sizes, refine_factor=4):
+def sector_truncation_sweep(cocycle, flow, sizes):
     """Residuals of truncated-matrix eigenvectors against the sector action.
 
     Finite truncations always carry point spectrum; the question is whether
     those eigenpairs mean anything for the underlying operator.  Each
-    truncation eigenvector is lifted to a finer grid by spectral
+    truncation eigenvector is lifted to a grid four times finer by spectral
     interpolation and hit with the exact one-step sector action; the entry
     records how far it is from solving the eigenvalue equation there.  For a
     sector with nonzero winding (degree bounded away from zero) these
@@ -836,7 +813,7 @@ def sector_truncation_sweep(cocycle, flow, sizes, refine_factor=4):
         vals, vecs = np.linalg.eig(pair.main)
         residuals = []
         for j in range(vals.shape[0]):
-            lifted = GridField(vecs[:, j]).refine(refine_factor)
+            lifted = GridField(vecs[:, j]).refine(4)
             applied = sector_apply(cocycle, flow, lifted, 1)
             dev = applied.values - vals[j] * lifted.values
             scale = max(lifted.norm(), 1e-300)

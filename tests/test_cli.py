@@ -146,7 +146,7 @@ def test_run_pair_identities(tmp_path, capsys):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 5
+    assert report["version"] == cli.REPORT_VERSION == 6
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)

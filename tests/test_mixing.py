@@ -6,6 +6,7 @@ import pytest
 from commix import (
     CorrelationSeries,
     DecayReport,
+    EvaluationError,
     FourierCalculus,
     ResolutionError,
     SchemaError,
@@ -14,6 +15,8 @@ from commix import (
     correlation_continuous,
     correlation_discrete,
     max_norm,
+    spectral_decomposition,
+    spectral_norm,
 )
 
 
@@ -155,6 +158,30 @@ def test_fourier_reconstruction_matches_dense_powers():
         bwd = bwd @ u.conj().T
         recon += fc.coefficients[fc.n_max + n] * fwd + fc.coefficients[fc.n_max - n] * bwd
     assert max_norm(fc.reconstruction - recon) <= 1e-12
+
+
+def test_recon_error_matches_the_dense_route():
+    rng = np.random.default_rng(204)
+    z = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    def fn(th):
+        return np.exp(2.0 * np.cos(3 * th))
+
+    fc = FourierCalculus(u, fn, 8, 1.0, grid=256)
+    dec = spectral_decomposition(u)
+    direct = dec.assemble(fn(np.angle(dec.eigenvalues) % (2.0 * np.pi)))
+    dense = spectral_norm(fc.reconstruction - direct)
+    assert dense > 1e-6  # a truncation error well above roundoff
+    assert abs(fc.recon_error - dense) <= 1e-12
+
+
+def test_fourier_rejects_non_finite_values_on_the_spectrum():
+    u = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
+    # finite on the grid points 2 pi k / 32, infinite at the eigenvalue angle 1.1
+    with pytest.raises(EvaluationError):
+        FourierCalculus(u, lambda th: np.where(th == 1.1, np.inf, np.cos(th)), 8, 1.0)
 
 
 def test_fourier_parameter_validation():

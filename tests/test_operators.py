@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -50,26 +51,27 @@ def test_check_structure_passes_clean_inputs():
     rng = np.random.default_rng(11)
     u = random_unitary(rng, 9)
     h = random_hermitian(rng, 9)
-    assert check_structure(u, "unitary").passed
-    assert check_structure(h, "hermitian").passed
+    # a clean input raises nothing
+    check_structure(u, "unitary", 1e-10, "u")
+    check_structure(h, "hermitian", 1e-10, "h")
 
 
 def test_check_structure_reports_deviation():
     rng = np.random.default_rng(12)
     u = random_unitary(rng, 6)
-    rep = check_structure(u + 1e-4, "unitary")
-    assert not rep.passed
-    assert rep.deviation > 1e-5
+    with pytest.raises(StructureError, match=r"^u is not unitary: deviation \S+ exceeds tol 1\.000e-10$") as info:
+        check_structure(u + 1e-4, "unitary", 1e-10, "u")
+    assert float(re.search(r"deviation (\S+)", str(info.value)).group(1)) > 1e-5
 
 
 def test_check_structure_rejects_nonsquare():
     with pytest.raises(DimensionError):
-        check_structure(np.ones((2, 3)), "unitary")
+        check_structure(np.ones((2, 3)), "unitary", 1e-10, "m")
 
 
 def test_check_structure_unknown_kind():
     with pytest.raises(ValueError):
-        check_structure(np.eye(2), "idempotent")
+        check_structure(np.eye(2), "idempotent", 1e-10, "m")
 
 
 def test_spectral_decomposition_reconstructs_unitary():
@@ -208,7 +210,7 @@ def test_cayley_round_trip():
         basis = random_unitary(rng, dim)
         u = basis @ np.diag(np.exp(1j * angles)) @ basis.conj().T
         h = cayley_transform(u)
-        assert check_structure(h, "hermitian").passed
+        check_structure(h, "hermitian", 1e-10, "Cayley image")
         back = inverse_cayley_transform(h)
         assert max_norm(back - u) <= 1e-9
 
