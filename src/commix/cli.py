@@ -15,7 +15,6 @@ import argparse
 import concurrent.futures
 import datetime
 import functools
-import hashlib
 import json
 import math
 import pathlib
@@ -54,7 +53,7 @@ from .mixing import (
     correlation_continuous,
     correlation_discrete,
 )
-from .operators import matrix_from_payload, spectral_norm
+from .operators import matrix_digest, matrix_from_payload, spectral_norm
 from .skew import (
     SU2Cocycle,
     TorusCocycle,
@@ -69,7 +68,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 6
+REPORT_VERSION = 7
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario
@@ -237,8 +236,7 @@ def _build_matrix_pair(spec, rng, path):
             continue
         value = spec[field]
         m = matrices[field] = _load_matrix(value, f"{path}.{field}")
-        digest = hashlib.sha256(np.ascontiguousarray(m, dtype="<c16").tobytes()).hexdigest()
-        echo[field] = {"dim": m.shape[0], "sha256": digest}
+        echo[field] = matrix_digest(m)
         if isinstance(value, str):
             echo[field]["path"] = value
     if "unitary" in matrices:
@@ -309,8 +307,8 @@ def _build_su2(spec, rng, path):
 def _build_graph_file(spec, rng, path):
     try:
         text = pathlib.Path(spec["path"]).read_text()
-    except OSError as exc:
-        _fail(f"{path}.path", f"cannot read graph file: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail(f"{path}.path", f"cannot read graph file {spec['path']!r}: {exc}")
     try:
         return {"window": parse_graph_window(text)}
     except SchemaError as exc:
@@ -497,7 +495,7 @@ def _load_matrix(value, path):
     if isinstance(value, str):
         try:
             payload = json.loads(pathlib.Path(value).read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             _fail(path, f"cannot read matrix file {value!r}: {exc}")
         except json.JSONDecodeError as exc:
             _fail(path, f"matrix file {value!r} is not valid JSON: {exc}")
@@ -704,7 +702,8 @@ class ScenarioRunner:
             "converged": bool(estimate.converged),
             "diverging": bool(estimate.diverging),
             "final_gap": estimate.cauchy_gaps[-1] if estimate.cauchy_gaps else 0.0,
-            "limit_norm": float(spectral_norm(estimate.limit)),
+            "limit_norm": estimate.limit_norm,
+            "telescoping_bound": estimate.telescoping_bound,
         }
         status = "fail" if estimate.diverging else "pass" if estimate.converged else "warn"
         return status, metrics, self._used("gap_threshold")
@@ -1131,8 +1130,8 @@ EXAMPLE_CONFIGS = {
 def _cmd_run(args):
     try:
         raw = json.loads(pathlib.Path(args.config).read_text())
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config {args.config!r}: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
@@ -1159,7 +1158,7 @@ def _cmd_compare(args):
     for name in (args.left, args.right):
         try:
             loaded.append(json.loads(pathlib.Path(name).read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             print(f"error: cannot load report {name!r}: {exc}", file=sys.stderr)
             return 2
     for name, rep in zip((args.left, args.right), loaded):

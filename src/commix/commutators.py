@@ -22,6 +22,7 @@ from .operators import (
     _resolvent_sandwich,
     as_square_matrix,
     check_structure,
+    matrix_digest,
     matrix_to_payload,
     max_norm,
     spectral_norm,
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 DEGREE_ESTIMATE_FORMAT = "degree-estimate"
-DEGREE_ESTIMATE_VERSION = 2
+DEGREE_ESTIMATE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -275,17 +276,25 @@ def degree_alternative(pair, steps):
 class DegreeEstimate:
     """Schedule of Birkhoff averages with Cauchy-gap convergence evidence.
 
-    ``limit`` is the final average.  ``converged`` means every gap over the
-    last third of the schedule sits below ``gap_threshold`` and each probe
-    residual sequence decays; ``diverging`` flags a non-decreasing gap trend
-    over that same stretch.  On finite truncations these are surrogates for
-    an operator limit, and they are reported as such rather than hidden.
+    ``limit`` is the final average, ``limit_eigenvalues`` the ascending
+    spectrum of its Hermitian part and ``limit_norm`` their largest modulus.
+    ``telescoping_bound`` is the a-priori bound on ``||limit||`` at the final
+    horizon: the Birkhoff sum telescopes, so ``2||A||/N`` for a discrete pair
+    and ``2||A~||/t`` for a continuous one (see :func:`estimate_degree`).
+    ``converged`` means every gap over the last third of the schedule sits
+    below ``gap_threshold`` and each probe residual sequence decays;
+    ``diverging`` flags a non-decreasing gap trend over that same stretch.
+    On finite truncations these are surrogates for an operator limit, and
+    they are reported as such rather than hidden.
     """
 
     kind: str
     schedule: list
     averages: list
     limit: np.ndarray
+    limit_eigenvalues: np.ndarray
+    limit_norm: float
+    telescoping_bound: float
     cauchy_gaps: list
     probe_residuals: list
     gap_threshold: float
@@ -293,6 +302,14 @@ class DegreeEstimate:
     diverging: bool
 
     def to_payload(self):
+        """Artifact form: the limit as its digest and spectrum, not its entries.
+
+        The limit still goes through :func:`matrix_to_payload`, which refuses
+        a non-finite limit; its ``entries`` list is not written.  (perfbench's
+        tracer test also counts that call as a serializer span nested in
+        ``to_json``.)
+        """
+        matrix_to_payload(self.limit)
         return {
             "format": DEGREE_ESTIMATE_FORMAT,
             "version": DEGREE_ESTIMATE_VERSION,
@@ -303,7 +320,9 @@ class DegreeEstimate:
             "gap_threshold": float(self.gap_threshold),
             "converged": bool(self.converged),
             "diverging": bool(self.diverging),
-            "limit": matrix_to_payload(self.limit),
+            "limit": matrix_digest(self.limit),
+            "limit_eigenvalues": self.limit_eigenvalues.tolist(),
+            "telescoping_bound": float(self.telescoping_bound),
         }
 
     def to_json(self):
@@ -340,6 +359,13 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
     ``H`` for continuous ones.  Probes must
     be unit vectors; each row of ``probe_residuals`` tracks
     ``||(D_k - limit) probe||`` along the schedule.
+
+    The limit is read through one ``eigvalsh`` of its Hermitian part.  Its
+    a-priori bound at the final horizon comes from the telescoping sum: the
+    discrete symbol is ``A - U A U*``, so ``D_N = (A - U^N A U^-N)/N`` and
+    ``||D_N|| <= 2||A||/N``; the continuous symbol is ``i[H, A~]`` with
+    ``A~`` the bounded conjugate, so ``D_t = (e^{itH} A~ e^{-itH} - A~)/t``
+    and ``||D_t|| <= 2||A~||/t``.
     """
     schedule = list(schedule)
     if not schedule:
@@ -360,12 +386,15 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
         if horizons[0] < 1:
             raise ValueError("discrete schedule entries must be >= 1")
         averages = [_conjugation_sum(pair.main, pair.symbol, n)[0] / n for n in horizons]
+        bound = 2.0 * pair.conjugate_norm / horizons[-1]
     else:
         if schedule[0] <= 0:
             raise ValueError("continuous schedule entries must be positive")
         averages = [_time_average(*pair.spectrum, pair.symbol, float(t)) for t in schedule]
+        bound = 2.0 * spectral_norm(pair.bounded_conjugate) / float(schedule[-1])
 
     limit = averages[-1]
+    eigvals = np.linalg.eigvalsh((limit + limit.conj().T) / 2.0)
     gaps = [spectral_norm(b - a) for a, b in zip(averages, averages[1:])]
     residual_rows = [[float(np.linalg.norm((avg - limit) @ v)) for avg in averages] for v in probe_vecs]
     converged, diverging = _convergence_flags(gaps, residual_rows, gap_threshold)
@@ -374,6 +403,9 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
         schedule=schedule,
         averages=averages,
         limit=limit,
+        limit_eigenvalues=eigvals,
+        limit_norm=float(np.max(np.abs(eigvals), initial=0.0)),
+        telescoping_bound=bound,
         cauchy_gaps=gaps,
         probe_residuals=residual_rows,
         gap_threshold=gap_threshold,

@@ -17,6 +17,7 @@ allocated, so matrices can be shared read-only between threads.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ __all__ = [
     "inverse_cayley_transform",
     "matrix_to_payload",
     "matrix_from_payload",
+    "matrix_digest",
 ]
 
 MATRIX_FORMAT = "complex-matrix"
@@ -346,6 +348,7 @@ def matrix_from_payload(payload):
 
     Each entry must be a list of two finite numbers (``int`` or ``float``,
     not ``bool``); otherwise SchemaError names the first entry that is not.
+    Each number becomes the float ``float(x)``, bit for bit.
     """
     if not isinstance(payload, dict):
         raise SchemaError("matrix payload must be a mapping")
@@ -360,18 +363,31 @@ def matrix_from_payload(payload):
         raise SchemaError("matrix payload has inconsistent dim/entries")
     if dim == 0:
         return np.empty((0, 0), dtype=complex)
+    flat = itertools.chain.from_iterable
     try:
-        parts = np.array(entries, dtype=float)
-        valid = (parts.shape == (dim * dim, 2)
-                 and all(issubclass(t, list) for t in set(map(type, entries)))
-                 and all(_is_number_type(t) for t in set(map(type, itertools.chain.from_iterable(entries))))
-                 and np.isfinite(parts).all())
-    except (TypeError, ValueError, OverflowError):
+        valid = (all(issubclass(t, list) for t in set(map(type, entries)))
+                 and set(map(len, entries)) == {2}
+                 and all(_is_number_type(t) for t in set(map(type, flat(entries)))))
+        if valid:
+            parts = np.fromiter(flat(entries), float, count=2 * dim * dim)
+            valid = np.isfinite(parts).all()
+    except OverflowError:
         valid = False
     if not valid:
         raise SchemaError(_first_bad_entry(entries))
     # the [re, im] pairs are the memory layout of a complex array
     return parts.view(complex).reshape(dim, dim)
+
+
+def matrix_digest(matrix):
+    """``{"dim", "sha256"}`` of a square matrix, the form reports echo it in.
+
+    The digest is sha256 over the matrix's complex128 little-endian bytes in
+    row-major order, so a real matrix and its complex cast share one digest.
+    """
+    m = as_square_matrix(matrix)
+    data = np.ascontiguousarray(m, dtype="<c16").tobytes()
+    return {"dim": int(m.shape[0]), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _is_number_type(kind):

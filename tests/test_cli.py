@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from commix import SchemaError, cli, commutators, graphs
 from commix.cli import (
@@ -146,7 +148,7 @@ def test_run_pair_identities(tmp_path, capsys):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 6
+    assert report["version"] == cli.REPORT_VERSION == 7
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -684,3 +686,161 @@ def test_compare_names_both_report_versions(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(older), str(left)]) == 2
     assert f"report versions differ ({cli.REPORT_VERSION - 1} vs {cli.REPORT_VERSION})" in capsys.readouterr().err
+
+
+def test_matrix_file_that_is_not_utf8_names_the_field_and_the_file(tmp_path, capsys):
+    matrix_file = tmp_path / "unitary.json"
+    matrix_file.write_bytes(b'\xff{"format": "complex-matrix"}')
+    config = _matrix_pair_config(str(matrix_file), matrix_to_payload(np.diag([1.0, -1.0])), name="m")
+    want = f"scenario 'm' model.unitary: cannot read matrix file {str(matrix_file)!r}: 'utf-8' codec"
+    with pytest.raises(SchemaError) as info:
+        build_model(validate_config(config)["scenarios"][0])
+    assert str(info.value).startswith(want)
+    path = write_config(tmp_path, config)
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert want in capsys.readouterr().err
+
+
+def test_config_graph_and_report_files_that_are_not_utf8_exit_two(tmp_path, capsys):
+    garbled = tmp_path / "garbled"
+    garbled.write_bytes(b"\xff\xfe")
+    graph = {"version": 1, "scenarios": [{"name": "g", "model": {"type": "graph-file", "path": str(garbled)},
+                                          "tasks": ["admissibility"]}]}
+    good = write_config(tmp_path, pair_config())
+    assert main(["run", str(good), "--out", str(tmp_path / "a")]) == 0
+    cases = [
+        (["run", str(garbled), "--out", str(tmp_path / "b")],
+         f"error: cannot read config {str(garbled)!r}: 'utf-8' codec"),
+        (["run", str(write_config(tmp_path, graph, "graph.json")), "--out", str(tmp_path / "c")],
+         f"error: scenario 'g' model.path: cannot read graph file {str(garbled)!r}: 'utf-8' codec"),
+        (["compare", str(garbled), str(tmp_path / "a" / "report.json")],
+         f"error: cannot load report {str(garbled)!r}: 'utf-8' codec"),
+    ]
+    for argv, want in cases:
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(want)
+
+
+def test_degree_row_reports_the_telescoping_bound(tmp_path):
+    config = validate_config(pair_config(tasks=["identities", "degree"], schedule=[1, 2, 5]))
+    pair = build_model(config["scenarios"][0])["pair"]
+    report = run_config(config, tmp_path / "out")
+    row = next(t for t in report["scenarios"][0]["tasks"] if t["task"] == "degree")
+    assert row["status"] == "warn"
+    assert row["metrics"]["telescoping_bound"] == 2.0 * pair.conjugate_norm / 5
+    assert row["metrics"]["limit_norm"] <= row["metrics"]["telescoping_bound"]
+    artifact = json.loads((tmp_path / "out" / "quick" / "degree-estimate.json").read_text())
+    assert artifact["version"] == commutators.DEGREE_ESTIMATE_VERSION
+    assert set(artifact["limit"]) == {"dim", "sha256"}
+    assert artifact["telescoping_bound"] == row["metrics"]["telescoping_bound"]
+    assert max(map(abs, artifact["limit_eigenvalues"])) == row["metrics"]["limit_norm"]
+
+
+def test_non_finite_degree_limit_fails_the_task_with_one_line(tmp_path, monkeypatch):
+    real = cli.estimate_degree
+
+    def spoiled(*args, **kwargs):
+        estimate = real(*args, **kwargs)
+        estimate.limit = estimate.limit.copy()
+        estimate.limit[0, 0] = np.inf
+        return estimate
+
+    monkeypatch.setattr(cli, "estimate_degree", spoiled)
+    report = run_config(validate_config(pair_config(tasks=["degree"])), tmp_path / "out")
+    row = report["scenarios"][0]["tasks"][0]
+    assert row["status"] == "fail"
+    assert row["metrics"] == {"error": "ValueError: matrix serialization requires finite entries"}
+    meta = json.loads((tmp_path / "out" / "report.meta.json").read_text())
+    assert "Traceback" in meta["task_tracebacks"]["quick"]["degree"]
+
+
+# -- config round trip ------------------------------------------------------
+
+_numbers = st.floats(-10.0, 10.0, allow_nan=False)
+_small_ints = st.integers(-3, 3)
+
+
+def _eta(d):
+    return st.lists(st.tuples(st.lists(_small_ints, min_size=d, max_size=d), _numbers, _numbers),
+                    max_size=3, unique_by=lambda e: tuple(e[0])).map(lambda es: [list(e) for e in es])
+
+
+@st.composite
+def _model(draw, mtype):
+    """A raw model of type ``mtype`` that validates, with optional fields left out at random."""
+    powers = st.sampled_from([64, 128, 256, 512])
+    payload = st.builds(lambda dim, seed: matrix_to_payload(np.random.default_rng(seed).standard_normal((dim, dim))),
+                        st.integers(1, 3), st.integers(0, 99))
+    d = draw(st.integers(1, 2))
+    optional = {
+        "random-pair": {"dim": st.integers(2, 64)},
+        "shift": {"window": st.integers(4, 300), "margin": st.integers(0, 5)},
+        "graph-line": {"length": st.integers(2, 300), "margin": st.integers(0, 5)},
+        "graph-grid2d": {"nx": st.integers(2, 30), "ny": st.integers(2, 30), "margin": st.integers(0, 4)},
+        "graph-cycle4-alt": {},
+        "su2": {"frequency": st.lists(_small_ints, min_size=d, max_size=d), "label": st.integers(0, 6),
+                "eta": _eta(d), "grid": st.integers(64, 1024),
+                "h": st.sampled_from(["seeded", "identity", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]])},
+        "torus": {"grid": powers, "matrix_size": powers},
+    }.get(mtype, {})
+    model = {"type": mtype}
+    for name, strategy in optional.items():
+        if draw(st.booleans()):
+            model[name] = draw(strategy)
+    if mtype == "matrix-pair":
+        main = draw(st.sampled_from(["unitary", "generator"]))
+        model[main] = draw(payload | st.just("matrices/u.json"))
+        model["conjugate"] = draw(payload)
+    elif mtype == "graph-file":
+        model["path"] = "windows/a.graph"
+    elif mtype == "su2":
+        model["y"] = draw(st.lists(_numbers, min_size=d, max_size=d))
+        if d > 1:  # the default frequency is one-dimensional
+            model["frequency"] = draw(st.lists(_small_ints, min_size=d, max_size=d))
+    elif mtype == "torus":
+        model["y"] = draw(st.lists(_numbers, min_size=d, max_size=d))
+        rows = draw(st.integers(1, d))
+        model["winding"] = draw(st.lists(st.lists(_small_ints, min_size=d, max_size=d),
+                                         min_size=rows, max_size=rows))
+        model["sector"] = draw(st.lists(_small_ints, min_size=rows, max_size=rows))
+        if rows == 1 and draw(st.booleans()):
+            model["eta"] = draw(_eta(d))
+    return model
+
+
+@st.composite
+def _raw_config(draw):
+    """One scenario of every model type, each with random optional fields."""
+    scenarios = []
+    for i, mtype in enumerate(sorted(cli.MODEL_TYPES)):
+        model = draw(_model(mtype))
+        family = cli.model_family(model)
+        handlers = cli.HANDLERS[family]
+        sc = {"name": f"s{i}", "model": model,
+              "tasks": draw(st.lists(st.sampled_from(sorted(handlers)), min_size=1, unique=True))}
+        if draw(st.booleans()):
+            sc["seed"] = draw(st.integers(0, 2**31))
+        if draw(st.booleans()):
+            steps = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=6, unique=True))
+            sc["schedule"] = sorted(s / 7.0 for s in steps) if family == "flow" else sorted(steps)
+        if draw(st.booleans()):
+            sc["horizon"] = draw(st.integers(16, 4096))
+        if draw(st.booleans()):
+            keys = draw(st.lists(st.sampled_from(sorted(DEFAULT_THRESHOLDS)), unique=True, max_size=4))
+            sc["thresholds"] = {k: draw(st.integers(8, 512)) if k == "fourier_n_max" else draw(_numbers)
+                                for k in keys}
+        if draw(st.booleans()):
+            sc["expect_admissible"] = draw(st.booleans())
+        scenarios.append(sc)
+    return {"version": 1, "scenarios": scenarios}
+
+
+# no shrink phase: shrinking a nine-scenario config takes minutes, and the
+# first failing config already names the field that broke
+@settings(max_examples=20, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(raw=_raw_config())
+def test_validated_configs_survive_a_json_round_trip(raw):
+    validated = validate_config(raw)
+    assert validate_config(json.loads(json.dumps(validated))) == validated

@@ -1,6 +1,8 @@
 """Commutator identities, Birkhoff averages, and degree estimates."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -303,15 +305,80 @@ def test_estimate_degree_probe_residuals():
 
 
 def test_degree_payload_round_trip():
-    import json
-
     model = shift_weyl_model(8, 2)
     est = estimate_degree(model.pair, [8, 16])
     payload = est.to_payload()
     assert payload["format"] == "degree-estimate"
-    assert payload["version"] == 2
+    assert payload["version"] == commutators.DEGREE_ESTIMATE_VERSION
     text = est.to_json()
     assert json.loads(text) == json.loads(json.dumps(payload))
+
+
+def _echo_digest(m):
+    # the rule of the report's matrix echo: sha256 of the complex128 little-endian bytes
+    return hashlib.sha256(np.ascontiguousarray(m, dtype="<c16").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "continuous"])
+def test_degree_artifact_carries_the_limit_digest_and_spectrum(kind):
+    rng = np.random.default_rng(115)
+    if kind == "continuous":
+        pair = OperatorPair.continuous(random_hermitian(rng, 6), random_hermitian(rng, 6))
+        schedule, horizon, conjugate = [0.5, 1.5], 1.5, pair.bounded_conjugate
+    else:
+        u, a = ((random_orthogonal(rng, 6), random_symmetric(rng, 6)) if kind == "real"
+                else (random_unitary(rng, 6), random_hermitian(rng, 6)))
+        pair = OperatorPair.discrete(u, a)
+        schedule, horizon, conjugate = [1, 2, 5], 5, pair.conjugate
+    est = estimate_degree(pair, schedule)
+    doc = json.loads(est.to_json())
+    assert doc["version"] == commutators.DEGREE_ESTIMATE_VERSION == 3
+    assert doc["limit"] == {"dim": 6, "sha256": _echo_digest(est.limit)}
+    assert "entries" not in doc and "entries" not in doc["limit"]
+    limit = est.limit
+    spectrum = np.linalg.eigvalsh((limit + limit.conj().T) / 2.0)
+    assert np.array(doc["limit_eigenvalues"]).tobytes() == spectrum.tobytes()
+    assert est.limit_norm == np.max(np.abs(spectrum))
+    assert doc["telescoping_bound"] == est.telescoping_bound == 2.0 * spectral_norm(conjugate) / horizon
+    assert est.limit_norm <= est.telescoping_bound
+
+
+def test_degree_artifact_refuses_a_non_finite_limit():
+    est = estimate_degree(random_discrete_pair(np.random.default_rng(116), 4), [1, 2])
+    est.limit = est.limit.copy()
+    est.limit[1, 2] = np.nan
+    with pytest.raises(ValueError, match="requires finite entries"):
+        est.to_json()
+
+
+def _within_telescoping_bound(pair, est):
+    slack = 64.0 * np.finfo(float).eps * max(1.0, pair.conjugate_norm)
+    # the largest eigenvalue modulus is the spectral norm of the Hermitian limit
+    assert abs(est.limit_norm - spectral_norm(est.limit)) <= slack
+    return est.limit_norm <= est.telescoping_bound * (1.0 + 1e-12) + slack
+
+
+@settings(max_examples=60)
+@given(dim=st.integers(1, 16), steps=st.integers(1, 300), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_discrete_limit_is_within_the_telescoping_bound(dim, steps, real, seed):
+    rng = np.random.default_rng(seed)
+    if real:
+        pair = OperatorPair.discrete(random_orthogonal(rng, dim), random_symmetric(rng, dim))
+    else:
+        pair = random_discrete_pair(rng, dim)
+    est = estimate_degree(pair, [steps])
+    assert est.telescoping_bound == 2.0 * pair.conjugate_norm / steps
+    assert _within_telescoping_bound(pair, est)
+
+
+@settings(max_examples=40)
+@given(dim=st.integers(1, 16), duration=st.floats(1e-3, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_continuous_limit_is_within_the_telescoping_bound(dim, duration, seed):
+    rng = np.random.default_rng(seed)
+    pair = OperatorPair.continuous(random_hermitian(rng, dim), random_hermitian(rng, dim))
+    est = estimate_degree(pair, [duration])
+    assert est.telescoping_bound == 2.0 * spectral_norm(pair.bounded_conjugate) / duration
+    assert _within_telescoping_bound(pair, est)
 
 
 def test_epsilon_slope_near_one():

@@ -261,6 +261,22 @@ def test_matrix_payload_schema_errors():
     assert np.array_equal(matrix_from_payload(integers), np.eye(2))
 
 
+def test_matrix_payload_numbers_become_their_python_floats():
+    # integers beyond 2**53 round as float() rounds them; -0.0 keeps its sign
+    entries = [[2**53 + 1, -0.0], [-(2**64 + 3), 0], [-0.0, 10**300], [3 * 2**1022, -(2**53 + 3)]]
+    payload = {"format": "complex-matrix", "version": 1, "dim": 2, "entries": entries}
+    want = np.array([float(x) for pair in entries for x in pair]).view(complex).reshape(2, 2)
+    assert np.array_equal(_bits(matrix_from_payload(payload)), _bits(want))
+    # True and 10**400 are refused in every position, naming their entry
+    for i in range(4):
+        for j in range(2):
+            for component, message in ((True, "is not a pair of numbers"), (10**400, "is not finite")):
+                bad = json.loads(json.dumps(payload))
+                bad["entries"][i][j] = component
+                with pytest.raises(SchemaError, match=f"entry {i} {message}"):
+                    matrix_from_payload(bad)
+
+
 def _entries_by_loop(m):
     # the per-entry conversion the array form replaced, kept as its oracle
     return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]
