@@ -22,7 +22,6 @@ import re
 import sys
 import time
 import traceback
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -408,8 +407,10 @@ def validate_config(raw, default_seed=None):
         if not isinstance(sc, dict):
             _fail(path, "expected an object")
         name = _get_str(sc.get("name"), f"{path}.name")
-        if not _NAME_RE.match(name):
-            _fail(f"{path}.name", "names are limited to letters, digits, dot, dash, underscore")
+        # a name is a directory under --out, so it may not leave it or shadow a report file
+        if not _NAME_RE.match(name) or name in (".", "..", "report.json", "report.meta.json"):
+            _fail(f"{path}.name", "names are limited to letters, digits, dot, dash, underscore, "
+                                  "and may not be '.', '..', 'report.json' or 'report.meta.json'")
         if name in seen_names:
             _fail(f"{path}.name", f"duplicate scenario name {name!r}")
         seen_names.add(name)
@@ -881,65 +882,31 @@ HANDLERS["torus"] = {
 }
 
 
-def _dump_report(report):
-    """Report text in one pass: ``json.dumps(converted, sort_keys=True, indent=2) + "\\n"``.
+def _jsonable(obj):
+    """``obj`` as values ``json.dumps`` writes as they are.
 
-    ``converted`` is ``report`` with keys as ``str(k)`` (the last of equal
-    keys wins), tuples and numpy arrays as lists, numpy scalars as Python
-    ones, non-finite floats as their ``repr`` strings and complex numbers as
-    ``{"im": ..., "re": ...}``.
+    Keys become ``str(k)`` (the last of equal keys wins), tuples and numpy
+    arrays lists, numpy scalars Python ones, non-finite floats their ``repr``
+    strings and complex numbers ``{"im": ..., "re": ...}``.
     """
-    out = []
-    _write_json(report, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-def _write_json(obj, out, newline):
-    """Append the JSON text of ``obj`` to ``out``; ``newline`` breaks a line at the indent of ``obj``."""
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        converted = {str(k): v for k, v in obj.items()}
-        sep = "{" + inner
-        for key in sorted(converted):
-            out.append(sep + _quote(key) + ": ")
-            _write_json(converted[key], out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _write_json(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, np.ndarray):
-        _write_json(obj.tolist(), out, newline)
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(int.__repr__(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        out.append(float.__repr__(x) if math.isfinite(x) else _quote(repr(x)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _write_json({"im": obj.imag, "re": obj.real}, out, newline)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, complex):
+        return {"im": _jsonable(obj.imag), "re": _jsonable(obj.real)}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _dump_report(report):
+    """Deterministic report text: sorted keys, two-space indent, final newline."""
+    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
 def run_config(config, out_dir, threads=1):
@@ -1141,6 +1108,9 @@ def _cmd_run(args):
         report = run_config(config, args.out, threads=max(1, args.threads))
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write to --out {args.out!r}: {exc}", file=sys.stderr)
         return 2
     for sc in report["scenarios"]:
         print(f"scenario {sc['name']}: {sc['status']}")

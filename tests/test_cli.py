@@ -251,6 +251,32 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["run", str(schema), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_scenario_names_stay_inside_the_output_directory(tmp_path, capsys):
+    # '..' would put its artifacts beside --out; a report file's name would
+    # collide with that report after every scenario had run
+    for name in (".", "..", "report.json", "report.meta.json"):
+        config = pair_config(name=name, tasks=["identities", "degree"])
+        with pytest.raises(SchemaError, match=r"^config\.scenarios\[0\]\.name: "):
+            validate_config(config)
+        path = write_config(tmp_path, config)
+        capsys.readouterr()
+        assert main(["run", str(path), "--out", str(tmp_path / "work" / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: config.scenarios[0].name: ")
+        assert not (tmp_path / "work").exists()
+    assert validate_config(pair_config(name="a..b"))["scenarios"][0]["name"] == "a..b"
+
+
+def test_out_that_cannot_be_written_exits_two_with_one_line(tmp_path, capsys):
+    path = write_config(tmp_path, pair_config())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        capsys.readouterr()
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to --out {str(out)!r}: ") and err.count("\n") == 1
+
+
 def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys):
     nan_threshold = pair_config(thresholds={"identity_residual": float("nan")})
     infinite_time = {"version": 1, "scenarios": [{

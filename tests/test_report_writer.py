@@ -1,86 +1,61 @@
-"""The one-pass report writer against the two-pass conversion and json.dumps it replaced."""
+"""The report writer: one conversion rule per value kind, then sorted, indented JSON."""
 
 import json
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from commix.cli import _dump_report, run_config, validate_config
 from commix.operators import matrix_to_payload
 
 
-def _jsonable(obj):
-    """Recursively convert to JSON-safe values with deterministic floats."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return x if np.isfinite(x) else repr(x)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"im": _jsonable(obj.imag), "re": _jsonable(obj.real)}
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
-
-
-def oracle(report):
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-
-
-leaves = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(),  # NaN, +-inf, -0.0 and subnormals included
-    st.text(),  # non-ASCII and control characters included
-    st.complex_numbers(),
-    st.floats().map(np.float64),
-    st.floats(width=32).map(np.float32),
-    st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.booleans().map(np.bool_),
-    st.complex_numbers().map(np.complex128),
-    arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
-           array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
-    # the writer joins a list of finite plain floats in one go
-    st.lists(st.floats(allow_nan=False, allow_infinity=False)),
-)
-# int and str keys may collide after str(k), where the last one wins
-keys = st.one_of(st.integers(-3, 3), st.sampled_from(["-1", "0", "1", "a", "b", "é", "☃"]), st.text())
-reports = st.recursive(
-    leaves,
-    lambda children: st.one_of(
-        st.lists(children),
-        st.lists(children).map(tuple),
-        st.dictionaries(keys, children),
-    ),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=100)
-@given(reports)
-def test_dump_report_matches_jsonable_then_json_dumps(report):
-    assert _dump_report(report) == oracle(report)
-
-
 def test_dump_report_edge_values():
     report = {
-        2: [], "10": {}, 1: "one", "1": "uno", (): None,
+        # int and str keys that collide after str(k): the last one wins
+        "2": "dos", 2: [], "10": {}, 1: "one", "1": "uno", (): None,
         "floats": [0.1, -0.0, 5e-324, 1.7976931348623157e308, float("nan"), float("inf"), -float("inf")],
-        "numpy": [np.float32(0.1), np.int8(-3), np.bool_(True), np.complex64(1 - 2j), np.array([[1.5j]])],
-        "text": "ünïcødé   \"quoted\" \\ \n",
+        "numpy": [np.float32(0.1), np.int8(-3), np.bool_(True), np.complex64(1 - 2j), np.array([[1.5j]]),
+                  np.float64("nan"), (3, False)],
+        "text": "ünïcødé ☃ \"quoted\" \\ \n\t\x01",
     }
-    assert _dump_report(report) == oracle(report)
+    assert _dump_report(report) == """{
+  "()": null,
+  "1": "uno",
+  "10": {},
+  "2": [],
+  "floats": [
+    0.1,
+    -0.0,
+    5e-324,
+    1.7976931348623157e+308,
+    "nan",
+    "inf",
+    "-inf"
+  ],
+  "numpy": [
+    0.10000000149011612,
+    -3,
+    true,
+    {
+      "im": -2.0,
+      "re": 1.0
+    },
+    [
+      [
+        {
+          "im": 1.5,
+          "re": 0.0
+        }
+      ]
+    ],
+    "nan",
+    [
+      3,
+      false
+    ]
+  ],
+  "text": "\\u00fcn\\u00efc\\u00f8d\\u00e9 \\u2603 \\"quoted\\" \\\\ \\n\\t\\u0001"
+}
+"""
     assert _dump_report([]) == "[]\n" and _dump_report({}) == "{}\n"
 
 
