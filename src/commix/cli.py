@@ -459,6 +459,8 @@ def validate_config(raw, default_seed=None):
                 thresholds[key] = _get_int(value, f"{path}.thresholds.{key}", minimum=8)
             else:
                 thresholds[key] = _get_number(value, f"{path}.thresholds.{key}")
+            if key == "fourier_gamma" and thresholds[key] <= 0:
+                _fail(f"{path}.thresholds.{key}", f"must be positive, got {value!r}")
 
         expect = sc.get("expect_admissible", True)
         if not isinstance(expect, bool):
@@ -1151,11 +1153,15 @@ def _cmd_compare(args):
 
 def _cmd_emit_examples(args):
     out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for fname in sorted(EXAMPLE_CONFIGS):
-        target = out / fname
-        target.write_text(json.dumps(EXAMPLE_CONFIGS[fname], indent=2, sort_keys=True) + "\n")
-        print(f"wrote {target}")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for fname in sorted(EXAMPLE_CONFIGS):
+            target = out / fname
+            target.write_text(json.dumps(EXAMPLE_CONFIGS[fname], indent=2, sort_keys=True) + "\n")
+            print(f"wrote {target}")
+    except OSError as exc:
+        print(f"error: cannot write to --out {args.out!r}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -78,13 +78,9 @@ class DirectedGraphWindow:
         self.margin = margin
 
         self._adj = {v: set() for v in verts}
-        self._forward = {v: set() for v in verts}   # N^-(v) = {y : v < y}
-        self._backward = {v: set() for v in verts}  # N^+(v) = {y : y < v}
         for x, y in self.edges:
             self._adj[x].add(y)
             self._adj[y].add(x)
-            self._forward[x].add(y)
-            self._backward[y].add(x)
 
         degrees = {v: len(self._adj[v]) for v in verts}
         max_deg = max(degrees.values())
@@ -103,12 +99,6 @@ class DirectedGraphWindow:
 
     def neighbors(self, v):
         return self._adj[v]
-
-    def forward_neighbors(self, v):
-        return self._forward[v]
-
-    def backward_neighbors(self, v):
-        return self._backward[v]
 
 
 def line_window(length, margin=2):
@@ -173,13 +163,18 @@ def check_admissible(window):
 
     Condition (i) is checked by propagating a grading breadth-first from the
     smallest vertex of each component; an inconsistent edge yields a closed
-    walk with unequal forward and backward counts.  Condition (ii) compares
-    shared forward and backward neighbor counts over distinct vertex pairs;
-    the comparison is restricted to vertices of full degree, because a vertex
-    next to the window cut has truncated neighborhoods that say nothing about
-    the underlying graph.  Pairs farther than two steps apart share nothing
-    and are skipped.
+    walk with unequal forward and backward counts.  Condition (ii) is
+    [K, H] = 0: with F the 0/1 incidence of the edges x < y (rows in sorted
+    vertex order), F F^T counts the forward neighbors two vertices share and
+    F^T F the backward ones, and their difference is [S, H]/2.  Its
+    off-diagonal must vanish between vertices of full degree, because a
+    vertex next to the window cut has truncated neighborhoods that say
+    nothing about the underlying graph; the witness is the first offending
+    pair x < y.
     """
+    from scipy import sparse
+
+    edges = set(window.edges)
     position = {}
     parent = {}
     witness_cycle = None
@@ -193,7 +188,7 @@ def check_admissible(window):
         while queue and witness_cycle is None:
             v = queue.popleft()
             for w in sorted(window.neighbors(v)):
-                step = 1 if w in window.forward_neighbors(v) else -1
+                step = 1 if (v, w) in edges else -1
                 if w not in position:
                     position[w] = position[v] + step
                     parent[w] = v
@@ -211,40 +206,29 @@ def check_admissible(window):
                         down.append(node)
                         node = parent[node]
                     witness_cycle = list(reversed(up)) + down
-                    witness_balance = _walk_balance(set(window.edges), witness_cycle)
+                    witness_balance = _walk_balance(edges, witness_cycle)
                     break
         if witness_cycle is not None:
             break
     balance_ok = witness_cycle is None
 
-    boundary = set(window.boundary)
-    scope = [v for v in window.vertices if v not in boundary]
-    scope_set = set(scope)
-    pair_ok = True
-    witness_pair = None
-    witness_counts = None
-    for x in scope:
-        # only vertices within two steps can share a neighbor
-        near = set()
-        for u in window.neighbors(x):
-            near.add(u)
-            near.update(window.neighbors(u))
-        for y in sorted(near):
-            if y <= x or y not in scope_set:
-                continue
-            shared_fwd = len(window.forward_neighbors(x) & window.forward_neighbors(y))
-            shared_bwd = len(window.backward_neighbors(x) & window.backward_neighbors(y))
-            if shared_fwd != shared_bwd:
-                pair_ok = False
-                witness_pair = (x, y)
-                witness_counts = (shared_fwd, shared_bwd)
-                break
-        if not pair_ok:
-            break
+    verts = window.vertices
+    dim = len(verts)
+    ends = np.searchsorted(verts, np.array(window.edges, dtype=int).reshape(-1, 2))
+    f = sparse.csr_array((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(dim, dim))
+    shared_fwd, shared_bwd = f @ f.T, f.T @ f
+    rows, cols = (shared_fwd - shared_bwd).nonzero()
+    full = ~np.isin(verts, window.boundary)
+    bad = (rows < cols) & full[rows] & full[cols]
+    witness_pair = witness_counts = None
+    if bad.any():
+        x, y = min(zip(rows[bad].tolist(), cols[bad].tolist()))
+        witness_pair = (verts[x], verts[y])
+        witness_counts = (int(shared_fwd[x, y]), int(shared_bwd[x, y]))
 
     return AdmissibilityReport(
         path_balance_ok=balance_ok,
-        pair_counts_ok=pair_ok,
+        pair_counts_ok=witness_pair is None,
         position=position if balance_ok else None,
         witness_cycle=witness_cycle,
         witness_balance=witness_balance,

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -269,12 +270,56 @@ def test_scenario_names_stay_inside_the_output_directory(tmp_path, capsys):
 def test_out_that_cannot_be_written_exits_two_with_one_line(tmp_path, capsys):
     path = write_config(tmp_path, pair_config())
     taken = tmp_path / "taken"
-    taken.write_text("")
-    for out in (taken, taken / "sub"):
+    taken.write_text("kept")
+    for verb in (["run", str(path)], ["emit-examples"]):
+        for out in (taken, taken / "sub"):
+            capsys.readouterr()
+            assert main([*verb, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write to --out {str(out)!r}: ") and err.count("\n") == 1
+    assert taken.read_text() == "kept"
+
+
+def test_fourier_gamma_must_be_positive(tmp_path, capsys):
+    for gamma in (0, -0.5):
+        config = pair_config(tasks=["fourier"], thresholds={"fourier_gamma": gamma})
+        want = f"config.scenarios[0].thresholds.fourier_gamma: must be positive, got {gamma!r}"
+        with pytest.raises(SchemaError) as info:
+            validate_config(config)
+        assert str(info.value) == want
+        path = write_config(tmp_path, config)
         capsys.readouterr()
-        assert main(["run", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write to --out {str(out)!r}: ") and err.count("\n") == 1
+        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert want in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    config = validate_config(pair_config(thresholds={"fourier_gamma": 0.25}))
+    assert config["scenarios"][0]["thresholds"]["fourier_gamma"] == 0.25
+
+
+def test_flow_pair_runs_all_four_tasks_end_to_end(tmp_path):
+    rng = np.random.default_rng(3)
+
+    def hermitian():
+        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        return matrix_to_payload((z + z.conj().T) / 2.0)
+
+    tasks = ["identities", "degree", "mixing", "summability"]
+    config = {"version": 1, "scenarios": [{
+        "name": "flow", "seed": 7, "tasks": tasks,
+        "model": {"type": "matrix-pair", "generator": hermitian(), "conjugate": hermitian()}}]}
+    path = write_config(tmp_path, config)
+    assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    scenario = report["scenarios"][0]
+    assert scenario["schedule"] == [0.5, 1.5, 3.0] and scenario["horizon"] == 128
+    statuses = {row["task"]: row["status"] for row in scenario["tasks"]}
+    assert statuses == {"identities": "pass", "degree": "warn", "mixing": "warn", "summability": "warn"}
+    csv = (tmp_path / "a" / "flow" / "correlation.csv").read_text().splitlines()
+    assert csv[0].endswith(" kind=continuous")
+    times = [float(line.split(",")[0]) for line in csv[2:]]
+    assert len(times) == 128 and times[0] == 0.0 and times[-1] == 3.0
+    assert main(["run", str(path), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "report.json").read_bytes() == (tmp_path / "a" / "report.json").read_bytes()
 
 
 def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys):
@@ -466,6 +511,35 @@ def test_validation_accepts_exactly_the_supported_tasks(tmp_path):
                 validate_config(raw)
             assert "config.scenarios[0].tasks[1]" in str(info.value), (label, task)
             assert "not supported" in str(info.value), (label, task)
+
+
+def _readme_table(heading):
+    """Rows of the first markdown table after the line starting with ``heading``,
+    as lists of cells."""
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    table = []
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            table.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif table:
+            break
+    return table[2:]  # past the header and the --- row
+
+
+def test_readme_tables_match_the_handlers_and_the_default_thresholds():
+    def ticked(cell):
+        return re.findall(r"`([^`]*)`", cell)
+
+    families = {ticked(family)[0]: set(ticked(tasks))
+                for family, _, tasks in _readme_table("Tasks per family")}
+    assert families == {family: set(tasks) for family, tasks in cli.HANDLERS.items()}
+    defaults = {}
+    for keys, values, _ in _readme_table("Every threshold that feeds"):
+        defaults.update(zip(ticked(keys), ticked(values), strict=True))
+    assert defaults.keys() == DEFAULT_THRESHOLDS.keys()
+    for key, text in defaults.items():
+        assert float(text) == DEFAULT_THRESHOLDS[key], key
 
 
 def test_validation_rejects_tasks_that_always_fail():
@@ -855,8 +929,8 @@ def _raw_config(draw):
             sc["horizon"] = draw(st.integers(16, 4096))
         if draw(st.booleans()):
             keys = draw(st.lists(st.sampled_from(sorted(DEFAULT_THRESHOLDS)), unique=True, max_size=4))
-            sc["thresholds"] = {k: draw(st.integers(8, 512)) if k == "fourier_n_max" else draw(_numbers)
-                                for k in keys}
+            valid = {"fourier_n_max": st.integers(8, 512), "fourier_gamma": st.floats(0.01, 10.0)}
+            sc["thresholds"] = {k: draw(valid.get(k, _numbers)) for k in keys}
         if draw(st.booleans()):
             sc["expect_admissible"] = draw(st.booleans())
         scenarios.append(sc)

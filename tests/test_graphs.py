@@ -6,7 +6,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -104,6 +104,80 @@ def test_grading_constant_per_component():
     pos = rep.position
     for a, b in w.edges:
         assert pos[b] == pos[a] + 1
+
+
+def _loop_admissibility(window):
+    """The per-pair route: a grading breadth-first from per-vertex forward sets,
+    then shared forward and backward neighbor counts for each pair of
+    full-degree vertices within two steps, smallest pair first."""
+    forward = {v: set() for v in window.vertices}
+    backward = {v: set() for v in window.vertices}
+    for x, y in window.edges:
+        forward[x].add(y)
+        backward[y].add(x)
+    position, parent, witness_cycle = {}, {}, None
+    for root in window.vertices:
+        if root in position:
+            continue
+        position[root], parent[root] = 0, None
+        queue = [root]
+        while queue and witness_cycle is None:
+            v = queue.pop(0)
+            for w in sorted(window.neighbors(v)):
+                step = 1 if w in forward[v] else -1
+                if w not in position:
+                    position[w], parent[w] = position[v] + step, v
+                    queue.append(w)
+                elif position[w] != position[v] + step:
+                    up, down, node = [], [], v
+                    while node is not None:
+                        up.append(node)
+                        node = parent[node]
+                    node = w
+                    while node is not None:
+                        down.append(node)
+                        node = parent[node]
+                    witness_cycle = up[::-1] + down
+                    break
+        if witness_cycle is not None:
+            break
+    scope = [v for v in window.vertices if v not in set(window.boundary)]
+    for x in scope:
+        near = set()
+        for u in window.neighbors(x):
+            near |= {u, *window.neighbors(u)}
+        for y in sorted(near):
+            if y <= x or y not in scope:
+                continue
+            counts = (len(forward[x] & forward[y]), len(backward[x] & backward[y]))
+            if counts[0] != counts[1]:
+                return witness_cycle, position, (x, y), counts
+    return witness_cycle, position, None, None
+
+
+def _oriented_graph(rng):
+    """Up to nine labels out of -3..20, so rows and labels differ, and each
+    pair joined with a per-graph probability in one orientation or the other."""
+    vertices = sorted(rng.sample(range(-3, 21), rng.randint(1, 9)))
+    density = rng.random()
+    edges = [rng.choice(((x, y), (y, x))) for i, x in enumerate(vertices)
+             for y in vertices[i + 1:] if rng.random() < density]
+    return DirectedGraphWindow(vertices, edges, rng.randrange(3))
+
+
+@settings(max_examples=200)
+@example(window=alternating_cycle4())
+@example(window=line_window(9, 2))
+@given(window=st.randoms(use_true_random=True).map(_oriented_graph))
+def test_check_admissible_matches_the_per_pair_loop(window):
+    rep = check_admissible(window)
+    witness_cycle, position, witness_pair, witness_counts = _loop_admissibility(window)
+    assert rep.path_balance_ok == (witness_cycle is None)
+    assert rep.witness_cycle == witness_cycle
+    assert rep.position == (position if witness_cycle is None else None)
+    assert rep.pair_counts_ok == (witness_pair is None)
+    assert rep.witness_pair == witness_pair
+    assert rep.witness_counts == witness_counts
 
 
 def _dense_complex_operators(window):
