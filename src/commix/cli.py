@@ -67,7 +67,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 7
+REPORT_VERSION = 8
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario
@@ -235,6 +235,8 @@ def _build_matrix_pair(spec, rng, path):
             continue
         value = spec[field]
         m = matrices[field] = _load_matrix(value, f"{path}.{field}")
+        if m.size == 0:
+            _fail(f"{path}.{field}", "expected a matrix of dimension at least 1, got 0x0")
         echo[field] = matrix_digest(m)
         if isinstance(value, str):
             echo[field]["path"] = value
@@ -346,7 +348,7 @@ MODEL_TYPES = {
         _torus_fields, _build_torus,
         family=lambda s: "torus" if len(s["y"]) == 1 else "torus-nd",
         schedule=(16, 32, 64, 128, 256, 512, 1024), horizon=512),
-    "su2": ModelType(_su2_fields, _build_su2, "su2", schedule=(2000,)),
+    "su2": ModelType(_su2_fields, _build_su2, "su2", schedule=(1000000,)),
     "graph-line": ModelType(
         _int_fields(length=(200, 2), margin=(3, 0)),
         lambda s, rng, p: {"window": line_window(s["length"], s["margin"])}, "graph"),

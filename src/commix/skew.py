@@ -25,7 +25,7 @@ import numpy as np
 from .commutators import OperatorPair
 from .errors import RationalApproximationWarning, ResolutionError, StructureError
 from .mixing import CorrelationSeries
-from .operators import _kernel_mask, check_structure
+from .operators import _kernel_mask, check_structure, spectral_norm
 
 __all__ = [
     "TorusFlow",
@@ -696,8 +696,10 @@ class SU2Cocycle:
 
 @dataclass
 class SU2DegreeReport:
+    # the matrix field is rate[..., None, None] * frame, rate grid-shaped
     steps: int
-    field: np.ndarray
+    rate: np.ndarray
+    frame: np.ndarray
     limit_estimate: np.ndarray
     eigenvalues: np.ndarray
     predicted_eigenvalues: np.ndarray
@@ -715,9 +717,10 @@ def su2_degree_field(cocycle, flow, shape, steps, kernel_tol=1e-8):
     frame are diagonal in the same pi(h) frame, so the transport cancels and
     each term equals rate(F_m x) * frame: the average is exactly frame times
     the scalar orbit average of the rate, a finite sum of geometric series,
-    for any step count.  For this conjugated-diagonal model family the limit
-    has eigenvalues 2 pi (y.b) (2k-n), so its kernel is one-dimensional
-    exactly for even n.
+    for any step count.  The limit estimate is the grid mean of the rate
+    times the frame, so the sup deviation is max|rate - mean| ||frame||.  For
+    this conjugated-diagonal model family the limit has eigenvalues
+    2 pi (y.b) (2k-n), so its kernel is one-dimensional exactly for even n.
     """
     steps = int(steps)
     if steps < 1:
@@ -726,27 +729,20 @@ def su2_degree_field(cocycle, flow, shape, steps, kernel_tol=1e-8):
     if len(shape) != cocycle.d:
         raise ValueError("grid dimension does not match the cocycle base")
     n = cocycle.label
-    r = n + 1
-    coords = unit_grid(shape)
-    points = coords.reshape(-1) if cocycle.d == 1 else coords.reshape(-1, cocycle.d)
-
     pih = su2_irrep(n, cocycle.conjugator)
-    weights = 2 * np.arange(r) - n
-    frame = pih @ np.diag(2.0 * np.pi * weights).astype(complex) @ pih.conj().T
-    base_rate = float(np.dot(cocycle.frequency, flow.y))
-    rate = _orbit_average_rate(cocycle.angle, flow, points, steps).real
-    total = rate[:, None, None] * frame
-
-    limit = total.mean(axis=0)
-    limit = (limit + limit.conj().T) / 2.0
+    weights = 2 * np.arange(n + 1) - n
+    frame = (pih * (2.0 * np.pi * weights)) @ pih.conj().T
+    rate = _orbit_average_rate(cocycle.angle, flow, unit_grid(shape), steps).real
+    mean = float(rate.mean())
+    limit = mean * (frame + frame.conj().T) / 2.0
     eigvals = np.linalg.eigvalsh(limit)
     kernel_dim = int(np.count_nonzero(_kernel_mask(eigvals, kernel_tol)))
-    deviation = total - limit[None, :, :]
-    sup_dev = float(np.max(np.linalg.svd(deviation, compute_uv=False)[:, 0]))
-    predicted = np.sort(2.0 * np.pi * base_rate * weights.astype(float))
+    sup_dev = float(np.max(np.abs(rate - mean))) * spectral_norm(frame)
+    predicted = np.sort(2.0 * np.pi * float(np.dot(cocycle.frequency, flow.y)) * weights)
     return SU2DegreeReport(
         steps=steps,
-        field=total.reshape(shape + (r, r)),
+        rate=rate,
+        frame=frame,
         limit_estimate=limit,
         eigenvalues=eigvals,
         predicted_eigenvalues=predicted,

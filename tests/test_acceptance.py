@@ -5,6 +5,10 @@ acceptance protocol transcript.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -36,6 +40,7 @@ from commix import (
     torus_degree_field,
     unitary_symbol,
 )
+from commix import cli
 from commix.cli import run_config, validate_config
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -250,3 +255,35 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
     parsed = json.loads(first)
     assert parsed["format"] == "run-report"
     print(f"criterion 9: {len(first)} report bytes, stable across reruns and threads")
+
+
+BLAS_RUN = """
+import pathlib, sys
+from commix.cli import EXAMPLE_CONFIGS, run_config, validate_config
+for fname, raw in sorted(EXAMPLE_CONFIGS.items()):
+    run_config(validate_config(raw, default_seed=7), pathlib.Path(sys.argv[1]) / fname)
+"""
+
+
+def test_examples_agree_across_blas_thread_counts(tmp_path):
+    # byte identity holds within one BLAS thread count only; across counts
+    # the contract is what `commix compare` accepts, with equal statuses
+    t0 = time.perf_counter()
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    runs = {}
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs[threads] = subprocess.Popen([sys.executable, "-c", BLAS_RUN, str(tmp_path / str(threads))],
+                                         env=env, stderr=subprocess.PIPE, text=True)
+    for threads, proc in runs.items():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, f"{threads} BLAS threads: {err}"
+    for fname in sorted(cli.EXAMPLE_CONFIGS):
+        one, two = (json.loads((tmp_path / str(t) / fname / "report.json").read_text()) for t in (1, 2))
+        assert cli._diff_reports(one, two) == [], fname
+        statuses = [[(sc["name"], task["task"], task["status"]) for sc in rep["scenarios"]
+                     for task in sc["tasks"]] for rep in (one, two)]
+        assert statuses[0] == statuses[1], fname
+    print(f"BLAS threads 1 vs 2: {len(cli.EXAMPLE_CONFIGS)} example reports compare equal, "
+          f"{time.perf_counter() - t0:.1f}s")

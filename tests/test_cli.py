@@ -141,6 +141,32 @@ def test_build_rejects_matrix_payload_components_that_are_not_numbers():
         build_model(sc["scenarios"][0])
 
 
+def test_matrix_pair_rejects_empty_matrices_naming_the_field(tmp_path, capsys):
+    # a 0x0 pair would pass identities, mixing and summability on nothing
+    empty, one = matrix_to_payload(np.zeros((0, 0))), matrix_to_payload(np.eye(1))
+    cases = [("unitary", {"unitary": empty, "conjugate": empty}),
+             ("generator", {"generator": empty, "conjugate": one}),
+             ("conjugate", {"unitary": one, "conjugate": empty})]
+    for field, matrices in cases:
+        model = {"type": "matrix-pair", **matrices}
+        path = write_config(tmp_path, {"version": 1, "scenarios": [
+            {"name": "a", "model": model, "tasks": ["identities", "degree"]}]})
+        capsys.readouterr()
+        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2, field
+        assert f"model.{field}: expected a matrix of dimension at least 1" in capsys.readouterr().err
+
+
+def test_su2_on_a_2d_base_passes_identities_and_degree(tmp_path):
+    model = {"type": "su2", "y": [2.0**0.5 - 1.0, (5.0**0.5 - 1.0) / 2.0], "frequency": [1, 2],
+             "label": 3, "eta": [[[1, 0], 0.0, -0.05], [[-1, 0], 0.0, 0.05]]}
+    config = validate_config({"version": 1, "scenarios": [
+        {"name": "su2-2d", "seed": 7, "model": model, "tasks": ["identities", "degree"]}]})
+    report = run_config(config, tmp_path / "out")
+    tasks = report["scenarios"][0]["tasks"]
+    assert [(task["task"], task["status"]) for task in tasks] == [("identities", "pass"), ("degree", "pass")]
+    assert tasks[1]["metrics"]["steps"] == 1000000
+
+
 def test_run_pair_identities(tmp_path, capsys):
     path = write_config(tmp_path, pair_config())
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
@@ -149,7 +175,7 @@ def test_run_pair_identities(tmp_path, capsys):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 7
+    assert report["version"] == cli.REPORT_VERSION == 8
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -478,7 +504,7 @@ def model_cases(tmp_path):
          pair_tasks),
         ("torus 2-D", {**torus, "y": [0.6180339887498949, 0.41421356237309515], "winding": [[2, 1]]},
          [16, 32, 64, 128, 256, 512, 1024], 512, {"degree", "mixing", "summability"}),
-        ("su2", {"type": "su2", "y": 0.41421356237309515}, [2000], 128, {"identities", "degree"}),
+        ("su2", {"type": "su2", "y": 0.41421356237309515}, [1000000], 128, {"identities", "degree"}),
         ("graph-line", {"type": "graph-line"}, steps, 128, graph_tasks),
         ("graph-grid2d", {"type": "graph-grid2d"}, steps, 128, graph_tasks),
         ("graph-cycle4-alt", {"type": "graph-cycle4-alt"}, steps, 128, graph_tasks),

@@ -1,5 +1,6 @@
 """Torus and SU(2) skew products, sector transfer operators, and the shift seam model."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,6 +35,7 @@ from commix import (
 )
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+SILVER = np.sqrt(2.0) - 1.0
 
 
 def golden_flow():
@@ -417,29 +419,31 @@ def test_su2_degree_field_warns_on_ambiguous_kernel_cut():
         su2_degree_field(coc, flow, (64,), 50, kernel_tol=0.3)
 
 
-def transport_loop_degree_field(cocycle, flow, modes, grid, steps):
+def transport_loop_degree_field(cocycle, flow, modes, shape, steps):
     """Reference for su2_degree_field: the rate times the symbol frame, transported step by step."""
     n = cocycle.label
-    points = unit_grid((grid,))
+    points = unit_grid(shape)
     pih = su2_irrep(n, cocycle.conjugator)
     weights = 2 * np.arange(n + 1) - n
     frame = pih @ np.diag(2.0 * np.pi * weights).astype(complex) @ pih.conj().T
-    total = np.zeros((grid, n + 1, n + 1), dtype=complex)
+    total = np.zeros(tuple(shape) + (n + 1, n + 1), dtype=complex)
     for m in range(steps):
         theta = cocycle_sum(cocycle.angle, flow, points, m)
         moved = flow.advance(points, m)
-        rate = np.full(grid, float(cocycle.frequency @ flow.y), dtype=complex)
-        for (k,), g in modes.items():
-            rate += 2j * np.pi * k * flow.y[0] * g * np.exp(2j * np.pi * k * moved)
-        phases = np.exp(2j * np.pi * theta[:, None] * weights[None, :])
-        transport = (pih[None, :, :] * phases[:, None, :]) @ pih.conj().T
-        total += rate.real[:, None, None] * (transport @ frame @ transport.conj().transpose(0, 2, 1))
+        rate = np.full(theta.shape, float(cocycle.frequency @ flow.y), dtype=complex)
+        for k, g in modes.items():
+            k = np.asarray(k)
+            kx = moved * k[0] if cocycle.d == 1 else moved @ k
+            rate += 2j * np.pi * float(k @ flow.y) * g * np.exp(2j * np.pi * kx)
+        phases = np.exp(2j * np.pi * theta[..., None] * weights)
+        transport = (pih * phases[..., None, :]) @ pih.conj().T
+        moved_frame = transport @ frame @ transport.conj().swapaxes(-1, -2)
+        total += rate.real[..., None, None] * moved_frame
     return total / steps
 
 
-def test_su2_degree_field_matches_transport_loop():
-    flow = golden_flow()
-    rng = np.random.default_rng(307)
+def seeded_conjugator(seed):
+    rng = np.random.default_rng(seed)
     phase = rng.standard_normal(3)
     c, s = np.cos(phase[0]), np.sin(phase[0])
     h = np.array(
@@ -447,15 +451,49 @@ def test_su2_degree_field_matches_transport_loop():
          [s * np.exp(-1j * phase[2]), c * np.exp(-1j * phase[1])]]
     )
     assert abs(h[0, 1]) > 0.1
+    return h
+
+
+def assert_matches_transport_loop(coc, flow, modes, shape, steps):
+    rep = su2_degree_field(coc, flow, shape, steps)
+    field = rep.rate[..., None, None] * rep.frame
+    oracle = transport_loop_degree_field(coc, flow, modes, shape, steps)
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(field - oracle)) <= 1e-12 * scale, (coc.label, shape, steps)
+
+
+def test_su2_degree_field_matches_transport_loop():
+    flow = golden_flow()
+    h = seeded_conjugator(307)
     modes = {(1,): -0.05j, (-1,): 0.05j, (2,): 0.02, (-2,): 0.02}
     for label in (0, 1, 2, 3):
         coc = SU2Cocycle(h, [1], modes, label)
         for grid in (100, 128):
             for steps in (1, 7, 500):
-                field = su2_degree_field(coc, flow, (grid,), steps).field
-                oracle = transport_loop_degree_field(coc, flow, modes, grid, steps)
-                scale = np.max(np.abs(oracle))
-                assert np.max(np.abs(field - oracle)) <= 1e-12 * scale, (label, grid, steps)
+                assert_matches_transport_loop(coc, flow, modes, (grid,), steps)
+
+
+def test_su2_degree_field_matches_transport_loop_on_a_2d_base():
+    flow = TorusFlow([SILVER, GOLDEN])
+    modes = {(1, 0): -0.05j, (-1, 0): 0.05j, (1, 1): 0.02, (-1, -1): 0.02}
+    coc = SU2Cocycle(seeded_conjugator(308), [1, 2], modes, 3)
+    for steps in (1, 7, 60):
+        assert_matches_transport_loop(coc, flow, modes, (16, 16), steps)
+
+
+def test_su2_degree_field_keeps_no_per_point_matrices():
+    # the report holds one rate per grid point and one frame; a field of
+    # per-point 4x4 matrices at 256x256 alone would take 16 MiB
+    coc = SU2Cocycle(seeded_conjugator(309), [1, 2], {(1, 0): -0.05j, (-1, 0): 0.05j}, 3)
+    flow = TorusFlow([SILVER, GOLDEN])
+    tracemalloc.start()
+    try:
+        rep = su2_degree_field(coc, flow, (256, 256), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert rep.rate.shape == (256, 256) and rep.frame.shape == (4, 4)
 
 
 def test_su2_degree_field_at_a_million_steps():
