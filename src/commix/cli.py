@@ -17,6 +17,7 @@ import datetime
 import functools
 import json
 import math
+import os
 import pathlib
 import re
 import sys
@@ -67,7 +68,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 8
+REPORT_VERSION = 9
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario
@@ -915,9 +916,10 @@ def _dump_report(report):
 
 def run_config(config, out_dir, threads=1):
     """Execute all scenarios and write report, metadata, and artifacts."""
+    # build every model first, so that a build error leaves no output directory
+    built = {sc["name"]: build_model(sc) for sc in config["scenarios"]}
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    built = {sc["name"]: build_model(sc) for sc in config["scenarios"]}
 
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
@@ -964,12 +966,17 @@ def run_config(config, out_dir, threads=1):
         "status": _worst([r["status"] for r in results]),
     }
     (out / "report.json").write_text(_dump_report(report))
+    # report digits depend on the BLAS and its thread count; numpy exposes no
+    # runtime thread count, so the variables that set it are recorded instead
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     meta = {
         "started": started.isoformat(),
         "finished": finished.isoformat(),
         "wall_time_s": wall,
         "scenario_wall_times_s": {k: scenario_walls[k] for k in sorted(scenario_walls)},
         "threads": threads,
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "threads": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "task_tracebacks": tracebacks,
     }
     (out / "report.meta.json").write_text(_dump_report(meta))

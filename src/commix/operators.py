@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -74,11 +75,24 @@ def max_norm(m):
 def spectral_norm(m):
     """Operator 2-norm (largest singular value), in the input's own arithmetic.
 
-    An empty or all-zero matrix has norm exactly 0.0 and takes no SVD; NaN
-    entries count as nonzero and reach the SVD.
+    ``sqrt(lambda_max(m* m))`` from one Hermitian eigensolve, about half an
+    SVD's flops.  Empty or all-zero input gives exactly 0.0 and a NaN or inf
+    entry raises ``np.linalg.LinAlgError``, both without an eigensolve; a
+    largest entry outside ``(2**-450, 2**450)`` is first scaled by an exact power of two.
     """
     m = np.asarray(m)
-    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.any() else 0.0
+    m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
+    peak = float(np.abs(m).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise np.linalg.LinAlgError("spectral_norm: matrix has a NaN or infinite entry")
+    if peak == 0.0:
+        return 0.0
+    if not 2.0**-450 < peak < 2.0**450:
+        # 2**e in two factors, since 2.0**e alone overflows at the ends of the range
+        e = math.frexp(peak)[1]
+        lo, hi = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+        return spectral_norm(m / lo / hi) * lo * hi
+    return math.sqrt(np.linalg.eigvalsh(m.conj().T @ m)[-1])
 
 
 def _deviation(m, kind):

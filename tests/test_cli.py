@@ -154,6 +154,8 @@ def test_matrix_pair_rejects_empty_matrices_naming_the_field(tmp_path, capsys):
         capsys.readouterr()
         assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2, field
         assert f"model.{field}: expected a matrix of dimension at least 1" in capsys.readouterr().err
+        # the models are built before the output directory is made
+        assert not (tmp_path / "x").exists(), field
 
 
 def test_su2_on_a_2d_base_passes_identities_and_degree(tmp_path):
@@ -167,7 +169,9 @@ def test_su2_on_a_2d_base_passes_identities_and_degree(tmp_path):
     assert tasks[1]["metrics"]["steps"] == 1000000
 
 
-def test_run_pair_identities(tmp_path, capsys):
+def test_run_pair_identities(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     path = write_config(tmp_path, pair_config())
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
@@ -175,12 +179,17 @@ def test_run_pair_identities(tmp_path, capsys):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 8
+    assert report["version"] == cli.REPORT_VERSION == 9
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
     meta = json.loads((tmp_path / "out" / "report.meta.json").read_text())
     assert "started" in meta
+    # the BLAS that set the report's last digits, and the variables that set its threads
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["blas"] == {"name": blas["name"], "version": blas["version"],
+                            "threads": {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None}}
+    assert "blas" not in report
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -648,7 +657,7 @@ def test_identities_form_the_symbol_and_the_conjugate_norm_once_per_pair(tmp_pat
     schedule = [1, 2, 5, 17, 64]
     report = run_config(validate_config(pair_config(schedule=schedule)), tmp_path / "out")
     assert report["scenarios"][0]["status"] == "pass"
-    # per entry: one U^N, and the SVDs of the residual, of D_N and of the
+    # per entry: one U^N, and the norms of the residual, of D_N and of the
     # alternative's gap; once per pair: the symbol and ||A||
     entries = len(schedule)
     assert calls == {"matrix_power": entries, "spectral_norm": 3 * entries + 1, "unitary_symbol": 1}

@@ -1,5 +1,6 @@
 """Structure checks, spectral decompositions, Cayley maps, and matrix serialization."""
 
+import copy
 import json
 import os
 import pathlib
@@ -30,7 +31,7 @@ from commix import (
     spectral_decomposition,
     spectral_norm,
 )
-from commix import operators
+from commix import cli, operators
 from commix.operators import _PROJECTION_ANGLE, _resolvent_sandwich, as_square_matrix
 
 EPS = np.finfo(float).eps
@@ -338,37 +339,109 @@ def test_real_input_gives_the_values_of_its_complex_cast():
     assert max_norm(inverse_cayley_transform(h) - inverse_cayley_transform(h.astype(complex))) <= 1e-12
 
 
-def test_spectral_norm_takes_the_real_svd_of_real_input():
+def _record_eigvalsh(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def recording(a, *args, **kwargs):
+        calls.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return calls
+
+
+def test_spectral_norm_takes_a_real_eigensolve_of_real_input(monkeypatch):
+    calls = _record_eigvalsh(monkeypatch)
     rng = np.random.default_rng(65)
     z = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    # the complex route is the one np.linalg.norm takes, to the last bit
-    assert spectral_norm(z) == np.linalg.norm(z, 2)
-    assert spectral_norm(z.real) == pytest.approx(np.linalg.norm(z.real.astype(complex), 2), rel=1e-14)
+    bound = 4.0 * 8 * EPS
+    assert spectral_norm(z) == pytest.approx(np.linalg.norm(z, 2), rel=bound)
+    assert spectral_norm(z.real) == pytest.approx(np.linalg.norm(z.real.astype(complex), 2), rel=bound)
+    # integer and boolean input is real too, and takes the float64 route
+    for dtype in (bool, int):
+        assert spectral_norm(np.ones((3, 3), dtype=dtype)) == pytest.approx(3.0, rel=bound)
+    assert calls == [np.dtype(complex)] + [np.dtype(float)] * 3
     assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
-def test_spectral_norm_of_zero_takes_no_svd(monkeypatch):
-    svd = np.linalg.svd
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+def test_spectral_norm_of_zero_or_non_finite_input_takes_no_eigensolve(monkeypatch):
+    calls = _record_eigvalsh(monkeypatch)
     for dtype in (float, complex):
         assert spectral_norm(np.zeros((5, 5), dtype=dtype)) == 0.0
         assert spectral_norm(-np.zeros((3, 3), dtype=dtype)) == 0.0
     assert calls == []
-    # NaN is not zero: it reaches the SVD, which rejects it
+    # NaN and inf are rejected before m* m is formed, which would warn on inf
+    for dtype in (float, complex):
+        for bad in (np.nan, np.inf, -np.inf):
+            m = np.zeros((4, 4), dtype=dtype)
+            m[1, 2] = bad
+            with pytest.raises(np.linalg.LinAlgError):
+                spectral_norm(m)
+    assert calls == []
     for dtype in (float, complex):
         m = np.zeros((4, 4), dtype=dtype)
-        m[1, 2] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
-            spectral_norm(m)
         m[1, 2] = 3.0
         assert spectral_norm(m) == 3.0
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+def test_spectral_norm_is_exact_at_the_ends_of_the_float_range():
+    # the power-of-two scaling is exact, from the smallest subnormal to the largest float
+    for x in (5e-324, 2.0**-1000, 2.0**-451, 2.0**451, 2.0**1000, np.finfo(float).max):
+        for dtype in (float, complex):
+            assert spectral_norm(np.diag([x, x / 4]).astype(dtype)) == x
+            assert spectral_norm(np.array([[0, -x], [x / 4, 0]], dtype=dtype)) == x
+
+
+def norm_test_matrix(rng, family, dim, real):
+    z = rng.standard_normal((dim, dim))
+    if not real:
+        z = z + 1j * rng.standard_normal((dim, dim))
+    if family == "graded":  # singular values from 1 down to 1e-15
+        q1, q2 = np.linalg.qr(z)[0], np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        return (q1 * np.logspace(0, -15, dim)) @ q2
+    if family == "rank-1":
+        return np.outer(z[:, 0], z[0].conj())
+    if family == "tiny":
+        return 1e-14 * z
+    if family in ("huge", "subtiny"):
+        return z * 2.0 ** (900 if family == "huge" else -900)
+    if family == "near-hermitian":
+        return z + z.conj().T + 1e-9 * z
+    if family == "dft":
+        k = np.arange(dim)
+        f = np.exp(-2j * np.pi * np.outer(k, k) / dim)
+        return f.real if real else f
+    if family == "signs":
+        return np.sign(z.real)
+    return z
+
+
+@settings(max_examples=50)
+@given(family=st.sampled_from(["plain", "graded", "rank-1", "tiny", "huge", "subtiny", "near-hermitian",
+                               "dft", "signs"]),
+       dim=st.integers(1, 40), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_spectral_norm_agrees_with_the_svd(family, dim, real, seed):
+    m = norm_test_matrix(np.random.default_rng(seed), family, dim, real)
+    oracle = np.linalg.norm(m, 2)
+    assert spectral_norm(m) == pytest.approx(oracle, rel=4.0 * max(dim, 8) * EPS, abs=0.0)
+
+
+def test_norms_of_the_runner_take_no_svd(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    torus = copy.deepcopy(cli.EXAMPLE_CONFIGS["torus-sector.json"]["scenarios"][0])
+    torus.update(tasks=["identities"], schedule=[16, 1024])
+    pair = {"name": "pair", "seed": 7, "model": {"type": "random-pair", "dim": 16},
+            "tasks": ["identities", "degree"], "schedule": [1, 2, 5, 17, 64]}
+    report = cli.run_config(cli.validate_config({"version": 1, "scenarios": [torus, pair]}), tmp_path / "out")
+    # a task that raises reports an error metric and fails
+    tasks = {(sc["name"], task["task"]): task for sc in report["scenarios"] for task in sc["tasks"]}
+    assert [key for key, task in tasks.items() if "error" in task["metrics"]] == []
+    assert tasks["pair", "identities"]["status"] == tasks[torus["name"], "identities"]["status"] == "pass"
 
 
 def test_norms_agree_on_diagonal():
