@@ -31,7 +31,8 @@ from . import __version__
 from .commutators import (
     OperatorPair,
     SmoothWindow,
-    degree_identity_check,
+    _birkhoff_ladder,
+    _identity_check,
     estimate_degree,
     flow_identity_check,
 )
@@ -68,7 +69,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 9
+REPORT_VERSION = 10
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario
@@ -631,11 +632,14 @@ class ScenarioRunner:
 
     def discrete_identities(self, pair, schedule):
         residuals, expected, agreements = [], [], []
-        for n in schedule:
-            check = degree_identity_check(pair, n)
+        for n, total, power in _birkhoff_ladder(pair.main, pair.symbol, schedule):
+            check = _identity_check(pair, n, power, total / n)
             residuals.append(check.residual)
             expected.append(check.expected)
             agreements.append(spectral_norm(check.average - check.alternative))
+            # free D_N and the alternative before the ladder's next step: with
+            # S_N and U^N held there, a second live check would set the peak
+            del check
         cap = self.thresholds["identity_residual"]
         agree_cap = self.thresholds["alternative_agreement"]
         ok = all(r <= max(e, cap) for r, e in zip(residuals, expected))

@@ -178,13 +178,41 @@ def _conjugation_sum(u, m, steps):
     return total, power
 
 
+def _birkhoff_ladder(u, m, horizons):
+    """Yield ``(N, sum_{n<N} U^n M U^{-n}, U^N)`` along strictly increasing integer horizons.
+
+    Each entry extends the previous one, ``S_{a+b} = S_a + U^a S_b U^{-a}``
+    and ``U^{a+b} = U^a U^b``: a step ``b`` equal to the previous horizon
+    ``a`` reuses ``(S_a, U^a)``, which is the doubling step of
+    :func:`_conjugation_sum`, so on a schedule whose entries double the sums
+    are bit-identical to its own; any other step takes ``(S_b, U^b)`` from
+    :func:`_conjugation_sum`.  Only the previous entry is held.
+    """
+    done = 0
+    for steps in horizons:
+        if not done:
+            total, power = _conjugation_sum(u, m, steps)
+        else:
+            step_total, step_power = ((total, power) if steps == 2 * done
+                                      else _conjugation_sum(u, m, steps - done))
+            total = total + power @ step_total @ power.conj().T
+            power = power @ step_power
+        done = steps
+        yield steps, total, power
+
+
+def _horizon(steps):
+    """A discrete horizon as an ``int >= 1``; a value that is not integral is refused, not truncated."""
+    if not (float(steps).is_integer() and steps >= 1):
+        raise ValueError(f"discrete horizons must be integers >= 1, got {steps!r}")
+    return int(steps)
+
+
 def birkhoff_discrete(unitary, symbol, steps):
     """Average ``(1/N) sum_{n<N} U^n M U^{-n}`` in ``O(log N)`` matrix products."""
     u = as_square_matrix(unitary, "unitary")
     m = as_square_matrix(symbol, "symbol")
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _horizon(steps)
     return _conjugation_sum(u, m, steps)[0] / steps
 
 
@@ -231,7 +259,10 @@ class IdentityCheck:
     """Residual of ``[A, U^N] = N D_N U^N`` with the average ``D_N`` it used.
 
     ``alternative`` is the other side of the identity, ``(1/N) [A, U^N] U^{-N}``,
-    from the same ``U^N``; it equals :func:`degree_alternative` bit for bit.
+    from the same ``U^N``.  On the reference route, :func:`degree_identity_check`,
+    ``U^N`` comes from ``np.linalg.matrix_power`` and ``alternative`` equals
+    :func:`degree_alternative` bit for bit; the runner takes ``U^N`` from the
+    schedule's Birkhoff ladder instead, and there the two agree to roundoff.
     """
 
     steps: int
@@ -242,16 +273,9 @@ class IdentityCheck:
     alternative: np.ndarray = field(repr=False, compare=False)
 
 
-def degree_identity_check(pair, steps):
-    """Residual of the exact identity ``[A, U^N] = N * D_N * U^N``."""
-    if pair.kind != "discrete":
-        raise ValueError("degree_identity_check needs a discrete pair")
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    u, a = pair.main, pair.conjugate
-    power = np.linalg.matrix_power(u, steps)
-    avg = birkhoff_discrete(u, pair.symbol, steps)
+def _identity_check(pair, steps, power, avg):
+    """:class:`IdentityCheck` of ``[A, U^N] = N D_N U^N`` from ``U^N`` and ``D_N``."""
+    a = pair.conjugate
     comm = a @ power - power @ a
     residual = spectral_norm(comm - steps * (avg @ power))
     expected = pair.dim * 1e-12 * (pair.conjugate_norm + steps * spectral_norm(avg))
@@ -260,13 +284,26 @@ def degree_identity_check(pair, steps):
                          alternative=comm @ power.conj().T / steps)
 
 
+def degree_identity_check(pair, steps):
+    """Residual of the exact identity ``[A, U^N] = N * D_N * U^N`` at one horizon.
+
+    The per-horizon reference: ``U^N`` from ``np.linalg.matrix_power`` and
+    ``D_N`` from :func:`birkhoff_discrete`.  The runner checks a whole
+    schedule from one :func:`_birkhoff_ladder` instead.
+    """
+    if pair.kind != "discrete":
+        raise ValueError("degree_identity_check needs a discrete pair")
+    steps = _horizon(steps)
+    u = pair.main
+    power = np.linalg.matrix_power(u, steps)
+    return _identity_check(pair, steps, power, birkhoff_discrete(u, pair.symbol, steps))
+
+
 def degree_alternative(pair, steps):
     """Equivalent degree formula ``(1/N) [A, U^N] U^{-N}``."""
     if pair.kind != "discrete":
         raise ValueError("degree_alternative needs a discrete pair")
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _horizon(steps)
     u, a = pair.main, pair.conjugate
     power = np.linalg.matrix_power(u, steps)
     return (a @ power - power @ a) @ power.conj().T / steps
@@ -353,11 +390,14 @@ def _convergence_flags(gaps, residual_rows, threshold):
 def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
     """Estimate the degree operator along an increasing schedule of horizons.
 
-    Each schedule entry gets its own average: the doubling sum behind
-    ``birkhoff_discrete`` (``O(log N)`` products) for discrete pairs, the
-    closed form of ``birkhoff_continuous`` on the pair's one decomposition of
-    ``H`` for continuous ones.  Probes must
-    be unit vectors; each row of ``probe_residuals`` tracks
+    A discrete pair's averages come from one :func:`_birkhoff_ladder` along
+    the schedule, each entry extending the previous one; its horizons must be
+    integers (``3.0`` is one, ``2.9`` is refused, not truncated).  On a
+    schedule whose entries double, the averages equal
+    :func:`birkhoff_discrete` bit for bit; otherwise they agree to roundoff.
+    A continuous pair's come from the closed form of
+    :func:`birkhoff_continuous` on the pair's one decomposition of ``H``.
+    Probes must be unit vectors; each row of ``probe_residuals`` tracks
     ``||(D_k - limit) probe||`` along the schedule.
 
     The limit is read through one ``eigvalsh`` of its Hermitian part.  Its
@@ -382,10 +422,8 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
         probe_vecs.append(v)
 
     if pair.kind == "discrete":
-        horizons = [int(s) for s in schedule]
-        if horizons[0] < 1:
-            raise ValueError("discrete schedule entries must be >= 1")
-        averages = [_conjugation_sum(pair.main, pair.symbol, n)[0] / n for n in horizons]
+        horizons = [_horizon(s) for s in schedule]
+        averages = [total / n for n, total, _ in _birkhoff_ladder(pair.main, pair.symbol, horizons)]
         bound = 2.0 * pair.conjugate_norm / horizons[-1]
     else:
         if schedule[0] <= 0:

@@ -179,7 +179,7 @@ def test_run_pair_identities(tmp_path, capsys, monkeypatch):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 9
+    assert report["version"] == cli.REPORT_VERSION == 10
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -224,12 +224,14 @@ def test_run_is_byte_deterministic(tmp_path):
 
 
 def test_task_metrics_do_not_depend_on_task_order(tmp_path):
-    rows = {}
-    for order in (["degree", "mixing"], ["mixing", "degree"]):
-        config = validate_config(pair_config(tasks=order, schedule=[1, 2, 5]))
-        report = run_config(config, tmp_path / "-".join(order))
-        rows[tuple(order)] = {t["task"]: t["metrics"] for t in report["scenarios"][0]["tasks"]}
-    assert rows[("degree", "mixing")] == rows[("mixing", "degree")]
+    # identities and degree walk separate Birkhoff ladders, so neither sees the other's bits
+    for tasks in (["degree", "mixing"], ["identities", "degree"]):
+        rows = []
+        for order in (tasks, tasks[::-1]):
+            config = validate_config(pair_config(tasks=order, schedule=[1, 2, 5]))
+            report = run_config(config, tmp_path / "-".join(order))
+            rows.append({t["task"]: t["metrics"] for t in report["scenarios"][0]["tasks"]})
+        assert rows[0] == rows[1], tasks
 
 
 def test_warn_statuses_and_strict(tmp_path, capsys):
@@ -657,10 +659,30 @@ def test_identities_form_the_symbol_and_the_conjugate_norm_once_per_pair(tmp_pat
     schedule = [1, 2, 5, 17, 64]
     report = run_config(validate_config(pair_config(schedule=schedule)), tmp_path / "out")
     assert report["scenarios"][0]["status"] == "pass"
-    # per entry: one U^N, and the norms of the residual, of D_N and of the
-    # alternative's gap; once per pair: the symbol and ||A||
+    # U^N comes from the schedule's Birkhoff ladder, not a matrix_power; per
+    # entry: the norms of the residual, of D_N and of the alternative's gap;
+    # once per pair: the symbol and ||A||
     entries = len(schedule)
-    assert calls == {"matrix_power": entries, "spectral_norm": 3 * entries + 1, "unitary_symbol": 1}
+    assert calls == {"matrix_power": 0, "spectral_norm": 3 * entries + 1, "unitary_symbol": 1}
+
+
+@pytest.mark.parametrize("schedule", [[1, 2, 5, 17, 64], [125, 250, 500, 1000]])
+def test_identity_rows_agree_with_the_per_horizon_reference(tmp_path, schedule):
+    # the runner walks one Birkhoff ladder; degree_identity_check takes a
+    # matrix_power and a fresh doubling per horizon, so the two routes round
+    # differently and must agree to roundoff at the scale N ||A|| of [A, U^N]
+    config = validate_config(pair_config(schedule=schedule))
+    pair = build_model(config["scenarios"][0])["pair"]
+    row = run_config(config, tmp_path / "out")["scenarios"][0]["tasks"][0]
+    assert row["status"] == "pass"
+    floor = 64.0 * np.finfo(float).eps * max(1.0, pair.conjugate_norm)
+    metrics = row["metrics"]
+    for j, n in enumerate(schedule):
+        check = commutators.degree_identity_check(pair, n)
+        assert abs(metrics["residuals"][j] - check.residual) <= n * floor
+        assert metrics["expected"][j] == pytest.approx(check.expected, rel=1e-12)
+        gap = commutators.spectral_norm(check.average - check.alternative)
+        assert abs(metrics["alternative_gaps"][j] - gap) <= floor
 
 
 def test_admissibility_is_checked_once_per_graph_scenario(tmp_path, monkeypatch):

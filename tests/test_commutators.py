@@ -31,7 +31,7 @@ from commix import (
     unitary_symbol,
 )
 from commix import commutators
-from commix.commutators import _conjugation_sum
+from commix.commutators import _birkhoff_ladder, _conjugation_sum
 
 
 def random_unitary(rng, dim):
@@ -122,12 +122,66 @@ def test_doubling_matches_the_loop(dim, steps, real, seed):
 
 def test_birkhoff_discrete_bit_identical_on_shift():
     # products of permutation matrices are exact and the symbol's entries add
-    # exactly, so doubling and the running sum must agree to the last bit
+    # exactly, so doubling, the ladder and the running sum must agree to the last bit
     model = shift_weyl_model(40, 3)
     u = model.pair.main
     m = unitary_symbol(model.pair)
-    for steps in (1, 5, 40, 77, 160):
+    schedule = (1, 5, 40, 77, 160)
+    for steps in schedule:
         assert np.array_equal(birkhoff_discrete(u, m, steps), loop_average(u, m, steps))
+    for steps, total, power in _birkhoff_ladder(u, m, schedule):
+        assert np.array_equal(total / steps, loop_average(u, m, steps))
+        assert np.array_equal(power, np.linalg.matrix_power(u, steps))
+
+
+@pytest.mark.parametrize("schedule", [[1, 2, 4, 8], [3, 6, 12, 24], [125, 250, 500, 1000],
+                                      [1, 2, 5, 17, 64], [1, 2, 3], [7], [1000]])
+@pytest.mark.parametrize("real", [False, True])
+def test_birkhoff_ladder_extends_each_horizon_from_the_previous_one(schedule, real):
+    rng = np.random.default_rng(119)
+    if real:
+        pair = OperatorPair.discrete(random_orthogonal(rng, 12), random_symmetric(rng, 12))
+    else:
+        pair = random_discrete_pair(rng, 12)
+    u, m = pair.main, pair.symbol
+    doubles = all(b == 2 * a for a, b in zip(schedule, schedule[1:]))
+    tol = 1e-14 * max(1.0, spectral_norm(m))
+    ladder = list(_birkhoff_ladder(u, m, schedule))
+    assert [n for n, _, _ in ladder] == schedule
+    for steps, total, power in ladder:
+        average = total / steps
+        assert average.dtype == power.dtype == u.dtype
+        reference = birkhoff_discrete(u, m, steps)
+        if doubles:
+            assert average.tobytes() == reference.tobytes()
+        else:
+            assert max_norm(average - reference) <= tol
+        # U^N by doubling and by matrix_power: both round O(log N) products
+        assert max_norm(power - np.linalg.matrix_power(u, steps)) <= 1e-12
+    est = estimate_degree(pair, schedule)
+    for average, (steps, total, _) in zip(est.averages, ladder):
+        assert np.array_equal(average, total / steps)
+
+
+def test_discrete_horizons_must_be_integral():
+    # a fractional horizon used to be truncated: N = 2.9 ran N = 2, and the
+    # schedule [1.2, 1.7] ran N = 1 twice and reported a Cauchy gap of 0
+    pair = random_discrete_pair(np.random.default_rng(120), 4)
+    for call in (lambda n: birkhoff_discrete(pair.main, pair.symbol, n),
+                 lambda n: degree_identity_check(pair, n),
+                 lambda n: degree_alternative(pair, n),
+                 lambda n: estimate_degree(pair, [n])):
+        for bad in (2.9, 0.5, np.float64(1.5), 0, -2, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="discrete horizons must be integers >= 1"):
+                call(bad)
+    with pytest.raises(ValueError, match="discrete horizons must be integers >= 1"):
+        estimate_degree(pair, [1.2, 1.7])
+    # integral values of any numeric type still count
+    assert degree_identity_check(pair, np.float64(3.0)).steps == 3
+    assert np.array_equal(birkhoff_discrete(pair.main, pair.symbol, np.int32(5)),
+                          birkhoff_discrete(pair.main, pair.symbol, 5))
+    est = estimate_degree(pair, [np.int64(2), 4.0])
+    assert np.array_equal(est.limit, estimate_degree(pair, [2, 4]).limit)
 
 
 def test_birkhoff_discrete_long_horizon_matches_dirichlet_kernel():
