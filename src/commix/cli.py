@@ -15,6 +15,7 @@ import argparse
 import concurrent.futures
 import datetime
 import functools
+import itertools
 import json
 import math
 import os
@@ -61,6 +62,7 @@ from .skew import (
     TorusFlow,
     _check_power_of_two,
     sector_correlation,
+    sector_identity_check,
     sector_matrix,
     shift_weyl_model,
     su2_degree_field,
@@ -69,7 +71,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 10
+REPORT_VERSION = 11
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario
@@ -77,6 +79,7 @@ DEFAULT_THRESHOLDS = {
     "identity_residual": 1e-9,
     "alternative_agreement": 1e-10,
     "flow_residual_factor": 10.0,
+    "torus_identity_factor": 10.0,
     "graph_identity_residual": 1e-12,
     "representation_homomorphism": 1e-10,
     "gap_threshold": 1e-6,
@@ -345,7 +348,7 @@ MODEL_TYPES = {
         _int_fields(window=(200, 4), margin=(3, 0)),
         lambda s, rng, p: {"pair": shift_weyl_model(s["window"], s["margin"]).pair},
         "pair", schedule=lambda s: [s["window"], 2 * s["window"], 4 * s["window"]]),
-    # sector_matrix, behind identities and fourier, needs a one-dimensional base
+    # sector_matrix, behind fourier, needs a one-dimensional base
     "torus": ModelType(
         _torus_fields, _build_torus,
         family=lambda s: "torus" if len(s["y"]) == 1 else "torus-nd",
@@ -595,10 +598,6 @@ class ScenarioRunner:
     # -- derived objects ------------------------------------------------
 
     @functools.cached_property
-    def sector_pair(self):
-        return sector_matrix(self.built["cocycle"], self.built["flow"], self.built["matrix_size"])
-
-    @functools.cached_property
     def admissibility_report(self):
         return check_admissible(self.built["window"])
 
@@ -674,6 +673,30 @@ class ScenarioRunner:
             "interior_size": int(ops.interior_rows.size),
         }
         return ("pass" if ok else "fail"), metrics, self._used("graph_identity_residual")
+
+    def torus_identities(self):
+        cocycle = self.built["cocycle"]
+        report = sector_identity_check(cocycle, self.built["flow"], self._identity_field(),
+                                       (self.built["grid"],) * cocycle.d, self.scenario["schedule"])
+        factor = self.thresholds["torus_identity_factor"]
+        ok = all(r <= factor * e for r, e in zip(report.residuals, report.estimates))
+        metrics = {
+            "horizons": report.horizons,
+            "residuals": report.residuals,
+            "estimates": report.estimates,
+            "unresolved_horizons": report.unresolved,
+        }
+        status = "fail" if not ok else "pass" if report.horizons else "warn"
+        return status, metrics, self._used("torus_identity_factor")
+
+    def _identity_field(self):
+        """Fourier data of the test field: three distinct nonzero modes with |k_i| <= 3."""
+        rng = self._rng("identity-field")
+        lattice = itertools.product(range(-3, 4), repeat=self.built["cocycle"].d)
+        candidates = [k for k in lattice if any(k)]
+        picks = rng.choice(len(candidates), size=3, replace=False)
+        coefficients = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        return {candidates[j]: c for j, c in zip(picks, coefficients)}
 
     def su2_identities(self):
         cocycle = self.built["cocycle"]
@@ -876,6 +899,7 @@ HANDLERS = {
         "summability": lambda r: r.summability(r.flow_series),
     },
     "torus-nd": {
+        "identities": ScenarioRunner.torus_identities,
         "degree": ScenarioRunner.torus_degree,
         "mixing": lambda r: r.mixing(r.torus_series),
         "summability": lambda r: r.summability(r.torus_series),
@@ -886,8 +910,8 @@ HANDLERS = {
 }
 HANDLERS["torus"] = {
     **HANDLERS["torus-nd"],
-    "identities": lambda r: r.discrete_identities(r.sector_pair, [1, 2, 3]),
-    "fourier": lambda r: r.fourier(r.sector_pair.main),
+    "fourier": lambda r: r.fourier(sector_matrix(r.built["cocycle"], r.built["flow"],
+                                                 r.built["matrix_size"]).main),
 }
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import StructureError
 from .operators import (
+    _integral,
     _resolvent_sandwich,
     as_square_matrix,
     check_structure,
@@ -203,9 +204,7 @@ def _birkhoff_ladder(u, m, horizons):
 
 def _horizon(steps):
     """A discrete horizon as an ``int >= 1``; a value that is not integral is refused, not truncated."""
-    if not (float(steps).is_integer() and steps >= 1):
-        raise ValueError(f"discrete horizons must be integers >= 1, got {steps!r}")
-    return int(steps)
+    return _integral(steps, "discrete horizons", 1)
 
 
 def birkhoff_discrete(unitary, symbol, steps):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import EvaluationError, ResolutionError, SchemaError
 from .operators import (
+    _integral,
     as_square_matrix,
     check_structure,
     max_norm,
@@ -107,9 +108,7 @@ def correlation_discrete(unitary, phi, psi, horizon):
     u = as_square_matrix(unitary, "unitary")
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = _integral(horizon, "horizons", 1)
     values = np.empty(horizon, dtype=complex)
     current = psi
     for n in range(horizon):

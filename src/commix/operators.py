@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -64,6 +65,19 @@ def as_square_matrix(obj, name="matrix"):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def _integral(value, what, minimum=None):
+    """A step count or horizon as an ``int``; a value that is not integral is refused, not truncated.
+
+    Integral values of any numeric type count (``3.0``, ``np.int32(3)``);
+    ``2.9``, NaN, an infinity and a value below ``minimum`` raise ValueError.
+    """
+    ok = isinstance(value, numbers.Integral) or float(value).is_integer()
+    if not (ok and (minimum is None or value >= minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{what} must be integers{bound}, got {value!r}")
+    return int(value)
 
 
 def max_norm(m):

@@ -4,8 +4,9 @@ Concrete builders for the worked examples: abelian sector operators driven by
 a winding-plus-perturbation cocycle, their scalar degree fields, SU(2)-valued
 cocycles with matrix degree fields, and the cyclic shift/position pair.
 
-Sector operators are applied function-analytically on periodic grids; the
-matrix truncation exists as a cross-check and for spectral sweeps.  All grid
+Sector operators are applied function-analytically on periodic grids, where
+their commutator identity is checked too; the matrix truncation serves the
+Fourier calculus and is a cross-check in the tests.  All grid
 resolutions are powers of two so spectral interpolation is exact on
 band-limited data.  Sector correlation series need no grid: they are summed
 in closed form from the Fourier data of the observables.
@@ -25,7 +26,7 @@ import numpy as np
 from .commutators import OperatorPair
 from .errors import RationalApproximationWarning, ResolutionError, StructureError
 from .mixing import CorrelationSeries
-from .operators import _kernel_mask, check_structure, spectral_norm
+from .operators import _integral, _kernel_mask, check_structure, spectral_norm
 
 __all__ = [
     "TorusFlow",
@@ -38,14 +39,14 @@ __all__ = [
     "sector_correlation",
     "TorusDegreeReport",
     "torus_degree_field",
+    "SectorIdentityReport",
+    "sector_identity_check",
     "su2_irrep",
     "SU2Cocycle",
     "SU2DegreeReport",
     "su2_degree_field",
     "ShiftModel",
     "shift_weyl_model",
-    "TruncationSweepEntry",
-    "sector_truncation_sweep",
 ]
 
 
@@ -174,14 +175,19 @@ def _frequencies(shape):
     return [np.fft.fftfreq(m) * m for m in shape]
 
 
-def _translation(freqs, delta):
-    """Spectral multiplier exp(2 pi i k.delta) over the frequency table ``freqs``."""
+def _frequency_dot(freqs, vec):
+    """k.vec over the frequency table ``freqs``, broadcast to the grid shape."""
     total = 0.0
     for axis, freq in enumerate(freqs):
         axis_shape = [1] * len(freqs)
         axis_shape[axis] = -1
-        total = total + freq.reshape(axis_shape) * delta[axis]
-    return np.exp(2j * np.pi * total)
+        total = total + freq.reshape(axis_shape) * vec[axis]
+    return total
+
+
+def _translation(freqs, delta):
+    """Spectral multiplier exp(2 pi i k.delta) over the frequency table ``freqs``."""
+    return np.exp(2j * np.pi * _frequency_dot(freqs, delta))
 
 
 def _occupied_band(spec, freqs):
@@ -317,7 +323,7 @@ def cocycle_sum(cocycle, flow, x, n):
     The winding part is summed in closed form (arithmetic progression), the
     perturbation part mode-by-mode through geometric phase sums.
     """
-    n = int(n)
+    n = _integral(n, "step counts")
     x = np.asarray(x, dtype=float)
     if n == 0:
         base_shape = x.shape if cocycle.d == 1 else x.shape[:-1]
@@ -374,7 +380,7 @@ def sector_apply(cocycle, flow, field, steps):
     golden-torus example).  Both an a-priori frequency budget and the
     spectrum of the result are checked; either failing raises ResolutionError.
     """
-    steps = int(steps)
+    steps = _integral(steps, "step counts")
     if field.values.ndim != cocycle.d:
         raise ValueError("field dimension does not match the cocycle base")
     if steps == 0:
@@ -543,9 +549,7 @@ def sector_correlation(cocycle, flow, phi, psi, horizon):
     sector_apply, by about n^2 |q.W y| eps / 4 turns.  Work is vectorised over
     n and loops over the modes of psi.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = _integral(horizon, "horizons", 1)
     phi = _observable_modes(phi, cocycle.d)
     psi = _observable_modes(psi, cocycle.d)
     steps = np.arange(1, horizon + 1)
@@ -593,9 +597,7 @@ def torus_degree_field(cocycle, flow, shape, steps):
     Returns the field at the given horizon together with the constant limit
     and the sup-norm distance between them.
     """
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _integral(steps, "step counts", 1)
     shape = tuple(int(m) for m in shape)
     if len(shape) != cocycle.d:
         raise ValueError("grid dimension does not match the cocycle base")
@@ -604,6 +606,72 @@ def torus_degree_field(cocycle, flow, shape, steps):
     field = GridField(vals)
     sup_error = float(np.max(np.abs(vals - limit)))
     return TorusDegreeReport(steps=steps, field=field, limit=limit, sup_error=sup_error)
+
+
+@dataclass
+class SectorIdentityReport:
+    # one residual and estimate per resolved horizon, in schedule order
+    horizons: list
+    residuals: list
+    estimates: list
+    unresolved: list
+
+
+def sector_identity_check(cocycle, flow, modes, shape, schedule):
+    """The identity [A, U^N] f = N D_N U^N f of the sector operator, in function space.
+
+    A = -i y.grad has the multiplier 2 pi k.y on e(k.x) and
+    U^N f = e(q.phi^(N)) f(. + Ny), so [A, U^N] f = 2 pi (y.grad q.phi^(N)) U^N f,
+    where y.grad q.phi^(N) is N times the orbit average rate_N of
+    q.W y + y.grad(q.eta): D_N is multiplication by 2 pi rate_N.  At every
+    horizon of ``schedule`` the band-limited field f with Fourier data
+    ``modes`` and Af go through sector_apply, A acts on U^N f spectrally, and
+    the report holds the relative L2 residual on the grid of ``shape``,
+    ||A U^N f - U^N A f - N D_N U^N f|| / (||A U^N f|| + ||U^N A f||), with
+    its roundoff estimate.  The phase of U^N f rounds by
+    tau_N = (N^2 |q.W y| / 2 + N |W^T q|_1) eps / 2 turns (the unwrapped
+    phase as sector_apply sums it), and each FFT pair by about log2(P) eps
+    relative, P the number of grid points.  A multiplies that pointwise
+    noise by 2 pi w in the mean square, w = sqrt(sum_i (y_i m_i)^2 / 12) over
+    the axis sizes m_i, so the estimate is
+    2 pi w (2 pi tau_N + log2(P) eps) ||f|| / scale + log2(P) eps.
+    A horizon at which sector_apply raises ResolutionError goes to
+    ``unresolved`` instead.
+    """
+    shape = tuple(int(m) for m in shape)
+    if len(shape) != cocycle.d:
+        raise ValueError("grid dimension does not match the cocycle base")
+    modes = _observable_modes(modes, cocycle.d)
+    field = GridField.from_modes(modes, shape)
+    applied = GridField.from_modes(
+        {k: 2.0 * np.pi * float(np.dot(k, flow.y)) * c for k, c in modes.items()}, shape)
+    multiplier = 2.0 * np.pi * _frequency_dot(_frequencies(shape), flow.y)
+    points = unit_grid(shape)
+    eps = np.finfo(float).eps
+    fft_noise = math.log2(field.values.size) * eps
+    spread = 2.0 * np.pi * math.sqrt(sum((y * m) ** 2 for y, m in zip(flow.y, shape)) / 12.0)
+    wy = abs(float(np.dot(cocycle.sector_winding, flow.y)))
+    winding = float(np.abs(cocycle.sector_winding).sum())
+    size = field.norm()
+    report = SectorIdentityReport([], [], [], [])
+    for n in schedule:
+        n = _integral(n, "step counts", 1)
+        try:
+            moved = sector_apply(cocycle, flow, field, n)
+            moved_applied = sector_apply(cocycle, flow, applied, n)
+        except ResolutionError:
+            report.unresolved.append(n)
+            continue
+        applied_moved = GridField(np.fft.ifftn(multiplier * np.fft.fftn(moved.values)))
+        degree = 2.0 * np.pi * _orbit_average_rate(cocycle, flow, points, n)
+        defect = applied_moved.values - moved_applied.values - n * degree * moved.values
+        # both sides vanish only for a field A annihilates; compare absolutely there
+        scale = (applied_moved.norm() + moved_applied.norm()) or 1.0
+        tau = (n * n * wy / 2.0 + n * winding) * eps / 2.0
+        report.horizons.append(n)
+        report.residuals.append(GridField(defect).norm() / scale)
+        report.estimates.append(spread * (2.0 * np.pi * tau + fft_noise) * size / scale + fft_noise)
+    return report
 
 
 def su2_irrep(label, g):
@@ -722,9 +790,7 @@ def su2_degree_field(cocycle, flow, shape, steps, kernel_tol=1e-8):
     this conjugated-diagonal model family the limit has eigenvalues
     2 pi (y.b) (2k-n), so its kernel is one-dimensional exactly for even n.
     """
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _integral(steps, "step counts", 1)
     shape = tuple(int(m) for m in shape)
     if len(shape) != cocycle.d:
         raise ValueError("grid dimension does not match the cocycle base")
@@ -780,47 +846,3 @@ def shift_weyl_model(window, margin):
     a = np.diag(np.arange(w) - w // 2).astype(float)
     interior = np.arange(margin, w - margin)
     return ShiftModel(pair=OperatorPair.discrete(u, a), interior=interior, window=w, margin=margin)
-
-
-@dataclass
-class TruncationSweepEntry:
-    size: int
-    eigenvalue_count: int
-    min_residual: float
-    median_residual: float
-
-
-def sector_truncation_sweep(cocycle, flow, sizes):
-    """Residuals of truncated-matrix eigenvectors against the sector action.
-
-    Finite truncations always carry point spectrum; the question is whether
-    those eigenpairs mean anything for the underlying operator.  Each
-    truncation eigenvector is lifted to a grid four times finer by spectral
-    interpolation and hit with the exact one-step sector action; the entry
-    records how far it is from solving the eigenvalue equation there.  For a
-    sector with nonzero winding (degree bounded away from zero) these
-    residuals stay of order one instead of vanishing as the size grows.
-    """
-    if float(np.dot(cocycle.sector_winding, flow.y)) == 0.0:
-        raise ValueError("sweep needs a sector with nonzero winding")
-    entries = []
-    for size in sizes:
-        pair = sector_matrix(cocycle, flow, size)
-        vals, vecs = np.linalg.eig(pair.main)
-        residuals = []
-        for j in range(vals.shape[0]):
-            lifted = GridField(vecs[:, j]).refine(4)
-            applied = sector_apply(cocycle, flow, lifted, 1)
-            dev = applied.values - vals[j] * lifted.values
-            scale = max(lifted.norm(), 1e-300)
-            residuals.append(float(np.sqrt(np.mean(np.abs(dev) ** 2))) / scale)
-        residuals = np.asarray(residuals)
-        entries.append(
-            TruncationSweepEntry(
-                size=int(size),
-                eigenvalue_count=int(vals.shape[0]),
-                min_residual=float(residuals.min()),
-                median_residual=float(np.median(residuals)),
-            )
-        )
-    return entries

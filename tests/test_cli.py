@@ -179,7 +179,7 @@ def test_run_pair_identities(tmp_path, capsys, monkeypatch):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 10
+    assert report["version"] == cli.REPORT_VERSION == 11
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -514,7 +514,7 @@ def model_cases(tmp_path):
         ("torus 1-D", {**torus, "y": 0.6180339887498949}, [16, 32, 64, 128, 256, 512, 1024], 512,
          pair_tasks),
         ("torus 2-D", {**torus, "y": [0.6180339887498949, 0.41421356237309515], "winding": [[2, 1]]},
-         [16, 32, 64, 128, 256, 512, 1024], 512, {"degree", "mixing", "summability"}),
+         [16, 32, 64, 128, 256, 512, 1024], 512, {"identities", "degree", "mixing", "summability"}),
         ("su2", {"type": "su2", "y": 0.41421356237309515}, [1000000], 128, {"identities", "degree"}),
         ("graph-line", {"type": "graph-line"}, steps, 128, graph_tasks),
         ("graph-grid2d", {"type": "graph-grid2d"}, steps, 128, graph_tasks),
@@ -586,7 +586,6 @@ def test_validation_rejects_tasks_that_always_fail():
                 "winding": [[2, 1]], "sector": 3, "grid": 64}
     cases = [
         (generator, ["identities", "fourier"], 1),
-        (torus_2d, ["identities"], 0),
         (torus_2d, ["degree", "fourier"], 1),
     ]
     for model, tasks, j in cases:
@@ -628,6 +627,10 @@ def test_shared_operators_are_built_once_per_scenario(tmp_path, monkeypatch):
             {"name": "torus", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 2,
                                         "sector": 3, "grid": 64, "matrix_size": 64},
              "tasks": ["identities", "fourier"]},
+            # identities run on the sector operator itself, with no truncation
+            {"name": "torus-identities", "model": {"type": "torus", "y": 0.6180339887498949,
+                                                   "winding": 2, "sector": 3, "grid": 64},
+             "tasks": ["identities"], "schedule": [1, 2, 3]},
             {"name": "line", "model": {"type": "graph-line", "length": 40, "margin": 2},
              "tasks": ["identities", "degree"], "thresholds": {"graph_flow_residual": 1.0}},
         ],
@@ -683,6 +686,40 @@ def test_identity_rows_agree_with_the_per_horizon_reference(tmp_path, schedule):
         assert metrics["expected"][j] == pytest.approx(check.expected, rel=1e-12)
         gap = commutators.spectral_norm(check.average - check.alternative)
         assert abs(metrics["alternative_gaps"][j] - gap) <= floor
+
+
+def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_path):
+    torus = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 3,
+             "eta": [[[1], 0.0, -0.025], [[-1], 0.0, 0.025]], "grid": 1024}
+    torus_2d = {"type": "torus", "y": [0.6180339887498949, 0.41421356237309515],
+                "winding": [[2, 1]], "sector": 3, "grid": 64}
+    # at N = 128 the sector shifts frequencies by 768, past the Nyquist 512
+    scenarios = [
+        {"name": "first", "model": torus, "tasks": ["identities", "degree"], "schedule": [4, 16, 128]},
+        {"name": "second", "model": torus, "tasks": ["degree", "identities"], "schedule": [4, 16, 128]},
+        {"name": "unresolved", "model": torus, "tasks": ["identities"], "schedule": [128, 256]},
+        {"name": "tight", "model": torus, "tasks": ["identities"], "schedule": [4, 16],
+         "thresholds": {"torus_identity_factor": 1e-3}},
+        {"name": "plane", "model": torus_2d, "tasks": ["identities"], "schedule": [1, 2]},
+    ]
+    config = validate_config({"version": 1, "scenarios": [{**sc, "seed": 5} for sc in scenarios]})
+    report = run_config(config, tmp_path / "out")
+    rows = {sc["name"]: next(r for r in sc["tasks"] if r["task"] == "identities")
+            for sc in report["scenarios"]}
+    first = rows["first"]
+    assert first["status"] == "pass"
+    assert first["thresholds"] == {"torus_identity_factor": 10.0}
+    metrics = first["metrics"]
+    assert metrics["horizons"] == [4, 16] and metrics["unresolved_horizons"] == [128]
+    assert all(r <= e for r, e in zip(metrics["residuals"], metrics["estimates"]))
+    # the test field comes from its own stream, so task order cannot change it
+    assert rows["second"]["metrics"] == metrics
+    assert rows["unresolved"]["status"] == "warn"
+    assert rows["unresolved"]["metrics"]["horizons"] == []
+    assert rows["unresolved"]["metrics"]["unresolved_horizons"] == [128, 256]
+    assert rows["tight"]["status"] == "fail"
+    assert rows["plane"]["status"] == "pass"
+    assert rows["plane"]["metrics"]["horizons"] == [1, 2]
 
 
 def test_admissibility_is_checked_once_per_graph_scenario(tmp_path, monkeypatch):

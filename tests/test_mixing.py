@@ -37,6 +37,15 @@ def test_correlation_discrete_matches_brute_loop():
     assert np.allclose(series.partial_l2, np.cumsum(np.abs(series.values) ** 2))
 
 
+def test_correlation_horizon_must_be_integral():
+    # a fractional horizon used to be truncated: 2.9 ran 2 steps
+    u, v = np.eye(3), np.ones(3) / np.sqrt(3.0)
+    for bad in (2.9, 0.5, 0, -2, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="horizons must be integers >= 1"):
+            correlation_discrete(u, v, v, bad)
+    assert len(correlation_discrete(u, v, v, np.float64(3.0))) == 3
+
+
 def test_eigenvector_correlation_never_decays():
     u = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
     e0 = np.array([1.0, 0.0, 0.0])

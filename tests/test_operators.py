@@ -433,15 +433,21 @@ def test_norms_of_the_runner_take_no_svd(tmp_path, monkeypatch):
         raise AssertionError("np.linalg.svd called")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    # the su2 degree takes the norm of its frame; the torus identities,
+    # which run in function space, take none
+    su2 = copy.deepcopy(cli.EXAMPLE_CONFIGS["su2-transport.json"]["scenarios"][0])
+    su2.update(tasks=["degree"])
     torus = copy.deepcopy(cli.EXAMPLE_CONFIGS["torus-sector.json"]["scenarios"][0])
     torus.update(tasks=["identities"], schedule=[16, 1024])
     pair = {"name": "pair", "seed": 7, "model": {"type": "random-pair", "dim": 16},
             "tasks": ["identities", "degree"], "schedule": [1, 2, 5, 17, 64]}
-    report = cli.run_config(cli.validate_config({"version": 1, "scenarios": [torus, pair]}), tmp_path / "out")
+    config = {"version": 1, "scenarios": [su2, torus, pair]}
+    report = cli.run_config(cli.validate_config(config), tmp_path / "out")
     # a task that raises reports an error metric and fails
     tasks = {(sc["name"], task["task"]): task for sc in report["scenarios"] for task in sc["tasks"]}
     assert [key for key, task in tasks.items() if "error" in task["metrics"]] == []
     assert tasks["pair", "identities"]["status"] == tasks[torus["name"], "identities"]["status"] == "pass"
+    assert tasks[su2["name"], "degree"]["status"] == "pass"
 
 
 def test_norms_agree_on_diagonal():

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from commix import (
     max_norm,
     sector_apply,
     sector_correlation,
+    sector_identity_check,
     sector_matrix,
-    sector_truncation_sweep,
     shift_weyl_model,
     su2_degree_field,
     su2_irrep,
@@ -145,6 +146,41 @@ def test_cocycle_law():
     assert abs(float((neg - ref)[0])) <= 1e-12
 
 
+def test_step_counts_must_be_integral():
+    # a fractional step count used to be truncated: torus_degree_field at 2.9
+    # reported steps == 2, and cocycle_sum and sector_apply at 2.9 equalled
+    # their N = 2 results bit for bit
+    flow, coc = golden_flow(), standard_cocycle()
+    su2 = SU2Cocycle(np.eye(2, dtype=complex), [1], {}, 2)
+    x = unit_grid((64,))
+    f = GridField.from_modes({(1,): 1.0}, (256,))
+    from_zero = {
+        "cocycle_sum": lambda n: cocycle_sum(coc, flow, x, n),
+        "sector_apply": lambda n: sector_apply(coc, flow, f, n),
+    }
+    from_one = {
+        "torus_degree_field": lambda n: torus_degree_field(coc, flow, (64,), n),
+        "su2_degree_field": lambda n: su2_degree_field(su2, flow, (64,), n),
+        "sector_correlation": lambda n: sector_correlation(coc, flow, {(1,): 1.0}, {(1,): 1.0}, n),
+    }
+    for name, call in {**from_zero, **from_one}.items():
+        for bad in (2.9, 0.5, np.float64(-1.5), float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be integers"):
+                call(bad)
+        # integral values of any numeric type still count
+        assert call(np.float64(2.0)) is not None, name
+    for name, call in from_one.items():
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="must be integers >= 1"):
+                call(bad)
+    # cocycle_sum and sector_apply keep 0 and negative step counts
+    assert np.array_equal(cocycle_sum(coc, flow, x, -3.0), cocycle_sum(coc, flow, x, -3))
+    assert np.array_equal(sector_apply(coc, flow, f, np.int8(-2)).values,
+                          sector_apply(coc, flow, f, -2).values)
+    assert np.array_equal(sector_apply(coc, flow, f, 0.0).values, f.values)
+    assert torus_degree_field(coc, flow, (64,), np.float64(3.0)).steps == 3
+
+
 def test_sector_apply_pointwise():
     flow = golden_flow()
     coc = standard_cocycle()
@@ -200,6 +236,64 @@ def test_sector_apply_resolution_guard():
     f = GridField.from_modes({(1,): 1.0, (-1,): 1.0}, (256,))
     with pytest.raises(ResolutionError):
         sector_apply(coc, flow, f, 32)
+
+
+def mirrored(eta):
+    """Hermitian-symmetric cocycle modes {k: (c,), -k: (conj c,)}; a zero mode is kept real."""
+    modes = {}
+    for k, c in eta.items():
+        mirror = tuple(-v for v in k)
+        c = c.real if k == mirror else c
+        modes.update({k: (c,), mirror: (np.conj(c),)})
+    return modes
+
+
+# sizes chosen so that N = 1 always passes the resolution budget of
+# sector_apply: |W^T q| <= 9 per axis and at most two eta pairs of |k| <= 3
+# on 512 points (d = 1), |W^T q| <= 4 and |k| <= 1 on 128 x 128 (d = 2)
+@settings(max_examples=20)
+@given(
+    d=st.sampled_from([1, 2]),
+    eta=st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-1, 1)), finite_complex(0.05), max_size=2),
+    winding=st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+    sector=st.integers(-3, 3),
+    field=st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), finite_complex(1.0),
+                          min_size=1, max_size=3),
+    later=st.lists(st.integers(2, 12), max_size=2, unique=True),
+)
+@example(d=1, eta={(1, 0): -0.025j}, winding=(2, 0), sector=3, field={(1, 0): 1.0}, later=[12])
+def test_sector_identity_holds_in_function_space(d, eta, winding, sector, field, later):
+    # [A, U^N] f = N D_N U^N f is a theorem; the residual must sit at the
+    # roundoff the check estimates, at every horizon the grid resolves
+    if d == 1:
+        eta = {(k[0],): c for k, c in eta.items()}
+        field = {(k[0],): c for k, c in field.items()}
+        winding, sector, flow, shape = [[winding[0]]], [sector], golden_flow(), (512,)
+    else:
+        eta = {(k[0] % 3 - 1, k[1]): c for k, c in eta.items()}
+        winding, sector = [list(winding)], [int(np.clip(sector, -2, 2))]
+        flow, shape = TorusFlow([GOLDEN, SILVER]), (128, 128)
+    coc = TorusCocycle(winding, mirrored(eta), sector)
+    schedule = sorted({1, *later})
+    report = sector_identity_check(coc, flow, field, shape, schedule)
+    assert report.horizons[:1] == [1]
+    assert sorted(report.horizons + report.unresolved) == schedule
+    assert all(0.0 < e < 1e-9 for e in report.estimates)
+    for n, r, e in zip(report.horizons, report.residuals, report.estimates):
+        assert r <= 10.0 * e, (n, r, e)
+
+
+def test_sector_identity_check_on_the_golden_sector():
+    # the bundled example's sector on its 8192-point grid: N = 1024 needs a
+    # bandwidth of about 6150 against the grid Nyquist 4096
+    report = sector_identity_check(standard_cocycle(), golden_flow(), {(1,): 1.0, (-2,): 0.5j},
+                                   (8192,), [16, 512, 1024])
+    assert report.horizons == [16, 512] and report.unresolved == [1024]
+    assert max(r / e for r, e in zip(report.residuals, report.estimates)) <= 1.0
+    with pytest.raises(ValueError, match="grid dimension"):
+        sector_identity_check(standard_cocycle(), golden_flow(), {(1,): 1.0}, (64, 64), [1])
+    with pytest.raises(ValueError, match="must be integers >= 1"):
+        sector_identity_check(standard_cocycle(), golden_flow(), {(1,): 1.0}, (64,), [2.5])
 
 
 def oracle_correlation(coc, flow, phi, psi, horizon, grid):
@@ -546,7 +640,42 @@ def test_shift_model_degree_vanishes_on_window_multiples():
     assert max_norm(rough.limit) > 1e-3
 
 
+@dataclass
+class TruncationSweepEntry:
+    size: int
+    eigenvalue_count: int
+    min_residual: float
+    median_residual: float
+
+
+def sector_truncation_sweep(cocycle, flow, sizes):
+    """Residuals of truncated-matrix eigenvectors against the sector action.
+
+    Finite truncations always carry point spectrum; the question is whether
+    those eigenpairs mean anything for the underlying operator.  Each
+    truncation eigenvector is lifted to a grid four times finer by spectral
+    interpolation and hit with the exact one-step sector action; the entry
+    records how far it is from solving the eigenvalue equation there.  For a
+    sector with nonzero winding (degree bounded away from zero) these
+    residuals stay of order one instead of vanishing as the size grows.
+    """
+    entries = []
+    for size in sizes:
+        vals, vecs = np.linalg.eig(sector_matrix(cocycle, flow, size).main)
+        residuals = []
+        for j in range(vals.shape[0]):
+            lifted = GridField(vecs[:, j]).refine(4)
+            dev = sector_apply(cocycle, flow, lifted, 1).values - vals[j] * lifted.values
+            residuals.append(float(np.sqrt(np.mean(np.abs(dev) ** 2))) / max(lifted.norm(), 1e-300))
+        entries.append(TruncationSweepEntry(size=size, eigenvalue_count=vals.shape[0],
+                                            min_residual=min(residuals),
+                                            median_residual=float(np.median(residuals))))
+    return entries
+
+
 def test_sector_truncation_sweep_reports_no_fake_eigenvectors():
+    # the oracle behind the torus identities running on the sector operator
+    # in function space rather than on a truncation
     flow = golden_flow()
     coc = standard_cocycle()
     sweep = sector_truncation_sweep(coc, flow, (128, 256))
