@@ -61,6 +61,7 @@ from .skew import (
     TorusCocycle,
     TorusFlow,
     _check_power_of_two,
+    _real_modes,
     sector_correlation,
     sector_identity_check,
     sector_matrix,
@@ -275,9 +276,13 @@ def _torus_fields(model, path):
 
 
 def _build_torus(spec, rng, path):
+    # the sector sees W^T q and q.eta; eta, given with one winding row only, has
+    # its mirror checked as configured, so that a zero sector cannot hide it
     flow = TorusFlow(spec["y"])
-    modes = {tuple(k): (complex(re, im),) for k, re, im in spec["eta"]}
-    cocycle = TorusCocycle(np.array(spec["winding"]), modes, spec["sector"])
+    eta = _real_modes({tuple(k): complex(re, im) for k, re, im in spec["eta"]}, len(spec["y"]))
+    charge = spec["sector"][0]
+    cocycle = TorusCocycle(np.array(spec["winding"]).T @ np.array(spec["sector"]),
+                           {k: charge * c for k, c in eta.items()})
     return {"flow": flow, "cocycle": cocycle, "grid": spec["grid"], "matrix_size": spec["matrix_size"]}
 
 
@@ -629,7 +634,8 @@ class ScenarioRunner:
 
     # -- identities ---------------------------------------------------
 
-    def discrete_identities(self, pair, schedule):
+    def discrete_identities(self):
+        pair, schedule = self.built["pair"], self.scenario["schedule"]
         residuals, expected, agreements = [], [], []
         for n, total, power in _birkhoff_ladder(pair.main, pair.symbol, schedule):
             check = _identity_check(pair, n, power, total / n)
@@ -886,7 +892,7 @@ class ScenarioRunner:
 # (status, metrics, thresholds used); validate_config accepts exactly these tasks
 HANDLERS = {
     "pair": {
-        "identities": lambda r: r.discrete_identities(r.built["pair"], r.scenario["schedule"]),
+        "identities": ScenarioRunner.discrete_identities,
         "degree": ScenarioRunner.pair_degree,
         "mixing": lambda r: r.mixing(r.pair_series),
         "summability": lambda r: r.summability(r.pair_series),

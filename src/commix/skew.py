@@ -100,11 +100,6 @@ def _check_power_of_two(m):
     return m >= 2 and (m & (m - 1)) == 0
 
 
-def _mode_key(k):
-    """A Fourier mode index as a tuple of ints; a scalar is a one-dimensional mode."""
-    return (int(k),) if np.isscalar(k) else tuple(int(v) for v in k)
-
-
 class GridField:
     """Complex samples on a uniform periodic grid, power-of-two per axis."""
 
@@ -124,15 +119,7 @@ class GridField:
     @classmethod
     def from_modes(cls, modes, shape):
         shape = tuple(int(m) for m in shape)
-        coords = unit_grid(shape)
-        vals = np.zeros(shape, dtype=complex)
-        for k, c in _observable_modes(modes, len(shape)).items():
-            if len(shape) == 1:
-                phase = k[0] * coords
-            else:
-                phase = coords @ np.asarray(k, dtype=float)
-            vals += c * np.exp(2j * np.pi * phase)
-        return cls(vals)
+        return cls(_fourier_values(_observable_modes(modes, len(shape)), unit_grid(shape), len(shape)))
 
     def shift(self, delta):
         """Translated field x -> f(x + delta), exact on band-limited data."""
@@ -226,92 +213,85 @@ def _pad_modes(coeff, axis, new_len):
     return np.fft.ifftshift(padded, axes=axis)
 
 
-class TorusCocycle:
-    """Additive cocycle generator phi(x) = W x + eta(x) paired with a sector.
+def _dot(x, vec):
+    """x.vec at points x: scalars on a one-dimensional base, else a trailing axis of len(vec)."""
+    x = np.asarray(x, dtype=float)
+    if len(vec) == 1:
+        return x * float(vec[0])
+    if x.shape[-1:] != (len(vec),):
+        raise ValueError(f"points must have a trailing axis of length {len(vec)}")
+    return x @ np.asarray(vec, dtype=float)
 
-    ``winding`` is an integer r-by-d matrix, ``modes`` the finite Fourier data
-    of the periodic perturbation eta: T^d -> R^r (Hermitian-symmetric, so eta
-    is real), and ``sector`` an integer vector picking the character q under
-    which the sector operator acts.  Only the scalar combination q.phi enters
-    any computation here.
+
+def _fourier_values(modes, x, d, start=0.0):
+    """start + sum_k c_k e(k.x) at the points x of the d-torus, for Fourier data {k: c_k}."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape if d == 1 else x.shape[:-1], start, dtype=complex)
+    for k, c in modes.items():
+        out += c * np.exp(2j * np.pi * _dot(x, k))
+    return out
+
+
+def _real_modes(modes, d):
+    """Scalar Fourier data {k: c} of a real function on the d-torus.
+
+    The mirror c_{-k} = conj(c_k) of every mode must be present and hold to
+    1e-12 absolutely; StructureError otherwise.
+    """
+    parsed = _observable_modes(modes or {}, d)
+    for k, c in parsed.items():
+        mirror = parsed.get(tuple(-v for v in k))
+        # absolute, so that large modes get no slack; written so NaN fails
+        if mirror is None or not abs(mirror - c.conjugate()) <= 1e-12:
+            raise StructureError(
+                "perturbation coefficients must be Hermitian-symmetric "
+                f"(missing or inconsistent mirror of mode {k})"
+            )
+    return parsed
+
+
+class TorusCocycle:
+    """The scalar q.phi(x) = W^T q.x + q.eta(x) that a sector operator sees.
+
+    A cocycle generator phi(x) = W x + eta(x) with values in R^r enters the
+    sector of character q only through this scalar: ``winding`` is the
+    integer vector W^T q and ``modes`` the finite Fourier data of the real
+    periodic perturbation q.eta (Hermitian-symmetric, see _real_modes).
     """
 
-    def __init__(self, winding, modes, sector):
-        w = np.asarray(winding)
-        if w.ndim != 2:
-            raise ValueError("winding must be a matrix")
-        if not np.all(w == np.round(w)):
-            raise ValueError("winding matrix must have integer entries")
+    def __init__(self, winding, modes):
+        w = np.atleast_1d(np.asarray(winding))
+        if w.ndim != 1 or w.size == 0 or not np.all(w == np.round(w)):
+            raise ValueError("winding must be a nonempty integer vector")
         self.winding = w.astype(int)
-        self.r, self.d = self.winding.shape
-        q = np.atleast_1d(np.asarray(sector))
-        if q.shape != (self.r,) or not np.all(q == np.round(q)):
-            raise ValueError(f"sector must be an integer vector of length {self.r}")
-        self.sector = q.astype(int)
-
-        parsed = {}
-        for k, c in (modes or {}).items():
-            key = _mode_key(k)
-            if len(key) != self.d:
-                raise ValueError("mode frequency dimension does not match the base torus")
-            vec = np.atleast_1d(np.asarray(c, dtype=complex))
-            if vec.shape != (self.r,):
-                raise ValueError(f"mode coefficients must be vectors of length {self.r}")
-            parsed[key] = vec
-        for k, c in parsed.items():
-            mk = tuple(-v for v in k)
-            if mk not in parsed or not np.allclose(parsed[mk], np.conj(c), atol=1e-12):
-                raise StructureError(
-                    "perturbation coefficients must be Hermitian-symmetric "
-                    f"(missing or inconsistent mirror of mode {k})"
-                )
-        self.modes = parsed
-
-    @property
-    def sector_winding(self):
-        """Integer vector W^T q: the winding seen by the chosen sector."""
-        return self.winding.T @ self.sector
-
-    def sector_modes(self):
-        """Fourier data of the scalar q.eta."""
-        return {k: complex(self.sector @ c) for k, c in self.modes.items()}
-
-    def _dot_base(self, x, vec):
-        x = np.asarray(x, dtype=float)
-        if self.d == 1:
-            return x * float(vec[0])
-        if x.shape[-1:] != (self.d,):
-            raise ValueError(f"points must have a trailing axis of length {self.d}")
-        return x @ np.asarray(vec, dtype=float)
+        self.d = self.winding.size
+        self.modes = _real_modes(modes, self.d)
 
     def eta(self, x):
-        """Perturbation values eta(x), shape = points shape + (r,)."""
-        x = np.asarray(x, dtype=float)
-        base_shape = x.shape if self.d == 1 else x.shape[:-1]
-        out = np.zeros(base_shape + (self.r,), dtype=complex)
-        for k, c in self.modes.items():
-            phase = np.exp(2j * np.pi * self._dot_base(x, np.asarray(k)))
-            out += phase[..., None] * c
-        return out.real
+        """Perturbation values q.eta(x), shaped like the points."""
+        return _fourier_values(self.modes, x, self.d).real
 
 
 def _geometric_phase_sum(u, n):
-    # sum_{j=0}^{n-1} exp(2 pi i j u); closed form away from integer u
+    # sum_{j=0}^{n-1} e(j u) in closed form; near an integer u the form runs
+    # on delta = u - round(u), which leaves every term unchanged, and an
+    # integer u sums n ones
     s = math.sin(math.pi * u)
     if abs(s) < 1e-9:
-        return complex(np.sum(np.exp(2j * np.pi * u * np.arange(n))))
+        u = u - round(u)
+        if u == 0.0:
+            return complex(n)
+        s = math.sin(math.pi * u)
     return np.exp(1j * np.pi * (n - 1) * u) * math.sin(math.pi * n * u) / s
 
 
-def _cocycle_terms(cocycle, flow, x):
-    # the parts of q.phi^(n)(x) that do not depend on n: x.W^T q, and per
-    # perturbation mode its rotation number k.y, amplitude g and factor e(k.x)
-    modes = [
-        (float(np.dot(k, flow.y)), g, np.exp(2j * np.pi * cocycle._dot_base(x, np.asarray(k))))
-        for k, g in cocycle.sector_modes().items()
-        if g != 0
-    ]
-    return cocycle._dot_base(x, cocycle.sector_winding), modes
+def _phase_sums(cocycle, flow, n):
+    # per nonzero mode g e(k.x) of q.eta: k, its rotation number k.y, g and
+    # the geometric phase sum S_n(k.y), through which e(k.x) enters n steps
+    for k, g in cocycle.modes.items():
+        if g != 0:
+            u = float(np.dot(k, flow.y))
+            yield k, u, g, _geometric_phase_sum(u, n)
 
 
 def cocycle_sum(cocycle, flow, x, n):
@@ -330,12 +310,9 @@ def cocycle_sum(cocycle, flow, x, n):
         return np.zeros(base_shape)
     if n < 0:
         return -cocycle_sum(cocycle, flow, flow.advance(x, n), -n)
-    base, modes = _cocycle_terms(cocycle, flow, x)
-    wy = float(np.dot(cocycle.sector_winding, flow.y))
-    lin = n * base + wy * n * (n - 1) / 2.0
-    osc = np.zeros_like(lin, dtype=complex)
-    for u, g, factor in modes:
-        osc += g * _geometric_phase_sum(u, n) * factor
+    wy = float(np.dot(cocycle.winding, flow.y))
+    lin = n * _dot(x, cocycle.winding) + wy * n * (n - 1) / 2.0
+    osc = _fourier_values({k: g * s for k, _, g, s in _phase_sums(cocycle, flow, n)}, x, cocycle.d)
     return lin + osc.real
 
 
@@ -344,7 +321,7 @@ def _modulation_margin(cocycle, flow, steps):
     # amplitude beta radians scatters onto harmonics, negligible beyond
     # roughly |k|*(beta + 8)
     margin = np.zeros(cocycle.d, dtype=int)
-    for k, g in cocycle.sector_modes().items():
+    for k, g in cocycle.modes.items():
         if g == 0:
             continue
         u = float(np.dot(k, flow.y))
@@ -363,11 +340,8 @@ def _orbit_average_rate(cocycle, flow, points, steps):
     so its average is that rate times the mean geometric phase sum.  Works
     on any array of points, grid or not.
     """
-    base, modes = _cocycle_terms(cocycle, flow, points)
-    rate = np.full(base.shape, float(np.dot(cocycle.sector_winding, flow.y)), dtype=complex)
-    for u, g, factor in modes:
-        rate += (2j * np.pi * u * g) * (_geometric_phase_sum(u, steps) / steps) * factor
-    return rate
+    rates = {k: (2j * np.pi * u * g) * (s / steps) for k, u, g, s in _phase_sums(cocycle, flow, steps)}
+    return _fourier_values(rates, points, cocycle.d, float(np.dot(cocycle.winding, flow.y)))
 
 
 def sector_apply(cocycle, flow, field, steps):
@@ -389,7 +363,7 @@ def sector_apply(cocycle, flow, field, steps):
     freqs = _frequencies(shape)
     spec = np.fft.fftn(field.values)
     band = _occupied_band(spec, freqs)
-    shift_freq = steps * cocycle.sector_winding
+    shift_freq = steps * cocycle.winding
     margin = _modulation_margin(cocycle, flow, steps)
     for i, m in enumerate(shape):
         needed = abs(int(shift_freq[i])) + band[i] + int(margin[i])
@@ -445,7 +419,8 @@ def _observable_modes(modes, d):
         )
     out = {}
     for k, c in modes.items():
-        key = _mode_key(k)
+        # a scalar is a one-dimensional mode
+        key = (int(k),) if np.isscalar(k) else tuple(int(v) for v in k)
         if len(key) != d:
             raise ValueError(f"mode index {key} has {len(key)} components, expected {d}")
         out[key] = out.get(key, 0.0) + complex(c)
@@ -553,10 +528,10 @@ def sector_correlation(cocycle, flow, phi, psi, horizon):
     phi = _observable_modes(phi, cocycle.d)
     psi = _observable_modes(psi, cocycle.d)
     steps = np.arange(1, horizon + 1)
-    winding = cocycle.sector_winding
+    winding = cocycle.winding
     wy = float(np.dot(winding, flow.y))
     zero_mode, pairs = 0.0, []
-    modes = cocycle.sector_modes()
+    modes = cocycle.modes
     for k, g in modes.items():
         mirror = tuple(-v for v in k)
         if k == mirror:
@@ -601,7 +576,7 @@ def torus_degree_field(cocycle, flow, shape, steps):
     shape = tuple(int(m) for m in shape)
     if len(shape) != cocycle.d:
         raise ValueError("grid dimension does not match the cocycle base")
-    limit = 2.0 * np.pi * float(np.dot(cocycle.sector_winding, flow.y))
+    limit = 2.0 * np.pi * float(np.dot(cocycle.winding, flow.y))
     vals = 2.0 * np.pi * _orbit_average_rate(cocycle, flow, unit_grid(shape), steps)
     field = GridField(vals)
     sup_error = float(np.max(np.abs(vals - limit)))
@@ -623,7 +598,8 @@ def sector_identity_check(cocycle, flow, modes, shape, schedule):
     A = -i y.grad has the multiplier 2 pi k.y on e(k.x) and
     U^N f = e(q.phi^(N)) f(. + Ny), so [A, U^N] f = 2 pi (y.grad q.phi^(N)) U^N f,
     where y.grad q.phi^(N) is N times the orbit average rate_N of
-    q.W y + y.grad(q.eta): D_N is multiplication by 2 pi rate_N.  At every
+    q.W y + y.grad(q.eta): D_N is multiplication by 2 pi rate_N, the field of
+    torus_degree_field.  At every
     horizon of ``schedule`` the band-limited field f with Fourier data
     ``modes`` and Af go through sector_apply, A acts on U^N f spectrally, and
     the report holds the relative L2 residual on the grid of ``shape``,
@@ -646,12 +622,11 @@ def sector_identity_check(cocycle, flow, modes, shape, schedule):
     applied = GridField.from_modes(
         {k: 2.0 * np.pi * float(np.dot(k, flow.y)) * c for k, c in modes.items()}, shape)
     multiplier = 2.0 * np.pi * _frequency_dot(_frequencies(shape), flow.y)
-    points = unit_grid(shape)
     eps = np.finfo(float).eps
     fft_noise = math.log2(field.values.size) * eps
     spread = 2.0 * np.pi * math.sqrt(sum((y * m) ** 2 for y, m in zip(flow.y, shape)) / 12.0)
-    wy = abs(float(np.dot(cocycle.sector_winding, flow.y)))
-    winding = float(np.abs(cocycle.sector_winding).sum())
+    wy = abs(float(np.dot(cocycle.winding, flow.y)))
+    winding = float(np.abs(cocycle.winding).sum())
     size = field.norm()
     report = SectorIdentityReport([], [], [], [])
     for n in schedule:
@@ -663,7 +638,7 @@ def sector_identity_check(cocycle, flow, modes, shape, schedule):
             report.unresolved.append(n)
             continue
         applied_moved = GridField(np.fft.ifftn(multiplier * np.fft.fftn(moved.values)))
-        degree = 2.0 * np.pi * _orbit_average_rate(cocycle, flow, points, n)
+        degree = torus_degree_field(cocycle, flow, shape, n).field.values
         defect = applied_moved.values - moved_applied.values - n * degree * moved.values
         # both sides vanish only for a field A annihilates; compare absolutely there
         scale = (applied_moved.norm() + moved_applied.norm()) or 1.0
@@ -732,10 +707,7 @@ class SU2Cocycle:
         self.label = int(label)
         if self.label < 0:
             raise ValueError("representation label must be nonnegative")
-        scalar_modes = {}
-        for k, c in (modes or {}).items():
-            scalar_modes[_mode_key(k)] = (complex(c),)
-        self.angle = TorusCocycle(self.frequency[None, :], scalar_modes, (1,))
+        self.angle = TorusCocycle(self.frequency, modes)
 
     @property
     def d(self):
@@ -743,7 +715,7 @@ class SU2Cocycle:
 
     def angle_value(self, x):
         """theta(x) = b.x + eta(x), unwrapped."""
-        return self.angle._dot_base(x, self.frequency) + self.angle.eta(x)[..., 0]
+        return _dot(x, self.frequency) + self.angle.eta(x)
 
     def value(self, x):
         """Cocycle matrix at a single point."""

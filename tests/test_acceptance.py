@@ -127,7 +127,8 @@ def test_criterion_3_cayley_bridge():
 def test_criterion_4_torus_degree_and_correlation():
     t0 = time.perf_counter()
     flow = TorusFlow([GOLDEN])
-    coc = TorusCocycle([[2]], {(1,): (-0.025j,), (-1,): (0.025j,)}, [3])
+    # winding 2 and eta modes +-0.025j, seen by the sector of charge 3
+    coc = TorusCocycle([2 * 3], {(1,): 3 * -0.025j, (-1,): 3 * 0.025j})
     sup_at_1024 = torus_degree_field(coc, flow, (1024,), 1024).sup_error
     assert sup_at_1024 <= 0.05
 

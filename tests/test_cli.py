@@ -126,6 +126,21 @@ def test_validate_torus_grids_must_be_powers_of_two():
     assert su2["scenarios"][0]["model"]["grid"] == 100
 
 
+@pytest.mark.parametrize("fields, token", [
+    ({"winding": [[2.5]], "sector": [1]}, "winding[0]"),
+    ({"winding": [[2, 1], [1, 0]], "sector": [1]}, "sector"),
+    ({"winding": [[2, 1]], "sector": [1.5]}, "sector"),
+    ({"winding": [[2, 1], [1, 0]], "sector": [1, 2], "eta": [[[1, 0], 0.0, 0.1], [[-1, 0], 0.0, -0.1]]},
+     "eta"),
+])
+def test_validate_torus_winding_rows_sector_and_eta(fields, token):
+    # the cocycle holds only W^T q and q.eta, so the rows and the sector are
+    # checked here, before build projects them
+    model = {"type": "torus", "y": [0.6180339887498949, 0.41421356237309515], **fields}
+    with pytest.raises(SchemaError, match=re.escape(f"model.{token}")):
+        validate_config({"version": 1, "scenarios": [{"name": "a", "model": model, "tasks": ["degree"]}]})
+
+
 def test_validate_rejects_graph_task_on_pair_model():
     raw = pair_config(tasks=["admissibility"])
     with pytest.raises(SchemaError):
@@ -720,6 +735,39 @@ def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_
     assert rows["tight"]["status"] == "fail"
     assert rows["plane"]["status"] == "pass"
     assert rows["plane"]["metrics"]["horizons"] == [1, 2]
+
+
+def test_winding_rows_and_sector_reach_the_tasks_as_their_projection(tmp_path):
+    # the sector sees W^T q only: [[2, 1], [1, 0]] under [1, 2] is [4, 1], so
+    # both models must give the same rows and artifacts
+    base = {"type": "torus", "y": [0.6180339887498949, 0.41421356237309515], "grid": 64}
+    models = {"rows": {**base, "winding": [[2, 1], [1, 0]], "sector": [1, 2]},
+              "projected": {**base, "winding": [[4, 1]], "sector": [1]}}
+    config = validate_config({"version": 1, "scenarios": [
+        {"name": name, "seed": 5, "model": model, "schedule": [1, 2, 4], "horizon": 64,
+         "tasks": ["identities", "degree", "mixing", "summability"]} for name, model in models.items()]})
+    report = run_config(config, tmp_path / "out")
+    rows = {sc["name"]: json.dumps(sc["tasks"]) for sc in report["scenarios"]}
+    assert rows["rows"] == rows["projected"]
+    identities, degree = report["scenarios"][0]["tasks"][:2]
+    assert identities["status"] == "pass" and identities["metrics"]["horizons"] == [1, 2, 4]
+    assert degree["metrics"]["limit"] == pytest.approx(2 * np.pi * (4 * 0.6180339887498949 + 0.41421356237309515))
+    for artifact in ("correlation.csv", "torus-degree.json"):
+        assert ((tmp_path / "out" / "rows" / artifact).read_bytes()
+                == (tmp_path / "out" / "projected" / artifact).read_bytes())
+
+
+@pytest.mark.parametrize("eta, sector", [
+    # within the old relative tolerance of the mirror check; built before
+    ([[[1], 1000.0, 0.0], [[-1], 1000.005, 0.0]], 1),
+    # the zero sector sees no eta, yet eta as configured is broken
+    ([[[1], 0.0, 0.5], [[-1], 0.0, 0.5]], 0),
+])
+def test_torus_eta_mirror_is_checked_absolutely_as_configured(eta, sector):
+    model = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": sector, "eta": eta}
+    config = validate_config({"version": 1, "scenarios": [{"name": "t", "model": model, "tasks": ["degree"]}]})
+    with pytest.raises(SchemaError, match="Hermitian-symmetric"):
+        build_model(config["scenarios"][0])
 
 
 def test_admissibility_is_checked_once_per_graph_scenario(tmp_path, monkeypatch):

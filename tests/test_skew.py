@@ -34,6 +34,7 @@ from commix import (
     unit_grid,
     unitary_symbol,
 )
+from commix.skew import _geometric_phase_sum
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 SILVER = np.sqrt(2.0) - 1.0
@@ -43,9 +44,14 @@ def golden_flow():
     return TorusFlow([GOLDEN])
 
 
+def sector_cocycle(winding, eta, charge):
+    """The scalar cocycle that the sector of ``charge`` sees of a one-row winding and scalar eta."""
+    return TorusCocycle(np.multiply(charge, winding), {k: charge * c for k, c in eta.items()})
+
+
 def standard_cocycle():
     # winding 2, sector charge 3, one smooth mode pair
-    return TorusCocycle([[2]], {(1,): (-0.025j,), (-1,): (0.025j,)}, [3])
+    return sector_cocycle([2], {(1,): -0.025j, (-1,): 0.025j}, 3)
 
 
 def sector_eta(z):
@@ -90,7 +96,7 @@ def test_subnormal_field_has_empty_band_and_steps():
     tiny = GridField.from_modes({(1,): 5e-324}, (1024,))
     assert tiny.occupied_band() == [0]
     assert GridField.from_modes({(1,): 1e-300}, (1024,)).occupied_band() == [1]
-    moved = sector_apply(TorusCocycle(np.array([[2]]), {}, [3]), golden_flow(), tiny, 1)
+    moved = sector_apply(TorusCocycle([6], {}), golden_flow(), tiny, 1)
     assert np.max(np.abs(moved.values)) <= 1e-300
 
 
@@ -106,13 +112,42 @@ def test_grid_field_refine_is_exact_interpolation():
 
 
 def test_cocycle_validation():
+    # the cocycle holds the scalar q.phi: an integer winding vector W^T q and
+    # the Fourier data of q.eta; winding rows and sectors live in the config
+    for winding in ([1.5], [[2]], []):
+        with pytest.raises(ValueError):
+            TorusCocycle(winding, {})
     with pytest.raises(ValueError):
-        TorusCocycle([[1.5]], {}, [1])
+        TorusCocycle([1, 2], {(1,): 0.5, (-1,): 0.5})
     with pytest.raises(StructureError):
         # a real-valued perturbation needs mirrored conjugate modes
-        TorusCocycle([[1]], {(1,): (0.5j,)}, [1])
-    coc = standard_cocycle()
-    assert list(coc.sector_winding) == [6]
+        TorusCocycle([1], {(1,): 0.5j})
+    for mirror in (1000.005, 1000.0 + 2e-12, complex(1000.0, 1e-9)):
+        # the mirror holds to 1e-12 absolutely, however large the mode
+        with pytest.raises(StructureError):
+            TorusCocycle([1], {(1,): 1000.0, (-1,): mirror})
+    with pytest.raises(StructureError):
+        TorusCocycle([1], {(0,): 0.3 + 1e-11j})
+    coc = TorusCocycle([1], {(1,): 1000.0, (-1,): 1000.0 + 1e-13, (0,): 0.3})
+    assert coc.modes == {(1,): 1000.0, (-1,): 1000.0 + 1e-13, (0,): 0.3}
+    assert list(standard_cocycle().winding) == [6]
+
+
+def test_geometric_phase_sums_at_integer_rotation_numbers_are_closed_form():
+    # an eta zero mode has rotation number 0; its phase sum, and the fields
+    # built on it, must cost the same at any step count
+    assert _geometric_phase_sum(0.0, 10**12) == 10**12
+    assert _geometric_phase_sum(-3.0, 10**12) == 10**12
+    for u in (3 + 1e-11, -2 - 3e-12, 1e-10, -7.5e-11, 5 - 2e-10):
+        delta = u - round(u)
+        for n in (1, 2, 17, 1000, 10**4):
+            direct = np.sum(np.exp(2j * np.pi * delta * np.arange(n)))
+            assert abs(_geometric_phase_sum(u, n) - direct) <= 1e-13 * abs(direct), (u, n)
+    modes = {(0,): 0.01, (1,): -0.075j, (-1,): 0.075j}
+    flow = golden_flow()
+    assert torus_degree_field(TorusCocycle([6], modes), flow, (64,), 10**12).sup_error <= 1e-9
+    su2 = su2_degree_field(SU2Cocycle(np.eye(2, dtype=complex), [1], modes, 2), flow, (64,), 10**9)
+    assert su2.sup_deviation <= 1e-6
 
 
 def test_cocycle_sum_matches_brute_force():
@@ -216,8 +251,8 @@ def finite_complex(magnitude):
 def test_sector_apply_group_law_and_unitarity(eta, winding, sector, field, steps):
     modes = {}
     for k, c in eta.items():
-        modes.update({(k,): (c,), (-k,): (np.conj(c),)})
-    coc = TorusCocycle([[winding]], modes, [sector])
+        modes.update({(k,): c, (-k,): np.conj(c)})
+    coc = sector_cocycle([winding], modes, sector)
     flow = golden_flow()
     # coefficients with l1 norm at most 1, so that |f| <= 1 pointwise
     scale = max(1.0, sum(abs(c) for c in field.values()))
@@ -239,12 +274,12 @@ def test_sector_apply_resolution_guard():
 
 
 def mirrored(eta):
-    """Hermitian-symmetric cocycle modes {k: (c,), -k: (conj c,)}; a zero mode is kept real."""
+    """Hermitian-symmetric cocycle modes {k: c, -k: conj c}; a zero mode is kept real."""
     modes = {}
     for k, c in eta.items():
         mirror = tuple(-v for v in k)
         c = c.real if k == mirror else c
-        modes.update({k: (c,), mirror: (np.conj(c),)})
+        modes.update({k: c, mirror: np.conj(c)})
     return modes
 
 
@@ -268,12 +303,12 @@ def test_sector_identity_holds_in_function_space(d, eta, winding, sector, field,
     if d == 1:
         eta = {(k[0],): c for k, c in eta.items()}
         field = {(k[0],): c for k, c in field.items()}
-        winding, sector, flow, shape = [[winding[0]]], [sector], golden_flow(), (512,)
+        winding, flow, shape = winding[:1], golden_flow(), (512,)
     else:
         eta = {(k[0] % 3 - 1, k[1]): c for k, c in eta.items()}
-        winding, sector = [list(winding)], [int(np.clip(sector, -2, 2))]
+        sector = int(np.clip(sector, -2, 2))
         flow, shape = TorusFlow([GOLDEN, SILVER]), (128, 128)
-    coc = TorusCocycle(winding, mirrored(eta), sector)
+    coc = sector_cocycle(winding, mirrored(eta), sector)
     schedule = sorted({1, *later})
     report = sector_identity_check(coc, flow, field, shape, schedule)
     assert report.horizons[:1] == [1]
@@ -322,19 +357,19 @@ def test_sector_correlation_matches_inner_products():
     "winding, modes, sector, y, phi, psi, horizon, grid",
     [
         # the runner's observable e(x) under one mode pair on a 1-D base
-        pytest.param([[2]], {(1,): (-0.025j,), (-1,): (0.025j,)}, [3], [GOLDEN],
+        pytest.param([2], {(1,): -0.025j, (-1,): 0.025j}, 3, [GOLDEN],
                      {(1,): 1.0}, {(1,): 1.0}, 48, 2048, id="one pair"),
-        pytest.param([[2]], {(1,): (-0.025j,), (-1,): (0.025j,),
-                             (3,): (0.01 + 0.02j,), (-3,): (0.01 - 0.02j,)}, [3], [GOLDEN],
+        pytest.param([2], {(1,): -0.025j, (-1,): 0.025j,
+                           (3,): 0.01 + 0.02j, (-3,): 0.01 - 0.02j}, 3, [GOLDEN],
                      {(1,): 0.6, (-2,): 0.3j, (4,): 0.2}, {(1,): 0.5, (0,): 0.4, (-1,): 0.3 - 0.1j},
                      32, 4096, id="two pairs"),
-        pytest.param([[1, 2]], {(1, 0): (0.02j,), (-1, 0): (-0.02j,), (0, 1): (0.015,), (0, -1): (0.015,)},
-                     [2], [GOLDEN, np.sqrt(2.0) - 1.0],
+        pytest.param([1, 2], {(1, 0): 0.02j, (-1, 0): -0.02j, (0, 1): 0.015, (0, -1): 0.015},
+                     2, [GOLDEN, np.sqrt(2.0) - 1.0],
                      {(1, 1): 1.0, (0, 2): 0.5}, {(1, 1): 1.0, (2, -1): 0.3j}, 12, 256, id="torus-nd"),
-        pytest.param([[2]], {}, [3], [GOLDEN],
+        pytest.param([2], {}, 3, [GOLDEN],
                      {(k,): 0.1 * (k + 1j) for k in range(-40, 41)}, {(1,): 0.7, (-3,): 0.2},
                      12, 512, id="no eta"),
-        pytest.param([[2]], {(0,): (0.3,), (1,): (-0.025j,), (-1,): (0.025j,)}, [3], [GOLDEN],
+        pytest.param([2], {(0,): 0.3, (1,): -0.025j, (-1,): 0.025j}, 3, [GOLDEN],
                      {(k,): 0.05 * (1 - 0.5j) ** abs(k) for k in range(-30, 31)}, {(1,): 0.5, (2,): 0.5},
                      16, 1024, id="zero mode"),
     ],
@@ -342,7 +377,7 @@ def test_sector_correlation_matches_inner_products():
 def test_sector_correlation_closed_form_matches_grid_route(winding, modes, sector, y, phi, psi,
                                                            horizon, grid):
     flow = TorusFlow(y)
-    coc = TorusCocycle(winding, modes, sector)
+    coc = sector_cocycle(winding, modes, sector)
     series = sector_correlation(coc, flow, phi, psi, horizon)
     brute = oracle_correlation(coc, flow, phi, psi, horizon, grid)
     assert np.max(np.abs(brute)) > 1e-6
@@ -385,11 +420,11 @@ mode_dicts = st.dictionaries(
 )
 def test_sector_correlation_property_matches_grid_route(phi, psi, horizon, first, second):
     # eta with one or two mode pairs; observables scaled to l2 norm at most 1
-    modes = {(1,): (first,), (-1,): (np.conj(first),)}
+    modes = {(1,): first, (-1,): np.conj(first)}
     if second is not None:
         k, c = second
-        modes.update({(k,): (c,), (-k,): (np.conj(c),)})
-    coc = TorusCocycle([[2]], modes, [3])
+        modes.update({(k,): c, (-k,): np.conj(c)})
+    coc = sector_cocycle([2], modes, 3)
     flow = golden_flow()
     phi, psi = ({(k,): c / max(1.0, np.sqrt(sum(abs(v) ** 2 for v in d.values())))
                  for k, c in d.items()} for d in (phi, psi))
