@@ -88,8 +88,9 @@ class CorrelationSeries:
                 kind = tok[5:]
         if kind is None:
             raise SchemaError("series header lacks kind=")
-        if lines[1] != "abscissa,re,im,abs,partial_l2":
-            raise SchemaError(f"unexpected column row: {lines[1]!r}")
+        columns = lines[1] if len(lines) > 1 else None
+        if columns != "abscissa,re,im,abs,partial_l2":
+            raise SchemaError(f"unexpected column row: {columns!r}")
         abscissae, values = [], []
         for ln in lines[2:]:
             parts = ln.split(",")
@@ -100,7 +101,10 @@ class CorrelationSeries:
                 values.append(complex(float(parts[1]), float(parts[2])))
             except ValueError as exc:
                 raise SchemaError(f"non-numeric series row: {ln!r}") from exc
-        return cls(abscissae, values, kind)
+        try:
+            return cls(abscissae, values, kind)
+        except ValueError as exc:  # an unknown kind, or continuous abscissae that do not increase
+            raise SchemaError(f"invalid correlation series: {exc}") from exc
 
 
 def correlation_discrete(unitary, phi, psi, horizon):

@@ -211,7 +211,7 @@ def test_degree_identity_exact():
         pair = random_discrete_pair(rng, dim)
         for steps in (1, 2, 9):
             chk = degree_identity_check(pair, steps)
-            assert chk.passed, f"dim={dim} N={steps}: {chk.residual:.3e}"
+            assert chk.residual <= chk.expected, f"dim={dim} N={steps}: {chk.residual:.3e}"
 
 
 @settings(max_examples=60)
@@ -220,7 +220,7 @@ def test_degree_identity_holds_on_random_complex_pairs(dim, steps, seed):
     pair = random_discrete_pair(np.random.default_rng(seed), dim)
     assert pair.main.dtype == np.complex128
     chk = degree_identity_check(pair, steps)
-    assert chk.passed, f"dim={dim} N={steps}: {chk.residual:.3e} > {chk.expected:.3e}"
+    assert chk.residual <= chk.expected, f"dim={dim} N={steps}: {chk.residual:.3e} > {chk.expected:.3e}"
 
 
 def test_degree_alternative_agrees():
@@ -262,7 +262,8 @@ def test_flow_identity_check_random_pairs():
         pair = OperatorPair.continuous(h, a)
         for t in (0.5, 2.0):
             chk = flow_identity_check(pair, t)
-            assert chk.passed, f"t={t}: residual {chk.residual:.3e} vs {chk.error_estimate:.3e}"
+            assert chk.residual <= 10.0 * chk.error_estimate, \
+                f"t={t}: residual {chk.residual:.3e} vs {chk.error_estimate:.3e}"
 
 
 def test_flow_identity_commuting_pair():
@@ -271,7 +272,7 @@ def test_flow_identity_commuting_pair():
     h = random_hermitian(rng, 6)
     pair = OperatorPair.continuous(h, h @ h / max(1.0, spectral_norm(h)))
     chk = flow_identity_check(pair, 1.0)
-    assert chk.passed
+    assert chk.residual <= 10.0 * chk.error_estimate
     assert chk.residual <= 1e-12
 
 
@@ -320,7 +321,7 @@ def test_flow_identity_check_decomposes_each_pair_once(monkeypatch):
     count(commutators, "tilde_conjugate")
     count(np.linalg, "eigh")
     checks = [flow_identity_check(pair, t) for t in (0.5, 1.5, 3.0)]
-    assert all(c.passed for c in checks)
+    assert all(c.residual <= 10.0 * c.error_estimate for c in checks)
     assert calls == {"tilde_conjugate": 1, "eigh": 1}
 
 
@@ -520,16 +521,6 @@ def test_pair_values_are_computed_once_and_are_not_fields():
     assert "symbol" not in repr(flow) and "conjugate_norm" not in repr(flow)
 
 
-@pytest.mark.parametrize("steps", [1, 5, 77])
-def test_identity_check_alternative_is_degree_alternative_bit_for_bit(steps):
-    rng = np.random.default_rng(132)
-    for pair in (random_discrete_pair(rng, 9), shift_weyl_model(16, 3).pair):
-        alternative = degree_identity_check(pair, steps).alternative
-        oracle = degree_alternative(pair, steps)
-        assert alternative.dtype == oracle.dtype
-        assert alternative.tobytes() == oracle.tobytes()
-
-
 @settings(max_examples=30)
 @given(dim=st.integers(2, 24), steps=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
 def test_real_pairs_agree_with_their_complex_twins(dim, steps, seed):
@@ -586,5 +577,6 @@ def test_shift_model_is_bit_identical_in_real_and_complex_arithmetic(window, ste
     exact = 2**octaves
     check, twin_check = degree_identity_check(pair, exact), degree_identity_check(twin, exact)
     assert (check.residual, check.expected) == (twin_check.residual, twin_check.expected)
-    assert np.array_equal(check.average, twin_check.average)
-    assert np.array_equal(check.alternative, twin_check.alternative)
+    assert np.array_equal(birkhoff_discrete(pair.main, pair.symbol, exact),
+                          birkhoff_discrete(twin.main, twin.symbol, exact))
+    assert np.array_equal(degree_alternative(pair, exact), degree_alternative(twin, exact))

@@ -1,5 +1,7 @@
 """Correlation series, summability verdicts, and Fourier functional calculus."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,19 @@ def test_series_csv_schema_errors():
     ):
         with pytest.raises(SchemaError):
             CorrelationSeries.from_csv(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# correlation-series v1 kind=discrete\n", "unexpected column row: None"),
+    ("# correlation-series v1 kind=sideways\nabscissa,re,im,abs,partial_l2\n1.0,0.5,0.0,0.5,0.25\n",
+     "kind must be 'discrete' or 'continuous'"),
+    ("# correlation-series v1 kind=continuous\nabscissa,re,im,abs,partial_l2\n"
+     "1.0,0.5,0.0,0.5,0.0\n1.0,0.5,0.0,0.5,0.0\n", "continuous abscissae must be strictly increasing"),
+], ids=["header-only", "unknown-kind", "non-increasing-times"])
+def test_series_csv_malformed_artifacts_are_schema_errors(text, message):
+    # these used to escape as IndexError or a bare ValueError
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        CorrelationSeries.from_csv(text)
 
 
 def make_series(values):
