@@ -250,6 +250,15 @@ def _real_modes(modes, d):
     return parsed
 
 
+def _integer_vector(values, what):
+    """``values`` as a nonempty int64 vector of integral entries (see _integral) of modulus below 2^63."""
+    entries = np.atleast_1d(np.asarray(values, dtype=object))
+    exact = [_integral(v, what) for v in entries.ravel()]
+    if entries.ndim != 1 or not exact or any(abs(e) >= 2**63 for e in exact):
+        raise ValueError(f"{what} must be nonempty integers below 2^63 in modulus, got {values!r}")
+    return np.array(exact, dtype=np.int64)
+
+
 class TorusCocycle:
     """The scalar q.phi(x) = W^T q.x + q.eta(x) that a sector operator sees.
 
@@ -260,10 +269,7 @@ class TorusCocycle:
     """
 
     def __init__(self, winding, modes):
-        w = np.atleast_1d(np.asarray(winding))
-        if w.ndim != 1 or w.size == 0 or not np.all(w == np.round(w)):
-            raise ValueError("winding must be a nonempty integer vector")
-        self.winding = w.astype(int)
+        self.winding = _integer_vector(winding, "winding")
         self.d = self.winding.size
         self.modes = _real_modes(modes, self.d)
 
@@ -363,10 +369,9 @@ def sector_apply(cocycle, flow, field, steps):
     freqs = _frequencies(shape)
     spec = np.fft.fftn(field.values)
     band = _occupied_band(spec, freqs)
-    shift_freq = steps * cocycle.winding
     margin = _modulation_margin(cocycle, flow, steps)
     for i, m in enumerate(shape):
-        needed = abs(int(shift_freq[i])) + band[i] + int(margin[i])
+        needed = abs(steps * int(cocycle.winding[i])) + band[i] + int(margin[i])
         if needed >= m // 2:
             raise ResolutionError(
                 f"axis {i}: predicted bandwidth {needed} at {steps} steps exceeds "
@@ -428,15 +433,20 @@ def _observable_modes(modes, d):
 
 
 def _bessel_order(z):
-    """Least M >= 0 with 2 (z/2)^(M+1) e^(z/2) / (M+1)! <= 2^-53."""
+    """Least M >= 0 with 2 (z/2)^(M+1) e^(z/2) / (M+1)! <= 2^-53, by bisection in O(log M) steps."""
+    # the log of the bound is concave in M and above the budget at M = 0 if
+    # anywhere; by (M+1)! >= ((M+1)/e)^(M+1) it is below at M + 1 >= 8 (z/2) + 38
     t = z / 2.0
-    if t == 0.0:
-        return 0
     budget = math.log(2.0**-53 / 2.0) - t
-    order = 0
-    while (order + 1) * math.log(t) - math.lgamma(order + 2) > budget:
-        order += 1
-    return order
+
+    def above(order):
+        return t > 0.0 and (order + 1) * math.log(t) - math.lgamma(order + 2) > budget
+
+    low, high = -1, int(8.0 * t) + 38
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if above(mid) else (low, mid)
+    return high
 
 
 def _bessel_coefficient(order, z, alpha):
@@ -459,13 +469,13 @@ def _modulation_spectrum(pairs):
     steps; ``target`` is an integer array (..., steps, d) of frequencies.
     Each target is reached from a combination of the other pairs' orders by
     one order of the pair with the largest truncation order.  With one pair
-    that order's Bessel coefficient is evaluated directly, which is exact;
-    with several, every pair's sequence is truncated at _bessel_order of its
-    largest z and read from a table.
+    that order's Bessel coefficient is evaluated directly, which is exact
+    and needs no truncation order; with several, every pair's sequence is
+    truncated at _bessel_order of its largest z and read from a table.
     """
     if not pairs:
         return lambda target: np.all(target == 0, axis=-1).astype(complex)
-    orders = [_bessel_order(float(np.max(z))) for _, z, _ in pairs]
+    orders = [_bessel_order(float(np.max(z))) for _, z, _ in pairs] if len(pairs) > 1 else [0]
 
     def table(j):
         _, z, alpha = pairs[j]
@@ -541,7 +551,9 @@ def sector_correlation(cocycle, flow, phi, psi, horizon):
             if g_pair != 0:
                 u = float(np.dot(k, flow.y))
                 a = g_pair * np.array([_geometric_phase_sum(u, n) for n in steps])
-                pairs.append((np.asarray(k), 4.0 * np.pi * np.abs(a), np.angle(a)))
+                if not np.all(np.isfinite(z := 4.0 * np.pi * np.abs(a))):
+                    raise ValueError(f"modulation amplitude of mode pair {k} is not finite ({g!r})")
+                pairs.append((np.asarray(k), z, np.angle(a)))
     spectrum = _modulation_spectrum(pairs)
 
     keys = np.array(list(phi), dtype=int).reshape(-1, cocycle.d)
@@ -592,60 +604,57 @@ class SectorIdentityReport:
     unresolved: list
 
 
-def sector_identity_check(cocycle, flow, modes, shape, schedule):
-    """The identity [A, U^N] f = N D_N U^N f of the sector operator, in function space.
+def sector_identity_check(cocycle, flow, mode, shape, schedule):
+    """The identity [A, U^N] e_l = N D_N U^N e_l of the sector operator, in function space.
 
     A = -i y.grad has the multiplier 2 pi k.y on e(k.x) and
     U^N f = e(q.phi^(N)) f(. + Ny), so [A, U^N] f = 2 pi (y.grad q.phi^(N)) U^N f,
     where y.grad q.phi^(N) is N times the orbit average rate_N of
     q.W y + y.grad(q.eta): D_N is multiplication by 2 pi rate_N, the field of
-    torus_degree_field.  At every
-    horizon of ``schedule`` the band-limited field f with Fourier data
-    ``modes`` and Af go through sector_apply, A acts on U^N f spectrally, and
-    the report holds the relative L2 residual on the grid of ``shape``,
-    ||A U^N f - U^N A f - N D_N U^N f|| / (||A U^N f|| + ||U^N A f||), with
-    its roundoff estimate.  The phase of U^N f rounds by
+    torus_degree_field.  The test vector is the Fourier mode e_l of the
+    integer vector ``mode``: A e_l = lambda e_l with lambda = 2 pi l.y, so one
+    sector_apply per horizon of ``schedule`` gives U^N e_l and U^N A e_l (any
+    field would only weight the same pointwise defect by |U^N f|^2, as A
+    commutes with translations).  The report holds, on the grid of ``shape``,
+    ||A U^N e_l - lambda U^N e_l - N D_N U^N e_l|| / (||A U^N e_l|| + |lambda|),
+    with its roundoff estimate.  The phase of U^N e_l rounds by
     tau_N = (N^2 |q.W y| / 2 + N |W^T q|_1) eps / 2 turns (the unwrapped
     phase as sector_apply sums it), and each FFT pair by about log2(P) eps
     relative, P the number of grid points.  A multiplies that pointwise
     noise by 2 pi w in the mean square, w = sqrt(sum_i (y_i m_i)^2 / 12) over
-    the axis sizes m_i, so the estimate is
-    2 pi w (2 pi tau_N + log2(P) eps) ||f|| / scale + log2(P) eps.
-    A horizon at which sector_apply raises ResolutionError goes to
-    ``unresolved`` instead.
+    the axis sizes m_i, so with ||e_l|| = 1 the estimate is
+    2 pi w (2 pi tau_N + log2(P) eps) / scale + log2(P) eps.  A horizon at
+    which sector_apply raises ResolutionError goes to ``unresolved`` instead.
     """
     shape = tuple(int(m) for m in shape)
     if len(shape) != cocycle.d:
         raise ValueError("grid dimension does not match the cocycle base")
-    modes = _observable_modes(modes, cocycle.d)
-    field = GridField.from_modes(modes, shape)
-    applied = GridField.from_modes(
-        {k: 2.0 * np.pi * float(np.dot(k, flow.y)) * c for k, c in modes.items()}, shape)
+    mode = _integer_vector(mode, "mode")
+    field = GridField.from_modes({tuple(mode): 1.0}, shape)
+    eigenvalue = 2.0 * np.pi * float(np.dot(mode, flow.y))
     multiplier = 2.0 * np.pi * _frequency_dot(_frequencies(shape), flow.y)
     eps = np.finfo(float).eps
     fft_noise = math.log2(field.values.size) * eps
     spread = 2.0 * np.pi * math.sqrt(sum((y * m) ** 2 for y, m in zip(flow.y, shape)) / 12.0)
     wy = abs(float(np.dot(cocycle.winding, flow.y)))
-    winding = float(np.abs(cocycle.winding).sum())
-    size = field.norm()
+    winding = float(np.abs(cocycle.winding.astype(float)).sum())
     report = SectorIdentityReport([], [], [], [])
     for n in schedule:
         n = _integral(n, "step counts", 1)
         try:
-            moved = sector_apply(cocycle, flow, field, n)
-            moved_applied = sector_apply(cocycle, flow, applied, n)
+            moved = sector_apply(cocycle, flow, field, n).values
         except ResolutionError:
             report.unresolved.append(n)
             continue
-        applied_moved = GridField(np.fft.ifftn(multiplier * np.fft.fftn(moved.values)))
+        applied_moved = GridField(np.fft.ifftn(multiplier * np.fft.fftn(moved)))
         degree = torus_degree_field(cocycle, flow, shape, n).field.values
-        defect = applied_moved.values - moved_applied.values - n * degree * moved.values
-        # both sides vanish only for a field A annihilates; compare absolutely there
-        scale = (applied_moved.norm() + moved_applied.norm()) or 1.0
+        defect = applied_moved.values - (eigenvalue + n * degree) * moved
+        # both sides vanish only where A annihilates U^N e_l; compare absolutely there
+        scale = (applied_moved.norm() + abs(eigenvalue)) or 1.0
         tau = (n * n * wy / 2.0 + n * winding) * eps / 2.0
         report.horizons.append(n)
         report.residuals.append(GridField(defect).norm() / scale)
-        report.estimates.append(spread * (2.0 * np.pi * tau + fft_noise) * size / scale + fft_noise)
+        report.estimates.append(spread * (2.0 * np.pi * tau + fft_noise) / scale + fft_noise)
     return report
 
 
@@ -700,10 +709,9 @@ class SU2Cocycle:
             raise ValueError("conjugator must be a 2x2 matrix")
         check_structure(h, "special-unitary", 1e-12, "conjugator")
         self.conjugator = h
-        b = np.atleast_1d(np.asarray(frequency))
-        if not np.all(b == np.round(b)) or not np.any(b):
+        self.frequency = _integer_vector(frequency, "frequency")
+        if not np.any(self.frequency):
             raise ValueError("frequency must be a nonzero integer vector")
-        self.frequency = b.astype(int)
         self.label = int(label)
         if self.label < 0:
             raise ValueError("representation label must be nonnegative")

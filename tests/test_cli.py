@@ -195,7 +195,7 @@ def test_run_pair_identities(tmp_path, capsys, monkeypatch):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 12
+    assert report["version"] == cli.REPORT_VERSION == 13
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -768,12 +768,13 @@ def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_
     scenarios = [
         {"name": "first", "model": torus, "tasks": ["identities", "degree"], "schedule": [4, 16, 128]},
         {"name": "second", "model": torus, "tasks": ["degree", "identities"], "schedule": [4, 16, 128]},
+        {"name": "reseeded", "seed": 6, "model": torus, "tasks": ["identities"], "schedule": [4, 16, 128]},
         {"name": "unresolved", "model": torus, "tasks": ["identities"], "schedule": [128, 256]},
         {"name": "tight", "model": torus, "tasks": ["identities"], "schedule": [4, 16],
          "thresholds": {"torus_identity_factor": 1e-3}},
         {"name": "plane", "model": torus_2d, "tasks": ["identities"], "schedule": [1, 2]},
     ]
-    config = validate_config({"version": 1, "scenarios": [{**sc, "seed": 5} for sc in scenarios]})
+    config = validate_config({"version": 1, "scenarios": [{"seed": 5, **sc} for sc in scenarios]})
     report = run_config(config, tmp_path / "out")
     rows = {sc["name"]: next(r for r in sc["tasks"] if r["task"] == "identities")
             for sc in report["scenarios"]}
@@ -783,8 +784,10 @@ def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_
     metrics = first["metrics"]
     assert metrics["horizons"] == [4, 16] and metrics["unresolved_horizons"] == [128]
     assert all(r <= e for r, e in zip(metrics["residuals"], metrics["estimates"]))
-    # the test field comes from its own stream, so task order cannot change it
+    # the test vector is the mode (1,) of every scenario: neither the task
+    # order nor the seed can change it
     assert rows["second"]["metrics"] == metrics
+    assert rows["reseeded"]["metrics"] == metrics
     assert rows["unresolved"]["status"] == "warn"
     assert rows["unresolved"]["metrics"]["horizons"] == []
     assert rows["unresolved"]["metrics"]["unresolved_horizons"] == [128, 256]
@@ -824,6 +827,36 @@ def test_torus_eta_mirror_is_checked_absolutely_as_configured(eta, sector):
     config = validate_config({"version": 1, "scenarios": [{"name": "t", "model": model, "tasks": ["degree"]}]})
     with pytest.raises(SchemaError, match="Hermitian-symmetric"):
         build_model(config["scenarios"][0])
+
+
+def test_torus_mixing_on_a_huge_eta_finishes_and_fails_on_overflow(tmp_path):
+    # one mode pair needs no Bessel truncation order, which at these
+    # amplitudes used to be counted up one order at a time; at 1e308 the
+    # modulation amplitude overflows and the task fails instead of warning
+    # on a NaN series
+    def scenario(name, amplitude):
+        model = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 1,
+                 "eta": [[[1], 0.0, amplitude], [[-1], 0.0, -amplitude]]}
+        return {"name": name, "seed": 7, "model": model, "tasks": ["mixing"]}
+
+    config = validate_config({"version": 1, "scenarios": [scenario("large", 1e300), scenario("overflow", 1e308)]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_config(config, tmp_path / "out")
+    large, overflow = (sc["tasks"][0] for sc in report["scenarios"])
+    assert "error" not in large["metrics"] and large["metrics"]["samples"] == 512
+    assert overflow["status"] == "fail"
+    assert overflow["metrics"]["error"].startswith("ValueError: modulation amplitude of mode pair (1,) is not finite")
+
+
+def test_torus_winding_projection_beyond_int64_is_a_config_error(tmp_path, capsys):
+    # W^T q = 2 * 2^62 = 2^63 wrapped to -2^63 in int64, and degree passed with a negative limit
+    model = {"type": "torus", "y": 0.6180339887498949, "winding": 2**62, "sector": 2}
+    path = write_config(tmp_path, {"version": 1, "scenarios": [{"name": "wide", "model": model, "tasks": ["degree"]}]})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario 'wide' model: winding must be")
+    assert str(2**63) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_admissibility_is_checked_once_per_graph_scenario(tmp_path, monkeypatch):

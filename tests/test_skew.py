@@ -1,5 +1,6 @@
 """Torus and SU(2) skew products, sector transfer operators, and the shift seam model."""
 
+import math
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from commix import (
     unit_grid,
     unitary_symbol,
 )
-from commix.skew import _geometric_phase_sum
+from commix.skew import _bessel_order, _geometric_phase_sum
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 SILVER = np.sqrt(2.0) - 1.0
@@ -117,6 +118,13 @@ def test_cocycle_validation():
     for winding in ([1.5], [[2]], []):
         with pytest.raises(ValueError):
             TorusCocycle(winding, {})
+    # entries int64 cannot hold are refused, not rounded to INT64_MIN
+    for winding in ([1e30], [10**30], [2**63], [-(2**63)], [float("nan")], [float("inf")]):
+        with pytest.raises(ValueError, match="winding must be"):
+            TorusCocycle(winding, {})
+        with pytest.raises(ValueError, match="frequency must be"):
+            SU2Cocycle(np.eye(2, dtype=complex), winding, {}, 2)
+    assert list(TorusCocycle([2**63 - 1, 3.0], {}).winding) == [2**63 - 1, 3]
     with pytest.raises(ValueError):
         TorusCocycle([1, 2], {(1,): 0.5, (-1,): 0.5})
     with pytest.raises(StructureError):
@@ -292,25 +300,23 @@ def mirrored(eta):
     eta=st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-1, 1)), finite_complex(0.05), max_size=2),
     winding=st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
     sector=st.integers(-3, 3),
-    field=st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), finite_complex(1.0),
-                          min_size=1, max_size=3),
+    mode=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
     later=st.lists(st.integers(2, 12), max_size=2, unique=True),
 )
-@example(d=1, eta={(1, 0): -0.025j}, winding=(2, 0), sector=3, field={(1, 0): 1.0}, later=[12])
-def test_sector_identity_holds_in_function_space(d, eta, winding, sector, field, later):
-    # [A, U^N] f = N D_N U^N f is a theorem; the residual must sit at the
+@example(d=1, eta={(1, 0): -0.025j}, winding=(2, 0), sector=3, mode=(1, 0), later=[12])
+def test_sector_identity_holds_in_function_space(d, eta, winding, sector, mode, later):
+    # [A, U^N] e_l = N D_N U^N e_l is a theorem; the residual must sit at the
     # roundoff the check estimates, at every horizon the grid resolves
     if d == 1:
         eta = {(k[0],): c for k, c in eta.items()}
-        field = {(k[0],): c for k, c in field.items()}
-        winding, flow, shape = winding[:1], golden_flow(), (512,)
+        mode, winding, flow, shape = mode[:1], winding[:1], golden_flow(), (512,)
     else:
         eta = {(k[0] % 3 - 1, k[1]): c for k, c in eta.items()}
         sector = int(np.clip(sector, -2, 2))
         flow, shape = TorusFlow([GOLDEN, SILVER]), (128, 128)
     coc = sector_cocycle(winding, mirrored(eta), sector)
     schedule = sorted({1, *later})
-    report = sector_identity_check(coc, flow, field, shape, schedule)
+    report = sector_identity_check(coc, flow, mode, shape, schedule)
     assert report.horizons[:1] == [1]
     assert sorted(report.horizons + report.unresolved) == schedule
     assert all(0.0 < e < 1e-9 for e in report.estimates)
@@ -321,14 +327,19 @@ def test_sector_identity_holds_in_function_space(d, eta, winding, sector, field,
 def test_sector_identity_check_on_the_golden_sector():
     # the bundled example's sector on its 8192-point grid: N = 1024 needs a
     # bandwidth of about 6150 against the grid Nyquist 4096
-    report = sector_identity_check(standard_cocycle(), golden_flow(), {(1,): 1.0, (-2,): 0.5j},
-                                   (8192,), [16, 512, 1024])
+    report = sector_identity_check(standard_cocycle(), golden_flow(), (1,), (8192,), [16, 512, 1024])
     assert report.horizons == [16, 512] and report.unresolved == [1024]
     assert max(r / e for r, e in zip(report.residuals, report.estimates)) <= 1.0
     with pytest.raises(ValueError, match="grid dimension"):
-        sector_identity_check(standard_cocycle(), golden_flow(), {(1,): 1.0}, (64, 64), [1])
+        sector_identity_check(standard_cocycle(), golden_flow(), (1,), (64, 64), [1])
     with pytest.raises(ValueError, match="must be integers >= 1"):
-        sector_identity_check(standard_cocycle(), golden_flow(), {(1,): 1.0}, (64,), [2.5])
+        sector_identity_check(standard_cocycle(), golden_flow(), (1,), (64,), [2.5])
+    for mode in ((1, 0), (1.5,)):
+        with pytest.raises(ValueError, match="mode"):
+            sector_identity_check(standard_cocycle(), golden_flow(), mode, (64,), [1])
+    with pytest.raises(TypeError):
+        # a mode dict is not an integer vector
+        sector_identity_check(standard_cocycle(), golden_flow(), {(1,): 1.0}, (64,), [1])
 
 
 def oracle_correlation(coc, flow, phi, psi, horizon, grid):
@@ -399,6 +410,27 @@ def test_sector_correlation_guards():
         sector_correlation(coc, flow, f, {(1, 0): 1.0}, 4)
     with pytest.raises(ValueError):
         sector_correlation(coc, flow, f, f, 0)
+
+
+def counted_bessel_order(z):
+    # the truncation order counted up one order at a time
+    t = z / 2.0
+    if t == 0.0:
+        return 0
+    budget = math.log(2.0**-53 / 2.0) - t
+    order = 0
+    while (order + 1) * math.log(t) - math.lgamma(order + 2) > budget:
+        order += 1
+    return order
+
+
+def test_bessel_order_bisects_to_the_counted_order():
+    zs = [0.0, 5e-324, 1e-20, 0.5, 1.0, 2.0, 2.5, 10.0, 1e4, *np.geomspace(1e-3, 1e4, 61),
+          *np.random.default_rng(41).uniform(0.0, 1e4, 20)]
+    for z in zs:
+        assert _bessel_order(z) == counted_bessel_order(z), z
+    # counted, this order would take about 1.8e300 steps
+    assert 1.7e300 < _bessel_order(1e300) < 1.9e300
 
 
 mode_dicts = st.dictionaries(
