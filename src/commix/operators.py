@@ -157,10 +157,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
     residual: float
 
-    @property
-    def dim(self):
-        return self.eigenvalues.shape[0]
-
     def assemble(self, values):
         """Recombine ``V diag(values) V*`` for per-eigenvalue scalars."""
         v = self.eigenvectors
@@ -278,10 +274,6 @@ class KernelSplit:
     P_ker: np.ndarray
     P_perp: np.ndarray
     ker_dim: int
-
-    @property
-    def dim(self):
-        return self.P_ker.shape[0]
 
 
 def kernel_split(matrix, tol=1e-8):

@@ -112,25 +112,10 @@ class GridField:
                 raise ValueError(f"grid sizes must be powers of two, got {v.shape}")
         self.values = v
 
-    @property
-    def shape(self):
-        return self.values.shape
-
     @classmethod
     def from_modes(cls, modes, shape):
         shape = tuple(int(m) for m in shape)
         return cls(_fourier_values(_observable_modes(modes, len(shape)), unit_grid(shape), len(shape)))
-
-    def shift(self, delta):
-        """Translated field x -> f(x + delta), exact on band-limited data."""
-        delta = np.atleast_1d(np.asarray(delta, dtype=float))
-        if delta.size != self.values.ndim:
-            raise ValueError("shift vector dimension mismatch")
-        spec = np.fft.fftn(self.values)
-        return GridField(np.fft.ifftn(spec * _translation(_frequencies(spec.shape), delta)))
-
-    def mean(self):
-        return complex(self.values.mean())
 
     def inner(self, other):
         if self.values.shape != other.values.shape:
@@ -139,22 +124,6 @@ class GridField:
 
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
-
-    def occupied_band(self):
-        """Per-axis largest |frequency| carrying relative weight above 1e-8."""
-        return _occupied_band(np.fft.fftn(self.values), _frequencies(self.values.shape))
-
-    def refine(self, factor):
-        """Spectral upsampling by a power-of-two factor (Nyquist bins split)."""
-        factor = int(factor)
-        if factor < 1 or (factor & (factor - 1)):
-            raise ValueError("refinement factor must be a power of two")
-        if factor == 1:
-            return GridField(self.values.copy())
-        coeff = np.fft.fftn(self.values) / self.values.size
-        for axis in range(coeff.ndim):
-            coeff = _pad_modes(coeff, axis, self.values.shape[axis] * factor)
-        return GridField(np.fft.ifftn(coeff) * coeff.size)
 
 
 def _frequencies(shape):
@@ -170,11 +139,6 @@ def _frequency_dot(freqs, vec):
         axis_shape[axis] = -1
         total = total + freq.reshape(axis_shape) * vec[axis]
     return total
-
-
-def _translation(freqs, delta):
-    """Spectral multiplier exp(2 pi i k.delta) over the frequency table ``freqs``."""
-    return np.exp(2j * np.pi * _frequency_dot(freqs, delta))
 
 
 def _occupied_band(spec, freqs):
@@ -194,23 +158,6 @@ def _occupied_band(spec, freqs):
         hit = mask.any(axis=tuple(i for i in range(spec.ndim) if i != axis))
         band.append(int(np.abs(freq[hit]).max()) if hit.any() else 0)
     return band
-
-
-def _pad_modes(coeff, axis, new_len):
-    old = coeff.shape[axis]
-    shifted = np.fft.fftshift(coeff, axes=axis)
-    lo = (new_len - old) // 2
-    widths = [(0, 0)] * coeff.ndim
-    widths[axis] = (lo, new_len - old - lo)
-    padded = np.pad(shifted, widths)
-    # the old -m/2 bin represents both Nyquist frequencies; split it
-    take = [slice(None)] * coeff.ndim
-    put = [slice(None)] * coeff.ndim
-    take[axis] = lo
-    put[axis] = lo + old
-    padded[tuple(put)] = padded[tuple(take)] / 2.0
-    padded[tuple(take)] = padded[tuple(take)] / 2.0
-    return np.fft.ifftshift(padded, axes=axis)
 
 
 def _dot(x, vec):
@@ -325,8 +272,10 @@ def cocycle_sum(cocycle, flow, x, n):
 def _modulation_margin(cocycle, flow, steps):
     # spectral spread of exp(2 pi i q.eta-cocycle-sum): each base mode of
     # amplitude beta radians scatters onto harmonics, negligible beyond
-    # roughly |k|*(beta + 8)
-    margin = np.zeros(cocycle.d, dtype=int)
+    # roughly |k|*(beta + 8); summed in Python numbers, so that no beta
+    # overflows, and a non-finite beta spreads without bound on every axis
+    # its mode moves (0 * inf would be NaN, which passes any budget)
+    margin = [0] * cocycle.d
     for k, g in cocycle.modes.items():
         if g == 0:
             continue
@@ -334,7 +283,8 @@ def _modulation_margin(cocycle, flow, steps):
         s = abs(math.sin(math.pi * u))
         envelope = abs(steps) if s < 1e-9 else min(abs(steps), 1.0 / s)
         beta = 2.0 * np.pi * abs(g) * envelope
-        margin += np.abs(np.asarray(k)) * int(math.ceil(beta + 8.0))
+        spread = math.ceil(beta + 8.0) if math.isfinite(beta) else math.inf
+        margin = [total + abs(v) * spread if v else total for total, v in zip(margin, k)]
     return margin
 
 
@@ -371,14 +321,14 @@ def sector_apply(cocycle, flow, field, steps):
     band = _occupied_band(spec, freqs)
     margin = _modulation_margin(cocycle, flow, steps)
     for i, m in enumerate(shape):
-        needed = abs(steps * int(cocycle.winding[i])) + band[i] + int(margin[i])
+        needed = abs(steps * int(cocycle.winding[i])) + band[i] + margin[i]
         if needed >= m // 2:
             raise ResolutionError(
                 f"axis {i}: predicted bandwidth {needed} at {steps} steps exceeds "
                 f"the grid Nyquist {m // 2}; enlarge the grid or reduce the step count"
             )
     summed = cocycle_sum(cocycle, flow, unit_grid(shape), steps)
-    moved = np.fft.ifftn(spec * _translation(freqs, steps * flow.y))
+    moved = np.fft.ifftn(spec * np.exp(2j * np.pi * _frequency_dot(freqs, steps * flow.y)))
     out = np.exp(2j * np.pi * summed) * moved
     out_band = _occupied_band(np.fft.fftn(out), freqs)
     for i, m in enumerate(shape):
@@ -462,17 +412,26 @@ def _bessel_coefficient(order, z, alpha):
     )
 
 
-def _modulation_spectrum(pairs):
+def _lattice_bound(bound, what):
+    # int64 lattice arithmetic wraps silently; refuse it where it could
+    if bound >= 2**63:
+        raise ValueError(f"{what} reaches {bound}, beyond the int64 lattice arithmetic (2^63)")
+
+
+def _modulation_spectrum(pairs, reach):
     """Return target -> Fourier coefficient of prod_j exp(i z_j cos(2 pi k_j.x + alpha_j)).
 
     ``pairs`` holds (k_j, z_j, alpha_j) with z_j, alpha_j arrays over the
-    steps; ``target`` is an integer array (..., steps, d) of frequencies.
+    steps; ``target`` is an integer array (..., steps, d) of frequencies of
+    modulus at most ``reach``.  ValueError if that or a lattice product
+    below can reach 2^63.
     Each target is reached from a combination of the other pairs' orders by
     one order of the pair with the largest truncation order.  With one pair
     that order's Bessel coefficient is evaluated directly, which is exact
     and needs no truncation order; with several, every pair's sequence is
     truncated at _bessel_order of its largest z and read from a table.
     """
+    _lattice_bound(reach, "frequency bound")
     if not pairs:
         return lambda target: np.all(target == 0, axis=-1).astype(complex)
     orders = [_bessel_order(float(np.max(z))) for _, z, _ in pairs] if len(pairs) > 1 else [0]
@@ -483,8 +442,11 @@ def _modulation_spectrum(pairs):
 
     last = int(np.argmax(orders))
     k_last, z_last, alpha_last = pairs[last]
-    norm = int(k_last @ k_last)
+    norm = sum(int(v) ** 2 for v in k_last)
     others = [(pairs[j][0], orders[j], table(j)) for j in range(len(pairs)) if j != last]
+    # |rest| <= rest_bound entrywise, and |m k_last| <= |rest.k_last| + norm
+    rest_bound = reach + sum(order * max(abs(int(v)) for v in k) for k, order, _ in others)
+    _lattice_bound(rest_bound * sum(abs(int(v)) for v in k_last) + norm, "lattice product bound")
     if others:
         last_order, last_table, columns = orders[last], table(last), np.arange(z_last.size)
 
@@ -532,7 +494,8 @@ def sector_correlation(cocycle, flow, phi, psi, horizon):
     its largest z, which by |J_m(z)| <= (z/2)^|m| / |m|! bounds the l1 mass
     of the dropped terms by 2^-53.  The quadratic phase rounds as in
     sector_apply, by about n^2 |q.W y| eps / 4 turns.  Work is vectorised over
-    n and loops over the modes of psi.
+    n and loops over the modes of psi, in int64 lattice arithmetic: a
+    frequency or lattice product whose bound reaches 2^63 raises ValueError.
     """
     horizon = _integral(horizon, "horizons", 1)
     phi = _observable_modes(phi, cocycle.d)
@@ -554,7 +517,11 @@ def sector_correlation(cocycle, flow, phi, psi, horizon):
                 if not np.all(np.isfinite(z := 4.0 * np.pi * np.abs(a))):
                     raise ValueError(f"modulation amplitude of mode pair {k} is not finite ({g!r})")
                 pairs.append((np.asarray(k), z, np.angle(a)))
-    spectrum = _modulation_spectrum(pairs)
+    # every entry of k - l - n W^T q below is at most reach in modulus
+    reach = (max((abs(v) for k in phi for v in k), default=0)
+             + max((abs(v) for l in psi for v in l), default=0)
+             + horizon * max(abs(int(w)) for w in winding))
+    spectrum = _modulation_spectrum(pairs, reach)
 
     keys = np.array(list(phi), dtype=int).reshape(-1, cocycle.d)
     weights = np.conj(np.array(list(phi.values()), dtype=complex))
@@ -570,19 +537,18 @@ def sector_correlation(cocycle, flow, phi, psi, horizon):
 @dataclass
 class TorusDegreeReport:
     steps: int
-    field: GridField
     limit: float
     sup_error: float
 
 
 def torus_degree_field(cocycle, flow, shape, steps):
-    """Birkhoff average of the sector commutator symbol, as a grid field.
+    """Birkhoff average of the sector commutator symbol against its limit, on a grid.
 
     The symbol is multiplication by 2 pi (q.W y + y.grad(q.eta)); averaging
     along the flow leaves the constant 2 pi q.W y plus mode-wise geometric
     sums that decay in the step count when the translation is irrational.
-    Returns the field at the given horizon together with the constant limit
-    and the sup-norm distance between them.
+    Returns the constant limit and the sup-norm distance of the average at
+    the given horizon from it, over the grid of ``shape``.
     """
     steps = _integral(steps, "step counts", 1)
     shape = tuple(int(m) for m in shape)
@@ -590,9 +556,8 @@ def torus_degree_field(cocycle, flow, shape, steps):
         raise ValueError("grid dimension does not match the cocycle base")
     limit = 2.0 * np.pi * float(np.dot(cocycle.winding, flow.y))
     vals = 2.0 * np.pi * _orbit_average_rate(cocycle, flow, unit_grid(shape), steps)
-    field = GridField(vals)
     sup_error = float(np.max(np.abs(vals - limit)))
-    return TorusDegreeReport(steps=steps, field=field, limit=limit, sup_error=sup_error)
+    return TorusDegreeReport(steps=steps, limit=limit, sup_error=sup_error)
 
 
 @dataclass
@@ -610,12 +575,13 @@ def sector_identity_check(cocycle, flow, mode, shape, schedule):
     A = -i y.grad has the multiplier 2 pi k.y on e(k.x) and
     U^N f = e(q.phi^(N)) f(. + Ny), so [A, U^N] f = 2 pi (y.grad q.phi^(N)) U^N f,
     where y.grad q.phi^(N) is N times the orbit average rate_N of
-    q.W y + y.grad(q.eta): D_N is multiplication by 2 pi rate_N, the field of
-    torus_degree_field.  The test vector is the Fourier mode e_l of the
-    integer vector ``mode``: A e_l = lambda e_l with lambda = 2 pi l.y, so one
-    sector_apply per horizon of ``schedule`` gives U^N e_l and U^N A e_l (any
-    field would only weight the same pointwise defect by |U^N f|^2, as A
-    commutes with translations).  The report holds, on the grid of ``shape``,
+    q.W y + y.grad(q.eta): D_N is multiplication by 2 pi rate_N, which
+    _orbit_average_rate gives in closed form.  The test vector is the Fourier
+    mode e_l of the integer vector ``mode``: A e_l = lambda e_l with
+    lambda = 2 pi l.y, so one sector_apply per horizon of ``schedule`` gives
+    U^N e_l and U^N A e_l (any field would only weight the same pointwise
+    defect by |U^N f|^2, as A commutes with translations).  The report holds,
+    on the grid of ``shape``,
     ||A U^N e_l - lambda U^N e_l - N D_N U^N e_l|| / (||A U^N e_l|| + |lambda|),
     with its roundoff estimate.  The phase of U^N e_l rounds by
     tau_N = (N^2 |q.W y| / 2 + N |W^T q|_1) eps / 2 turns (the unwrapped
@@ -630,6 +596,7 @@ def sector_identity_check(cocycle, flow, mode, shape, schedule):
     if len(shape) != cocycle.d:
         raise ValueError("grid dimension does not match the cocycle base")
     mode = _integer_vector(mode, "mode")
+    points = unit_grid(shape)
     field = GridField.from_modes({tuple(mode): 1.0}, shape)
     eigenvalue = 2.0 * np.pi * float(np.dot(mode, flow.y))
     multiplier = 2.0 * np.pi * _frequency_dot(_frequencies(shape), flow.y)
@@ -647,7 +614,7 @@ def sector_identity_check(cocycle, flow, mode, shape, schedule):
             report.unresolved.append(n)
             continue
         applied_moved = GridField(np.fft.ifftn(multiplier * np.fft.fftn(moved)))
-        degree = torus_degree_field(cocycle, flow, shape, n).field.values
+        degree = 2.0 * np.pi * _orbit_average_rate(cocycle, flow, points, n)
         defect = applied_moved.values - (eigenvalue + n * degree) * moved
         # both sides vanish only where A annihilates U^N e_l; compare absolutely there
         scale = (applied_moved.norm() + abs(eigenvalue)) or 1.0

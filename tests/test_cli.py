@@ -848,6 +848,31 @@ def test_torus_mixing_on_a_huge_eta_finishes_and_fails_on_overflow(tmp_path):
     assert overflow["metrics"]["error"].startswith("ValueError: modulation amplitude of mode pair (1,) is not finite")
 
 
+def test_torus_identities_on_an_unbounded_modulation_warn_with_every_horizon_unresolved(tmp_path):
+    # the modulation margin used to raise OverflowError here, failing the task
+    def scenario(name, amplitude):
+        model = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 1, "grid": 1024,
+                 "eta": [[[1], 0.0, -amplitude], [[-1], 0.0, amplitude]]}
+        return {"name": name, "seed": 7, "model": model, "tasks": ["identities"], "schedule": [4, 16, 64]}
+
+    config = validate_config({"version": 1, "scenarios": [scenario("large", 1e300), scenario("huge", 1e308)]})
+    report = run_config(config, tmp_path / "out")
+    for sc in report["scenarios"]:
+        row = sc["tasks"][0]
+        assert row["status"] == "warn", sc["name"]
+        assert row["metrics"]["horizons"] == [] and row["metrics"]["unresolved_horizons"] == [4, 16, 64]
+
+
+def test_torus_mixing_beyond_int64_frequencies_fails_instead_of_wrapping(tmp_path):
+    # W^T q = 2^61 fits int64, but n W^T q does not from n = 4 on
+    model = {"type": "torus", "y": 0.6180339887498949, "winding": 2**61, "sector": 1}
+    config = validate_config({"version": 1, "scenarios": [
+        {"name": "wide", "seed": 7, "model": model, "tasks": ["mixing"], "horizon": 16}]})
+    row = run_config(config, tmp_path / "out")["scenarios"][0]["tasks"][0]
+    assert row["status"] == "fail"
+    assert row["metrics"]["error"].startswith("ValueError: frequency bound reaches")
+
+
 def test_torus_winding_projection_beyond_int64_is_a_config_error(tmp_path, capsys):
     # W^T q = 2 * 2^62 = 2^63 wrapped to -2^63 in int64, and degree passed with a negative limit
     model = {"type": "torus", "y": 0.6180339887498949, "winding": 2**62, "sector": 2}

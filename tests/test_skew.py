@@ -29,13 +29,20 @@ from commix import (
     sector_identity_check,
     sector_matrix,
     shift_weyl_model,
+    skew,
     su2_degree_field,
     su2_irrep,
     torus_degree_field,
     unit_grid,
     unitary_symbol,
 )
-from commix.skew import _bessel_order, _geometric_phase_sum
+from commix.skew import (
+    _bessel_order,
+    _frequencies,
+    _geometric_phase_sum,
+    _occupied_band,
+    _orbit_average_rate,
+)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 SILVER = np.sqrt(2.0) - 1.0
@@ -77,17 +84,23 @@ def test_flow_validation_and_advance():
     assert float(out[0]) == pytest.approx((0.9 + GOLDEN) % 1.0)
 
 
+def occupied_band(field):
+    # the band rule sector_apply applies to its input and its result
+    return _occupied_band(np.fft.fftn(field.values), _frequencies(field.values.shape))
+
+
 def test_grid_field_sampling_and_shift():
     f = GridField.from_modes({(3,): 1 + 0.5j, (-3,): 1 - 0.5j, (0,): 0.2}, (64,))
     xs = np.arange(64) / 64
     direct = 0.2 + 2 * np.real((1 + 0.5j) * np.exp(2j * np.pi * 3 * xs))
     assert np.max(np.abs(f.values - direct)) <= 1e-12
-    shifted = f.shift((0.21,))
-    direct_sh = 0.2 + 2 * np.real((1 + 0.5j) * np.exp(2j * np.pi * 3 * (xs + 0.21)))
+    # under a cocycle with no winding and no eta, one sector step is the
+    # spectral translation by y alone
+    shifted = sector_apply(TorusCocycle([0], {}), golden_flow(), f, 1)
+    direct_sh = 0.2 + 2 * np.real((1 + 0.5j) * np.exp(2j * np.pi * 3 * (xs + GOLDEN)))
     assert np.max(np.abs(shifted.values - direct_sh)) <= 1e-12
-    assert f.mean() == pytest.approx(0.2)
     assert abs(f.inner(f) - f.norm() ** 2) <= 1e-12
-    assert f.occupied_band() == [3]
+    assert occupied_band(f) == [3]
     with pytest.raises(ValueError):
         GridField(np.zeros(48))
 
@@ -95,21 +108,37 @@ def test_grid_field_sampling_and_shift():
 def test_subnormal_field_has_empty_band_and_steps():
     # FFT roundoff of subnormal samples is as large as the samples themselves
     tiny = GridField.from_modes({(1,): 5e-324}, (1024,))
-    assert tiny.occupied_band() == [0]
-    assert GridField.from_modes({(1,): 1e-300}, (1024,)).occupied_band() == [1]
+    assert occupied_band(tiny) == [0]
+    assert occupied_band(GridField.from_modes({(1,): 1e-300}, (1024,))) == [1]
     moved = sector_apply(TorusCocycle([6], {}), golden_flow(), tiny, 1)
     assert np.max(np.abs(moved.values)) <= 1e-300
 
 
-def test_grid_field_refine_is_exact_interpolation():
+def spectral_upsample(values, factor):
+    """Samples of the trigonometric interpolant of 1-D ``values`` on a grid ``factor`` times finer.
+
+    The Nyquist bin of an even-length grid stands for both frequencies
+    +-m/2; it is split evenly between them, so real samples stay real.
+    """
+    m = values.size
+    coeff = np.fft.fftshift(np.fft.fft(values)) / m
+    lo = (factor - 1) * m // 2
+    padded = np.pad(coeff, (lo, (factor - 1) * m - lo))
+    padded[lo] = padded[lo + m] = coeff[0] / 2.0
+    return np.fft.ifft(np.fft.ifftshift(padded)) * padded.size
+
+
+def test_spectral_upsample_is_exact_interpolation():
     f = GridField.from_modes({(3,): 1 + 0.5j, (-3,): 1 - 0.5j}, (32,))
-    fine = f.refine(4)
+    fine = spectral_upsample(f.values, 4)
     xs = np.arange(128) / 128
     direct = 2 * np.real((1 + 0.5j) * np.exp(2j * np.pi * 3 * xs))
-    assert fine.values.shape == (128,)
-    assert np.max(np.abs(fine.values - direct)) <= 1e-12
-    g = GridField.from_modes({(0, 2): 1.0, (0, -2): 1.0}, (8, 16))
-    assert abs(g.refine(2).norm() - g.norm()) <= 1e-12
+    assert fine.shape == (128,)
+    assert np.max(np.abs(fine - direct)) <= 1e-12
+    assert abs(GridField(fine).norm() - f.norm()) <= 1e-12
+    # the Nyquist samples (-1)^j interpolate to the real cos(2 pi 4 x)
+    fine = spectral_upsample(np.cos(2 * np.pi * 4 * np.arange(8) / 8), 2)
+    assert np.max(np.abs(fine - np.cos(2 * np.pi * 4 * np.arange(16) / 16))) <= 1e-12
 
 
 def test_cocycle_validation():
@@ -342,6 +371,31 @@ def test_sector_identity_check_on_the_golden_sector():
         sector_identity_check(standard_cocycle(), golden_flow(), {(1,): 1.0}, (64,), [1])
 
 
+def test_sector_identity_check_takes_the_degree_from_the_orbit_average(monkeypatch):
+    # one sector_apply per horizon, resolved or not, and no degree report
+    calls = {"sector_apply": 0, "torus_degree_field": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(skew, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(skew, name, counted)
+    report = sector_identity_check(standard_cocycle(), golden_flow(), (1,), (1024,), [1, 4, 16, 128])
+    assert report.horizons == [1, 4, 16] and report.unresolved == [128]
+    assert calls == {"sector_apply": 4, "torus_degree_field": 0}
+
+
+@pytest.mark.parametrize("amplitude", [1e300, 1e308])
+def test_sector_identity_check_lists_an_unbounded_modulation_as_unresolved(amplitude):
+    # the modulation margin of such an eta overflows int64 at 1e300 and is
+    # infinite at 1e308; either way no grid resolves the phase
+    coc = TorusCocycle([2], {(1,): -1j * amplitude, (-1,): 1j * amplitude})
+    flow = golden_flow()
+    with pytest.raises(ResolutionError):
+        sector_apply(coc, flow, GridField.from_modes({(1,): 1.0}, (1024,)), 4)
+    report = sector_identity_check(coc, flow, (1,), (1024,), [4, 16, 64])
+    assert report.horizons == [] and report.unresolved == [4, 16, 64]
+
+
 def oracle_correlation(coc, flow, phi, psi, horizon, grid):
     # <phi, U^n psi> from the grid route: sector_apply on a field, then inner
     shape = (grid,) * coc.d
@@ -410,6 +464,25 @@ def test_sector_correlation_guards():
         sector_correlation(coc, flow, f, {(1, 0): 1.0}, 4)
     with pytest.raises(ValueError):
         sector_correlation(coc, flow, f, f, 0)
+
+
+def test_sector_correlation_refuses_int64_lattice_overflow():
+    flow = golden_flow()
+    e1 = {(1,): 1.0}
+    # 4 * 2^62 wrapped to 0 in int64, which made |c_4| = |c_8| = 1
+    with pytest.raises(ValueError, match=r"frequency bound reaches \d+, beyond"):
+        sector_correlation(TorusCocycle([2**62], {}), flow, e1, e1, 8)
+    # in range, the spectrum moves off e1 and every term vanishes exactly
+    series = sector_correlation(TorusCocycle([2**40], {}), flow, e1, e1, 16)
+    assert np.array_equal(np.abs(series.values), np.zeros(16))
+    # |k|^2 of an eta mode pair enters the lattice division: 2^62 fits, 2^64 does not
+    for k, fits in ((2**31, True), (2**32, False)):
+        coc = TorusCocycle([1], {(k,): 0.01, (-k,): 0.01})
+        if fits:
+            assert np.array_equal(sector_correlation(coc, flow, e1, e1, 8).values, np.zeros(8))
+        else:
+            with pytest.raises(ValueError, match="lattice product bound"):
+                sector_correlation(coc, flow, e1, e1, 8)
 
 
 def counted_bessel_order(z):
@@ -488,13 +561,20 @@ def test_torus_degree_field_against_brute_average():
     steps = 50
     rep = torus_degree_field(coc, flow, (64,), steps)
     assert rep.limit == pytest.approx(2 * np.pi * 6 * GOLDEN, rel=1e-12)
+
+    def brute_average(xs):
+        total = np.zeros(xs.shape)
+        for n in range(steps):
+            z = xs + n * GOLDEN
+            total += 6 * GOLDEN + 2 * np.real(2j * np.pi * GOLDEN * 3 * (-0.025j) * np.exp(2j * np.pi * z))
+        return total / steps
+
+    # the closed-form orbit average, pointwise on the grid and off it
     xs = unit_grid((64,))
-    brute = np.zeros(64)
-    for n in range(steps):
-        z = xs + n * GOLDEN
-        brute += 2 * np.pi * (6 * GOLDEN + 2 * np.real(2j * np.pi * GOLDEN * 3 * (-0.025j) * np.exp(2j * np.pi * z)))
-    brute /= steps
-    assert np.max(np.abs(rep.field.values - brute)) <= 1e-9
+    off_grid = np.random.default_rng(17).uniform(0.0, 1.0, 33)
+    for points in (xs, off_grid):
+        assert np.max(np.abs(_orbit_average_rate(coc, flow, points, steps) - brute_average(points))) <= 1e-12
+    brute = 2 * np.pi * brute_average(xs)
     assert rep.sup_error == pytest.approx(np.max(np.abs(brute - rep.limit)), rel=1e-9)
 
 
@@ -732,7 +812,7 @@ def sector_truncation_sweep(cocycle, flow, sizes):
         vals, vecs = np.linalg.eig(sector_matrix(cocycle, flow, size).main)
         residuals = []
         for j in range(vals.shape[0]):
-            lifted = GridField(vecs[:, j]).refine(4)
+            lifted = GridField(spectral_upsample(vecs[:, j], 4))
             dev = sector_apply(cocycle, flow, lifted, 1).values - vals[j] * lifted.values
             residuals.append(float(np.sqrt(np.mean(np.abs(dev) ** 2))) / max(lifted.norm(), 1e-300))
         entries.append(TruncationSweepEntry(size=size, eigenvalue_count=vals.shape[0],
