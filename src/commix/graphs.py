@@ -354,59 +354,75 @@ def graph_degree(ops, kernel_tol=1e-8):
     eigenvalue, and the flow-invariance residuals at the times 0.5, 1 and 2
     on a probe concentrated deep in the interior.
 
-    Everything is computed in real arithmetic from one ``eigh`` of
-    H = V diag(lam) V^T, with H real symmetric and K = iS, S real
-    antisymmetric; H and S are made dense only for that ``eigh`` and for
-    the product SV, and each n-by-n temporary is released after its last
-    use.  With B = (SV)^T (SV) = V^T K^2 V and D = diag(1/(lam+i)),
-    the degree is V D B conj(D) V^T; the phases of D conjugate away, so it is
-    unitarily similar to the real symmetric W B W, W = diag((lam^2+1)^{-1/2}),
-    which gives its spectrum.  Every edge steps the grading by one, so S maps
-    even positions to odd ones and back: its singular values are those of the
-    even-to-odd block, each twice, plus |n_even - n_odd| zeros, and the kernel
-    of K is counted on them (square roots of eigenvalues of K^2 would halve
-    the digits at the cut).  The flow residuals
-    |e^{is lam} G e^{-is lam} p - G p| with G = D B conj(D) and p the probe
-    row of V cost one matrix-vector product each.  A complex-valued H or S,
-    or a stored nonzero of S between positions of equal parity, raises
-    StructureError.
+    H is real symmetric and K = iS with S real antisymmetric.  Every edge
+    steps the grading by one, so in even/odd order H = [[0, C], [C^T, 0]] and
+    S = [[0, S_eo], [S_oe, 0]], and nothing of size n-by-n is decomposed or
+    made dense from H or S.  One SVD C = U diag(sigma) Y^T gives the
+    eigenpairs of H = V diag(lam) V^T: +-sigma_i with eigenvectors
+    (u_i, +-y_i)/sqrt(2), and 0 for each of the |n_even - n_odd| unpaired
+    columns of U or Y.  With B = V^T S^T S V = V^T K^2 V and
+    D = diag(1/(lam+i)) the degree is V D B conj(D) V^T; the phases of D
+    conjugate away, so it is unitarily similar to X^T X with X = S V W,
+    W = diag((lam^2+1)^{-1/2}), and shares its spectrum with
+    X X^T = S (H^2+1)^{-1} S^T.  That is block-diagonal in parity: the even
+    block is Z_e Z_e^T with Z_e = S_eo Y diag((sigma^2+1)^{-1/2}), the odd
+    block Z_o Z_o^T with Z_o = S_oe U diag((sigma^2+1)^{-1/2}), sigma padded
+    with zeros to n_odd and n_even, and one ``eigvalsh`` of each gives the
+    spectrum.  The singular values of S are those of S_eo, each twice, plus
+    |n_even - n_odd| zeros, and the kernel of K is counted on them (square
+    roots of eigenvalues of K^2 would halve the digits at the cut).  The
+    flow residuals |e^{is lam} G e^{-is lam} p - G p| with G = D B conj(D)
+    and p the probe row of V apply B as V^T (S^T (S (V .))) through the
+    sparse S.  A complex-valued H or S, or a stored nonzero of either
+    between positions of equal parity, raises StructureError.
     """
-    s = ops.skew_momentum
+    h, s = ops.adjacency, ops.skew_momentum
     odd = ops.position % 2 == 1
-    entries = s.tocoo()
-    stored = entries.data != 0
-    if (np.iscomplexobj(ops.adjacency) or np.iscomplexobj(s)
-            or np.any(odd[entries.row[stored]] == odd[entries.col[stored]])):
+
+    def joins_equal_parity(matrix):
+        entries = matrix.tocoo()
+        stored = entries.data != 0
+        return np.any(odd[entries.row[stored]] == odd[entries.col[stored]])
+
+    if (np.iscomplexobj(h) or np.iscomplexobj(s)
+            or joins_equal_parity(h) or joins_equal_parity(s)):
         raise StructureError(
             "graph_degree expects a real adjacency, an imaginary momentum, "
             "and edges that step the grading by one"
         )
 
-    h = ops.adjacency.toarray()
-    lam, vecs = np.linalg.eigh(h)
-    del h
-    s_vecs = s.toarray() @ vecs
-    b = s_vecs.T @ s_vecs
-    del s_vecs
-    probe_row = int(ops.center_row)
-    d = 1.0 / (lam + 1j)
-    q = d.conj() * vecs[probe_row]
-    del vecs
-    w = 1.0 / np.sqrt(lam * lam + 1.0)
-    degree_eigvals = np.linalg.eigvalsh(w[:, None] * b * w[None, :])
-    kernel_dim_degree = int(np.count_nonzero(_kernel_mask(degree_eigvals, kernel_tol)))
     even_rows, odd_rows = np.flatnonzero(~odd), np.flatnonzero(odd)
-    block_sv = np.linalg.svd(s[even_rows][:, odd_rows].toarray(), compute_uv=False)
-    unpaired = np.zeros(abs(even_rows.size - odd_rows.size))
+    n_even, n_odd = even_rows.size, odd_rows.size
+    u, sigma, y_t = np.linalg.svd(h[even_rows][:, odd_rows].toarray())
+    y, k = y_t.T, sigma.size
+    lam = np.concatenate([sigma, -sigma, np.zeros(n_even + n_odd - 2 * k)])
+    # eigenvector columns: the pairs at +sigma, at -sigma, then the unpaired
+    # columns of U and those of Y
+    paired_u, paired_y = np.sqrt(0.5) * u[:, :k], np.sqrt(0.5) * y[:, :k]
+    vecs = np.empty((n_even + n_odd, n_even + n_odd))
+    vecs[even_rows] = np.hstack([paired_u, paired_u, u[:, k:], np.zeros((n_even, n_odd - k))])
+    vecs[odd_rows] = np.hstack([paired_y, -paired_y, np.zeros((n_odd, n_even - k)), y[:, k:]])
+
+    s_eo, s_oe = s[even_rows][:, odd_rows], s[odd_rows][:, even_rows]
+    z_even = (s_eo @ y) / np.sqrt(np.pad(sigma, (0, n_odd - k)) ** 2 + 1.0)
+    z_odd = (s_oe @ u) / np.sqrt(np.pad(sigma, (0, n_even - k)) ** 2 + 1.0)
+    degree_eigvals = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(z_even @ z_even.T), np.linalg.eigvalsh(z_odd @ z_odd.T)]))
+    kernel_dim_degree = int(np.count_nonzero(_kernel_mask(degree_eigvals, kernel_tol)))
+    block_sv = np.linalg.svd(s_eo.toarray(), compute_uv=False)
+    unpaired = np.zeros(abs(n_even - n_odd))
     momentum_moduli = np.concatenate([block_sv, block_sv, unpaired])
     kernel_dim_momentum = int(np.count_nonzero(_kernel_mask(momentum_moduli, kernel_tol)))
     match = kernel_dim_degree == kernel_dim_momentum
     note = "" if match else "kernel ranks disagree; boundary pollution suspected, enlarge the margin"
 
+    probe_row = int(ops.center_row)
+    d = 1.0 / (lam + 1j)
+    q = d.conj() * vecs[probe_row]
     times = np.array([0.5, 1.0, 2.0])
     cols = np.column_stack([q, np.exp(-1j * np.outer(lam, times)) * q[:, None]])
     # B is real: apply it to the interleaved real and imaginary parts at once
-    b_cols = (b @ cols.view(float)).view(complex)
+    b_cols = (vecs.T @ (s.T @ (s @ (vecs @ cols.view(float))))).view(complex)
     turned = np.exp(1j * np.outer(lam, times)) * b_cols[:, 1:] - b_cols[:, :1]
     norms = np.linalg.norm(d[:, None] * turned, axis=0)
     flow_residuals = {float(t): float(r) for t, r in zip(times, norms)}

@@ -307,8 +307,9 @@ def sector_apply(cocycle, flow, field, steps):
     evaluated pointwise in closed form, so for band-limited f no error builds
     up over the steps; only the phase, which grows like n^2 |q.W y| / 2 turns,
     rounds by about n^2 |q.W y| eps / 4 turns (5e-11 at n = 512 on the
-    golden-torus example).  Both an a-priori frequency budget and the
-    spectrum of the result are checked; either failing raises ResolutionError.
+    golden-torus example).  An a-priori frequency budget, the finiteness of
+    the phase and of the result, and the spectrum of the result are checked;
+    any failing raises ResolutionError.
     """
     steps = _integral(steps, "step counts")
     if field.values.ndim != cocycle.d:
@@ -327,9 +328,16 @@ def sector_apply(cocycle, flow, field, steps):
                 f"axis {i}: predicted bandwidth {needed} at {steps} steps exceeds "
                 f"the grid Nyquist {m // 2}; enlarge the grid or reduce the step count"
             )
-    summed = cocycle_sum(cocycle, flow, unit_grid(shape), steps)
     moved = np.fft.ifftn(spec * np.exp(2j * np.pi * _frequency_dot(freqs, steps * flow.y)))
-    out = np.exp(2j * np.pi * summed) * moved
+    # a mode that moves no axis adds nothing to the margin, yet its phase can
+    # pass float range; the result is then NaN, whose band reads empty
+    with np.errstate(over="ignore", invalid="ignore"):
+        summed = cocycle_sum(cocycle, flow, unit_grid(shape), steps)
+        out = np.exp(2j * np.pi * summed) * moved
+    if not (np.all(np.isfinite(summed)) and np.all(np.isfinite(out))):
+        raise ResolutionError(
+            f"the sector phase at {steps} steps is not finite; no grid resolves it"
+        )
     out_band = _occupied_band(np.fft.fftn(out), freqs)
     for i, m in enumerate(shape):
         if out_band[i] >= m // 2 - m // 16:

@@ -399,12 +399,29 @@ def test_graph_degree_reads_kernels_from_eigenvalues(monkeypatch):
         grid2d_window(24, 24, 2),
         DirectedGraphWindow([0, 1, 2], [], 0),
         DirectedGraphWindow([0, 1, 2, 10, 11], [(0, 1), (1, 2), (10, 11)], 0),
+        DirectedGraphWindow([0, 1, 2], [(0, 1), (0, 2)], 0),  # one even position, two odd
+        grid2d_window(7, 5, 2),  # 18 even positions against 17 odd ones
     )
     for window in windows:
         ops = build_operators(window)
         rep = graph_degree(ops)
         assert calls == []
         _assert_degree_matches_the_complex_route(rep, _dense_complex_operators(window))
+
+
+def test_graph_degree_decomposes_only_parity_blocks(monkeypatch):
+    # H and S only join positions of opposite parity, so every decomposition
+    # works on an even-by-odd block or a Gram matrix of one: on grid-24 that
+    # is at most max(n_even, n_odd) = 288, half the 576 positions
+    shapes = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def recording(matrix, *args, _call=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(matrix))
+            return _call(matrix, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    rep = graph_degree(build_operators(grid2d_window(24, 24, 2)))
+    assert rep.degree_eigenvalues.shape == (576,)
+    assert shapes and max(max(shape) for shape in shapes) <= 288
 
 
 _windows = st.one_of(
@@ -438,6 +455,9 @@ def test_graph_degree_rejects_operators_outside_the_real_route():
     same_parity = sparse.csr_array(([1.0, -1.0], ([0, 2], [2, 0])), shape=ops.skew_momentum.shape)
     with pytest.raises(StructureError):
         graph_degree(dataclasses.replace(ops, skew_momentum=ops.skew_momentum + same_parity))
+    # the same entry in H alone: the parity blocks of H would silently drop it
+    with pytest.raises(StructureError):
+        graph_degree(dataclasses.replace(ops, adjacency=ops.adjacency + abs(same_parity)))
 
 
 def test_empty_edge_set_gives_zero_operators():

@@ -396,6 +396,20 @@ def test_sector_identity_check_lists_an_unbounded_modulation_as_unresolved(ampli
     assert report.horizons == [] and report.unresolved == [4, 16, 64]
 
 
+def test_sector_apply_rejects_a_phase_beyond_float_range():
+    # the constant mode moves no axis, so the modulation margin stays 0, but
+    # 4 steps of it sum to 4e308 turns: the phase overflows, and the field
+    # would come back all NaN
+    coc = TorusCocycle([2], {(0,): 1e308})
+    flow = golden_flow()
+    with pytest.raises(ResolutionError, match="not finite"):
+        sector_apply(coc, flow, GridField.from_modes({(1,): 1.0}, (1024,)), 4)
+    # at one step the phase is 1e308 turns, but 2 pi times it overflows: no
+    # horizon reaches the report as a NaN residual
+    report = sector_identity_check(coc, flow, (1,), (1024,), [1, 2, 4])
+    assert report.horizons == report.residuals == [] and report.unresolved == [1, 2, 4]
+
+
 def oracle_correlation(coc, flow, phi, psi, horizon, grid):
     # <phi, U^n psi> from the grid route: sector_apply on a field, then inner
     shape = (grid,) * coc.d
