@@ -60,15 +60,14 @@ from .skew import (
     SU2Cocycle,
     TorusCocycle,
     TorusFlow,
+    _SectorGrid,
     _check_power_of_two,
     _real_modes,
     sector_correlation,
-    sector_identity_check,
     sector_matrix,
     shift_weyl_model,
     su2_degree_field,
     su2_irrep,
-    torus_degree_field,
 )
 
 REPORT_FORMAT = "run-report"
@@ -636,6 +635,12 @@ class ScenarioRunner:
         return correlation_continuous(self.built["pair"].main, phi, psi, times)
 
     @functools.cached_property
+    def sector_grid(self):
+        # one wave table and one D_N per horizon, shared by identities and degree
+        cocycle = self.built["cocycle"]
+        return _SectorGrid(cocycle, self.built["flow"], (self.built["grid"],) * cocycle.d)
+
+    @functools.cached_property
     def torus_series(self):
         observable = {(1,) * self.built["cocycle"].d: 1.0}
         return sector_correlation(self.built["cocycle"], self.built["flow"],
@@ -685,8 +690,7 @@ class ScenarioRunner:
     def torus_identities(self):
         cocycle = self.built["cocycle"]
         # the mode torus_series observes; every y_i > 0, so its eigenvalue under A is nonzero
-        report = sector_identity_check(cocycle, self.built["flow"], (1,) * cocycle.d,
-                                       (self.built["grid"],) * cocycle.d, self.scenario["schedule"])
+        report = self.sector_grid.identity_check((1,) * cocycle.d, self.scenario["schedule"])
         factor = self.thresholds["torus_identity_factor"]
         ok = all(r <= factor * e for r, e in zip(report.residuals, report.estimates))
         metrics = {
@@ -742,13 +746,11 @@ class ScenarioRunner:
         return status, metrics, self._used("gap_threshold")
 
     def torus_degree(self):
-        cocycle, flow = self.built["cocycle"], self.built["flow"]
-        shape = (self.built["grid"],) * cocycle.d
         schedule = self.scenario["schedule"]
         sups = []
         limit = None
         for n in schedule:
-            report = torus_degree_field(cocycle, flow, shape, n)
+            report = self.sector_grid.degree_report(n)
             sups.append(report.sup_error)
             limit = report.limit
         slope = None

@@ -368,13 +368,16 @@ def graph_degree(ops, kernel_tol=1e-8):
     block is Z_e Z_e^T with Z_e = S_eo Y diag((sigma^2+1)^{-1/2}), the odd
     block Z_o Z_o^T with Z_o = S_oe U diag((sigma^2+1)^{-1/2}), sigma padded
     with zeros to n_odd and n_even, and one ``eigvalsh`` of each gives the
-    spectrum.  The singular values of S are those of S_eo, each twice, plus
-    |n_even - n_odd| zeros, and the kernel of K is counted on them (square
-    roots of eigenvalues of K^2 would halve the digits at the cut).  The
-    flow residuals |e^{is lam} G e^{-is lam} p - G p| with G = D B conj(D)
-    and p the probe row of V apply B as V^T (S^T (S (V .))) through the
-    sparse S.  A complex-valued H or S, or a stored nonzero of either
-    between positions of equal parity, raises StructureError.
+    spectrum.  Since every edge steps the grading by one, S_eo = diag(a) C
+    diag(b) with a(e) = (-1)^(Phi(e)/2) and b(o) = (-1)^((Phi(o)-1)/2),
+    checked exactly on the stored entries; so the singular values of S are
+    sigma, each twice, plus |n_even - n_odd| zeros, and the kernel of K is
+    counted on them (square roots of eigenvalues of K^2 would halve the
+    digits at the cut).  The flow residuals |e^{is lam} G e^{-is lam} p - G p|
+    with G = D B conj(D) and p the probe row of V apply B as
+    V^T (S^T (S (V .))) through the sparse S.  A complex-valued H or S, a
+    stored nonzero of either between positions of equal parity, or an S_eo
+    that is not C under these signs raises StructureError.
     """
     h, s = ops.adjacency, ops.skew_momentum
     odd = ops.position % 2 == 1
@@ -393,7 +396,16 @@ def graph_degree(ops, kernel_tol=1e-8):
 
     even_rows, odd_rows = np.flatnonzero(~odd), np.flatnonzero(odd)
     n_even, n_odd = even_rows.size, odd_rows.size
-    u, sigma, y_t = np.linalg.svd(h[even_rows][:, odd_rows].toarray())
+    c, s_eo, s_oe = h[even_rows][:, odd_rows], s[even_rows][:, odd_rows], s[odd_rows][:, even_rows]
+    # a(e) and b(o) of the docstring; the comparison is exact, entry by stored entry
+    gauge_even = np.where(np.mod(ops.position[even_rows], 4) == 0, 1.0, -1.0)
+    gauge_odd = np.where(np.mod(ops.position[odd_rows] - 1, 4) == 0, 1.0, -1.0)
+    if (s_eo - c.multiply(gauge_even[:, None]).multiply(gauge_odd[None, :])).count_nonzero():
+        raise StructureError(
+            "graph_degree expects the momentum's even-odd block to be the adjacency's "
+            "under the grading signs, as on edges that step the grading by one"
+        )
+    u, sigma, y_t = np.linalg.svd(c.toarray())
     y, k = y_t.T, sigma.size
     lam = np.concatenate([sigma, -sigma, np.zeros(n_even + n_odd - 2 * k)])
     # eigenvector columns: the pairs at +sigma, at -sigma, then the unpaired
@@ -403,15 +415,12 @@ def graph_degree(ops, kernel_tol=1e-8):
     vecs[even_rows] = np.hstack([paired_u, paired_u, u[:, k:], np.zeros((n_even, n_odd - k))])
     vecs[odd_rows] = np.hstack([paired_y, -paired_y, np.zeros((n_odd, n_even - k)), y[:, k:]])
 
-    s_eo, s_oe = s[even_rows][:, odd_rows], s[odd_rows][:, even_rows]
     z_even = (s_eo @ y) / np.sqrt(np.pad(sigma, (0, n_odd - k)) ** 2 + 1.0)
     z_odd = (s_oe @ u) / np.sqrt(np.pad(sigma, (0, n_even - k)) ** 2 + 1.0)
     degree_eigvals = np.sort(np.concatenate(
         [np.linalg.eigvalsh(z_even @ z_even.T), np.linalg.eigvalsh(z_odd @ z_odd.T)]))
     kernel_dim_degree = int(np.count_nonzero(_kernel_mask(degree_eigvals, kernel_tol)))
-    block_sv = np.linalg.svd(s_eo.toarray(), compute_uv=False)
-    unpaired = np.zeros(abs(n_even - n_odd))
-    momentum_moduli = np.concatenate([block_sv, block_sv, unpaired])
+    momentum_moduli = np.concatenate([sigma, sigma, np.zeros(abs(n_even - n_odd))])
     kernel_dim_momentum = int(np.count_nonzero(_kernel_mask(momentum_moduli, kernel_tol)))
     match = kernel_dim_degree == kernel_dim_momentum
     note = "" if match else "kernel ranks disagree; boundary pollution suspected, enlarge the margin"

@@ -14,6 +14,7 @@ in closed form from the Fourier data of the observables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -170,13 +171,29 @@ def _dot(x, vec):
     return x @ np.asarray(vec, dtype=float)
 
 
+def _base_shape(x, d):
+    """Shape of the points x of the d-torus, without the trailing coordinate axis when d > 1."""
+    return x.shape if d == 1 else x.shape[:-1]
+
+
+def _wave_table(keys, x):
+    """{k: e(k.x)} at the points x for every mode k in ``keys``: len(keys) x points x 16 B."""
+    x = np.asarray(x, dtype=float)
+    return {k: np.exp(2j * np.pi * _dot(x, k)) for k in keys}
+
+
+def _wave_sum(coefficients, waves, shape, start=0.0):
+    """start + sum_k c_k waves[k] over points of ``shape``, for Fourier data {k: c_k}."""
+    out = np.full(shape, start, dtype=complex)
+    for k, c in coefficients.items():
+        out += c * waves[k]
+    return out
+
+
 def _fourier_values(modes, x, d, start=0.0):
     """start + sum_k c_k e(k.x) at the points x of the d-torus, for Fourier data {k: c_k}."""
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape if d == 1 else x.shape[:-1], start, dtype=complex)
-    for k, c in modes.items():
-        out += c * np.exp(2j * np.pi * _dot(x, k))
-    return out
+    return _wave_sum(modes, _wave_table(modes, x), _base_shape(x, d), start)
 
 
 def _real_modes(modes, d):
@@ -259,14 +276,23 @@ def cocycle_sum(cocycle, flow, x, n):
     n = _integral(n, "step counts")
     x = np.asarray(x, dtype=float)
     if n == 0:
-        base_shape = x.shape if cocycle.d == 1 else x.shape[:-1]
-        return np.zeros(base_shape)
+        return np.zeros(_base_shape(x, cocycle.d))
     if n < 0:
         return -cocycle_sum(cocycle, flow, flow.advance(x, n), -n)
+    return _forward_sum(cocycle, flow, x, n, _mode_waves(cocycle, x))
+
+
+def _mode_waves(cocycle, x):
+    # the wave table of the nonzero modes of q.eta, the only ones _phase_sums yields
+    return _wave_table([k for k, g in cocycle.modes.items() if g != 0], x)
+
+
+def _forward_sum(cocycle, flow, x, n, waves):
+    # cocycle_sum at n >= 1, from the wave table of q.eta at the points x
     wy = float(np.dot(cocycle.winding, flow.y))
     lin = n * _dot(x, cocycle.winding) + wy * n * (n - 1) / 2.0
-    osc = _fourier_values({k: g * s for k, _, g, s in _phase_sums(cocycle, flow, n)}, x, cocycle.d)
-    return lin + osc.real
+    coefficients = {k: g * s for k, _, g, s in _phase_sums(cocycle, flow, n)}
+    return lin + _wave_sum(coefficients, waves, _base_shape(x, cocycle.d)).real
 
 
 def _modulation_margin(cocycle, flow, steps):
@@ -288,16 +314,138 @@ def _modulation_margin(cocycle, flow, steps):
     return margin
 
 
-def _orbit_average_rate(cocycle, flow, points, steps):
+def _orbit_average_rate(cocycle, flow, points, steps, waves=None):
     """(1/N) sum_{m<N} of the sector rate q.W y + y.grad(q.eta) at F_m x, in closed form.
 
     The constant q.W y averages to itself; a mode g e(k.x) of q.eta has rate
     2 pi i (k.y) g e(k.x), and along the orbit e(k.F_m x) = e(k.x) e(m k.y),
     so its average is that rate times the mean geometric phase sum.  Works
-    on any array of points, grid or not.
+    on any array of points, grid or not; ``waves`` is the wave table of
+    q.eta at the points (_mode_waves), formed here when not given.
     """
+    points = np.asarray(points, dtype=float)
+    if waves is None:
+        waves = _mode_waves(cocycle, points)
     rates = {k: (2j * np.pi * u * g) * (s / steps) for k, u, g, s in _phase_sums(cocycle, flow, steps)}
-    return _fourier_values(rates, points, cocycle.d, float(np.dot(cocycle.winding, flow.y)))
+    return _wave_sum(rates, waves, _base_shape(points, cocycle.d), float(np.dot(cocycle.winding, flow.y)))
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+class _SectorGrid:
+    """The quantities of one sector on one periodic grid that no step count changes.
+
+    Holds the grid points, the FFT frequencies and the wave table
+    {k: e(k.x)} of the nonzero modes of q.eta (_mode_waves), formed on first
+    use; the phase q.phi^(N) and D_N = 2 pi rate_N (_orbit_average_rate) at
+    any horizon are weighted sums over that table.  The table takes
+    (nonzero modes of q.eta) x (grid points) x 16 B, and D_N is kept once
+    formed, one grid of complex values (16 B a point) per horizon.  Every
+    array it hands out is read-only.  The public grid routes form one per
+    call; a scenario runner forms one and shares it between its identities
+    and degree tasks, so nothing outlives the scenario.
+    """
+
+    def __init__(self, cocycle, flow, shape):
+        self.shape = tuple(int(m) for m in shape)
+        if len(self.shape) != cocycle.d:
+            raise ValueError("grid dimension does not match the cocycle base")
+        self.cocycle, self.flow = cocycle, flow
+        self.points = _read_only(unit_grid(self.shape))
+        self.freqs = [_read_only(f) for f in _frequencies(self.shape)]
+        self._degrees = {}
+
+    @functools.cached_property
+    def waves(self):
+        return {k: _read_only(w) for k, w in _mode_waves(self.cocycle, self.points).items()}
+
+    def degree(self, steps):
+        """D_N = 2 pi rate_N at the grid points, for a step count N >= 1."""
+        if steps not in self._degrees:
+            rate = _orbit_average_rate(self.cocycle, self.flow, self.points, steps, self.waves)
+            self._degrees[steps] = _read_only(2.0 * np.pi * rate)
+        return self._degrees[steps]
+
+    def apply(self, spec, band, steps):
+        """U^steps of the field whose spectrum is ``spec`` and occupied band ``band``, steps != 0.
+
+        Returns the result and its spectrum, after the checks sector_apply
+        describes; ResolutionError if one fails.
+        """
+        cocycle, flow = self.cocycle, self.flow
+        margin = _modulation_margin(cocycle, flow, steps)
+        for i, m in enumerate(self.shape):
+            needed = abs(steps * int(cocycle.winding[i])) + band[i] + margin[i]
+            if needed >= m // 2:
+                raise ResolutionError(
+                    f"axis {i}: predicted bandwidth {needed} at {steps} steps exceeds "
+                    f"the grid Nyquist {m // 2}; enlarge the grid or reduce the step count"
+                )
+        moved = np.fft.ifftn(spec * np.exp(2j * np.pi * _frequency_dot(self.freqs, steps * flow.y)))
+        # a mode that moves no axis adds nothing to the margin, yet its phase can
+        # pass float range; the result is then NaN, whose band reads empty
+        with np.errstate(over="ignore", invalid="ignore"):
+            if steps > 0:
+                summed = _forward_sum(cocycle, flow, self.points, steps, self.waves)
+            else:
+                summed = cocycle_sum(cocycle, flow, self.points, steps)
+            out = np.exp(2j * np.pi * summed) * moved
+        if not (np.all(np.isfinite(summed)) and np.all(np.isfinite(out))):
+            raise ResolutionError(
+                f"the sector phase at {steps} steps is not finite; no grid resolves it"
+            )
+        out_spec = np.fft.fftn(out)
+        out_band = _occupied_band(out_spec, self.freqs)
+        for i, m in enumerate(self.shape):
+            if out_band[i] >= m // 2 - m // 16:
+                raise ResolutionError(
+                    f"axis {i}: result occupies the top of the resolvable band "
+                    f"({out_band[i]} of {m // 2}) at {steps} steps; aliasing suspected"
+                )
+        return out, out_spec
+
+    def degree_report(self, steps):
+        """torus_degree_field on this grid, from the D_N it keeps."""
+        steps = _integral(steps, "step counts", 1)
+        limit = 2.0 * np.pi * float(np.dot(self.cocycle.winding, self.flow.y))
+        sup_error = float(np.max(np.abs(self.degree(steps) - limit)))
+        return TorusDegreeReport(steps=steps, limit=limit, sup_error=sup_error)
+
+    def identity_check(self, mode, schedule):
+        """sector_identity_check on this grid, from the D_N it keeps."""
+        mode = _integer_vector(mode, "mode")
+        field = GridField.from_modes({tuple(mode): 1.0}, self.shape)
+        # e_l's spectrum and band serve every horizon
+        spec = np.fft.fftn(field.values)
+        band = _occupied_band(spec, self.freqs)
+        flow = self.flow
+        eigenvalue = 2.0 * np.pi * float(np.dot(mode, flow.y))
+        multiplier = 2.0 * np.pi * _frequency_dot(self.freqs, flow.y)
+        eps = np.finfo(float).eps
+        fft_noise = math.log2(field.values.size) * eps
+        spread = 2.0 * np.pi * math.sqrt(sum((y * m) ** 2 for y, m in zip(flow.y, self.shape)) / 12.0)
+        wy = abs(float(np.dot(self.cocycle.winding, flow.y)))
+        winding = float(np.abs(self.cocycle.winding.astype(float)).sum())
+        report = SectorIdentityReport([], [], [], [])
+        for n in schedule:
+            n = _integral(n, "step counts", 1)
+            try:
+                moved, moved_spec = self.apply(spec, band, n)
+            except ResolutionError:
+                report.unresolved.append(n)
+                continue
+            applied_moved = GridField(np.fft.ifftn(multiplier * moved_spec))
+            defect = applied_moved.values - (eigenvalue + n * self.degree(n)) * moved
+            # both sides vanish only where A annihilates U^N e_l; compare absolutely there
+            scale = (applied_moved.norm() + abs(eigenvalue)) or 1.0
+            tau = (n * n * wy / 2.0 + n * winding) * eps / 2.0
+            report.horizons.append(n)
+            report.residuals.append(GridField(defect).norm() / scale)
+            report.estimates.append(spread * (2.0 * np.pi * tau + fft_noise) / scale + fft_noise)
+        return report
 
 
 def sector_apply(cocycle, flow, field, steps):
@@ -316,35 +464,9 @@ def sector_apply(cocycle, flow, field, steps):
         raise ValueError("field dimension does not match the cocycle base")
     if steps == 0:
         return GridField(field.values.copy())
-    shape = field.values.shape
-    freqs = _frequencies(shape)
+    grid = _SectorGrid(cocycle, flow, field.values.shape)
     spec = np.fft.fftn(field.values)
-    band = _occupied_band(spec, freqs)
-    margin = _modulation_margin(cocycle, flow, steps)
-    for i, m in enumerate(shape):
-        needed = abs(steps * int(cocycle.winding[i])) + band[i] + margin[i]
-        if needed >= m // 2:
-            raise ResolutionError(
-                f"axis {i}: predicted bandwidth {needed} at {steps} steps exceeds "
-                f"the grid Nyquist {m // 2}; enlarge the grid or reduce the step count"
-            )
-    moved = np.fft.ifftn(spec * np.exp(2j * np.pi * _frequency_dot(freqs, steps * flow.y)))
-    # a mode that moves no axis adds nothing to the margin, yet its phase can
-    # pass float range; the result is then NaN, whose band reads empty
-    with np.errstate(over="ignore", invalid="ignore"):
-        summed = cocycle_sum(cocycle, flow, unit_grid(shape), steps)
-        out = np.exp(2j * np.pi * summed) * moved
-    if not (np.all(np.isfinite(summed)) and np.all(np.isfinite(out))):
-        raise ResolutionError(
-            f"the sector phase at {steps} steps is not finite; no grid resolves it"
-        )
-    out_band = _occupied_band(np.fft.fftn(out), freqs)
-    for i, m in enumerate(shape):
-        if out_band[i] >= m // 2 - m // 16:
-            raise ResolutionError(
-                f"axis {i}: result occupies the top of the resolvable band "
-                f"({out_band[i]} of {m // 2}) at {steps} steps; aliasing suspected"
-            )
+    out, _ = grid.apply(spec, _occupied_band(spec, grid.freqs), steps)
     return GridField(out)
 
 
@@ -559,13 +681,7 @@ def torus_degree_field(cocycle, flow, shape, steps):
     the given horizon from it, over the grid of ``shape``.
     """
     steps = _integral(steps, "step counts", 1)
-    shape = tuple(int(m) for m in shape)
-    if len(shape) != cocycle.d:
-        raise ValueError("grid dimension does not match the cocycle base")
-    limit = 2.0 * np.pi * float(np.dot(cocycle.winding, flow.y))
-    vals = 2.0 * np.pi * _orbit_average_rate(cocycle, flow, unit_grid(shape), steps)
-    sup_error = float(np.max(np.abs(vals - limit)))
-    return TorusDegreeReport(steps=steps, limit=limit, sup_error=sup_error)
+    return _SectorGrid(cocycle, flow, shape).degree_report(steps)
 
 
 @dataclass
@@ -599,38 +715,10 @@ def sector_identity_check(cocycle, flow, mode, shape, schedule):
     the axis sizes m_i, so with ||e_l|| = 1 the estimate is
     2 pi w (2 pi tau_N + log2(P) eps) / scale + log2(P) eps.  A horizon at
     which sector_apply raises ResolutionError goes to ``unresolved`` instead.
+    The spectrum of e_l is taken once, and A acts on the spectrum of U^N e_l
+    that the band check of sector_apply already forms.
     """
-    shape = tuple(int(m) for m in shape)
-    if len(shape) != cocycle.d:
-        raise ValueError("grid dimension does not match the cocycle base")
-    mode = _integer_vector(mode, "mode")
-    points = unit_grid(shape)
-    field = GridField.from_modes({tuple(mode): 1.0}, shape)
-    eigenvalue = 2.0 * np.pi * float(np.dot(mode, flow.y))
-    multiplier = 2.0 * np.pi * _frequency_dot(_frequencies(shape), flow.y)
-    eps = np.finfo(float).eps
-    fft_noise = math.log2(field.values.size) * eps
-    spread = 2.0 * np.pi * math.sqrt(sum((y * m) ** 2 for y, m in zip(flow.y, shape)) / 12.0)
-    wy = abs(float(np.dot(cocycle.winding, flow.y)))
-    winding = float(np.abs(cocycle.winding.astype(float)).sum())
-    report = SectorIdentityReport([], [], [], [])
-    for n in schedule:
-        n = _integral(n, "step counts", 1)
-        try:
-            moved = sector_apply(cocycle, flow, field, n).values
-        except ResolutionError:
-            report.unresolved.append(n)
-            continue
-        applied_moved = GridField(np.fft.ifftn(multiplier * np.fft.fftn(moved)))
-        degree = 2.0 * np.pi * _orbit_average_rate(cocycle, flow, points, n)
-        defect = applied_moved.values - (eigenvalue + n * degree) * moved
-        # both sides vanish only where A annihilates U^N e_l; compare absolutely there
-        scale = (applied_moved.norm() + abs(eigenvalue)) or 1.0
-        tau = (n * n * wy / 2.0 + n * winding) * eps / 2.0
-        report.horizons.append(n)
-        report.residuals.append(GridField(defect).norm() / scale)
-        report.estimates.append(spread * (2.0 * np.pi * tau + fft_noise) / scale + fft_noise)
-    return report
+    return _SectorGrid(cocycle, flow, shape).identity_check(mode, schedule)
 
 
 def su2_irrep(label, g):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from commix import SchemaError, cli, commutators, graphs
+from commix import SchemaError, cli, commutators, graphs, skew
 from commix.cli import (
     DEFAULT_THRESHOLDS,
     EXAMPLE_CONFIGS,
@@ -26,6 +26,7 @@ from commix.cli import (
 from commix.graphs import format_graph_window, line_window
 from commix.mixing import CorrelationSeries
 from commix.operators import matrix_to_payload
+from commix.skew import sector_identity_check, torus_degree_field, unit_grid
 
 
 def pair_config(**scenario_extra):
@@ -794,6 +795,60 @@ def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_
     assert rows["tight"]["status"] == "fail"
     assert rows["plane"]["status"] == "pass"
     assert rows["plane"]["metrics"]["horizons"] == [1, 2]
+
+
+GOLDEN_TORUS = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 3,
+                "eta": [[[1], 0.0, -0.025], [[-1], 0.0, 0.025]], "grid": 1024}
+PLANE_TORUS = {"type": "torus", "y": [0.6180339887498949, 0.41421356237309515],
+               "winding": [[2, 1]], "sector": 3,
+               "eta": [[[1, 0], 0.0, -0.01], [[-1, 0], 0.0, 0.01]], "grid": 64}
+
+
+def test_torus_grid_work_is_done_once_per_scenario(tmp_path, monkeypatch):
+    # N = 128 is unresolved for identities, so only degree needs its average
+    tables, averages = [], []
+
+    def wave_table(keys, x, _call=skew._wave_table):
+        tables.append(tuple(keys))
+        return _call(keys, x)
+
+    def orbit_average_rate(cocycle, flow, points, steps, *args, _call=skew._orbit_average_rate):
+        averages.append(steps)
+        return _call(cocycle, flow, points, steps, *args)
+
+    monkeypatch.setattr(skew, "_wave_table", wave_table)
+    monkeypatch.setattr(skew, "_orbit_average_rate", orbit_average_rate)
+    config = validate_config({"version": 1, "scenarios": [
+        {"name": "torus", "model": GOLDEN_TORUS, "schedule": [4, 16, 128], "horizon": 32,
+         "tasks": ["identities", "degree", "mixing", "summability"]}]})
+    report = run_config(config, tmp_path / "out")
+    assert [row["status"] for row in report["scenarios"][0]["tasks"]] == ["pass"] * 4
+    # one table of q.eta's modes, one of the test field e_1
+    assert sorted(tables) == [((1,),), ((1,), (-1,))]
+    assert sorted(averages) == [4, 16, 128]
+
+
+@pytest.mark.parametrize("model,schedule", [(GOLDEN_TORUS, [4, 16, 128]), (PLANE_TORUS, [1, 2, 4])])
+def test_shared_torus_tables_match_the_standalone_routes(model, schedule):
+    scenario = validate_config({"version": 1, "scenarios": [
+        {"name": "t", "model": model, "schedule": schedule, "tasks": ["identities", "degree"]}]})["scenarios"][0]
+    runner = cli.ScenarioRunner(scenario, build_model(scenario))
+    result, artifacts = runner.run()
+    identities, degree = (row["metrics"] for row in result["tasks"])
+    cocycle, flow = runner.built["cocycle"], runner.built["flow"]
+    shape = (model["grid"],) * cocycle.d
+    alone = sector_identity_check(cocycle, flow, (1,) * cocycle.d, shape, schedule)
+    assert identities == {"horizons": alone.horizons, "residuals": alone.residuals,
+                          "estimates": alone.estimates, "unresolved_horizons": alone.unresolved}
+    sups = json.loads(artifacts["torus-degree.json"])["sup_errors"]
+    assert sups == [torus_degree_field(cocycle, flow, shape, n).sup_error for n in schedule]
+    assert degree["limit"] == torus_degree_field(cocycle, flow, shape, 1).limit
+    grid = runner.sector_grid
+    for n in schedule:
+        standalone = 2.0 * np.pi * skew._orbit_average_rate(cocycle, flow, unit_grid(shape), n)
+        assert grid.degree(n).tobytes() == standalone.tobytes()
+        assert not grid.degree(n).flags.writeable
+    assert not any(w.flags.writeable for w in (grid.points, *grid.freqs, *grid.waves.values()))
 
 
 def test_winding_rows_and_sector_reach_the_tasks_as_their_projection(tmp_path):

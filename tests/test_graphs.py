@@ -413,15 +413,18 @@ def test_graph_degree_decomposes_only_parity_blocks(monkeypatch):
     # H and S only join positions of opposite parity, so every decomposition
     # works on an even-by-odd block or a Gram matrix of one: on grid-24 that
     # is at most max(n_even, n_odd) = 288, half the 576 positions
-    shapes = []
+    calls = []
     for name in ("eigh", "eigvalsh", "svd"):
-        def recording(matrix, *args, _call=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(matrix))
+        def recording(matrix, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(matrix)))
             return _call(matrix, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recording)
     rep = graph_degree(build_operators(grid2d_window(24, 24, 2)))
     assert rep.degree_eigenvalues.shape == (576,)
-    assert shapes and max(max(shape) for shape in shapes) <= 288
+    assert calls and max(max(shape) for _, shape in calls) <= 288
+    # one SVD, of H's block: the kernel of K is counted on the same sigma
+    assert [call for call in calls if call[0] == "svd"] == [("svd", (288, 288))]
+    assert rep.kernel_dim_momentum == 24
 
 
 _windows = st.one_of(
@@ -458,6 +461,14 @@ def test_graph_degree_rejects_operators_outside_the_real_route():
     # the same entry in H alone: the parity blocks of H would silently drop it
     with pytest.raises(StructureError):
         graph_degree(dataclasses.replace(ops, adjacency=ops.adjacency + abs(same_parity)))
+    # the kernel of K is read from the singular values of H's block, which
+    # needs S_eo = diag(a) C diag(b): a flipped edge of S, or a weight of H
+    # that S does not carry, breaks it
+    edge = sparse.csr_array(([2.0, -2.0], ([2, 3], [3, 2])), shape=ops.skew_momentum.shape)
+    for replaced in ({"skew_momentum": ops.skew_momentum - edge},
+                     {"adjacency": ops.adjacency + abs(edge) / 2.0}):
+        with pytest.raises(StructureError, match="grading signs"):
+            graph_degree(dataclasses.replace(ops, **replaced))
 
 
 def test_empty_edge_set_gives_zero_operators():

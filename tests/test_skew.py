@@ -372,16 +372,57 @@ def test_sector_identity_check_on_the_golden_sector():
 
 
 def test_sector_identity_check_takes_the_degree_from_the_orbit_average(monkeypatch):
-    # one sector_apply per horizon, resolved or not, and no degree report
-    calls = {"sector_apply": 0, "torus_degree_field": 0}
+    # e_l is transformed once; each resolved horizon takes one orbit average
+    # and three FFTs (the translation, the band check of U^N e_l, and A on
+    # that same spectrum); N = 128 fails the a-priori budget before any FFT
+    calls = {"sector_apply": 0, "torus_degree_field": 0, "_orbit_average_rate": 0, "_wave_table": 0}
     for name in calls:
         def counted(*args, _name=name, _call=getattr(skew, name), **kwargs):
             calls[_name] += 1
             return _call(*args, **kwargs)
         monkeypatch.setattr(skew, name, counted)
+    for name in ("fftn", "ifftn"):
+        calls[name] = 0
+        def counted(*args, _name=name, _call=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
     report = sector_identity_check(standard_cocycle(), golden_flow(), (1,), (1024,), [1, 4, 16, 128])
     assert report.horizons == [1, 4, 16] and report.unresolved == [128]
-    assert calls == {"sector_apply": 4, "torus_degree_field": 0}
+    # two wave tables: q.eta's modes and the test field e_1
+    assert calls == {"sector_apply": 0, "torus_degree_field": 0, "_orbit_average_rate": 3,
+                     "_wave_table": 2, "fftn": 1 + 3, "ifftn": 2 * 3}
+
+
+def test_sector_grid_tables_are_read_only_and_inputs_are_kept():
+    coc = TorusCocycle([4, 1], {(1, 0): -0.01j, (-1, 0): 0.01j, (0, 1): 0.0, (0, -1): 0.0})
+    flow = TorusFlow([GOLDEN, SILVER])
+    grid = skew._SectorGrid(coc, flow, (64, 64))
+    grid.identity_check((1, 1), [1, 2])
+    grid.degree_report(3)
+    # the modes of q.eta with a zero coefficient get no wave
+    assert list(grid.waves) == [(1, 0), (-1, 0)]
+    tables = [grid.points, *grid.freqs, *grid.waves.values(), grid.degree(1), grid.degree(3)]
+    assert grid.degree(3) is grid.degree(3)
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0.0
+
+    field = GridField.from_modes({(1, 1): 1.0, (0, 2): 0.5j}, (64, 64))
+    points = unit_grid((64, 64))[::7, ::5]
+    inputs = (field.values, points, coc.winding, flow.y)
+    before = [a.copy() for a in inputs]
+    modes, schedule, mode = dict(coc.modes), [1, 2], (1, 1)
+    for call in (lambda: sector_apply(coc, flow, field, 2),
+                 lambda: sector_apply(coc, flow, field, -1),
+                 lambda: cocycle_sum(coc, flow, points, 3),
+                 lambda: torus_degree_field(coc, flow, (64, 64), 3),
+                 lambda: sector_identity_check(coc, flow, mode, (64, 64), schedule)):
+        call()
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+        assert coc.modes == modes and schedule == [1, 2] and mode == (1, 1)
 
 
 @pytest.mark.parametrize("amplitude", [1e300, 1e308])
