@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import datetime
 import functools
+import gc
 import json
 import math
 import os
@@ -32,9 +34,10 @@ from .commutators import (
     OperatorPair,
     SmoothWindow,
     _birkhoff_ladder,
+    _degree_estimate,
+    _flow_averages,
+    _flow_identity_check,
     _identity_check,
-    estimate_degree,
-    flow_identity_check,
 )
 from .errors import SchemaError
 from .graphs import (
@@ -514,20 +517,38 @@ def _random_su2(rng):
     return g / np.sqrt(complex(np.linalg.det(g)))
 
 
-def _load_matrix(value, path):
-    if isinstance(value, str):
-        try:
-            payload = json.loads(pathlib.Path(value).read_text())
-        except (OSError, UnicodeDecodeError) as exc:
-            _fail(path, f"cannot read matrix file {value!r}: {exc}")
-        except json.JSONDecodeError as exc:
-            _fail(path, f"matrix file {value!r} is not valid JSON: {exc}")
-    else:
-        payload = value
+@contextlib.contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off, and restore the caller's state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return matrix_from_payload(payload)
-    except SchemaError as exc:
-        _fail(path, f"bad matrix payload: {exc}")
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_matrix(value, path):
+    # a parse makes dim^2 acyclic [re, im] lists, which no collection can free
+    # but each one walks; they are dropped by reference counting before the
+    # collector resumes, so no sweep ever sees them
+    with _collector_paused():
+        if isinstance(value, str):
+            try:
+                payload = json.loads(pathlib.Path(value).read_text())
+            except (OSError, UnicodeDecodeError) as exc:
+                _fail(path, f"cannot read matrix file {value!r}: {exc}")
+            except json.JSONDecodeError as exc:
+                _fail(path, f"matrix file {value!r} is not valid JSON: {exc}")
+        else:
+            payload = value
+        try:
+            matrix = matrix_from_payload(payload)
+        except SchemaError as exc:
+            _fail(path, f"bad matrix payload: {exc}")
+        del payload
+    return matrix
 
 
 def build_model(scenario):
@@ -635,6 +656,15 @@ class ScenarioRunner:
         return correlation_continuous(self.built["pair"].main, phi, psi, times)
 
     @functools.cached_property
+    def pair_averages(self):
+        # one (N, D_N, U^N), or (t, D_t, e^{-itH}) for a flow, per horizon,
+        # shared by identities and degree
+        pair, schedule = self.built["pair"], self.scenario["schedule"]
+        if pair.kind == "continuous":
+            return list(_flow_averages(pair, schedule))
+        return [(n, total / n, power) for n, total, power in _birkhoff_ladder(pair.main, pair.symbol, schedule)]
+
+    @functools.cached_property
     def sector_grid(self):
         # one wave table and one D_N per horizon, shared by identities and degree
         cocycle = self.built["cocycle"]
@@ -652,8 +682,7 @@ class ScenarioRunner:
         # residual/N is ||D_N - (1/N)[A, U^N]U^{-N}|| up to the roundoff of
         # U^N's unitarity, so alternative_agreement bounds it directly
         pair, schedule = self.built["pair"], self.scenario["schedule"]
-        checks = [_identity_check(pair, n, power, total / n)
-                  for n, total, power in _birkhoff_ladder(pair.main, pair.symbol, schedule)]
+        checks = [_identity_check(pair, n, power, average) for n, average, power in self.pair_averages]
         cap = self.thresholds["identity_residual"]
         agree_cap = self.thresholds["alternative_agreement"]
         ok = all(c.residual <= max(c.expected, cap) and c.residual / c.steps <= agree_cap for c in checks)
@@ -665,7 +694,9 @@ class ScenarioRunner:
         return ("pass" if ok else "fail"), metrics, self._used("identity_residual", "alternative_agreement")
 
     def flow_identities(self):
-        checks = [flow_identity_check(self.built["pair"], t) for t in self.scenario["schedule"]]
+        pair = self.built["pair"]
+        checks = [_flow_identity_check(pair, t, average, propagator)
+                  for t, average, propagator in self.pair_averages]
         metrics = {
             "durations": [c.duration for c in checks],
             "residuals": [c.residual for c in checks],
@@ -732,8 +763,9 @@ class ScenarioRunner:
         pair = self.built["pair"]
         rng = self._rng("degree-probes")
         probes = (_unit_vector(rng, pair.dim), _unit_vector(rng, pair.dim))
-        estimate = estimate_degree(pair, self.scenario["schedule"], probes=probes,
-                                   gap_threshold=self.thresholds["gap_threshold"])
+        averages = [average for _, average, _ in self.pair_averages]
+        estimate = _degree_estimate(pair, self.scenario["schedule"], averages, probes,
+                                    self.thresholds["gap_threshold"])
         self.artifacts["degree-estimate.json"] = estimate.to_json() + "\n"
         metrics = {
             "converged": bool(estimate.converged),

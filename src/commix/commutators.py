@@ -311,6 +311,7 @@ class DegreeEstimate:
     ``converged`` means every gap over the last third of the schedule sits
     below ``gap_threshold`` and each probe residual sequence decays;
     ``diverging`` flags a non-decreasing gap trend over that same stretch.
+    A one-horizon schedule has no gap, so it is neither.
     On finite truncations these are surrogates for an operator limit, and
     they are reported as such rather than hidden.
     """
@@ -357,8 +358,9 @@ class DegreeEstimate:
 
 
 def _convergence_flags(gaps, residual_rows, threshold):
+    # one horizon gives no Cauchy gap, so no evidence of convergence either way
     if not gaps:
-        return True, False
+        return False, False
     tail_start = max(0, len(gaps) - max(1, len(gaps) // 3))
     tail = gaps[tail_start:]
     gaps_ok = all(g <= threshold for g in tail)
@@ -414,13 +416,20 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
     if pair.kind == "discrete":
         horizons = [_horizon(s) for s in schedule]
         averages = [total / n for n, total, _ in _birkhoff_ladder(pair.main, pair.symbol, horizons)]
-        bound = 2.0 * pair.conjugate_norm / horizons[-1]
     else:
         if schedule[0] <= 0:
             raise ValueError("continuous schedule entries must be positive")
         averages = [_time_average(*pair.spectrum, pair.symbol, float(t)) for t in schedule]
-        bound = 2.0 * spectral_norm(pair.bounded_conjugate) / float(schedule[-1])
+    return _degree_estimate(pair, schedule, averages, probe_vecs, gap_threshold)
 
+
+def _degree_estimate(pair, schedule, averages, probe_vecs, gap_threshold):
+    """:func:`estimate_degree` on the averages ``D_k`` along a checked ``schedule``.
+
+    ``probe_vecs`` are unit complex vectors of the pair's dimension.
+    """
+    norm = pair.conjugate_norm if pair.kind == "discrete" else spectral_norm(pair.bounded_conjugate)
+    bound = 2.0 * norm / float(schedule[-1])
     limit = averages[-1]
     eigvals = np.linalg.eigvalsh((limit + limit.conj().T) / 2.0)
     gaps = [spectral_norm(b - a) for a, b in zip(averages, averages[1:])]
@@ -544,15 +553,26 @@ def flow_identity_check(pair, duration):
     duration = float(duration)
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
-    a_tilde = pair.bounded_conjugate
-    floor = _roundoff_floor(pair.conjugate_norm)
     if duration == 0.0:
-        return FlowIdentityCheck(duration=0.0, residual=0.0, error_estimate=floor)
+        return FlowIdentityCheck(duration=0.0, residual=0.0, error_estimate=_roundoff_floor(pair.conjugate_norm))
+    _, average, propagator = next(_flow_averages(pair, [duration]))
+    return _flow_identity_check(pair, duration, average, propagator)
+
+
+def _flow_averages(pair, durations):
+    """Yield ``(t, D_t, e^{-itH})`` for each positive duration, from the pair's one ``spectrum``."""
     eigvals, eigvecs = pair.spectrum
-    propagator = (eigvecs * np.exp(-1j * duration * eigvals)) @ eigvecs.conj().T
-    average = _time_average(eigvals, eigvecs, pair.symbol, duration)
+    for t in durations:
+        t = float(t)
+        propagator = (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T
+        yield t, _time_average(eigvals, eigvecs, pair.symbol, t), propagator
+
+
+def _flow_identity_check(pair, duration, average, propagator):
+    """:class:`FlowIdentityCheck` of ``[A~, e^{-itH}] = t e^{-itH} D_t`` from ``D_t`` and ``e^{-itH}``."""
+    a_tilde = pair.bounded_conjugate
     residual = spectral_norm(
         (a_tilde @ propagator - propagator @ a_tilde) - duration * (propagator @ average)
     )
-    estimate = max(duration * _roundoff_floor(pair.symbol_norm), floor)
+    estimate = max(duration * _roundoff_floor(pair.symbol_norm), _roundoff_floor(pair.conjugate_norm))
     return FlowIdentityCheck(duration=duration, residual=float(residual), error_estimate=float(estimate))

@@ -548,6 +548,11 @@ def _lattice_bound(bound, what):
         raise ValueError(f"{what} reaches {bound}, beyond the int64 lattice arithmetic (2^63)")
 
 
+# Bessel table entries, and combinations of their orders, that one
+# _modulation_spectrum accepts: 64 MiB of complex128
+_SPECTRUM_BUDGET = 2**22
+
+
 def _modulation_spectrum(pairs, reach):
     """Return target -> Fourier coefficient of prod_j exp(i z_j cos(2 pi k_j.x + alpha_j)).
 
@@ -560,17 +565,26 @@ def _modulation_spectrum(pairs, reach):
     that order's Bessel coefficient is evaluated directly, which is exact
     and needs no truncation order; with several, every pair's sequence is
     truncated at _bessel_order of its largest z and read from a table.
+    Those orders come first: ValueError, before any table is built, if the
+    table entries sum_j (2 M_j + 1) * steps or the combinations
+    prod_{j != last} (2 M_j + 1) exceed _SPECTRUM_BUDGET.
     """
     _lattice_bound(reach, "frequency bound")
     if not pairs:
         return lambda target: np.all(target == 0, axis=-1).astype(complex)
     orders = [_bessel_order(float(np.max(z))) for _, z, _ in pairs] if len(pairs) > 1 else [0]
+    last = int(np.argmax(orders))
+    if len(pairs) > 1:
+        entries = sum(2 * order + 1 for order in orders) * pairs[0][1].size
+        combinations = math.prod(2 * order + 1 for j, order in enumerate(orders) if j != last)
+        if max(entries, combinations) > _SPECTRUM_BUDGET:
+            raise ValueError(f"Bessel tables of orders {orders} need {entries} entries and {combinations} "
+                             f"combinations, beyond the budget of {_SPECTRUM_BUDGET}")
 
     def table(j):
         _, z, alpha = pairs[j]
         return _bessel_coefficient(np.arange(-orders[j], orders[j] + 1)[:, None], z, alpha)
 
-    last = int(np.argmax(orders))
     k_last, z_last, alpha_last = pairs[last]
     norm = sum(int(v) ** 2 for v in k_last)
     others = [(pairs[j][0], orders[j], table(j)) for j in range(len(pairs)) if j != last]
@@ -625,7 +639,8 @@ def sector_correlation(cocycle, flow, phi, psi, horizon):
     of the dropped terms by 2^-53.  The quadratic phase rounds as in
     sector_apply, by about n^2 |q.W y| eps / 4 turns.  Work is vectorised over
     n and loops over the modes of psi, in int64 lattice arithmetic: a
-    frequency or lattice product whose bound reaches 2^63 raises ValueError.
+    frequency or lattice product whose bound reaches 2^63 raises ValueError,
+    and so do Bessel tables beyond the budget of _modulation_spectrum.
     """
     horizon = _integral(horizon, "horizons", 1)
     phi = _observable_modes(phi, cocycle.d)

@@ -1,5 +1,6 @@
 """Config validation, the batch runner, report determinism, and the compare verb."""
 
+import gc
 import hashlib
 import json
 import math
@@ -760,6 +761,139 @@ def test_identity_rows_agree_with_the_per_horizon_reference(tmp_path, schedule):
         assert metrics["expected"][j] == pytest.approx(check.expected, rel=1e-12)
 
 
+def _flow_model(seed, dim=6):
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return matrix_to_payload((z + z.conj().T) / 2.0)
+
+    return {"type": "matrix-pair", "generator": hermitian(), "conjugate": hermitian()}
+
+
+def _pair_runner(model, schedule, tasks=("identities", "degree")):
+    scenario = validate_config({"version": 1, "scenarios": [
+        {"name": "p", "seed": 5, "model": model, "schedule": schedule, "tasks": list(tasks)}]})["scenarios"][0]
+    return cli.ScenarioRunner(scenario, build_model(scenario))
+
+
+@pytest.mark.parametrize("kind", ["discrete", "flow"])
+def test_pair_averages_are_formed_once_per_scenario(monkeypatch, kind):
+    calls = {"_birkhoff_ladder": 0, "_time_average": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # the runner looks the ladder up in cli, estimate_degree in commutators
+    count(commutators, "_birkhoff_ladder")
+    count(cli, "_birkhoff_ladder")
+    count(commutators, "_time_average")
+    if kind == "discrete":
+        model, schedule = {"type": "random-pair", "dim": 8}, [1, 2, 5, 17, 64]
+    else:
+        model, schedule = _flow_model(29), [0.5, 1.5, 3.0]
+    result, _ = _pair_runner(model, schedule).run()
+    assert [row["status"] for row in result["tasks"]] == ["pass", "warn"]
+    ladders, averages = (1, 0) if kind == "discrete" else (0, len(schedule))
+    assert calls == {"_birkhoff_ladder": ladders, "_time_average": averages}
+
+
+def _degree_probes(runner):
+    rng = runner._rng("degree-probes")
+    dim = runner.built["pair"].dim
+    return cli._unit_vector(rng, dim), cli._unit_vector(rng, dim)
+
+
+@pytest.mark.parametrize("kind", ["discrete", "flow"])
+def test_shared_pair_averages_match_the_standalone_routes(kind):
+    # a doubling schedule, on which the ladder, matrix_power and
+    # birkhoff_discrete form the same U^N and D_N bit for bit
+    if kind == "discrete":
+        runner = _pair_runner({"type": "random-pair", "dim": 8}, [1, 2, 4, 8, 16, 32])
+    else:
+        runner = _pair_runner(_flow_model(31), [0.5, 1.5, 3.0])
+    pair, schedule = runner.built["pair"], runner.scenario["schedule"]
+    result, artifacts = runner.run()
+    identities, degree = (row["metrics"] for row in result["tasks"])
+    estimate = commutators.estimate_degree(pair, schedule, probes=_degree_probes(runner))
+    assert artifacts["degree-estimate.json"] == estimate.to_json() + "\n"
+    assert degree["final_gap"] == estimate.cauchy_gaps[-1] and degree["limit_norm"] == estimate.limit_norm
+    assert len(runner.pair_averages) == len(schedule)
+    for (n, average, power), standalone in zip(runner.pair_averages, estimate.averages):
+        assert average.tobytes() == standalone.tobytes()
+    if kind == "discrete":
+        checks = [commutators.degree_identity_check(pair, n) for n in schedule]
+        assert identities["residuals"] == [c.residual for c in checks]
+        assert identities["expected"] == [c.expected for c in checks]
+    else:
+        checks = [commutators.flow_identity_check(pair, t) for t in schedule]
+        assert identities["durations"] == [c.duration for c in checks]
+        assert identities["residuals"] == [c.residual for c in checks]
+        assert identities["estimates"] == [c.error_estimate for c in checks]
+
+
+@pytest.mark.parametrize("model,schedule", [({"type": "random-pair", "dim": 8}, [64]), (_flow_model(37), [1.5])])
+def test_one_horizon_pair_degree_warns_without_a_cauchy_gap(model, schedule):
+    # one horizon gives no gap: neither converged nor diverging
+    runner = _pair_runner(model, schedule, tasks=["degree"])
+    result, artifacts = runner.run()
+    row = result["tasks"][0]
+    assert row["status"] == "warn"
+    assert row["metrics"]["final_gap"] == 0.0
+    assert row["metrics"]["converged"] is False and row["metrics"]["diverging"] is False
+    doc = json.loads(artifacts["degree-estimate.json"])
+    assert doc["cauchy_gaps"] == [] and doc["converged"] is False
+
+
+def test_matrix_files_parse_with_the_collector_paused_and_its_state_restored(tmp_path, monkeypatch):
+    dim = 64
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(matrix_to_payload(np.eye(dim))))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format": "complex-matrix", "version": 1, "dim": 1, "entries": [[True, 0.0]]}))
+    during = []
+
+    def from_payload(payload, _call=cli.matrix_from_payload):
+        during.append(gc.isenabled())
+        return _call(payload)
+
+    monkeypatch.setattr(cli, "matrix_from_payload", from_payload)
+    collections = []
+
+    def on_collection(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            gc.collect()
+            gc.callbacks.append(on_collection)
+            try:
+                matrix = cli._load_matrix(str(good), "m")
+                # dim^2 parsed lists, freed before the collector resumes, so the
+                # next allocations start no sweep
+                spare = [[] for _ in range(16)]
+                assert collections == []
+                assert gc.isenabled() is enabled
+            finally:
+                gc.callbacks.remove(on_collection)
+            assert matrix.tobytes() == np.eye(dim, dtype=complex).tobytes() and len(spare) == 16
+            with pytest.raises(SchemaError, match="m: bad matrix payload"):
+                cli._load_matrix(str(bad), "m")
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False] * 4
+
+
 def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_path):
     torus = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 3,
              "eta": [[[1], 0.0, -0.025], [[-1], 0.0, 0.025]], "grid": 1024}
@@ -1150,7 +1284,7 @@ def test_degree_row_reports_the_telescoping_bound(tmp_path):
 
 
 def test_non_finite_degree_limit_fails_the_task_with_one_line(tmp_path, monkeypatch):
-    real = cli.estimate_degree
+    real = cli._degree_estimate
 
     def spoiled(*args, **kwargs):
         estimate = real(*args, **kwargs)
@@ -1158,7 +1292,7 @@ def test_non_finite_degree_limit_fails_the_task_with_one_line(tmp_path, monkeypa
         estimate.limit[0, 0] = np.inf
         return estimate
 
-    monkeypatch.setattr(cli, "estimate_degree", spoiled)
+    monkeypatch.setattr(cli, "_degree_estimate", spoiled)
     report = run_config(validate_config(pair_config(tasks=["degree"])), tmp_path / "out")
     row = report["scenarios"][0]["tasks"][0]
     assert row["status"] == "fail"

@@ -31,7 +31,13 @@ from commix import (
     unitary_symbol,
 )
 from commix import commutators
-from commix.commutators import _birkhoff_ladder, _conjugation_sum
+from commix.commutators import (
+    _birkhoff_ladder,
+    _conjugation_sum,
+    _degree_estimate,
+    _flow_averages,
+    _flow_identity_check,
+)
 
 
 def random_unitary(rng, dim):
@@ -346,6 +352,38 @@ def test_estimate_degree_short_schedule_unconverged():
     pair = random_discrete_pair(rng, 6)
     est = estimate_degree(pair, [2, 3, 5])
     assert not est.converged
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+def test_one_horizon_estimate_is_neither_converged_nor_diverging(kind):
+    # one horizon gives no Cauchy gap, so no evidence either way
+    rng = np.random.default_rng(114)
+    if kind == "discrete":
+        pair, schedule = random_discrete_pair(rng, 6), [64]
+    else:
+        pair, schedule = OperatorPair.continuous(random_hermitian(rng, 6), random_hermitian(rng, 6)), [1.5]
+    est = estimate_degree(pair, schedule)
+    assert est.cauchy_gaps == []
+    assert not est.converged and not est.diverging
+
+
+def test_flow_averages_feed_the_private_cores_bit_for_bit():
+    # the runner's one table of (t, D_t, e^{-itH}) per duration, read by the
+    # cores behind flow_identity_check and estimate_degree
+    rng = np.random.default_rng(117)
+    pair = OperatorPair.continuous(random_hermitian(rng, 7), random_hermitian(rng, 7))
+    schedule = [0.5, 1.5, 3.0]
+    table = list(_flow_averages(pair, schedule))
+    assert [t for t, _, _ in table] == schedule
+    for t, average, propagator in table:
+        assert np.array_equal(average, birkhoff_continuous(pair.main, pair.symbol, t))
+        assert max_norm(propagator - scipy.linalg.expm(-1j * t * pair.main)) <= 1e-12
+        assert _flow_identity_check(pair, t, average, propagator) == flow_identity_check(pair, t)
+    probe = np.full(7, 1.0 / np.sqrt(7.0), dtype=complex)
+    core = _degree_estimate(pair, schedule, [average for _, average, _ in table], [probe], 1e-6)
+    public = estimate_degree(pair, schedule, probes=[probe])
+    assert core.to_json() == public.to_json()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(core.averages, public.averages))
 
 
 def test_estimate_degree_probe_residuals():

@@ -540,6 +540,27 @@ def test_sector_correlation_refuses_int64_lattice_overflow():
                 sector_correlation(coc, flow, e1, e1, 8)
 
 
+def test_sector_correlation_refuses_bessel_tables_beyond_the_budget_before_building_any(monkeypatch):
+    # two mode pairs of amplitude 1e4 truncate at orders 242114 and 334056:
+    # about 4.0 and 5.5 GB of tables at horizon 512
+    calls = []
+
+    def bessel_coefficient(*args, _call=skew._bessel_coefficient):
+        calls.append(args)
+        return _call(*args)
+
+    monkeypatch.setattr(skew, "_bessel_coefficient", bessel_coefficient)
+    e1 = {(1,): 1.0}
+    huge = TorusCocycle([2], {(1,): -1e4j, (-1,): 1e4j, (2,): -1e4j, (-2,): 1e4j})
+    with pytest.raises(ValueError, match=r"orders \[242114, 334056\] need 589999104 entries .* budget"):
+        sector_correlation(huge, golden_flow(), e1, e1, 512)
+    assert calls == []
+    # the same pairs at a small amplitude stay well inside it
+    small = TorusCocycle([2], {(1,): -0.01j, (-1,): 0.01j, (2,): -0.01j, (-2,): 0.01j})
+    assert np.all(np.isfinite(sector_correlation(small, golden_flow(), e1, e1, 512).values))
+    assert len(calls) == 2
+
+
 def counted_bessel_order(z):
     # the truncation order counted up one order at a time
     t = z / 2.0
