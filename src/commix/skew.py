@@ -101,6 +101,11 @@ def _check_power_of_two(m):
     return m >= 2 and (m & (m - 1)) == 0
 
 
+def _check_grid_shape(shape):
+    if not all(_check_power_of_two(m) for m in shape):
+        raise ValueError(f"grid sizes must be powers of two, got {shape}")
+
+
 class GridField:
     """Complex samples on a uniform periodic grid, power-of-two per axis."""
 
@@ -108,9 +113,7 @@ class GridField:
         v = np.asarray(values, dtype=complex)
         if v.ndim < 1:
             raise ValueError("field values must have at least one axis")
-        for m in v.shape:
-            if not _check_power_of_two(m):
-                raise ValueError(f"grid sizes must be powers of two, got {v.shape}")
+        _check_grid_shape(v.shape)
         self.values = v
 
     @classmethod
@@ -118,13 +121,16 @@ class GridField:
         shape = tuple(int(m) for m in shape)
         return cls(_fourier_values(_observable_modes(modes, len(shape)), unit_grid(shape), len(shape)))
 
+    # ufunc reductions rather than np.vdot, whose threaded BLAS can stall
+    # for milliseconds on grid-sized vectors
     def inner(self, other):
         if self.values.shape != other.values.shape:
             raise ValueError("field shapes differ")
-        return complex(np.vdot(self.values, other.values) / self.values.size)
+        return complex(np.sum(self.values.conj() * other.values) / self.values.size)
 
     def norm(self):
-        return float(np.sqrt(max(self.inner(self).real, 0.0)))
+        v = self.values
+        return float(np.sqrt(np.mean(v.real * v.real + v.imag * v.imag)))
 
 
 def _frequencies(shape):
@@ -344,7 +350,10 @@ class _SectorGrid:
     any horizon are weighted sums over that table.  The table takes
     (nonzero modes of q.eta) x (grid points) x 16 B, and D_N is kept once
     formed, one grid of complex values (16 B a point) per horizon.  Every
-    array it hands out is read-only.  The public grid routes form one per
+    array it hands out is read-only.  A sector step runs the checks
+    sector_apply describes around the values of U^N f, which sector_apply
+    forms by spectral translation, for any field, and identity_check in
+    closed form, for a Fourier mode.  The public grid routes form one per
     call; a scenario runner forms one and shares it between its identities
     and degree tasks, so nothing outlives the scenario.
     """
@@ -369,11 +378,14 @@ class _SectorGrid:
             self._degrees[steps] = _read_only(2.0 * np.pi * rate)
         return self._degrees[steps]
 
-    def apply(self, spec, band, steps):
-        """U^steps of the field whose spectrum is ``spec`` and occupied band ``band``, steps != 0.
+    def step(self, band, steps, carry):
+        """U^steps of a field of occupied band ``band``, with the checks sector_apply describes.
 
-        Returns the result and its spectrum, after the checks sector_apply
-        describes; ResolutionError if one fails.
+        ``carry`` maps the sector phase q.phi^(steps) on the grid to the
+        values of U^steps of the field.  The a-priori budget runs before any
+        grid work; then the phase and the result must be finite and the
+        result's spectrum must stay below the top of the band.  Returns the
+        result and its spectrum; ResolutionError if a check fails.
         """
         cocycle, flow = self.cocycle, self.flow
         margin = _modulation_margin(cocycle, flow, steps)
@@ -384,7 +396,6 @@ class _SectorGrid:
                     f"axis {i}: predicted bandwidth {needed} at {steps} steps exceeds "
                     f"the grid Nyquist {m // 2}; enlarge the grid or reduce the step count"
                 )
-        moved = np.fft.ifftn(spec * np.exp(2j * np.pi * _frequency_dot(self.freqs, steps * flow.y)))
         # a mode that moves no axis adds nothing to the margin, yet its phase can
         # pass float range; the result is then NaN, whose band reads empty
         with np.errstate(over="ignore", invalid="ignore"):
@@ -392,7 +403,7 @@ class _SectorGrid:
                 summed = _forward_sum(cocycle, flow, self.points, steps, self.waves)
             else:
                 summed = cocycle_sum(cocycle, flow, self.points, steps)
-            out = np.exp(2j * np.pi * summed) * moved
+            out = carry(summed)
         if not (np.all(np.isfinite(summed)) and np.all(np.isfinite(out))):
             raise ResolutionError(
                 f"the sector phase at {steps} steps is not finite; no grid resolves it"
@@ -416,16 +427,22 @@ class _SectorGrid:
 
     def identity_check(self, mode, schedule):
         """sector_identity_check on this grid, from the D_N it keeps."""
+        _check_grid_shape(self.shape)
         mode = _integer_vector(mode, "mode")
-        field = GridField.from_modes({tuple(mode): 1.0}, self.shape)
-        # e_l's spectrum and band serve every horizon
-        spec = np.fft.fftn(field.values)
-        band = _occupied_band(spec, self.freqs)
+        if mode.size != len(self.shape):
+            raise ValueError(f"mode {tuple(int(v) for v in mode)} has {mode.size} components, "
+                             f"expected {len(self.shape)}")
+        # the grid holds e_l as e_l' for the alias l' of l in [-m/2, m/2) on
+        # each axis, whose translate by N y is the scalar e(N l'.y) times itself
+        alias = [(int(v) + m // 2) % m - m // 2 for v, m in zip(mode, self.shape)]
+        band = [abs(v) for v in alias]
+        wave_phase = _dot(self.points, alias)
         flow = self.flow
+        rotation = float(np.dot(alias, flow.y))
         eigenvalue = 2.0 * np.pi * float(np.dot(mode, flow.y))
         multiplier = 2.0 * np.pi * _frequency_dot(self.freqs, flow.y)
         eps = np.finfo(float).eps
-        fft_noise = math.log2(field.values.size) * eps
+        fft_noise = math.log2(math.prod(self.shape)) * eps
         spread = 2.0 * np.pi * math.sqrt(sum((y * m) ** 2 for y, m in zip(flow.y, self.shape)) / 12.0)
         wy = abs(float(np.dot(self.cocycle.winding, flow.y)))
         winding = float(np.abs(self.cocycle.winding.astype(float)).sum())
@@ -433,7 +450,8 @@ class _SectorGrid:
         for n in schedule:
             n = _integral(n, "step counts", 1)
             try:
-                moved, moved_spec = self.apply(spec, band, n)
+                moved, moved_spec = self.step(band, n, lambda summed: (
+                    np.exp(2j * np.pi * (n * rotation)) * np.exp(2j * np.pi * (summed + wave_phase))))
             except ResolutionError:
                 report.unresolved.append(n)
                 continue
@@ -466,7 +484,12 @@ def sector_apply(cocycle, flow, field, steps):
         return GridField(field.values.copy())
     grid = _SectorGrid(cocycle, flow, field.values.shape)
     spec = np.fft.fftn(field.values)
-    out, _ = grid.apply(spec, _occupied_band(spec, grid.freqs), steps)
+
+    def carry(summed):
+        shift = np.exp(2j * np.pi * _frequency_dot(grid.freqs, steps * flow.y))
+        return np.exp(2j * np.pi * summed) * np.fft.ifftn(spec * shift)
+
+    out, _ = grid.step(_occupied_band(spec, grid.freqs), steps, carry)
     return GridField(out)
 
 
@@ -717,21 +740,26 @@ def sector_identity_check(cocycle, flow, mode, shape, schedule):
     q.W y + y.grad(q.eta): D_N is multiplication by 2 pi rate_N, which
     _orbit_average_rate gives in closed form.  The test vector is the Fourier
     mode e_l of the integer vector ``mode``: A e_l = lambda e_l with
-    lambda = 2 pi l.y, so one sector_apply per horizon of ``schedule`` gives
-    U^N e_l and U^N A e_l (any field would only weight the same pointwise
-    defect by |U^N f|^2, as A commutes with translations).  The report holds,
+    lambda = 2 pi l.y, so U^N e_l gives U^N A e_l too (any field would only
+    weight the same pointwise defect by |U^N f|^2, as A commutes with
+    translations).  The grid holds e_l as e_l', l' the alias of l in
+    [-m/2, m/2) on each axis, and U^N e_l = e(N l'.y) e(q.phi^(N) + l'.x) is
+    formed pointwise, the scalar e(N l'.y) apart from the exponent, with
+    the checks of sector_apply at each horizon of ``schedule``; it equals
+    sector_apply of e_l to roundoff.  The report holds,
     on the grid of ``shape``,
     ||A U^N e_l - lambda U^N e_l - N D_N U^N e_l|| / (||A U^N e_l|| + |lambda|),
     with its roundoff estimate.  The phase of U^N e_l rounds by
     tau_N = (N^2 |q.W y| / 2 + N |W^T q|_1) eps / 2 turns (the unwrapped
-    phase as sector_apply sums it), and each FFT pair by about log2(P) eps
+    phase as sector_apply sums it; l'.x in the exponent adds at most
+    |l'|_1 eps / 2 turns), and each FFT pair by about log2(P) eps
     relative, P the number of grid points.  A multiplies that pointwise
     noise by 2 pi w in the mean square, w = sqrt(sum_i (y_i m_i)^2 / 12) over
     the axis sizes m_i, so with ||e_l|| = 1 the estimate is
     2 pi w (2 pi tau_N + log2(P) eps) / scale + log2(P) eps.  A horizon at
     which sector_apply raises ResolutionError goes to ``unresolved`` instead.
-    The spectrum of e_l is taken once, and A acts on the spectrum of U^N e_l
-    that the band check of sector_apply already forms.
+    Each resolved horizon takes one grid exponential and one FFT pair: the
+    band check transforms U^N e_l, and A acts on that spectrum.
     """
     return _SectorGrid(cocycle, flow, shape).identity_check(mode, schedule)
 

@@ -957,8 +957,8 @@ def test_torus_grid_work_is_done_once_per_scenario(tmp_path, monkeypatch):
          "tasks": ["identities", "degree", "mixing", "summability"]}]})
     report = run_config(config, tmp_path / "out")
     assert [row["status"] for row in report["scenarios"][0]["tasks"]] == ["pass"] * 4
-    # one table of q.eta's modes, one of the test field e_1
-    assert sorted(tables) == [((1,),), ((1,), (-1,))]
+    # one table, of q.eta's modes; the identity check forms U^N e_1 in closed form
+    assert tables == [((1,), (-1,))]
     assert sorted(averages) == [4, 16, 128]
 
 

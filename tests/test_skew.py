@@ -363,18 +363,25 @@ def test_sector_identity_check_on_the_golden_sector():
         sector_identity_check(standard_cocycle(), golden_flow(), (1,), (64, 64), [1])
     with pytest.raises(ValueError, match="must be integers >= 1"):
         sector_identity_check(standard_cocycle(), golden_flow(), (1,), (64,), [2.5])
+    with pytest.raises(ValueError, match="powers of two"):
+        # refused up front, though the budget would list N = 64 as unresolved
+        sector_identity_check(standard_cocycle(), golden_flow(), (1,), (100,), [64])
     for mode in ((1, 0), (1.5,)):
         with pytest.raises(ValueError, match="mode"):
             sector_identity_check(standard_cocycle(), golden_flow(), mode, (64,), [1])
+    with pytest.raises(ValueError, match="mode"):
+        # a 1-vector on a 2-D base
+        sector_identity_check(TorusCocycle([4, 1], {}), TorusFlow([GOLDEN, SILVER]), (1,), (64, 64), [1])
     with pytest.raises(TypeError):
         # a mode dict is not an integer vector
         sector_identity_check(standard_cocycle(), golden_flow(), {(1,): 1.0}, (64,), [1])
 
 
 def test_sector_identity_check_takes_the_degree_from_the_orbit_average(monkeypatch):
-    # e_l is transformed once; each resolved horizon takes one orbit average
-    # and three FFTs (the translation, the band check of U^N e_l, and A on
-    # that same spectrum); N = 128 fails the a-priori budget before any FFT
+    # U^N e_l is formed in closed form, so e_l gets neither a wave table nor
+    # an FFT; each resolved horizon takes one orbit average and two FFTs (the
+    # band check of U^N e_l, and A on that same spectrum); N = 128 fails the
+    # a-priori budget before any FFT
     calls = {"sector_apply": 0, "torus_degree_field": 0, "_orbit_average_rate": 0, "_wave_table": 0}
     for name in calls:
         def counted(*args, _name=name, _call=getattr(skew, name), **kwargs):
@@ -389,9 +396,73 @@ def test_sector_identity_check_takes_the_degree_from_the_orbit_average(monkeypat
         monkeypatch.setattr(np.fft, name, counted)
     report = sector_identity_check(standard_cocycle(), golden_flow(), (1,), (1024,), [1, 4, 16, 128])
     assert report.horizons == [1, 4, 16] and report.unresolved == [128]
-    # two wave tables: q.eta's modes and the test field e_1
+    # one wave table, of q.eta's modes
     assert calls == {"sector_apply": 0, "torus_degree_field": 0, "_orbit_average_rate": 3,
-                     "_wave_table": 2, "fftn": 1 + 3, "ifftn": 2 * 3}
+                     "_wave_table": 1, "fftn": 3, "ifftn": 3}
+
+
+# modes l = l' + j m with |l'| <= 5 and j in [-2, 2], so that 0, negative
+# modes and modes beyond the Nyquist m/2 all occur; the grid holds e_l as e_l'
+@settings(max_examples=40)
+@given(
+    d=st.sampled_from([1, 2]),
+    eta=st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-1, 1)), finite_complex(0.05), max_size=2),
+    winding=st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+    alias=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    wraps=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    schedule=st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
+)
+@example(d=1, eta={(1, 0): -0.025j}, winding=(2, 0), alias=(1, 0), wraps=(1, 0), schedule=[1, 7, 40])
+@example(d=2, eta={}, winding=(1, 1), alias=(-5, 3), wraps=(-1, 2), schedule=[2, 3])
+@example(d=1, eta={}, winding=(0, 0), alias=(0, 0), wraps=(0, 0), schedule=[1])
+def test_sector_identity_check_steps_e_l_as_sector_apply_does(d, eta, winding, alias, wraps, schedule):
+    # the check's closed-form U^N e_l against the FFT route of sector_apply on
+    # the same grid: equal values, and the same horizons refused
+    if d == 1:
+        eta = {(k[0],): c for k, c in eta.items()}
+        winding, flow, shape = winding[:1], golden_flow(), (128,)
+    else:
+        flow, shape = TorusFlow([GOLDEN, SILVER]), (64, 32)
+    mode = tuple(a + j * m for a, j, m in zip(alias, wraps, shape))
+    coc = TorusCocycle(winding, mirrored(eta))
+    grid = skew._SectorGrid(coc, flow, shape)
+    stepped, step = {}, grid.step
+
+    def spy(band, steps, carry):
+        stepped[steps], spec = step(band, steps, carry)
+        return stepped[steps], spec
+
+    grid.step = spy
+    report = grid.identity_check(mode, schedule)
+    assert sorted(stepped) == sorted(report.horizons)
+    e_l = GridField.from_modes({mode: 1.0}, shape)
+    for n in schedule:
+        try:
+            expected = sector_apply(coc, flow, e_l, n).values
+        except ResolutionError:
+            assert n in report.unresolved
+            continue
+        assert n in report.horizons
+        assert np.max(np.abs(stepped[n] - expected)) <= 1e-12, n
+
+
+def test_grid_norms_match_vdot_and_the_identity_check_calls_no_blas_dot(monkeypatch):
+    # the reductions against np.vdot: the norm relative to itself, the inner
+    # product relative to ||f|| ||g||, its scale under cancellation
+    rng = np.random.default_rng(11)
+    for shape in ((1024,), (16384,), (64, 32)):
+        f, g = (GridField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(2))
+        size = f.values.size
+        norm = math.sqrt(np.vdot(f.values, f.values).real / size)
+        assert abs(f.norm() - norm) <= 1e-15 * norm
+        assert abs(f.inner(g) - np.vdot(f.values, g.values) / size) <= 1e-15 * f.norm() * g.norm()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.vdot called")
+
+    monkeypatch.setattr(np, "vdot", refuse)
+    report = sector_identity_check(standard_cocycle(), golden_flow(), (1,), (1024,), [1, 4, 16])
+    assert report.horizons == [1, 4, 16]
 
 
 def test_sector_grid_tables_are_read_only_and_inputs_are_kept():
