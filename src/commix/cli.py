@@ -74,7 +74,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 13
+REPORT_VERSION = 14
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario

@@ -160,45 +160,43 @@ def selfadjoint_symbol(pair):
     return m
 
 
-def _conjugation_sum(u, m, steps):
-    """Return ``(sum_{n<N} U^n M U^{-n}, U^N)`` in at most six products per bit of N.
-
-    Doubling over the binary digits of ``N``: ``S_{2a} = S_a + U^a S_a U^{-a}``
-    and ``S_{a+1} = M + U S_a U^{-1}``, with ``U^a`` carried alongside.  On
-    permutation matrices every product is exact, so the sum is too whenever
-    the entries of ``M`` add exactly.
-    """
-    uh = u.conj().T
-    total, power = m, u
-    for bit in bin(steps)[3:]:
-        total = total + power @ total @ power.conj().T
-        power = power @ power
-        if bit == "1":
-            total = m + u @ total @ uh
-            power = u @ power
-    return total, power
-
-
 def _birkhoff_ladder(u, m, horizons):
-    """Yield ``(N, sum_{n<N} U^n M U^{-n}, U^N)`` along strictly increasing integer horizons.
+    """Yield ``(N, sum_{n<N} U^n M U^{-n}, U^N)`` for each integer horizon ``N >= 1``.
 
-    Each entry extends the previous one, ``S_{a+b} = S_a + U^a S_b U^{-a}``
-    and ``U^{a+b} = U^a U^b``: a step ``b`` equal to the previous horizon
-    ``a`` reuses ``(S_a, U^a)``, which is the doubling step of
-    :func:`_conjugation_sum`, so on a schedule whose entries double the sums
-    are bit-identical to its own; any other step takes ``(S_b, U^b)`` from
-    :func:`_conjugation_sum`.  Only the previous entry is held.
+    Each horizon walks its binary digits from ``(S_1, U^1) = (M, U)``: a digit
+    doubles, ``S_{2a} = S_a + U^a S_a U^{-a}``, and a 1 then appends,
+    ``S_{2a+1} = M + U S_{2a} U^{-1}``, with ``U^a`` alongside.  Each step is
+    taken once per schedule and held only while a later horizon needs it, so
+    every sum equals :func:`birkhoff_discrete`'s bit for bit.  On permutation
+    matrices every product is exact, and so is the sum whenever ``M``'s entries add.
     """
-    done = 0
-    for steps in horizons:
-        if not done:
-            total, power = _conjugation_sum(u, m, steps)
-        else:
-            step_total, step_power = ((total, power) if steps == 2 * done
-                                      else _conjugation_sum(u, m, steps - done))
-            total = total + power @ step_total @ power.conj().T
-            power = power @ step_power
-        done = steps
+    # plan[i]: the (from, to) steps horizon i forms first; need[k]: the last
+    # horizon that forms a step from k or yields k
+    formed, need, plan = {1}, {}, []
+    for i, steps in enumerate(horizons):
+        new, key = [], 1
+        for bit in bin(steps)[3:]:
+            for prev, key in ((key, 2 * key), (2 * key, 2 * key + 1))[: 1 + int(bit)]:
+                if key not in formed:
+                    formed.add(key)
+                    need[prev] = i
+                    new.append((prev, key))
+        need[steps] = i
+        plan.append((steps, new))
+    uh = u.conj().T
+    held = {1: (m, u)}
+    for i, (steps, new) in enumerate(plan):
+        for prev, key in new:
+            # rebinding frees a spent step before the next product allocates
+            total, power = held[prev] if need[prev] > i else held.pop(prev)
+            if key % 2:
+                total = m + u @ total @ uh
+                power = u @ power
+            else:
+                total = total + power @ total @ power.conj().T
+                power = power @ power
+            held[key] = total, power
+        total, power = held[steps] if need[steps] > i else held.pop(steps)
         yield steps, total, power
 
 
@@ -208,11 +206,11 @@ def _horizon(steps):
 
 
 def birkhoff_discrete(unitary, symbol, steps):
-    """Average ``(1/N) sum_{n<N} U^n M U^{-n}`` in ``O(log N)`` matrix products."""
+    """Average ``(1/N) sum_{n<N} U^n M U^{-n}``: a one-horizon :func:`_birkhoff_ladder`."""
     u = as_square_matrix(unitary, "unitary")
     m = as_square_matrix(symbol, "symbol")
     steps = _horizon(steps)
-    return _conjugation_sum(u, m, steps)[0] / steps
+    return next(_birkhoff_ladder(u, m, [steps]))[1] / steps
 
 
 def _roundoff_floor(norm):
@@ -383,10 +381,10 @@ def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
     """Estimate the degree operator along an increasing schedule of horizons.
 
     A discrete pair's averages come from one :func:`_birkhoff_ladder` along
-    the schedule, each entry extending the previous one; its horizons must be
-    integers (``3.0`` is one, ``2.9`` is refused, not truncated).  On a
-    schedule whose entries double, the averages equal
-    :func:`birkhoff_discrete` bit for bit; otherwise they agree to roundoff.
+    the schedule, which forms each binary prefix of its horizons once; its
+    horizons must be integers (``3.0`` is one, ``2.9`` is refused, not
+    truncated).  On every schedule the averages equal
+    :func:`birkhoff_discrete` bit for bit.
     A continuous pair's come from the closed form of
     :func:`birkhoff_continuous` on the pair's one decomposition of ``H``.
     Probes must be unit vectors; each row of ``probe_residuals`` tracks

@@ -8,7 +8,6 @@ deliberately model-agnostic; the model constructors in :mod:`commix.skew` and
 from __future__ import annotations
 
 import functools
-import io
 
 import numpy as np
 
@@ -31,9 +30,9 @@ __all__ = [
 ]
 
 SERIES_FORMAT = "correlation-series"
-SERIES_VERSION = 1
+SERIES_VERSION = 2
 FOURIER_FORMAT = "fourier-series"
-FOURIER_VERSION = 1
+FOURIER_VERSION = 2
 
 
 class CorrelationSeries:
@@ -42,7 +41,8 @@ class CorrelationSeries:
     ``abscissae`` are the sample points (integer horizons or real times),
     ``values`` the complex correlations.  ``partial_l2[k]`` accumulates the
     squared modulus up to sample ``k``: a plain running sum for discrete
-    series, trapezoidal in the abscissa for continuous ones.
+    series, trapezoidal in the abscissa for continuous ones.  The CSV form
+    holds the abscissae and values only; ``partial_l2`` is rebuilt on read.
     """
 
     def __init__(self, abscissae, values, kind):
@@ -67,12 +67,10 @@ class CorrelationSeries:
         return self.values.shape[0]
 
     def to_csv(self):
-        buf = io.StringIO()
-        buf.write(f"# {SERIES_FORMAT} v{SERIES_VERSION} kind={self.kind}\n")
-        buf.write("abscissa,re,im,abs,partial_l2\n")
-        for x, v, p in zip(self.abscissae, self.values, self.partial_l2):
-            buf.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r},{abs(complex(v))!r},{float(p)!r}\n")
-        return buf.getvalue()
+        rows = [f"# {SERIES_FORMAT} v{SERIES_VERSION} kind={self.kind}\nabscissa,re,im\n"]
+        rows += [f"{x!r},{re!r},{im!r}\n" for x, re, im in
+                 zip(self.abscissae.tolist(), self.values.real.tolist(), self.values.imag.tolist())]
+        return "".join(rows)
 
     @classmethod
     def from_csv(cls, text):
@@ -81,7 +79,8 @@ class CorrelationSeries:
             raise SchemaError("missing correlation-series header comment")
         header = lines[0][1:].split()
         if len(header) < 3 or header[0] != SERIES_FORMAT or header[1] != f"v{SERIES_VERSION}":
-            raise SchemaError(f"unsupported series header: {lines[0]!r}")
+            raise SchemaError(f"unsupported series header: {lines[0]!r} "
+                              f"(this reader takes {SERIES_FORMAT} v{SERIES_VERSION})")
         kind = None
         for tok in header[2:]:
             if tok.startswith("kind="):
@@ -89,12 +88,12 @@ class CorrelationSeries:
         if kind is None:
             raise SchemaError("series header lacks kind=")
         columns = lines[1] if len(lines) > 1 else None
-        if columns != "abscissa,re,im,abs,partial_l2":
+        if columns != "abscissa,re,im":
             raise SchemaError(f"unexpected column row: {columns!r}")
         abscissae, values = [], []
         for ln in lines[2:]:
             parts = ln.split(",")
-            if len(parts) != 5:
+            if len(parts) != 3:
                 raise SchemaError(f"malformed series row: {ln!r}")
             try:
                 abscissae.append(float(parts[0]))
@@ -300,9 +299,7 @@ class FourierCalculus:
         return self._decomposition.assemble(self._values)
 
     def to_csv(self):
-        buf = io.StringIO()
-        buf.write(f"# {FOURIER_FORMAT} v{FOURIER_VERSION} n_max={self.n_max} gamma={self.gamma!r}\n")
-        buf.write("n,re,im,abs\n")
-        for n, c in zip(self.indices, self.coefficients):
-            buf.write(f"{int(n)},{float(c.real)!r},{float(c.imag)!r},{abs(complex(c))!r}\n")
-        return buf.getvalue()
+        rows = [f"# {FOURIER_FORMAT} v{FOURIER_VERSION} n_max={self.n_max} gamma={self.gamma!r}\nn,re,im\n"]
+        rows += [f"{n},{re!r},{im!r}\n" for n, re, im in
+                 zip(self.indices.tolist(), self.coefficients.real.tolist(), self.coefficients.imag.tolist())]
+        return "".join(rows)

@@ -428,18 +428,22 @@ class _SectorGrid:
     def identity_check(self, mode, schedule):
         """sector_identity_check on this grid, from the D_N it keeps."""
         _check_grid_shape(self.shape)
-        mode = _integer_vector(mode, "mode")
-        if mode.size != len(self.shape):
-            raise ValueError(f"mode {tuple(int(v) for v in mode)} has {mode.size} components, "
+        mode = _integer_vector(mode, "mode").tolist()
+        if len(mode) != len(self.shape):
+            raise ValueError(f"mode {tuple(mode)} has {len(mode)} components, "
                              f"expected {len(self.shape)}")
-        # the grid holds e_l as e_l' for the alias l' of l in [-m/2, m/2) on
-        # each axis, whose translate by N y is the scalar e(N l'.y) times itself
-        alias = [(int(v) + m // 2) % m - m // 2 for v, m in zip(mode, self.shape)]
-        band = [abs(v) for v in alias]
-        wave_phase = _dot(self.points, alias)
+        # past [-m/2, m/2) on an axis the grid holds e_l as its alias e_l',
+        # on which A reads 2 pi l'.y, not the eigenvalue 2 pi l.y
+        alias = [(v + m // 2) % m - m // 2 for v, m in zip(mode, self.shape)]
+        if alias != mode:
+            raise ValueError(f"mode {tuple(mode)} lies outside the band [-m/2, m/2) of grid shape "
+                             f"{self.shape}, which holds it as its alias {tuple(alias)}")
+        # the translate of e_l by N y is the scalar e(N l.y) times itself
+        band = [abs(v) for v in mode]
+        wave_phase = _dot(self.points, mode)
         flow = self.flow
-        rotation = float(np.dot(alias, flow.y))
-        eigenvalue = 2.0 * np.pi * float(np.dot(mode, flow.y))
+        rotation = float(np.dot(mode, flow.y))
+        eigenvalue = 2.0 * np.pi * rotation
         multiplier = 2.0 * np.pi * _frequency_dot(self.freqs, flow.y)
         eps = np.finfo(float).eps
         fft_noise = math.log2(math.prod(self.shape)) * eps
@@ -742,17 +746,20 @@ def sector_identity_check(cocycle, flow, mode, shape, schedule):
     mode e_l of the integer vector ``mode``: A e_l = lambda e_l with
     lambda = 2 pi l.y, so U^N e_l gives U^N A e_l too (any field would only
     weight the same pointwise defect by |U^N f|^2, as A commutes with
-    translations).  The grid holds e_l as e_l', l' the alias of l in
-    [-m/2, m/2) on each axis, and U^N e_l = e(N l'.y) e(q.phi^(N) + l'.x) is
-    formed pointwise, the scalar e(N l'.y) apart from the exponent, with
-    the checks of sector_apply at each horizon of ``schedule``; it equals
-    sector_apply of e_l to roundoff.  The report holds,
+    translations).  Each component l_i must lie in [-m_i/2, m_i/2), the band
+    in which the grid of axis size m_i holds e_l itself; a mode past it, which
+    the grid holds as an alias e_l' with A e_l' = 2 pi l'.y e_l', raises
+    ValueError naming the mode, its alias and the shape.
+    U^N e_l = e(N l.y) e(q.phi^(N) + l.x) is formed pointwise, the scalar
+    e(N l.y) apart from the exponent, with the checks of sector_apply at
+    each horizon of ``schedule``; it equals sector_apply of e_l to roundoff.
+    The report holds,
     on the grid of ``shape``,
     ||A U^N e_l - lambda U^N e_l - N D_N U^N e_l|| / (||A U^N e_l|| + |lambda|),
     with its roundoff estimate.  The phase of U^N e_l rounds by
     tau_N = (N^2 |q.W y| / 2 + N |W^T q|_1) eps / 2 turns (the unwrapped
-    phase as sector_apply sums it; l'.x in the exponent adds at most
-    |l'|_1 eps / 2 turns), and each FFT pair by about log2(P) eps
+    phase as sector_apply sums it; l.x in the exponent adds at most
+    |l|_1 eps / 2 turns), and each FFT pair by about log2(P) eps
     relative, P the number of grid points.  A multiplies that pointwise
     noise by 2 pi w in the mean square, w = sqrt(sum_i (y_i m_i)^2 / 12) over
     the axis sizes m_i, so with ||e_l|| = 1 the estimate is

@@ -197,7 +197,7 @@ def test_run_pair_identities(tmp_path, capsys, monkeypatch):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 13
+    assert report["version"] == cli.REPORT_VERSION == 14
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -1112,6 +1112,42 @@ def test_correlation_series_is_serialized_once_per_scenario(tmp_path, monkeypatc
         assert "error" not in row["metrics"], row
     assert len(calls) == 1
     assert (tmp_path / "out" / "torus" / "correlation.csv").read_text() == original(calls[0])
+
+
+def test_written_correlation_series_read_back_as_the_series_the_runner_held(tmp_path, monkeypatch):
+    # correlation.csv holds abscissae and values only; from_csv must rebuild
+    # the runner's series, partial_l2 included, bit for bit
+    runners = []
+    original = cli.ScenarioRunner.run
+
+    def keep(self):
+        runners.append(self)
+        return original(self)
+
+    monkeypatch.setattr(cli.ScenarioRunner, "run", keep)
+    config = validate_config({"version": 1, "scenarios": [
+        {"name": "pair", "seed": 3, "model": {"type": "random-pair", "dim": 6},
+         "horizon": 64, "tasks": ["mixing", "summability"]},
+        {"name": "flow", "seed": 4, "model": _flow_model(41), "schedule": [0.5, 2.5],
+         "horizon": 97, "tasks": ["summability"]},
+        {"name": "torus", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 2,
+                                    "sector": 3, "grid": 1024},
+         "horizon": 48, "tasks": ["mixing"]},
+    ]})
+    run_config(config, tmp_path / "out")
+    held = {}
+    for runner in runners:
+        cached = [runner.__dict__[k] for k in ("pair_series", "flow_series", "torus_series") if k in runner.__dict__]
+        assert len(cached) == 1
+        held[runner.scenario["name"]] = cached[0]
+    assert sorted(held) == ["flow", "pair", "torus"]
+    for name, series in held.items():
+        text = (tmp_path / "out" / name / "correlation.csv").read_text()
+        assert text.splitlines()[1] == "abscissa,re,im"
+        back = CorrelationSeries.from_csv(text)
+        assert back.kind == series.kind
+        for field in ("abscissae", "values", "partial_l2"):
+            assert getattr(back, field).tobytes() == getattr(series, field).tobytes(), (name, field)
 
 
 def test_failed_task_leaves_its_traceback_in_the_meta_file(tmp_path, monkeypatch):

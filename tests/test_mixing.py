@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from commix import (
     CorrelationSeries,
@@ -74,16 +75,24 @@ def test_correlation_continuous_rejects_nonhermitian():
         correlation_continuous(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), np.ones(2), [1.0])
 
 
-def test_series_csv_round_trip():
-    u = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0, 4.4])))
-    phi = np.full(4, 0.5)
-    series = correlation_discrete(u, phi, phi, 20)
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+def test_series_csv_round_trip(kind):
+    # the CSV holds no derived column, so the rebuilt partial_l2 must be the writer's to the last bit
+    rng = np.random.default_rng(31)
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = (h + h.conj().T) / 2
+    phi, psi = rng.standard_normal(6) + 0j, rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    if kind == "discrete":
+        series = correlation_discrete(scipy.linalg.expm(1j * h), phi, psi, 128)
+    else:
+        series = correlation_continuous(h, phi, psi, np.linspace(0.0, 7.3, 97))
     text = series.to_csv()
-    assert text.splitlines()[0] == "# correlation-series v1 kind=discrete"
+    assert text.splitlines()[:2] == [f"# correlation-series v2 kind={kind}", "abscissa,re,im"]
     back = CorrelationSeries.from_csv(text)
-    assert back.kind == "discrete"
-    assert np.array_equal(back.values, series.values)
-    assert np.array_equal(back.partial_l2, series.partial_l2)
+    assert back.kind == kind
+    for name in ("abscissae", "values", "partial_l2"):
+        assert getattr(back, name).tobytes() == getattr(series, name).tobytes(), name
+    assert back.to_csv() == text
 
 
 def test_series_csv_schema_errors():
@@ -92,24 +101,27 @@ def test_series_csv_schema_errors():
     text = series.to_csv()
     header, columns = text.splitlines()[0], text.splitlines()[1]
     for bad in (
-        "1,2,3,4,5\n",
-        text.replace("v1", "v2"),
-        header + "\n" + columns + "\n1,2,3\n",
-        header + "\n" + columns + "\n1,x,0,0,0\n",
+        "1,2,3\n",
+        text.replace("v2", "v3"),
+        header + "\n" + columns + "\n1,2\n",
+        header + "\n" + columns + "\n1,2,3,4,5\n",
+        header + "\n" + columns + "\n1,x,0\n",
     ):
         with pytest.raises(SchemaError):
             CorrelationSeries.from_csv(bad)
 
 
 @pytest.mark.parametrize("text, message", [
-    ("# correlation-series v1 kind=discrete\n", "unexpected column row: None"),
-    ("# correlation-series v1 kind=sideways\nabscissa,re,im,abs,partial_l2\n1.0,0.5,0.0,0.5,0.25\n",
+    ("# correlation-series v1 kind=discrete\nabscissa,re,im,abs,partial_l2\n1.0,0.5,0.0,0.5,0.25\n",
+     "'# correlation-series v1 kind=discrete' (this reader takes correlation-series v2)"),
+    ("# correlation-series v2 kind=discrete\n", "unexpected column row: None"),
+    ("# correlation-series v2 kind=sideways\nabscissa,re,im\n1.0,0.5,0.0\n",
      "kind must be 'discrete' or 'continuous'"),
-    ("# correlation-series v1 kind=continuous\nabscissa,re,im,abs,partial_l2\n"
-     "1.0,0.5,0.0,0.5,0.0\n1.0,0.5,0.0,0.5,0.0\n", "continuous abscissae must be strictly increasing"),
-], ids=["header-only", "unknown-kind", "non-increasing-times"])
+    ("# correlation-series v2 kind=continuous\nabscissa,re,im\n"
+     "1.0,0.5,0.0\n1.0,0.5,0.0\n", "continuous abscissae must be strictly increasing"),
+], ids=["v1", "header-only", "unknown-kind", "non-increasing-times"])
 def test_series_csv_malformed_artifacts_are_schema_errors(text, message):
-    # these used to escape as IndexError or a bare ValueError
+    # v1 is refused by its version; the others used to escape as IndexError or a bare ValueError
     with pytest.raises(SchemaError, match=re.escape(message)):
         CorrelationSeries.from_csv(text)
 
@@ -228,6 +240,9 @@ def test_fourier_csv_header():
     u = np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0])))
     fc = FourierCalculus(u, np.cos, 8, 1.0)
     lines = fc.to_csv().splitlines()
-    assert lines[0].startswith("# fourier-series v1 n_max=8")
-    assert lines[1] == "n,re,im,abs"
+    assert lines[0].startswith("# fourier-series v2 n_max=8")
+    assert lines[1] == "n,re,im"
     assert len(lines) == 2 + 2 * 8 + 1
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(n) for n, _, _ in rows] == fc.indices.tolist()
+    assert np.array_equal([complex(float(re), float(im)) for _, re, im in rows], fc.coefficients)

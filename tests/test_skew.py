@@ -1,6 +1,7 @@
 """Torus and SU(2) skew products, sector transfer operators, and the shift seam model."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -375,6 +376,19 @@ def test_sector_identity_check_on_the_golden_sector():
     with pytest.raises(TypeError):
         # a mode dict is not an integer vector
         sector_identity_check(standard_cocycle(), golden_flow(), {(1,): 1.0}, (64,), [1])
+    # past [-m/2, m/2) the grid holds e_l as its alias: l = 1025 on 1024
+    # points used to run as e_1 against the eigenvalue of l, and report
+    # residuals 0.992 and 0.975 against estimates of 4e-15 and 1e-14
+    with pytest.raises(ValueError, match=re.escape("mode (1025,) lies outside the band [-m/2, m/2) "
+                                                   "of grid shape (1024,), which holds it as its alias (1,)")):
+        sector_identity_check(standard_cocycle(), golden_flow(), (1025,), (1024,), [1, 4])
+    with pytest.raises(ValueError, match=re.escape("mode (512,) lies outside")):
+        sector_identity_check(standard_cocycle(), golden_flow(), (512,), (1024,), [1])
+    # -512 is the edge the grid still holds; no N resolves it, which the report says
+    edge = sector_identity_check(standard_cocycle(), golden_flow(), (-512,), (1024,), [1])
+    assert edge.horizons == [] and edge.unresolved == [1]
+    with pytest.raises(ValueError, match=re.escape("mode (3, -40) lies outside")):
+        sector_identity_check(TorusCocycle([4, 1], {}), TorusFlow([GOLDEN, SILVER]), (3, -40), (64, 64), [1])
 
 
 def test_sector_identity_check_takes_the_degree_from_the_orbit_average(monkeypatch):
@@ -402,7 +416,8 @@ def test_sector_identity_check_takes_the_degree_from_the_orbit_average(monkeypat
 
 
 # modes l = l' + j m with |l'| <= 5 and j in [-2, 2], so that 0, negative
-# modes and modes beyond the Nyquist m/2 all occur; the grid holds e_l as e_l'
+# modes and modes beyond the Nyquist m/2 all occur; the check refuses the
+# last, which the grid would hold as e_l', and then steps e_l' itself
 @settings(max_examples=40)
 @given(
     d=st.sampled_from([1, 2]),
@@ -426,6 +441,10 @@ def test_sector_identity_check_steps_e_l_as_sector_apply_does(d, eta, winding, a
     mode = tuple(a + j * m for a, j, m in zip(alias, wraps, shape))
     coc = TorusCocycle(winding, mirrored(eta))
     grid = skew._SectorGrid(coc, flow, shape)
+    if any(wraps[:d]):
+        with pytest.raises(ValueError, match=re.escape(f"its alias {alias[:d]}")):
+            grid.identity_check(mode, schedule)
+        mode = alias[:d]
     stepped, step = {}, grid.step
 
     def spy(band, steps, carry):
