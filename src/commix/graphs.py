@@ -345,6 +345,50 @@ class GraphDegreeReport:
     note: str
 
 
+def _path_eigenpairs(m):
+    """Eigenpairs of the path adjacency on m vertices, in closed form.
+
+    lam_j = 2 cos(pi j/(m+1)), written as 2 sin(pi (m+1-2j)/(2(m+1))) so that
+    lam_{m+1-j} = -lam_j exactly, with the DST-I sines
+    V_xj = sqrt(2/(m+1)) sin(pi (x j mod 2(m+1))/(m+1)) for x, j = 1..m.  The
+    reduction keeps every sine argument below 2 pi; without it the argument
+    grows like m^2 and V loses orthonormality in proportion.  The 2(m+1) sines
+    are evaluated once and V gathers them.
+    """
+    j = np.arange(1, m + 1)
+    lam = 2.0 * np.sin(np.pi * (m + 1 - 2 * j) / (2.0 * (m + 1)))
+    sines = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.arange(2 * (m + 1)) / (m + 1))
+    return lam, sines[np.outer(j, j) % (2 * (m + 1))]
+
+
+def _lattice_sides(h):
+    """(n,) if H is exactly the path adjacency on its n positions, (nx, ny) if
+    it is exactly the row-major nx-by-ny grid's P_nx (+) P_ny, else None.
+
+    Position 0 is a corner of either, so its stored neighbours name the only
+    candidate: {1} the path, {1, ny} the grid with n/ny rows.  The candidate is
+    compared with H as an operator, exactly, in O(edges).
+    """
+    from scipy import sparse
+
+    n = h.shape[0]
+    first = h.tocsr()[[0]].tocoo()
+    steps = sorted(first.col[first.data != 0].tolist())
+    if steps == [1]:
+        sides = (n,)
+    elif len(steps) == 2 and steps[0] == 1 and n % steps[1] == 0 and n > steps[1]:
+        sides = (n // steps[1], steps[1])
+    else:
+        return None
+    # a path is the n-by-1 grid: its second axis contributes no edges
+    grid = np.arange(n).reshape(sides[0], -1)
+    lo = np.concatenate([grid[:-1].ravel(), grid[:, :-1].ravel()])
+    hi = np.concatenate([grid[1:].ravel(), grid[:, 1:].ravel()])
+    lattice = sparse.csr_array(
+        (np.ones(2 * lo.size), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(n, n))
+    return None if (h - lattice).count_nonzero() else sides
+
+
 def graph_degree(ops, kernel_tol=1e-8):
     """Degree operator (H+i)^{-1} K^2 (H-i)^{-1} and its consistency checks.
 
@@ -356,28 +400,32 @@ def graph_degree(ops, kernel_tol=1e-8):
 
     H is real symmetric and K = iS with S real antisymmetric.  Every edge
     steps the grading by one, so in even/odd order H = [[0, C], [C^T, 0]] and
-    S = [[0, S_eo], [S_oe, 0]], and nothing of size n-by-n is decomposed or
-    made dense from H or S.  One SVD C = U diag(sigma) Y^T gives the
-    eigenpairs of H = V diag(lam) V^T: +-sigma_i with eigenvectors
-    (u_i, +-y_i)/sqrt(2), and 0 for each of the |n_even - n_odd| unpaired
-    columns of U or Y.  With B = V^T S^T S V = V^T K^2 V and
+    S = [[0, S_eo], [S_oe, 0]], and nothing larger than max(n_even, n_odd) is
+    decomposed.  The eigenpairs H = V diag(lam) V^T come from one of two
+    sources.  When H is exactly a path or a row-major grid (``_lattice_sides``
+    compares its stored entries), they are closed-form: the DST-I sines of
+    ``_path_eigenpairs`` for a path, lam_x (+) lam_y on kron(V_x, V_y) for a
+    grid.  Otherwise one SVD C = U diag(sigma) Y^T gives them: +-sigma_i with
+    eigenvectors (u_i, +-y_i)/sqrt(2), and 0 for each of the
+    |n_even - n_odd| unpaired columns of U or Y.
+
+    Everything after (lam, V) is shared.  With B = V^T S^T S V = V^T K^2 V and
     D = diag(1/(lam+i)) the degree is V D B conj(D) V^T; the phases of D
     conjugate away, so it is unitarily similar to X^T X with X = S V W,
     W = diag((lam^2+1)^{-1/2}), and shares its spectrum with
-    X X^T = S (H^2+1)^{-1} S^T.  That is block-diagonal in parity: the even
-    block is Z_e Z_e^T with Z_e = S_eo Y diag((sigma^2+1)^{-1/2}), the odd
-    block Z_o Z_o^T with Z_o = S_oe U diag((sigma^2+1)^{-1/2}), sigma padded
-    with zeros to n_odd and n_even, and one ``eigvalsh`` of each gives the
-    spectrum.  Since every edge steps the grading by one, S_eo = diag(a) C
-    diag(b) with a(e) = (-1)^(Phi(e)/2) and b(o) = (-1)^((Phi(o)-1)/2),
-    checked exactly on the stored entries; so the singular values of S are
-    sigma, each twice, plus |n_even - n_odd| zeros, and the kernel of K is
-    counted on them (square roots of eigenvalues of K^2 would halve the
-    digits at the cut).  The flow residuals |e^{is lam} G e^{-is lam} p - G p|
-    with G = D B conj(D) and p the probe row of V apply B as
-    V^T (S^T (S (V .))) through the sparse S.  A complex-valued H or S, a
-    stored nonzero of either between positions of equal parity, or an S_eo
-    that is not C under these signs raises StructureError.
+    X X^T = S (H^2+1)^{-1} S^T.  That is block-diagonal in parity, and one
+    ``eigvalsh`` of the Gram of each block of rows, S[even] V W and
+    S[odd] V W, gives the spectrum.  Since every edge steps the grading by
+    one, S_eo = diag(a) C diag(b) with a(e) = (-1)^(Phi(e)/2) and
+    b(o) = (-1)^((Phi(o)-1)/2), checked exactly on the stored entries; then S
+    is H with its lower block negated, up to these signs, so the singular
+    values of S are |lam| and the kernel of K is counted on them (square
+    roots of eigenvalues of K^2 would halve the digits at the cut).  The flow
+    residuals |e^{is lam} G e^{-is lam} p - G p| with G = D B conj(D) and p
+    the probe row of V apply B as V^T (S^T (S (V .))) through the sparse S.
+    A complex-valued H or S, a stored nonzero of either between positions of
+    equal parity, or an S_eo that is not C under these signs raises
+    StructureError, whichever source the eigenpairs come from.
     """
     h, s = ops.adjacency, ops.skew_momentum
     odd = ops.position % 2 == 1
@@ -395,8 +443,7 @@ def graph_degree(ops, kernel_tol=1e-8):
         )
 
     even_rows, odd_rows = np.flatnonzero(~odd), np.flatnonzero(odd)
-    n_even, n_odd = even_rows.size, odd_rows.size
-    c, s_eo, s_oe = h[even_rows][:, odd_rows], s[even_rows][:, odd_rows], s[odd_rows][:, even_rows]
+    c, s_eo = h[even_rows][:, odd_rows], s[even_rows][:, odd_rows]
     # a(e) and b(o) of the docstring; the comparison is exact, entry by stored entry
     gauge_even = np.where(np.mod(ops.position[even_rows], 4) == 0, 1.0, -1.0)
     gauge_odd = np.where(np.mod(ops.position[odd_rows] - 1, 4) == 0, 1.0, -1.0)
@@ -405,23 +452,29 @@ def graph_degree(ops, kernel_tol=1e-8):
             "graph_degree expects the momentum's even-odd block to be the adjacency's "
             "under the grading signs, as on edges that step the grading by one"
         )
-    u, sigma, y_t = np.linalg.svd(c.toarray())
-    y, k = y_t.T, sigma.size
-    lam = np.concatenate([sigma, -sigma, np.zeros(n_even + n_odd - 2 * k)])
-    # eigenvector columns: the pairs at +sigma, at -sigma, then the unpaired
-    # columns of U and those of Y
-    paired_u, paired_y = np.sqrt(0.5) * u[:, :k], np.sqrt(0.5) * y[:, :k]
-    vecs = np.empty((n_even + n_odd, n_even + n_odd))
-    vecs[even_rows] = np.hstack([paired_u, paired_u, u[:, k:], np.zeros((n_even, n_odd - k))])
-    vecs[odd_rows] = np.hstack([paired_y, -paired_y, np.zeros((n_odd, n_even - k)), y[:, k:]])
+    sides = _lattice_sides(h)
+    if sides is not None:
+        lam, vecs = _path_eigenpairs(sides[0])
+        if len(sides) == 2:
+            lam_y, vecs_y = _path_eigenpairs(sides[1])
+            lam, vecs = (lam[:, None] + lam_y).ravel(), np.kron(vecs, vecs_y)
+    else:
+        n_even, n_odd = even_rows.size, odd_rows.size
+        u, sigma, y_t = np.linalg.svd(c.toarray())
+        y, k = y_t.T, sigma.size
+        lam = np.concatenate([sigma, -sigma, np.zeros(n_even + n_odd - 2 * k)])
+        # eigenvector columns: the pairs at +sigma, at -sigma, then the unpaired
+        # columns of U and those of Y
+        paired_u, paired_y = np.sqrt(0.5) * u[:, :k], np.sqrt(0.5) * y[:, :k]
+        vecs = np.empty((n_even + n_odd, n_even + n_odd))
+        vecs[even_rows] = np.hstack([paired_u, paired_u, u[:, k:], np.zeros((n_even, n_odd - k))])
+        vecs[odd_rows] = np.hstack([paired_y, -paired_y, np.zeros((n_odd, n_even - k)), y[:, k:]])
 
-    z_even = (s_eo @ y) / np.sqrt(np.pad(sigma, (0, n_odd - k)) ** 2 + 1.0)
-    z_odd = (s_oe @ u) / np.sqrt(np.pad(sigma, (0, n_even - k)) ** 2 + 1.0)
-    degree_eigvals = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(z_even @ z_even.T), np.linalg.eigvalsh(z_odd @ z_odd.T)]))
+    weights = 1.0 / np.sqrt(lam ** 2 + 1.0)
+    blocks = [(s[rows] @ vecs) * weights for rows in (even_rows, odd_rows)]
+    degree_eigvals = np.sort(np.concatenate([np.linalg.eigvalsh(x @ x.T) for x in blocks]))
     kernel_dim_degree = int(np.count_nonzero(_kernel_mask(degree_eigvals, kernel_tol)))
-    momentum_moduli = np.concatenate([sigma, sigma, np.zeros(abs(n_even - n_odd))])
-    kernel_dim_momentum = int(np.count_nonzero(_kernel_mask(momentum_moduli, kernel_tol)))
+    kernel_dim_momentum = int(np.count_nonzero(_kernel_mask(np.abs(lam), kernel_tol)))
     match = kernel_dim_degree == kernel_dim_momentum
     note = "" if match else "kernel ranks disagree; boundary pollution suspected, enlarge the margin"
 

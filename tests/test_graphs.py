@@ -329,7 +329,6 @@ def test_grid_kernel_and_flow_trend():
     assert worst[24] <= 0.2
 
 
-@pytest.mark.slow
 def test_grid48_kernel_and_flow():
     rep = graph_degree(build_operators(grid2d_window(48, 48, 2)))
     assert rep.kernel_match
@@ -409,6 +408,29 @@ def test_graph_degree_reads_kernels_from_eigenvalues(monkeypatch):
         _assert_degree_matches_the_complex_route(rep, _dense_complex_operators(window))
 
 
+def _rectangle_minus_corner(nx, ny, cx, cy, margin):
+    """grid2d_window(nx, ny, margin) without the cx-by-cy block at (0, 0)."""
+    full = grid2d_window(nx, ny, margin)
+    kept = [v for v in full.vertices if v // ny >= cx or v % ny >= cy]
+    kept_set = set(kept)
+    return DirectedGraphWindow(
+        kept, [(x, y) for x, y in full.edges if x in kept_set and y in kept_set], margin)
+
+
+def _column_major_grid(nx, ny, margin):
+    """grid2d_window(nx, ny, margin) with vertex (i, j) numbered j * nx + i."""
+    full = grid2d_window(nx, ny, margin)
+    relabel = {i * ny + j: j * nx + i for i in range(nx) for j in range(ny)}
+    return DirectedGraphWindow(
+        full.vertices, [(relabel[x], relabel[y]) for x, y in full.edges], margin)
+
+
+def _line_without_edge(length, cut, margin):
+    """line_window(length, margin) without its edge (cut, cut + 1)."""
+    return DirectedGraphWindow(
+        range(length), [(k, k + 1) for k in range(length - 1) if k != cut], margin)
+
+
 def test_graph_degree_decomposes_only_parity_blocks(monkeypatch):
     # H and S only join positions of opposite parity, so every decomposition
     # works on an even-by-odd block or a Gram matrix of one: on grid-24 that
@@ -422,21 +444,59 @@ def test_graph_degree_decomposes_only_parity_blocks(monkeypatch):
     rep = graph_degree(build_operators(grid2d_window(24, 24, 2)))
     assert rep.degree_eigenvalues.shape == (576,)
     assert calls and max(max(shape) for _, shape in calls) <= 288
-    # one SVD, of H's block: the kernel of K is counted on the same sigma
-    assert [call for call in calls if call[0] == "svd"] == [("svd", (288, 288))]
+    # a full rectangle's eigenpairs are closed-form: no SVD at all
+    assert [call for call in calls if call[0] == "svd"] == []
     assert rep.kernel_dim_momentum == 24
+    # without a corner block it is no lattice, and one SVD of H's block
+    # gives the eigenpairs
+    calls.clear()
+    ops = build_operators(_rectangle_minus_corner(24, 24, 6, 6, 2))
+    n_odd = int(np.count_nonzero(ops.position % 2))
+    n_even = ops.position.size - n_odd
+    rep = graph_degree(ops)
+    assert rep.degree_eigenvalues.shape == (540,)
+    assert calls and max(max(shape) for _, shape in calls) <= max(n_even, n_odd)
+    assert [call for call in calls if call[0] == "svd"] == [("svd", (n_even, n_odd))]
 
 
-_windows = st.one_of(
-    st.builds(grid2d_window, st.integers(2, 14), st.integers(2, 14), st.integers(0, 3)),
-    st.builds(line_window, st.integers(2, 80), st.integers(0, 3)),
-)
+@pytest.mark.parametrize("m", [2, 3, 17, 48, 200])
+def test_path_eigenpairs_are_accurate(m):
+    # the sine arguments are reduced mod 2 pi; unreduced, they grow like m^2
+    # and at m = 48 the residual reads 35 eps and the orthonormality 15 eps
+    eps = np.finfo(float).eps
+    lam, vecs = graphs._path_eigenpairs(m)
+    path = np.eye(m, k=1) + np.eye(m, k=-1)
+    assert np.max(np.abs(path @ vecs - vecs * lam)) <= 8 * eps
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(m))) <= 16 * eps
+
+
+@st.composite
+def _windows(draw):
+    """A window and the lattice sides H must be detected as (None: no lattice)."""
+    margin = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["grid", "line", "column-major", "cut-out", "cut line"]))
+    if kind == "line":
+        length = draw(st.integers(2, 80))
+        return line_window(length, margin), (length,)
+    if kind == "cut line":
+        length = draw(st.integers(3, 80))
+        return _line_without_edge(length, draw(st.integers(0, length - 2)), margin), None
+    nx, ny = draw(st.integers(2, 14)), draw(st.integers(2, 14))
+    if kind == "grid":
+        return grid2d_window(nx, ny, margin), (nx, ny)
+    if kind == "column-major":
+        return _column_major_grid(nx, ny, margin), (ny, nx)
+    cx, cy = draw(st.integers(1, nx - 1)), draw(st.integers(1, ny - 1))
+    return _rectangle_minus_corner(nx, ny, cx, cy, margin), None
 
 
 @settings(max_examples=40)
-@given(window=_windows)
-def test_edge_route_matches_the_dense_complex_route(window):
+@given(case=_windows())
+def test_edge_route_matches_the_dense_complex_route(case):
+    window, sides = case
     ops, dense = build_operators(window), _dense_complex_operators(window)
+    # only an exact path or row-major grid takes the closed-form eigenpairs
+    assert graphs._lattice_sides(ops.adjacency) == sides
     if ops.interior_rows.size:
         res = interior_residuals(ops)
         assert (res.momentum_commutator, res.degree_identity) == _dense_interior_residuals(dense)
