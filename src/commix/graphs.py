@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, SchemaError, StructureError
-from .operators import _kernel_mask
+from .operators import _integer_array, _integral, _kernel_mask
 
 __all__ = [
     "DirectedGraphWindow",
@@ -43,48 +43,45 @@ class DirectedGraphWindow:
     """Finite window of a directed graph with an interior margin.
 
     Edges are ordered pairs (x, y) read as x < y; loops, duplicates, and
-    doubly oriented pairs are rejected.  Vertices adjacent to the cut cannot
-    be recognized directly, so the boundary is inferred as the set of
-    vertices of deficient degree (below the window maximum), and the interior
-    consists of vertices at graph distance at least ``margin`` from it.  For
-    windows of vertex-transitive graphs this matches the usual notion; for a
-    regular standalone graph the boundary is empty and everything is interior.
+    doubly oriented pairs are rejected, and so are vertex labels, edge
+    endpoints and margins that are not integers.  Vertices adjacent to the
+    cut cannot be recognized directly, so the boundary is inferred as the set
+    of vertices of deficient degree (below the window maximum), and the
+    interior consists of vertices at graph distance at least ``margin`` from
+    it.  For windows of vertex-transitive graphs this matches the usual
+    notion; for a regular standalone graph the boundary is empty and
+    everything is interior.
     """
 
     def __init__(self, vertices, edges, margin=2):
-        verts = sorted({int(v) for v in vertices})
-        if not verts:
+        if not isinstance(vertices, (np.ndarray, range)):
+            vertices = list(vertices)
+        verts = np.sort(_integer_array(vertices, "vertices").ravel())
+        verts = verts[np.concatenate([[True], verts[1:] != verts[:-1]])]
+        if not verts.size:
             raise ValueError("vertex set must be nonempty")
-        vert_set = set(verts)
-        margin = int(margin)
+        margin = _integral(margin, "margins")
         if margin < 0:
             raise ValueError("margin must be nonnegative")
-        seen = set()
-        cleaned = []
-        for e in edges:
-            x, y = int(e[0]), int(e[1])
-            if x == y:
-                raise ValueError(f"loop edge at vertex {x}")
-            if x not in vert_set or y not in vert_set:
-                raise ValueError(f"edge ({x}, {y}) references an unknown vertex")
-            if (x, y) in seen:
-                raise ValueError(f"duplicate edge ({x}, {y})")
-            if (y, x) in seen:
-                raise ValueError(f"edge ({x}, {y}) conflicts with its reverse orientation")
-            seen.add((x, y))
-            cleaned.append((x, y))
-        self.vertices = verts
-        self.edges = sorted(cleaned)
+        ends = _integer_array(edges if isinstance(edges, np.ndarray) else list(edges),
+                              "edge endpoints")
+        if not ends.size:
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError("edges must be pairs (x, y) of vertices")
+        rows = self._edge_rows(verts, ends)
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        self.vertices = verts.tolist()
+        self.edges = list(zip(ends[order, 0].tolist(), ends[order, 1].tolist()))
         self.margin = margin
 
-        self._adj = {v: set() for v in verts}
+        self._adj = {v: set() for v in self.vertices}
         for x, y in self.edges:
             self._adj[x].add(y)
             self._adj[y].add(x)
 
-        degrees = {v: len(self._adj[v]) for v in verts}
-        max_deg = max(degrees.values())
-        self.boundary = sorted(v for v in verts if degrees[v] < max_deg)
+        degrees = np.bincount(rows.ravel(), minlength=verts.size)
+        self.boundary = verts[degrees < degrees.max()].tolist()
         # graph distance from the boundary, by breadth-first search
         dist = {v: 0 for v in self.boundary}
         queue = deque(self.boundary)
@@ -95,7 +92,36 @@ class DirectedGraphWindow:
                     dist[w] = dist[v] + 1
                     queue.append(w)
         self._boundary_distance = dist
-        self.interior = sorted(v for v in verts if dist.get(v, np.inf) >= margin)
+        self.interior = [v for v in self.vertices if dist.get(v, np.inf) >= margin]
+
+    @staticmethod
+    def _edge_rows(verts, ends):
+        """Positions of the edge endpoints in ``verts``.
+
+        Raises ValueError naming the first edge, in input order, that is a
+        loop, names an unknown vertex, repeats an earlier edge or reverses one.
+        """
+        rows = np.minimum(np.searchsorted(verts, ends), verts.size - 1)
+        loop = ends[:, 0] == ends[:, 1]
+        unknown = np.any(verts[rows] != ends, axis=1)
+        # an edge repeats an earlier one when their unordered pairs agree; a
+        # stable sort puts the first of equal pairs first
+        pairs = np.sort(rows, axis=1) @ np.array([verts.size, 1])
+        order = np.argsort(pairs, kind="stable")
+        repeat = np.zeros(pairs.size, dtype=bool)
+        repeat[order[1:]] = pairs[order[1:]] == pairs[order[:-1]]
+        bad = loop | unknown | repeat
+        if not bad.any():
+            return rows
+        i = int(np.argmax(bad))
+        x, y = ends[i].tolist()
+        if loop[i]:
+            raise ValueError(f"loop edge at vertex {x}")
+        if unknown[i]:
+            raise ValueError(f"edge ({x}, {y}) references an unknown vertex")
+        if ends[np.argmax(pairs == pairs[i]), 0] == x:
+            raise ValueError(f"duplicate edge ({x}, {y})")
+        raise ValueError(f"edge ({x}, {y}) conflicts with its reverse orientation")
 
     def neighbors(self, v):
         return self._adj[v]
@@ -103,29 +129,26 @@ class DirectedGraphWindow:
 
 def line_window(length, margin=2):
     """Window of the integer line with uniform orientation k < k+1."""
-    length = int(length)
+    length = _integral(length, "line lengths")
     if length < 2:
         raise ValueError("length must be at least 2")
-    return DirectedGraphWindow(
-        range(length), [(k, k + 1) for k in range(length - 1)], margin=margin
-    )
+    k = np.arange(length - 1)
+    return DirectedGraphWindow(np.arange(length), np.column_stack([k, k + 1]), margin=margin)
 
 
 def grid2d_window(nx, ny, margin=2):
-    """Window of the square lattice with coordinatewise orientation."""
-    nx, ny = int(nx), int(ny)
+    """Window of the square lattice with coordinatewise orientation.
+
+    Vertex (i, j) is numbered i * ny + j (row-major)."""
+    nx, ny = _integral(nx, "grid sides"), _integral(ny, "grid sides")
     if nx < 2 or ny < 2:
         raise ValueError("grid sides must be at least 2")
-    def vid(i, j):
-        return i * ny + j
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if i + 1 < nx:
-                edges.append((vid(i, j), vid(i + 1, j)))
-            if j + 1 < ny:
-                edges.append((vid(i, j), vid(i, j + 1)))
-    return DirectedGraphWindow(range(nx * ny), edges, margin=margin)
+    grid = np.arange(nx * ny).reshape(nx, ny)
+    edges = np.concatenate([
+        np.column_stack([grid[:-1].ravel(), grid[1:].ravel()]),
+        np.column_stack([grid[:, :-1].ravel(), grid[:, 1:].ravel()]),
+    ])
+    return DirectedGraphWindow(grid.ravel(), edges, margin=margin)
 
 
 def alternating_cycle4():
@@ -361,19 +384,34 @@ def _path_eigenpairs(m):
     return lam, sines[np.outer(j, j) % (2 * (m + 1))]
 
 
+def _canonical_csr(matrix):
+    """``matrix`` as CSR with sorted indices, no duplicates and no stored zeros.
+
+    Two such arrays are the same operator exactly when their ``indptr``,
+    ``indices`` and ``data`` are equal; a matrix already in that form is
+    returned as is, otherwise a copy is cleaned.
+    """
+    matrix = matrix.tocsr()
+    if not matrix.has_canonical_format or not np.all(matrix.data):
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+        matrix.eliminate_zeros()
+    return matrix
+
+
 def _lattice_sides(h):
     """(n,) if H is exactly the path adjacency on its n positions, (nx, ny) if
     it is exactly the row-major nx-by-ny grid's P_nx (+) P_ny, else None.
 
     Position 0 is a corner of either, so its stored neighbours name the only
-    candidate: {1} the path, {1, ny} the grid with n/ny rows.  The candidate is
-    compared with H as an operator, exactly, in O(edges).
+    candidate: {1} the path, {1, ny} the grid with n/ny rows.  The candidate's
+    CSR arrays are written down directly (row k of the grid stores k - ny,
+    k - 1, k + 1 and k + ny, where those are neighbours) and compared with
+    H's, exactly, in O(edges).
     """
-    from scipy import sparse
-
+    h = _canonical_csr(h)
     n = h.shape[0]
-    first = h.tocsr()[[0]].tocoo()
-    steps = sorted(first.col[first.data != 0].tolist())
+    steps = h.indices[h.indptr[0]:h.indptr[1]].tolist()
     if steps == [1]:
         sides = (n,)
     elif len(steps) == 2 and steps[0] == 1 and n % steps[1] == 0 and n > steps[1]:
@@ -381,12 +419,32 @@ def _lattice_sides(h):
     else:
         return None
     # a path is the n-by-1 grid: its second axis contributes no edges
-    grid = np.arange(n).reshape(sides[0], -1)
-    lo = np.concatenate([grid[:-1].ravel(), grid[:, :-1].ravel()])
-    hi = np.concatenate([grid[1:].ravel(), grid[:, 1:].ravel()])
-    lattice = sparse.csr_array(
-        (np.ones(2 * lo.size), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(n, n))
-    return None if (h - lattice).count_nonzero() else sides
+    nx, ny = sides[0], n // sides[0]
+    row, col = np.divmod(np.arange(n), ny)
+    stored = np.column_stack([row > 0, col > 0, col < ny - 1, row < nx - 1])
+    indices = (np.arange(n)[:, None] + np.array([-ny, -1, 1, ny]))[stored]
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    exact = (np.array_equal(h.indptr, indptr) and np.array_equal(h.indices, indices)
+             and np.all(h.data == 1.0))
+    return sides if exact else None
+
+
+def _half_turn_negates_momentum(h, s):
+    """Whether the half-turn R: k -> n-1-k has R H R = H and R S R = -S.
+
+    In canonical CSR order R reverses the list of stored entries, so each
+    identity is an exact comparison of the entry list with its reverse.
+    """
+    n = h.shape[0]
+
+    def turns_into(matrix, sign):
+        matrix = _canonical_csr(matrix)
+        counts = np.diff(matrix.indptr)
+        return (np.array_equal(counts, counts[::-1])
+                and np.array_equal(matrix.indices, n - 1 - matrix.indices[::-1])
+                and np.array_equal(matrix.data, sign * matrix.data[::-1]))
+
+    return turns_into(h, 1.0) and turns_into(s, -1.0)
 
 
 def graph_degree(ops, kernel_tol=1e-8):
@@ -413,10 +471,22 @@ def graph_degree(ops, kernel_tol=1e-8):
     D = diag(1/(lam+i)) the degree is V D B conj(D) V^T; the phases of D
     conjugate away, so it is unitarily similar to X^T X with X = S V W,
     W = diag((lam^2+1)^{-1/2}), and shares its spectrum with
-    X X^T = S (H^2+1)^{-1} S^T.  That is block-diagonal in parity, and one
-    ``eigvalsh`` of the Gram of each block of rows, S[even] V W and
-    S[odd] V W, gives the spectrum.  Since every edge steps the grading by
-    one, S_eo = diag(a) C diag(b) with a(e) = (-1)^(Phi(e)/2) and
+    X X^T = S (H^2+1)^{-1} S^T.  That is block-diagonal in parity: the Grams
+    of the row blocks S[even] V W and S[odd] V W give the spectrum, one
+    ``eigvalsh`` each.  On a lattice the half-turn R: k -> n-1-k (the 180
+    degree rotation of a grid, the reflection of a path) splits them further
+    when R H R = H and R S R = -S, both compared exactly on the stored
+    entries.  R then commutes with X X^T, and on the DST-I modes it acts as
+    the sign R V = V diag(rho), rho_j = prod over axes of (-1)^(j_axis)
+    (0-based), so row Rk of X is -rho times row k.  When R keeps each parity
+    block (Phi(0) = Phi(n-1) mod 2: nx + ny even, or a path of odd length),
+    the rows (x_k +- x_Rk)/sqrt(2), k < n-1-k, are sqrt(2) x_k on the modes
+    with rho = -+1, and a centre row (n odd) lies on rho = -1 alone: four
+    Grams of about n/4 rows, on disjoint columns.  When R swaps the parity
+    blocks, the odd Gram is the even one conjugated by R, and one
+    ``eigvalsh`` gives both spectra.  Otherwise, and on the SVD source, the
+    two parity Grams are decomposed as they are.  Since every edge steps
+    the grading by one, S_eo = diag(a) C diag(b) with a(e) = (-1)^(Phi(e)/2) and
     b(o) = (-1)^((Phi(o)-1)/2), checked exactly on the stored entries; then S
     is H with its lower block negated, up to these signs, so the singular
     values of S are |lam| and the kernel of K is counted on them (square
@@ -471,8 +541,29 @@ def graph_degree(ops, kernel_tol=1e-8):
         vecs[odd_rows] = np.hstack([paired_y, -paired_y, np.zeros((n_odd, n_even - k)), y[:, k:]])
 
     weights = 1.0 / np.sqrt(lam ** 2 + 1.0)
-    blocks = [(s[rows] @ vecs) * weights for rows in (even_rows, odd_rows)]
-    degree_eigvals = np.sort(np.concatenate([np.linalg.eigvalsh(x @ x.T) for x in blocks]))
+    n = lam.size
+    if sides is None or not _half_turn_negates_momentum(h, s):
+        blocks = [((s[rows] @ vecs) * weights, 1) for rows in (even_rows, odd_rows)]
+    elif odd[0] != odd[-1]:
+        # R swaps the parity blocks: the odd Gram is the even one conjugated by R
+        blocks = [((s[even_rows] @ vecs) * weights, 2)]
+    else:
+        # R keeps each parity block: the + rows are sqrt(2) x_k, k < n-1-k, and
+        # a centre row on the modes with rho = -1, the - rows sqrt(2) x_k on rho = +1
+        flipped = np.indices(sides).sum(axis=0).ravel() % 2 == 1
+        half = n // 2
+        paired = s[:half] @ vecs
+        paired *= np.sqrt(2.0) * weights
+        blocks = []
+        for parity in (False, True):
+            rows = odd[:half] == parity
+            plus = paired[np.ix_(rows, flipped)]
+            if n % 2 and odd[half] == parity:
+                centre = (s[[half]] @ vecs) * weights
+                plus = np.vstack([plus, centre[:, flipped]])
+            blocks += [(plus, 1), (paired[np.ix_(rows, ~flipped)], 1)]
+    degree_eigvals = np.sort(np.concatenate(
+        [np.tile(np.linalg.eigvalsh(x @ x.T), multiplicity) for x, multiplicity in blocks]))
     kernel_dim_degree = int(np.count_nonzero(_kernel_mask(degree_eigvals, kernel_tol)))
     kernel_dim_momentum = int(np.count_nonzero(_kernel_mask(np.abs(lam), kernel_tol)))
     match = kernel_dim_degree == kernel_dim_momentum

@@ -80,6 +80,23 @@ def _integral(value, what, minimum=None):
     return int(value)
 
 
+def _integer_array(values, what):
+    """``values`` as an int64 array of integral entries (see _integral) of modulus below 2^63.
+
+    Integer and boolean arrays are taken as they are, in one pass; any other
+    entry goes through ``_integral``, so ``3.0`` counts and ``1.7``, NaN and
+    infinities raise ValueError.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "biu":
+        exact = [_integral(v, what) for v in array.ravel().tolist()]
+        array = np.array(exact, dtype=object).reshape(array.shape)
+    for extreme in (array.min(), array.max()) if array.size else ():
+        if not -2 ** 63 < extreme < 2 ** 63:
+            raise ValueError(f"{what} must be integers below 2^63 in modulus, got {int(extreme)}")
+    return array.astype(np.int64)
+
+
 def max_norm(m):
     """Entrywise max-norm. Empty input has norm 0."""
     m = np.asarray(m)

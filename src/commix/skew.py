@@ -27,7 +27,7 @@ import numpy as np
 from .commutators import OperatorPair
 from .errors import RationalApproximationWarning, ResolutionError, StructureError
 from .mixing import CorrelationSeries
-from .operators import _integral, _kernel_mask, check_structure, spectral_norm
+from .operators import _integer_array, _integral, _kernel_mask, check_structure, spectral_norm
 
 __all__ = [
     "TorusFlow",
@@ -221,12 +221,11 @@ def _real_modes(modes, d):
 
 
 def _integer_vector(values, what):
-    """``values`` as a nonempty int64 vector of integral entries (see _integral) of modulus below 2^63."""
-    entries = np.atleast_1d(np.asarray(values, dtype=object))
-    exact = [_integral(v, what) for v in entries.ravel()]
-    if entries.ndim != 1 or not exact or any(abs(e) >= 2**63 for e in exact):
+    """``values`` as a nonempty int64 vector (see _integer_array)."""
+    entries = _integer_array(np.atleast_1d(np.asarray(values, dtype=object)), what)
+    if entries.ndim != 1 or not entries.size:
         raise ValueError(f"{what} must be nonempty integers below 2^63 in modulus, got {values!r}")
-    return np.array(exact, dtype=np.int64)
+    return entries
 
 
 class TorusCocycle:

@@ -44,6 +44,104 @@ def test_window_validation():
         DirectedGraphWindow([0, 1], [(0, 1)], -1)
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2)], "loop edge at vertex 2"),
+    ([(0, 1), (1, 5)], r"edge \(1, 5\) references an unknown vertex"),
+    ([(0, 1), (1, 2), (0, 1)], r"duplicate edge \(0, 1\)"),
+    ([(0, 1), (1, 2), (2, 1)], r"edge \(2, 1\) conflicts with its reverse orientation"),
+    # the first offending edge in input order is named, whatever follows it
+    ([(0, 1), (1, 0), (2, 2), (0, 9)], r"edge \(1, 0\) conflicts with its reverse orientation"),
+    ([(3, 7), (0, 1), (0, 1), (2, 2)], r"edge \(3, 7\) references an unknown vertex"),
+    ([(7, 7), (3, 7)], "loop edge at vertex 7"),  # a loop at an unknown vertex is a loop
+    ([(0, 1), (2, 3), (1, 2), (3, 2), (0, 1)], r"edge \(3, 2\) conflicts with its reverse"),
+])
+def test_window_edge_messages_name_the_first_offending_edge(edges, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        DirectedGraphWindow([0, 1, 2, 3], edges, 0)
+
+
+def _per_edge_window(vertices, edges, margin):
+    """The per-edge route: sets of seen edges and neighbours, then the
+    boundary and the interior by breadth-first search from the boundary."""
+    verts = sorted(set(vertices))
+    seen, adj = [], {v: set() for v in verts}
+    for x, y in edges:
+        if x == y:
+            raise ValueError(f"loop edge at vertex {x}")
+        if x not in adj or y not in adj:
+            raise ValueError(f"edge ({x}, {y}) references an unknown vertex")
+        if (x, y) in seen:
+            raise ValueError(f"duplicate edge ({x}, {y})")
+        if (y, x) in seen:
+            raise ValueError(f"edge ({x}, {y}) conflicts with its reverse orientation")
+        seen.append((x, y))
+        adj[x].add(y)
+        adj[y].add(x)
+    top = max(len(adj[v]) for v in verts)
+    boundary = [v for v in verts if len(adj[v]) < top]
+    dist, queue = {v: 0 for v in boundary}, list(boundary)
+    for v in queue:
+        for w in sorted(adj[v]):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    interior = [v for v in verts if v not in dist or dist[v] >= margin]
+    return verts, sorted(seen), adj, boundary, dist, interior
+
+
+@settings(max_examples=200)
+@given(vertices=st.lists(st.integers(-4, 8), min_size=1, max_size=8),
+       edges=st.lists(st.tuples(st.integers(-5, 9), st.integers(-5, 9)), max_size=12),
+       margin=st.integers(0, 3))
+def test_window_matches_the_per_edge_route(vertices, edges, margin):
+    try:
+        want = _per_edge_window(vertices, edges, margin)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            DirectedGraphWindow(vertices, edges, margin)
+        assert str(info.value) == str(exc)
+        return
+    window = DirectedGraphWindow(vertices, edges, margin)
+    got = (window.vertices, window.edges, {v: window.neighbors(v) for v in window.vertices},
+           window.boundary, window._boundary_distance, window.interior)
+    assert got == want
+    for value in (*window.vertices, *window.boundary, *window.interior, *sum(window.edges, ())):
+        assert type(value) is int
+    assert all(type(edge) is tuple for edge in window.edges)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DirectedGraphWindow([0, 1, 2], [(0, 1.7), (1, 2)], 1),
+    lambda: DirectedGraphWindow([0, 1, 2], [(0, 1), (1, 2)], margin=1.9),
+    lambda: DirectedGraphWindow([0, 1.5, 2], [(0, 2)], 0),
+    lambda: DirectedGraphWindow([0, float("nan")], [], 0),
+    lambda: DirectedGraphWindow(np.array([0.0, 1.0, 2.5]), np.array([[0.0, 1.0]]), 0),
+    lambda: DirectedGraphWindow([0, 1], [(0, float("inf"))], 0),
+    lambda: line_window(5.9, 1),
+    lambda: line_window(5, 1.5),
+    lambda: grid2d_window(3.9, 2, 0),
+    lambda: grid2d_window(3, 2.5, 0),
+    lambda: grid2d_window(3, 2, 0.5),
+], ids=["edge", "margin", "vertex", "nan-vertex", "array", "inf-edge", "line-length",
+        "line-margin", "grid-nx", "grid-ny", "grid-margin"])
+def test_window_constructors_refuse_non_integral_input(build):
+    # refused, not truncated: 1.7 used to become 1, and 5.9 used to become 5
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
+def test_window_constructors_accept_integral_values_of_any_numeric_type():
+    w = DirectedGraphWindow([0.0, np.int64(1), 2], np.array([[0.0, 1.0], [1.0, 2.0]]), np.int32(1))
+    assert (w.vertices, w.edges, w.margin) == ([0, 1, 2], [(0, 1), (1, 2)], 1)
+    assert line_window(5.0, 1.0).vertices == line_window(5, 1).vertices
+    assert grid2d_window(np.int64(3), 4.0, 0).edges == grid2d_window(3, 4, 0).edges
+    # an edge is a pair: a third entry is refused, not dropped
+    with pytest.raises(ValueError, match="pairs"):
+        DirectedGraphWindow([0, 1, 2], [(0, 1, 2)], 0)
+    with pytest.raises(ValueError, match="2\\^63"):
+        DirectedGraphWindow([0, 2 ** 70], [], 0)
+
+
 def test_line_window_layout():
     w = line_window(8, 2)
     assert w.vertices == list(range(8))
@@ -431,32 +529,96 @@ def _line_without_edge(length, cut, margin):
         range(length), [(k, k + 1) for k in range(length - 1) if k != cut], margin)
 
 
-def test_graph_degree_decomposes_only_parity_blocks(monkeypatch):
-    # H and S only join positions of opposite parity, so every decomposition
-    # works on an even-by-odd block or a Gram matrix of one: on grid-24 that
-    # is at most max(n_even, n_odd) = 288, half the 576 positions
+def _record_decompositions(monkeypatch):
+    """Patch eigh, eigvalsh and svd to record (name, shape) of each call."""
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
         def recording(matrix, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(matrix)))
             return _call(matrix, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recording)
-    rep = graph_degree(build_operators(grid2d_window(24, 24, 2)))
-    assert rep.degree_eigenvalues.shape == (576,)
-    assert calls and max(max(shape) for _, shape in calls) <= 288
-    # a full rectangle's eigenpairs are closed-form: no SVD at all
-    assert [call for call in calls if call[0] == "svd"] == []
-    assert rep.kernel_dim_momentum == 24
+    return calls
+
+
+def test_graph_degree_decomposes_only_parity_blocks(monkeypatch):
+    # H and S only join positions of opposite parity, so every decomposition
+    # works on an even-by-odd block or a Gram matrix of one; on a lattice the
+    # half-turn k -> n-1-k splits each parity Gram in two, or maps one onto the
+    # other, and a full rectangle's eigenpairs are closed-form: no SVD at all
+    calls = _record_decompositions(monkeypatch)
+    for window, widths in (
+        (grid2d_window(24, 24, 2), [144, 144, 144, 144]),
+        (line_window(200, 3), [100]),
+        (grid2d_window(9, 9, 2), [20, 20, 20, 21]),  # the centre row joins one block
+        (grid2d_window(24, 25, 2), [300]),  # nx + ny odd: the turn swaps parity
+    ):
+        calls.clear()
+        rep = graph_degree(build_operators(window))
+        assert rep.degree_eigenvalues.shape == (len(window.vertices),)
+        assert sorted(calls) == [("eigvalsh", (w, w)) for w in widths]
+        if len(window.vertices) == 576:
+            assert rep.kernel_dim_momentum == 24
     # without a corner block it is no lattice, and one SVD of H's block
-    # gives the eigenpairs
+    # gives the eigenpairs; the two parity Grams are decomposed whole
     calls.clear()
     ops = build_operators(_rectangle_minus_corner(24, 24, 6, 6, 2))
     n_odd = int(np.count_nonzero(ops.position % 2))
     n_even = ops.position.size - n_odd
     rep = graph_degree(ops)
     assert rep.degree_eigenvalues.shape == (540,)
-    assert calls and max(max(shape) for _, shape in calls) <= max(n_even, n_odd)
-    assert [call for call in calls if call[0] == "svd"] == [("svd", (n_even, n_odd))]
+    assert calls == [("svd", (n_even, n_odd)), ("eigvalsh", (n_even, n_even)),
+                     ("eigvalsh", (n_odd, n_odd))]
+
+
+def _dense_from_operators(ops):
+    """The operators as the dense complex route reads them: H, K = iS, the probe row."""
+    return types.SimpleNamespace(adjacency=ops.adjacency.toarray().astype(complex),
+                                 momentum=1j * ops.skew_momentum.toarray(),
+                                 center_row=ops.center_row)
+
+
+def _reflected_end_line(length):
+    """line_window(length, 1)'s operators built directly, with the first edge
+    oriented 1 < 0: still admissible and still the path, but R S R != -S."""
+    ops = build_operators(line_window(length, 1))
+    flip = sparse.csr_array(([2.0, -2.0], ([0, 1], [1, 0])), shape=ops.skew_momentum.shape)
+    position = ops.position.copy()
+    position[0] = 2.0
+    return graphs.GraphOperators(
+        adjacency=ops.adjacency, skew_momentum=ops.skew_momentum - flip,
+        skew_conjugate=ops.skew_conjugate, position=position,
+        interior_rows=ops.interior_rows, center_row=ops.center_row)
+
+
+@pytest.mark.parametrize("case, widths", [
+    ("grid 6x8", [12, 12, 12, 12]),  # nx + ny even, n even
+    ("grid 5x7", [8, 9, 9, 9]),  # nx + ny even, n odd: a centre row
+    ("grid 5x6", [15]),  # nx + ny odd
+    ("line 11", [2, 3, 3, 3]),  # odd path: a centre row
+    ("line 12", [6]),  # even path
+    ("column-major 7x5", [8, 9, 9, 9]),
+    ("column-major 4x5", [10]),
+    ("reflected end 7", [3, 4]),  # R S R != -S: the parity Grams
+    ("reflected end 8", [4, 4]),
+])
+def test_graph_degree_half_turn_branches_match_the_complex_route(case, widths, monkeypatch):
+    kind, size = case.rsplit(" ", 1)
+    if kind == "reflected end":
+        ops = _reflected_end_line(int(size))
+        assert graphs._lattice_sides(ops.adjacency) == (int(size),)
+        dense = _dense_from_operators(ops)
+    else:
+        if kind == "line":
+            window = line_window(int(size), 2)
+        else:
+            nx, ny = map(int, size.split("x"))
+            window = (grid2d_window if kind == "grid" else _column_major_grid)(nx, ny, 1)
+        ops, dense = build_operators(window), _dense_complex_operators(window)
+    calls = _record_decompositions(monkeypatch)
+    rep = graph_degree(ops)
+    monkeypatch.undo()
+    _assert_degree_matches_the_complex_route(rep, dense)
+    assert sorted(calls) == [("eigvalsh", (w, w)) for w in widths]
 
 
 @pytest.mark.parametrize("m", [2, 3, 17, 48, 200])
@@ -556,6 +718,9 @@ def test_graph_file_round_trip():
 
 def test_graph_file_schema_errors():
     for bad in (
+        "# graph-window v1\n# vertices: 0..3\n# margin: 1.5\n0 1\n",
+        "# graph-window v1\n# vertices: 0..3\n# margin: 0\n0 1.7\n",
+        "# graph-window v1\n# vertices: 0,1.5,3\n# margin: 0\n0 3\n",
         "0 1\n",
         "# graph-window v2\n# vertices: 0..3\n# margin: 0\n0 1\n",
         "# graph-window v1\n# vertices: 0..3\n# margin: 0\n1 1\n",
