@@ -22,6 +22,7 @@ import math
 import os
 import pathlib
 import re
+import stat
 import sys
 import time
 import traceback
@@ -319,11 +320,22 @@ def _build_su2(spec, rng, path):
             "grid": spec["grid"]}
 
 
-def _build_graph_file(spec, rng, path):
+def _read_model_file(name, kind, path):
+    """Text of the regular file ``name``, which a model field at ``path`` names.
+
+    Anything else is refused before it is opened: opening a FIFO blocks until a
+    writer comes, and a device such as /dev/zero reads without end.
+    """
     try:
-        text = pathlib.Path(spec["path"]).read_text()
+        if not stat.S_ISREG(os.stat(name).st_mode):
+            _fail(path, f"cannot read {kind} file {name!r}: not a regular file")
+        return pathlib.Path(name).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        _fail(f"{path}.path", f"cannot read graph file {spec['path']!r}: {exc}")
+        _fail(path, f"cannot read {kind} file {name!r}: {exc}")
+
+
+def _build_graph_file(spec, rng, path):
+    text = _read_model_file(spec["path"], "graph", f"{path}.path")
     try:
         return {"window": parse_graph_window(text)}
     except SchemaError as exc:
@@ -532,13 +544,17 @@ def _collector_paused():
 def _load_matrix(value, path):
     # a parse makes dim^2 acyclic [re, im] lists, which no collection can free
     # but each one walks; they are dropped by reference counting before the
-    # collector resumes, so no sweep ever sees them
+    # collector resumes, so no sweep ever sees them.
+    # A file is parsed by orjson, strictly to RFC 8259 (no NaN or Infinity, no
+    # number beyond the double range), with the same correctly rounded doubles
+    # as json but in C; it is imported here, so runs that name no matrix file
+    # do not load it. Its JSONDecodeError subclasses json's.
     with _collector_paused():
         if isinstance(value, str):
+            import orjson
+
             try:
-                payload = json.loads(pathlib.Path(value).read_text())
-            except (OSError, UnicodeDecodeError) as exc:
-                _fail(path, f"cannot read matrix file {value!r}: {exc}")
+                payload = orjson.loads(_read_model_file(value, "matrix", path))
             except json.JSONDecodeError as exc:
                 _fail(path, f"matrix file {value!r} is not valid JSON: {exc}")
         else:
@@ -546,7 +562,8 @@ def _load_matrix(value, path):
         try:
             matrix = matrix_from_payload(payload)
         except SchemaError as exc:
-            _fail(path, f"bad matrix payload: {exc}")
+            where = f" in file {value!r}" if isinstance(value, str) else ""
+            _fail(path, f"bad matrix payload{where}: {exc}")
         del payload
     return matrix
 

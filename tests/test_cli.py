@@ -26,7 +26,7 @@ from commix.cli import (
 )
 from commix.graphs import format_graph_window, line_window
 from commix.mixing import CorrelationSeries
-from commix.operators import matrix_to_payload
+from commix.operators import matrix_digest, matrix_to_payload
 from commix.skew import sector_identity_check, torus_degree_field, unit_grid
 
 
@@ -514,22 +514,27 @@ def test_emit_examples_all_validate(tmp_path):
         validate_config(raw)  # must parse cleanly
 
 
+def _python(code, *args, timeout=120):
+    """Run ``code`` in a fresh interpreter that imports this checkout's commix."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout, check=True)
+
+
 def test_validating_and_building_the_examples_loads_no_scipy():
-    # scipy is imported inside the functions that compute with it, so a run's
-    # set-up (import, validate, build) does not pay for loading it
+    # scipy is imported inside the functions that compute with it, and orjson
+    # inside the matrix-file loader, so a run's set-up (import, validate,
+    # build) of configs that name no matrix file does not pay for loading them
     code = (
         "import sys\n"
         "from commix.cli import EXAMPLE_CONFIGS, build_model, validate_config\n"
         "for config in EXAMPLE_CONFIGS.values():\n"
         "    for scenario in validate_config(config)['scenarios']:\n"
         "        build_model(scenario)\n"
-        "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+        "print(sorted(name for name in sys.modules if name.startswith(('scipy', 'orjson'))))\n"
     )
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _python(code).stdout.strip() == "[]"
 
 
 def test_run_config_accepts_validated_dict(tmp_path):
@@ -1281,6 +1286,168 @@ def test_matrix_file_that_is_not_utf8_names_the_field_and_the_file(tmp_path, cap
     capsys.readouterr()
     assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
     assert want in capsys.readouterr().err
+
+
+def _refused_matrix_files():
+    """Matrix files that must be refused, each with its message; ``{file}`` stands for the file's path."""
+    good = json.dumps(matrix_to_payload(np.diag([1.0, -1.0])))
+    at = len('{"format": "complex-matrix", "version": 1, "dim": 2, "entries": [[')
+
+    def entry(token):
+        return good.replace("[1.0, 0.0]", f"[{token}, 0.0]", 1)
+
+    # matrix files are strict RFC 8259 JSON: non-finite literals and numbers
+    # beyond the double range are refused by the parse, not by the payload check
+    invalid = "matrix file {file} is not valid JSON: "
+    where = f"line 1 column {at + 1} (char {at})"
+    return [
+        pytest.param(entry("NaN"), invalid + f"unexpected character: {where}", id="nan"),
+        pytest.param(entry("Infinity"), invalid + f"unexpected character: {where}", id="infinity"),
+        pytest.param(entry("-Infinity"), invalid + f"no digit after minus sign: {where}", id="minus-infinity"),
+        pytest.param(entry("1e400"), invalid + f"number is infinity when parsed as double: {where}",
+                     id="overflow"),
+        pytest.param(entry("1" + "0" * 399), invalid + f"number is infinity when parsed as double: {where}",
+                     id="400-digits"),
+        pytest.param("\ufeff" + good, invalid + "byte order mark (BOM) is not supported: line 1 column 1 (char 0)",
+                     id="bom"),
+        pytest.param(good[:-5], invalid + f"unexpected end of data: line 1 column {len(good) - 4} "
+                     f"(char {len(good) - 5})", id="truncated"),
+        pytest.param(good + " {}", invalid + f"unexpected content after document: line 1 column "
+                     f"{len(good) + 2} (char {len(good) + 1})", id="trailing"),
+        pytest.param(entry("true"), "bad matrix payload in file {file}: entry 0 is not a pair of numbers: "
+                     "[True, 0.0]", id="true"),
+        pytest.param(good.replace('"dim": 2', '"dim": 3'),
+                     "bad matrix payload in file {file}: matrix payload has inconsistent dim/entries", id="dim"),
+    ]
+
+
+@pytest.mark.parametrize("text, message", _refused_matrix_files())
+def test_refused_matrix_files_name_the_field_and_the_file(tmp_path, capsys, text, message):
+    matrix_file = tmp_path / "unitary.json"
+    matrix_file.write_text(text, encoding="utf-8")
+    config = _matrix_pair_config(str(matrix_file), matrix_to_payload(np.diag([1.0, -1.0])), name="m")
+    want = "scenario 'm' model.unitary: " + message.format(file=repr(str(matrix_file)))
+    with pytest.raises(SchemaError) as info:
+        build_model(validate_config(config)["scenarios"][0])
+    assert str(info.value) == want
+    path = write_config(tmp_path, config)
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert want in capsys.readouterr().err
+
+
+def test_a_directory_named_as_a_model_file_is_refused(tmp_path):
+    folder = str(tmp_path)
+    with pytest.raises(SchemaError) as info:
+        cli._load_matrix(folder, "m")
+    assert str(info.value) == f"m: cannot read matrix file {folder!r}: not a regular file"
+    with pytest.raises(SchemaError) as info:
+        cli._build_graph_file({"path": folder}, None, "g")
+    assert str(info.value) == f"g.path: cannot read graph file {folder!r}: not a regular file"
+    # a missing file keeps the operating system's message
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SchemaError, match=re.escape(f"m: cannot read matrix file {missing!r}: [Errno 2]")):
+        cli._load_matrix(missing, "m")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_named_as_a_model_file_is_refused_without_blocking(tmp_path):
+    # opening a FIFO for reading waits for a writer that never comes; the call
+    # runs in a child process, so a regression fails on the timeout instead of
+    # hanging the suite
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    code = (
+        "import sys\n"
+        "from commix import SchemaError, cli\n"
+        "for load in (lambda p: cli._load_matrix(p, 'm'), lambda p: cli._build_graph_file({'path': p}, None, 'g')):\n"
+        "    try:\n"
+        "        load(sys.argv[1])\n"
+        "    except SchemaError as exc:\n"
+        "        print(exc)\n"
+    )
+    done = _python(code, str(fifo), timeout=60)
+    assert done.stdout.splitlines() == [f"m: cannot read matrix file {str(fifo)!r}: not a regular file",
+                                        f"g.path: cannot read graph file {str(fifo)!r}: not a regular file"]
+
+
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, 2.0**53 + 2.0]
+# integers of more than 64 bits below the first one that rounds past the largest double
+_BIG = st.integers(2**64, 2**1024 - 2**970 - 1)
+_entries = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_DOUBLES),
+    st.integers(-(2**70), 2**70),
+    _BIG,
+    _BIG.map(lambda n: -n),
+)
+
+
+def _spelled(payload, number_format, keys):
+    """``payload`` as JSON text, its keys in the order ``keys`` and each float written by ``number_format``."""
+    def number(x):
+        return str(x) if isinstance(x, int) else number_format % x
+
+    fields = {
+        "format": json.dumps(payload["format"]), "version": str(payload["version"]), "dim": str(payload["dim"]),
+        "entries": "[" + ", ".join(f"[{number(re)}, {number(im)}]" for re, im in payload["entries"]) + "]",
+    }
+    return "{" + ", ".join(f'"{key}": {fields[key]}' for key in keys) + "}"
+
+
+_WRITERS = {
+    "dumps": json.dumps,
+    "indent": lambda payload: json.dumps(payload, indent=1),
+    "compact": lambda payload: json.dumps(payload, separators=(",", ":")),
+}
+
+
+@settings(max_examples=120)
+@given(data=st.data(), dim=st.integers(1, 4),
+       writer=st.sampled_from(["dumps", "indent", "compact", "shuffled", "%.17e", "%.25g", "%.{p}e"]))
+def test_matrix_files_parse_bit_for_bit_as_json_does(tmp_path_factory, data, dim, writer):
+    entries = data.draw(st.lists(st.lists(_entries, min_size=2, max_size=2), min_size=dim * dim, max_size=dim * dim))
+    payload = {"format": "complex-matrix", "version": 1, "dim": dim, "entries": entries}
+    keys = list(payload)
+    if writer == "shuffled":
+        keys = data.draw(st.permutations(keys))
+        text = json.dumps({key: payload[key] for key in keys})
+    elif writer in _WRITERS:
+        text = _WRITERS[writer](payload)
+    else:
+        # a precision below 17 digits rounds to another double, which both parsers must read alike
+        number_format = writer.format(p=data.draw(st.integers(0, 40)))
+        text = _spelled(payload, number_format, keys)
+    matrix_file = tmp_path_factory.mktemp("matrix") / "m.json"
+    matrix_file.write_text(text)
+    try:
+        want = cli.matrix_from_payload(json.loads(text))
+    except SchemaError:
+        # a short spelling of a number near the largest double rounds past it:
+        # both routes refuse it
+        with pytest.raises(SchemaError, match="is not valid JSON: number is infinity"):
+            cli._load_matrix(str(matrix_file), "m")
+        return
+    got = cli._load_matrix(str(matrix_file), "m")
+    assert got.dtype == want.dtype == np.complex128
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert matrix_digest(got) == matrix_digest(want)
+
+
+@pytest.mark.parametrize("token, value", [
+    ("2.4703282292062327e-324", 0.0),  # just below half the smallest subnormal
+    ("2.4703282292062328e-324", 5e-324),  # just above it
+    ("1.7976931348623158e308", 1.7976931348623157e308),  # rounds down to the largest double
+    ("0." + "1" + "0" * 58 + "1", 0.1),  # 61 digits, 1e-60 above 0.1
+])
+def test_matrix_file_edge_spellings_parse_as_json_does(tmp_path, token, value):
+    text = '{"format": "complex-matrix", "version": 1, "dim": 1, "entries": [[%s, 0]]}' % token
+    matrix_file = tmp_path / "m.json"
+    matrix_file.write_text(text)
+    got = cli._load_matrix(str(matrix_file), "m")
+    want = cli.matrix_from_payload(json.loads(text))
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist() == [[np.float64(value).view(np.int64), 0]]
 
 
 def test_config_graph_and_report_files_that_are_not_utf8_exit_two(tmp_path, capsys):
