@@ -24,6 +24,7 @@ import pathlib
 import re
 import stat
 import sys
+import threading
 import time
 import traceback
 from typing import Callable, NamedTuple
@@ -529,22 +530,40 @@ def _random_su2(rng):
     return g / np.sqrt(complex(np.linalg.det(g)))
 
 
+_pause_lock = threading.Lock()
+_pauses = 0  # pauses open across the scenario threads
+_resume = False  # whether the first of them found the collector enabled
+
+
 @contextlib.contextmanager
 def _collector_paused():
-    """Turn the cyclic garbage collector off, and restore the caller's state on exit."""
-    enabled = gc.isenabled()
-    gc.disable()
+    """Turn the cyclic garbage collector off, and restore the caller's state on exit.
+
+    Pauses may overlap across scenario threads: the first to open records the
+    state and the last to close restores it, so no interleaving leaves the
+    collector off for a caller that had it on.
+    """
+    global _pauses, _resume
+    with _pause_lock:
+        if not _pauses:
+            _resume = gc.isenabled()
+            gc.disable()
+        _pauses += 1
     try:
         yield
     finally:
-        if enabled:
-            gc.enable()
+        with _pause_lock:
+            _pauses -= 1
+            if not _pauses and _resume:
+                gc.enable()
 
 
 def _load_matrix(value, path):
     # a parse makes dim^2 acyclic [re, im] lists, which no collection can free
     # but each one walks; they are dropped by reference counting before the
-    # collector resumes, so no sweep ever sees them.
+    # collector resumes, so no sweep ever sees them. The pair degree artifact
+    # serializes under the same pause, because checking its limit builds and
+    # drops the same dim^2 lists.
     # A file is parsed by orjson, strictly to RFC 8259 (no NaN or Infinity, no
     # number beyond the double range), with the same correctly rounded doubles
     # as json but in C; it is imported here, so runs that name no matrix file
@@ -783,7 +802,10 @@ class ScenarioRunner:
         averages = [average for _, average, _ in self.pair_averages]
         estimate = _degree_estimate(pair, self.scenario["schedule"], averages, probes,
                                     self.thresholds["gap_threshold"])
-        self.artifacts["degree-estimate.json"] = estimate.to_json() + "\n"
+        # to_json checks the limit through matrix_to_payload, whose dim^2
+        # acyclic entry lists are dropped before the collector resumes
+        with _collector_paused():
+            self.artifacts["degree-estimate.json"] = estimate.to_json() + "\n"
         metrics = {
             "converged": bool(estimate.converged),
             "diverging": bool(estimate.diverging),

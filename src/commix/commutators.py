@@ -160,6 +160,22 @@ def selfadjoint_symbol(pair):
     return m
 
 
+def _permutation_rows(u):
+    """``p`` with ``U x = x[p]`` when ``u`` is a permutation matrix, else None.
+
+    A permutation matrix here is float64 with every entry exactly ``+0.0`` or
+    ``1.0`` and one ``1.0`` in each row and column; on it every product of the
+    dense ladder is an exact reindexing.
+    """
+    if u.dtype != np.float64:
+        return None
+    ones = u == 1.0
+    if not ((ones | ((u == 0.0) & ~np.signbit(u))).all()
+            and (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all()):
+        return None
+    return ones.argmax(axis=1)
+
+
 def _birkhoff_ladder(u, m, horizons):
     """Yield ``(N, sum_{n<N} U^n M U^{-n}, U^N)`` for each integer horizon ``N >= 1``.
 
@@ -167,8 +183,18 @@ def _birkhoff_ladder(u, m, horizons):
     doubles, ``S_{2a} = S_a + U^a S_a U^{-a}``, and a 1 then appends,
     ``S_{2a+1} = M + U S_{2a} U^{-1}``, with ``U^a`` alongside.  Each step is
     taken once per schedule and held only while a later horizon needs it, so
-    every sum equals :func:`birkhoff_discrete`'s bit for bit.  On permutation
-    matrices every product is exact, and so is the sum whenever ``M``'s entries add.
+    every sum equals :func:`birkhoff_discrete`'s bit for bit.
+
+    The step kernel is chosen once per call.  The dense kernel takes three
+    O(n³) matrix products a step.  When ``u`` is a permutation matrix
+    (:func:`_permutation_rows`), the gather kernel holds ``U^a`` as its row
+    indices ``p_a``, with ``U^a x = x[p_a]``, and takes each step as O(n²)
+    index gathers: ``S_{2a} = S_a + S_a[p_a][:, p_a]``, ``p_{2a} = p_a[p_a]``,
+    ``S_{2a+1} = M + S_{2a}[p_1][:, p_1]``, ``p_{2a+1} = p_{2a}[p_1]``; ``U^N``
+    is yielded as ``eye(n)[p_N]``.  The dense products on a permutation are
+    exact reindexings too, so the two kernels agree bit for bit while the sums
+    are finite (up to the sign of a zero where ``M`` holds a ``-0.0``), and
+    the sum itself is exact whenever ``M``'s entries add exactly.
     """
     # plan[i]: the (from, to) steps horizon i forms first; need[k]: the last
     # horizon that forms a step from k or yields k
@@ -183,21 +209,26 @@ def _birkhoff_ladder(u, m, horizons):
                     new.append((prev, key))
         need[steps] = i
         plan.append((steps, new))
-    uh = u.conj().T
-    held = {1: (m, u)}
+    rows = _permutation_rows(u)
+    if rows is None:
+        uh = u.conj().T
+
+        def step(odd, total, power):
+            if odd:
+                return m + u @ total @ uh, u @ power
+            return total + power @ total @ power.conj().T, power @ power
+    else:
+        def step(odd, total, p):
+            if odd:
+                return m + total[np.ix_(rows, rows)], p[rows]
+            return total + total[np.ix_(p, p)], p[p]
+    held = {1: (m, u if rows is None else rows)}
     for i, (steps, new) in enumerate(plan):
         for prev, key in new:
-            # rebinding frees a spent step before the next product allocates
-            total, power = held[prev] if need[prev] > i else held.pop(prev)
-            if key % 2:
-                total = m + u @ total @ uh
-                power = u @ power
-            else:
-                total = total + power @ total @ power.conj().T
-                power = power @ power
-            held[key] = total, power
+            # a spent step is freed once its successor is formed
+            held[key] = step(key % 2, *(held[prev] if need[prev] > i else held.pop(prev)))
         total, power = held[steps] if need[steps] > i else held.pop(steps)
-        yield steps, total, power
+        yield steps, total, power if rows is None else np.eye(len(power))[power]
 
 
 def _horizon(steps):

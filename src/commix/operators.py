@@ -400,13 +400,15 @@ def matrix_from_payload(payload):
         raise SchemaError("matrix payload has inconsistent dim/entries")
     if dim == 0:
         return np.empty((0, 0), dtype=complex)
-    flat = itertools.chain.from_iterable
     try:
         valid = (all(issubclass(t, list) for t in set(map(type, entries)))
-                 and set(map(len, entries)) == {2}
-                 and all(_is_number_type(t) for t in set(map(type, flat(entries)))))
+                 and set(map(len, entries)) == {2})
         if valid:
-            parts = np.fromiter(flat(entries), float, count=2 * dim * dim)
+            # one flat list of the 2*dim^2 numbers serves the type scan and the parse
+            numbers = list(itertools.chain.from_iterable(entries))
+            valid = all(_is_number_type(t) for t in set(map(type, numbers)))
+        if valid:
+            parts = np.fromiter(numbers, float, count=2 * dim * dim)
             valid = np.isfinite(parts).all()
     except OverflowError:
         valid = False

@@ -899,6 +899,57 @@ def test_matrix_files_parse_with_the_collector_paused_and_its_state_restored(tmp
     assert during == [False] * 4
 
 
+def test_pair_degree_artifact_serializes_with_the_collector_paused_and_its_state_restored(tmp_path, monkeypatch):
+    # to_json checks the limit through matrix_to_payload, dim^2 acyclic lists
+    # that a running collector would sweep while they are built and freed
+    model = {"type": "random-pair", "dim": 64}
+    during, collections = [], []
+
+    def on_collection(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    def to_json(self, _call=commutators.DegreeEstimate.to_json):
+        during.append(gc.isenabled())
+        gc.callbacks.append(on_collection)
+        try:
+            return _call(self)
+        finally:
+            gc.callbacks.remove(on_collection)
+
+    def non_finite(*args, _call=cli._degree_estimate):
+        estimate = _call(*args)
+        estimate.limit = np.full_like(estimate.limit, np.nan)
+        return estimate
+
+    monkeypatch.setattr(commutators.DegreeEstimate, "to_json", to_json)
+    scenario = {"model": model, "schedule": [16, 32], "tasks": ["degree"]}
+    config = {"version": 1, "scenarios": [{"name": "a", "seed": 1, **scenario},
+                                          {"name": "b", "seed": 2, **scenario}]}
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            gc.collect()
+            result, artifacts = _pair_runner(model, [16, 32], tasks=["degree"]).run()
+            assert result["tasks"][0]["status"] != "fail" and "degree-estimate.json" in artifacts
+            assert collections == []
+            assert gc.isenabled() is enabled
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_degree_estimate", non_finite)
+                result, _ = _pair_runner(model, [16, 32], tasks=["degree"]).run()
+            assert result["tasks"][0]["metrics"]["error"] == \
+                "ValueError: matrix serialization requires finite entries"
+            assert gc.isenabled() is enabled
+            # overlapping pauses on the scenario threads restore the state too
+            report = run_config(validate_config(config), tmp_path / f"threads-{enabled}", threads=2)
+            assert [s["tasks"][0]["status"] != "fail" for s in report["scenarios"]] == [True, True]
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False] * 8 and collections == []
+
+
 def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_path):
     torus = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 3,
              "eta": [[[1], 0.0, -0.025], [[-1], 0.0, 0.025]], "grid": 1024}

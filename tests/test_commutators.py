@@ -139,6 +139,37 @@ def test_birkhoff_discrete_bit_identical_on_shift():
         assert np.array_equal(power, np.linalg.matrix_power(u, steps))
 
 
+@settings(max_examples=60)
+@given(dim=st.integers(1, 40), shape=st.sampled_from(["identity", "cycle", "any"]), real=st.booleans(),
+       schedule=st.lists(st.integers(1, 1000), min_size=1, max_size=5, unique=True).map(sorted),
+       seed=st.integers(0, 2**32 - 1))
+def test_permutation_ladder_gathers_what_the_dense_kernel_multiplies(dim, shape, real, schedule, seed):
+    # a cycle of length >= 3 is not its own inverse, so conjugating by the
+    # inverse permutation instead of by p shows here
+    rng = np.random.default_rng(seed)
+    rows = np.arange(dim)
+    if shape == "cycle" and dim >= 3:
+        ring = rng.permutation(dim)[: rng.integers(3, dim + 1)]
+        rows[ring] = np.roll(ring, 1)
+    elif shape == "any":
+        rows = rng.permutation(dim)
+    u = np.eye(dim)[rows]
+    m = random_symmetric(rng, dim) if real else random_hermitian(rng, dim)
+    # zeros as in a sparse symbol such as the shift's
+    m = np.where(rng.random((dim, dim)) < 0.5, m, 0.0)
+    m = (m + m.conj().T) / 2
+    assert np.array_equal(commutators._permutation_rows(u), rows)
+    gathered = list(_birkhoff_ladder(u, m, schedule))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(commutators, "_permutation_rows", lambda u: None)
+        dense = list(_birkhoff_ladder(u, m, schedule))
+    assert [n for n, _, _ in gathered] == [n for n, _, _ in dense] == schedule
+    for (steps, total, power), (_, want_total, want_power) in zip(gathered, dense):
+        assert total.dtype == want_total.dtype and total.tobytes() == want_total.tobytes()
+        assert power.dtype == want_power.dtype and power.tobytes() == want_power.tobytes()
+        assert np.array_equal(power, np.linalg.matrix_power(u, steps))
+
+
 @pytest.mark.parametrize("schedule", [[1, 2, 4, 8], [3, 6, 12, 24], [125, 250, 500, 1000],
                                       [1, 2, 5, 17, 64], [1, 2, 3], [7], [1000]])
 @pytest.mark.parametrize("real", [False, True])
@@ -176,25 +207,47 @@ class _CountingArray(np.ndarray):
         return out.view(_CountingArray) if isinstance(out, np.ndarray) else out
 
 
-@pytest.mark.parametrize("schedule, products", [
-    ([1, 2, 5, 17, 64], 24),
-    ([125, 250, 500, 1000], 42),
-    ([200, 400, 800], 33),
-    ([32, 64, 128, 256], 24),
-    ([96, 192, 384], 27),
+def _ladder_inputs(name):
+    """``(U, M)``: a complex pair, the shift, or a 6-cycle one entry or its dtype away from a permutation."""
+    if name == "random":
+        pair = random_discrete_pair(np.random.default_rng(121), 6)
+    elif name == "shift-200":
+        pair = shift_weyl_model(200, 3).pair
+    else:
+        u = np.roll(np.eye(6), 1, axis=0)
+        if name == "complex":
+            u = u.astype(complex)
+        else:
+            u[0, 5] = -1.0 if name == "signed" else 1.0 - 2.0**-53
+        return u, random_symmetric(np.random.default_rng(122), 6)
+    return pair.main, pair.symbol
+
+
+@pytest.mark.parametrize("inputs, schedule, products", [
+    ("random", [1, 2, 5, 17, 64], 24),
+    ("random", [125, 250, 500, 1000], 42),
+    ("random", [200, 400, 800], 33),
+    ("random", [32, 64, 128, 256], 24),
+    ("random", [96, 192, 384], 27),
+    # the gather kernel reindexes a permutation and takes no product; the
+    # near-permutations below take the dense kernel
+    ("shift-200", [200, 400, 800], 0),
+    ("signed", [200, 400, 800], 33),
+    ("complex", [200, 400, 800], 33),
+    ("short-of-one", [200, 400, 800], 33),
 ])
-def test_birkhoff_ladder_forms_each_binary_prefix_once(monkeypatch, schedule, products):
+def test_birkhoff_ladder_forms_each_binary_prefix_once(monkeypatch, inputs, schedule, products):
     # three products per doubling and three per appended 1, each step taken
     # once per schedule: 1 -> 2 -> 4 -> 5 -> 8 -> 16 -> 17 -> 32 -> 64 is 8
     # steps, 24 products
-    pair = random_discrete_pair(np.random.default_rng(121), 6)
-    u, m = pair.main.view(_CountingArray), pair.symbol.view(_CountingArray)
+    main, symbol = _ladder_inputs(inputs)
+    u, m = main.view(_CountingArray), symbol.view(_CountingArray)
     monkeypatch.setattr(_CountingArray, "products", 0)
     ladder = list(_birkhoff_ladder(u, m, schedule))
     assert _CountingArray.products == products
     for steps, total, _ in ladder:
         average = total.view(np.ndarray) / steps
-        assert average.tobytes() == birkhoff_discrete(pair.main, pair.symbol, steps).tobytes()
+        assert average.tobytes() == birkhoff_discrete(main, symbol, steps).tobytes()
 
 
 def test_discrete_horizons_must_be_integral():
