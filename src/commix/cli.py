@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import dataclasses
 import datetime
 import functools
 import gc
@@ -65,18 +66,19 @@ from .skew import (
     SU2Cocycle,
     TorusCocycle,
     TorusFlow,
-    _SectorGrid,
     _check_power_of_two,
     _real_modes,
     sector_correlation,
+    sector_identity_check,
     sector_matrix,
     shift_weyl_model,
-    su2_degree_field,
+    su2_degree_bound,
     su2_irrep,
+    torus_degree_bound,
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 14
+REPORT_VERSION = 15
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario
@@ -89,9 +91,6 @@ DEFAULT_THRESHOLDS = {
     "representation_homomorphism": 1e-10,
     "gap_threshold": 1e-6,
     "torus_sup_error": 0.05,
-    "torus_slope_min": -1.3,
-    "torus_slope_max": -0.7,
-    "su2_eigenvalue_rel": 2e-2,
     "kernel_tol": 1e-8,
     "graph_psd_floor": -1e-10,
     "graph_flow_residual": 1e-6,
@@ -103,7 +102,7 @@ DEFAULT_THRESHOLDS = {
     "fourier_exponent_max": -2.0,
 }
 # the thresholds that may be negative; every other one must be >= 0
-_SIGNED_THRESHOLDS = {"torus_slope_min", "torus_slope_max", "graph_psd_floor", "fourier_exponent_max"}
+_SIGNED_THRESHOLDS = {"graph_psd_floor", "fourier_exponent_max"}
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -317,8 +316,7 @@ def _build_su2(spec, rng, path):
     else:
         h = _complex_2x2(h, f"{path}.h")
     modes = {tuple(k): complex(re, im) for k, re, im in spec["eta"]}
-    return {"flow": flow, "cocycle": SU2Cocycle(h, spec["frequency"], modes, spec["label"]),
-            "grid": spec["grid"]}
+    return {"flow": flow, "cocycle": SU2Cocycle(h, spec["frequency"], modes, spec["label"])}
 
 
 def _read_model_file(name, kind, path):
@@ -493,10 +491,6 @@ def validate_config(raw, default_seed=None):
                 _fail(key_path, f"must be positive, got {value!r}")
             if key not in _SIGNED_THRESHOLDS and thresholds[key] < 0:
                 _fail(key_path, f"must be >= 0, got {value!r}")
-        if thresholds["torus_slope_min"] > thresholds["torus_slope_max"]:
-            key = "torus_slope_min" if "torus_slope_min" in overrides else "torus_slope_max"
-            _fail(f"{path}.thresholds.{key}", f"torus_slope_min {thresholds['torus_slope_min']!r} "
-                                              f"exceeds torus_slope_max {thresholds['torus_slope_max']!r}")
 
         expect = sc.get("expect_admissible", True)
         if not isinstance(expect, bool):
@@ -701,12 +695,6 @@ class ScenarioRunner:
         return [(n, total / n, power) for n, total, power in _birkhoff_ladder(pair.main, pair.symbol, schedule)]
 
     @functools.cached_property
-    def sector_grid(self):
-        # one wave table and one D_N per horizon, shared by identities and degree
-        cocycle = self.built["cocycle"]
-        return _SectorGrid(cocycle, self.built["flow"], (self.built["grid"],) * cocycle.d)
-
-    @functools.cached_property
     def torus_series(self):
         observable = {(1,) * self.built["cocycle"].d: 1.0}
         return sector_correlation(self.built["cocycle"], self.built["flow"],
@@ -757,7 +745,8 @@ class ScenarioRunner:
     def torus_identities(self):
         cocycle = self.built["cocycle"]
         # the mode torus_series observes; every y_i > 0, so its eigenvalue under A is nonzero
-        report = self.sector_grid.identity_check((1,) * cocycle.d, self.scenario["schedule"])
+        report = sector_identity_check(cocycle, self.built["flow"], (1,) * cocycle.d,
+                                       (self.built["grid"],) * cocycle.d, self.scenario["schedule"])
         factor = self.thresholds["torus_identity_factor"]
         ok = all(r <= factor * e for r, e in zip(report.residuals, report.estimates))
         metrics = {
@@ -817,52 +806,25 @@ class ScenarioRunner:
         return status, metrics, self._used("gap_threshold")
 
     def torus_degree(self):
-        schedule = self.scenario["schedule"]
-        sups = []
-        limit = None
-        for n in schedule:
-            report = self.sector_grid.degree_report(n)
-            sups.append(report.sup_error)
-            limit = report.limit
-        slope = None
-        positive = [(n, s) for n, s in zip(schedule, sups) if s > 0]
-        if len(positive) >= 3:
-            ln = np.log([n for n, _ in positive])
-            ls = np.log([s for _, s in positive])
-            slope = float(np.polyfit(ln, ls, 1)[0])
-        payload = {"schedule": list(schedule), "sup_errors": sups,
-                   "limit": limit, "slope": slope}
-        self.artifacts["torus-degree.json"] = _dump_report(payload)
-        ok = sups[-1] <= self.thresholds["torus_sup_error"]
-        if slope is not None:
-            ok = ok and self.thresholds["torus_slope_min"] <= slope <= self.thresholds["torus_slope_max"]
-        metrics = {"limit": limit, "final_sup_error": sups[-1], "slope": slope,
-                   "schedule": list(schedule)}
-        used = self._used("torus_sup_error", "torus_slope_min", "torus_slope_max")
-        return ("pass" if ok else "fail"), metrics, used
+        # pass iff the O(1/N) rate is certified and the last certified sup bound is small
+        bound = torus_degree_bound(self.built["cocycle"], self.built["flow"], self.scenario["schedule"])
+        self.artifacts["torus-degree.json"] = _dump_report(dataclasses.asdict(bound))
+        ok = bound.rate_constant < math.inf and bound.sup_bounds[-1] <= self.thresholds["torus_sup_error"]
+        metrics = {"limit": bound.limit, "final_sup_error": bound.sup_bounds[-1],
+                   "final_l2_error": bound.l2_errors[-1], "rate_constant": bound.rate_constant,
+                   "schedule": bound.schedule}
+        return ("pass" if ok else "fail"), metrics, self._used("torus_sup_error")
 
     def su2_degree(self):
-        cocycle, flow = self.built["cocycle"], self.built["flow"]
-        shape = (self.built["grid"],) * cocycle.d
-        steps = self.scenario["schedule"][-1]
-        report = su2_degree_field(cocycle, flow, shape, steps,
-                                  kernel_tol=self.thresholds["kernel_tol"])
-        scale = 2.0 * np.pi * abs(float(np.dot(cocycle.frequency, flow.y))) * max(1, cocycle.label)
-        deviation = float(np.max(np.abs(np.sort(report.eigenvalues)
-                                        - np.sort(report.predicted_eigenvalues))))
-        rel = deviation / scale
-        want_kernel = 1 if cocycle.label % 2 == 0 else 0
-        ok = rel <= self.thresholds["su2_eigenvalue_rel"] and report.kernel_dim == want_kernel
-        metrics = {
-            "steps": int(steps),
-            "eigenvalues": [float(v) for v in report.eigenvalues],
-            "predicted": [float(v) for v in report.predicted_eigenvalues],
-            "relative_deviation": rel,
-            "kernel_dim": int(report.kernel_dim),
-            "expected_kernel_dim": want_kernel,
-            "sup_deviation": float(report.sup_deviation),
-        }
-        return ("pass" if ok else "fail"), metrics, self._used("su2_eigenvalue_rel", "kernel_tol")
+        # the torus gate on D_N - D = (rate_N - y.b) frame; D has eigenvalues 2 pi (y.b)(2k - n)
+        cocycle, steps = self.built["cocycle"], self.scenario["schedule"][-1]
+        bound = su2_degree_bound(cocycle, self.built["flow"], [steps])
+        ok = bound.rate_constant < math.inf and bound.sup_bounds[-1] <= self.thresholds["torus_sup_error"]
+        # + 0.0 turns the -0.0 of a zero weight or a zero y.b into 0.0
+        predicted = np.sort(bound.limit * (2 * np.arange(cocycle.label + 1) - cocycle.label)) + 0.0
+        metrics = {"steps": int(steps), "predicted": [float(v) for v in predicted],
+                   "sup_bound": bound.sup_bounds[-1], "rate_constant": bound.rate_constant}
+        return ("pass" if ok else "fail"), metrics, self._used("torus_sup_error")
 
     def graph_window_degree(self):
         ops = self.graph_operators

@@ -40,12 +40,15 @@ __all__ = [
     "sector_correlation",
     "TorusDegreeReport",
     "torus_degree_field",
+    "TorusDegreeBound",
+    "torus_degree_bound",
     "SectorIdentityReport",
     "sector_identity_check",
     "su2_irrep",
     "SU2Cocycle",
     "SU2DegreeReport",
     "su2_degree_field",
+    "su2_degree_bound",
     "ShiftModel",
     "shift_weyl_model",
 ]
@@ -331,8 +334,13 @@ def _orbit_average_rate(cocycle, flow, points, steps, waves=None):
     points = np.asarray(points, dtype=float)
     if waves is None:
         waves = _mode_waves(cocycle, points)
-    rates = {k: (2j * np.pi * u * g) * (s / steps) for k, u, g, s in _phase_sums(cocycle, flow, steps)}
+    rates = _rate_coefficients(cocycle, flow, steps)
     return _wave_sum(rates, waves, _base_shape(points, cocycle.d), float(np.dot(cocycle.winding, flow.y)))
+
+
+def _rate_coefficients(cocycle, flow, steps):
+    # {k: 2 pi i (k.y) g S_N(k.y) / N}, N = steps: rate_N - q.W y on the nonzero modes g e(k.x) of q.eta
+    return {k: (2j * np.pi * u * g) * (s / steps) for k, u, g, s in _phase_sums(cocycle, flow, steps)}
 
 
 def _read_only(array):
@@ -346,15 +354,12 @@ class _SectorGrid:
     Holds the grid points, the FFT frequencies and the wave table
     {k: e(k.x)} of the nonzero modes of q.eta (_mode_waves), formed on first
     use; the phase q.phi^(N) and D_N = 2 pi rate_N (_orbit_average_rate) at
-    any horizon are weighted sums over that table.  The table takes
-    (nonzero modes of q.eta) x (grid points) x 16 B, and D_N is kept once
-    formed, one grid of complex values (16 B a point) per horizon.  Every
-    array it hands out is read-only.  A sector step runs the checks
-    sector_apply describes around the values of U^N f, which sector_apply
-    forms by spectral translation, for any field, and identity_check in
-    closed form, for a Fourier mode.  The public grid routes form one per
-    call; a scenario runner forms one and shares it between its identities
-    and degree tasks, so nothing outlives the scenario.
+    any horizon are weighted sums over that table, which takes (nonzero
+    modes of q.eta) x (grid points) x 16 B and is read-only, like every table
+    here; no D_N is kept.  A sector step runs the checks sector_apply
+    describes around the values of U^N f, which sector_apply forms by
+    spectral translation, for any field, and identity_check in closed form,
+    for a Fourier mode.  Each public grid route forms one per call.
     """
 
     def __init__(self, cocycle, flow, shape):
@@ -364,18 +369,10 @@ class _SectorGrid:
         self.cocycle, self.flow = cocycle, flow
         self.points = _read_only(unit_grid(self.shape))
         self.freqs = [_read_only(f) for f in _frequencies(self.shape)]
-        self._degrees = {}
 
     @functools.cached_property
     def waves(self):
         return {k: _read_only(w) for k, w in _mode_waves(self.cocycle, self.points).items()}
-
-    def degree(self, steps):
-        """D_N = 2 pi rate_N at the grid points, for a step count N >= 1."""
-        if steps not in self._degrees:
-            rate = _orbit_average_rate(self.cocycle, self.flow, self.points, steps, self.waves)
-            self._degrees[steps] = _read_only(2.0 * np.pi * rate)
-        return self._degrees[steps]
 
     def step(self, band, steps, carry):
         """U^steps of a field of occupied band ``band``, with the checks sector_apply describes.
@@ -417,15 +414,8 @@ class _SectorGrid:
                 )
         return out, out_spec
 
-    def degree_report(self, steps):
-        """torus_degree_field on this grid, from the D_N it keeps."""
-        steps = _integral(steps, "step counts", 1)
-        limit = 2.0 * np.pi * float(np.dot(self.cocycle.winding, self.flow.y))
-        sup_error = float(np.max(np.abs(self.degree(steps) - limit)))
-        return TorusDegreeReport(steps=steps, limit=limit, sup_error=sup_error)
-
     def identity_check(self, mode, schedule):
-        """sector_identity_check on this grid, from the D_N it keeps."""
+        """sector_identity_check on this grid, reading D_N once per resolved horizon."""
         _check_grid_shape(self.shape)
         mode = _integer_vector(mode, "mode").tolist()
         if len(mode) != len(self.shape):
@@ -459,7 +449,8 @@ class _SectorGrid:
                 report.unresolved.append(n)
                 continue
             applied_moved = GridField(np.fft.ifftn(multiplier * moved_spec))
-            defect = applied_moved.values - (eigenvalue + n * self.degree(n)) * moved
+            degree = 2.0 * np.pi * _orbit_average_rate(self.cocycle, flow, self.points, n, self.waves)
+            defect = applied_moved.values - (eigenvalue + n * degree) * moved
             # both sides vanish only where A annihilates U^N e_l; compare absolutely there
             scale = (applied_moved.norm() + abs(eigenvalue)) or 1.0
             tau = (n * n * wy / 2.0 + n * winding) * eps / 2.0
@@ -719,10 +710,45 @@ def torus_degree_field(cocycle, flow, shape, steps):
     along the flow leaves the constant 2 pi q.W y plus mode-wise geometric
     sums that decay in the step count when the translation is irrational.
     Returns the constant limit and the sup-norm distance of the average at
-    the given horizon from it, over the grid of ``shape``.
+    the given horizon from it, over the grid of ``shape``: torus_degree_bound's oracle.
     """
     steps = _integral(steps, "step counts", 1)
-    return _SectorGrid(cocycle, flow, shape).degree_report(steps)
+    grid = _SectorGrid(cocycle, flow, shape)
+    limit = 2.0 * np.pi * float(np.dot(cocycle.winding, flow.y))
+    degree = 2.0 * np.pi * _orbit_average_rate(cocycle, flow, grid.points, steps, grid.waves)
+    return TorusDegreeReport(steps=steps, limit=limit, sup_error=float(np.max(np.abs(degree - limit))))
+
+
+@dataclass
+class TorusDegreeBound:
+    schedule: list
+    limit: float
+    sup_bounds: list
+    l2_errors: list
+    rate_constant: float
+
+
+def torus_degree_bound(cocycle, flow, schedule):
+    """Certified distance of D_N = 2 pi rate_N from its limit D = 2 pi q.W y, with no grid.
+
+    D_N - D has the coefficient c_k(N) = (2 pi)^2 i (k.y) g_k S_N(k.y) / N on e(k.x) per
+    nonzero mode g_k e(k.x) of q.eta.  Per horizon of ``schedule``, ``sup_bounds`` holds
+    sum_k |c_k(N)| >= ||D_N - D||_inf (equal for one conjugate pair on a one-dimensional base)
+    and ``l2_errors`` sqrt(sum_k |c_k(N)|^2) = ||D_N - D||_L2 (Parseval).  ``rate_constant``
+    C = (2 pi)^2 sum_k |k.y| |g_k| / |sin pi k.y| >= N sum_k |c_k(N)|, as |S_N(u)| <= 1/|sin pi u|:
+    a finite C certifies the O(1/N) rate; k.y = 0 adds nothing, a nonzero integer k.y makes C inf.
+    """
+    schedule = [_integral(n, "step counts", 1) for n in schedule]
+    moduli = [2.0 * np.pi * np.abs(list(_rate_coefficients(cocycle, flow, n).values())) for n in schedule]
+    rate_constant = 0.0
+    for _, u, g, _ in _phase_sums(cocycle, flow, 1):
+        if u:
+            # sin pi (u - round(u)) keeps its precision near an integer, and is 0 only at one
+            s = abs(math.sin(math.pi * (u - round(u))))
+            rate_constant += (2.0 * np.pi) ** 2 * abs(u) * abs(g) / s if s else math.inf
+    return TorusDegreeBound(schedule, 2.0 * np.pi * float(np.dot(cocycle.winding, flow.y)),
+                            [float(np.sum(m)) for m in moduli], [float(np.sqrt(np.sum(m * m))) for m in moduli],
+                            rate_constant)
 
 
 @dataclass
@@ -907,6 +933,18 @@ def su2_degree_field(cocycle, flow, shape, steps, kernel_tol=1e-8):
         kernel_dim=kernel_dim,
         sup_deviation=sup_dev,
     )
+
+
+def su2_degree_bound(cocycle, flow, schedule):
+    """The angle cocycle's torus_degree_bound times the label n: D_N - D in operator norm.
+
+    D_N - D = (rate_N - y.b) frame (su2_degree_field), ||frame|| = 2 pi n, and D has the eigenvalues
+    2 pi (y.b)(2k - n), ``limit`` times the weights.  Label 0 has frame 0 and every bound 0, not 0 * inf.
+    """
+    n, bound = cocycle.label, torus_degree_bound(cocycle.angle, flow, schedule)
+    scale = (lambda v: n * v) if n else (lambda v: 0.0)
+    return TorusDegreeBound(bound.schedule, bound.limit, [scale(v) for v in bound.sup_bounds],
+                            [scale(v) for v in bound.l2_errors], scale(bound.rate_constant))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from commix.cli import (
 from commix.graphs import format_graph_window, line_window
 from commix.mixing import CorrelationSeries
 from commix.operators import matrix_digest, matrix_to_payload
-from commix.skew import sector_identity_check, torus_degree_field, unit_grid
+from commix.skew import sector_identity_check, torus_degree_bound, torus_degree_field
 
 
 def pair_config(**scenario_extra):
@@ -187,6 +187,18 @@ def test_su2_on_a_2d_base_passes_identities_and_degree(tmp_path):
     assert tasks[1]["metrics"]["steps"] == 1000000
 
 
+def test_su2_degree_with_a_zero_limit_reports_zeros_and_passes(tmp_path):
+    # y.b = 0, so D = 0 and the whole space is ker D; the eigenvalue gate
+    # divided by 2 pi |y.b| and failed this row with ZeroDivisionError
+    model = {"type": "su2", "y": [0.6180339887498949, 0.6180339887498949], "frequency": [1, -1], "label": 2}
+    config = validate_config({"version": 1, "scenarios": [{"name": "flat", "model": model, "tasks": ["degree"]}]})
+    report = run_config(config, tmp_path / "out")
+    row = report["scenarios"][0]["tasks"][0]
+    assert row["status"] == "pass"
+    assert row["metrics"] == {"steps": 1000000, "predicted": [0.0, 0.0, 0.0], "sup_bound": 0.0, "rate_constant": 0.0}
+    assert "-0.0" not in (tmp_path / "out" / "report.json").read_text()
+
+
 def test_run_pair_identities(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -197,7 +209,7 @@ def test_run_pair_identities(tmp_path, capsys, monkeypatch):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 14
+    assert report["version"] == cli.REPORT_VERSION == 15
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -370,14 +382,10 @@ def test_fourier_gamma_must_be_positive(tmp_path, capsys):
     assert config["scenarios"][0]["thresholds"]["fourier_gamma"] == 0.25
 
 
-_SIGNED = {"torus_slope_min", "torus_slope_max", "graph_psd_floor", "fourier_exponent_max"}
+_SIGNED = {"graph_psd_floor", "fourier_exponent_max"}
 
 
-@pytest.mark.parametrize("overrides, key", [
-    *[({key: -1}, key) for key in sorted(DEFAULT_THRESHOLDS.keys() - _SIGNED)],
-    ({"torus_slope_min": 0.5, "torus_slope_max": -0.5}, "torus_slope_min"),
-    ({"torus_slope_max": -2.0}, "torus_slope_max"),
-])
+@pytest.mark.parametrize("overrides, key", [({key: -1}, key) for key in sorted(DEFAULT_THRESHOLDS.keys() - _SIGNED)])
 def test_out_of_range_thresholds_are_config_errors(tmp_path, capsys, overrides, key):
     # before, kernel_tol -1 gave a degree fail row and gap_threshold -1 a silent warn
     config = pair_config(thresholds=overrides)
@@ -391,9 +399,25 @@ def test_out_of_range_thresholds_are_config_errors(tmp_path, capsys, overrides, 
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("torus_slope_min", -1.3), ("torus_slope_max", -0.7), ("su2_eigenvalue_rel", 2e-2)])
+def test_the_removed_degree_thresholds_are_unknown_keys(tmp_path, capsys, key, value):
+    # the slope window and the eigenvalue gap gave way to the certified sup bound
+    assert len(DEFAULT_THRESHOLDS) == 17 and key not in DEFAULT_THRESHOLDS
+    config = pair_config(thresholds={key: value})
+    want = f"config.scenarios[0].thresholds.{key}: unknown threshold key"
+    with pytest.raises(SchemaError) as info:
+        validate_config(config)
+    assert str(info.value) == want
+    path = write_config(tmp_path, config)
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_signed_thresholds_may_be_negative_and_the_others_zero():
-    signed = {"torus_slope_min": -5.0, "torus_slope_max": -5.0, "graph_psd_floor": -1.0,
-              "fourier_exponent_max": -3.0}
+    signed = {"graph_psd_floor": -1.0, "fourier_exponent_max": -3.0}
     zeros = {key: 0 for key in DEFAULT_THRESHOLDS.keys() - _SIGNED - {"fourier_n_max", "fourier_gamma"}}
     thresholds = validate_config(pair_config(thresholds={**signed, **zeros}))["scenarios"][0]["thresholds"]
     assert thresholds == {**DEFAULT_THRESHOLDS, **signed, **zeros}
@@ -995,7 +1019,7 @@ PLANE_TORUS = {"type": "torus", "y": [0.6180339887498949, 0.41421356237309515],
 
 
 def test_torus_grid_work_is_done_once_per_scenario(tmp_path, monkeypatch):
-    # N = 128 is unresolved for identities, so only degree needs its average
+    # N = 128 is unresolved for identities, and degree needs no grid average
     tables, averages = [], []
 
     def wave_table(keys, x, _call=skew._wave_table):
@@ -1015,11 +1039,11 @@ def test_torus_grid_work_is_done_once_per_scenario(tmp_path, monkeypatch):
     assert [row["status"] for row in report["scenarios"][0]["tasks"]] == ["pass"] * 4
     # one table, of q.eta's modes; the identity check forms U^N e_1 in closed form
     assert tables == [((1,), (-1,))]
-    assert sorted(averages) == [4, 16, 128]
+    assert averages == [4, 16]
 
 
 @pytest.mark.parametrize("model,schedule", [(GOLDEN_TORUS, [4, 16, 128]), (PLANE_TORUS, [1, 2, 4])])
-def test_shared_torus_tables_match_the_standalone_routes(model, schedule):
+def test_torus_rows_match_the_standalone_routes(model, schedule):
     scenario = validate_config({"version": 1, "scenarios": [
         {"name": "t", "model": model, "schedule": schedule, "tasks": ["identities", "degree"]}]})["scenarios"][0]
     runner = cli.ScenarioRunner(scenario, build_model(scenario))
@@ -1030,15 +1054,17 @@ def test_shared_torus_tables_match_the_standalone_routes(model, schedule):
     alone = sector_identity_check(cocycle, flow, (1,) * cocycle.d, shape, schedule)
     assert identities == {"horizons": alone.horizons, "residuals": alone.residuals,
                           "estimates": alone.estimates, "unresolved_horizons": alone.unresolved}
-    sups = json.loads(artifacts["torus-degree.json"])["sup_errors"]
-    assert sups == [torus_degree_field(cocycle, flow, shape, n).sup_error for n in schedule]
+    bound = torus_degree_bound(cocycle, flow, schedule)
+    assert json.loads(artifacts["torus-degree.json"]) == {
+        "schedule": schedule, "sup_bounds": bound.sup_bounds, "l2_errors": bound.l2_errors,
+        "limit": bound.limit, "rate_constant": bound.rate_constant}
+    assert degree == {"limit": bound.limit, "final_sup_error": bound.sup_bounds[-1],
+                      "final_l2_error": bound.l2_errors[-1], "rate_constant": bound.rate_constant,
+                      "schedule": schedule}
     assert degree["limit"] == torus_degree_field(cocycle, flow, shape, 1).limit
-    grid = runner.sector_grid
-    for n in schedule:
-        standalone = 2.0 * np.pi * skew._orbit_average_rate(cocycle, flow, unit_grid(shape), n)
-        assert grid.degree(n).tobytes() == standalone.tobytes()
-        assert not grid.degree(n).flags.writeable
-    assert not any(w.flags.writeable for w in (grid.points, *grid.freqs, *grid.waves.values()))
+    # the gated bound is at least what the model's grid samples
+    for n, sup_bound in zip(schedule, bound.sup_bounds):
+        assert torus_degree_field(cocycle, flow, shape, n).sup_error <= sup_bound * (1 + 1e-12)
 
 
 def test_winding_rows_and_sector_reach_the_tasks_as_their_projection(tmp_path):
@@ -1628,9 +1654,7 @@ def _raw_config(draw):
             sc["horizon"] = draw(st.integers(16, 4096))
         if draw(st.booleans()):
             keys = draw(st.lists(st.sampled_from(sorted(DEFAULT_THRESHOLDS)), unique=True, max_size=4))
-            # slopes drawn on either side of the default band always keep min <= max
             valid = {"fourier_n_max": st.integers(8, 512), "fourier_gamma": st.floats(0.01, 10.0),
-                     "torus_slope_min": st.floats(-10.0, -1.3), "torus_slope_max": st.floats(-0.7, 10.0),
                      "graph_psd_floor": _numbers, "fourier_exponent_max": _numbers}
             sc["thresholds"] = {k: draw(valid.get(k, st.floats(0.0, 10.0))) for k in keys}
         if draw(st.booleans()):

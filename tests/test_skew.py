@@ -31,8 +31,10 @@ from commix import (
     sector_matrix,
     shift_weyl_model,
     skew,
+    su2_degree_bound,
     su2_degree_field,
     su2_irrep,
+    torus_degree_bound,
     torus_degree_field,
     unit_grid,
     unitary_symbol,
@@ -489,11 +491,11 @@ def test_sector_grid_tables_are_read_only_and_inputs_are_kept():
     flow = TorusFlow([GOLDEN, SILVER])
     grid = skew._SectorGrid(coc, flow, (64, 64))
     grid.identity_check((1, 1), [1, 2])
-    grid.degree_report(3)
     # the modes of q.eta with a zero coefficient get no wave
     assert list(grid.waves) == [(1, 0), (-1, 0)]
-    tables = [grid.points, *grid.freqs, *grid.waves.values(), grid.degree(1), grid.degree(3)]
-    assert grid.degree(3) is grid.degree(3)
+    # the tables that no step count changes, and no D_N
+    assert set(vars(grid)) == {"shape", "cocycle", "flow", "points", "freqs", "waves"}
+    tables = [grid.points, *grid.freqs, *grid.waves.values()]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -508,6 +510,7 @@ def test_sector_grid_tables_are_read_only_and_inputs_are_kept():
                  lambda: sector_apply(coc, flow, field, -1),
                  lambda: cocycle_sum(coc, flow, points, 3),
                  lambda: torus_degree_field(coc, flow, (64, 64), 3),
+                 lambda: torus_degree_bound(coc, flow, schedule),
                  lambda: sector_identity_check(coc, flow, mode, (64, 64), schedule)):
         call()
         for a, b in zip(inputs, before):
@@ -749,6 +752,60 @@ def test_torus_degree_sup_error_shrinks():
     coc = standard_cocycle()
     errs = [torus_degree_field(coc, flow, (64,), n).sup_error for n in (16, 256)]
     assert errs[1] < errs[0] / 4
+
+
+# Hermitian mode dicts with |k_i| <= 3, which a grid of 16 points per axis
+# resolves, differences included, so that the grid samples D_N - D without
+# aliasing; moduli from 1e-3 keep |c_k|^2 far from underflow
+@settings(max_examples=25)
+@given(
+    d=st.sampled_from([1, 2]),
+    eta=st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                        st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0, allow_nan=False,
+                                           allow_infinity=False), min_size=1, max_size=3),
+    frequency=st.tuples(st.integers(-3, 3).filter(bool), st.integers(-3, 3)),
+    schedule=st.lists(st.integers(1, 4096), min_size=1, max_size=4, unique=True),
+)
+@example(d=1, eta={(1, 0): -0.025j}, frequency=(1, 0), schedule=[16, 1024])
+def test_degree_bounds_hold_on_the_grid(d, eta, frequency, schedule):
+    flow = TorusFlow([GOLDEN, SILVER][:d])
+    modes = mirrored({k[:d]: c for k, c in eta.items()})
+    shape, schedule = (16,) * d, sorted(schedule)
+    # winding 0, so that D = 0 and the grid subtracts no constant, whose roundoff the bound does not see
+    coc = TorusCocycle([0] * d, modes)
+    bound = torus_degree_bound(coc, flow, schedule)
+    assert bound.limit == 0.0
+    for n, sup_bound, l2 in zip(schedule, bound.sup_bounds, bound.l2_errors):
+        assert torus_degree_field(coc, flow, shape, n).sup_error <= sup_bound * (1 + 1e-12)
+        values = 2.0 * np.pi * _orbit_average_rate(coc, flow, unit_grid(shape), n)
+        assert abs(GridField(values).norm() - l2) <= 1e-12 * l2
+        assert n * sup_bound <= bound.rate_constant * (1 + 1e-12)
+    h = su2_irrep(1, np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]]))
+    for label in range(4):
+        su2 = SU2Cocycle(h, frequency[:d], modes, label)
+        su2_bound = su2_degree_bound(su2, flow, schedule)
+        # the grid mean of the rate stands in for y.b, to a roundoff of a few eps |y.b|
+        slack = 2 * np.pi * label * abs(float(np.dot(frequency[:d], flow.y))) * 1e-14
+        for n, sup_bound in zip(schedule, su2_bound.sup_bounds):
+            assert su2_degree_field(su2, flow, shape, n).sup_deviation <= sup_bound * (1 + 1e-12) + slack
+        assert su2_bound.rate_constant == label * bound.rate_constant
+
+
+def test_degree_bound_of_a_resonant_or_invisible_mode():
+    # k.y = 0: the mode adds nothing to D_N, to the bounds or to C
+    coc = TorusCocycle([1, -1], {(1, -1): 0.5j, (-1, 1): -0.5j})
+    bound = torus_degree_bound(coc, TorusFlow([GOLDEN, GOLDEN]), [1, 10])
+    assert (bound.limit, bound.sup_bounds, bound.l2_errors, bound.rate_constant) == (0.0, [0.0, 0.0], [0.0, 0.0], 0.0)
+    # k.y = 1: the mode's coefficient (2 pi)^2 i g never decays, so C is infinite
+    with pytest.warns(RationalApproximationWarning):
+        flow = TorusFlow([0.25, 0.75])
+    coc = TorusCocycle([1, 0], {(1, 1): 0.5j, (-1, -1): -0.5j})
+    bound = torus_degree_bound(coc, flow, [1, 10, 1000])
+    assert bound.rate_constant == math.inf
+    assert bound.sup_bounds == pytest.approx([(2 * np.pi) ** 2] * 3, rel=1e-15)
+    # an SU(2) cocycle of label 0 has frame 0, so every bound is 0
+    su2 = SU2Cocycle(np.eye(2), [1, 0], coc.modes, 0)
+    assert su2_degree_bound(su2, flow, [10]).rate_constant == 0.0
 
 
 def test_su2_irrep_basics():
