@@ -358,14 +358,12 @@ def interior_residuals(ops):
 
 @dataclass
 class GraphDegreeReport:
-    degree_eigenvalues: np.ndarray
-    kernel_dim_degree: int
-    kernel_dim_momentum: int
-    kernel_match: bool
-    psd_min_eigenvalue: float
+    """What ``graph_degree`` leaves open: the kernel dimension of K (and so of
+    the degree), the flow-invariance residuals by time, and the probe row."""
+
+    kernel_dim: int
     flow_residuals: dict
     probe_row: int
-    note: str
 
 
 def _path_eigenpairs(m):
@@ -384,21 +382,6 @@ def _path_eigenpairs(m):
     return lam, sines[np.outer(j, j) % (2 * (m + 1))]
 
 
-def _canonical_csr(matrix):
-    """``matrix`` as CSR with sorted indices, no duplicates and no stored zeros.
-
-    Two such arrays are the same operator exactly when their ``indptr``,
-    ``indices`` and ``data`` are equal; a matrix already in that form is
-    returned as is, otherwise a copy is cleaned.
-    """
-    matrix = matrix.tocsr()
-    if not matrix.has_canonical_format or not np.all(matrix.data):
-        matrix = matrix.copy()
-        matrix.sum_duplicates()
-        matrix.eliminate_zeros()
-    return matrix
-
-
 def _lattice_sides(h):
     """(n,) if H is exactly the path adjacency on its n positions, (nx, ny) if
     it is exactly the row-major nx-by-ny grid's P_nx (+) P_ny, else None.
@@ -407,9 +390,14 @@ def _lattice_sides(h):
     candidate: {1} the path, {1, ny} the grid with n/ny rows.  The candidate's
     CSR arrays are written down directly (row k of the grid stores k - ny,
     k - 1, k + 1 and k + ny, where those are neighbours) and compared with
-    H's, exactly, in O(edges).
+    H's, exactly, in O(edges), after H is put in canonical form (sorted
+    indices, no duplicates, no stored zeros; a copy, when it is not already).
     """
-    h = _canonical_csr(h)
+    h = h.tocsr()
+    if not h.has_canonical_format or not np.all(h.data):
+        h = h.copy()
+        h.sum_duplicates()
+        h.eliminate_zeros()
     n = h.shape[0]
     steps = h.indices[h.indptr[0]:h.indptr[1]].tolist()
     if steps == [1]:
@@ -429,32 +417,16 @@ def _lattice_sides(h):
     return sides if exact else None
 
 
-def _half_turn_negates_momentum(h, s):
-    """Whether the half-turn R: k -> n-1-k has R H R = H and R S R = -S.
+def graph_degree(ops):
+    """Kernel and flow invariance of the degree (H+i)^{-1} K^2 (H-i)^{-1}.
 
-    In canonical CSR order R reverses the list of stored entries, so each
-    identity is an exact comparison of the entry list with its reverse.
-    """
-    n = h.shape[0]
-
-    def turns_into(matrix, sign):
-        matrix = _canonical_csr(matrix)
-        counts = np.diff(matrix.indptr)
-        return (np.array_equal(counts, counts[::-1])
-                and np.array_equal(matrix.indices, n - 1 - matrix.indices[::-1])
-                and np.array_equal(matrix.data, sign * matrix.data[::-1]))
-
-    return turns_into(h, 1.0) and turns_into(s, -1.0)
-
-
-def graph_degree(ops, kernel_tol=1e-8):
-    """Degree operator (H+i)^{-1} K^2 (H-i)^{-1} and its consistency checks.
-
-    Where [K, H] vanishes the degree equals K^2 (H^2+1)^{-1}, commutes with H,
-    and conjugation by the flow e^{isH} leaves it fixed; the report records
-    the kernel-rank comparison against K, the spectrum and its smallest
-    eigenvalue, and the flow-invariance residuals at the times 0.5, 1 and 2
-    on a probe concentrated deep in the interior.
+    The degree is R* K^2 R with R = (H-i)^{-1} invertible, so by Sylvester's
+    law of inertia it is positive semidefinite and its kernel has the
+    dimension of K's; neither fact is computed.  What they leave open is
+    recorded: the kernel dimension of K, and the flow-invariance residuals at
+    the times 0.5, 1 and 2 on a probe concentrated deep in the interior
+    (where [K, H] vanishes the degree equals K^2 (H^2+1)^{-1}, commutes with
+    H, and conjugation by the flow e^{isH} leaves it fixed).
 
     H is real symmetric and K = iS with S real antisymmetric.  Every edge
     steps the grading by one, so in even/odd order H = [[0, C], [C^T, 0]] and
@@ -467,35 +439,19 @@ def graph_degree(ops, kernel_tol=1e-8):
     eigenvectors (u_i, +-y_i)/sqrt(2), and 0 for each of the
     |n_even - n_odd| unpaired columns of U or Y.
 
-    Everything after (lam, V) is shared.  With B = V^T S^T S V = V^T K^2 V and
-    D = diag(1/(lam+i)) the degree is V D B conj(D) V^T; the phases of D
-    conjugate away, so it is unitarily similar to X^T X with X = S V W,
-    W = diag((lam^2+1)^{-1/2}), and shares its spectrum with
-    X X^T = S (H^2+1)^{-1} S^T.  That is block-diagonal in parity: the Grams
-    of the row blocks S[even] V W and S[odd] V W give the spectrum, one
-    ``eigvalsh`` each.  On a lattice the half-turn R: k -> n-1-k (the 180
-    degree rotation of a grid, the reflection of a path) splits them further
-    when R H R = H and R S R = -S, both compared exactly on the stored
-    entries.  R then commutes with X X^T, and on the DST-I modes it acts as
-    the sign R V = V diag(rho), rho_j = prod over axes of (-1)^(j_axis)
-    (0-based), so row Rk of X is -rho times row k.  When R keeps each parity
-    block (Phi(0) = Phi(n-1) mod 2: nx + ny even, or a path of odd length),
-    the rows (x_k +- x_Rk)/sqrt(2), k < n-1-k, are sqrt(2) x_k on the modes
-    with rho = -+1, and a centre row (n odd) lies on rho = -1 alone: four
-    Grams of about n/4 rows, on disjoint columns.  When R swaps the parity
-    blocks, the odd Gram is the even one conjugated by R, and one
-    ``eigvalsh`` gives both spectra.  Otherwise, and on the SVD source, the
-    two parity Grams are decomposed as they are.  Since every edge steps
-    the grading by one, S_eo = diag(a) C diag(b) with a(e) = (-1)^(Phi(e)/2) and
-    b(o) = (-1)^((Phi(o)-1)/2), checked exactly on the stored entries; then S
-    is H with its lower block negated, up to these signs, so the singular
-    values of S are |lam| and the kernel of K is counted on them (square
-    roots of eigenvalues of K^2 would halve the digits at the cut).  The flow
-    residuals |e^{is lam} G e^{-is lam} p - G p| with G = D B conj(D) and p
-    the probe row of V apply B as V^T (S^T (S (V .))) through the sparse S.
-    A complex-valued H or S, a stored nonzero of either between positions of
-    equal parity, or an S_eo that is not C under these signs raises
-    StructureError, whichever source the eigenpairs come from.
+    Since every edge steps the grading by one, S_eo = diag(a) C diag(b) with
+    a(e) = (-1)^(Phi(e)/2) and b(o) = (-1)^((Phi(o)-1)/2), checked exactly on
+    the stored entries; then S is H with its lower block negated, up to these
+    signs, so the singular values of S are |lam| and the kernel of K is
+    counted on them at the relative cut 1e-8 (square roots of eigenvalues of
+    K^2 would halve the digits at the cut).  With B = V^T S^T S V = V^T K^2 V
+    and d = 1/(lam+i) the degree is V diag(d) B diag(conj(d)) V^T; the flow
+    residuals |e^{is lam} G e^{-is lam} p - G p| with G = diag(d) B
+    diag(conj(d)) and p the probe row of V apply B as V^T (S^T (S (V .)))
+    through the sparse S.  A complex-valued H or S, a stored nonzero of
+    either between positions of equal parity, or an S_eo that is not C under
+    these signs raises StructureError, whichever source the eigenpairs come
+    from.
     """
     h, s = ops.adjacency, ops.skew_momentum
     odd = ops.position % 2 == 1
@@ -540,34 +496,7 @@ def graph_degree(ops, kernel_tol=1e-8):
         vecs[even_rows] = np.hstack([paired_u, paired_u, u[:, k:], np.zeros((n_even, n_odd - k))])
         vecs[odd_rows] = np.hstack([paired_y, -paired_y, np.zeros((n_odd, n_even - k)), y[:, k:]])
 
-    weights = 1.0 / np.sqrt(lam ** 2 + 1.0)
-    n = lam.size
-    if sides is None or not _half_turn_negates_momentum(h, s):
-        blocks = [((s[rows] @ vecs) * weights, 1) for rows in (even_rows, odd_rows)]
-    elif odd[0] != odd[-1]:
-        # R swaps the parity blocks: the odd Gram is the even one conjugated by R
-        blocks = [((s[even_rows] @ vecs) * weights, 2)]
-    else:
-        # R keeps each parity block: the + rows are sqrt(2) x_k, k < n-1-k, and
-        # a centre row on the modes with rho = -1, the - rows sqrt(2) x_k on rho = +1
-        flipped = np.indices(sides).sum(axis=0).ravel() % 2 == 1
-        half = n // 2
-        paired = s[:half] @ vecs
-        paired *= np.sqrt(2.0) * weights
-        blocks = []
-        for parity in (False, True):
-            rows = odd[:half] == parity
-            plus = paired[np.ix_(rows, flipped)]
-            if n % 2 and odd[half] == parity:
-                centre = (s[[half]] @ vecs) * weights
-                plus = np.vstack([plus, centre[:, flipped]])
-            blocks += [(plus, 1), (paired[np.ix_(rows, ~flipped)], 1)]
-    degree_eigvals = np.sort(np.concatenate(
-        [np.tile(np.linalg.eigvalsh(x @ x.T), multiplicity) for x, multiplicity in blocks]))
-    kernel_dim_degree = int(np.count_nonzero(_kernel_mask(degree_eigvals, kernel_tol)))
-    kernel_dim_momentum = int(np.count_nonzero(_kernel_mask(np.abs(lam), kernel_tol)))
-    match = kernel_dim_degree == kernel_dim_momentum
-    note = "" if match else "kernel ranks disagree; boundary pollution suspected, enlarge the margin"
+    kernel_dim = int(np.count_nonzero(_kernel_mask(np.abs(lam), 1e-8)))
 
     probe_row = int(ops.center_row)
     d = 1.0 / (lam + 1j)
@@ -580,16 +509,7 @@ def graph_degree(ops, kernel_tol=1e-8):
     norms = np.linalg.norm(d[:, None] * turned, axis=0)
     flow_residuals = {float(t): float(r) for t, r in zip(times, norms)}
 
-    return GraphDegreeReport(
-        degree_eigenvalues=degree_eigvals,
-        kernel_dim_degree=kernel_dim_degree,
-        kernel_dim_momentum=kernel_dim_momentum,
-        kernel_match=match,
-        psd_min_eigenvalue=float(degree_eigvals.min()),
-        flow_residuals=flow_residuals,
-        probe_row=probe_row,
-        note=note,
-    )
+    return GraphDegreeReport(kernel_dim=kernel_dim, flow_residuals=flow_residuals, probe_row=probe_row)
 
 
 def format_graph_window(window):

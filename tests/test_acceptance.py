@@ -42,6 +42,7 @@ from commix import (
 )
 from commix import cli
 from commix.cli import run_config, validate_config
+from commix.operators import _kernel_mask
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -189,6 +190,16 @@ def test_criterion_6_epsilon_commutator_slope():
     print(f"criterion 6: slopes in [{min(slopes):.4f}, {max(slopes):.4f}]")
 
 
+def _dense_degree_kernel_dim(ops):
+    """Kernel dimension of the dense degree (H+i)^{-1} K^2 (H-i)^{-1}, K = iS,
+    at graph_degree's relative cut."""
+    h, k = ops.adjacency.toarray(), 1j * ops.skew_momentum.toarray()
+    eye = np.eye(h.shape[0])
+    degree = np.linalg.solve((h - 1j * eye).T, np.linalg.solve(h + 1j * eye, k @ k).T).T
+    spectrum = np.linalg.eigvalsh((degree + degree.conj().T) / 2.0)
+    return int(np.count_nonzero(_kernel_mask(spectrum, 1e-8)))
+
+
 def test_criterion_7_graph_windows():
     t0 = time.perf_counter()
     line = build_operators(line_window(200, 3))
@@ -196,14 +207,14 @@ def test_criterion_7_graph_windows():
     assert res_line.momentum_commutator <= 1e-12
     assert res_line.degree_identity <= 1e-12
     deg_line = graph_degree(line)
-    assert deg_line.kernel_match
+    assert deg_line.kernel_dim == _dense_degree_kernel_dim(line) == 0
 
     grid = build_operators(grid2d_window(24, 24, 2))
     res_grid = interior_residuals(grid)
     assert res_grid.momentum_commutator <= 1e-12
     assert res_grid.degree_identity <= 1e-12
     deg_grid = graph_degree(grid)
-    assert deg_grid.kernel_match
+    assert deg_grid.kernel_dim == _dense_degree_kernel_dim(grid) == 24
 
     rep = check_admissible(alternating_cycle4())
     assert not rep.admissible

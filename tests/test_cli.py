@@ -209,7 +209,7 @@ def test_run_pair_identities(tmp_path, capsys, monkeypatch):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 15
+    assert report["version"] == cli.REPORT_VERSION == 16
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -382,12 +382,12 @@ def test_fourier_gamma_must_be_positive(tmp_path, capsys):
     assert config["scenarios"][0]["thresholds"]["fourier_gamma"] == 0.25
 
 
-_SIGNED = {"graph_psd_floor", "fourier_exponent_max"}
+_SIGNED = {"fourier_exponent_max"}
 
 
 @pytest.mark.parametrize("overrides, key", [({key: -1}, key) for key in sorted(DEFAULT_THRESHOLDS.keys() - _SIGNED)])
 def test_out_of_range_thresholds_are_config_errors(tmp_path, capsys, overrides, key):
-    # before, kernel_tol -1 gave a degree fail row and gap_threshold -1 a silent warn
+    # before, gap_threshold -1 gave a silent warn
     config = pair_config(thresholds=overrides)
     want = f"config.scenarios[0].thresholds.{key}: "
     with pytest.raises(SchemaError, match=re.escape(want)):
@@ -400,10 +400,12 @@ def test_out_of_range_thresholds_are_config_errors(tmp_path, capsys, overrides, 
 
 
 @pytest.mark.parametrize("key, value", [
-    ("torus_slope_min", -1.3), ("torus_slope_max", -0.7), ("su2_eigenvalue_rel", 2e-2)])
+    ("torus_slope_min", -1.3), ("torus_slope_max", -0.7), ("su2_eigenvalue_rel", 2e-2),
+    ("graph_psd_floor", -1e-10), ("kernel_tol", 1e-8)])
 def test_the_removed_degree_thresholds_are_unknown_keys(tmp_path, capsys, key, value):
-    # the slope window and the eigenvalue gap gave way to the certified sup bound
-    assert len(DEFAULT_THRESHOLDS) == 17 and key not in DEFAULT_THRESHOLDS
+    # the slope window and the eigenvalue gap gave way to the certified sup bound;
+    # the graph degree's sign and kernel comparison hold by Sylvester's law of inertia
+    assert len(DEFAULT_THRESHOLDS) == 15 and key not in DEFAULT_THRESHOLDS
     config = pair_config(thresholds={key: value})
     want = f"config.scenarios[0].thresholds.{key}: unknown threshold key"
     with pytest.raises(SchemaError) as info:
@@ -417,7 +419,7 @@ def test_the_removed_degree_thresholds_are_unknown_keys(tmp_path, capsys, key, v
 
 
 def test_signed_thresholds_may_be_negative_and_the_others_zero():
-    signed = {"graph_psd_floor": -1.0, "fourier_exponent_max": -3.0}
+    signed = {"fourier_exponent_max": -3.0}
     zeros = {key: 0 for key in DEFAULT_THRESHOLDS.keys() - _SIGNED - {"fourier_n_max", "fourier_gamma"}}
     thresholds = validate_config(pair_config(thresholds={**signed, **zeros}))["scenarios"][0]["thresholds"]
     assert thresholds == {**DEFAULT_THRESHOLDS, **signed, **zeros}
@@ -1655,7 +1657,7 @@ def _raw_config(draw):
         if draw(st.booleans()):
             keys = draw(st.lists(st.sampled_from(sorted(DEFAULT_THRESHOLDS)), unique=True, max_size=4))
             valid = {"fourier_n_max": st.integers(8, 512), "fourier_gamma": st.floats(0.01, 10.0),
-                     "graph_psd_floor": _numbers, "fourier_exponent_max": _numbers}
+                     "fourier_exponent_max": _numbers}
             sc["thresholds"] = {k: draw(valid.get(k, st.floats(0.0, 10.0))) for k in keys}
         if draw(st.booleans()):
             sc["expect_admissible"] = draw(st.booleans())
