@@ -145,7 +145,11 @@ def unitary_symbol(pair):
     if pair.kind != "discrete":
         raise ValueError("unitary_symbol needs a discrete pair")
     u, a = pair.main, pair.conjugate
-    m = (a @ u - u @ a) @ u.conj().T
+    rows = _permutation_rows(u)
+    if rows is None:
+        m = (a @ u - u @ a) @ u.conj().T
+    else:
+        m = _gather_symbol(a, rows)
     check_structure(m, "hermitian", 1e-10 * max(1.0, max_norm(a)), "commutator symbol")
     return m
 
@@ -295,10 +299,46 @@ class IdentityCheck:
     expected: float
 
 
+def _gather_symbol(a, p):
+    """``(A U - U A) U*`` for the permutation ``U x = x[p]``: ``A - A[p][:, p]``.
+
+    The dense products on a permutation are exact reindexings of the same
+    operands, and their sums start from ``+0.0``; adding ``+0.0`` folds a
+    ``-0.0`` the same way, so the result equals the dense one bit for bit
+    while ``A`` is finite.
+    """
+    m = a - a[np.ix_(p, p)]
+    m += 0.0
+    return m
+
+
+def _gather_residual(a, q, avg, steps):
+    """``A U^N - U^N A - N D_N U^N`` for the permutation ``U^N x = x[q]``.
+
+    ``X U^N`` gathers the columns of ``X`` by ``q^-1 = argsort(q)`` and
+    ``U^N X`` its rows by ``q``: ``A[:, q^-1] - A[q] - N D_N[:, q^-1]``,
+    equal to the dense products bit for bit while the operands are finite,
+    as in :func:`_gather_symbol`.
+    """
+    inverse = np.argsort(q)
+    r = a[:, inverse] - a[q] - steps * avg[:, inverse]
+    r += 0.0
+    return r
+
+
 def _identity_check(pair, steps, power, avg):
-    """:class:`IdentityCheck` of ``[A, U^N] = N D_N U^N`` from ``U^N`` and ``D_N``."""
+    """:class:`IdentityCheck` of ``[A, U^N] = N D_N U^N`` from ``U^N`` and ``D_N``.
+
+    When ``U^N`` is a permutation matrix (:func:`_permutation_rows`), as the
+    ladder yields for a permutation ``U``, the residual is formed by
+    :func:`_gather_residual` instead of three dense products.
+    """
     a = pair.conjugate
-    residual = spectral_norm(a @ power - power @ a - steps * (avg @ power))
+    rows = _permutation_rows(power)
+    if rows is None:
+        residual = spectral_norm(a @ power - power @ a - steps * (avg @ power))
+    else:
+        residual = spectral_norm(_gather_residual(a, rows, avg, steps))
     expected = pair.dim * 1e-12 * (pair.conjugate_norm + steps * spectral_norm(avg))
     return IdentityCheck(steps=steps, residual=residual, expected=expected)
 

@@ -185,79 +185,109 @@ def check_admissible(window):
     """Decide both admissibility conditions, with witnesses on failure.
 
     Condition (i) is checked by propagating a grading breadth-first from the
-    smallest vertex of each component; an inconsistent edge yields a closed
-    walk with unequal forward and backward counts.  Condition (ii) is
+    smallest vertex of each component, over neighbour lists read off the
+    sorted edge arrays; an inconsistent edge yields a closed walk with
+    unequal forward and backward counts.  Condition (ii) is
     [K, H] = 0: with F the 0/1 incidence of the edges x < y (rows in sorted
     vertex order), F F^T counts the forward neighbors two vertices share and
     F^T F the backward ones, and their difference is [S, H]/2.  Its
     off-diagonal must vanish between vertices of full degree, because a
     vertex next to the window cut has truncated neighborhoods that say
     nothing about the underlying graph; the witness is the first offending
-    pair x < y.
+    pair x < y.  Both counts come from joining the edge arrays with
+    themselves on the shared endpoint, in O(sum of squared degrees).
     """
-    from scipy import sparse
-
-    edges = set(window.edges)
-    position = {}
-    parent = {}
-    witness_cycle = None
-    witness_balance = None
-    for root in window.vertices:
-        if root in position:
-            continue
-        position[root] = 0
-        parent[root] = None
-        queue = deque([root])
-        while queue and witness_cycle is None:
-            v = queue.popleft()
-            for w in sorted(window.neighbors(v)):
-                step = 1 if (v, w) in edges else -1
-                if w not in position:
-                    position[w] = position[v] + step
-                    parent[w] = v
-                    queue.append(w)
-                elif position[w] != position[v] + step:
-                    # closed walk: root..v, the bad edge, then w..root
-                    up = []
-                    node = v
-                    while node is not None:
-                        up.append(node)
-                        node = parent[node]
-                    down = []
-                    node = w
-                    while node is not None:
-                        down.append(node)
-                        node = parent[node]
-                    witness_cycle = list(reversed(up)) + down
-                    witness_balance = _walk_balance(edges, witness_cycle)
-                    break
-        if witness_cycle is not None:
-            break
-    balance_ok = witness_cycle is None
-
     verts = window.vertices
     dim = len(verts)
     ends = np.searchsorted(verts, np.array(window.edges, dtype=int).reshape(-1, 2))
-    f = sparse.csr_array((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(dim, dim))
-    shared_fwd, shared_bwd = f @ f.T, f.T @ f
-    rows, cols = (shared_fwd - shared_bwd).nonzero()
+    # each edge from both ends, grouped by row and sorted within it: row v
+    # lists the neighbours of v in vertex order, with the step +1 along the
+    # orientation and -1 against it
+    near, far = np.concatenate([ends, ends[:, ::-1]]).T
+    order = np.lexsort((far, near))
+    bounds = np.searchsorted(near[order], np.arange(dim + 1)).tolist()
+    nbrs, steps = far[order].tolist(), np.repeat([1, -1], len(ends))[order].tolist()
+    position, parent, found = [None] * dim, [None] * dim, []
+    bad_edge = None
+    for root in range(dim):
+        if position[root] is not None:
+            continue
+        position[root] = 0
+        found.append(root)
+        queue = deque([root])
+        while queue and bad_edge is None:
+            v = queue.popleft()
+            lo, hi = bounds[v], bounds[v + 1]
+            for w, step in zip(nbrs[lo:hi], steps[lo:hi]):
+                if position[w] is None:
+                    position[w] = position[v] + step
+                    parent[w] = v
+                    found.append(w)
+                    queue.append(w)
+                elif position[w] != position[v] + step:
+                    bad_edge = (v, w)
+                    break
+        if bad_edge is not None:
+            break
+    balance_ok = bad_edge is None
+    witness_cycle = witness_balance = None
+    if not balance_ok:
+        # closed walk: root..v, the bad edge, then w..root
+        walks = []
+        for node in bad_edge:
+            walk = []
+            while node is not None:
+                walk.append(verts[node])
+                node = parent[node]
+            walks.append(walk)
+        witness_cycle = walks[0][::-1] + walks[1]
+        witness_balance = _walk_balance(set(window.edges), witness_cycle)
+
     full = ~np.isin(verts, window.boundary)
-    bad = (rows < cols) & full[rows] & full[cols]
+    # pair codes x * dim + y of the vertices x < y of full degree that share a
+    # forward neighbour (the heads agree), then a backward one (the tails agree)
+    shared = [_shared_endpoint_pairs(ends[:, 1 - side], ends[:, side], full)
+              for side in (1, 0)]
+    codes, inverse = np.unique(np.concatenate(shared), return_inverse=True)
+    n_fwd = np.bincount(inverse[:shared[0].size], minlength=codes.size)
+    n_bwd = np.bincount(inverse[shared[0].size:], minlength=codes.size)
     witness_pair = witness_counts = None
-    if bad.any():
-        x, y = min(zip(rows[bad].tolist(), cols[bad].tolist()))
+    bad = np.flatnonzero(n_fwd != n_bwd)
+    if bad.size:
+        # codes ascend, so the first is the least pair
+        x, y = divmod(int(codes[bad[0]]), dim)
         witness_pair = (verts[x], verts[y])
-        witness_counts = (int(shared_fwd[x, y]), int(shared_bwd[x, y]))
+        witness_counts = (int(n_fwd[bad[0]]), int(n_bwd[bad[0]]))
 
     return AdmissibilityReport(
         path_balance_ok=balance_ok,
         pair_counts_ok=witness_pair is None,
-        position=position if balance_ok else None,
+        position={verts[v]: position[v] for v in found} if balance_ok else None,
         witness_cycle=witness_cycle,
         witness_balance=witness_balance,
         witness_pair=witness_pair,
         witness_counts=witness_counts,
     )
+
+
+def _shared_endpoint_pairs(others, shared, full):
+    """Codes ``x * n + y`` of the pairs x < y of full vertices that are the
+    ``others`` ends of two edges with the same ``shared`` end, once per shared end.
+
+    The edges are sorted by their shared end, and each is joined with every
+    edge of its group, so the work is the sum of the squared group sizes.
+    """
+    order = np.argsort(shared, kind="stable")
+    shared, others = shared[order], others[order]
+    size = np.bincount(shared, minlength=full.size)
+    reps = size[shared]
+    first = np.repeat(others, reps)
+    # the group of edge i starts at start[shared[i]] in sorted order
+    start = np.cumsum(size) - size
+    offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    second = others[np.repeat(start[shared], reps) + offset]
+    keep = (first < second) & full[first] & full[second]
+    return first[keep] * full.size + second[keep]
 
 
 @dataclass
@@ -382,6 +412,22 @@ def _path_eigenpairs(m):
     return lam, sines[np.outer(j, j) % (2 * (m + 1))]
 
 
+def _canonical(matrix):
+    """``matrix`` as CSR with sorted indices, no duplicates and no stored zeros
+    (a copy, when it is not already), so its stored entries are its nonzeros."""
+    matrix = matrix.tocsr()
+    if not matrix.has_canonical_format or not np.all(matrix.data):
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+        matrix.eliminate_zeros()
+    return matrix
+
+
+def _stored_rows(matrix):
+    """The row of each stored entry of a CSR ``matrix``, in storage order."""
+    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+
+
 def _lattice_sides(h):
     """(n,) if H is exactly the path adjacency on its n positions, (nx, ny) if
     it is exactly the row-major nx-by-ny grid's P_nx (+) P_ny, else None.
@@ -393,11 +439,7 @@ def _lattice_sides(h):
     H's, exactly, in O(edges), after H is put in canonical form (sorted
     indices, no duplicates, no stored zeros; a copy, when it is not already).
     """
-    h = h.tocsr()
-    if not h.has_canonical_format or not np.all(h.data):
-        h = h.copy()
-        h.sum_duplicates()
-        h.eliminate_zeros()
+    h = _canonical(h)
     n = h.shape[0]
     steps = h.indices[h.indptr[0]:h.indptr[1]].tolist()
     if steps == [1]:
@@ -451,15 +493,15 @@ def graph_degree(ops):
     through the sparse S.  A complex-valued H or S, a stored nonzero of
     either between positions of equal parity, or an S_eo that is not C under
     these signs raises StructureError, whichever source the eigenpairs come
-    from.
+    from; both checks read the CSR arrays of H and S in O(edges).
     """
     h, s = ops.adjacency, ops.skew_momentum
     odd = ops.position % 2 == 1
 
     def joins_equal_parity(matrix):
-        entries = matrix.tocoo()
-        stored = entries.data != 0
-        return np.any(odd[entries.row[stored]] == odd[entries.col[stored]])
+        matrix = matrix.tocsr()
+        stored = matrix.data != 0
+        return np.any(odd[_stored_rows(matrix)[stored]] == odd[matrix.indices[stored]])
 
     if (np.iscomplexobj(h) or np.iscomplexobj(s)
             or joins_equal_parity(h) or joins_equal_parity(s)):
@@ -468,25 +510,31 @@ def graph_degree(ops):
             "and edges that step the grading by one"
         )
 
-    even_rows, odd_rows = np.flatnonzero(~odd), np.flatnonzero(odd)
-    c, s_eo = h[even_rows][:, odd_rows], s[even_rows][:, odd_rows]
-    # a(e) and b(o) of the docstring; the comparison is exact, entry by stored entry
-    gauge_even = np.where(np.mod(ops.position[even_rows], 4) == 0, 1.0, -1.0)
-    gauge_odd = np.where(np.mod(ops.position[odd_rows] - 1, 4) == 0, 1.0, -1.0)
-    if (s_eo - c.multiply(gauge_even[:, None]).multiply(gauge_odd[None, :])).count_nonzero():
+    # every stored nonzero now joins opposite parities, so in canonical form
+    # the entries of the even rows are the blocks S_eo and C; they line up one
+    # to one exactly when the two share their pattern, and the comparison with
+    # a(e) C b(o) (one sign per position) is exact
+    hc, sc = _canonical(h), _canonical(s)
+    gauge = np.where(np.mod(ops.position - odd, 4) == 0, 1.0, -1.0)
+    h_rows, s_rows = _stored_rows(hc), _stored_rows(sc)
+    h_eo, s_eo = ~odd[h_rows], ~odd[s_rows]
+    rows, cols = h_rows[h_eo], hc.indices[h_eo]
+    if not (np.array_equal(rows, s_rows[s_eo]) and np.array_equal(cols, sc.indices[s_eo])
+            and not np.any(sc.data[s_eo] - hc.data[h_eo] * gauge[rows] * gauge[cols])):
         raise StructureError(
             "graph_degree expects the momentum's even-odd block to be the adjacency's "
             "under the grading signs, as on edges that step the grading by one"
         )
-    sides = _lattice_sides(h)
+    sides = _lattice_sides(hc)
     if sides is not None:
         lam, vecs = _path_eigenpairs(sides[0])
         if len(sides) == 2:
             lam_y, vecs_y = _path_eigenpairs(sides[1])
             lam, vecs = (lam[:, None] + lam_y).ravel(), np.kron(vecs, vecs_y)
     else:
+        even_rows, odd_rows = np.flatnonzero(~odd), np.flatnonzero(odd)
         n_even, n_odd = even_rows.size, odd_rows.size
-        u, sigma, y_t = np.linalg.svd(c.toarray())
+        u, sigma, y_t = np.linalg.svd(hc[even_rows][:, odd_rows].toarray())
         y, k = y_t.T, sigma.size
         lam = np.concatenate([sigma, -sigma, np.zeros(n_even + n_odd - 2 * k)])
         # eigenvector columns: the pairs at +sigma, at -sigma, then the unpaired

@@ -251,16 +251,16 @@ class TorusCocycle:
 
 
 def _geometric_phase_sum(u, n):
-    # sum_{j=0}^{n-1} e(j u) in closed form; near an integer u the form runs
-    # on delta = u - round(u), which leaves every term unchanged, and an
-    # integer u sums n ones
+    # sum_{j=0}^{n-1} e(j u) in closed form, for a step count n or an array of
+    # them; near an integer u the form runs on delta = u - round(u), which
+    # leaves every term unchanged, and an integer u sums n ones
     s = math.sin(math.pi * u)
     if abs(s) < 1e-9:
         u = u - round(u)
         if u == 0.0:
-            return complex(n)
+            return n * (1.0 + 0.0j)
         s = math.sin(math.pi * u)
-    return np.exp(1j * np.pi * (n - 1) * u) * math.sin(math.pi * n * u) / s
+    return np.exp(1j * np.pi * (n - 1) * u) * np.sin(math.pi * n * u) / s
 
 
 def _phase_sums(cocycle, flow, n):
@@ -675,7 +675,7 @@ def sector_correlation(cocycle, flow, phi, psi, horizon):
             g_pair = (g + np.conj(modes[mirror])) / 2.0
             if g_pair != 0:
                 u = float(np.dot(k, flow.y))
-                a = g_pair * np.array([_geometric_phase_sum(u, n) for n in steps])
+                a = g_pair * _geometric_phase_sum(u, steps)
                 if not np.all(np.isfinite(z := 4.0 * np.pi * np.abs(a))):
                     raise ValueError(f"modulation amplitude of mode pair {k} is not finite ({g!r})")
                 pairs.append((np.asarray(k), z, np.angle(a)))

@@ -170,6 +170,73 @@ def test_permutation_ladder_gathers_what_the_dense_kernel_multiplies(dim, shape,
         assert np.array_equal(power, np.linalg.matrix_power(u, steps))
 
 
+def _fold(m):
+    """``m`` with each ``-0.0`` read as ``+0.0``, as the dense products' sums give it."""
+    return (m + 0.0).tobytes()
+
+
+@settings(max_examples=60)
+@given(dim=st.integers(1, 40), shape=st.sampled_from(["identity", "cycle", "any"]), real=st.booleans(),
+       steps=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+def test_gather_symbol_and_residual_equal_the_dense_products(dim, shape, real, steps, seed):
+    # U x = x[p]; a cycle of length >= 3 is not its own inverse, so a residual
+    # that gathers by q where q^-1 belongs shows here
+    rng = np.random.default_rng(seed)
+    rows = np.arange(dim)
+    if shape == "cycle" and dim >= 3:
+        rows = np.roll(rows, 1)
+    elif shape == "any":
+        rows = rng.permutation(dim)
+    u = np.eye(dim)[rows]
+    assert np.array_equal(commutators._permutation_rows(u), rows)
+    hermitian = random_symmetric if real else random_hermitian
+    # zeros of either sign, as a symbol or a matrix file may hold them
+    a, d = (np.where(rng.random((dim, dim)) < 0.5, hermitian(rng, dim),
+                     rng.choice([0.0, -0.0], (dim, dim))) for _ in range(2))
+    a, d = (a + a.conj().T) / 2, (d + d.conj().T) / 2
+    symbol = commutators._gather_symbol(a, rows)
+    assert symbol.dtype == a.dtype and symbol.tobytes() == _fold((a @ u - u @ a) @ u.conj().T)
+    residual = commutators._gather_residual(a, rows, d, steps)
+    assert residual.dtype == a.dtype and residual.tobytes() == _fold(a @ u - u @ a - steps * (d @ u))
+
+
+@pytest.mark.parametrize("name", ["shift", "short-of-one", "negative-zero", "complex"])
+def test_symbol_and_identity_check_gather_only_on_a_permutation(monkeypatch, name):
+    # the shift takes the gather kernels, and the pair's symbol and each
+    # residual are the same bits as the dense products; a float64 matrix one
+    # ulp off a permutation, one holding a -0.0, or a complex one takes the
+    # products, but the products U^N (N > 1) of a permutation holding a -0.0
+    # hold +0.0 and are gathered again
+    if name == "shift":
+        pair = shift_weyl_model(40, 3).pair
+    else:
+        u, rng = np.roll(np.eye(7), 1, axis=0), np.random.default_rng(123)
+        if name == "complex":
+            # a pair is held in complex arithmetic once an operator is complex
+            pair = OperatorPair.discrete(u, random_hermitian(rng, 7))
+        else:
+            u[1, 0] = 1.0 - 2.0**-53 if name == "short-of-one" else u[1, 0]
+            u[2, 0] = -0.0 if name == "negative-zero" else u[2, 0]
+            pair = OperatorPair.discrete(u, random_symmetric(rng, 7))
+    u, a = pair.main, pair.conjugate
+    calls = []
+    for name_ in ("_gather_symbol", "_gather_residual"):
+        def recording(*args, _call=getattr(commutators, name_), _name=name_):
+            calls.append(_name)
+            return _call(*args)
+        monkeypatch.setattr(commutators, name_, recording)
+    schedule = [1, 3, 40]
+    symbol = pair.symbol
+    assert symbol.tobytes() == _fold((a @ u - u @ a) @ u.conj().T)
+    for steps, total, power in _birkhoff_ladder(u, symbol, schedule):
+        average = total / steps
+        check = commutators._identity_check(pair, steps, power, average)
+        assert check.residual == spectral_norm(a @ power - power @ a - steps * (average @ power))
+        assert check == degree_identity_check(pair, steps)
+    assert calls == {"shift": ["_gather_symbol"] + ["_gather_residual"] * 6,
+                     "negative-zero": ["_gather_residual"] * 4}.get(name, [])
+
+
 @pytest.mark.parametrize("schedule", [[1, 2, 4, 8], [3, 6, 12, 24], [125, 250, 500, 1000],
                                       [1, 2, 5, 17, 64], [1, 2, 3], [7], [1000]])
 @pytest.mark.parametrize("real", [False, True])

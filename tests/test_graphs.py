@@ -263,10 +263,24 @@ def _oriented_graph(rng):
     return DirectedGraphWindow(vertices, edges, rng.randrange(3))
 
 
-@settings(max_examples=200)
+def _oriented_grid(rng):
+    """An up to 6-by-6 grid, labels shifted by -5, each edge dropped with a
+    per-graph probability of 0 or 0.1 and reversed with a per-graph
+    probability below 1: full-degree vertices inside, and pair counts that
+    hold at no reversal and fail in many ways at a few."""
+    full = grid2d_window(rng.randint(2, 6), rng.randint(2, 6), 0)
+    keep, flip = rng.choice((1.0, 0.9)), rng.choice((0.0, rng.random() / 4, rng.random()))
+    edges = [(y - 5, x - 5) if rng.random() < flip else (x - 5, y - 5)
+             for x, y in full.edges if rng.random() < keep]
+    return DirectedGraphWindow([v - 5 for v in full.vertices], edges, rng.randrange(3))
+
+
+@settings(max_examples=300)
 @example(window=alternating_cycle4())
 @example(window=line_window(9, 2))
-@given(window=st.randoms(use_true_random=True).map(_oriented_graph))
+@example(window=grid2d_window(5, 4, 1))
+@given(window=st.one_of(st.randoms(use_true_random=True).map(_oriented_graph),
+                        st.randoms(use_true_random=True).map(_oriented_grid)))
 def test_check_admissible_matches_the_per_pair_loop(window):
     rep = check_admissible(window)
     witness_cycle, position, witness_pair, witness_counts = _loop_admissibility(window)
@@ -673,6 +687,42 @@ def test_graph_degree_rejects_operators_outside_the_real_route():
                      {"adjacency": ops.adjacency + abs(edge) / 2.0}):
         with pytest.raises(StructureError, match="grading signs"):
             graph_degree(dataclasses.replace(ops, **replaced))
+
+
+def _csr_with(matrix, rows, cols, values):
+    """``matrix``'s stored entries and the given ones, stored as given: a
+    stored zero stays stored, and an entry at a stored position is a duplicate."""
+    coo = matrix.tocoo()
+    rows, cols = np.concatenate([coo.row, rows]), np.concatenate([coo.col, cols])
+    data = np.concatenate([coo.data, values])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=matrix.shape[0]))])
+    return sparse.csr_array((data[order], cols[order], indptr), shape=matrix.shape)
+
+
+def test_graph_degree_reads_stored_entries_as_the_matrix_they_sum_to():
+    # the checks read the CSR arrays: a stored 0.0 joins nothing, and
+    # duplicates count by their sum, as the entries of the matrix they store
+    ops = build_operators(line_window(6, 1))
+    want = graph_degree(ops)
+    h, s = ops.adjacency, ops.skew_momentum
+    zero = ([0, 2], [2, 0], [0.0, 0.0])  # between two even positions
+
+    def halved(matrix):
+        # the edge (0, 1) stored twice in each orientation, as halves that sum to it
+        half = [matrix[0, 1] / 2.0, matrix[1, 0] / 2.0]
+        return _csr_with(matrix - sparse.csr_array((half, ([0, 1], [1, 0])), shape=matrix.shape),
+                         [0, 1], [1, 0], half)
+
+    for replaced in ({"adjacency": _csr_with(h, *zero)}, {"skew_momentum": _csr_with(s, *zero)},
+                     {"adjacency": halved(h)}, {"skew_momentum": halved(s)}):
+        (field, matrix), = replaced.items()
+        assert matrix.nnz > getattr(ops, field).nnz
+        assert graph_degree(dataclasses.replace(ops, **replaced)) == want
+    # stored nonzeros between equal parities raise, even when they sum to zero
+    cancelling = _csr_with(s, [0, 0, 2, 2], [2, 2, 0, 0], [1.0, -1.0, 1.0, -1.0])
+    with pytest.raises(StructureError, match="step the grading"):
+        graph_degree(dataclasses.replace(ops, skew_momentum=cancelling))
 
 
 def test_empty_edge_set_gives_zero_operators():

@@ -190,6 +190,17 @@ def test_geometric_phase_sums_at_integer_rotation_numbers_are_closed_form():
     assert su2.sup_deviation <= 1e-6
 
 
+@pytest.mark.parametrize("u", [0.0, -3.0, 3 + 1e-11, -2 - 3e-12, 0.6180339887498949, -1.2360679774997898,
+                               0.5, 1e-10])
+def test_geometric_phase_sum_over_an_array_of_steps_is_the_per_step_sum(u):
+    # sector_correlation takes one call per mode pair over all its horizons;
+    # each entry must be the bits the per-step call gives
+    steps = np.arange(1, 1025)
+    sums = _geometric_phase_sum(u, steps)
+    assert sums.dtype == np.complex128 and sums.shape == steps.shape
+    assert sums.tobytes() == np.array([_geometric_phase_sum(u, int(n)) for n in steps], dtype=complex).tobytes()
+
+
 def test_cocycle_sum_matches_brute_force():
     flow = golden_flow()
     coc = standard_cocycle()
