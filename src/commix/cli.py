@@ -33,15 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .commutators import (
-    OperatorPair,
-    SmoothWindow,
-    _birkhoff_ladder,
-    _degree_estimate,
-    _flow_averages,
-    _flow_identity_check,
-    _identity_check,
-)
+from .commutators import DegreeEstimate, OperatorPair, SmoothWindow, degree_averages, identity_check
 from .errors import SchemaError
 from .graphs import (
     alternating_cycle4,
@@ -66,8 +58,6 @@ from .skew import (
     SU2Cocycle,
     TorusCocycle,
     TorusFlow,
-    _check_power_of_two,
-    _real_modes,
     sector_correlation,
     sector_identity_check,
     sector_matrix,
@@ -120,7 +110,7 @@ def _get_int(value, path, minimum=None):
 def _get_power_of_two(value, path, minimum):
     # torus fields and truncations live on the power-of-two grids GridField accepts
     value = _get_int(value, path, minimum=minimum)
-    if not _check_power_of_two(value):
+    if value & (value - 1):
         _fail(path, f"must be a power of two, got {value}")
     return value
 
@@ -280,9 +270,11 @@ def _torus_fields(model, path):
 
 def _build_torus(spec, rng, path):
     # the sector sees W^T q, summed in exact integers, and q.eta; eta (one winding
-    # row only) has its mirror checked as configured, so a zero sector cannot hide it
+    # row only) has its mirror checked as configured, by a cocycle of zero
+    # winding, so a zero sector cannot hide it
     flow = TorusFlow(spec["y"])
-    eta = _real_modes({tuple(k): complex(re, im) for k, re, im in spec["eta"]}, len(spec["y"]))
+    configured = {tuple(k): complex(re, im) for k, re, im in spec["eta"]}
+    eta = TorusCocycle([0] * len(spec["y"]), configured).modes
     charge = spec["sector"][0]
     winding = [sum(w * q for w, q in zip(column, spec["sector"])) for column in zip(*spec["winding"])]
     cocycle = TorusCocycle(winding, {k: charge * c for k, c in eta.items()})
@@ -687,10 +679,7 @@ class ScenarioRunner:
     def pair_averages(self):
         # one (N, D_N, U^N), or (t, D_t, e^{-itH}) for a flow, per horizon,
         # shared by identities and degree
-        pair, schedule = self.built["pair"], self.scenario["schedule"]
-        if pair.kind == "continuous":
-            return list(_flow_averages(pair, schedule))
-        return [(n, total / n, power) for n, total, power in _birkhoff_ladder(pair.main, pair.symbol, schedule)]
+        return degree_averages(self.built["pair"], self.scenario["schedule"])
 
     @functools.cached_property
     def torus_series(self):
@@ -704,7 +693,7 @@ class ScenarioRunner:
         # residual/N is ||D_N - (1/N)[A, U^N]U^{-N}|| up to the roundoff of
         # U^N's unitarity, so alternative_agreement bounds it directly
         pair, schedule = self.built["pair"], self.scenario["schedule"]
-        checks = [_identity_check(pair, n, power, average) for n, average, power in self.pair_averages]
+        checks = [identity_check(pair, *row) for row in self.pair_averages]
         cap = self.thresholds["identity_residual"]
         agree_cap = self.thresholds["alternative_agreement"]
         ok = all(c.residual <= max(c.expected, cap) and c.residual / c.steps <= agree_cap for c in checks)
@@ -717,8 +706,7 @@ class ScenarioRunner:
 
     def flow_identities(self):
         pair = self.built["pair"]
-        checks = [_flow_identity_check(pair, t, average, propagator)
-                  for t, average, propagator in self.pair_averages]
+        checks = [identity_check(pair, *row) for row in self.pair_averages]
         metrics = {
             "durations": [c.duration for c in checks],
             "residuals": [c.residual for c in checks],
@@ -786,9 +774,8 @@ class ScenarioRunner:
         pair = self.built["pair"]
         rng = self._rng("degree-probes")
         probes = (_unit_vector(rng, pair.dim), _unit_vector(rng, pair.dim))
-        averages = [average for _, average, _ in self.pair_averages]
-        estimate = _degree_estimate(pair, self.scenario["schedule"], averages, probes,
-                                    self.thresholds["gap_threshold"])
+        estimate = DegreeEstimate.from_averages(pair, self.pair_averages, probes,
+                                                self.thresholds["gap_threshold"])
         # to_json checks the limit through matrix_to_payload, whose dim^2
         # acyclic entry lists are dropped before the collector resumes
         with _collector_paused():

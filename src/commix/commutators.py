@@ -41,6 +41,8 @@ __all__ = [
     "birkhoff_continuous",
     "degree_identity_check",
     "degree_alternative",
+    "degree_averages",
+    "identity_check",
     "estimate_degree",
     "epsilon_commutator",
     "epsilon_commutator_slope",
@@ -271,11 +273,17 @@ def birkhoff_continuous(generator, symbol, duration):
     """
     h = as_square_matrix(generator, "generator")
     m = as_square_matrix(symbol, "symbol")
-    duration = float(duration)
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
+    duration = _duration(duration)
     eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
     return _time_average(eigvals, eigvecs, m, duration)
+
+
+def _duration(t):
+    """A flow duration as a finite positive float; NaN and the infinities are refused."""
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"durations must be finite and positive, got {t!r}")
+    return t
 
 
 def _time_average(eigvals, eigvecs, m, duration):
@@ -284,6 +292,31 @@ def _time_average(eigvals, eigvecs, m, duration):
     kernel = _phi1_imaginary(duration * (eigvals[:, None] - eigvals[None, :]))
     value = eigvecs @ (coeff * kernel) @ eigvecs.conj().T
     return (value + value.conj().T) / 2.0
+
+
+def degree_averages(pair, schedule):
+    """One ``(horizon, D, propagator)`` row per entry of a strictly increasing schedule.
+
+    A discrete pair's rows are ``(N, D_N, U^N)`` from one
+    :func:`_birkhoff_ladder` along the schedule, which forms each binary
+    prefix of its horizons once; its horizons must be integers (``3.0`` is
+    one, ``2.9`` is refused, not truncated), and every ``D_N`` equals
+    :func:`birkhoff_discrete`'s bit for bit.  A continuous pair's rows are
+    ``(t, D_t, e^{-itH})`` from the closed form of :func:`birkhoff_continuous`
+    on the pair's one ``spectrum``; its durations must be finite and positive.
+    """
+    schedule = list(schedule)
+    if not schedule:
+        raise ValueError("schedule must be nonempty")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    if pair.kind == "discrete":
+        ladder = _birkhoff_ladder(pair.main, pair.symbol, [_horizon(s) for s in schedule])
+        return [(n, total / n, power) for n, total, power in ladder]
+    durations = [_duration(t) for t in schedule]
+    eigvals, eigvecs = pair.spectrum
+    return [(t, _time_average(eigvals, eigvecs, pair.symbol, t),
+             (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T) for t in durations]
 
 
 @dataclass(frozen=True)
@@ -326,36 +359,47 @@ def _gather_residual(a, q, avg, steps):
     return r
 
 
-def _identity_check(pair, steps, power, avg):
-    """:class:`IdentityCheck` of ``[A, U^N] = N D_N U^N`` from ``U^N`` and ``D_N``.
+def identity_check(pair, horizon, average, propagator):
+    """Check the commutator identity on one row of :func:`degree_averages`.
 
-    When ``U^N`` is a permutation matrix (:func:`_permutation_rows`), as the
-    ladder yields for a permutation ``U``, the residual is formed by
-    :func:`_gather_residual` instead of three dense products.
+    A discrete pair's row ``(N, D_N, U^N)`` gives the :class:`IdentityCheck`
+    of ``[A, U^N] = N D_N U^N``; when ``U^N`` is a permutation matrix
+    (:func:`_permutation_rows`), as the ladder yields for a permutation ``U``,
+    the residual is formed by :func:`_gather_residual` instead of three dense
+    products.  A continuous pair's row ``(t, D_t, e^{-itH})`` gives the
+    :class:`FlowIdentityCheck` of ``[A~, e^{-itH}] = t e^{-itH} D_t`` (see
+    :func:`flow_identity_check`).
     """
+    if pair.kind == "continuous":
+        a_tilde = pair.bounded_conjugate
+        residual = spectral_norm(
+            (a_tilde @ propagator - propagator @ a_tilde) - horizon * (propagator @ average)
+        )
+        estimate = max(horizon * _roundoff_floor(pair.symbol_norm), _roundoff_floor(pair.conjugate_norm))
+        return FlowIdentityCheck(duration=horizon, residual=float(residual), error_estimate=float(estimate))
     a = pair.conjugate
-    rows = _permutation_rows(power)
+    rows = _permutation_rows(propagator)
     if rows is None:
-        residual = spectral_norm(a @ power - power @ a - steps * (avg @ power))
+        residual = spectral_norm(a @ propagator - propagator @ a - horizon * (average @ propagator))
     else:
-        residual = spectral_norm(_gather_residual(a, rows, avg, steps))
-    expected = pair.dim * 1e-12 * (pair.conjugate_norm + steps * spectral_norm(avg))
-    return IdentityCheck(steps=steps, residual=residual, expected=expected)
+        residual = spectral_norm(_gather_residual(a, rows, average, horizon))
+    expected = pair.dim * 1e-12 * (pair.conjugate_norm + horizon * spectral_norm(average))
+    return IdentityCheck(steps=horizon, residual=residual, expected=expected)
 
 
 def degree_identity_check(pair, steps):
     """Residual of the exact identity ``[A, U^N] = N * D_N * U^N`` at one horizon.
 
     The per-horizon reference: ``U^N`` from ``np.linalg.matrix_power`` and
-    ``D_N`` from :func:`birkhoff_discrete`.  The runner checks a whole
-    schedule from one :func:`_birkhoff_ladder` instead.
+    ``D_N`` from :func:`birkhoff_discrete`.  :func:`degree_averages` forms a
+    whole schedule's rows from one ladder instead.
     """
     if pair.kind != "discrete":
         raise ValueError("degree_identity_check needs a discrete pair")
     steps = _horizon(steps)
     u = pair.main
     power = np.linalg.matrix_power(u, steps)
-    return _identity_check(pair, steps, power, birkhoff_discrete(u, pair.symbol, steps))
+    return identity_check(pair, steps, birkhoff_discrete(u, pair.symbol, steps), power)
 
 
 def degree_alternative(pair, steps):
@@ -387,7 +431,6 @@ class DegreeEstimate:
 
     kind: str
     schedule: list
-    averages: list
     limit: np.ndarray
     limit_eigenvalues: np.ndarray
     limit_norm: float
@@ -397,6 +440,46 @@ class DegreeEstimate:
     gap_threshold: float
     converged: bool
     diverging: bool
+
+    @classmethod
+    def from_averages(cls, pair, rows, probes=(), gap_threshold=1e-6):
+        """The estimate along the rows of :func:`degree_averages`.
+
+        Probes must be unit vectors of the pair's dimension; each row of
+        ``probe_residuals`` tracks ``||(D_k - limit) probe||`` along the
+        schedule.  The limit is read through one ``eigvalsh`` of its Hermitian
+        part.
+        """
+        probe_vecs = []
+        for p in probes:
+            v = np.asarray(p, dtype=complex).reshape(-1)
+            if v.shape[0] != pair.dim:
+                raise ValueError("probe dimension mismatch")
+            # written so that a NaN norm fails
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:
+                raise ValueError("probes must be normalized")
+            probe_vecs.append(v)
+        schedule = [horizon for horizon, _, _ in rows]
+        averages = [average for _, average, _ in rows]
+        norm = pair.conjugate_norm if pair.kind == "discrete" else spectral_norm(pair.bounded_conjugate)
+        limit = averages[-1]
+        eigvals = np.linalg.eigvalsh((limit + limit.conj().T) / 2.0)
+        gaps = [spectral_norm(b - a) for a, b in zip(averages, averages[1:])]
+        residual_rows = [[float(np.linalg.norm((avg - limit) @ v)) for avg in averages] for v in probe_vecs]
+        converged, diverging = _convergence_flags(gaps, residual_rows, gap_threshold)
+        return cls(
+            kind=pair.kind,
+            schedule=schedule,
+            limit=limit,
+            limit_eigenvalues=eigvals,
+            limit_norm=float(np.max(np.abs(eigvals), initial=0.0)),
+            telescoping_bound=2.0 * norm / float(schedule[-1]),
+            cauchy_gaps=gaps,
+            probe_residuals=residual_rows,
+            gap_threshold=gap_threshold,
+            converged=converged,
+            diverging=diverging,
+        )
 
     def to_payload(self):
         """Artifact form: the limit as its digest and spectrum, not its entries.
@@ -451,73 +534,14 @@ def _convergence_flags(gaps, residual_rows, threshold):
 def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
     """Estimate the degree operator along an increasing schedule of horizons.
 
-    A discrete pair's averages come from one :func:`_birkhoff_ladder` along
-    the schedule, which forms each binary prefix of its horizons once; its
-    horizons must be integers (``3.0`` is one, ``2.9`` is refused, not
-    truncated).  On every schedule the averages equal
-    :func:`birkhoff_discrete` bit for bit.
-    A continuous pair's come from the closed form of
-    :func:`birkhoff_continuous` on the pair's one decomposition of ``H``.
-    Probes must be unit vectors; each row of ``probe_residuals`` tracks
-    ``||(D_k - limit) probe||`` along the schedule.
-
-    The limit is read through one ``eigvalsh`` of its Hermitian part.  Its
-    a-priori bound at the final horizon comes from the telescoping sum: the
-    discrete symbol is ``A - U A U*``, so ``D_N = (A - U^N A U^-N)/N`` and
-    ``||D_N|| <= 2||A||/N``; the continuous symbol is ``i[H, A~]`` with
-    ``A~`` the bounded conjugate, so ``D_t = (e^{itH} A~ e^{-itH} - A~)/t``
-    and ``||D_t|| <= 2||A~||/t``.
+    :meth:`DegreeEstimate.from_averages` on the rows of
+    :func:`degree_averages`.  The a-priori bound on the limit at the final
+    horizon comes from the telescoping sum: the discrete symbol is
+    ``A - U A U*``, so ``D_N = (A - U^N A U^-N)/N`` and ``||D_N|| <= 2||A||/N``;
+    the continuous symbol is ``i[H, A~]`` with ``A~`` the bounded conjugate,
+    so ``D_t = (e^{itH} A~ e^{-itH} - A~)/t`` and ``||D_t|| <= 2||A~||/t``.
     """
-    schedule = list(schedule)
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    probe_vecs = []
-    for p in probes:
-        v = np.asarray(p, dtype=complex).reshape(-1)
-        if v.shape[0] != pair.dim:
-            raise ValueError("probe dimension mismatch")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-            raise ValueError("probes must be normalized")
-        probe_vecs.append(v)
-
-    if pair.kind == "discrete":
-        horizons = [_horizon(s) for s in schedule]
-        averages = [total / n for n, total, _ in _birkhoff_ladder(pair.main, pair.symbol, horizons)]
-    else:
-        if schedule[0] <= 0:
-            raise ValueError("continuous schedule entries must be positive")
-        averages = [_time_average(*pair.spectrum, pair.symbol, float(t)) for t in schedule]
-    return _degree_estimate(pair, schedule, averages, probe_vecs, gap_threshold)
-
-
-def _degree_estimate(pair, schedule, averages, probe_vecs, gap_threshold):
-    """:func:`estimate_degree` on the averages ``D_k`` along a checked ``schedule``.
-
-    ``probe_vecs`` are unit complex vectors of the pair's dimension.
-    """
-    norm = pair.conjugate_norm if pair.kind == "discrete" else spectral_norm(pair.bounded_conjugate)
-    bound = 2.0 * norm / float(schedule[-1])
-    limit = averages[-1]
-    eigvals = np.linalg.eigvalsh((limit + limit.conj().T) / 2.0)
-    gaps = [spectral_norm(b - a) for a, b in zip(averages, averages[1:])]
-    residual_rows = [[float(np.linalg.norm((avg - limit) @ v)) for avg in averages] for v in probe_vecs]
-    converged, diverging = _convergence_flags(gaps, residual_rows, gap_threshold)
-    return DegreeEstimate(
-        kind=pair.kind,
-        schedule=schedule,
-        averages=averages,
-        limit=limit,
-        limit_eigenvalues=eigvals,
-        limit_norm=float(np.max(np.abs(eigvals), initial=0.0)),
-        telescoping_bound=bound,
-        cauchy_gaps=gaps,
-        probe_residuals=residual_rows,
-        gap_threshold=gap_threshold,
-        converged=converged,
-        diverging=diverging,
-    )
+    return DegreeEstimate.from_averages(pair, degree_averages(pair, schedule), probes, gap_threshold)
 
 
 def epsilon_commutator(operator, conjugate, epsilon):
@@ -620,28 +644,6 @@ def flow_identity_check(pair, duration):
     if pair.kind != "continuous":
         raise ValueError("flow_identity_check needs a continuous pair")
     duration = float(duration)
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
     if duration == 0.0:
         return FlowIdentityCheck(duration=0.0, residual=0.0, error_estimate=_roundoff_floor(pair.conjugate_norm))
-    _, average, propagator = next(_flow_averages(pair, [duration]))
-    return _flow_identity_check(pair, duration, average, propagator)
-
-
-def _flow_averages(pair, durations):
-    """Yield ``(t, D_t, e^{-itH})`` for each positive duration, from the pair's one ``spectrum``."""
-    eigvals, eigvecs = pair.spectrum
-    for t in durations:
-        t = float(t)
-        propagator = (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T
-        yield t, _time_average(eigvals, eigvecs, pair.symbol, t), propagator
-
-
-def _flow_identity_check(pair, duration, average, propagator):
-    """:class:`FlowIdentityCheck` of ``[A~, e^{-itH}] = t e^{-itH} D_t`` from ``D_t`` and ``e^{-itH}``."""
-    a_tilde = pair.bounded_conjugate
-    residual = spectral_norm(
-        (a_tilde @ propagator - propagator @ a_tilde) - duration * (propagator @ average)
-    )
-    estimate = max(duration * _roundoff_floor(pair.symbol_norm), _roundoff_floor(pair.conjugate_norm))
-    return FlowIdentityCheck(duration=duration, residual=float(residual), error_estimate=float(estimate))
+    return identity_check(pair, *degree_averages(pair, [duration])[0])

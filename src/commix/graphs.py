@@ -73,6 +73,9 @@ class DirectedGraphWindow:
         order = np.lexsort((ends[:, 1], ends[:, 0]))
         self.vertices = verts.tolist()
         self.edges = list(zip(ends[order, 0].tolist(), ends[order, 1].tolist()))
+        # positions of each edge's endpoints in the vertex list, in edge order
+        self.edge_rows = rows[order]
+        self.edge_rows.flags.writeable = False
         self.margin = margin
 
         self._adj = {v: set() for v in self.vertices}
@@ -199,7 +202,7 @@ def check_admissible(window):
     """
     verts = window.vertices
     dim = len(verts)
-    ends = np.searchsorted(verts, np.array(window.edges, dtype=int).reshape(-1, 2))
+    ends = window.edge_rows
     # each edge from both ends, grouped by row and sorted within it: row v
     # lists the neighbours of v in vertex order, with the step +1 along the
     # orientation and -1 against it
@@ -330,7 +333,7 @@ def build_operators(window, report=None):
     verts = window.vertices
     dim = len(verts)
     position = np.array([report.position[v] for v in verts], dtype=float)
-    ends = np.searchsorted(verts, np.array(window.edges, dtype=int).reshape(-1, 2))
+    ends = window.edge_rows
     rows = np.concatenate([ends[:, 0], ends[:, 1]])
     cols = np.concatenate([ends[:, 1], ends[:, 0]])
     signs = np.repeat([1.0, -1.0], len(ends))

@@ -810,7 +810,7 @@ def _pair_runner(model, schedule, tasks=("identities", "degree")):
 
 @pytest.mark.parametrize("kind", ["discrete", "flow"])
 def test_pair_averages_are_formed_once_per_scenario(monkeypatch, kind):
-    calls = {"_birkhoff_ladder": 0, "_time_average": 0}
+    calls = {"degree_averages": 0, "_birkhoff_ladder": 0, "_time_average": 0}
 
     def count(owner, name):
         original = getattr(owner, name)
@@ -821,9 +821,10 @@ def test_pair_averages_are_formed_once_per_scenario(monkeypatch, kind):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    # the runner looks the ladder up in cli, estimate_degree in commutators
+    # the runner looks degree_averages up in cli, which finds the ladder and
+    # the closed-form time average in commutators
+    count(cli, "degree_averages")
     count(commutators, "_birkhoff_ladder")
-    count(cli, "_birkhoff_ladder")
     count(commutators, "_time_average")
     if kind == "discrete":
         model, schedule = {"type": "random-pair", "dim": 8}, [1, 2, 5, 17, 64]
@@ -832,7 +833,7 @@ def test_pair_averages_are_formed_once_per_scenario(monkeypatch, kind):
     result, _ = _pair_runner(model, schedule).run()
     assert [row["status"] for row in result["tasks"]] == ["pass", "warn"]
     ladders, averages = (1, 0) if kind == "discrete" else (0, len(schedule))
-    assert calls == {"_birkhoff_ladder": ladders, "_time_average": averages}
+    assert calls == {"degree_averages": 1, "_birkhoff_ladder": ladders, "_time_average": averages}
 
 
 def _degree_probes(runner):
@@ -855,9 +856,11 @@ def test_shared_pair_averages_match_the_standalone_routes(kind):
     estimate = commutators.estimate_degree(pair, schedule, probes=_degree_probes(runner))
     assert artifacts["degree-estimate.json"] == estimate.to_json() + "\n"
     assert degree["final_gap"] == estimate.cauchy_gaps[-1] and degree["limit_norm"] == estimate.limit_norm
-    assert len(runner.pair_averages) == len(schedule)
-    for (n, average, power), standalone in zip(runner.pair_averages, estimate.averages):
-        assert average.tobytes() == standalone.tobytes()
+    assert [n for n, _, _ in runner.pair_averages] == schedule
+    standalone = commutators.birkhoff_discrete if kind == "discrete" else commutators.birkhoff_continuous
+    for n, average, _ in runner.pair_averages:
+        assert average.tobytes() == standalone(pair.main, pair.symbol, n).tobytes()
+    assert estimate.limit.tobytes() == runner.pair_averages[-1][1].tobytes()
     if kind == "discrete":
         checks = [commutators.degree_identity_check(pair, n) for n in schedule]
         assert identities["residuals"] == [c.residual for c in checks]
@@ -943,7 +946,7 @@ def test_pair_degree_artifact_serializes_with_the_collector_paused_and_its_state
         finally:
             gc.callbacks.remove(on_collection)
 
-    def non_finite(*args, _call=cli._degree_estimate):
+    def non_finite(*args, _call=commutators.DegreeEstimate.from_averages):
         estimate = _call(*args)
         estimate.limit = np.full_like(estimate.limit, np.nan)
         return estimate
@@ -962,7 +965,7 @@ def test_pair_degree_artifact_serializes_with_the_collector_paused_and_its_state
             assert collections == []
             assert gc.isenabled() is enabled
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "_degree_estimate", non_finite)
+                patch.setattr(commutators.DegreeEstimate, "from_averages", non_finite)
                 result, _ = _pair_runner(model, [16, 32], tasks=["degree"]).run()
             assert result["tasks"][0]["metrics"]["error"] == \
                 "ValueError: matrix serialization requires finite entries"
@@ -1566,7 +1569,7 @@ def test_degree_row_reports_the_telescoping_bound(tmp_path):
 
 
 def test_non_finite_degree_limit_fails_the_task_with_one_line(tmp_path, monkeypatch):
-    real = cli._degree_estimate
+    real = commutators.DegreeEstimate.from_averages
 
     def spoiled(*args, **kwargs):
         estimate = real(*args, **kwargs)
@@ -1574,7 +1577,7 @@ def test_non_finite_degree_limit_fails_the_task_with_one_line(tmp_path, monkeypa
         estimate.limit[0, 0] = np.inf
         return estimate
 
-    monkeypatch.setattr(cli, "_degree_estimate", spoiled)
+    monkeypatch.setattr(commutators.DegreeEstimate, "from_averages", spoiled)
     report = run_config(validate_config(pair_config(tasks=["degree"])), tmp_path / "out")
     row = report["scenarios"][0]["tasks"][0]
     assert row["status"] == "fail"

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commix import (
+    DegreeEstimate,
     FourierCalculus,
     OperatorPair,
     SmoothWindow,
@@ -20,9 +22,11 @@ from commix import (
     birkhoff_discrete,
     correlation_discrete,
     degree_alternative,
+    degree_averages,
     degree_identity_check,
     estimate_degree,
     flow_identity_check,
+    identity_check,
     max_norm,
     selfadjoint_symbol,
     shift_weyl_model,
@@ -31,12 +35,7 @@ from commix import (
     unitary_symbol,
 )
 from commix import commutators
-from commix.commutators import (
-    _birkhoff_ladder,
-    _degree_estimate,
-    _flow_averages,
-    _flow_identity_check,
-)
+from commix.commutators import _birkhoff_ladder
 
 
 def random_unitary(rng, dim):
@@ -230,7 +229,7 @@ def test_symbol_and_identity_check_gather_only_on_a_permutation(monkeypatch, nam
     assert symbol.tobytes() == _fold((a @ u - u @ a) @ u.conj().T)
     for steps, total, power in _birkhoff_ladder(u, symbol, schedule):
         average = total / steps
-        check = commutators._identity_check(pair, steps, power, average)
+        check = identity_check(pair, steps, average, power)
         assert check.residual == spectral_norm(a @ power - power @ a - steps * (average @ power))
         assert check == degree_identity_check(pair, steps)
     assert calls == {"shift": ["_gather_symbol"] + ["_gather_residual"] * 6,
@@ -256,9 +255,10 @@ def test_birkhoff_ladder_extends_each_horizon_from_the_previous_one(schedule, re
         assert average.tobytes() == birkhoff_discrete(u, m, steps).tobytes()
         # U^N by doubling and by matrix_power: both round O(log N) products
         assert max_norm(power - np.linalg.matrix_power(u, steps)) <= 1e-12
-    est = estimate_degree(pair, schedule)
-    for average, (steps, total, _) in zip(est.averages, ladder):
-        assert np.array_equal(average, total / steps)
+    table = degree_averages(pair, schedule)
+    for (n, average, power), (steps, total, ladder_power) in zip(table, ladder, strict=True):
+        assert n == steps and np.array_equal(average, total / steps) and np.array_equal(power, ladder_power)
+    assert np.array_equal(estimate_degree(pair, schedule).limit, table[-1][1])
 
 
 class _CountingArray(np.ndarray):
@@ -453,8 +453,7 @@ def test_flow_identity_check_is_bit_identical_to_the_per_call_formulas():
         for t in (0.5, 1.5, 3.0):
             chk = flow_identity_check(pair, t)
             assert (chk.residual, chk.error_estimate) == _flow_check_per_call(pair, t)
-        est = estimate_degree(pair, [0.5, 1.5, 3.0])
-        for avg, t in zip(est.averages, [0.5, 1.5, 3.0]):
+        for t, avg, _ in degree_averages(pair, [0.5, 1.5, 3.0]):
             assert np.array_equal(avg, birkhoff_continuous(pair.main, pair.symbol, t))
 
 
@@ -515,23 +514,66 @@ def test_one_horizon_estimate_is_neither_converged_nor_diverging(kind):
     assert not est.converged and not est.diverging
 
 
-def test_flow_averages_feed_the_private_cores_bit_for_bit():
-    # the runner's one table of (t, D_t, e^{-itH}) per duration, read by the
-    # cores behind flow_identity_check and estimate_degree
+def test_flow_degree_averages_feed_identity_check_and_from_averages_bit_for_bit():
+    # the runner's one table of (t, D_t, e^{-itH}) per duration, read by
+    # identity_check and DegreeEstimate.from_averages as by the one-call routes
     rng = np.random.default_rng(117)
     pair = OperatorPair.continuous(random_hermitian(rng, 7), random_hermitian(rng, 7))
     schedule = [0.5, 1.5, 3.0]
-    table = list(_flow_averages(pair, schedule))
+    table = degree_averages(pair, schedule)
     assert [t for t, _, _ in table] == schedule
     for t, average, propagator in table:
         assert np.array_equal(average, birkhoff_continuous(pair.main, pair.symbol, t))
         assert max_norm(propagator - scipy.linalg.expm(-1j * t * pair.main)) <= 1e-12
-        assert _flow_identity_check(pair, t, average, propagator) == flow_identity_check(pair, t)
+        assert identity_check(pair, t, average, propagator) == flow_identity_check(pair, t)
     probe = np.full(7, 1.0 / np.sqrt(7.0), dtype=complex)
-    core = _degree_estimate(pair, schedule, [average for _, average, _ in table], [probe], 1e-6)
+    estimate = DegreeEstimate.from_averages(pair, table, [probe])
     public = estimate_degree(pair, schedule, probes=[probe])
-    assert core.to_json() == public.to_json()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(core.averages, public.averages))
+    assert estimate.to_json() == public.to_json()
+    assert estimate.limit.tobytes() == public.limit.tobytes() == table[-1][1].tobytes()
+
+
+def test_degree_averages_check_the_schedule_once_per_kind():
+    rng = np.random.default_rng(118)
+    discrete = random_discrete_pair(rng, 4)
+    flow = OperatorPair.continuous(random_hermitian(rng, 4), random_hermitian(rng, 4))
+    horizons = [n for n, _, _ in degree_averages(discrete, [1, 3.0, np.int64(8)])]
+    assert horizons == [1, 3, 8] and all(type(n) is int for n in horizons)
+    assert [t for t, _, _ in degree_averages(flow, [1, 2.5])] == [1.0, 2.5]
+    for pair, schedule, match in [(discrete, [], "nonempty"), (flow, [], "nonempty"),
+                                  (discrete, [2, 2], "strictly increasing"),
+                                  (flow, [1.5, 0.5], "strictly increasing"),
+                                  (discrete, [1, 2.9], "integer"), (discrete, [0, 1], ">= 1"),
+                                  (flow, [0.0, 1.0], "finite and positive, got 0.0")]:
+        with pytest.raises(ValueError, match=match):
+            degree_averages(pair, schedule)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_probes_are_refused(value):
+    # abs(norm - 1) > tol is False for a NaN norm, so the check is written the other way
+    pair = random_discrete_pair(np.random.default_rng(120), 4)
+    table = degree_averages(pair, [1, 2, 4])
+    for probe in (np.full(4, value), np.array([1.0, 0.0, 0.0, value])):
+        with pytest.raises(ValueError, match="probes must be normalized"):
+            estimate_degree(pair, [1, 2, 4], probes=[probe])
+        with pytest.raises(ValueError, match="probes must be normalized"):
+            DegreeEstimate.from_averages(pair, table, [probe])
+
+
+@pytest.mark.parametrize("entry", ["birkhoff_continuous", "degree_averages", "estimate_degree",
+                                   "flow_identity_check"])
+@pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
+def test_non_finite_durations_are_refused_by_name(entry, duration):
+    # a NaN or infinite duration used to reach the eigensolver or come back as NaN
+    rng = np.random.default_rng(121)
+    pair = OperatorPair.continuous(random_hermitian(rng, 4), random_hermitian(rng, 4))
+    call = {"birkhoff_continuous": lambda: birkhoff_continuous(pair.main, pair.symbol, duration),
+            "degree_averages": lambda: degree_averages(pair, [duration]),
+            "estimate_degree": lambda: estimate_degree(pair, [duration]),
+            "flow_identity_check": lambda: flow_identity_check(pair, duration)}[entry]
+    with pytest.raises(ValueError, match=re.escape(f"durations must be finite and positive, got {duration!r}")):
+        call()
 
 
 def test_estimate_degree_probe_residuals():

@@ -1,6 +1,8 @@
 """Every name a module exports through ``__all__`` exists in that module and in the package."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import commix
@@ -31,3 +33,16 @@ def test_the_truncation_sweep_is_a_test_oracle_not_an_export():
     for name in ("sector_truncation_sweep", "TruncationSweepEntry"):
         assert name not in skew.__all__ and not hasattr(commix, name)
     assert {"sector_identity_check", "SectorIdentityReport"} <= set(skew.__all__)
+
+
+def test_the_runner_imports_only_public_library_names():
+    # cli.py reaches the library through the names its modules export, the
+    # same route the tests and the tracer see; a dunder such as __version__
+    # is no private name
+    tree = ast.parse(pathlib.Path(importlib.import_module("commix.cli").__file__).read_text())
+    private = [(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "commix")
+               for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
+    commutators = importlib.import_module("commix.commutators")
+    assert {"degree_averages", "identity_check"} <= set(commutators.__all__)

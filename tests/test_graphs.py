@@ -108,6 +108,11 @@ def test_window_matches_the_per_edge_route(vertices, edges, margin):
     for value in (*window.vertices, *window.boundary, *window.interior, *sum(window.edges, ())):
         assert type(value) is int
     assert all(type(edge) is tuple for edge in window.edges)
+    # check_admissible and build_operators read the stored endpoint rows
+    # instead of searching the vertex list for each edge
+    rows = np.searchsorted(window.vertices, np.array(window.edges, dtype=int).reshape(-1, 2))
+    assert window.edge_rows.dtype == rows.dtype and np.array_equal(window.edge_rows, rows)
+    assert not window.edge_rows.flags.writeable
 
 
 @pytest.mark.parametrize("build", [
@@ -181,7 +186,10 @@ def test_check_admissible_leaves_window_unchanged():
         before = copy.deepcopy(window.__dict__)
         rep = check_admissible(window)
         assert not rep.admissible
-        assert window.__dict__ == before
+        # edge_rows is an array, which dict equality cannot compare
+        after = dict(window.__dict__)
+        assert np.array_equal(after.pop("edge_rows"), before.pop("edge_rows"))
+        assert after == before
 
 
 def test_orientation_reversal_preserves_admissibility():
