@@ -12,7 +12,6 @@ config and seed are byte-identical.  Exit codes: 0 all tasks pass (warnings tole
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import datetime
@@ -25,7 +24,6 @@ import pathlib
 import re
 import stat
 import sys
-import threading
 import time
 import traceback
 from typing import Callable, NamedTuple
@@ -92,7 +90,7 @@ DEFAULT_THRESHOLDS = {
 # the thresholds that may be negative; every other one must be >= 0
 _SIGNED_THRESHOLDS = {"fourier_exponent_max"}
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
 def _fail(path, message):
@@ -425,7 +423,7 @@ def validate_config(raw, default_seed=None):
             _fail(path, "expected an object")
         name = _get_str(sc.get("name"), f"{path}.name")
         # a name is a directory under --out, so it may not leave it or shadow a report file
-        if not _NAME_RE.match(name) or name in (".", "..", "report.json", "report.meta.json"):
+        if not _NAME_RE.fullmatch(name) or name in (".", "..", "report.json", "report.meta.json"):
             _fail(f"{path}.name", "names are limited to letters, digits, dot, dash, underscore, "
                                   "and may not be '.', '..', 'report.json' or 'report.meta.json'")
         if name in seen_names:
@@ -514,32 +512,16 @@ def _random_su2(rng):
     return g / np.sqrt(complex(np.linalg.det(g)))
 
 
-_pause_lock = threading.Lock()
-_pauses = 0  # pauses open across the scenario threads
-_resume = False  # whether the first of them found the collector enabled
-
-
 @contextlib.contextmanager
 def _collector_paused():
-    """Turn the cyclic garbage collector off, and restore the caller's state on exit.
-
-    Pauses may overlap across scenario threads: the first to open records the
-    state and the last to close restores it, so no interleaving leaves the
-    collector off for a caller that had it on.
-    """
-    global _pauses, _resume
-    with _pause_lock:
-        if not _pauses:
-            _resume = gc.isenabled()
-            gc.disable()
-        _pauses += 1
+    """Turn the cyclic garbage collector off, and restore the caller's state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         yield
     finally:
-        with _pause_lock:
-            _pauses -= 1
-            if not _pauses and _resume:
-                gc.enable()
+        if enabled:
+            gc.enable()
 
 
 def _load_matrix(value, path):
@@ -955,7 +937,12 @@ def _dump_report(report):
 
 
 def run_config(config, out_dir, threads=1):
-    """Execute all scenarios and write report, metadata, and artifacts."""
+    """Execute all scenarios in config order and write report, metadata, and artifacts.
+
+    Scenarios run one at a time; ``threads`` accepts only 1.
+    """
+    if threads != 1:
+        raise ValueError(f"scenarios run one at a time: threads must be 1, got {threads!r}")
     # build every model first, so that a build error leaves no output directory
     built = {sc["name"]: build_model(sc) for sc in config["scenarios"]}
     out = pathlib.Path(out_dir)
@@ -963,38 +950,33 @@ def run_config(config, out_dir, threads=1):
 
     started = datetime.datetime.now(datetime.timezone.utc)
     t0 = time.perf_counter()
-
-    def execute(sc):
+    outcomes = []
+    scenario_walls = {}
+    tracebacks = {}
+    for sc in config["scenarios"]:
         tic = time.perf_counter()
         runner = ScenarioRunner(sc, built[sc["name"]])
         result, artifacts = runner.run()
-        return result, artifacts, runner.tracebacks, time.perf_counter() - tic
-
-    scenarios = config["scenarios"]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(execute, scenarios))
-    else:
-        outcomes = [execute(sc) for sc in scenarios]
-
+        scenario_walls[sc["name"]] = time.perf_counter() - tic
+        outcomes.append((sc["name"], result, artifacts))
+        if runner.tracebacks:
+            tracebacks[sc["name"]] = runner.tracebacks
     wall = time.perf_counter() - t0
     finished = datetime.datetime.now(datetime.timezone.utc)
 
+    # artifacts are written once every scenario has run: writing them between
+    # runs made 156 small scenarios 5-8% slower, runs included (2-core box,
+    # OpenBLAS at two threads)
     results = []
-    scenario_walls = {}
-    tracebacks = {}
-    for (result, artifacts, task_tracebacks, sc_wall), sc in zip(outcomes, scenarios):
+    for name, result, artifacts in outcomes:
         rel = {}
         for fname, text in sorted(artifacts.items()):
-            target = out / sc["name"] / fname
+            target = out / name / fname
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(text)
-            rel[fname.rsplit(".", 1)[0]] = f"{sc['name']}/{fname}"
+            rel[fname.rsplit(".", 1)[0]] = f"{name}/{fname}"
         result["artifacts"] = rel
         results.append(result)
-        scenario_walls[sc["name"]] = sc_wall
-        if task_tracebacks:
-            tracebacks[sc["name"]] = task_tracebacks
 
     # report assembly is ordered by scenario name regardless of run order
     results.sort(key=lambda r: r["name"])
@@ -1014,7 +996,6 @@ def run_config(config, out_dir, threads=1):
         "finished": finished.isoformat(),
         "wall_time_s": wall,
         "scenario_wall_times_s": {k: scenario_walls[k] for k in sorted(scenario_walls)},
-        "threads": threads,
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
                  "threads": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "task_tracebacks": tracebacks,
@@ -1146,9 +1127,6 @@ EXAMPLE_CONFIGS = {
 
 
 def _cmd_run(args):
-    if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
-        return 2
     try:
         raw = json.loads(pathlib.Path(args.config).read_text())
     except (OSError, UnicodeDecodeError) as exc:
@@ -1159,7 +1137,7 @@ def _cmd_run(args):
         return 2
     try:
         config = validate_config(raw, default_seed=args.seed)
-        report = run_config(config, args.out, threads=args.threads)
+        report = run_config(config, args.out)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1229,8 +1207,6 @@ def build_parser():
     p_run.add_argument("--seed", type=int, default=None,
                        help="default seed for scenarios that do not set one")
     p_run.add_argument("--out", default="commix-report", help="output directory")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="scenario-level worker threads (report order is unaffected)")
     p_run.add_argument("--strict", action="store_true", help="treat warnings as failures")
     p_run.set_defaults(func=_cmd_run)
 

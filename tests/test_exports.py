@@ -44,5 +44,9 @@ def test_the_runner_imports_only_public_library_names():
                and (node.level > 0 or (node.module or "").split(".")[0] == "commix")
                for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+    # scenarios run one at a time, so the runner needs no thread machinery
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    assert not {name for name in imported if name.split(".")[0] in ("threading", "concurrent")}
     commutators = importlib.import_module("commix.commutators")
     assert {"degree_averages", "identity_check"} <= set(commutators.__all__)
