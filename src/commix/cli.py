@@ -754,10 +754,7 @@ class ScenarioRunner:
 
     def pair_degree(self):
         pair = self.built["pair"]
-        rng = self._rng("degree-probes")
-        probes = (_unit_vector(rng, pair.dim), _unit_vector(rng, pair.dim))
-        estimate = DegreeEstimate.from_averages(pair, self.pair_averages, probes,
-                                                self.thresholds["gap_threshold"])
+        estimate = DegreeEstimate.from_averages(pair, self.pair_averages, self.thresholds["gap_threshold"])
         # to_json checks the limit through matrix_to_payload, whose dim^2
         # acyclic entry lists are dropped before the collector resumes
         with _collector_paused():

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 DEGREE_ESTIMATE_FORMAT = "degree-estimate"
-DEGREE_ESTIMATE_VERSION = 3
+DEGREE_ESTIMATE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -421,9 +421,9 @@ class DegreeEstimate:
     ``telescoping_bound`` is the a-priori bound on ``||limit||`` at the final
     horizon: the Birkhoff sum telescopes, so ``2||A||/N`` for a discrete pair
     and ``2||A~||/t`` for a continuous one (see :func:`estimate_degree`).
-    ``converged`` means every gap over the last third of the schedule sits
-    below ``gap_threshold`` and each probe residual sequence decays;
-    ``diverging`` flags a non-decreasing gap trend over that same stretch.
+    ``converged`` means every gap over the last third of the schedule is at
+    most ``gap_threshold``; ``diverging`` flags a non-decreasing gap trend
+    over that same stretch.
     A one-horizon schedule has no gap, so it is neither.
     On finite truncations these are surrogates for an operator limit, and
     they are reported as such rather than hidden.
@@ -436,37 +436,25 @@ class DegreeEstimate:
     limit_norm: float
     telescoping_bound: float
     cauchy_gaps: list
-    probe_residuals: list
     gap_threshold: float
     converged: bool
     diverging: bool
 
     @classmethod
-    def from_averages(cls, pair, rows, probes=(), gap_threshold=1e-6):
-        """The estimate along the rows of :func:`degree_averages`.
+    def from_averages(cls, pair, rows, gap_threshold=1e-6):
+        """The estimate along the nonempty rows of :func:`degree_averages`.
 
-        Probes must be unit vectors of the pair's dimension; each row of
-        ``probe_residuals`` tracks ``||(D_k - limit) probe||`` along the
-        schedule.  The limit is read through one ``eigvalsh`` of its Hermitian
-        part.
+        The limit is read through one ``eigvalsh`` of its Hermitian part.
         """
-        probe_vecs = []
-        for p in probes:
-            v = np.asarray(p, dtype=complex).reshape(-1)
-            if v.shape[0] != pair.dim:
-                raise ValueError("probe dimension mismatch")
-            # written so that a NaN norm fails
-            if not abs(np.linalg.norm(v) - 1.0) <= 1e-8:
-                raise ValueError("probes must be normalized")
-            probe_vecs.append(v)
+        if not rows:
+            raise ValueError("rows must be nonempty")
         schedule = [horizon for horizon, _, _ in rows]
         averages = [average for _, average, _ in rows]
         norm = pair.conjugate_norm if pair.kind == "discrete" else spectral_norm(pair.bounded_conjugate)
         limit = averages[-1]
         eigvals = np.linalg.eigvalsh((limit + limit.conj().T) / 2.0)
         gaps = [spectral_norm(b - a) for a, b in zip(averages, averages[1:])]
-        residual_rows = [[float(np.linalg.norm((avg - limit) @ v)) for avg in averages] for v in probe_vecs]
-        converged, diverging = _convergence_flags(gaps, residual_rows, gap_threshold)
+        converged, diverging = _convergence_flags(gaps, gap_threshold)
         return cls(
             kind=pair.kind,
             schedule=schedule,
@@ -475,7 +463,6 @@ class DegreeEstimate:
             limit_norm=float(np.max(np.abs(eigvals), initial=0.0)),
             telescoping_bound=2.0 * norm / float(schedule[-1]),
             cauchy_gaps=gaps,
-            probe_residuals=residual_rows,
             gap_threshold=gap_threshold,
             converged=converged,
             diverging=diverging,
@@ -496,7 +483,6 @@ class DegreeEstimate:
             "kind": self.kind,
             "schedule": [float(s) for s in self.schedule],
             "cauchy_gaps": [float(g) for g in self.cauchy_gaps],
-            "probe_residuals": [[float(r) for r in row] for row in self.probe_residuals],
             "gap_threshold": float(self.gap_threshold),
             "converged": bool(self.converged),
             "diverging": bool(self.diverging),
@@ -509,39 +495,31 @@ class DegreeEstimate:
         return json.dumps(self.to_payload())
 
 
-def _convergence_flags(gaps, residual_rows, threshold):
+def _convergence_flags(gaps, threshold):
     # one horizon gives no Cauchy gap, so no evidence of convergence either way
     if not gaps:
         return False, False
     tail_start = max(0, len(gaps) - max(1, len(gaps) // 3))
     tail = gaps[tail_start:]
-    gaps_ok = all(g <= threshold for g in tail)
-    probes_ok = True
-    for row in residual_rows:
-        # ignore the final entry: the residual against the last average is 0 there
-        seq = row[:-1] if len(row) > 1 else row
-        start = max(0, len(seq) - max(1, len(seq) // 3))
-        window = seq[start:]
-        for earlier, later in zip(window, window[1:]):
-            if later > earlier * 1.1 + threshold:
-                probes_ok = False
-    converged = gaps_ok and probes_ok
+    converged = all(g <= threshold for g in tail)
     trending_up = len(tail) >= 2 and all(b >= a * (1.0 - 1e-12) for a, b in zip(tail, tail[1:]))
     diverging = (not converged) and trending_up and tail[-1] > threshold
     return converged, diverging
 
 
-def estimate_degree(pair, schedule, probes=(), gap_threshold=1e-6):
+def estimate_degree(pair, schedule, gap_threshold=1e-6):
     """Estimate the degree operator along an increasing schedule of horizons.
 
     :meth:`DegreeEstimate.from_averages` on the rows of
-    :func:`degree_averages`.  The a-priori bound on the limit at the final
-    horizon comes from the telescoping sum: the discrete symbol is
-    ``A - U A U*``, so ``D_N = (A - U^N A U^-N)/N`` and ``||D_N|| <= 2||A||/N``;
+    :func:`degree_averages`; it is ``converged`` iff every Cauchy gap over the
+    last third of the schedule is at most ``gap_threshold``.  The a-priori
+    bound on the limit at the final horizon comes from the telescoping sum:
+    the discrete symbol is ``A - U A U*``, so ``D_N = (A - U^N A U^-N)/N`` and
+    ``||D_N|| <= 2||A||/N``;
     the continuous symbol is ``i[H, A~]`` with ``A~`` the bounded conjugate,
     so ``D_t = (e^{itH} A~ e^{-itH} - A~)/t`` and ``||D_t|| <= 2||A~||/t``.
     """
-    return DegreeEstimate.from_averages(pair, degree_averages(pair, schedule), probes, gap_threshold)
+    return DegreeEstimate.from_averages(pair, degree_averages(pair, schedule), gap_threshold)
 
 
 def epsilon_commutator(operator, conjugate, epsilon):

@@ -845,12 +845,6 @@ def test_pair_averages_are_formed_once_per_scenario(monkeypatch, kind):
     assert calls == {"degree_averages": 1, "_birkhoff_ladder": ladders, "_time_average": averages}
 
 
-def _degree_probes(runner):
-    rng = runner._rng("degree-probes")
-    dim = runner.built["pair"].dim
-    return cli._unit_vector(rng, dim), cli._unit_vector(rng, dim)
-
-
 @pytest.mark.parametrize("kind", ["discrete", "flow"])
 def test_shared_pair_averages_match_the_standalone_routes(kind):
     # a doubling schedule, on which the ladder, matrix_power and
@@ -862,7 +856,7 @@ def test_shared_pair_averages_match_the_standalone_routes(kind):
     pair, schedule = runner.built["pair"], runner.scenario["schedule"]
     result, artifacts = runner.run()
     identities, degree = (row["metrics"] for row in result["tasks"])
-    estimate = commutators.estimate_degree(pair, schedule, probes=_degree_probes(runner))
+    estimate = commutators.estimate_degree(pair, schedule)
     assert artifacts["degree-estimate.json"] == estimate.to_json() + "\n"
     assert degree["final_gap"] == estimate.cauchy_gaps[-1] and degree["limit_norm"] == estimate.limit_norm
     assert [n for n, _, _ in runner.pair_averages] == schedule

@@ -514,6 +514,83 @@ def test_one_horizon_estimate_is_neither_converged_nor_diverging(kind):
     assert not est.converged and not est.diverging
 
 
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+def test_empty_rows_are_refused_by_name(kind):
+    rng = np.random.default_rng(119)
+    if kind == "discrete":
+        pair = random_discrete_pair(rng, 4)
+    else:
+        pair = OperatorPair.continuous(random_hermitian(rng, 4), random_hermitian(rng, 4))
+    with pytest.raises(ValueError, match="rows must be nonempty"):
+        DegreeEstimate.from_averages(pair, [])
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+def test_converged_means_every_tail_gap_is_at_most_the_threshold(kind):
+    # the gap rule alone: a threshold equal to the largest tail gap converges,
+    # and one a single ulp below it does not
+    rng = np.random.default_rng(121)
+    if kind == "discrete":
+        pair, schedule = random_discrete_pair(rng, 5), [1, 2, 3, 5, 8, 13, 21]
+    else:
+        pair = OperatorPair.continuous(random_hermitian(rng, 5), random_hermitian(rng, 5))
+        schedule = [0.25, 0.5, 1.0, 1.5, 2.5, 4.0, 6.0]
+    table = degree_averages(pair, schedule)
+    gaps = DegreeEstimate.from_averages(pair, table).cauchy_gaps
+    largest = max(gaps[len(gaps) - max(1, len(gaps) // 3):])
+    assert largest > 0.0
+    assert DegreeEstimate.from_averages(pair, table, largest).converged
+    below = DegreeEstimate.from_averages(pair, table, float(np.nextafter(largest, 0.0)))
+    assert not below.converged
+    assert below.cauchy_gaps == gaps
+
+
+def _probe_rule_flags(gaps, residual_rows, threshold):
+    # the deleted probe rule as the oracle: the tail gaps are at most the
+    # threshold and no probe residual ||(D_k - limit) v|| grows over that tail
+    if not gaps:
+        return False, False
+    tail_start = max(0, len(gaps) - max(1, len(gaps) // 3))
+    tail = gaps[tail_start:]
+    converged = all(g <= threshold for g in tail)
+    for row in residual_rows:
+        seq = row[:-1] if len(row) > 1 else row
+        start = max(0, len(seq) - max(1, len(seq) // 3))
+        window = seq[start:]
+        for earlier, later in zip(window, window[1:]):
+            if later > earlier * 1.1 + threshold:
+                converged = False
+    trending_up = len(tail) >= 2 and all(b >= a * (1.0 - 1e-12) for a, b in zip(tail, tail[1:]))
+    return converged, (not converged) and trending_up and tail[-1] > threshold
+
+
+@settings(max_examples=80)
+@given(kind=st.sampled_from(["discrete", "continuous"]), dim=st.integers(2, 12),
+       horizons=st.lists(st.integers(1, 400), min_size=2, max_size=10, unique=True),
+       probes=st.integers(1, 3), placement=st.sampled_from([0.5, 1.0, 2.0]), pick=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_gap_rule_implies_the_probe_rule(kind, dim, horizons, probes, placement, pick, seed):
+    # for a unit v, r_{k+1} <= r_k + g_k, and the probe window steps over the
+    # tail gaps, so g_k <= threshold gives r_{k+1} <= 1.1 r_k + threshold
+    rng = np.random.default_rng(seed)
+    if kind == "discrete":
+        pair, schedule = random_discrete_pair(rng, dim), sorted(horizons)
+    else:
+        pair = OperatorPair.continuous(random_hermitian(rng, dim), random_hermitian(rng, dim))
+        schedule = [n / 100.0 for n in sorted(horizons)]
+    vectors = rng.standard_normal((probes, dim)) + 1j * rng.standard_normal((probes, dim))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    table = degree_averages(pair, schedule)
+    gaps = DegreeEstimate.from_averages(pair, table).cauchy_gaps
+    # below, at or above one tail gap, so the gap rule is met and missed
+    tail = gaps[len(gaps) - max(1, len(gaps) // 3):]
+    threshold = placement * tail[pick % len(tail)]
+    est = DegreeEstimate.from_averages(pair, table, threshold)
+    limit = table[-1][1]
+    residual_rows = [[float(np.linalg.norm((average - limit) @ v)) for _, average, _ in table] for v in vectors]
+    assert (est.converged, est.diverging) == _probe_rule_flags(gaps, residual_rows, threshold)
+
+
 def test_flow_degree_averages_feed_identity_check_and_from_averages_bit_for_bit():
     # the runner's one table of (t, D_t, e^{-itH}) per duration, read by
     # identity_check and DegreeEstimate.from_averages as by the one-call routes
@@ -526,9 +603,8 @@ def test_flow_degree_averages_feed_identity_check_and_from_averages_bit_for_bit(
         assert np.array_equal(average, birkhoff_continuous(pair.main, pair.symbol, t))
         assert max_norm(propagator - scipy.linalg.expm(-1j * t * pair.main)) <= 1e-12
         assert identity_check(pair, t, average, propagator) == flow_identity_check(pair, t)
-    probe = np.full(7, 1.0 / np.sqrt(7.0), dtype=complex)
-    estimate = DegreeEstimate.from_averages(pair, table, [probe])
-    public = estimate_degree(pair, schedule, probes=[probe])
+    estimate = DegreeEstimate.from_averages(pair, table)
+    public = estimate_degree(pair, schedule)
     assert estimate.to_json() == public.to_json()
     assert estimate.limit.tobytes() == public.limit.tobytes() == table[-1][1].tobytes()
 
@@ -549,18 +625,6 @@ def test_degree_averages_check_the_schedule_once_per_kind():
             degree_averages(pair, schedule)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_non_finite_probes_are_refused(value):
-    # abs(norm - 1) > tol is False for a NaN norm, so the check is written the other way
-    pair = random_discrete_pair(np.random.default_rng(120), 4)
-    table = degree_averages(pair, [1, 2, 4])
-    for probe in (np.full(4, value), np.array([1.0, 0.0, 0.0, value])):
-        with pytest.raises(ValueError, match="probes must be normalized"):
-            estimate_degree(pair, [1, 2, 4], probes=[probe])
-        with pytest.raises(ValueError, match="probes must be normalized"):
-            DegreeEstimate.from_averages(pair, table, [probe])
-
-
 @pytest.mark.parametrize("entry", ["birkhoff_continuous", "degree_averages", "estimate_degree",
                                    "flow_identity_check"])
 @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
@@ -574,17 +638,6 @@ def test_non_finite_durations_are_refused_by_name(entry, duration):
             "flow_identity_check": lambda: flow_identity_check(pair, duration)}[entry]
     with pytest.raises(ValueError, match=re.escape(f"durations must be finite and positive, got {duration!r}")):
         call()
-
-
-def test_estimate_degree_probe_residuals():
-    rng = np.random.default_rng(113)
-    pair = random_discrete_pair(rng, 5)
-    phi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    phi = phi / np.linalg.norm(phi)
-    est = estimate_degree(pair, [1, 2, 5], probes=[phi])
-    assert len(est.probe_residuals) == 1
-    assert len(est.probe_residuals[0]) == 3
-    assert all(r >= 0.0 for r in est.probe_residuals[0])
 
 
 def test_degree_payload_round_trip():
@@ -615,7 +668,8 @@ def test_degree_artifact_carries_the_limit_digest_and_spectrum(kind):
         schedule, horizon, conjugate = [1, 2, 5], 5, pair.conjugate
     est = estimate_degree(pair, schedule)
     doc = json.loads(est.to_json())
-    assert doc["version"] == commutators.DEGREE_ESTIMATE_VERSION == 3
+    assert doc["version"] == commutators.DEGREE_ESTIMATE_VERSION == 4
+    assert "probe_residuals" not in doc
     assert doc["limit"] == {"dim": 6, "sha256": _echo_digest(est.limit)}
     assert "entries" not in doc and "entries" not in doc["limit"]
     limit = est.limit
