@@ -986,7 +986,8 @@ def run_config(config, out_dir, threads=1):
     }
     (out / "report.json").write_text(_dump_report(report))
     # report digits depend on the BLAS and its thread count; numpy exposes no
-    # runtime thread count, so the variables that set it are recorded instead
+    # runtime thread count, so the variables that set it are recorded instead.
+    # A pair, flow or Fourier run does all its dense LAPACK work on this BLAS
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     meta = {
         "started": started.isoformat(),

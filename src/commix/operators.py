@@ -197,11 +197,12 @@ def spectral_decomposition(matrix):
     (``phi`` the golden angle) diagonalise ``S`` wherever ``h`` separates its
     eigenvalues.  Where it does not, ``T = V* S V`` still couples adjacent
     columns; every run of columns ``a..b`` with a coupling ``|T_ab|`` above
-    ``8 sqrt(n) eps scale`` is finished by a complex Schur factorization of
-    its block of ``T``, which rotates those columns into eigenvectors.  The
-    eigenvalues are the diagonal of ``T`` and of the block Schur factors.  At
-    worst one run spans every column and the cost is one full Schur on top of
-    the eigensolve.
+    ``8 sqrt(n) eps scale`` is finished by a Schur basis of its block of
+    ``T``: the Q factor ``Z`` of the block's eigenvectors (numpy's ``eig``,
+    then QR), which rotates those columns into eigenvectors.  The eigenvalues
+    are the diagonal of ``T`` and of the blocks ``Z* T Z``.  At worst one run
+    spans every column and the cost is one ``eig`` of the whole matrix on top
+    of the eigensolve.
 
     Raises
     ------
@@ -244,10 +245,11 @@ def _normal_eigenbasis(m, scale):
     eigvals = np.diagonal(t).copy()
     for start, stop in zip(np.concatenate(([0], ends[:-1])), ends):
         if stop - start > 1:
-            import scipy.linalg  # here, not at module level: it doubles the import time of commix
-
-            block, z = scipy.linalg.schur(t[start:stop, start:stop], output="complex")
-            eigvals[start:stop] = np.diagonal(block)
+            # the Q factor of the eigenvectors X of the block is a Schur basis:
+            # with T X = X L and X = Z R, Z* T Z = R L R^{-1} is upper triangular
+            block = t[start:stop, start:stop]
+            z = np.linalg.qr(np.linalg.eig(block)[1])[0]
+            eigvals[start:stop] = np.diagonal(z.conj().T @ block @ z)
             v[:, start:stop] = v[:, start:stop] @ z
             image[:, start:stop] = image[:, start:stop] @ z
     return eigvals, v, image

@@ -811,6 +811,45 @@ def _flow_model(seed, dim=6):
     return {"type": "matrix-pair", "generator": hermitian(), "conjugate": hermitian()}
 
 
+def _dft(dim):
+    n = np.arange(dim)
+    return np.exp(-2j * np.pi * np.outer(n, n) / dim) / np.sqrt(dim)
+
+
+@pytest.mark.parametrize("scenarios, subpackages", [
+    # the DFT's repeated eigenvalues give coupled runs for fourier's decomposition
+    ([{"name": "pair", "model": {"type": "matrix-pair", "unitary": matrix_to_payload(_dft(16)),
+                                 "conjugate": matrix_to_payload(np.diag(np.arange(16.0)))},
+       "schedule": [4, 8], "horizon": 16,
+       "tasks": ["identities", "degree", "mixing", "summability", "fourier"]},
+      {"name": "flow", "model": _flow_model(3), "schedule": [0.5, 1.0], "horizon": 16,
+       "tasks": ["identities", "degree", "mixing", "summability"]}], []),
+    ([{"name": "graph", "model": {"type": "graph-line", "length": 20, "margin": 3},
+       "tasks": ["admissibility", "identities", "degree"]}], ["sparse"]),
+    ([{"name": "torus", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 1, "sector": 1,
+                                  "eta": [[[1], 0.0, -0.025], [[-1], 0.0, 0.025]],
+                                  "grid": 64, "matrix_size": 64},
+       "schedule": [4, 8], "horizon": 16,
+       "tasks": ["identities", "degree", "mixing", "summability", "fourier"]}], ["special"]),
+], ids=["pair-and-flow", "graph", "torus"])
+def test_each_model_family_loads_only_its_scipy_subpackage(tmp_path, scenarios, subpackages):
+    # pairs, flows and Fourier tasks compute in numpy alone; graph windows need
+    # scipy.sparse and torus series scipy.special, and nothing more of scipy
+    code = (
+        "import json, sys\n"
+        "from commix.cli import run_config, validate_config\n"
+        "run_config(validate_config(json.loads(sys.argv[1])), sys.argv[2])\n"
+        "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+        "public = {name.split('.')[1] for name in loaded if name.count('.') == 1\n"
+        "          and not name.split('.')[1].startswith('_') and hasattr(sys.modules[name], '__path__')}\n"
+        "print(json.dumps([bool(loaded), sorted(public)]))\n"
+    )
+    config = json.dumps({"version": 1, "scenarios": scenarios})
+    loaded, public = json.loads(_python(code, config, str(tmp_path / "out")).stdout)
+    assert loaded == bool(subpackages)
+    assert public == subpackages
+
+
 def _pair_runner(model, schedule, tasks=("identities", "degree")):
     scenario = validate_config({"version": 1, "scenarios": [
         {"name": "p", "seed": 5, "model": model, "schedule": schedule, "tasks": list(tasks)}]})["scenarios"][0]
