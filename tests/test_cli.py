@@ -830,11 +830,14 @@ def _dft(dim):
                                   "eta": [[[1], 0.0, -0.025], [[-1], 0.0, 0.025]],
                                   "grid": 64, "matrix_size": 64},
        "schedule": [4, 8], "horizon": 16,
-       "tasks": ["identities", "degree", "mixing", "summability", "fourier"]}], ["special"]),
-], ids=["pair-and-flow", "graph", "torus"])
+       "tasks": ["identities", "degree", "mixing", "summability", "fourier"]}], []),
+    ([{"name": "su2", "model": {"type": "su2", "y": 0.41421356237309515, "grid": 64},
+       "schedule": [4, 8], "tasks": ["identities", "degree"]}], []),
+], ids=["pair-and-flow", "graph", "torus", "su2"])
 def test_each_model_family_loads_only_its_scipy_subpackage(tmp_path, scenarios, subpackages):
-    # pairs, flows and Fourier tasks compute in numpy alone; graph windows need
-    # scipy.sparse and torus series scipy.special, and nothing more of scipy
+    # pairs, flows, Fourier tasks, SU(2) cocycles and torus series whose
+    # Bessel orders lie in the power-series regime compute in numpy alone;
+    # graph windows need scipy.sparse, and nothing more of scipy
     code = (
         "import json, sys\n"
         "from commix.cli import run_config, validate_config\n"

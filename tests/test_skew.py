@@ -1,5 +1,6 @@
 """Torus and SU(2) skew products, sector transfer operators, and the shift seam model."""
 
+import contextlib
 import math
 import re
 import tracemalloc
@@ -40,6 +41,7 @@ from commix import (
     unitary_symbol,
 )
 from commix.skew import (
+    _bessel_j,
     _bessel_order,
     _frequencies,
     _geometric_phase_sum,
@@ -684,6 +686,106 @@ def test_bessel_order_bisects_to_the_counted_order():
         assert _bessel_order(z) == counted_bessel_order(z), z
     # counted, this order would take about 1.8e300 steps
     assert 1.7e300 < _bessel_order(1e300) < 1.9e300
+
+
+def within_bessel_bounds(orders, z, values, reference):
+    """Whether J_m(z) values agree with scipy's jv, by regime of m and z.
+
+    Relative 1e-12 where z^2 <= 2 (|m| + 1), the power series, wherever
+    |reference| >= 1e-280; bit for bit beyond it, where scipy's jv serves.
+    ``values`` and ``reference`` may carry one common phase, as the
+    Jacobi-Anger coefficients i^m J_m(z) e^{i m alpha} do.
+    """
+    series = z <= np.sqrt(2.0 * (np.abs(orders) + 1))
+    resolved = np.abs(reference) >= 1e-280
+    relative = np.abs(values - reference) / np.where(resolved, np.abs(reference), 1.0)
+    return (np.all(relative[series & resolved] <= 1e-12)
+            and np.array_equal(values[~series], reference[~series]))
+
+
+def default_errstate_raising():
+    """numpy's default errstate, with every RuntimeWarning it gives raised."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(np.errstate(divide="warn", over="warn", invalid="warn", under="ignore"))
+    stack.enter_context(warnings.catch_warnings())
+    warnings.simplefilter("error", RuntimeWarning)
+    return stack
+
+
+@st.composite
+def bessel_arguments(draw):
+    if draw(st.booleans()):
+        # large z about the turning point |m| = z, beyond the series regime
+        z = draw(st.floats(1000.0, 1e4, exclude_min=True))
+        return round(draw(st.floats(0.8, 1.2)) * z) * draw(st.sampled_from([-1, 1])), z
+    order = draw(st.integers(-600, 600))
+    n = abs(order)
+    z = draw(st.one_of(
+        # about the series boundary z^2 = 2 (|m| + 1), where its terms halve
+        st.floats(0.0, 1.5).map(lambda s: s * math.sqrt(2.0 * (n + 1))),
+        # about the turning point z = |m|
+        st.floats(0.5, 1.5).map(lambda s: s * max(n, 1)),
+        st.floats(0.0, 1e4),
+    ))
+    return order, z
+
+
+@settings(max_examples=100)
+@given(st.lists(bessel_arguments(), min_size=1, max_size=30))
+def test_bessel_j_matches_scipy_in_every_regime(arguments):
+    from scipy import special  # the oracle of the series regime
+
+    orders, z = (np.array(v) for v in zip(*arguments))
+    with default_errstate_raising():
+        values = _bessel_j(orders, z)
+        mirrored = _bessel_j(-orders, z)
+    assert within_bessel_bounds(orders, z, values, special.jv(orders, z))
+    # J_{-m} = (-1)^m J_m bit for bit
+    assert mirrored.tobytes() == (np.where(orders % 2 == 1, -1.0, 1.0) * values).tobytes()
+
+
+def test_bessel_j_exact_values_tails_and_huge_arguments():
+    orders = np.arange(-64, 65)
+    with default_errstate_raising():
+        at_zero = _bessel_j(orders, 0.0)
+        # J_m(z) ~ (z/2)^m / m! keeps its tail where scipy's jv flushes it to 0
+        tails = _bessel_j([108, 120], [0.12861084863236144, 0.3052949730143094])
+        huge = _bessel_j(orders, 1e300)
+        # the least subnormal z, a cube that underflows, and two orders far
+        # beyond z that underflow beyond the series regime
+        extremes = _bessel_j([0, 3, 10**6, -(10**6) - 1], [5e-324, 1e-300, 2e3, 1e3])
+    assert np.array_equal(at_zero, orders == 0)
+    # mpmath.besselj(m, z) at 200 bits of precision
+    assert tails == pytest.approx([1.4744388065993229e-303, 1.6492307813462440e-297], rel=1e-12)
+    # |J_m(z)| <= sqrt(2 / (pi z)) up to terms of order m^2 / z, as Hankel's expansion gives
+    assert np.all(np.isfinite(huge)) and np.all(np.abs(huge) <= 1.01 * math.sqrt(2.0 / (math.pi * 1e300)))
+    assert extremes.tolist() == [1.0, 0.0, 0.0, -0.0]
+
+
+def test_sector_correlation_tables_of_two_pairs_match_scipy(monkeypatch):
+    # the multi-pair route reads every pair's orders -M..M from a table built
+    # at each step; amplitude 2 puts its entries in the series regime and
+    # beyond it on both sides of the turning point |m| = z
+    from scipy import special
+
+    tables = []
+
+    def bessel_coefficient(order, z, alpha, _call=skew._bessel_coefficient):
+        tables.append((order, z, alpha, _call(order, z, alpha)))
+        return tables[-1][-1]
+
+    monkeypatch.setattr(skew, "_bessel_coefficient", bessel_coefficient)
+    coc = TorusCocycle([2], {(1,): -2j, (-1,): 2j, (3,): 1 + 1j, (-3,): 1 - 1j})
+    series = sector_correlation(coc, golden_flow(), {(1,): 1.0}, {(1,): 1.0}, 512)
+    assert np.all(np.isfinite(series.values))
+    assert len(tables) == 2
+    for order, z, alpha, table in tables:
+        assert table.shape == (order.size, 512)
+        reference = np.array([1, 1j, -1, -1j])[np.mod(order, 4)] * special.jv(order, z) * np.exp(1j * order * alpha)
+        assert within_bessel_bounds(order, z, table, reference)
+        n = np.abs(order)
+        assert np.any(z * z <= 2.0 * (n + 1)) and np.any((z * z > 2.0 * (n + 1)) & (n < z))
+        assert np.any((z * z > 2.0 * (n + 1)) & (n >= z))
 
 
 mode_dicts = st.dictionaries(
