@@ -307,22 +307,23 @@ def _build_su2(spec, rng, path):
     return {"flow": flow, "cocycle": SU2Cocycle(h, spec["frequency"], modes, spec["label"])}
 
 
-def _read_model_file(name, kind, path):
-    """Text of the regular file ``name``, which a model field at ``path`` names.
+def _read_regular_file(name):
+    """Text of the regular file ``name``: a model file, a config or a report.
 
-    Anything else is refused before it is opened: opening a FIFO blocks until a
-    writer comes, and a device such as /dev/zero reads without end.
+    Anything else is refused with an OSError before it is opened: opening a
+    FIFO blocks until a writer comes, and a device such as /dev/zero reads
+    without end.
     """
-    try:
-        if not stat.S_ISREG(os.stat(name).st_mode):
-            _fail(path, f"cannot read {kind} file {name!r}: not a regular file")
-        return pathlib.Path(name).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        _fail(path, f"cannot read {kind} file {name!r}: {exc}")
+    if not stat.S_ISREG(os.stat(name).st_mode):
+        raise OSError("not a regular file")
+    return pathlib.Path(name).read_text()
 
 
 def _build_graph_file(spec, rng, path):
-    text = _read_model_file(spec["path"], "graph", f"{path}.path")
+    try:
+        text = _read_regular_file(spec["path"])
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail(f"{path}.path", f"cannot read graph file {spec['path']!r}: {exc}")
     try:
         return {"window": parse_graph_window(text)}
     except SchemaError as exc:
@@ -539,7 +540,9 @@ def _load_matrix(value, path):
             import orjson
 
             try:
-                payload = orjson.loads(_read_model_file(value, "matrix", path))
+                payload = orjson.loads(_read_regular_file(value))
+            except (OSError, UnicodeDecodeError) as exc:
+                _fail(path, f"cannot read matrix file {value!r}: {exc}")
             except json.JSONDecodeError as exc:
                 _fail(path, f"matrix file {value!r} is not valid JSON: {exc}")
         else:
@@ -1126,7 +1129,7 @@ EXAMPLE_CONFIGS = {
 
 def _cmd_run(args):
     try:
-        raw = json.loads(pathlib.Path(args.config).read_text())
+        raw = json.loads(_read_regular_file(args.config))
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config {args.config!r}: {exc}", file=sys.stderr)
         return 2
@@ -1157,7 +1160,7 @@ def _cmd_compare(args):
     loaded = []
     for name in (args.left, args.right):
         try:
-            loaded.append(json.loads(pathlib.Path(name).read_text()))
+            loaded.append(json.loads(_read_regular_file(name)))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             print(f"error: cannot load report {name!r}: {exc}", file=sys.stderr)
             return 2

@@ -189,7 +189,7 @@ def check_admissible(window):
 
     Condition (i) is checked by propagating a grading breadth-first from the
     smallest vertex of each component, over neighbour lists read off the
-    sorted edge arrays; an inconsistent edge yields a closed walk with
+    sorted half-edges; an inconsistent edge yields a closed walk with
     unequal forward and backward counts.  Condition (ii) is
     [K, H] = 0: with F the 0/1 incidence of the edges x < y (rows in sorted
     vertex order), F F^T counts the forward neighbors two vertices share and
@@ -197,19 +197,15 @@ def check_admissible(window):
     off-diagonal must vanish between vertices of full degree, because a
     vertex next to the window cut has truncated neighborhoods that say
     nothing about the underlying graph; the witness is the first offending
-    pair x < y.  Both counts come from joining the edge arrays with
-    themselves on the shared endpoint, in O(sum of squared degrees).
+    pair x < y.  Both counts come from joining the half-edges with
+    themselves on their near end and step, in O(sum of squared degrees).
     """
     verts = window.vertices
     dim = len(verts)
-    ends = window.edge_rows
-    # each edge from both ends, grouped by row and sorted within it: row v
-    # lists the neighbours of v in vertex order, with the step +1 along the
-    # orientation and -1 against it
-    near, far = np.concatenate([ends, ends[:, ::-1]]).T
-    order = np.lexsort((far, near))
-    bounds = np.searchsorted(near[order], np.arange(dim + 1)).tolist()
-    nbrs, steps = far[order].tolist(), np.repeat([1, -1], len(ends))[order].tolist()
+    near, far, steps = _half_edges(window.edge_rows)
+    # row v lists the neighbours of v in vertex order, with their steps
+    bounds = np.searchsorted(near, np.arange(dim + 1)).tolist()
+    nbrs, nbr_steps = far.tolist(), steps.tolist()
     position, parent, found = [None] * dim, [None] * dim, []
     bad_edge = None
     for root in range(dim):
@@ -221,7 +217,7 @@ def check_admissible(window):
         while queue and bad_edge is None:
             v = queue.popleft()
             lo, hi = bounds[v], bounds[v + 1]
-            for w, step in zip(nbrs[lo:hi], steps[lo:hi]):
+            for w, step in zip(nbrs[lo:hi], nbr_steps[lo:hi]):
                 if position[w] is None:
                     position[w] = position[v] + step
                     parent[w] = v
@@ -247,13 +243,16 @@ def check_admissible(window):
         witness_balance = _walk_balance(set(window.edges), witness_cycle)
 
     full = ~np.isin(verts, window.boundary)
-    # pair codes x * dim + y of the vertices x < y of full degree that share a
-    # forward neighbour (the heads agree), then a backward one (the tails agree)
-    shared = [_shared_endpoint_pairs(ends[:, 1 - side], ends[:, side], full)
-              for side in (1, 0)]
-    codes, inverse = np.unique(np.concatenate(shared), return_inverse=True)
-    n_fwd = np.bincount(inverse[:shared[0].size], minlength=codes.size)
-    n_bwd = np.bincount(inverse[shared[0].size:], minlength=codes.size)
+    # pairs x < y of vertices of full degree that are the far ends of two
+    # half-edges with one near end and one step: -1, a shared forward
+    # neighbour (the heads agree), or +1, a shared backward one (the tails agree)
+    first, second = _shared_endpoint_pairs(2 * near + (steps > 0), 2 * dim)
+    x, y = far[first], far[second]
+    keep = (x < y) & full[x] & full[y]
+    codes, inverse = np.unique(x[keep] * dim + y[keep], return_inverse=True)
+    heads = steps[first[keep]] < 0
+    n_fwd = np.bincount(inverse[heads], minlength=codes.size)
+    n_bwd = np.bincount(inverse[~heads], minlength=codes.size)
     witness_pair = witness_counts = None
     bad = np.flatnonzero(n_fwd != n_bwd)
     if bad.size:
@@ -273,75 +272,77 @@ def check_admissible(window):
     )
 
 
-def _shared_endpoint_pairs(others, shared, full):
-    """Codes ``x * n + y`` of the pairs x < y of full vertices that are the
-    ``others`` ends of two edges with the same ``shared`` end, once per shared end.
+def _half_edges(edge_rows):
+    """Each edge x < y from both ends, as arrays (near, far, step) sorted by
+    near end, then far end; the step is +1 along the orientation and -1
+    against it, and is the entry S[near, far]."""
+    near, far = np.concatenate([edge_rows, edge_rows[:, ::-1]]).T
+    order = np.lexsort((far, near))
+    return near[order], far[order], np.repeat([1, -1], len(edge_rows))[order]
 
-    The edges are sorted by their shared end, and each is joined with every
-    edge of its group, so the work is the sum of the squared group sizes.
+
+def _shared_endpoint_pairs(shared, size):
+    """Indices (a, b) of every ordered pair of entries with the same
+    ``shared`` value, a == b included; the values lie below ``size``.
+
+    The entries are sorted by their shared value, and each is joined with
+    every entry of its group, so the work is the sum of the squared group sizes.
     """
     order = np.argsort(shared, kind="stable")
-    shared, others = shared[order], others[order]
-    size = np.bincount(shared, minlength=full.size)
-    reps = size[shared]
-    first = np.repeat(others, reps)
-    # the group of edge i starts at start[shared[i]] in sorted order
-    start = np.cumsum(size) - size
+    count = np.bincount(shared, minlength=size)
+    reps = count[shared[order]]
+    # the group of the i-th entry in sorted order starts at start[shared[order[i]]]
+    start = np.cumsum(count) - count
     offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-    second = others[np.repeat(start[shared], reps) + offset]
-    keep = (first < second) & full[first] & full[second]
-    return first[keep] * full.size + second[keep]
+    return np.repeat(order, reps), order[np.repeat(start[shared[order]], reps) + offset]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphOperators:
-    """H, K = iS and A = iT of a window, stored on its edge set.
+    """H, K = iS and A = iT of a window, held as its oriented edge rows.
 
-    ``adjacency`` (H, symmetric), ``skew_momentum`` (S) and
-    ``skew_conjugate`` (T, both antisymmetric) are real ``scipy.sparse``
-    CSR arrays with one stored entry per edge and orientation; ``position``
-    is the grading Phi as a vector indexed like their rows.
+    ``edge_rows`` holds the positions (x, y) of the ends of each edge x < y,
+    as the window holds them, and ``position`` the grading Phi indexed like
+    them.  The operators are real and vanish off the edges: H = 1 at (x, y)
+    and (y, x), S = +1 at (x, y) and -1 at (y, x), and
+    T = S (Phi_x + Phi_y)/2.  Every edge steps the grading by one,
+    Phi_y = Phi_x + 1, as on an admissible window; rows that do not raise
+    StructureError.
     """
 
-    adjacency: object
-    skew_momentum: object
-    skew_conjugate: object
+    edge_rows: np.ndarray
     position: np.ndarray
     interior_rows: np.ndarray
     center_row: int
 
+    def __post_init__(self):
+        tails, heads = self.edge_rows.T
+        if np.any(self.position[heads] - self.position[tails] != 1):
+            raise StructureError("every edge x < y must step the grading by one, Phi_y = Phi_x + 1")
+
 
 def build_operators(window, report=None):
-    """Assemble H, K = iS, Phi and A = iT for an admissible window.
+    """H, K = iS, Phi and A = iT of an admissible window, on its edge rows.
 
     The summing operator L collects values over N^+(x) = {y : y < x}, so on
     a uniformly oriented line it is the raising shift; K = i(L* - L) and
     A = (Phi K + K Phi)/2 then satisfy [K, H] = 0 and [iH, A] = K*K on the
     interior of windows cut from admissible infinite graphs.  In real terms
     S = L^T - L carries +1 at (x, y) and -1 at (y, x) for every edge x < y,
-    and T_xy = (Phi_x + Phi_y) S_xy / 2, since Phi is diagonal.  All three
-    are built from the edge index arrays at once.  Inadmissible input is
-    rejected with the full report attached.  ``report`` is the window's
-    check_admissible report, computed here when not given.
+    and T_xy = (Phi_x + Phi_y) S_xy / 2, since Phi is diagonal; so all three
+    follow from the window's edge rows and the grading, which is all
+    GraphOperators holds.  Inadmissible input is rejected with the full
+    report attached.  ``report`` is the window's check_admissible report,
+    computed here when not given.
     """
     if report is None:
         report = check_admissible(window)
     if not report.admissible:
         raise AdmissibilityError(report, "window fails the admissibility conditions")
-    from scipy import sparse
 
     verts = window.vertices
     dim = len(verts)
     position = np.array([report.position[v] for v in verts], dtype=float)
-    ends = window.edge_rows
-    rows = np.concatenate([ends[:, 0], ends[:, 1]])
-    cols = np.concatenate([ends[:, 1], ends[:, 0]])
-    signs = np.repeat([1.0, -1.0], len(ends))
-
-    def on_edges(values):
-        return sparse.csr_array((values, (rows, cols)), shape=(dim, dim))
-
-    skew_momentum = on_edges(signs)
     interior_rows = np.searchsorted(verts, np.array(window.interior, dtype=int))
     # deepest vertex: maximal distance from the inferred boundary, then
     # smallest id; this is where probe-based diagnostics see least pollution
@@ -351,14 +352,8 @@ def build_operators(window, report=None):
         center_row = int(np.searchsorted(verts, center))
     else:
         center_row = dim // 2
-    return GraphOperators(
-        adjacency=abs(skew_momentum),
-        skew_momentum=skew_momentum,
-        skew_conjugate=on_edges(signs * (position[rows] + position[cols]) / 2.0),
-        position=position,
-        interior_rows=interior_rows,
-        center_row=center_row,
-    )
+    return GraphOperators(edge_rows=window.edge_rows, position=position,
+                          interior_rows=interior_rows, center_row=center_row)
 
 
 @dataclass(frozen=True)
@@ -373,20 +368,32 @@ def interior_residuals(ops):
     Both commutators have finite range, so truncation pollution stays within
     a fixed distance of the cut and the interior rows vanish identically once
     the margin is at least two.  With K = iS and A = iT they are i[S, H] and
-    S^2 - [H, T], so the row norms are those of [S, H] and S^2 - [H, T],
-    formed in real arithmetic on the interior rows of the CSR operators;
-    every entry is a sum of products of +-1 and +-1/2, hence exact.
+    S^2 - [H, T], so the row norms are those of [S, H] and S^2 - [H, T].
+    Entry (i, k) of either sums over the paths i - j - k of two half-edges,
+    which check_admissible's join pairs on their shared middle vertex j.
+    With s and t the entries of S and T at (j, i) on the first half-edge and
+    at (j, k) on the second, S[i, j] = -s and T[i, j] = -t, so a path adds
+    -s_a - s_b to [S, H] and -s_a s_b - (t_a + t_b) to S^2 - [H, T]; every
+    term is a product of +-1 and +-1/2 over integers, hence exact.
     """
     if ops.interior_rows.size == 0:
         raise ValueError("interior is empty; enlarge the window or reduce the margin")
-    h, s, t = ops.adjacency, ops.skew_momentum, ops.skew_conjugate
-    rows = ops.interior_rows
-    h_rows, s_rows, t_rows = h[rows], s[rows], t[rows]
-    comm_sh = s_rows @ h - h_rows @ s
-    ident = s_rows @ s - (h_rows @ t - t_rows @ h)
-    r1 = float(np.sqrt(np.max((comm_sh ** 2).sum(axis=1))))
-    r2 = float(np.sqrt(np.max((ident ** 2).sum(axis=1))))
-    return InteriorResiduals(momentum_commutator=r1, degree_identity=r2)
+    dim, phi = ops.position.size, ops.position
+    near, far, s = _half_edges(ops.edge_rows)
+    t = s * (phi[near] + phi[far]) / 2.0
+    a, b = _shared_endpoint_pairs(near, dim)
+    interior = np.zeros(dim, dtype=bool)
+    interior[ops.interior_rows] = True
+    keep = interior[far[a]]
+    a, b = a[keep], b[keep]
+    codes, inverse = np.unique(far[a] * dim + far[b], return_inverse=True)
+
+    def max_row_norm(terms):
+        entries = np.bincount(inverse, weights=terms, minlength=codes.size)
+        return float(np.sqrt(np.max(np.bincount(codes // dim, weights=entries ** 2, minlength=dim))))
+
+    return InteriorResiduals(momentum_commutator=max_row_norm(-s[a] - s[b]),
+                             degree_identity=max_row_norm(-s[a] * s[b] - (t[a] + t[b])))
 
 
 @dataclass
@@ -415,51 +422,49 @@ def _path_eigenpairs(m):
     return lam, sines[np.outer(j, j) % (2 * (m + 1))]
 
 
-def _canonical(matrix):
-    """``matrix`` as CSR with sorted indices, no duplicates and no stored zeros
-    (a copy, when it is not already), so its stored entries are its nonzeros."""
-    matrix = matrix.tocsr()
-    if not matrix.has_canonical_format or not np.all(matrix.data):
-        matrix = matrix.copy()
-        matrix.sum_duplicates()
-        matrix.eliminate_zeros()
-    return matrix
+def _lattice_sides(edge_rows, n):
+    """(n,) if the edges join exactly the neighbours of the path on n
+    positions, (nx, ny) if exactly those of the row-major nx-by-ny grid
+    (H = P_nx (+) P_ny), else None; orientations do not matter, as H ignores them.
 
-
-def _stored_rows(matrix):
-    """The row of each stored entry of a CSR ``matrix``, in storage order."""
-    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-
-
-def _lattice_sides(h):
-    """(n,) if H is exactly the path adjacency on its n positions, (nx, ny) if
-    it is exactly the row-major nx-by-ny grid's P_nx (+) P_ny, else None.
-
-    Position 0 is a corner of either, so its stored neighbours name the only
+    Position 0 is a corner of either, so its neighbours name the only
     candidate: {1} the path, {1, ny} the grid with n/ny rows.  The candidate's
-    CSR arrays are written down directly (row k of the grid stores k - ny,
-    k - 1, k + 1 and k + ny, where those are neighbours) and compared with
-    H's, exactly, in O(edges), after H is put in canonical form (sorted
-    indices, no duplicates, no stored zeros; a copy, when it is not already).
+    edges are written down directly, and both edge sets are compared as
+    sorted codes x * n + y of their pairs x < y, exactly.
     """
-    h = _canonical(h)
-    n = h.shape[0]
-    steps = h.indices[h.indptr[0]:h.indptr[1]].tolist()
+    pairs = np.sort(edge_rows, axis=1)
+    steps = np.sort(pairs[pairs[:, 0] == 0, 1]).tolist()
     if steps == [1]:
         sides = (n,)
-    elif len(steps) == 2 and steps[0] == 1 and n % steps[1] == 0 and n > steps[1]:
+    elif len(steps) == 2 and steps[0] == 1 and n % steps[1] == 0:
         sides = (n // steps[1], steps[1])
     else:
         return None
     # a path is the n-by-1 grid: its second axis contributes no edges
     nx, ny = sides[0], n // sides[0]
-    row, col = np.divmod(np.arange(n), ny)
-    stored = np.column_stack([row > 0, col > 0, col < ny - 1, row < nx - 1])
-    indices = (np.arange(n)[:, None] + np.array([-ny, -1, 1, ny]))[stored]
-    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
-    exact = (np.array_equal(h.indptr, indptr) and np.array_equal(h.indices, indices)
-             and np.all(h.data == 1.0))
+    grid = np.arange(n).reshape(nx, ny)
+    lattice = np.concatenate([grid[:-1].ravel() * n + grid[1:].ravel(),
+                              grid[:, :-1].ravel() * n + grid[:, 1:].ravel()])
+    exact = np.array_equal(np.sort(pairs[:, 0] * n + pairs[:, 1]), np.sort(lattice))
     return sides if exact else None
+
+
+def _momentum_gram(edge_rows, x):
+    """S^T S x for the S of ``edge_rows``, from its half-edges.
+
+    Each row of S x sums its half-edges from zero in column order, and
+    S^T y is formed as -(S y): S^T = -S, and negation commutes with rounding.
+    """
+    near, far, step = _half_edges(edge_rows)
+    # the flat index of each half-edge's term in each column
+    slots = (near[:, None] * x.shape[1] + np.arange(x.shape[1])).ravel()
+
+    def apply(v):
+        out = np.zeros_like(v)
+        np.add.at(out.reshape(-1), slots, (step[:, None] * v[far]).ravel())
+        return out
+
+    return -apply(apply(x))
 
 
 def graph_degree(ops):
@@ -474,61 +479,30 @@ def graph_degree(ops):
     H, and conjugation by the flow e^{isH} leaves it fixed).
 
     H is real symmetric and K = iS with S real antisymmetric.  Every edge
-    steps the grading by one, so in even/odd order H = [[0, C], [C^T, 0]] and
-    S = [[0, S_eo], [S_oe, 0]], and nothing larger than max(n_even, n_odd) is
-    decomposed.  The eigenpairs H = V diag(lam) V^T come from one of two
-    sources.  When H is exactly a path or a row-major grid (``_lattice_sides``
-    compares its stored entries), they are closed-form: the DST-I sines of
-    ``_path_eigenpairs`` for a path, lam_x (+) lam_y on kron(V_x, V_y) for a
-    grid.  Otherwise one SVD C = U diag(sigma) Y^T gives them: +-sigma_i with
-    eigenvectors (u_i, +-y_i)/sqrt(2), and 0 for each of the
+    steps the grading by one (GraphOperators holds to that), so in even/odd
+    order H = [[0, C], [C^T, 0]] and S = [[0, S_eo], [S_oe, 0]], and nothing
+    larger than max(n_even, n_odd) is decomposed.  The eigenpairs
+    H = V diag(lam) V^T come from one of two sources.  When the edges are
+    exactly a path's or a row-major grid's (``_lattice_sides`` compares
+    them), they are closed-form: the DST-I sines of ``_path_eigenpairs`` for
+    a path, lam_x (+) lam_y on kron(V_x, V_y) for a grid.  Otherwise one SVD
+    C = U diag(sigma) Y^T gives them, with C filled from the edges: +-sigma_i
+    with eigenvectors (u_i, +-y_i)/sqrt(2), and 0 for each of the
     |n_even - n_odd| unpaired columns of U or Y.
 
-    Since every edge steps the grading by one, S_eo = diag(a) C diag(b) with
-    a(e) = (-1)^(Phi(e)/2) and b(o) = (-1)^((Phi(o)-1)/2), checked exactly on
-    the stored entries; then S is H with its lower block negated, up to these
-    signs, so the singular values of S are |lam| and the kernel of K is
-    counted on them at the relative cut 1e-8 (square roots of eigenvalues of
-    K^2 would halve the digits at the cut).  With B = V^T S^T S V = V^T K^2 V
-    and d = 1/(lam+i) the degree is V diag(d) B diag(conj(d)) V^T; the flow
-    residuals |e^{is lam} G e^{-is lam} p - G p| with G = diag(d) B
-    diag(conj(d)) and p the probe row of V apply B as V^T (S^T (S (V .)))
-    through the sparse S.  A complex-valued H or S, a stored nonzero of
-    either between positions of equal parity, or an S_eo that is not C under
-    these signs raises StructureError, whichever source the eigenpairs come
-    from; both checks read the CSR arrays of H and S in O(edges).
+    The step condition also gives S_eo = diag(a) C diag(b) with
+    a(e) = (-1)^(Phi(e)/2) and b(o) = (-1)^((Phi(o)-1)/2), so S is H with its
+    lower block negated, up to these signs, the singular values of S are
+    |lam|, and the kernel of K is counted on them at the relative cut 1e-8
+    (square roots of eigenvalues of K^2 would halve the digits at the cut).
+    With B = V^T S^T S V = V^T K^2 V and d = 1/(lam+i) the degree is
+    V diag(d) B diag(conj(d)) V^T; the flow residuals
+    |e^{is lam} G e^{-is lam} p - G p| with G = diag(d) B diag(conj(d)) and
+    p the probe row of V apply B as V^T (S^T S (V .)), with S^T S applied
+    from the half-edges (``_momentum_gram``).
     """
-    h, s = ops.adjacency, ops.skew_momentum
     odd = ops.position % 2 == 1
-
-    def joins_equal_parity(matrix):
-        matrix = matrix.tocsr()
-        stored = matrix.data != 0
-        return np.any(odd[_stored_rows(matrix)[stored]] == odd[matrix.indices[stored]])
-
-    if (np.iscomplexobj(h) or np.iscomplexobj(s)
-            or joins_equal_parity(h) or joins_equal_parity(s)):
-        raise StructureError(
-            "graph_degree expects a real adjacency, an imaginary momentum, "
-            "and edges that step the grading by one"
-        )
-
-    # every stored nonzero now joins opposite parities, so in canonical form
-    # the entries of the even rows are the blocks S_eo and C; they line up one
-    # to one exactly when the two share their pattern, and the comparison with
-    # a(e) C b(o) (one sign per position) is exact
-    hc, sc = _canonical(h), _canonical(s)
-    gauge = np.where(np.mod(ops.position - odd, 4) == 0, 1.0, -1.0)
-    h_rows, s_rows = _stored_rows(hc), _stored_rows(sc)
-    h_eo, s_eo = ~odd[h_rows], ~odd[s_rows]
-    rows, cols = h_rows[h_eo], hc.indices[h_eo]
-    if not (np.array_equal(rows, s_rows[s_eo]) and np.array_equal(cols, sc.indices[s_eo])
-            and not np.any(sc.data[s_eo] - hc.data[h_eo] * gauge[rows] * gauge[cols])):
-        raise StructureError(
-            "graph_degree expects the momentum's even-odd block to be the adjacency's "
-            "under the grading signs, as on edges that step the grading by one"
-        )
-    sides = _lattice_sides(hc)
+    sides = _lattice_sides(ops.edge_rows, odd.size)
     if sides is not None:
         lam, vecs = _path_eigenpairs(sides[0])
         if len(sides) == 2:
@@ -537,7 +511,14 @@ def graph_degree(ops):
     else:
         even_rows, odd_rows = np.flatnonzero(~odd), np.flatnonzero(odd)
         n_even, n_odd = even_rows.size, odd_rows.size
-        u, sigma, y_t = np.linalg.svd(hc[even_rows][:, odd_rows].toarray())
+        # C has a 1 for each edge, at the ranks of its even and its odd end
+        rank = np.empty(odd.size, dtype=int)
+        rank[even_rows], rank[odd_rows] = np.arange(n_even), np.arange(n_odd)
+        ends = ops.edge_rows
+        even_ends = np.where(odd[ends[:, 0]], ends[:, 1], ends[:, 0])
+        block = np.zeros((n_even, n_odd))
+        block[rank[even_ends], rank[ends.sum(axis=1) - even_ends]] = 1.0
+        u, sigma, y_t = np.linalg.svd(block)
         y, k = y_t.T, sigma.size
         lam = np.concatenate([sigma, -sigma, np.zeros(n_even + n_odd - 2 * k)])
         # eigenvector columns: the pairs at +sigma, at -sigma, then the unpaired
@@ -555,7 +536,7 @@ def graph_degree(ops):
     times = np.array([0.5, 1.0, 2.0])
     cols = np.column_stack([q, np.exp(-1j * np.outer(lam, times)) * q[:, None]])
     # B is real: apply it to the interleaved real and imaginary parts at once
-    b_cols = (vecs.T @ (s.T @ (s @ (vecs @ cols.view(float))))).view(complex)
+    b_cols = (vecs.T @ _momentum_gram(ops.edge_rows, vecs @ cols.view(float))).view(complex)
     turned = np.exp(1j * np.outer(lam, times)) * b_cols[:, 1:] - b_cols[:, :1]
     norms = np.linalg.norm(d[:, None] * turned, axis=0)
     flow_residuals = {float(t): float(r) for t, r in zip(times, norms)}

@@ -192,8 +192,12 @@ def test_criterion_6_epsilon_commutator_slope():
 
 def _dense_degree_kernel_dim(ops):
     """Kernel dimension of the dense degree (H+i)^{-1} K^2 (H-i)^{-1}, K = iS,
-    at graph_degree's relative cut."""
-    h, k = ops.adjacency.toarray(), 1j * ops.skew_momentum.toarray()
+    at graph_degree's relative cut, with H and S read off the edge rows."""
+    tails, heads = ops.edge_rows.T
+    h = np.zeros((ops.position.size,) * 2)
+    h[tails, heads] = h[heads, tails] = 1.0
+    k = np.zeros_like(h, dtype=complex)
+    k[tails, heads], k[heads, tails] = 1j, -1j
     eye = np.eye(h.shape[0])
     degree = np.linalg.solve((h - 1j * eye).T, np.linalg.solve(h + 1j * eye, k @ k).T).T
     spectrum = np.linalg.eigvalsh((degree + degree.conj().T) / 2.0)

@@ -825,7 +825,10 @@ def _dft(dim):
       {"name": "flow", "model": _flow_model(3), "schedule": [0.5, 1.0], "horizon": 16,
        "tasks": ["identities", "degree", "mixing", "summability"]}], []),
     ([{"name": "graph", "model": {"type": "graph-line", "length": 20, "margin": 3},
-       "tasks": ["admissibility", "identities", "degree"]}], ["sparse"]),
+       "tasks": ["admissibility", "identities", "degree"]}], []),
+    # a line cut into two paths is no lattice, so graph_degree takes the block SVD
+    ([{"name": "graph-file", "model": {"type": "graph-file", "path": "cut-line.graph"},
+       "tasks": ["admissibility", "identities", "degree"]}], []),
     ([{"name": "torus", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 1, "sector": 1,
                                   "eta": [[[1], 0.0, -0.025], [[-1], 0.0, 0.025]],
                                   "grid": 64, "matrix_size": 64},
@@ -833,11 +836,17 @@ def _dft(dim):
        "tasks": ["identities", "degree", "mixing", "summability", "fourier"]}], []),
     ([{"name": "su2", "model": {"type": "su2", "y": 0.41421356237309515, "grid": 64},
        "schedule": [4, 8], "tasks": ["identities", "degree"]}], []),
-], ids=["pair-and-flow", "graph", "torus", "su2"])
+], ids=["pair-and-flow", "graph", "graph-file", "torus", "su2"])
 def test_each_model_family_loads_only_its_scipy_subpackage(tmp_path, scenarios, subpackages):
-    # pairs, flows, Fourier tasks, SU(2) cocycles and torus series whose
-    # Bessel orders lie in the power-series regime compute in numpy alone;
-    # graph windows need scipy.sparse, and nothing more of scipy
+    # pairs, flows, Fourier tasks, SU(2) cocycles, graph windows on either
+    # eigenpair route, and torus series whose Bessel orders lie in the
+    # power-series regime compute in numpy alone
+    if scenarios[0]["model"]["type"] == "graph-file":
+        cut_line = graphs.DirectedGraphWindow(range(40), [(k, k + 1) for k in range(39) if k != 25], 3)
+        assert graphs._lattice_sides(graphs.build_operators(cut_line).edge_rows, 40) is None
+        path = tmp_path / scenarios[0]["model"]["path"]
+        path.write_text(format_graph_window(cut_line))
+        scenarios = [{**scenarios[0], "model": {**scenarios[0]["model"], "path": str(path)}}]
     code = (
         "import json, sys\n"
         "from commix.cli import run_config, validate_config\n"
@@ -1495,6 +1504,31 @@ def test_a_fifo_named_as_a_model_file_is_refused_without_blocking(tmp_path):
     done = _python(code, str(fifo), timeout=60)
     assert done.stdout.splitlines() == [f"m: cannot read matrix file {str(fifo)!r}: not a regular file",
                                         f"g.path: cannot read graph file {str(fifo)!r}: not a regular file"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_or_a_directory_named_as_a_config_or_report_is_refused_without_blocking(tmp_path):
+    # run reads its config and compare its reports through the model files'
+    # regular-file check; the calls run in a child process, so a regression
+    # fails on the timeout instead of hanging the suite
+    fifo, folder, good = tmp_path / "pipe", tmp_path / "folder", tmp_path / "report.json"
+    os.mkfifo(fifo)
+    folder.mkdir()
+    good.write_text(json.dumps({"format": cli.REPORT_FORMAT, "version": 1}))
+    code = (
+        "import sys\n"
+        "from commix import cli\n"
+        "bad, good, out = sys.argv[1:]\n"
+        "for argv in (['run', bad, '--out', out], ['compare', bad, good], ['compare', good, bad]):\n"
+        "    print(cli.main(argv))\n"
+    )
+    for bad in (fifo, folder):
+        done = _python(code, str(bad), str(good), str(tmp_path / "out"), timeout=60)
+        assert done.stdout.splitlines() == ["2", "2", "2"]
+        assert done.stderr.splitlines() == [f"error: cannot read config {str(bad)!r}: not a regular file",
+                                            f"error: cannot load report {str(bad)!r}: not a regular file",
+                                            f"error: cannot load report {str(bad)!r}: not a regular file"]
+    assert not (tmp_path / "out").exists()
 
 
 _EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,

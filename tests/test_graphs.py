@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from commix import graphs, operators
 from commix import (
@@ -322,13 +321,28 @@ def _dense_complex_operators(window):
     )
 
 
+def _dense_real_operators(ops):
+    """H, S and T as dense real matrices, entry by entry from the edge rows:
+    H = 1 and S = +-1 on both orientations, T = S (Phi_x + Phi_y)/2."""
+    dim = ops.position.size
+    h, s, t = np.zeros((dim, dim)), np.zeros((dim, dim)), np.zeros((dim, dim))
+    for x, y in ops.edge_rows.tolist():
+        h[x, y] = h[y, x] = 1.0
+        s[x, y], s[y, x] = 1.0, -1.0
+        t[x, y] = (ops.position[x] + ops.position[y]) / 2.0
+        t[y, x] = -t[x, y]
+    return types.SimpleNamespace(adjacency=h, skew_momentum=s, skew_conjugate=t)
+
+
 def test_build_operators_two_vertex_oracle():
     window = DirectedGraphWindow([0, 1], [(0, 1)], 0)
     ops, dense = build_operators(window), _dense_complex_operators(window)
-    momentum, conjugate = 1j * ops.skew_momentum.toarray(), 1j * ops.skew_conjugate.toarray()
-    assert np.array_equal(ops.adjacency.toarray(), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    real = _dense_real_operators(ops)
+    momentum, conjugate = 1j * real.skew_momentum, 1j * real.skew_conjugate
+    assert ops.edge_rows.tolist() == [[0, 1]]
+    assert np.array_equal(real.adjacency, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.array_equal(dense.lowering, np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert np.array_equal(ops.skew_momentum.toarray(), (dense.lowering.T - dense.lowering).real)
+    assert np.array_equal(real.skew_momentum, (dense.lowering.T - dense.lowering).real)
     assert max_norm(momentum - np.array([[0.0, 1j], [-1j, 0.0]])) == 0.0
     assert max_norm(conjugate - np.array([[0.0, 0.5j], [-0.5j, 0.0]])) == 0.0
     assert max_norm(momentum - momentum.conj().T) == 0.0
@@ -337,30 +351,30 @@ def test_build_operators_two_vertex_oracle():
 def test_build_operators_conjugate_is_the_symmetrized_graded_momentum():
     for window in (line_window(200, 3), grid2d_window(5, 7, 1), grid2d_window(24, 24, 2)):
         ops = build_operators(window)
-        grading, s = np.diag(ops.position), ops.skew_momentum.toarray()
+        real = _dense_real_operators(ops)
+        grading, s = np.diag(ops.position), real.skew_momentum
         products = (grading @ s + s @ grading) / 2.0
-        assert np.array_equal(ops.skew_conjugate.toarray(), products)
+        assert np.array_equal(real.skew_conjugate, products)
         # the same operators as the dense complex route, entry for entry
         dense = _dense_complex_operators(window)
-        assert np.array_equal(ops.adjacency.toarray(), dense.adjacency)
+        assert np.array_equal(real.adjacency, dense.adjacency)
         assert np.array_equal(np.diag(ops.position), dense.grading)
         assert np.array_equal(1j * s, dense.momentum)
-        assert np.array_equal(1j * ops.skew_conjugate.toarray(), dense.conjugate)
+        assert np.array_equal(1j * real.skew_conjugate, dense.conjugate)
 
 
-def test_build_operators_store_one_entry_per_edge_orientation():
+def test_build_operators_hold_the_window_edge_rows():
     windows = (line_window(12, 2), grid2d_window(5, 7, 1), DirectedGraphWindow([0, 1, 2], [], 0),
                DirectedGraphWindow([0, 1, 2, 10, 11], [(0, 1), (1, 2), (10, 11)], 0))
     for window in windows:
         ops = build_operators(window)
-        matrices = {f.name: getattr(ops, f.name) for f in dataclasses.fields(ops)
-                    if getattr(getattr(ops, f.name), "ndim", 1) == 2}
-        assert matrices.keys() == {"adjacency", "skew_momentum", "skew_conjugate"}
-        for name, matrix in matrices.items():
-            assert sparse.issparse(matrix) and matrix.format == "csr", name
-            assert matrix.dtype == np.float64, name
-            assert matrix.nnz == 2 * len(window.edges), name
-        assert ops.position.shape == (len(window.vertices),)
+        # no matrix is kept: H, S and T follow from the edge rows and the grading
+        assert [f.name for f in dataclasses.fields(ops)] == [
+            "edge_rows", "position", "interior_rows", "center_row"]
+        assert ops.edge_rows is window.edge_rows
+        assert ops.position.shape == (len(window.vertices),) and ops.position.dtype == np.float64
+        tails, heads = ops.edge_rows.T
+        assert np.all(ops.position[heads] - ops.position[tails] == 1.0)
 
 
 def test_build_operators_rejects_cycle4():
@@ -577,25 +591,11 @@ def test_graph_degree_decomposes_only_parity_blocks(monkeypatch):
     assert calls == [("svd", (n_even, n_odd))]
 
 
-def _dense_from_operators(ops):
-    """The operators as the dense complex route reads them: H, K = iS, the probe row."""
-    return types.SimpleNamespace(adjacency=ops.adjacency.toarray().astype(complex),
-                                 momentum=1j * ops.skew_momentum.toarray(),
-                                 center_row=ops.center_row)
-
-
 def _reflected_end_line(length):
-    """line_window(length, 1)'s operators built directly, with the first edge
-    oriented 1 < 0: still admissible and H still the path, so the closed-form
-    eigenpairs apply, but S carries a grading sign the uniform line does not."""
-    ops = build_operators(line_window(length, 1))
-    flip = sparse.csr_array(([2.0, -2.0], ([0, 1], [1, 0])), shape=ops.skew_momentum.shape)
-    position = ops.position.copy()
-    position[0] = 2.0
-    return graphs.GraphOperators(
-        adjacency=ops.adjacency, skew_momentum=ops.skew_momentum - flip,
-        skew_conjugate=ops.skew_conjugate, position=position,
-        interior_rows=ops.interior_rows, center_row=ops.center_row)
+    """line_window(length, 1) with its first edge oriented 1 < 0: still
+    admissible and H still the path, so the closed-form eigenpairs apply, but
+    S carries a grading sign the uniform line does not."""
+    return DirectedGraphWindow(range(length), [(1, 0)] + [(k, k + 1) for k in range(1, length - 1)], 1)
 
 
 @pytest.mark.parametrize("case", [
@@ -612,17 +612,41 @@ def _reflected_end_line(length):
 def test_graph_degree_on_lattice_windows_matches_the_complex_route(case):
     kind, size = case.rsplit(" ", 1)
     if kind == "reflected end":
-        ops = _reflected_end_line(int(size))
-        assert graphs._lattice_sides(ops.adjacency) == (int(size),)
-        dense = _dense_from_operators(ops)
+        window = _reflected_end_line(int(size))
+    elif kind == "line":
+        window = line_window(int(size), 2)
     else:
-        if kind == "line":
-            window = line_window(int(size), 2)
-        else:
-            nx, ny = map(int, size.split("x"))
-            window = (grid2d_window if kind == "grid" else _column_major_grid)(nx, ny, 1)
-        ops, dense = build_operators(window), _dense_complex_operators(window)
-    _assert_degree_matches_the_complex_route(graph_degree(ops), dense)
+        nx, ny = map(int, size.split("x"))
+        window = (grid2d_window if kind == "grid" else _column_major_grid)(nx, ny, 1)
+    ops = build_operators(window)
+    if kind == "reflected end":
+        assert graphs._lattice_sides(ops.edge_rows, int(size)) == (int(size),)
+        assert ops.position[1] % 2 == 1 and ops.position[2] % 2 == 0
+    _assert_degree_matches_the_complex_route(graph_degree(ops), _dense_complex_operators(window))
+
+
+def test_lattice_sides_refuse_a_lattice_with_one_edge_missing_or_added():
+    for window, sides in ((grid2d_window(6, 8, 1), (6, 8)), (line_window(12, 1), (12,))):
+        rows, n = build_operators(window).edge_rows, len(window.vertices)
+        assert graphs._lattice_sides(rows, n) == sides
+        # each edge but the first removed in turn; without (0, 1) vertex 0 names no candidate
+        for cut in range(1, len(rows)):
+            assert graphs._lattice_sides(np.delete(rows, cut, axis=0), n) is None
+        assert graphs._lattice_sides(np.concatenate([rows, [[2, n - 1]]]), n) is None
+
+
+def test_momentum_gram_is_the_sparse_product_bit_for_bit():
+    # S^T S x from the half-edges against scipy's CSR product S^T (S x), whose
+    # rows sum their stored entries from zero in column order
+    from scipy import sparse
+
+    rng = np.random.default_rng(11)
+    for window in (line_window(200, 3), grid2d_window(24, 24, 2), grid2d_window(7, 13, 2),
+                   _rectangle_minus_corner(12, 12, 4, 4, 1), _reflected_end_line(9)):
+        ops = build_operators(window)
+        s = sparse.csr_array(_dense_real_operators(ops).skew_momentum)
+        x = rng.standard_normal((len(window.vertices), 8))
+        assert np.array_equal(graphs._momentum_gram(ops.edge_rows, x), s.T @ (s @ x))
 
 
 @pytest.mark.parametrize("m", [2, 3, 17, 48, 200])
@@ -662,7 +686,7 @@ def test_edge_route_matches_the_dense_complex_route(case):
     window, sides = case
     ops, dense = build_operators(window), _dense_complex_operators(window)
     # only an exact path or row-major grid takes the closed-form eigenpairs
-    assert graphs._lattice_sides(ops.adjacency) == sides
+    assert graphs._lattice_sides(ops.edge_rows, len(window.vertices)) == sides
     if ops.interior_rows.size:
         res = interior_residuals(ops)
         assert (res.momentum_commutator, res.degree_identity) == _dense_interior_residuals(dense)
@@ -672,72 +696,30 @@ def test_edge_route_matches_the_dense_complex_route(case):
     _assert_degree_matches_the_complex_route(graph_degree(ops), dense)
 
 
-def test_graph_degree_rejects_operators_outside_the_real_route():
+def test_graph_operators_refuse_an_edge_that_does_not_step_the_grading_by_one():
     ops = build_operators(line_window(6, 1))
-    # an imaginary part of H, or a real part of K = iS, makes the field complex
-    for field, perturb in (("adjacency", 1e-3j), ("skew_momentum", -1e-3j)):
-        matrix = getattr(ops, field).astype(complex)
-        matrix[0, 1] += perturb
-        with pytest.raises(StructureError):
-            graph_degree(dataclasses.replace(ops, **{field: matrix}))
-    # an entry between two even positions cannot come from an admissible edge
-    same_parity = sparse.csr_array(([1.0, -1.0], ([0, 2], [2, 0])), shape=ops.skew_momentum.shape)
-    with pytest.raises(StructureError):
-        graph_degree(dataclasses.replace(ops, skew_momentum=ops.skew_momentum + same_parity))
-    # the same entry in H alone: the parity blocks of H would silently drop it
-    with pytest.raises(StructureError):
-        graph_degree(dataclasses.replace(ops, adjacency=ops.adjacency + abs(same_parity)))
-    # the kernel of K is read from the singular values of H's block, which
-    # needs S_eo = diag(a) C diag(b): a flipped edge of S, or a weight of H
-    # that S does not carry, breaks it
-    edge = sparse.csr_array(([2.0, -2.0], ([2, 3], [3, 2])), shape=ops.skew_momentum.shape)
-    for replaced in ({"skew_momentum": ops.skew_momentum - edge},
-                     {"adjacency": ops.adjacency + abs(edge) / 2.0}):
-        with pytest.raises(StructureError, match="grading signs"):
-            graph_degree(dataclasses.replace(ops, **replaced))
-
-
-def _csr_with(matrix, rows, cols, values):
-    """``matrix``'s stored entries and the given ones, stored as given: a
-    stored zero stays stored, and an entry at a stored position is a duplicate."""
-    coo = matrix.tocoo()
-    rows, cols = np.concatenate([coo.row, rows]), np.concatenate([coo.col, cols])
-    data = np.concatenate([coo.data, values])
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=matrix.shape[0]))])
-    return sparse.csr_array((data[order], cols[order], indptr), shape=matrix.shape)
-
-
-def test_graph_degree_reads_stored_entries_as_the_matrix_they_sum_to():
-    # the checks read the CSR arrays: a stored 0.0 joins nothing, and
-    # duplicates count by their sum, as the entries of the matrix they store
-    ops = build_operators(line_window(6, 1))
-    want = graph_degree(ops)
-    h, s = ops.adjacency, ops.skew_momentum
-    zero = ([0, 2], [2, 0], [0.0, 0.0])  # between two even positions
-
-    def halved(matrix):
-        # the edge (0, 1) stored twice in each orientation, as halves that sum to it
-        half = [matrix[0, 1] / 2.0, matrix[1, 0] / 2.0]
-        return _csr_with(matrix - sparse.csr_array((half, ([0, 1], [1, 0])), shape=matrix.shape),
-                         [0, 1], [1, 0], half)
-
-    for replaced in ({"adjacency": _csr_with(h, *zero)}, {"skew_momentum": _csr_with(s, *zero)},
-                     {"adjacency": halved(h)}, {"skew_momentum": halved(s)}):
-        (field, matrix), = replaced.items()
-        assert matrix.nnz > getattr(ops, field).nnz
-        assert graph_degree(dataclasses.replace(ops, **replaced)) == want
-    # stored nonzeros between equal parities raise, even when they sum to zero
-    cancelling = _csr_with(s, [0, 0, 2, 2], [2, 2, 0, 0], [1.0, -1.0, 1.0, -1.0])
-    with pytest.raises(StructureError, match="step the grading"):
-        graph_degree(dataclasses.replace(ops, skew_momentum=cancelling))
+    # gradings that the edge (0, 1) steps by 0, by 2, against its orientation,
+    # or by NaN
+    for row, value in ((1, 0.0), (1, 2.0), (0, 2.0), (0, np.nan)):
+        position = ops.position.copy()
+        position[row] = value
+        with pytest.raises(StructureError, match="step the grading by one"):
+            dataclasses.replace(ops, position=position)
+    # an edge joining two even positions, and an edge reversed
+    for extra in ([[0, 2]], [[2, 1]]):
+        with pytest.raises(StructureError, match="step the grading by one"):
+            dataclasses.replace(ops, edge_rows=np.concatenate([ops.edge_rows, extra]))
+    # the checked fields cannot be swapped afterwards
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ops.position = ops.position + 1.0
 
 
 def test_empty_edge_set_gives_zero_operators():
     w = DirectedGraphWindow([0, 1, 2], [], 0)
     ops = build_operators(w)
-    assert max_norm(ops.adjacency.toarray()) == 0.0
-    assert max_norm(ops.skew_conjugate.toarray()) == 0.0
+    real = _dense_real_operators(ops)
+    assert max_norm(real.adjacency) == 0.0
+    assert max_norm(real.skew_conjugate) == 0.0
     assert graph_degree(ops).kernel_dim == 3
 
 
