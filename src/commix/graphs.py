@@ -10,7 +10,6 @@ away from the cut, and that is where all identities are asserted.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,24 +77,22 @@ class DirectedGraphWindow:
         self.edge_rows.flags.writeable = False
         self.margin = margin
 
-        self._adj = {v: set() for v in self.vertices}
-        for x, y in self.edges:
-            self._adj[x].add(y)
-            self._adj[y].add(x)
-
         degrees = np.bincount(rows.ravel(), minlength=verts.size)
-        self.boundary = verts[degrees < degrees.max()].tolist()
-        # graph distance from the boundary, by breadth-first search
-        dist = {v: 0 for v in self.boundary}
-        queue = deque(self.boundary)
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if w not in dist:
+        queue = np.flatnonzero(degrees < degrees.max()).tolist()
+        self.boundary = verts[queue].tolist()
+        # graph distance of each row from the boundary, by breadth-first
+        # search; None where no boundary vertex reaches
+        nbrs, _ = _neighbour_lists(rows, verts.size)
+        dist = [None] * verts.size
+        for v in queue:
+            dist[v] = 0
+        for v in queue:
+            for w in nbrs[v]:
+                if dist[w] is None:
                     dist[w] = dist[v] + 1
                     queue.append(w)
         self._boundary_distance = dist
-        self.interior = [v for v in self.vertices if dist.get(v, np.inf) >= margin]
+        self.interior = [v for v, d in zip(self.vertices, dist) if d is None or d >= margin]
 
     @staticmethod
     def _edge_rows(verts, ends):
@@ -125,9 +122,6 @@ class DirectedGraphWindow:
         if ends[np.argmax(pairs == pairs[i]), 0] == x:
             raise ValueError(f"duplicate edge ({x}, {y})")
         raise ValueError(f"edge ({x}, {y}) conflicts with its reverse orientation")
-
-    def neighbors(self, v):
-        return self._adj[v]
 
 
 def line_window(length, margin=2):
@@ -174,16 +168,6 @@ class AdmissibilityReport:
         return self.path_balance_ok and self.pair_counts_ok
 
 
-def _walk_balance(forward_edges, walk):
-    forward = backward = 0
-    for a, b in zip(walk, walk[1:]):
-        if (a, b) in forward_edges:
-            forward += 1
-        else:
-            backward += 1
-    return forward, backward
-
-
 def check_admissible(window):
     """Decide both admissibility conditions, with witnesses on failure.
 
@@ -202,47 +186,27 @@ def check_admissible(window):
     """
     verts = window.vertices
     dim = len(verts)
-    near, far, steps = _half_edges(window.edge_rows)
-    # row v lists the neighbours of v in vertex order, with their steps
-    bounds = np.searchsorted(near, np.arange(dim + 1)).tolist()
-    nbrs, nbr_steps = far.tolist(), steps.tolist()
-    position, parent, found = [None] * dim, [None] * dim, []
-    bad_edge = None
-    for root in range(dim):
-        if position[root] is not None:
-            continue
-        position[root] = 0
-        found.append(root)
-        queue = deque([root])
-        while queue and bad_edge is None:
-            v = queue.popleft()
-            lo, hi = bounds[v], bounds[v + 1]
-            for w, step in zip(nbrs[lo:hi], nbr_steps[lo:hi]):
-                if position[w] is None:
-                    position[w] = position[v] + step
-                    parent[w] = v
-                    found.append(w)
-                    queue.append(w)
-                elif position[w] != position[v] + step:
-                    bad_edge = (v, w)
-                    break
-        if bad_edge is not None:
-            break
+    position, parent, bad_edge = _grading(*_neighbour_lists(window.edge_rows, dim))
     balance_ok = bad_edge is None
     witness_cycle = witness_balance = None
     if not balance_ok:
-        # closed walk: root..v, the bad edge, then w..root
+        # closed walk: root..v, the bad edge v -> w, then w..root
+        v, w, step = bad_edge
         walks = []
-        for node in bad_edge:
+        for node in (v, w):
             walk = []
             while node is not None:
                 walk.append(verts[node])
                 node = parent[node]
             walks.append(walk)
         witness_cycle = walks[0][::-1] + walks[1]
-        witness_balance = _walk_balance(set(window.edges), witness_cycle)
+        # its steps sum to Phi_v along root..v, the bad step, and -Phi_w along
+        # w..root: that gain is forward minus backward edges
+        gain, length = position[v] + step - position[w], len(witness_cycle) - 1
+        witness_balance = ((length + gain) // 2, (length - gain) // 2)
 
-    full = ~np.isin(verts, window.boundary)
+    near, far, steps = _half_edges(window.edge_rows)
+    full = np.array([d != 0 for d in window._boundary_distance])
     # pairs x < y of vertices of full degree that are the far ends of two
     # half-edges with one near end and one step: -1, a shared forward
     # neighbour (the heads agree), or +1, a shared backward one (the tails agree)
@@ -264,7 +228,7 @@ def check_admissible(window):
     return AdmissibilityReport(
         path_balance_ok=balance_ok,
         pair_counts_ok=witness_pair is None,
-        position={verts[v]: position[v] for v in found} if balance_ok else None,
+        position=dict(zip(verts, position)) if balance_ok else None,
         witness_cycle=witness_cycle,
         witness_balance=witness_balance,
         witness_pair=witness_pair,
@@ -279,6 +243,39 @@ def _half_edges(edge_rows):
     near, far = np.concatenate([edge_rows, edge_rows[:, ::-1]]).T
     order = np.lexsort((far, near))
     return near[order], far[order], np.repeat([1, -1], len(edge_rows))[order]
+
+
+def _neighbour_lists(edge_rows, dim):
+    """Row v's neighbours in vertex order, and the steps S[v, w] to them, as
+    lists of ``dim`` lists cut from the sorted half-edges."""
+    near, far, steps = _half_edges(edge_rows)
+    bounds = np.searchsorted(near, np.arange(dim + 1)).tolist()
+    far, steps = far.tolist(), steps.tolist()
+    cuts = list(zip(bounds, bounds[1:]))
+    return [far[lo:hi] for lo, hi in cuts], [steps[lo:hi] for lo, hi in cuts]
+
+
+def _grading(nbrs, nbr_steps):
+    """Positions by breadth-first search from the least row of each
+    component, which sits at 0, and each row's parent in the search.
+
+    The search stops at the first edge (v, w, step) whose step disagrees with
+    the positions already given, and returns it as the third value, else None.
+    """
+    position, parent = [None] * len(nbrs), [None] * len(nbrs)
+    for root in range(len(nbrs)):
+        if position[root] is not None:
+            continue
+        position[root] = 0
+        queue = [root]
+        for v in queue:
+            for w, step in zip(nbrs[v], nbr_steps[v]):
+                if position[w] is None:
+                    position[w], parent[w] = position[v] + step, v
+                    queue.append(w)
+                elif position[w] != position[v] + step:
+                    return position, parent, (v, w, step)
+    return position, parent, None
 
 
 def _shared_endpoint_pairs(shared, size):
@@ -343,17 +340,17 @@ def build_operators(window, report=None):
     verts = window.vertices
     dim = len(verts)
     position = np.array([report.position[v] for v in verts], dtype=float)
-    interior_rows = np.searchsorted(verts, np.array(window.interior, dtype=int))
-    # deepest vertex: maximal distance from the inferred boundary, then
-    # smallest id; this is where probe-based diagnostics see least pollution
-    if window.boundary and window.interior:
-        dist = window._boundary_distance
-        center = min(window.interior, key=lambda v: (-dist.get(v, 0), v))
-        center_row = int(np.searchsorted(verts, center))
+    dist = window._boundary_distance
+    interior_rows = [v for v, d in enumerate(dist) if d is None or d >= window.margin]
+    # deepest vertex: maximal distance from the inferred boundary (0 where
+    # none reaches), then smallest id; this is where probe-based diagnostics
+    # see least pollution
+    if window.boundary and interior_rows:
+        center_row = max(interior_rows, key=lambda v: dist[v] or 0)
     else:
         center_row = dim // 2
     return GraphOperators(edge_rows=window.edge_rows, position=position,
-                          interior_rows=interior_rows, center_row=center_row)
+                          interior_rows=np.array(interior_rows, dtype=int), center_row=center_row)
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,13 @@ def as_square_matrix(obj, name="matrix"):
 def _integral(value, what, minimum=None):
     """A step count or horizon as an ``int``; a value that is not integral is refused, not truncated.
 
-    Integral values of any numeric type count (``3.0``, ``np.int32(3)``);
-    ``2.9``, NaN, an infinity and a value below ``minimum`` raise ValueError.
+    Integral values of any real numeric type count (``3.0``, ``np.int32(3)``);
+    ``2.9``, NaN, an infinity, text (``"3"``, ``b"4"``), a complex number and
+    a value below ``minimum`` raise ValueError.
     """
-    ok = isinstance(value, numbers.Integral) or float(value).is_integer()
+    text_or_complex = isinstance(value, (str, bytes, bytearray)) or (
+        isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real))
+    ok = isinstance(value, numbers.Integral) or (not text_or_complex and float(value).is_integer())
     if not (ok and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{what} must be integers{bound}, got {value!r}")

@@ -61,7 +61,8 @@ def test_window_edge_messages_name_the_first_offending_edge(edges, message):
 
 def _per_edge_window(vertices, edges, margin):
     """The per-edge route: sets of seen edges and neighbours, then the
-    boundary and the interior by breadth-first search from the boundary."""
+    boundary and the interior by breadth-first search from the boundary; the
+    distances are listed by row, None where no boundary vertex reaches."""
     verts = sorted(set(vertices))
     seen, adj = [], {v: set() for v in verts}
     for x, y in edges:
@@ -85,10 +86,14 @@ def _per_edge_window(vertices, edges, margin):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     interior = [v for v in verts if v not in dist or dist[v] >= margin]
-    return verts, sorted(seen), adj, boundary, dist, interior
+    return verts, sorted(seen), adj, boundary, [dist.get(v) for v in verts], interior
 
 
 @settings(max_examples=200)
+# a line and a 4-cycle: no boundary vertex reaches the cycle, which is interior
+@example(vertices=[*range(10), 20, 21, 22, 23],
+         edges=[*((k, k + 1) for k in range(9)), (20, 21), (21, 22), (20, 23), (23, 22)],
+         margin=2)
 @given(vertices=st.lists(st.integers(-4, 8), min_size=1, max_size=8),
        edges=st.lists(st.tuples(st.integers(-5, 9), st.integers(-5, 9)), max_size=12),
        margin=st.integers(0, 3))
@@ -101,8 +106,12 @@ def test_window_matches_the_per_edge_route(vertices, edges, margin):
         assert str(info.value) == str(exc)
         return
     window = DirectedGraphWindow(vertices, edges, margin)
-    got = (window.vertices, window.edges, {v: window.neighbors(v) for v in window.vertices},
-           window.boundary, window._boundary_distance, window.interior)
+    adj = {v: set() for v in window.vertices}
+    for x, y in window.edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    got = (window.vertices, window.edges, adj, window.boundary, window._boundary_distance,
+           window.interior)
     assert got == want
     for value in (*window.vertices, *window.boundary, *window.interior, *sum(window.edges, ())):
         assert type(value) is int
@@ -126,10 +135,16 @@ def test_window_matches_the_per_edge_route(vertices, edges, margin):
     lambda: grid2d_window(3.9, 2, 0),
     lambda: grid2d_window(3, 2.5, 0),
     lambda: grid2d_window(3, 2, 0.5),
+    lambda: DirectedGraphWindow(["0", "1", "2"], [("0", "1"), ("1", "2")], "1"),
+    lambda: DirectedGraphWindow([0, 1, 2], [(0, 1), (1, 2)], b"1"),
+    lambda: DirectedGraphWindow([0, 1, 2], [(0, 1 + 0j), (1, 2)], 1),
+    lambda: line_window("5", 1),
 ], ids=["edge", "margin", "vertex", "nan-vertex", "array", "inf-edge", "line-length",
-        "line-margin", "grid-nx", "grid-ny", "grid-margin"])
+        "line-margin", "grid-nx", "grid-ny", "grid-margin", "text-labels", "bytes-margin",
+        "complex-edge", "text-length"])
 def test_window_constructors_refuse_non_integral_input(build):
-    # refused, not truncated: 1.7 used to become 1, and 5.9 used to become 5
+    # refused, not truncated: 1.7 used to become 1, and 5.9 used to become 5;
+    # text and complex numbers are refused, not converted: "1" used to become 1
     with pytest.raises(ValueError, match="must be integers"):
         build()
 
@@ -152,6 +167,18 @@ def test_line_window_layout():
     assert w.edges == [(i, i + 1) for i in range(7)]
     assert w.boundary == [0, 7]
     assert w.interior == [2, 3, 4, 5]
+
+
+def test_a_component_no_boundary_vertex_reaches_is_interior():
+    # the line 0..9 has the boundary {0, 9}; the admissible 4-cycle 20..23 has
+    # no boundary vertex, so it is interior at any margin, and the centre is
+    # picked among the line's rows, the deepest first
+    edges = [*((k, k + 1) for k in range(9)), (20, 21), (21, 22), (20, 23), (23, 22)]
+    w = DirectedGraphWindow([*range(10), 20, 21, 22, 23], edges, 2)
+    assert w.interior == [2, 3, 4, 5, 6, 7, 20, 21, 22, 23]
+    ops = build_operators(w)
+    assert ops.interior_rows.tolist() == [2, 3, 4, 5, 6, 7, 10, 11, 12, 13]
+    assert ops.center_row == 4
 
 
 def test_grid_window_layout():
@@ -213,14 +240,16 @@ def test_grading_constant_per_component():
 
 def _loop_admissibility(window):
     """The per-pair route: a grading breadth-first from per-vertex forward sets,
-    then shared forward and backward neighbor counts for each pair of
+    with the forward and backward edges of the witness cycle counted one by
+    one, then shared forward and backward neighbor counts for each pair of
     full-degree vertices within two steps, smallest pair first."""
     forward = {v: set() for v in window.vertices}
     backward = {v: set() for v in window.vertices}
     for x, y in window.edges:
         forward[x].add(y)
         backward[y].add(x)
-    position, parent, witness_cycle = {}, {}, None
+    neighbors = {v: forward[v] | backward[v] for v in window.vertices}
+    position, parent, witness_cycle, witness_balance = {}, {}, None, None
     for root in window.vertices:
         if root in position:
             continue
@@ -228,7 +257,7 @@ def _loop_admissibility(window):
         queue = [root]
         while queue and witness_cycle is None:
             v = queue.pop(0)
-            for w in sorted(window.neighbors(v)):
+            for w in sorted(neighbors[v]):
                 step = 1 if w in forward[v] else -1
                 if w not in position:
                     position[w], parent[w] = position[v] + step, v
@@ -243,21 +272,24 @@ def _loop_admissibility(window):
                         down.append(node)
                         node = parent[node]
                     witness_cycle = up[::-1] + down
+                    walk = list(zip(witness_cycle, witness_cycle[1:]))
+                    n_fwd = sum(b in forward[a] for a, b in walk)
+                    witness_balance = (n_fwd, len(walk) - n_fwd)
                     break
         if witness_cycle is not None:
             break
     scope = [v for v in window.vertices if v not in set(window.boundary)]
     for x in scope:
         near = set()
-        for u in window.neighbors(x):
-            near |= {u, *window.neighbors(u)}
+        for u in neighbors[x]:
+            near |= {u, *neighbors[u]}
         for y in sorted(near):
             if y <= x or y not in scope:
                 continue
             counts = (len(forward[x] & forward[y]), len(backward[x] & backward[y]))
             if counts[0] != counts[1]:
-                return witness_cycle, position, (x, y), counts
-    return witness_cycle, position, None, None
+                return witness_cycle, witness_balance, position, (x, y), counts
+    return witness_cycle, witness_balance, position, None, None
 
 
 def _oriented_graph(rng):
@@ -290,9 +322,10 @@ def _oriented_grid(rng):
                         st.randoms(use_true_random=True).map(_oriented_grid)))
 def test_check_admissible_matches_the_per_pair_loop(window):
     rep = check_admissible(window)
-    witness_cycle, position, witness_pair, witness_counts = _loop_admissibility(window)
+    witness_cycle, witness_balance, position, witness_pair, witness_counts = _loop_admissibility(window)
     assert rep.path_balance_ok == (witness_cycle is None)
     assert rep.witness_cycle == witness_cycle
+    assert rep.witness_balance == witness_balance
     assert rep.position == (position if witness_cycle is None else None)
     assert rep.pair_counts_ok == (witness_pair is None)
     assert rep.witness_pair == witness_pair

@@ -43,7 +43,7 @@ def test_correlation_discrete_matches_brute_loop():
 def test_correlation_horizon_must_be_integral():
     # a fractional horizon used to be truncated: 2.9 ran 2 steps
     u, v = np.eye(3), np.ones(3) / np.sqrt(3.0)
-    for bad in (2.9, 0.5, 0, -2, float("nan"), float("inf")):
+    for bad in (2.9, 0.5, 0, -2, float("nan"), float("inf"), "3", b"4", 3 + 0j):
         with pytest.raises(ValueError, match="horizons must be integers >= 1"):
             correlation_discrete(u, v, v, bad)
     assert len(correlation_discrete(u, v, v, np.float64(3.0))) == 3

@@ -153,7 +153,7 @@ def test_cocycle_validation():
         with pytest.raises(ValueError):
             TorusCocycle(winding, {})
     # entries int64 cannot hold are refused, not rounded to INT64_MIN
-    for winding in ([1e30], [10**30], [2**63], [-(2**63)], [float("nan")], [float("inf")]):
+    for winding in ([1e30], [10**30], [2**63], [-(2**63)], [float("nan")], [float("inf")], ["2"]):
         with pytest.raises(ValueError, match="winding must be"):
             TorusCocycle(winding, {})
         with pytest.raises(ValueError, match="frequency must be"):
@@ -252,7 +252,7 @@ def test_step_counts_must_be_integral():
         "sector_correlation": lambda n: sector_correlation(coc, flow, {(1,): 1.0}, {(1,): 1.0}, n),
     }
     for name, call in {**from_zero, **from_one}.items():
-        for bad in (2.9, 0.5, np.float64(-1.5), float("nan"), float("inf")):
+        for bad in (2.9, 0.5, np.float64(-1.5), float("nan"), float("inf"), "3", b"4", 3 + 0j):
             with pytest.raises(ValueError, match="must be integers"):
                 call(bad)
         # integral values of any numeric type still count
