@@ -82,7 +82,7 @@ class DirectedGraphWindow:
         self.boundary = verts[queue].tolist()
         # graph distance of each row from the boundary, by breadth-first
         # search; None where no boundary vertex reaches
-        nbrs, _ = _neighbour_lists(rows, verts.size)
+        nbrs, _ = _neighbour_lists(*_half_edges(rows), verts.size)
         dist = [None] * verts.size
         for v in queue:
             dist[v] = 0
@@ -186,7 +186,8 @@ def check_admissible(window):
     """
     verts = window.vertices
     dim = len(verts)
-    position, parent, bad_edge = _grading(*_neighbour_lists(window.edge_rows, dim))
+    near, far, steps = _half_edges(window.edge_rows)
+    position, parent, bad_edge = _grading(*_neighbour_lists(near, far, steps, dim))
     balance_ok = bad_edge is None
     witness_cycle = witness_balance = None
     if not balance_ok:
@@ -205,7 +206,6 @@ def check_admissible(window):
         gain, length = position[v] + step - position[w], len(witness_cycle) - 1
         witness_balance = ((length + gain) // 2, (length - gain) // 2)
 
-    near, far, steps = _half_edges(window.edge_rows)
     full = np.array([d != 0 for d in window._boundary_distance])
     # pairs x < y of vertices of full degree that are the far ends of two
     # half-edges with one near end and one step: -1, a shared forward
@@ -245,10 +245,9 @@ def _half_edges(edge_rows):
     return near[order], far[order], np.repeat([1, -1], len(edge_rows))[order]
 
 
-def _neighbour_lists(edge_rows, dim):
+def _neighbour_lists(near, far, steps, dim):
     """Row v's neighbours in vertex order, and the steps S[v, w] to them, as
-    lists of ``dim`` lists cut from the sorted half-edges."""
-    near, far, steps = _half_edges(edge_rows)
+    lists of ``dim`` lists cut from the half-edges as _half_edges sorts them."""
     bounds = np.searchsorted(near, np.arange(dim + 1)).tolist()
     far, steps = far.tolist(), steps.tolist()
     cuts = list(zip(bounds, bounds[1:]))

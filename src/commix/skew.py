@@ -572,6 +572,36 @@ def _bessel_series(n, z):
     return np.where(positive, lead * total, n == 0)
 
 
+# Bessel table entries, and combinations of their orders, that one _bessel_j
+# or _modulation_spectrum accepts: 64 MiB of complex128
+_SPECTRUM_BUDGET = 2**22
+
+
+def _bessel_fft(n, z):
+    # J_n(z) is the n-th Fourier coefficient of e^{i z sin theta} (DLMF
+    # 10.12.1), so one FFT on P >= 2 M + 64 points, M = _bessel_order(z),
+    # gives every |m| <= M, aliased only by orders beyond M, whose l1 mass is
+    # below 2^-53 and which read 0
+    values, inverse = np.unique(z, return_inverse=True)
+    orders, entries = [], 0
+    # the largest z first, so that a refusal costs about one _bessel_order
+    for x in values[::-1].tolist():
+        orders.append(_bessel_order(x))
+        entries += 2 * orders[-1] + 1
+        if entries > _SPECTRUM_BUDGET:
+            raise ValueError(f"Bessel tables up to z = {values[-1]:.6g} need at least {entries:.4g} entries, "
+                             f"beyond the budget of {_SPECTRUM_BUDGET}")
+    tables = []
+    for x, order in zip(values.tolist(), orders[::-1]):
+        size = 1 << (2 * order + 63).bit_length()
+        wave = np.exp(1j * x * np.sin(2.0 * np.pi * np.arange(size) / size))
+        # orders 0..M, then the 0 that orders beyond M read
+        tables.append(np.append(np.fft.fft(wave)[:order + 1].real / size, 0.0))
+    sizes = np.array([table.size for table in tables])
+    start = np.cumsum(sizes) - sizes
+    return np.concatenate(tables)[start[inverse] + np.minimum(n, sizes[inverse] - 1)]
+
+
 def _bessel_j(order, z):
     """Bessel J_m(z) elementwise, for integer orders m and finite z >= 0 (broadcast).
 
@@ -580,8 +610,11 @@ def _bessel_j(order, z):
     below 2^-60 (18 terms at most) and led by (z/2)^n / n! =
     exp(n log(z/2) - lgamma(n + 1)); relative error about 1e-13, values down
     to the subnormal range kept, and J_0(0) = 1, J_n(0) = 0 exactly.
-    Elsewhere scipy.special.jv, imported only then, so that a torus series
-    whose orders all lie in the series regime loads no scipy.
+    Elsewhere, per distinct z, the FFT of e^{i z sin theta} sampled on the
+    least power of two P >= 2 M + 64 points, M = _bessel_order(z): J_n(z) for
+    n <= M is its n-th coefficient / P, to about eps (1 + z) absolute, and
+    orders beyond M read 0.  ValueError, before any FFT, if those tables'
+    entries sum_z (2 M + 1) exceed _SPECTRUM_BUDGET.
     """
     order, z = np.broadcast_arrays(np.asarray(order, dtype=np.int64), np.asarray(z, dtype=float))
     n = np.abs(order)
@@ -589,16 +622,14 @@ def _bessel_j(order, z):
     series = z <= np.sqrt(2.0 * (n + 1))
     out[series] = _bessel_series(n[series], z[series])
     if not series.all():
-        from scipy import special
-
-        out[~series] = special.jv(n[~series], z[~series])
+        out[~series] = _bessel_fft(n[~series], z[~series])
     return np.where((order < 0) & (order % 2 == 1), -out, out)
 
 
 def _bessel_coefficient(order, z, alpha):
     # i^m J_m(z) e^{i m alpha}: Jacobi-Anger coefficient of e^{i m theta} in
     # exp(i z cos(theta + alpha)), with i^m taken exactly and J_m(z) from
-    # _bessel_j: a numpy power series in its regime, scipy's jv beyond it
+    # _bessel_j: a numpy power series in its regime, an FFT table beyond it
     return (
         np.array([1, 1j, -1, -1j])[np.mod(order, 4)]
         * _bessel_j(order, z)
@@ -610,11 +641,6 @@ def _lattice_bound(bound, what):
     # int64 lattice arithmetic wraps silently; refuse it where it could
     if bound >= 2**63:
         raise ValueError(f"{what} reaches {bound}, beyond the int64 lattice arithmetic (2^63)")
-
-
-# Bessel table entries, and combinations of their orders, that one
-# _modulation_spectrum accepts: 64 MiB of complex128
-_SPECTRUM_BUDGET = 2**22
 
 
 def _modulation_spectrum(pairs, reach):
@@ -631,10 +657,11 @@ def _modulation_spectrum(pairs, reach):
     _bessel_order of its largest z and read from a table.  J_m(z) comes
     from _bessel_j: the power series where z^2 <= 2 (|m| + 1), to about
     1e-13 relative with tail values down to the subnormal range kept, and
-    scipy's jv beyond it.
+    an FFT of e^{i z sin theta} beyond it, to about eps (1 + z) absolute.
     Those orders come first: ValueError, before any table is built, if the
     table entries sum_j (2 M_j + 1) * steps or the combinations
-    prod_{j != last} (2 M_j + 1) exceed _SPECTRUM_BUDGET.
+    prod_{j != last} (2 M_j + 1) exceed _SPECTRUM_BUDGET; with one pair,
+    _bessel_j applies that budget to its FFT tables.
     """
     _lattice_bound(reach, "frequency bound")
     if not pairs:
@@ -701,16 +728,18 @@ def sector_correlation(cocycle, flow, phi, psi, horizon):
     with E_n the lattice convolution of the per-pair Bessel sequences, and
     J_m(z) from _bessel_j: the numpy power series where z^2 <= 2 (|m| + 1),
     to about 1e-13 relative with tail values down to the subnormal range
-    kept, and scipy's jv beyond it.  With
-    one pair E_n[m k_1] = i^m J_m(z_1) e^{i m alpha_1} is evaluated directly:
-    no truncation and no grid.  With several, each pair's sequence is
-    truncated at the least M with 2 (z/2)^(M+1) e^(z/2) / (M+1)! <= 2^-53 for
+    kept, and an FFT of e^{i z sin theta} beyond it, to about eps (1 + z)
+    absolute.  With one pair E_n[m k_1] = i^m J_m(z_1) e^{i m alpha_1} is
+    evaluated directly at the orders the targets need, with no grid.  With
+    several, each pair's sequence is truncated at the least M with
+    2 (z/2)^(M+1) e^(z/2) / (M+1)! <= 2^-53 for
     its largest z, which by |J_m(z)| <= (z/2)^|m| / |m|! bounds the l1 mass
     of the dropped terms by 2^-53.  The quadratic phase rounds as in
     sector_apply, by about n^2 |q.W y| eps / 4 turns.  Work is vectorised over
     n and loops over the modes of psi, in int64 lattice arithmetic: a
     frequency or lattice product whose bound reaches 2^63 raises ValueError,
-    and so do Bessel tables beyond the budget of _modulation_spectrum.
+    and so do Bessel tables beyond the budget of _modulation_spectrum and
+    _bessel_j.
     """
     horizon = _integral(horizon, "horizons", 1)
     phi = _observable_modes(phi, cocycle.d)

@@ -558,9 +558,9 @@ def _python(code, *args, timeout=120):
 
 
 def test_validating_and_building_the_examples_loads_no_scipy():
-    # scipy is imported inside the functions that compute with it, and orjson
-    # inside the matrix-file loader, so a run's set-up (import, validate,
-    # build) of configs that name no matrix file does not pay for loading them
+    # commix imports no scipy, and orjson only inside the matrix-file loader,
+    # so a run's set-up (import, validate, build) of configs that name no
+    # matrix file does not pay for loading them
     code = (
         "import sys\n"
         "from commix.cli import EXAMPLE_CONFIGS, build_model, validate_config\n"
@@ -836,11 +836,19 @@ def _dft(dim):
        "tasks": ["identities", "degree", "mixing", "summability", "fourier"]}], []),
     ([{"name": "su2", "model": {"type": "su2", "y": 0.41421356237309515, "grid": 64},
        "schedule": [4, 8], "tasks": ["identities", "degree"]}], []),
-], ids=["pair-and-flow", "graph", "graph-file", "torus", "su2"])
+    # Bessel arguments up to 6.7 and 20 take J_0 (and more orders) beyond
+    # the power series, from FFT tables
+    ([{"name": "torus-fft", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 1,
+                                      "eta": [[[1], 0.0, 0.5], [[-1], 0.0, -0.5]]},
+       "horizon": 64, "tasks": ["mixing", "summability"]}], []),
+    ([{"name": "torus-pairs", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 1,
+                                        "eta": [[[1], 0, 1], [[-1], 0, -1], [[3], 0.5, 0.5], [[-3], 0.5, -0.5]]},
+       "horizon": 64, "tasks": ["mixing", "summability"]}], []),
+], ids=["pair-and-flow", "graph", "graph-file", "torus", "su2", "torus-fft", "torus-pairs"])
 def test_each_model_family_loads_only_its_scipy_subpackage(tmp_path, scenarios, subpackages):
     # pairs, flows, Fourier tasks, SU(2) cocycles, graph windows on either
-    # eigenpair route, and torus series whose Bessel orders lie in the
-    # power-series regime compute in numpy alone
+    # eigenpair route, and torus series, whose Bessel values come from a
+    # power series or an FFT, compute in numpy alone
     if scenarios[0]["model"]["type"] == "graph-file":
         cut_line = graphs.DirectedGraphWindow(range(40), [(k, k + 1) for k in range(39) if k != 25], 3)
         assert graphs._lattice_sides(graphs.build_operators(cut_line).edge_rows, 40) is None
@@ -1159,10 +1167,10 @@ def test_torus_eta_mirror_is_checked_absolutely_as_configured(eta, sector):
 
 
 def test_torus_mixing_on_a_huge_eta_finishes_and_fails_on_overflow(tmp_path):
-    # one mode pair needs no Bessel truncation order, which at these
-    # amplitudes used to be counted up one order at a time; at 1e308 the
-    # modulation amplitude overflows and the task fails instead of warning
-    # on a NaN series
+    # at 1e300 the Bessel arguments have no correct digit mod 2 pi, and their
+    # FFT tables are refused from one bisected truncation order, which used to
+    # be counted up one order at a time; at 1e308 the modulation amplitude
+    # overflows and the task fails instead of warning on a NaN series
     def scenario(name, amplitude):
         model = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 1,
                  "eta": [[[1], 0.0, amplitude], [[-1], 0.0, -amplitude]]}
@@ -1172,7 +1180,9 @@ def test_torus_mixing_on_a_huge_eta_finishes_and_fails_on_overflow(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         report = run_config(config, tmp_path / "out")
     large, overflow = (sc["tasks"][0] for sc in report["scenarios"])
-    assert "error" not in large["metrics"] and large["metrics"]["samples"] == 512
+    assert large["status"] == "fail"
+    assert re.match(r"ValueError: Bessel tables up to z = \S+e\+301 need at least \S+ entries, "
+                    r"beyond the budget of 4194304$", large["metrics"]["error"])
     assert overflow["status"] == "fail"
     assert overflow["metrics"]["error"].startswith("ValueError: modulation amplitude of mode pair (1,) is not finite")
 

@@ -692,15 +692,17 @@ def within_bessel_bounds(orders, z, values, reference):
     """Whether J_m(z) values agree with scipy's jv, by regime of m and z.
 
     Relative 1e-12 where z^2 <= 2 (|m| + 1), the power series, wherever
-    |reference| >= 1e-280; bit for bit beyond it, where scipy's jv serves.
-    ``values`` and ``reference`` may carry one common phase, as the
-    Jacobi-Anger coefficients i^m J_m(z) e^{i m alpha} do.
+    |reference| >= 1e-280; absolute eps (1 + z) beyond it, where an FFT of
+    e^{i z sin theta} serves.  ``values`` and ``reference`` may carry one
+    common phase of modulus 1, as the Jacobi-Anger coefficients
+    i^m J_m(z) e^{i m alpha} do.
     """
     series = z <= np.sqrt(2.0 * (np.abs(orders) + 1))
     resolved = np.abs(reference) >= 1e-280
-    relative = np.abs(values - reference) / np.where(resolved, np.abs(reference), 1.0)
+    error = np.abs(values - reference)
+    relative = error / np.where(resolved, np.abs(reference), 1.0)
     return (np.all(relative[series & resolved] <= 1e-12)
-            and np.array_equal(values[~series], reference[~series]))
+            and np.all((error <= np.finfo(float).eps * (1.0 + z))[~series]))
 
 
 def default_errstate_raising():
@@ -750,16 +752,72 @@ def test_bessel_j_exact_values_tails_and_huge_arguments():
         at_zero = _bessel_j(orders, 0.0)
         # J_m(z) ~ (z/2)^m / m! keeps its tail where scipy's jv flushes it to 0
         tails = _bessel_j([108, 120], [0.12861084863236144, 0.3052949730143094])
-        huge = _bessel_j(orders, 1e300)
         # the least subnormal z, a cube that underflows, and two orders far
         # beyond z that underflow beyond the series regime
         extremes = _bessel_j([0, 3, 10**6, -(10**6) - 1], [5e-324, 1e-300, 2e3, 1e3])
     assert np.array_equal(at_zero, orders == 0)
     # mpmath.besselj(m, z) at 200 bits of precision
     assert tails == pytest.approx([1.4744388065993229e-303, 1.6492307813462440e-297], rel=1e-12)
-    # |J_m(z)| <= sqrt(2 / (pi z)) up to terms of order m^2 / z, as Hankel's expansion gives
-    assert np.all(np.isfinite(huge)) and np.all(np.abs(huge) <= 1.01 * math.sqrt(2.0 / (math.pi * 1e300)))
     assert extremes.tolist() == [1.0, 0.0, 0.0, -0.0]
+    # z mod 2 pi has no correct digit at 1e300, and its table of 2 M + 1 ~ 3.6e300
+    # orders is far beyond the budget
+    with pytest.raises(ValueError, match=r"up to z = 1e\+300 need at least 3\.\d+e\+300 entries, beyond the budget"):
+        _bessel_j(orders, 1e300)
+
+
+@pytest.mark.parametrize("z", [1.5, 50.0, 1e3, 1e5])
+def test_bessel_j_fft_tables_hold_every_order_to_the_truncation(z):
+    # beyond the series regime, J_m(z) is the m-th Fourier coefficient of
+    # e^{i z sin theta} over P; a cosine phase, a dropped 1/P or a table read
+    # at -m each miss scipy's jv on most orders |m| <= M.  The table itself
+    # is read at every order, those the series serves in _bessel_j included
+    from scipy import special
+
+    order = _bessel_order(z)
+    orders = np.arange(-order - 3, order + 4)
+    with default_errstate_raising():
+        values = _bessel_j(orders, z)
+        table = skew._bessel_fft(np.abs(orders), np.full(orders.size, z))
+    inside = np.abs(orders) <= order
+    far = z * z > 2.0 * (np.abs(orders) + 1)
+    assert np.any(inside & far)
+    bound = np.finfo(float).eps * (1.0 + z)
+    # scipy's jv at |m|, and at m by J_{-m} = (-1)^m J_m
+    reference = special.jv(np.arange(order + 4), z)[np.abs(orders)]
+    assert np.all(np.abs(table - reference)[inside] <= bound)
+    reference[(orders < 0) & (orders % 2 == 1)] *= -1.0
+    assert np.all(np.abs(values - reference)[inside] <= bound)
+    # orders beyond M read 0, as their l1 mass is below 2^-53
+    assert np.all(table[~inside] == 0.0) and np.all(values[~inside & far] == 0.0)
+
+
+def test_bessel_j_refuses_tables_beyond_the_budget_before_any_fft(monkeypatch):
+    # the largest z first: a table of 2 M + 1 > 2^22 entries costs one
+    # _bessel_order and no FFT; tables at z ~ 1e5 hold 2 M + 1 ~ 3.6e5
+    # entries, so twelve of them pass the budget
+    calls = {"order": [], "fft": 0}
+
+    def bessel_order(z, _call=skew._bessel_order):
+        calls["order"].append(z)
+        return _call(z)
+
+    def fft(*args, _call=np.fft.fft):
+        calls["fft"] += 1
+        return _call(*args)
+
+    monkeypatch.setattr(skew, "_bessel_order", bessel_order)
+    monkeypatch.setattr(skew.np.fft, "fft", fft)
+    with pytest.raises(ValueError, match=r"up to z = 2e\+06 need at least 7\.\d+e\+06 entries"):
+        _bessel_j([0, 1, 2], [1e4, 2e6, 3.0])
+    assert calls == {"order": [2e6], "fft": 0}
+    zs = np.linspace(9e4, 1e5, 512)
+    with pytest.raises(ValueError, match=r"up to z = 100000 need at least"):
+        _bessel_j(np.zeros(512, dtype=int), zs)
+    assert len(calls["order"]) == 1 + 12 and calls["fft"] == 0
+    # below the budget, one FFT per distinct z
+    calls["order"].clear()
+    _bessel_j([0, 1, 5, 7, 0], [3.0, 3.0, 1e4, 1e4, 0.5])
+    assert calls == {"order": [1e4, 3.0], "fft": 2}
 
 
 def test_sector_correlation_tables_of_two_pairs_match_scipy(monkeypatch):
