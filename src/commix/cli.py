@@ -66,7 +66,7 @@ from .skew import (
 )
 
 REPORT_FORMAT = "run-report"
-REPORT_VERSION = 16
+REPORT_VERSION = 17
 CONFIG_VERSION = 1
 
 # every cutoff that feeds a status flag, overridable per scenario
@@ -77,7 +77,6 @@ DEFAULT_THRESHOLDS = {
     "torus_identity_factor": 10.0,
     "graph_identity_residual": 1e-12,
     "representation_homomorphism": 1e-10,
-    "gap_threshold": 1e-6,
     "torus_sup_error": 0.05,
     "graph_flow_residual": 1e-6,
     "decay_fraction": 0.1,
@@ -756,21 +755,23 @@ class ScenarioRunner:
     # -- degree -------------------------------------------------------
 
     def pair_degree(self):
+        # D_N = (A - U^N A U^-N)/N telescopes, so ||D_N|| <= 2||A||/N (2||A~||/t
+        # for a flow) and D = 0: past the bound is a bug, at 0 the limit is reached
         pair = self.built["pair"]
-        estimate = DegreeEstimate.from_averages(pair, self.pair_averages, self.thresholds["gap_threshold"])
+        estimate = DegreeEstimate.from_averages(pair, self.pair_averages)
         # to_json checks the limit through matrix_to_payload, whose dim^2
         # acyclic entry lists are dropped before the collector resumes
         with _collector_paused():
             self.artifacts["degree-estimate.json"] = estimate.to_json() + "\n"
+        norm, bound, floor = estimate.limit_norm, estimate.telescoping_bound, estimate.roundoff_floor
         metrics = {
-            "converged": bool(estimate.converged),
-            "diverging": bool(estimate.diverging),
-            "final_gap": estimate.cauchy_gaps[-1] if estimate.cauchy_gaps else 0.0,
-            "limit_norm": estimate.limit_norm,
-            "telescoping_bound": estimate.telescoping_bound,
+            "limit_norm": norm,
+            "telescoping_bound": bound,
+            "roundoff_floor": floor,
+            "boundary_ratio": norm / bound if norm else 0.0,
         }
-        status = "fail" if estimate.diverging else "pass" if estimate.converged else "warn"
-        return status, metrics, self._used("gap_threshold")
+        status = "fail" if not norm <= bound + floor else "pass" if norm <= floor else "warn"
+        return status, metrics, self._used()
 
     def torus_degree(self):
         # pass iff the O(1/N) rate is certified and the last certified sup bound is small
@@ -795,13 +796,15 @@ class ScenarioRunner:
 
     def graph_window_degree(self):
         # D >= 0 and dim ker D = dim ker K hold by Sylvester's law of inertia;
-        # only flow invariance is gated
+        # flow invariance is gated, and the sign of S^T S on the probe
         report = graph_degree(self.graph_operators)
-        ok = max(report.flow_residuals.values()) <= self.thresholds["graph_flow_residual"]
+        ok = (max(report.flow_residuals.values()) <= self.thresholds["graph_flow_residual"]
+              and report.probe_gram >= -report.probe_gram_floor)
         metrics = {
             "kernel_dim": report.kernel_dim,
             "flow_residuals": {str(k): v for k, v in report.flow_residuals.items()},
             "probe_row": int(report.probe_row),
+            "probe_gram": report.probe_gram,
         }
         return ("pass" if ok else "fail"), metrics, self._used("graph_flow_residual")
 

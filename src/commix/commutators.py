@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 DEGREE_ESTIMATE_FORMAT = "degree-estimate"
-DEGREE_ESTIMATE_VERSION = 4
+DEGREE_ESTIMATE_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -414,19 +414,15 @@ def degree_alternative(pair, steps):
 
 @dataclass
 class DegreeEstimate:
-    """Schedule of Birkhoff averages with Cauchy-gap convergence evidence.
+    """Schedule of Birkhoff averages, its limit and the telescoping bound on it.
 
     ``limit`` is the final average, ``limit_eigenvalues`` the ascending
     spectrum of its Hermitian part and ``limit_norm`` their largest modulus.
     ``telescoping_bound`` is the a-priori bound on ``||limit||`` at the final
     horizon: the Birkhoff sum telescopes, so ``2||A||/N`` for a discrete pair
     and ``2||A~||/t`` for a continuous one (see :func:`estimate_degree`).
-    ``converged`` means every gap over the last third of the schedule is at
-    most ``gap_threshold``; ``diverging`` flags a non-decreasing gap trend
-    over that same stretch.
-    A one-horizon schedule has no gap, so it is neither.
-    On finite truncations these are surrogates for an operator limit, and
-    they are reported as such rather than hidden.
+    ``roundoff_floor`` is ``64 eps max(1, norm)`` of that same norm: the
+    slack of the bound, and the size below which the limit reads as 0.
     """
 
     kind: str
@@ -435,13 +431,10 @@ class DegreeEstimate:
     limit_eigenvalues: np.ndarray
     limit_norm: float
     telescoping_bound: float
-    cauchy_gaps: list
-    gap_threshold: float
-    converged: bool
-    diverging: bool
+    roundoff_floor: float
 
     @classmethod
-    def from_averages(cls, pair, rows, gap_threshold=1e-6):
+    def from_averages(cls, pair, rows):
         """The estimate along the nonempty rows of :func:`degree_averages`.
 
         The limit is read through one ``eigvalsh`` of its Hermitian part.
@@ -449,12 +442,9 @@ class DegreeEstimate:
         if not rows:
             raise ValueError("rows must be nonempty")
         schedule = [horizon for horizon, _, _ in rows]
-        averages = [average for _, average, _ in rows]
         norm = pair.conjugate_norm if pair.kind == "discrete" else spectral_norm(pair.bounded_conjugate)
-        limit = averages[-1]
+        limit = rows[-1][1]
         eigvals = np.linalg.eigvalsh((limit + limit.conj().T) / 2.0)
-        gaps = [spectral_norm(b - a) for a, b in zip(averages, averages[1:])]
-        converged, diverging = _convergence_flags(gaps, gap_threshold)
         return cls(
             kind=pair.kind,
             schedule=schedule,
@@ -462,10 +452,7 @@ class DegreeEstimate:
             limit_eigenvalues=eigvals,
             limit_norm=float(np.max(np.abs(eigvals), initial=0.0)),
             telescoping_bound=2.0 * norm / float(schedule[-1]),
-            cauchy_gaps=gaps,
-            gap_threshold=gap_threshold,
-            converged=converged,
-            diverging=diverging,
+            roundoff_floor=_roundoff_floor(norm),
         )
 
     def to_payload(self):
@@ -482,44 +469,29 @@ class DegreeEstimate:
             "version": DEGREE_ESTIMATE_VERSION,
             "kind": self.kind,
             "schedule": [float(s) for s in self.schedule],
-            "cauchy_gaps": [float(g) for g in self.cauchy_gaps],
-            "gap_threshold": float(self.gap_threshold),
-            "converged": bool(self.converged),
-            "diverging": bool(self.diverging),
             "limit": matrix_digest(self.limit),
             "limit_eigenvalues": self.limit_eigenvalues.tolist(),
             "telescoping_bound": float(self.telescoping_bound),
+            "roundoff_floor": float(self.roundoff_floor),
         }
 
     def to_json(self):
         return json.dumps(self.to_payload())
 
 
-def _convergence_flags(gaps, threshold):
-    # one horizon gives no Cauchy gap, so no evidence of convergence either way
-    if not gaps:
-        return False, False
-    tail_start = max(0, len(gaps) - max(1, len(gaps) // 3))
-    tail = gaps[tail_start:]
-    converged = all(g <= threshold for g in tail)
-    trending_up = len(tail) >= 2 and all(b >= a * (1.0 - 1e-12) for a, b in zip(tail, tail[1:]))
-    diverging = (not converged) and trending_up and tail[-1] > threshold
-    return converged, diverging
-
-
-def estimate_degree(pair, schedule, gap_threshold=1e-6):
+def estimate_degree(pair, schedule):
     """Estimate the degree operator along an increasing schedule of horizons.
 
     :meth:`DegreeEstimate.from_averages` on the rows of
-    :func:`degree_averages`; it is ``converged`` iff every Cauchy gap over the
-    last third of the schedule is at most ``gap_threshold``.  The a-priori
-    bound on the limit at the final horizon comes from the telescoping sum:
+    :func:`degree_averages`.  The a-priori bound on the limit at the final
+    horizon comes from the telescoping sum:
     the discrete symbol is ``A - U A U*``, so ``D_N = (A - U^N A U^-N)/N`` and
     ``||D_N|| <= 2||A||/N``;
     the continuous symbol is ``i[H, A~]`` with ``A~`` the bounded conjugate,
     so ``D_t = (e^{itH} A~ e^{-itH} - A~)/t`` and ``||D_t|| <= 2||A~||/t``.
+    The degree D = lim D_N of a finite pair is therefore 0.
     """
-    return DegreeEstimate.from_averages(pair, degree_averages(pair, schedule), gap_threshold)
+    return DegreeEstimate.from_averages(pair, degree_averages(pair, schedule))
 
 
 def epsilon_commutator(operator, conjugate, epsilon):

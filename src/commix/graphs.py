@@ -395,11 +395,15 @@ def interior_residuals(ops):
 @dataclass
 class GraphDegreeReport:
     """What ``graph_degree`` leaves open: the kernel dimension of K (and so of
-    the degree), the flow-invariance residuals by time, and the probe row."""
+    the degree), the flow-invariance residuals by time, the probe row, and
+    the probe's Gram value q* B q = |S V q|^2 with the roundoff floor
+    64 eps |q| |B q| it may fall below 0 by."""
 
     kernel_dim: int
     flow_residuals: dict
     probe_row: int
+    probe_gram: float
+    probe_gram_floor: float
 
 
 def _path_eigenpairs(m):
@@ -495,7 +499,10 @@ def graph_degree(ops):
     V diag(d) B diag(conj(d)) V^T; the flow residuals
     |e^{is lam} G e^{-is lam} p - G p| with G = diag(d) B diag(conj(d)) and
     p the probe row of V apply B as V^T (S^T S (V .)), with S^T S applied
-    from the half-edges (``_momentum_gram``).
+    from the half-edges (``_momentum_gram``).  B is a Gram matrix, so the
+    probe's q* B q = |S V q|^2 with q = conj(d) p is at least 0; it is
+    reported with its roundoff floor, and reads the sign of S^T S that no
+    residual sees (B -> -B leaves every residual as it was).
     """
     odd = ops.position % 2 == 1
     sides = _lattice_sides(ops.edge_rows, odd.size)
@@ -536,8 +543,10 @@ def graph_degree(ops):
     turned = np.exp(1j * np.outer(lam, times)) * b_cols[:, 1:] - b_cols[:, :1]
     norms = np.linalg.norm(d[:, None] * turned, axis=0)
     flow_residuals = {float(t): float(r) for t, r in zip(times, norms)}
+    gram_floor = 64.0 * np.finfo(float).eps * np.linalg.norm(q) * np.linalg.norm(b_cols[:, 0])
 
-    return GraphDegreeReport(kernel_dim=kernel_dim, flow_residuals=flow_residuals, probe_row=probe_row)
+    return GraphDegreeReport(kernel_dim=kernel_dim, flow_residuals=flow_residuals, probe_row=probe_row,
+                             probe_gram=float(np.vdot(q, b_cols[:, 0]).real), probe_gram_floor=float(gram_floor))
 
 
 def format_graph_window(window):

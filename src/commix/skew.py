@@ -577,12 +577,23 @@ def _bessel_series(n, z):
 _SPECTRUM_BUDGET = 2**22
 
 
+def _refuse_beyond_budget(z):
+    # for M + 1 <= z/2 each factor of (z/2)^(M+1) / (M+1)! is at least 1, so
+    # _bessel_order(z) > z/2 - 1 and a table holds 2 M + 1 > z - 1 entries:
+    # past the budget a z is refused here, before the lgamma and int(8 t) of
+    # _bessel_order overflow (from z ~ 1.3e305)
+    if z > _SPECTRUM_BUDGET:
+        raise ValueError(f"Bessel tables up to z = {z:.6g} need at least {z - 1.0:.4g} entries, "
+                         f"beyond the budget of {_SPECTRUM_BUDGET}")
+
+
 def _bessel_fft(n, z):
     # J_n(z) is the n-th Fourier coefficient of e^{i z sin theta} (DLMF
     # 10.12.1), so one FFT on P >= 2 M + 64 points, M = _bessel_order(z),
     # gives every |m| <= M, aliased only by orders beyond M, whose l1 mass is
     # below 2^-53 and which read 0
     values, inverse = np.unique(z, return_inverse=True)
+    _refuse_beyond_budget(values[-1])
     orders, entries = [], 0
     # the largest z first, so that a refusal costs about one _bessel_order
     for x in values[::-1].tolist():
@@ -666,7 +677,11 @@ def _modulation_spectrum(pairs, reach):
     _lattice_bound(reach, "frequency bound")
     if not pairs:
         return lambda target: np.all(target == 0, axis=-1).astype(complex)
-    orders = [_bessel_order(float(np.max(z))) for _, z, _ in pairs] if len(pairs) > 1 else [0]
+    orders = [0]
+    if len(pairs) > 1:
+        tops = [float(np.max(z)) for _, z, _ in pairs]
+        _refuse_beyond_budget(max(tops))
+        orders = [_bessel_order(top) for top in tops]
     last = int(np.argmax(orders))
     if len(pairs) > 1:
         entries = sum(2 * order + 1 for order in orders) * pairs[0][1].size

@@ -209,7 +209,7 @@ def test_run_pair_identities(tmp_path, capsys, monkeypatch):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 16
+    assert report["version"] == cli.REPORT_VERSION == 17
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -386,7 +386,7 @@ _SIGNED = {"fourier_exponent_max"}
 
 @pytest.mark.parametrize("overrides, key", [({key: -1}, key) for key in sorted(DEFAULT_THRESHOLDS.keys() - _SIGNED)])
 def test_out_of_range_thresholds_are_config_errors(tmp_path, capsys, overrides, key):
-    # before, gap_threshold -1 gave a silent warn
+    # a negative cutoff is refused by name, not read as a silent status
     config = pair_config(thresholds=overrides)
     want = f"config.scenarios[0].thresholds.{key}: "
     with pytest.raises(SchemaError, match=re.escape(want)):
@@ -400,11 +400,12 @@ def test_out_of_range_thresholds_are_config_errors(tmp_path, capsys, overrides, 
 
 @pytest.mark.parametrize("key, value", [
     ("torus_slope_min", -1.3), ("torus_slope_max", -0.7), ("su2_eigenvalue_rel", 2e-2),
-    ("graph_psd_floor", -1e-10), ("kernel_tol", 1e-8)])
+    ("graph_psd_floor", -1e-10), ("kernel_tol", 1e-8), ("gap_threshold", 1e-6)])
 def test_the_removed_degree_thresholds_are_unknown_keys(tmp_path, capsys, key, value):
     # the slope window and the eigenvalue gap gave way to the certified sup bound;
-    # the graph degree's sign and kernel comparison hold by Sylvester's law of inertia
-    assert len(DEFAULT_THRESHOLDS) == 15 and key not in DEFAULT_THRESHOLDS
+    # the graph degree's sign and kernel comparison hold by Sylvester's law of inertia;
+    # the pair Cauchy gaps gave way to the telescoping bound
+    assert len(DEFAULT_THRESHOLDS) == 14 and key not in DEFAULT_THRESHOLDS
     config = pair_config(thresholds={key: value})
     want = f"config.scenarios[0].thresholds.{key}: unknown threshold key"
     with pytest.raises(SchemaError) as info:
@@ -917,7 +918,8 @@ def test_shared_pair_averages_match_the_standalone_routes(kind):
     identities, degree = (row["metrics"] for row in result["tasks"])
     estimate = commutators.estimate_degree(pair, schedule)
     assert artifacts["degree-estimate.json"] == estimate.to_json() + "\n"
-    assert degree["final_gap"] == estimate.cauchy_gaps[-1] and degree["limit_norm"] == estimate.limit_norm
+    assert degree["limit_norm"] == estimate.limit_norm and degree["telescoping_bound"] == estimate.telescoping_bound
+    assert degree["roundoff_floor"] == estimate.roundoff_floor
     assert [n for n, _, _ in runner.pair_averages] == schedule
     standalone = commutators.birkhoff_discrete if kind == "discrete" else commutators.birkhoff_continuous
     for n, average, _ in runner.pair_averages:
@@ -935,16 +937,59 @@ def test_shared_pair_averages_match_the_standalone_routes(kind):
 
 
 @pytest.mark.parametrize("model,schedule", [({"type": "random-pair", "dim": 8}, [64]), (_flow_model(37), [1.5])])
-def test_one_horizon_pair_degree_warns_without_a_cauchy_gap(model, schedule):
-    # one horizon gives no gap: neither converged nor diverging
+def test_one_horizon_pair_degree_warns_inside_the_telescoping_bound(model, schedule):
+    # one horizon is enough for the theorem: D_N is bounded and not yet 0
     runner = _pair_runner(model, schedule, tasks=["degree"])
     result, artifacts = runner.run()
     row = result["tasks"][0]
-    assert row["status"] == "warn"
-    assert row["metrics"]["final_gap"] == 0.0
-    assert row["metrics"]["converged"] is False and row["metrics"]["diverging"] is False
+    assert row["status"] == "warn" and row["thresholds"] == {}
+    metrics = row["metrics"]
+    assert metrics["roundoff_floor"] < metrics["limit_norm"] <= metrics["telescoping_bound"]
+    assert metrics["boundary_ratio"] == metrics["limit_norm"] / metrics["telescoping_bound"]
     doc = json.loads(artifacts["degree-estimate.json"])
-    assert doc["cauchy_gaps"] == [] and doc["converged"] is False
+    assert doc["telescoping_bound"] == metrics["telescoping_bound"]
+    assert doc["roundoff_floor"] == metrics["roundoff_floor"]
+
+
+def test_one_horizon_pair_degree_passes_where_the_limit_is_reached():
+    # U^4 = I for the 4-cycle, so D_4 = 0 exactly
+    model = {"type": "matrix-pair", "unitary": matrix_to_payload(np.roll(np.eye(4), 1, axis=0)),
+             "conjugate": matrix_to_payload(np.diag(np.arange(4.0)))}
+    row = _pair_runner(model, [4], tasks=["degree"]).run()[0]["tasks"][0]
+    assert row["status"] == "pass"
+    assert row["metrics"]["limit_norm"] == 0.0 and row["metrics"]["boundary_ratio"] == 0.0
+
+
+def _witness_degree(tmp_path, unitary, conjugate, schedule):
+    config = validate_config({"version": 1, "scenarios": [
+        {"name": "witness", "model": {"type": "matrix-pair", "unitary": matrix_to_payload(unitary),
+                                      "conjugate": matrix_to_payload(conjugate)},
+         "schedule": schedule, "tasks": ["degree"]}]})
+    (row,) = run_config(config, tmp_path / "out")["scenarios"][0]["tasks"]
+    return row
+
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_the_telescoping_bound_is_attained_on_the_flip_witness(tmp_path):
+    # U A U* = -A, so the symbol is 2A and D_N = 2A/N at odd N: ||D_N|| = 2||A||/N
+    row = _witness_degree(tmp_path, np.diag([1.0, -1.0]), SIGMA_X, [1, 3, 5])
+    assert row["status"] == "warn"
+    assert row["metrics"]["boundary_ratio"] == 1.0
+    assert row["metrics"]["limit_norm"] == row["metrics"]["telescoping_bound"] == 0.4
+    # at even N the sum cancels and D_N = 0
+    row = _witness_degree(tmp_path, np.diag([1.0, -1.0]), SIGMA_X, [2, 4])
+    assert row["status"] == "pass"
+    assert row["metrics"]["limit_norm"] == 0.0 and row["metrics"]["boundary_ratio"] == 0.0
+
+
+def test_the_dft_degree_reaches_its_limit_within_roundoff(tmp_path):
+    # the 16-point DFT has U^4 = I, so D_16 = 0 up to the roundoff of the ladder
+    row = _witness_degree(tmp_path, _dft(16), np.diag(np.arange(16) - 8.0), [4, 8, 16])
+    assert row["status"] == "pass"
+    metrics = row["metrics"]
+    assert 0.0 < metrics["limit_norm"] <= metrics["roundoff_floor"] == 64.0 * np.finfo(float).eps * 8.0
 
 
 def test_matrix_files_parse_with_the_collector_paused_and_its_state_restored(tmp_path, monkeypatch):
@@ -1168,8 +1213,8 @@ def test_torus_eta_mirror_is_checked_absolutely_as_configured(eta, sector):
 
 def test_torus_mixing_on_a_huge_eta_finishes_and_fails_on_overflow(tmp_path):
     # at 1e300 the Bessel arguments have no correct digit mod 2 pi, and their
-    # FFT tables are refused from one bisected truncation order, which used to
-    # be counted up one order at a time; at 1e308 the modulation amplitude
+    # FFT tables, of more than z - 1 entries each, are refused by the budget
+    # before any truncation order is bisected; at 1e308 the modulation amplitude
     # overflows and the task fails instead of warning on a NaN series
     def scenario(name, amplitude):
         model = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 1,
@@ -1646,14 +1691,29 @@ def test_degree_row_reports_the_telescoping_bound(tmp_path):
     pair = build_model(config["scenarios"][0])["pair"]
     report = run_config(config, tmp_path / "out")
     row = next(t for t in report["scenarios"][0]["tasks"] if t["task"] == "degree")
-    assert row["status"] == "warn"
+    assert row["status"] == "warn" and row["thresholds"] == {}
     assert row["metrics"]["telescoping_bound"] == 2.0 * pair.conjugate_norm / 5
-    assert row["metrics"]["limit_norm"] <= row["metrics"]["telescoping_bound"]
+    assert row["metrics"]["roundoff_floor"] == 64.0 * np.finfo(float).eps * max(1.0, pair.conjugate_norm)
+    assert row["metrics"]["roundoff_floor"] < row["metrics"]["limit_norm"] <= row["metrics"]["telescoping_bound"]
+    assert row["metrics"]["boundary_ratio"] == row["metrics"]["limit_norm"] / row["metrics"]["telescoping_bound"]
     artifact = json.loads((tmp_path / "out" / "quick" / "degree-estimate.json").read_text())
     assert artifact["version"] == commutators.DEGREE_ESTIMATE_VERSION
     assert set(artifact["limit"]) == {"dim", "sha256"}
     assert artifact["telescoping_bound"] == row["metrics"]["telescoping_bound"]
     assert max(map(abs, artifact["limit_eigenvalues"])) == row["metrics"]["limit_norm"]
+
+
+@pytest.mark.parametrize("model", [{"type": "graph-line", "length": 40, "margin": 2},
+                                   {"type": "graph-grid2d", "nx": 24, "ny": 24, "margin": 2}])
+def test_graph_degree_row_reads_the_sign_of_the_momentum_gram(tmp_path, model):
+    # B = V^T S^T S V is a Gram matrix, so the probe's q* B q = |S V q|^2 is
+    # positive; no flow residual sees the sign of S^T S, this row's gate does
+    config = validate_config({"version": 1, "scenarios": [
+        {"name": "g", "model": model, "tasks": ["degree"], "thresholds": {"graph_flow_residual": 0.2}}]})
+    (row,) = run_config(config, tmp_path / "out")["scenarios"][0]["tasks"]
+    report = graphs.graph_degree(graphs.build_operators(build_model(config["scenarios"][0])["window"]))
+    assert row["status"] == "pass"
+    assert row["metrics"]["probe_gram"] == report.probe_gram > 1e3 * report.probe_gram_floor
 
 
 def test_non_finite_degree_limit_fails_the_task_with_one_line(tmp_path, monkeypatch):

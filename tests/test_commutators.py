@@ -490,31 +490,20 @@ def test_tilde_conjugate_hermitian():
 
 
 def test_estimate_degree_shift_model_converges_exactly():
+    # U^12 = I, so D_N = (A - U^N A U^-N)/N is exactly 0 at every horizon
     model = shift_weyl_model(12, 3)
     est = estimate_degree(model.pair, [12, 24, 48])
-    assert est.converged and not est.diverging
-    assert est.cauchy_gaps == [0.0, 0.0]
-    assert max_norm(est.limit) == 0.0
+    assert max_norm(est.limit) == 0.0 and est.limit_norm == 0.0
+    assert est.telescoping_bound == 2.0 * model.pair.conjugate_norm / 48
+    assert est.roundoff_floor == 64.0 * np.finfo(float).eps * model.pair.conjugate_norm
 
 
 def test_estimate_degree_short_schedule_unconverged():
+    # D_N is bounded by the telescoping sum but has not reached 0
     rng = np.random.default_rng(112)
     pair = random_discrete_pair(rng, 6)
     est = estimate_degree(pair, [2, 3, 5])
-    assert not est.converged
-
-
-@pytest.mark.parametrize("kind", ["discrete", "continuous"])
-def test_one_horizon_estimate_is_neither_converged_nor_diverging(kind):
-    # one horizon gives no Cauchy gap, so no evidence either way
-    rng = np.random.default_rng(114)
-    if kind == "discrete":
-        pair, schedule = random_discrete_pair(rng, 6), [64]
-    else:
-        pair, schedule = OperatorPair.continuous(random_hermitian(rng, 6), random_hermitian(rng, 6)), [1.5]
-    est = estimate_degree(pair, schedule)
-    assert est.cauchy_gaps == []
-    assert not est.converged and not est.diverging
+    assert est.roundoff_floor < est.limit_norm <= est.telescoping_bound
 
 
 @pytest.mark.parametrize("kind", ["discrete", "continuous"])
@@ -526,72 +515,6 @@ def test_empty_rows_are_refused_by_name(kind):
         pair = OperatorPair.continuous(random_hermitian(rng, 4), random_hermitian(rng, 4))
     with pytest.raises(ValueError, match="rows must be nonempty"):
         DegreeEstimate.from_averages(pair, [])
-
-
-@pytest.mark.parametrize("kind", ["discrete", "continuous"])
-def test_converged_means_every_tail_gap_is_at_most_the_threshold(kind):
-    # the gap rule alone: a threshold equal to the largest tail gap converges,
-    # and one a single ulp below it does not
-    rng = np.random.default_rng(121)
-    if kind == "discrete":
-        pair, schedule = random_discrete_pair(rng, 5), [1, 2, 3, 5, 8, 13, 21]
-    else:
-        pair = OperatorPair.continuous(random_hermitian(rng, 5), random_hermitian(rng, 5))
-        schedule = [0.25, 0.5, 1.0, 1.5, 2.5, 4.0, 6.0]
-    table = degree_averages(pair, schedule)
-    gaps = DegreeEstimate.from_averages(pair, table).cauchy_gaps
-    largest = max(gaps[len(gaps) - max(1, len(gaps) // 3):])
-    assert largest > 0.0
-    assert DegreeEstimate.from_averages(pair, table, largest).converged
-    below = DegreeEstimate.from_averages(pair, table, float(np.nextafter(largest, 0.0)))
-    assert not below.converged
-    assert below.cauchy_gaps == gaps
-
-
-def _probe_rule_flags(gaps, residual_rows, threshold):
-    # the deleted probe rule as the oracle: the tail gaps are at most the
-    # threshold and no probe residual ||(D_k - limit) v|| grows over that tail
-    if not gaps:
-        return False, False
-    tail_start = max(0, len(gaps) - max(1, len(gaps) // 3))
-    tail = gaps[tail_start:]
-    converged = all(g <= threshold for g in tail)
-    for row in residual_rows:
-        seq = row[:-1] if len(row) > 1 else row
-        start = max(0, len(seq) - max(1, len(seq) // 3))
-        window = seq[start:]
-        for earlier, later in zip(window, window[1:]):
-            if later > earlier * 1.1 + threshold:
-                converged = False
-    trending_up = len(tail) >= 2 and all(b >= a * (1.0 - 1e-12) for a, b in zip(tail, tail[1:]))
-    return converged, (not converged) and trending_up and tail[-1] > threshold
-
-
-@settings(max_examples=80)
-@given(kind=st.sampled_from(["discrete", "continuous"]), dim=st.integers(2, 12),
-       horizons=st.lists(st.integers(1, 400), min_size=2, max_size=10, unique=True),
-       probes=st.integers(1, 3), placement=st.sampled_from([0.5, 1.0, 2.0]), pick=st.integers(0, 3),
-       seed=st.integers(0, 2**32 - 1))
-def test_the_gap_rule_implies_the_probe_rule(kind, dim, horizons, probes, placement, pick, seed):
-    # for a unit v, r_{k+1} <= r_k + g_k, and the probe window steps over the
-    # tail gaps, so g_k <= threshold gives r_{k+1} <= 1.1 r_k + threshold
-    rng = np.random.default_rng(seed)
-    if kind == "discrete":
-        pair, schedule = random_discrete_pair(rng, dim), sorted(horizons)
-    else:
-        pair = OperatorPair.continuous(random_hermitian(rng, dim), random_hermitian(rng, dim))
-        schedule = [n / 100.0 for n in sorted(horizons)]
-    vectors = rng.standard_normal((probes, dim)) + 1j * rng.standard_normal((probes, dim))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    table = degree_averages(pair, schedule)
-    gaps = DegreeEstimate.from_averages(pair, table).cauchy_gaps
-    # below, at or above one tail gap, so the gap rule is met and missed
-    tail = gaps[len(gaps) - max(1, len(gaps) // 3):]
-    threshold = placement * tail[pick % len(tail)]
-    est = DegreeEstimate.from_averages(pair, table, threshold)
-    limit = table[-1][1]
-    residual_rows = [[float(np.linalg.norm((average - limit) @ v)) for _, average, _ in table] for v in vectors]
-    assert (est.converged, est.diverging) == _probe_rule_flags(gaps, residual_rows, threshold)
 
 
 def test_flow_degree_averages_feed_identity_check_and_from_averages_bit_for_bit():
@@ -671,8 +594,9 @@ def test_degree_artifact_carries_the_limit_digest_and_spectrum(kind):
         schedule, horizon, conjugate = [1, 2, 5], 5, pair.conjugate
     est = estimate_degree(pair, schedule)
     doc = json.loads(est.to_json())
-    assert doc["version"] == commutators.DEGREE_ESTIMATE_VERSION == 4
-    assert "probe_residuals" not in doc
+    assert doc["version"] == commutators.DEGREE_ESTIMATE_VERSION == 5
+    assert set(doc) == {"format", "version", "kind", "schedule", "limit", "limit_eigenvalues",
+                        "telescoping_bound", "roundoff_floor"}
     assert doc["limit"] == {"dim": 6, "sha256": _echo_digest(est.limit)}
     assert "entries" not in doc and "entries" not in doc["limit"]
     limit = est.limit
@@ -680,6 +604,7 @@ def test_degree_artifact_carries_the_limit_digest_and_spectrum(kind):
     assert np.array(doc["limit_eigenvalues"]).tobytes() == spectrum.tobytes()
     assert est.limit_norm == np.max(np.abs(spectrum))
     assert doc["telescoping_bound"] == est.telescoping_bound == 2.0 * spectral_norm(conjugate) / horizon
+    assert doc["roundoff_floor"] == est.roundoff_floor == 64.0 * np.finfo(float).eps * max(1.0, spectral_norm(conjugate))
     assert est.limit_norm <= est.telescoping_bound
 
 
@@ -695,6 +620,8 @@ def _within_telescoping_bound(pair, est):
     slack = 64.0 * np.finfo(float).eps * max(1.0, pair.conjugate_norm)
     # the largest eigenvalue modulus is the spectral norm of the Hermitian limit
     assert abs(est.limit_norm - spectral_norm(est.limit)) <= slack
+    # the runner's rule: past the bound and its own roundoff floor is a bug
+    assert est.limit_norm <= est.telescoping_bound + est.roundoff_floor
     return est.limit_norm <= est.telescoping_bound * (1.0 + 1e-12) + slack
 
 

@@ -510,7 +510,8 @@ def test_grid24_kernel_dimension():
 
 def _complex_degree_route(dense, flow_times=(0.5, 1.0, 2.0)):
     """The complex route: the degree by two solves, eigvalsh of it and of K,
-    and the flow probe through a complex eigh of H."""
+    its diagonal entry at the probe, and the flow probe through a complex
+    eigh of H."""
     h, k = dense.adjacency, dense.momentum
     eye = np.eye(h.shape[0])
     x = np.linalg.solve(h + 1j * eye, k @ k)
@@ -527,11 +528,18 @@ def _complex_degree_route(dense, flow_times=(0.5, 1.0, 2.0)):
         inward = eigvecs @ (np.exp(-1j * s * eigvals) * (eigvecs.conj().T @ probe))
         outward = eigvecs @ (np.exp(1j * s * eigvals) * (eigvecs.conj().T @ (degree @ inward)))
         flow[s] = float(np.linalg.norm(outward - degree @ probe))
-    return spectrum, kernel_degree, kernel_momentum, flow
+    gram = float(degree[dense.center_row, dense.center_row].real)
+    return spectrum, kernel_degree, kernel_momentum, flow, gram
 
 
 def _assert_degree_matches_the_complex_route(rep, dense):
-    spectrum, kernel_degree, kernel_momentum, flow = _complex_degree_route(dense)
+    spectrum, kernel_degree, kernel_momentum, flow, gram = _complex_degree_route(dense)
+    # q* B q = |S (H-i)^{-1} e_p|^2 is the degree's diagonal entry at the
+    # probe; |q| <= 1, so its floor is at most 64 eps |S|^2
+    square = np.linalg.norm(dense.momentum, 2) ** 2
+    assert abs(rep.probe_gram - gram) <= 1e-12 * max(1.0, square)
+    assert rep.probe_gram >= -rep.probe_gram_floor
+    assert 0.0 <= rep.probe_gram_floor <= 1.01 * 64.0 * np.finfo(float).eps * square
     # Sylvester's law of inertia: the degree R* K^2 R, R = (H-i)^{-1}, is
     # positive semidefinite with K's kernel, which graph_degree counts on H
     assert kernel_degree == kernel_momentum == rep.kernel_dim
