@@ -58,7 +58,6 @@ from .skew import (
     TorusFlow,
     sector_correlation,
     sector_identity_check,
-    sector_matrix,
     shift_weyl_model,
     su2_degree_bound,
     su2_irrep,
@@ -69,7 +68,8 @@ REPORT_FORMAT = "run-report"
 REPORT_VERSION = 17
 CONFIG_VERSION = 1
 
-# every cutoff that feeds a status flag, overridable per scenario
+# every cutoff that feeds a status flag; a scenario may set graph_flow_residual
+# only, since a flow's invariance residual grows with the window
 DEFAULT_THRESHOLDS = {
     "identity_residual": 1e-9,
     "alternative_agreement": 1e-10,
@@ -86,8 +86,6 @@ DEFAULT_THRESHOLDS = {
     "fourier_recon": 1e-6,
     "fourier_exponent_max": -2.0,
 }
-# the thresholds that may be negative; every other one must be >= 0
-_SIGNED_THRESHOLDS = {"fourier_exponent_max"}
 
 _NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 
@@ -275,7 +273,7 @@ def _build_torus(spec, rng, path):
     charge = spec["sector"][0]
     winding = [sum(w * q for w, q in zip(column, spec["sector"])) for column in zip(*spec["winding"])]
     cocycle = TorusCocycle(winding, {k: charge * c for k, c in eta.items()})
-    return {"flow": flow, "cocycle": cocycle, "grid": spec["grid"], "matrix_size": spec["matrix_size"]}
+    return {"flow": flow, "cocycle": cocycle, "grid": spec["grid"]}
 
 
 def _su2_fields(model, path):
@@ -356,11 +354,8 @@ MODEL_TYPES = {
         _int_fields(window=(200, 4), margin=(3, 0)),
         lambda s, rng, p: {"pair": shift_weyl_model(s["window"], s["margin"]).pair},
         "pair", schedule=lambda s: [s["window"], 2 * s["window"], 4 * s["window"]]),
-    # sector_matrix, behind fourier, needs a one-dimensional base
-    "torus": ModelType(
-        _torus_fields, _build_torus,
-        family=lambda s: "torus" if len(s["y"]) == 1 else "torus-nd",
-        schedule=(16, 32, 64, 128, 256, 512, 1024), horizon=512),
+    "torus": ModelType(_torus_fields, _build_torus, "torus",
+                       schedule=(16, 32, 64, 128, 256, 512, 1024), horizon=512),
     "su2": ModelType(_su2_fields, _build_su2, "su2", schedule=(1000000,)),
     "graph-line": ModelType(
         _int_fields(length=(200, 2), margin=(3, 0)),
@@ -463,21 +458,17 @@ def validate_config(raw, default_seed=None):
 
         horizon = _get_int(sc.get("horizon", entry.horizon), f"{path}.horizon", minimum=16)
 
-        thresholds = dict(DEFAULT_THRESHOLDS)
+        # the one settable threshold; the runner reads the others from DEFAULT_THRESHOLDS
+        thresholds = {"graph_flow_residual": DEFAULT_THRESHOLDS["graph_flow_residual"]}
         overrides = sc.get("thresholds", {})
         if not isinstance(overrides, dict):
             _fail(f"{path}.thresholds", "expected an object")
         for key, value in overrides.items():
             key_path = f"{path}.thresholds.{key}"
-            if key not in DEFAULT_THRESHOLDS:
+            if key not in thresholds:
                 _fail(key_path, "unknown threshold key")
-            if key == "fourier_n_max":
-                thresholds[key] = _get_int(value, key_path, minimum=8)
-            else:
-                thresholds[key] = _get_number(value, key_path)
-            if key == "fourier_gamma" and thresholds[key] <= 0:
-                _fail(key_path, f"must be positive, got {value!r}")
-            if key not in _SIGNED_THRESHOLDS and thresholds[key] < 0:
+            thresholds[key] = _get_number(value, key_path)
+            if thresholds[key] < 0:
                 _fail(key_path, f"must be >= 0, got {value!r}")
 
         expect = sc.get("expect_admissible", True)
@@ -601,7 +592,7 @@ class ScenarioRunner:
         self.scenario = scenario
         self.built = built
         self.handlers = HANDLERS[model_family(scenario["model"])]
-        self.thresholds = scenario["thresholds"]
+        self.thresholds = {**DEFAULT_THRESHOLDS, **scenario["thresholds"]}
         self.artifacts = {}
         self.tracebacks = {}
 
@@ -629,10 +620,6 @@ class ScenarioRunner:
     def _used(self, *keys):
         return {k: self.thresholds[k] for k in keys}
 
-    def _rng(self, purpose):
-        """Random stream keyed by ``(seed, purpose)``, so task order cannot change it."""
-        return np.random.default_rng([self.scenario["seed"], *purpose.encode()])
-
     # -- derived objects ------------------------------------------------
 
     @functools.cached_property
@@ -644,7 +631,8 @@ class ScenarioRunner:
         return build_operators(self.built["window"], self.admissibility_report)
 
     def _correlation_vectors(self):
-        rng = self._rng("correlation-vectors")
+        # keyed by (seed, purpose), so task order cannot change the stream
+        rng = np.random.default_rng([self.scenario["seed"], *b"correlation-vectors"])
         dim = self.built["pair"].dim
         return _unit_vector(rng, dim), _unit_vector(rng, dim)
 
@@ -833,8 +821,7 @@ class ScenarioRunner:
     # -- fourier --------------------------------------------------------
 
     def fourier(self, unitary):
-        calc = FourierCalculus(unitary, _fourier_bump(),
-                               int(self.thresholds["fourier_n_max"]),
+        calc = FourierCalculus(unitary, _fourier_bump(), self.thresholds["fourier_n_max"],
                                self.thresholds["fourier_gamma"])
         self.artifacts["fourier.csv"] = calc.to_csv()
         ok = (calc.recon_error <= self.thresholds["fourier_recon"]
@@ -895,7 +882,7 @@ HANDLERS = {
         "mixing": lambda r: r.mixing(r.flow_series),
         "summability": lambda r: r.summability(r.flow_series),
     },
-    "torus-nd": {
+    "torus": {
         "identities": ScenarioRunner.torus_identities,
         "degree": ScenarioRunner.torus_degree,
         "mixing": lambda r: r.mixing(r.torus_series),
@@ -904,11 +891,6 @@ HANDLERS = {
     "su2": {"identities": ScenarioRunner.su2_identities, "degree": ScenarioRunner.su2_degree},
     "graph": {"identities": ScenarioRunner.graph_identities, "degree": ScenarioRunner.graph_window_degree,
               "admissibility": ScenarioRunner.admissibility},
-}
-HANDLERS["torus"] = {
-    **HANDLERS["torus-nd"],
-    "fourier": lambda r: r.fourier(sector_matrix(r.built["cocycle"], r.built["flow"],
-                                                 r.built["matrix_size"]).main),
 }
 
 

@@ -71,12 +71,13 @@ def _integral(value, what, minimum=None):
     """A step count or horizon as an ``int``; a value that is not integral is refused, not truncated.
 
     Integral values of any real numeric type count (``3.0``, ``np.int32(3)``);
-    ``2.9``, NaN, an infinity, text (``"3"``, ``b"4"``), a complex number and
-    a value below ``minimum`` raise ValueError.
+    ``2.9``, NaN, an infinity, text (``"3"``, ``b"4"``), a complex number, a
+    boolean (``True``, ``np.True_``) and a value below ``minimum`` raise
+    ValueError.
     """
-    text_or_complex = isinstance(value, (str, bytes, bytearray)) or (
+    refused = isinstance(value, (str, bytes, bytearray, bool, np.bool_)) or (
         isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real))
-    ok = isinstance(value, numbers.Integral) or (not text_or_complex and float(value).is_integer())
+    ok = not refused and (isinstance(value, numbers.Integral) or float(value).is_integer())
     if not (ok and (minimum is None or value >= minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{what} must be integers{bound}, got {value!r}")
@@ -86,12 +87,12 @@ def _integral(value, what, minimum=None):
 def _integer_array(values, what):
     """``values`` as an int64 array of integral entries (see _integral) of modulus below 2^63.
 
-    Integer and boolean arrays are taken as they are, in one pass; any other
-    entry goes through ``_integral``, so ``3.0`` counts and ``1.7``, NaN and
-    infinities raise ValueError.
+    Integer arrays are taken as they are, in one pass; any other entry goes
+    through ``_integral``, so ``3.0`` counts and ``1.7``, NaN, infinities and
+    booleans raise ValueError.
     """
     array = np.asarray(values)
-    if array.dtype.kind not in "biu":
+    if array.dtype.kind not in "iu":
         exact = [_integral(v, what) for v in array.ravel().tolist()]
         array = np.array(exact, dtype=object).reshape(array.shape)
     for extreme in (array.min(), array.max()) if array.size else ():

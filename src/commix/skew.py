@@ -5,11 +5,11 @@ a winding-plus-perturbation cocycle, their scalar degree fields, SU(2)-valued
 cocycles with matrix degree fields, and the cyclic shift/position pair.
 
 Sector operators are applied function-analytically on periodic grids, where
-their commutator identity is checked too; the matrix truncation serves the
-Fourier calculus and is a cross-check in the tests.  All grid
-resolutions are powers of two so spectral interpolation is exact on
-band-limited data.  Sector correlation series need no grid: they are summed
-in closed form from the Fourier data of the observables.
+their commutator identity is checked too; the matrix truncation is a
+cross-check in the tests.  All grid resolutions are powers of two so
+spectral interpolation is exact on band-limited data.  Sector correlation
+series need no grid: they are summed in closed form from the Fourier data of
+the observables.
 """
 
 from __future__ import annotations

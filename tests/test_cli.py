@@ -57,7 +57,8 @@ def test_validate_fills_defaults():
     sc = cfg["scenarios"][0]
     assert sc["seed"] == 0
     assert sc["schedule"] == [200, 400, 800]  # window multiples
-    assert sc["thresholds"] == DEFAULT_THRESHOLDS
+    # graph_flow_residual is the one settable threshold; the rest are constants
+    assert sc["thresholds"] == {"graph_flow_residual": DEFAULT_THRESHOLDS["graph_flow_residual"]}
     assert sc["horizon"] == 128
     assert sc["expect_admissible"] is True
     assert sc["model"]["window"] == 200
@@ -278,31 +279,44 @@ def test_warn_statuses_and_strict(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "o2"), "--strict"]) == 1
 
 
-def test_failing_threshold_exits_one(tmp_path):
-    config = pair_config(thresholds={"identity_residual": 1e-18, "alternative_agreement": 1e-18})
-    path = write_config(tmp_path, config)
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["status"] == "fail"
+def test_failing_threshold_exits_one(tmp_path, monkeypatch):
+    # the identities gate is residual <= max(expected, identity_residual) and
+    # residual/N <= alternative_agreement; with the first cap at 1e-18 the
+    # second decides, and the exit code flips at its boundary
+    schedule = [1, 2, 5, 17, 64]
+    path = write_config(tmp_path, pair_config(schedule=schedule))
+    assert main(["run", str(path), "--out", str(tmp_path / "default")]) == 0
+    row = json.loads((tmp_path / "default" / "report.json").read_text())["scenarios"][0]["tasks"][0]
+    worst = max(r / n for r, n in zip(row["metrics"]["residuals"], schedule))
+    monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "identity_residual", 1e-18)
+    for cap, code, status in ((math.nextafter(worst, 0.0), 1, "fail"), (math.nextafter(worst, math.inf), 0, "pass")):
+        monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "alternative_agreement", cap)
+        out = tmp_path / status
+        assert main(["run", str(path), "--out", str(out)]) == code
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == status
+        assert report["scenarios"][0]["tasks"][0]["thresholds"] == {"identity_residual": 1e-18,
+                                                                    "alternative_agreement": cap}
 
 
-def test_alternative_agreement_bounds_the_residual_over_n(tmp_path):
+def test_alternative_agreement_bounds_the_residual_over_n(tmp_path, monkeypatch):
     # residual/N is the gap between D_N and (1/N)[A, U^N]U^{-N} up to the
     # roundoff of U^N's unitarity, so alternative_agreement gates it directly
     schedule = [1, 2, 5, 17, 64]
 
-    def identities_row(thresholds, out):
-        config = validate_config(pair_config(schedule=schedule, thresholds=thresholds))
+    def identities_row(cap, out):
+        monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "alternative_agreement", cap)
+        config = validate_config(pair_config(schedule=schedule))
         return run_config(config, tmp_path / out)["scenarios"][0]["tasks"][0]
 
-    row = identities_row({}, "default")
+    row = identities_row(DEFAULT_THRESHOLDS["alternative_agreement"], "default")
     assert row["status"] == "pass" and "alternative_gaps" not in row["metrics"]
     worst = max(r / n for r, n in zip(row["metrics"]["residuals"], schedule))
     assert worst > 0.0
-    below = identities_row({"alternative_agreement": math.nextafter(worst, 0.0)}, "below")
+    below = identities_row(math.nextafter(worst, 0.0), "below")
     assert below["status"] == "fail"
     assert below["metrics"] == row["metrics"]
-    assert identities_row({"alternative_agreement": math.nextafter(worst, math.inf)}, "above")["status"] == "pass"
+    assert identities_row(math.nextafter(worst, math.inf), "above")["status"] == "pass"
 
 
 def test_graph_cycle4_expectation(tmp_path):
@@ -365,49 +379,10 @@ def test_out_that_cannot_be_written_exits_two_with_one_line(tmp_path, capsys):
     assert taken.read_text() == "kept"
 
 
-def test_fourier_gamma_must_be_positive(tmp_path, capsys):
-    for gamma in (0, -0.5):
-        config = pair_config(tasks=["fourier"], thresholds={"fourier_gamma": gamma})
-        want = f"config.scenarios[0].thresholds.fourier_gamma: must be positive, got {gamma!r}"
-        with pytest.raises(SchemaError) as info:
-            validate_config(config)
-        assert str(info.value) == want
-        path = write_config(tmp_path, config)
-        capsys.readouterr()
-        assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
-        assert want in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
-    config = validate_config(pair_config(thresholds={"fourier_gamma": 0.25}))
-    assert config["scenarios"][0]["thresholds"]["fourier_gamma"] == 0.25
-
-
-_SIGNED = {"fourier_exponent_max"}
-
-
-@pytest.mark.parametrize("overrides, key", [({key: -1}, key) for key in sorted(DEFAULT_THRESHOLDS.keys() - _SIGNED)])
-def test_out_of_range_thresholds_are_config_errors(tmp_path, capsys, overrides, key):
+def test_out_of_range_thresholds_are_config_errors(tmp_path, capsys):
     # a negative cutoff is refused by name, not read as a silent status
-    config = pair_config(thresholds=overrides)
-    want = f"config.scenarios[0].thresholds.{key}: "
-    with pytest.raises(SchemaError, match=re.escape(want)):
-        validate_config(config)
-    path = write_config(tmp_path, config)
-    capsys.readouterr()
-    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
-    assert want in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("key, value", [
-    ("torus_slope_min", -1.3), ("torus_slope_max", -0.7), ("su2_eigenvalue_rel", 2e-2),
-    ("graph_psd_floor", -1e-10), ("kernel_tol", 1e-8), ("gap_threshold", 1e-6)])
-def test_the_removed_degree_thresholds_are_unknown_keys(tmp_path, capsys, key, value):
-    # the slope window and the eigenvalue gap gave way to the certified sup bound;
-    # the graph degree's sign and kernel comparison hold by Sylvester's law of inertia;
-    # the pair Cauchy gaps gave way to the telescoping bound
-    assert len(DEFAULT_THRESHOLDS) == 14 and key not in DEFAULT_THRESHOLDS
-    config = pair_config(thresholds={key: value})
-    want = f"config.scenarios[0].thresholds.{key}: unknown threshold key"
+    config = pair_config(thresholds={"graph_flow_residual": -1})
+    want = "config.scenarios[0].thresholds.graph_flow_residual: must be >= 0, got -1"
     with pytest.raises(SchemaError) as info:
         validate_config(config)
     assert str(info.value) == want
@@ -418,11 +393,26 @@ def test_the_removed_degree_thresholds_are_unknown_keys(tmp_path, capsys, key, v
     assert not (tmp_path / "x").exists()
 
 
-def test_signed_thresholds_may_be_negative_and_the_others_zero():
-    signed = {"fourier_exponent_max": -3.0}
-    zeros = {key: 0 for key in DEFAULT_THRESHOLDS.keys() - _SIGNED - {"fourier_n_max", "fourier_gamma"}}
-    thresholds = validate_config(pair_config(thresholds={**signed, **zeros}))["scenarios"][0]["thresholds"]
-    assert thresholds == {**DEFAULT_THRESHOLDS, **signed, **zeros}
+@pytest.mark.parametrize("key, value", [
+    ("torus_slope_min", -1.3), ("torus_slope_max", -0.7), ("su2_eigenvalue_rel", 2e-2),
+    ("graph_psd_floor", -1e-10), ("kernel_tol", 1e-8), ("gap_threshold", 1e-6),
+    *((key, value) for key, value in sorted(DEFAULT_THRESHOLDS.items()) if key != "graph_flow_residual")])
+def test_the_removed_degree_thresholds_are_unknown_keys(tmp_path, capsys, key, value):
+    # the slope window and the eigenvalue gap gave way to the certified sup bound;
+    # the graph degree's sign and kernel comparison hold by Sylvester's law of inertia;
+    # the pair Cauchy gaps gave way to the telescoping bound; and every cutoff
+    # but graph_flow_residual is a constant, which no scenario may set, even to its value
+    assert len(DEFAULT_THRESHOLDS) == 14
+    config = pair_config(thresholds={key: value})
+    want = f"config.scenarios[0].thresholds.{key}: unknown threshold key"
+    with pytest.raises(SchemaError) as info:
+        validate_config(config)
+    assert str(info.value) == want
+    path = write_config(tmp_path, config)
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_threads_is_no_run_option(tmp_path, capsys):
@@ -471,17 +461,17 @@ def test_flow_pair_runs_all_four_tasks_end_to_end(tmp_path):
 
 
 def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys):
-    nan_threshold = pair_config(thresholds={"identity_residual": float("nan")})
+    nan_threshold = pair_config(thresholds={"graph_flow_residual": float("nan")})
     infinite_time = {"version": 1, "scenarios": [{
         "name": "flow", "schedule": [0.5, float("inf")], "tasks": ["identities"],
         "model": {"type": "matrix-pair", "generator": matrix_to_payload(np.diag([1.0, 2.0])),
                   "conjugate": matrix_to_payload(np.eye(2))}}]}
     nan_translation = {"version": 1, "scenarios": [{
         "name": "t", "model": {"type": "torus", "y": [float("nan")]}, "tasks": ["degree"]}]}
-    huge_threshold = pair_config(thresholds={"decay_fraction": 10**400})
+    huge_threshold = pair_config(thresholds={"graph_flow_residual": 10**400})
     cases = [
-        (nan_threshold, "scenarios[0].thresholds.identity_residual: expected a finite number, got nan"),
-        (huge_threshold, "scenarios[0].thresholds.decay_fraction: expected a finite number, got inf"),
+        (nan_threshold, "scenarios[0].thresholds.graph_flow_residual: expected a finite number, got nan"),
+        (huge_threshold, "scenarios[0].thresholds.graph_flow_residual: expected a finite number, got inf"),
         (infinite_time, "scenarios[0].schedule[1]: expected a finite number, got inf"),
         (nan_translation, "scenarios[0].model.y[0]: expected a finite number, got nan"),
     ]
@@ -606,7 +596,8 @@ def test_report_echo_is_runnable(tmp_path):
 
 
 def model_cases(tmp_path):
-    """One minimal model per model type (two where fields pick the family).
+    """One minimal model per model type (two where fields pick the family, and
+    a torus on a circle and on a plane).
 
     Each case: label, model, documented default schedule and horizon, and the
     tasks the README lists as supported.
@@ -628,9 +619,9 @@ def model_cases(tmp_path):
          [0.5, 1.5, 3.0], 128, pair_tasks - {"fourier"}),
         ("shift", {"type": "shift"}, [200, 400, 800], 128, pair_tasks),
         ("torus 1-D", {**torus, "y": 0.6180339887498949}, [16, 32, 64, 128, 256, 512, 1024], 512,
-         pair_tasks),
+         pair_tasks - {"fourier"}),
         ("torus 2-D", {**torus, "y": [0.6180339887498949, 0.41421356237309515], "winding": [[2, 1]]},
-         [16, 32, 64, 128, 256, 512, 1024], 512, {"identities", "degree", "mixing", "summability"}),
+         [16, 32, 64, 128, 256, 512, 1024], 512, pair_tasks - {"fourier"}),
         ("su2", {"type": "su2", "y": 0.41421356237309515}, [1000000], 128, {"identities", "degree"}),
         ("graph-line", {"type": "graph-line"}, steps, 128, graph_tasks),
         ("graph-grid2d", {"type": "graph-grid2d"}, steps, 128, graph_tasks),
@@ -698,10 +689,14 @@ def test_readme_tables_match_the_handlers_and_the_default_thresholds():
 def test_validation_rejects_tasks_that_always_fail():
     generator = {"type": "matrix-pair", "generator": matrix_to_payload(np.diag([1.0, 2.0])),
                  "conjugate": matrix_to_payload(np.eye(2))}
+    torus_1d = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 3, "matrix_size": 64}
     torus_2d = {"type": "torus", "y": [0.6180339887498949, 0.41421356237309515],
                 "winding": [[2, 1]], "sector": 3, "grid": 64}
+    # a torus runs no fourier on any base: its grid truncation had fake
+    # eigenvectors, and the verdict did not read the scenario
     cases = [
         (generator, ["identities", "fourier"], 1),
+        (torus_1d, ["fourier", "degree"], 0),
         (torus_2d, ["degree", "fourier"], 1),
     ]
     for model, tasks, j in cases:
@@ -726,27 +721,25 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
 def test_shared_operators_are_built_once_per_scenario(tmp_path, monkeypatch):
     calls = {"sector_matrix": 0, "build_operators": 0}
 
-    def counting(name):
-        original = getattr(cli, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counting(name))
+    counting(skew, "sector_matrix")
+    counting(cli, "build_operators")
     config = validate_config({
         "version": 1,
         "scenarios": [
+            # torus tasks run on the sector operator itself, never on its truncation
             {"name": "torus", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 2,
                                         "sector": 3, "grid": 64, "matrix_size": 64},
-             "tasks": ["identities", "fourier"]},
-            # identities run on the sector operator itself, with no truncation
-            {"name": "torus-identities", "model": {"type": "torus", "y": 0.6180339887498949,
-                                                   "winding": 2, "sector": 3, "grid": 64},
-             "tasks": ["identities"], "schedule": [1, 2, 3]},
+             "tasks": ["identities", "degree", "mixing", "summability"], "schedule": [1, 2, 3],
+             "horizon": 16},
             {"name": "line", "model": {"type": "graph-line", "length": 40, "margin": 2},
              "tasks": ["identities", "degree"], "thresholds": {"graph_flow_residual": 1.0}},
         ],
@@ -755,7 +748,7 @@ def test_shared_operators_are_built_once_per_scenario(tmp_path, monkeypatch):
     for sc in report["scenarios"]:
         for row in sc["tasks"]:
             assert "error" not in row["metrics"], (sc["name"], row)
-    assert calls == {"sector_matrix": 1, "build_operators": 1}
+    assert calls == {"sector_matrix": 0, "build_operators": 1}
 
 
 def test_identities_form_the_symbol_and_the_conjugate_norm_once_per_pair(tmp_path, monkeypatch):
@@ -834,7 +827,7 @@ def _dft(dim):
                                   "eta": [[[1], 0.0, -0.025], [[-1], 0.0, 0.025]],
                                   "grid": 64, "matrix_size": 64},
        "schedule": [4, 8], "horizon": 16,
-       "tasks": ["identities", "degree", "mixing", "summability", "fourier"]}], []),
+       "tasks": ["identities", "degree", "mixing", "summability"]}], []),
     ([{"name": "su2", "model": {"type": "su2", "y": 0.41421356237309515, "grid": 64},
        "schedule": [4, 8], "tasks": ["identities", "degree"]}], []),
     # Bessel arguments up to 6.7 and 20 take J_0 (and more orders) beyond
@@ -869,6 +862,59 @@ def test_each_model_family_loads_only_its_scipy_subpackage(tmp_path, scenarios, 
     loaded, public = json.loads(_python(code, config, str(tmp_path / "out")).stdout)
     assert loaded == bool(subpackages)
     assert public == subpackages
+
+
+def test_runs_without_scipy_write_the_same_bytes(tmp_path, monkeypatch):
+    # a meta-path finder refuses scipy and every scipy.* module, so any import
+    # of one would fail the run; the reports and artifacts must equal an
+    # in-process run where scipy is importable
+    cut_line = graphs.DirectedGraphWindow(range(40), [(k, k + 1) for k in range(39) if k != 25], 3)
+    graph_file = tmp_path / "cut-line.graph"
+    graph_file.write_text(format_graph_window(cut_line))
+    families = {"version": 1, "scenarios": [
+        {"name": "pair", "model": {"type": "matrix-pair", "unitary": matrix_to_payload(_dft(16)),
+                                   "conjugate": matrix_to_payload(np.diag(np.arange(16.0)))},
+         "schedule": [4, 8], "horizon": 16, "tasks": ["identities", "degree", "fourier"]},
+        {"name": "flow", "model": _flow_model(3), "schedule": [0.5, 1.0], "horizon": 16,
+         "tasks": ["identities", "degree", "mixing", "summability"]},
+        {"name": "graph-file", "model": {"type": "graph-file", "path": str(graph_file)},
+         "tasks": ["admissibility", "identities", "degree"], "thresholds": {"graph_flow_residual": 1.0}},
+        # Bessel arguments up to 6.7 take J_m beyond the power series, from _bessel_fft
+        {"name": "torus-fft", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 1,
+                                        "eta": [[[1], 0.0, 0.5], [[-1], 0.0, -0.5]]},
+         "horizon": 64, "tasks": ["mixing"]}]}
+    configs = {**EXAMPLE_CONFIGS, "families.json": families}
+    code = (
+        "import importlib.abc, json, pathlib, sys\n"
+        "class NoScipy(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "try:\n"
+        "    import scipy.special\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit('scipy was not blocked')\n"
+        "from commix.cli import run_config, validate_config\n"
+        "for name, config in json.loads(sys.argv[1]).items():\n"
+        "    run_config(validate_config(config), pathlib.Path(sys.argv[2]) / name)\n"
+    )
+    _python(code, json.dumps(configs), str(tmp_path / "blocked"))
+    tables = []
+    bessel_fft = skew._bessel_fft
+    monkeypatch.setattr(skew, "_bessel_fft", lambda *args: tables.append(args) or bessel_fft(*args))
+    for name, config in configs.items():
+        run_config(validate_config(config), tmp_path / "plain" / name)
+    assert tables
+    written = {}
+    for side in ("blocked", "plain"):
+        root = tmp_path / side
+        written[side] = {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+                         if p.is_file() and p.name != "report.meta.json"}
+    assert len(written["plain"]) == len(configs) + 8  # a report per config, and eight artifacts
+    assert written["blocked"] == written["plain"]
 
 
 def _pair_runner(model, schedule, tasks=("identities", "degree")):
@@ -1085,7 +1131,7 @@ def test_pair_degree_artifact_serializes_with_the_collector_paused_and_its_state
     assert during == [False] * 4 and collections == []
 
 
-def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_path):
+def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_path, monkeypatch):
     torus = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 3,
              "eta": [[[1], 0.0, -0.025], [[-1], 0.0, 0.025]], "grid": 1024}
     torus_2d = {"type": "torus", "y": [0.6180339887498949, 0.41421356237309515],
@@ -1096,8 +1142,6 @@ def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_
         {"name": "second", "model": torus, "tasks": ["degree", "identities"], "schedule": [4, 16, 128]},
         {"name": "reseeded", "seed": 6, "model": torus, "tasks": ["identities"], "schedule": [4, 16, 128]},
         {"name": "unresolved", "model": torus, "tasks": ["identities"], "schedule": [128, 256]},
-        {"name": "tight", "model": torus, "tasks": ["identities"], "schedule": [4, 16],
-         "thresholds": {"torus_identity_factor": 1e-3}},
         {"name": "plane", "model": torus_2d, "tasks": ["identities"], "schedule": [1, 2]},
     ]
     config = validate_config({"version": 1, "scenarios": [{"seed": 5, **sc} for sc in scenarios]})
@@ -1117,9 +1161,23 @@ def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_
     assert rows["unresolved"]["status"] == "warn"
     assert rows["unresolved"]["metrics"]["horizons"] == []
     assert rows["unresolved"]["metrics"]["unresolved_horizons"] == [128, 256]
-    assert rows["tight"]["status"] == "fail"
     assert rows["plane"]["status"] == "pass"
     assert rows["plane"]["metrics"]["horizons"] == [1, 2]
+    # the gate reads residual <= factor * estimate at every resolved horizon:
+    # it fails just below the least factor that holds them all, and passes at it
+    pairs = list(zip(metrics["residuals"], metrics["estimates"]))
+    factor = max(r / e for r, e in pairs)
+    while all(r <= factor * e for r, e in pairs):
+        factor = math.nextafter(factor, 0.0)
+    while not all(r <= factor * e for r, e in pairs):
+        factor = math.nextafter(factor, math.inf)
+    tight = validate_config({"version": 1, "scenarios": [
+        {"name": "tight", "seed": 5, "model": torus, "tasks": ["identities"], "schedule": [4, 16]}]})
+    for cap, status in ((math.nextafter(factor, 0.0), "fail"), (factor, "pass")):
+        monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "torus_identity_factor", cap)
+        (row,) = run_config(tight, tmp_path / status)["scenarios"][0]["tasks"]
+        assert row["status"] == status and row["thresholds"] == {"torus_identity_factor": cap}
+        assert row["metrics"] == {**metrics, "unresolved_horizons": []}
 
 
 GOLDEN_TORUS = {"type": "torus", "y": 0.6180339887498949, "winding": 2, "sector": 3,
@@ -1806,10 +1864,7 @@ def _raw_config(draw):
         if draw(st.booleans()):
             sc["horizon"] = draw(st.integers(16, 4096))
         if draw(st.booleans()):
-            keys = draw(st.lists(st.sampled_from(sorted(DEFAULT_THRESHOLDS)), unique=True, max_size=4))
-            valid = {"fourier_n_max": st.integers(8, 512), "fourier_gamma": st.floats(0.01, 10.0),
-                     "fourier_exponent_max": _numbers}
-            sc["thresholds"] = {k: draw(valid.get(k, st.floats(0.0, 10.0))) for k in keys}
+            sc["thresholds"] = {"graph_flow_residual": draw(st.floats(0.0, 10.0))}
         if draw(st.booleans()):
             sc["expect_admissible"] = draw(st.booleans())
         scenarios.append(sc)

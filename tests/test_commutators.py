@@ -326,9 +326,9 @@ def test_discrete_horizons_must_be_integral():
                  lambda n: degree_alternative(pair, n),
                  lambda n: estimate_degree(pair, [n])):
         # text and complex horizons used to be converted ("3" ran N = 3) or
-        # failed the >= 1 comparison with a TypeError
+        # failed the >= 1 comparison with a TypeError; a boolean ran N = 1
         for bad in (2.9, 0.5, np.float64(1.5), 0, -2, float("nan"), float("inf"),
-                    "3", b"4", 3 + 0j, np.complex128(2)):
+                    "3", b"4", 3 + 0j, np.complex128(2), True, np.True_):
             with pytest.raises(ValueError, match="discrete horizons must be integers >= 1"):
                 call(bad)
     with pytest.raises(ValueError, match="discrete horizons must be integers >= 1"):

@@ -139,12 +139,15 @@ def test_window_matches_the_per_edge_route(vertices, edges, margin):
     lambda: DirectedGraphWindow([0, 1, 2], [(0, 1), (1, 2)], b"1"),
     lambda: DirectedGraphWindow([0, 1, 2], [(0, 1 + 0j), (1, 2)], 1),
     lambda: line_window("5", 1),
+    lambda: DirectedGraphWindow([0, 1, 2], [(0, 1), (1, 2)], margin=True),
+    lambda: DirectedGraphWindow([0, 1], np.array([[False, True]]), 0),
 ], ids=["edge", "margin", "vertex", "nan-vertex", "array", "inf-edge", "line-length",
         "line-margin", "grid-nx", "grid-ny", "grid-margin", "text-labels", "bytes-margin",
-        "complex-edge", "text-length"])
+        "complex-edge", "text-length", "bool-margin", "bool-edges"])
 def test_window_constructors_refuse_non_integral_input(build):
     # refused, not truncated: 1.7 used to become 1, and 5.9 used to become 5;
-    # text and complex numbers are refused, not converted: "1" used to become 1
+    # text and complex numbers are refused, not converted: "1" used to become 1;
+    # booleans are refused, not counted: margin=True used to be margin 1
     with pytest.raises(ValueError, match="must be integers"):
         build()
 

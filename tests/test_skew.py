@@ -253,7 +253,8 @@ def test_step_counts_must_be_integral():
         "sector_correlation": lambda n: sector_correlation(coc, flow, {(1,): 1.0}, {(1,): 1.0}, n),
     }
     for name, call in {**from_zero, **from_one}.items():
-        for bad in (2.9, 0.5, np.float64(-1.5), float("nan"), float("inf"), "3", b"4", 3 + 0j):
+        for bad in (2.9, 0.5, np.float64(-1.5), float("nan"), float("inf"), "3", b"4", 3 + 0j,
+                    True, np.True_):
             with pytest.raises(ValueError, match="must be integers"):
                 call(bad)
         # integral values of any numeric type still count
