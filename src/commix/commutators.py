@@ -34,7 +34,6 @@ __all__ = [
     "SmoothWindow",
     "DegreeEstimate",
     "IdentityCheck",
-    "FlowIdentityCheck",
     "unitary_symbol",
     "selfadjoint_symbol",
     "birkhoff_discrete",
@@ -65,8 +64,9 @@ class OperatorPair:
 
     Both operators are stored as float64 when every entry of both has an
     imaginary part of exactly zero, and as complex128 otherwise, so products
-    of the two never mix arithmetic.  The commutator ``symbol`` and the norm
-    ``conjugate_norm`` are computed on first use and kept with the pair.
+    of the two never mix arithmetic.  The commutator ``symbol``, the norms
+    ``conjugate_norm`` and ``symbol_norm`` and a discrete step's
+    ``unitarity_defect`` are computed on first use and kept with the pair.
     """
 
     main: np.ndarray
@@ -118,6 +118,13 @@ class OperatorPair:
     def symbol_norm(self):
         """Spectral norm of the commutator ``symbol``."""
         return spectral_norm(self.symbol)
+
+    @functools.cached_property
+    def unitarity_defect(self):
+        """Frobenius norm ``||U* U - I||_F`` of a discrete pair's step; 0 for a permutation."""
+        if self.kind != "discrete":
+            raise ValueError("unitarity_defect needs a discrete pair")
+        return float(np.linalg.norm(self.main.conj().T @ self.main - np.eye(self.dim)))
 
     @functools.cached_property
     def spectrum(self):
@@ -321,15 +328,23 @@ def degree_averages(pair, schedule):
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Residual of ``[A, U^N] = N D_N U^N`` at one horizon.
+    """Residual of the paper's identity at one horizon, and its roundoff estimate.
 
-    ``expected`` is the roundoff scale ``dim * 1e-12 * (||A|| + N ||D_N||)``
-    of the two sides; the verdict is the caller's, against its own bounds.
+    ``residual`` is ``||[A, U^N] - N D_N U^N||`` for a discrete pair and
+    ``||[A~, e^{-itH}] - t e^{-itH} D_t||`` for a continuous one, both exact
+    identities in finite dimension, so the residual is roundoff.
+    ``error_estimate`` is ``max(N * 64 eps ||M||, 64 eps ||A||)`` (``t`` for
+    ``N``): the rounding of a sum of ``N`` conjugates of the symbol ``M``, at
+    least that of ``A``.  A discrete pair adds ``2 N ||A|| delta`` with
+    ``delta = ||U* U - I||_F``, its step's ``unitarity_defect``: ``U*`` stands
+    in for ``U^{-1}`` in ``M`` and in every conjugate, so the identity holds
+    only as exactly as the input step is unitary.  ``horizon`` is the integer
+    ``N`` or the duration ``t``.  The verdict is the caller's.
     """
 
-    steps: int
+    horizon: float
     residual: float
-    expected: float
+    error_estimate: float
 
 
 def _gather_symbol(a, p):
@@ -366,25 +381,30 @@ def identity_check(pair, horizon, average, propagator):
     of ``[A, U^N] = N D_N U^N``; when ``U^N`` is a permutation matrix
     (:func:`_permutation_rows`), as the ladder yields for a permutation ``U``,
     the residual is formed by :func:`_gather_residual` instead of three dense
-    products.  A continuous pair's row ``(t, D_t, e^{-itH})`` gives the
-    :class:`FlowIdentityCheck` of ``[A~, e^{-itH}] = t e^{-itH} D_t`` (see
-    :func:`flow_identity_check`).
+    products.  A continuous pair's row ``(t, D_t, e^{-itH})`` gives the one
+    of ``[A~, e^{-itH}] = t e^{-itH} D_t`` (see :func:`flow_identity_check`).
+    Both kinds take the estimate of :class:`IdentityCheck` from the pair's
+    cached ``symbol_norm``, ``conjugate_norm`` and, for a discrete pair,
+    ``unitarity_defect``.
     """
     if pair.kind == "continuous":
         a_tilde = pair.bounded_conjugate
         residual = spectral_norm(
             (a_tilde @ propagator - propagator @ a_tilde) - horizon * (propagator @ average)
         )
-        estimate = max(horizon * _roundoff_floor(pair.symbol_norm), _roundoff_floor(pair.conjugate_norm))
-        return FlowIdentityCheck(duration=horizon, residual=float(residual), error_estimate=float(estimate))
-    a = pair.conjugate
-    rows = _permutation_rows(propagator)
-    if rows is None:
-        residual = spectral_norm(a @ propagator - propagator @ a - horizon * (average @ propagator))
     else:
-        residual = spectral_norm(_gather_residual(a, rows, average, horizon))
-    expected = pair.dim * 1e-12 * (pair.conjugate_norm + horizon * spectral_norm(average))
-    return IdentityCheck(steps=horizon, residual=residual, expected=expected)
+        a = pair.conjugate
+        rows = _permutation_rows(propagator)
+        if rows is None:
+            residual = spectral_norm(a @ propagator - propagator @ a - horizon * (average @ propagator))
+        else:
+            residual = spectral_norm(_gather_residual(a, rows, average, horizon))
+    estimate = max(horizon * _roundoff_floor(pair.symbol_norm), _roundoff_floor(pair.conjugate_norm))
+    if pair.kind == "discrete":
+        # U* stands in for U^{-1}, so a step unitary only to delta leaves about
+        # N ||A|| delta in D_N and as much in U^N's own defect
+        estimate += 2.0 * horizon * pair.conjugate_norm * pair.unitarity_defect
+    return IdentityCheck(horizon=horizon, residual=float(residual), error_estimate=float(estimate))
 
 
 def degree_identity_check(pair, steps):
@@ -574,26 +594,17 @@ def tilde_conjugate(pair):
     return m
 
 
-@dataclass(frozen=True)
-class FlowIdentityCheck:
-    duration: float
-    residual: float
-    error_estimate: float
-
-
 def flow_identity_check(pair, duration):
     """Residual of the exact flow identity ``[A~, e^{-itH}] = t e^{-itH} D_t``.
 
     The identity is exact in finite dimension and ``D_t`` comes in closed
-    form, so the residual is roundoff; ``error_estimate`` is the roundoff
-    floor ``t * 64 eps ||M||`` of the symbol's average (at least that of
-    ``A``); the verdict is the caller's.  The symbol, its norm, ``||A||``,
-    ``A~`` and the decomposition of ``H`` are the pair's own, computed once
-    per pair.
+    form, so the residual is roundoff (see :class:`IdentityCheck`).  The
+    symbol, its norm, ``||A||``, ``A~`` and the decomposition of ``H`` are
+    the pair's own, computed once per pair.
     """
     if pair.kind != "continuous":
         raise ValueError("flow_identity_check needs a continuous pair")
     duration = float(duration)
     if duration == 0.0:
-        return FlowIdentityCheck(duration=0.0, residual=0.0, error_estimate=_roundoff_floor(pair.conjugate_norm))
+        return IdentityCheck(horizon=0.0, residual=0.0, error_estimate=_roundoff_floor(pair.conjugate_norm))
     return identity_check(pair, *degree_averages(pair, [duration])[0])

@@ -177,7 +177,10 @@ class SummabilityReport:
 
         if np.isfinite(self.tail_slope) and self.tail_slope < -1.0:
             h = float(series.abscissae[-1])
-            rest = np.exp(self._tail_intercept) * h ** (self.tail_slope + 1.0) / (-self.tail_slope - 1.0)
+            # in log space: on a super-exponential tail exp(intercept) overflows
+            # while h^(slope + 1) underflows to 0
+            log_rest = self._tail_intercept + (self.tail_slope + 1.0) * np.log(h)
+            rest = np.exp(log_rest) / (-self.tail_slope - 1.0)
             self.extrapolated_total = total + float(rest)
         else:
             self.extrapolated_total = float("inf")

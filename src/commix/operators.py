@@ -87,11 +87,17 @@ def _integral(value, what, minimum=None):
 def _integer_array(values, what):
     """``values`` as an int64 array of integral entries (see _integral) of modulus below 2^63.
 
-    Integer arrays are taken as they are, in one pass; any other entry goes
-    through ``_integral``, so ``3.0`` counts and ``1.7``, NaN, infinities and
-    booleans raise ValueError.
+    Integer arrays are taken as they are, in one pass, and so are lists whose
+    entries all convert to integers; any other entry goes through
+    ``_integral``, so ``3.0`` counts and ``1.7``, NaN, infinities and
+    booleans raise ValueError, a ``True`` inside a list of integers included.
     """
     array = np.asarray(values)
+    if not isinstance(values, np.ndarray):
+        # np.asarray reads a boolean inside a list as 1 or 1.0; keep it a boolean
+        entries = np.asarray(values, dtype=object)
+        if {bool, np.bool_} & set(map(type, entries.ravel().tolist())):
+            array = entries
     if array.dtype.kind not in "iu":
         exact = [_integral(v, what) for v in array.ravel().tolist()]
         array = np.array(exact, dtype=object).reshape(array.shape)

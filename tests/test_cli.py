@@ -26,7 +26,7 @@ from commix.cli import (
 )
 from commix.graphs import format_graph_window, line_window
 from commix.mixing import CorrelationSeries
-from commix.operators import matrix_digest, matrix_to_payload
+from commix.operators import matrix_digest, matrix_to_payload, spectral_norm
 from commix.skew import sector_identity_check, torus_degree_bound, torus_degree_field
 
 
@@ -210,7 +210,7 @@ def test_run_pair_identities(tmp_path, capsys, monkeypatch):
     assert "scenario quick: pass" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["format"] == "run-report"
-    assert report["version"] == cli.REPORT_VERSION == 17
+    assert report["version"] == cli.REPORT_VERSION == 18
     assert report["status"] == "pass"
     # timing lives in the meta file so reports stay byte-reproducible
     assert "started" not in json.dumps(report)
@@ -279,44 +279,105 @@ def test_warn_statuses_and_strict(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "o2"), "--strict"]) == 1
 
 
+def least_passing_factor(metrics):
+    """The least float ``f`` with every residual ``<= f * estimate``: an identity gate's boundary."""
+    pairs = list(zip(metrics["residuals"], metrics["estimates"]))
+    factor = max(r / e for r, e in pairs)
+    assert factor > 0.0
+    while all(r <= factor * e for r, e in pairs):
+        factor = math.nextafter(factor, 0.0)
+    while not all(r <= factor * e for r, e in pairs):
+        factor = math.nextafter(factor, math.inf)
+    return factor
+
+
 def test_failing_threshold_exits_one(tmp_path, monkeypatch):
-    # the identities gate is residual <= max(expected, identity_residual) and
-    # residual/N <= alternative_agreement; with the first cap at 1e-18 the
-    # second decides, and the exit code flips at its boundary
+    # a pair's identities pass iff every residual is at most identity_factor
+    # times its own roundoff estimate; the exit code flips at that boundary
     schedule = [1, 2, 5, 17, 64]
     path = write_config(tmp_path, pair_config(schedule=schedule))
     assert main(["run", str(path), "--out", str(tmp_path / "default")]) == 0
     row = json.loads((tmp_path / "default" / "report.json").read_text())["scenarios"][0]["tasks"][0]
-    worst = max(r / n for r, n in zip(row["metrics"]["residuals"], schedule))
-    monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "identity_residual", 1e-18)
-    for cap, code, status in ((math.nextafter(worst, 0.0), 1, "fail"), (math.nextafter(worst, math.inf), 0, "pass")):
-        monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "alternative_agreement", cap)
+    assert row["thresholds"] == {"identity_factor": 10.0}
+    assert sorted(row["metrics"]) == ["estimates", "horizons", "residuals"]
+    assert row["metrics"]["horizons"] == schedule
+    factor = least_passing_factor(row["metrics"])
+    assert factor < 10.0
+    for cap, code, status in ((math.nextafter(factor, 0.0), 1, "fail"), (factor, 0, "pass")):
+        monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "identity_factor", cap)
         out = tmp_path / status
         assert main(["run", str(path), "--out", str(out)]) == code
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == status
-        assert report["scenarios"][0]["tasks"][0]["thresholds"] == {"identity_residual": 1e-18,
-                                                                    "alternative_agreement": cap}
+        (got,) = report["scenarios"][0]["tasks"]
+        assert got["thresholds"] == {"identity_factor": cap} and got["metrics"] == row["metrics"]
 
 
-def test_alternative_agreement_bounds_the_residual_over_n(tmp_path, monkeypatch):
-    # residual/N is the gap between D_N and (1/N)[A, U^N]U^{-N} up to the
-    # roundoff of U^N's unitarity, so alternative_agreement gates it directly
-    schedule = [1, 2, 5, 17, 64]
+def test_flow_identities_gate_on_the_estimate(tmp_path, monkeypatch):
+    # a flow's identities row takes the pair's rule and keys: each residual at
+    # most identity_factor times its own roundoff estimate
+    config = validate_config({"version": 1, "scenarios": [
+        {"name": "flow", "seed": 5, "model": _flow_model(41), "tasks": ["identities"]}]})
 
-    def identities_row(cap, out):
-        monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "alternative_agreement", cap)
-        config = validate_config(pair_config(schedule=schedule))
-        return run_config(config, tmp_path / out)["scenarios"][0]["tasks"][0]
+    def identities_row(out):
+        (row,) = run_config(config, tmp_path / out)["scenarios"][0]["tasks"]
+        return row
 
-    row = identities_row(DEFAULT_THRESHOLDS["alternative_agreement"], "default")
-    assert row["status"] == "pass" and "alternative_gaps" not in row["metrics"]
-    worst = max(r / n for r, n in zip(row["metrics"]["residuals"], schedule))
-    assert worst > 0.0
-    below = identities_row(math.nextafter(worst, 0.0), "below")
-    assert below["status"] == "fail"
-    assert below["metrics"] == row["metrics"]
-    assert identities_row(math.nextafter(worst, math.inf), "above")["status"] == "pass"
+    row = identities_row("default")
+    assert row["status"] == "pass" and row["thresholds"] == {"identity_factor": 10.0}
+    assert sorted(row["metrics"]) == ["estimates", "horizons", "residuals"]
+    assert row["metrics"]["horizons"] == [0.5, 1.5, 3.0]
+    factor = least_passing_factor(row["metrics"])
+    assert factor < 10.0
+    for cap, status in ((math.nextafter(factor, 0.0), "fail"), (factor, "pass")):
+        monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "identity_factor", cap)
+        got = identities_row(status)
+        assert got["status"] == status and got["thresholds"] == {"identity_factor": cap}
+        assert got["metrics"] == row["metrics"]
+
+
+def test_identity_rule_fails_an_average_scaled_past_roundoff(tmp_path, monkeypatch):
+    # D_N scaled by 1 + 1e-11 breaks [A, U^N] = N D_N U^N by about 2e-11 at
+    # every horizon: inside the former absolute caps on a pair's residual,
+    # residual <= max(dim 1e-12 (||A|| + N ||D_N||), 1e-9) and
+    # residual/N <= 1e-10, but past ten times the roundoff estimate at every
+    # horizon below 64, where the estimate, linear in N, reaches 2e-11 too
+    config = validate_config(EXAMPLE_CONFIGS["identities-random.json"])
+    pair = build_model(config["scenarios"][0])["pair"]
+    original = cli.degree_averages
+
+    def scaled(mutated, schedule):
+        return [(n, average * (1.0 + 1e-11), power) for n, average, power in original(mutated, schedule)]
+
+    monkeypatch.setattr(cli, "degree_averages", scaled)
+    (row,) = run_config(config, tmp_path / "out")["scenarios"][0]["tasks"]
+    assert row["status"] == "fail"
+    metrics = row["metrics"]
+    failing = [n for n, r, e in zip(metrics["horizons"], metrics["residuals"], metrics["estimates"]) if r > 10.0 * e]
+    assert failing == [1, 2, 5, 17]
+    for (n, average, _), residual in zip(scaled(pair, metrics["horizons"]), metrics["residuals"]):
+        former_scale = pair.dim * 1e-12 * (pair.conjugate_norm + n * spectral_norm(average))
+        assert residual <= max(former_scale, 1e-9) and residual / n <= 1e-10
+
+
+def test_a_step_rounded_to_twelve_digits_passes_its_identities(tmp_path):
+    # a rotation written to 12 digits is unitary to about 1e-12, inside the
+    # constructor's tolerance; U* stands in for U^{-1}, so each residual carries
+    # about 2 N ||A|| ||U*U - I||_F, past ten times the rounding of the sum alone
+    c, s = round(math.cos(0.7), 12), round(math.sin(0.7), 12)
+    model = {"type": "matrix-pair", "unitary": matrix_to_payload(np.array([[c, -s], [s, c]])),
+             "conjugate": matrix_to_payload(np.array([[1.0, 0.3], [0.3, -2.0]]))}
+    config = validate_config({"version": 1, "scenarios": [
+        {"name": "rotation", "model": model, "schedule": [1, 2, 7, 64, 250, 1000], "tasks": ["identities"]}]})
+    pair = build_model(config["scenarios"][0])["pair"]
+    assert 1e-13 < pair.unitarity_defect < 1e-11
+    (row,) = run_config(config, tmp_path / "out")["scenarios"][0]["tasks"]
+    assert row["status"] == "pass"
+    floor = commutators._roundoff_floor
+    metrics = row["metrics"]
+    for n, r, e in zip(metrics["horizons"], metrics["residuals"], metrics["estimates"]):
+        assert r > 10.0 * max(n * floor(pair.symbol_norm), floor(pair.conjugate_norm))
+        assert r <= e
 
 
 def test_graph_cycle4_expectation(tmp_path):
@@ -396,13 +457,16 @@ def test_out_of_range_thresholds_are_config_errors(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("torus_slope_min", -1.3), ("torus_slope_max", -0.7), ("su2_eigenvalue_rel", 2e-2),
     ("graph_psd_floor", -1e-10), ("kernel_tol", 1e-8), ("gap_threshold", 1e-6),
+    ("identity_residual", 1e-9), ("alternative_agreement", 1e-10), ("flow_residual_factor", 10.0),
+    ("torus_identity_factor", 10.0),
     *((key, value) for key, value in sorted(DEFAULT_THRESHOLDS.items()) if key != "graph_flow_residual")])
 def test_the_removed_degree_thresholds_are_unknown_keys(tmp_path, capsys, key, value):
     # the slope window and the eigenvalue gap gave way to the certified sup bound;
     # the graph degree's sign and kernel comparison hold by Sylvester's law of inertia;
-    # the pair Cauchy gaps gave way to the telescoping bound; and every cutoff
-    # but graph_flow_residual is a constant, which no scenario may set, even to its value
-    assert len(DEFAULT_THRESHOLDS) == 14
+    # the pair Cauchy gaps gave way to the telescoping bound; the pair, flow and
+    # torus identity cutoffs became identity_factor; and every cutoff but
+    # graph_flow_residual is a constant, which no scenario may set, even to its value
+    assert len(DEFAULT_THRESHOLDS) == 11
     config = pair_config(thresholds={key: value})
     want = f"config.scenarios[0].thresholds.{key}: unknown threshold key"
     with pytest.raises(SchemaError) as info:
@@ -772,10 +836,10 @@ def test_identities_form_the_symbol_and_the_conjugate_norm_once_per_pair(tmp_pat
     report = run_config(validate_config(pair_config(schedule=schedule)), tmp_path / "out")
     assert report["scenarios"][0]["status"] == "pass"
     # U^N comes from the schedule's Birkhoff ladder, not a matrix_power; per
-    # entry: the norms of the residual and of D_N; once per pair: the symbol
+    # entry: the norm of the residual; once per pair: the symbol, its norm
     # and ||A||
     entries = len(schedule)
-    assert calls == {"matrix_power": 0, "spectral_norm": 2 * entries + 1, "unitary_symbol": 1}
+    assert calls == {"matrix_power": 0, "spectral_norm": entries + 2, "unitary_symbol": 1}
 
 
 @pytest.mark.parametrize("schedule", [[1, 2, 5, 17, 64], [125, 250, 500, 1000]])
@@ -792,7 +856,7 @@ def test_identity_rows_agree_with_the_per_horizon_reference(tmp_path, schedule):
     for j, n in enumerate(schedule):
         check = commutators.degree_identity_check(pair, n)
         assert abs(metrics["residuals"][j] - check.residual) <= n * floor
-        assert metrics["expected"][j] == pytest.approx(check.expected, rel=1e-12)
+        assert metrics["estimates"][j] == check.error_estimate
 
 
 def _flow_model(seed, dim=6):
@@ -971,15 +1035,11 @@ def test_shared_pair_averages_match_the_standalone_routes(kind):
     for n, average, _ in runner.pair_averages:
         assert average.tobytes() == standalone(pair.main, pair.symbol, n).tobytes()
     assert estimate.limit.tobytes() == runner.pair_averages[-1][1].tobytes()
-    if kind == "discrete":
-        checks = [commutators.degree_identity_check(pair, n) for n in schedule]
-        assert identities["residuals"] == [c.residual for c in checks]
-        assert identities["expected"] == [c.expected for c in checks]
-    else:
-        checks = [commutators.flow_identity_check(pair, t) for t in schedule]
-        assert identities["durations"] == [c.duration for c in checks]
-        assert identities["residuals"] == [c.residual for c in checks]
-        assert identities["estimates"] == [c.error_estimate for c in checks]
+    check = commutators.degree_identity_check if kind == "discrete" else commutators.flow_identity_check
+    checks = [check(pair, n) for n in schedule]
+    assert identities["horizons"] == [c.horizon for c in checks] == schedule
+    assert identities["residuals"] == [c.residual for c in checks]
+    assert identities["estimates"] == [c.error_estimate for c in checks]
 
 
 @pytest.mark.parametrize("model,schedule", [({"type": "random-pair", "dim": 8}, [64]), (_flow_model(37), [1.5])])
@@ -1150,7 +1210,7 @@ def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_
             for sc in report["scenarios"]}
     first = rows["first"]
     assert first["status"] == "pass"
-    assert first["thresholds"] == {"torus_identity_factor": 10.0}
+    assert first["thresholds"] == {"identity_factor": 10.0}
     metrics = first["metrics"]
     assert metrics["horizons"] == [4, 16] and metrics["unresolved_horizons"] == [128]
     assert all(r <= e for r, e in zip(metrics["residuals"], metrics["estimates"]))
@@ -1165,18 +1225,13 @@ def test_torus_identities_gate_on_the_estimate_and_list_unresolved_horizons(tmp_
     assert rows["plane"]["metrics"]["horizons"] == [1, 2]
     # the gate reads residual <= factor * estimate at every resolved horizon:
     # it fails just below the least factor that holds them all, and passes at it
-    pairs = list(zip(metrics["residuals"], metrics["estimates"]))
-    factor = max(r / e for r, e in pairs)
-    while all(r <= factor * e for r, e in pairs):
-        factor = math.nextafter(factor, 0.0)
-    while not all(r <= factor * e for r, e in pairs):
-        factor = math.nextafter(factor, math.inf)
+    factor = least_passing_factor(metrics)
     tight = validate_config({"version": 1, "scenarios": [
         {"name": "tight", "seed": 5, "model": torus, "tasks": ["identities"], "schedule": [4, 16]}]})
     for cap, status in ((math.nextafter(factor, 0.0), "fail"), (factor, "pass")):
-        monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "torus_identity_factor", cap)
+        monkeypatch.setitem(cli.DEFAULT_THRESHOLDS, "identity_factor", cap)
         (row,) = run_config(tight, tmp_path / status)["scenarios"][0]["tasks"]
-        assert row["status"] == status and row["thresholds"] == {"torus_identity_factor": cap}
+        assert row["status"] == status and row["thresholds"] == {"identity_factor": cap}
         assert row["metrics"] == {**metrics, "unresolved_horizons": []}
 
 
@@ -1358,13 +1413,24 @@ def test_correlation_series_is_serialized_once_per_scenario(tmp_path, monkeypatc
             {"name": "torus", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 2,
                                         "sector": 3, "grid": 1024},
              "horizon": 16, "tasks": ["mixing", "summability"]},
+            # a super-exponential tail: its fitted slope is about -470, so the
+            # extrapolated rest is formed in log space, where exp(intercept)
+            # alone overflowed and read "nan" with RuntimeWarnings
+            {"name": "torus-steep", "model": {"type": "torus", "y": 0.6180339887498949, "winding": 2,
+                                              "sector": 1, "eta": [[[1], 0.0, 0.5], [[-1], 0.0, -0.5]]},
+             "horizon": 64, "tasks": ["mixing", "summability"]},
         ],
     })
     report = run_config(config, tmp_path / "out")
-    for row in report["scenarios"][0]["tasks"]:
-        assert "error" not in row["metrics"], row
-    assert len(calls) == 1
-    assert (tmp_path / "out" / "torus" / "correlation.csv").read_text() == original(calls[0])
+    for scenario in report["scenarios"]:
+        for row in scenario["tasks"]:
+            assert "error" not in row["metrics"], row
+    steep = report["scenarios"][1]["tasks"][1]["metrics"]
+    assert steep["tail_slope"] < -100.0 and math.isfinite(steep["extrapolated_total"])
+    assert steep["total"] <= steep["extrapolated_total"]
+    assert len(calls) == 2
+    for name, series in zip(("torus", "torus-steep"), calls):
+        assert (tmp_path / "out" / name / "correlation.csv").read_text() == original(series)
 
 
 def test_written_correlation_series_read_back_as_the_series_the_runner_held(tmp_path, monkeypatch):

@@ -334,7 +334,7 @@ def test_discrete_horizons_must_be_integral():
     with pytest.raises(ValueError, match="discrete horizons must be integers >= 1"):
         estimate_degree(pair, [1.2, 1.7])
     # integral values of any numeric type still count
-    assert degree_identity_check(pair, np.float64(3.0)).steps == 3
+    assert degree_identity_check(pair, np.float64(3.0)).horizon == 3
     assert np.array_equal(birkhoff_discrete(pair.main, pair.symbol, np.int32(5)),
                           birkhoff_discrete(pair.main, pair.symbol, 5))
     est = estimate_degree(pair, [np.int64(2), 4.0])
@@ -368,7 +368,7 @@ def test_degree_identity_exact():
         pair = random_discrete_pair(rng, dim)
         for steps in (1, 2, 9):
             chk = degree_identity_check(pair, steps)
-            assert chk.residual <= chk.expected, f"dim={dim} N={steps}: {chk.residual:.3e}"
+            assert chk.residual <= 10.0 * chk.error_estimate, f"dim={dim} N={steps}: {chk.residual:.3e}"
 
 
 @settings(max_examples=60)
@@ -377,7 +377,34 @@ def test_degree_identity_holds_on_random_complex_pairs(dim, steps, seed):
     pair = random_discrete_pair(np.random.default_rng(seed), dim)
     assert pair.main.dtype == np.complex128
     chk = degree_identity_check(pair, steps)
-    assert chk.residual <= chk.expected, f"dim={dim} N={steps}: {chk.residual:.3e} > {chk.expected:.3e}"
+    assert chk.residual <= 10.0 * chk.error_estimate, \
+        f"dim={dim} N={steps}: {chk.residual:.3e} > 10 x {chk.error_estimate:.3e}"
+
+
+def test_identity_estimate_covers_the_steps_unitarity_defect():
+    # A = 1e4 (U + U* + 1e-6 H) nearly commutes with a dense U, so ||M|| is
+    # about 4e-6 ||A||: the sum of conjugates rounds at N 64 eps ||M||, but the
+    # ladder's powers carry U's defect ||U*U - I||_F ~ 10 eps N-fold, about
+    # N ||A|| eps, which the estimate's 2 N ||A|| delta term takes from the input
+    rng = np.random.default_rng(2)
+    u = random_unitary(rng, 16)
+    h = rng.standard_normal((16, 16))
+    pair = OperatorPair.discrete(u, 1e4 * (u + u.conj().T + 1e-6 * (h + h.T) / 2))
+    assert 0.0 < pair.unitarity_defect < 64 * np.finfo(float).eps
+    assert pair.symbol_norm < 1e-5 * pair.conjugate_norm
+    floor = commutators._roundoff_floor
+    for n, average, power in degree_averages(pair, [1, 1000, 10000]):
+        chk = identity_check(pair, n, average, power)
+        assert chk.residual <= 10.0 * chk.error_estimate, f"N={n}: {chk.residual:.3e}"
+        without_defect = max(n * floor(pair.symbol_norm), floor(pair.conjugate_norm))
+        assert n < 10000 or chk.residual > 10.0 * without_defect
+
+
+def test_a_permutation_step_has_no_unitarity_defect():
+    pair = shift_weyl_model(8, 2).pair
+    assert pair.unitarity_defect == 0.0
+    with pytest.raises(ValueError):
+        OperatorPair.continuous(np.eye(2), np.eye(2)).unitarity_defect
 
 
 def test_degree_alternative_agrees():
@@ -788,7 +815,7 @@ def test_shift_model_is_bit_identical_in_real_and_complex_arithmetic(window, ste
 
     exact = 2**octaves
     check, twin_check = degree_identity_check(pair, exact), degree_identity_check(twin, exact)
-    assert (check.residual, check.expected) == (twin_check.residual, twin_check.expected)
+    assert (check.residual, check.error_estimate) == (twin_check.residual, twin_check.error_estimate)
     assert np.array_equal(birkhoff_discrete(pair.main, pair.symbol, exact),
                           birkhoff_discrete(twin.main, twin.symbol, exact))
     assert np.array_equal(degree_alternative(pair, exact), degree_alternative(twin, exact))
